@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from opmeans import FunctionPair, check_contraction_implication, check_pair_conditions, function_by_name, power
-from opmeans.means import MatrixMean
-from opmeans.randgen import GeneratorConfig, derive_stream_seed, normalize_for_contraction, random_pd
+from opmeans.means import MatrixMean, normalize_for_contraction
+from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_pd
 
 pair = FunctionPair(power(0.5), power(0.5))
 print("pair (g, h) = (x^1/2, x^1/2):")

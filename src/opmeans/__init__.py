@@ -27,7 +27,6 @@ from .core import (
     matrix_abs,
     norm,
     norm_catalog,
-    op_norm,
     singular_values,
     spectral_bounds,
 )
@@ -55,6 +54,7 @@ from .means import (
     mean,
     mean_by_name,
     mean_catalog,
+    normalize_for_contraction,
     perspective,
     register_mean,
     relative_operator_entropy,
@@ -63,7 +63,6 @@ from .randgen import (
     GeneratorConfig,
     RandomStream,
     derive_stream_seed,
-    normalize_for_contraction,
     random_gap_pair,
     random_normal,
     random_pd,
@@ -84,6 +83,7 @@ from .checks import (
     check_normal_chain,
     check_normal_counterexample,
     check_normal_triangle,
+    check_transplanted_norm_chain,
     check_power_mean_bounds,
     check_subadditivity_refinement,
 )

@@ -34,7 +34,6 @@ from .core import (
     apply_fn,
     chain_norm_kinds,
     det_root,
-    hermitian_part,
     loewner_leq,
     matrix_abs,
     norm,
@@ -64,6 +63,7 @@ __all__ = [
     "check_normal_counterexample",
     "check_normal_triangle",
     "check_normal_chain",
+    "check_transplanted_norm_chain",
     "check_power_mean_bounds",
     "check_ando_hiai_comparison",
     "check_contraction_implication",
@@ -173,50 +173,28 @@ def _chain_coefficients(f: ScalarFunction, m: float, M: float):
     return (float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M)))
 
 
-def _matrix_chain(prefix, S, X, coefs, forward, tol):
-    """Four Loewner links c0 S ? c1 S ? X ? c2 S ? c3 S (direction per tag)."""
+def _chain(prefix, S, X, coefs, forward, tol, link):
+    """Four links c0 S ? c1 S ? X ? c2 S ? c3 S (direction per tag).
+
+    ``link`` compares the two sides: ``_loewner_link`` for matrices,
+    ``_scalar_link`` for numbers.  Each step lists the coefficients that
+    must be finite for it to apply; a side of ``None`` stands for X.
+    """
     c0, c1, c2, c3 = coefs
     links = []
-
-    def emit(desc, lo, hi):
-        links.append(_loewner_link(desc, lo, hi, tol))
-
-    if not (math.isfinite(c0) and math.isfinite(c1)):
-        links.append(_vacuous(f"{prefix}:edge-low"))
-    else:
-        emit(f"{prefix}:edge-low", *((c0 * S, c1 * S) if forward else (c1 * S, c0 * S)))
-    if math.isfinite(c1):
-        emit(f"{prefix}:low", *((c1 * S, X) if forward else (X, c1 * S)))
-    else:
-        links.append(_vacuous(f"{prefix}:low"))
-    emit(f"{prefix}:high", *((X, c2 * S) if forward else (c2 * S, X)))
-    if math.isfinite(c3):
-        emit(f"{prefix}:edge-high", *((c2 * S, c3 * S) if forward else (c3 * S, c2 * S)))
-    else:
-        links.append(_vacuous(f"{prefix}:edge-high"))
-    return links
-
-
-def _scalar_chain(prefix, s, x, coefs, forward, tol):
-    c0, c1, c2, c3 = coefs
-    links = []
-    if math.isfinite(c0) and math.isfinite(c1):
-        pair = (c0 * s, c1 * s) if forward else (c1 * s, c0 * s)
-        links.append(_scalar_link(f"{prefix}:edge-low", *pair, tol))
-    else:
-        links.append(_vacuous(f"{prefix}:edge-low"))
-    if math.isfinite(c1):
-        pair = (c1 * s, x) if forward else (x, c1 * s)
-        links.append(_scalar_link(f"{prefix}:low", *pair, tol))
-    else:
-        links.append(_vacuous(f"{prefix}:low"))
-    pair = (x, c2 * s) if forward else (c2 * s, x)
-    links.append(_scalar_link(f"{prefix}:high", *pair, tol))
-    if math.isfinite(c3):
-        pair = (c2 * s, c3 * s) if forward else (c3 * s, c2 * s)
-        links.append(_scalar_link(f"{prefix}:edge-high", *pair, tol))
-    else:
-        links.append(_vacuous(f"{prefix}:edge-high"))
+    for name, needs, lo, hi in (
+        ("edge-low", (c0, c1), c0, c1),
+        ("low", (c1,), c1, None),
+        ("high", (), None, c2),
+        ("edge-high", (c3,), c2, c3),
+    ):
+        desc = f"{prefix}:{name}"
+        if not all(math.isfinite(c) for c in needs):
+            links.append(_vacuous(desc))
+            continue
+        lo = X if lo is None else lo * S
+        hi = X if hi is None else hi * S
+        links.append(link(desc, lo, hi, tol) if forward else link(desc, hi, lo, tol))
     return links
 
 
@@ -286,8 +264,8 @@ def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     X1 = mean(sigma, apply_fn(f, a), apply_fn(f, b), tol).entries
     X2 = apply_fn(f, S).entries
     coefs = _chain_coefficients(f, m, M)
-    links = _matrix_chain("fn-then-mean", S, X1, coefs, forward, tol)
-    links += _matrix_chain("mean-then-fn", S, X2, coefs, forward, tol)
+    links = _chain("fn-then-mean", S, X1, coefs, forward, tol, _loewner_link)
+    links += _chain("mean-then-fn", S, X2, coefs, forward, tol, _loewner_link)
     params = {
         "fn": f.name,
         "mean": sigma.name,
@@ -368,22 +346,23 @@ def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOut
     coefs = _chain_coefficients(f, m, M)
     links = []
     for j in range(s.size):
-        links += _scalar_chain("eig", float(s[j]), float(x[j]), coefs, forward, tol)
+        links += _chain("eig", float(s[j]), float(x[j]), coefs, forward, tol, _scalar_link)
     if s[-1] <= 0.0:
         raise NotPositiveSemidefiniteError("product links need a positive mean spectrum")
     for k in range(1, s.size + 1):
         ck = tuple(c**k if math.isfinite(c) else c for c in coefs)
-        links += _scalar_chain(
-            "prod", float(np.prod(s[:k])), float(np.prod(x[:k])), ck, forward, tol
+        links += _chain(
+            "prod", float(np.prod(s[:k])), float(np.prod(x[:k])), ck, forward, tol, _scalar_link
         )
     for kind in _norm_kinds(norms, a.shape[0]):
-        links += _scalar_chain(
+        links += _chain(
             f"norm[{kind.label()}]",
             norm(Smat.entries, kind),
             norm(Xmat.entries, kind),
             coefs,
             forward,
             tol,
+            _scalar_link,
         )
     params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "convex": forward}
     return CheckOutcome("eig_prod_norm", "eigenvalue-product-norm-chains", tuple(links), params)
@@ -448,6 +427,20 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
     return CheckOutcome("subadditivity_refinement", "subadditivity-refinement", tuple(links), params)
 
 
+def _abs_images(f, a, b):
+    """Shared terms of the norm chains on normal operands a, b.
+
+    Returns the smallest and largest singular value over both operands,
+    f(|a|) + f(|b|) and f(|a| + |b|).
+    """
+    sv = np.concatenate([singular_values(a), singular_values(b)])
+    abs_a = matrix_abs(a, normal_hint=True).entries
+    abs_b = matrix_abs(b, normal_hint=True).entries
+    images_sum = apply_fn(f, abs_a).entries + apply_fn(f, abs_b).entries
+    image_of_abs_sum = apply_fn(f, abs_a + abs_b).entries
+    return float(sv.min()), float(sv.max()), images_sum, image_of_abs_sum
+
+
 def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
     """Reproduce the fixed 2x2 indefinite fixture that breaks the norm chain.
 
@@ -458,13 +451,10 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
     a = np.diag([2.0, -1.0]).astype(np.complex128)
     b = np.diag([-2.0, 1.0]).astype(np.complex128)
     f = function_by_name("power:2")
-    abs_a = matrix_abs(a, normal_hint=True).entries
-    abs_b = matrix_abs(b, normal_hint=True).entries
-    sv = np.concatenate([singular_values(a), singular_values(b)])
-    M = float(sv.max())
+    m, M, images, image_of_abs = _abs_images(f, a, b)
     op = NormKind.operator()
-    images_sum = norm(apply_fn(f, abs_a).entries + apply_fn(f, abs_b).entries, op)
-    image_of_abs_sum = norm(apply_fn(f, abs_a + abs_b).entries, op)
+    images_sum = norm(images, op)
+    image_of_abs_sum = norm(image_of_abs, op)
     coef_bound = (float(f(M)) / M) * norm(a + b, op)
     deriv_bound = float(f.deriv(M)) * norm(a + b, op)
     links = (
@@ -482,7 +472,7 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
     params = {
         "fn": f.name,
         "M": M,
-        "m": float(sv.min()),
+        "m": m,
         "norm_images_sum": images_sum,
         "norm_image_of_abs_sum": image_of_abs_sum,
         "coef_bound": coef_bound,
@@ -529,14 +519,9 @@ def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError(f"{f.name} does not fix zero")
     _require_normal(a, tol, "first operand")
     _require_normal(b, tol, "second operand")
-    sv = np.concatenate([singular_values(a), singular_values(b)])
-    m, M = float(sv.min()), float(sv.max())
+    m, M, images_sum, image_of_abs_sum = _abs_images(f, a, b)
     if m <= 0.0:
         raise NotPositiveDefiniteError("singular values must be positive")
-    abs_a = matrix_abs(a, normal_hint=True).entries
-    abs_b = matrix_abs(b, normal_hint=True).entries
-    images_sum = apply_fn(f, abs_a).entries + apply_fn(f, abs_b).entries
-    image_of_abs_sum = apply_fn(f, abs_a + abs_b).entries
     if forward:
         edge = float(f.deriv(0.0))
         c_sep = float(f(m)) / m
@@ -563,6 +548,33 @@ def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
         )
     params = {"fn": f.name, "m": m, "M": M, "convex": forward, "dim": a.shape[0]}
     return CheckOutcome("normal_chain", "normal-abs-norm-chain", tuple(links), params)
+
+
+def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutcome:
+    """The convex upper norm bounds transplanted to normal operands.
+
+    Off the positive definite class the bounds compare
+    |||f(|A|)+f(|B|)||| and |||f(|A|+|B|)||| against (f(M)/M) |||A+B|||
+    with M the largest singular value; they are expected to fail, and a
+    failing link is what the counterexample search reports as a hit.
+    """
+    a = as_complex_array(A)
+    b = as_complex_array(B)
+    m, M, images_sum, image_of_abs_sum = _abs_images(f, a, b)
+    coef = float(f(M)) / M
+    links = []
+    for kind in norms:
+        bound = coef * norm(a + b, kind)
+        links.append(_scalar_link(f"upper-sep[{kind.label()}]", norm(images_sum, kind), bound, tol))
+        links.append(
+            _scalar_link(f"upper-sum[{kind.label()}]", norm(image_of_abs_sum, kind), bound, tol)
+        )
+    return CheckOutcome(
+        "transplanted_norm_chain",
+        "normal-upper-norm-bounds",
+        tuple(links),
+        {"fn": f.name, "M": M, "m": m},
+    )
 
 
 def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:

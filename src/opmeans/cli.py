@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=20240001)
     parser.add_argument("--report", metavar="PATH", help="write the full report here")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for trials")
     parser.add_argument("--fixture", action="append", dest="fixtures", metavar="PATH",
                         help="matrix JSON file; pass twice (A then B) for a single-instance check")
     parser.add_argument("--budget", type=int, default=10000, help="search only: max instances")
@@ -81,7 +80,7 @@ def main(argv=None) -> int:
             code = 0 if found else 1
             verdict = "counterexample found" if found else "no counterexample within budget"
         else:
-            report = run_suite(spec, jobs=args.jobs)
+            report = run_suite(spec)
             code = 0 if report.summary.failed_links == 0 else 1
             verdict = "all applicable links passed" if code == 0 else "failing links present"
         if args.report:

@@ -6,7 +6,7 @@ matrices, the polar absolute value, unitarily invariant norms, determinant
 roots, and Loewner-order comparison with explicit margins.
 
 All operations are pure: inputs are never mutated and outputs are freshly
-allocated, so values can be shared freely between concurrent workers.
+allocated, so values can be shared freely between callers.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "singular_values",
     "det_root",
     "spectral_bounds",
-    "op_norm",
     "norm_catalog",
     "chain_norm_kinds",
 ]
@@ -265,12 +264,6 @@ def _eigvalsh(arr: np.ndarray) -> np.ndarray:
 def _opnorm_hermitian(arr: np.ndarray) -> float:
     w = _eigvalsh(arr)
     return float(max(abs(w[0]), abs(w[-1])))
-
-
-def op_norm(A) -> float:
-    """Operator (spectral) norm of a general square matrix."""
-    arr = as_complex_array(A)
-    return float(np.linalg.norm(arr, 2))
 
 
 def _canonicalize_basis(w: np.ndarray, v: np.ndarray) -> None:

@@ -4,48 +4,35 @@ A :class:`SuiteSpec` names a checker family and its parameters; running it
 produces a :class:`Report` whose records are one :class:`CheckOutcome` per
 (configuration, trial).  Reports are fully deterministic in the master
 seed: instances for trial t derive from ``derive_stream_seed(seed, 2t)``
-and ``(seed, 2t+1)``, records are assembled in a fixed order at any worker
-count, and only the wall-time field varies between identical runs.
+and ``(seed, 2t+1)``, records are assembled in (configuration, trial)
+order, and only the wall-time field varies between identical runs.
 
-Suites bundle their natural hypothesis combinations; a checker invoked
-outside its hypotheses (for instance a concave function handed to the
-convex-only subadditivity refinement) downgrades to an inapplicable record
-instead of failing, and the downgrade is surfaced in the summary.
+Each suite is one entry of a table: its configurations, its instance
+builder and its checker call.  Suites bundle their natural hypothesis
+combinations; a checker invoked outside its hypotheses (for instance a
+concave function handed to the convex-only subadditivity refinement)
+downgrades to an inapplicable record instead of failing, and the
+downgrade is surfaced in the summary.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
 from . import checks
-from .core import (
-    ComplexMatrix,
-    HermitianMatrix,
-    NormKind,
-    as_complex_array,
-    norm,
-    norm_catalog,
-    chain_norm_kinds,
-    matrix_abs,
-    apply_fn,
-    singular_values,
-    spectral_bounds,
-    op_norm,
-)
-from .checks import CheckOutcome, Link
-from .functions import FunctionPair, function_by_name, power, parse_parameter
-from .means import MatrixMean, mean_by_name, mean_catalog
+from .core import ComplexMatrix, HermitianMatrix, NormKind, as_complex_array
+from .checks import CheckOutcome
+from .functions import FunctionPair, function_by_name
+from .means import MatrixMean, mean_by_name, mean_catalog, normalize_for_contraction
 from .randgen import (
     GeneratorConfig,
     derive_stream_seed,
-    normalize_for_contraction,
     random_gap_pair,
     random_normal,
     random_pd,
@@ -199,25 +186,30 @@ def _matrix_payload(x) -> list:
 
 
 # ---------------------------------------------------------------------------
-# suite plans
+# suite table
 
-def _resolve_functions(names) -> list:
-    return [function_by_name(n) for n in names]
-
-
-def _resolve_means(names) -> list[MatrixMean]:
-    return [mean_by_name(n) for n in names]
+def _fns(defaults):
+    """Configurations over the chosen functions, or ``defaults``."""
+    return lambda spec: [{"fn": n} for n in spec.functions or defaults]
 
 
-def _fn_combos(spec: SuiteSpec, defaults) -> list[dict]:
-    names = spec.functions or defaults
-    return [{"fn": n} for n in names]
+def _fns_means(defaults):
+    """Configurations over chosen functions (or ``defaults``) x chosen means (or the catalog)."""
+
+    def combos(spec):
+        mean_names = spec.means or tuple(m.name for m in mean_catalog())
+        return [{"fn": f, "mean": s} for f in spec.functions or defaults for s in mean_names]
+
+    return combos
 
 
-def _fn_mean_combos(spec: SuiteSpec, fn_defaults) -> list[dict]:
-    fn_names = spec.functions or fn_defaults
-    mean_names = spec.means or tuple(m.name for m in mean_catalog())
-    return [{"fn": f, "mean": s} for f in fn_names for s in mean_names]
+def _alphas_rs(spec: SuiteSpec) -> list[dict]:
+    return [{"alpha": a, "r": r} for a in spec.alphas for r in spec.rs]
+
+
+def _contraction_pairs(spec: SuiteSpec) -> list[dict]:
+    ps = (0.25, 0.5, 0.75)
+    return [{"g": f"power:{p:g}", "h": f"power:{q:g}"} for p in ps for q in ps]
 
 
 def _dim_for(spec: SuiteSpec, t: int) -> int:
@@ -258,6 +250,114 @@ def _norm_arg(spec: SuiteSpec):
     return tuple(spec.norms) if spec.norms else None
 
 
+def _check_contraction(spec: SuiteSpec, c: dict, x) -> CheckOutcome:
+    pair = FunctionPair(function_by_name(c["g"]), function_by_name(c["h"]))
+    sigma_h = MatrixMean(f"h:{pair.h.name}", pair.h)
+    a, b = normalize_for_contraction(sigma_h, *x)
+    return checks.check_contraction_implication(pair, a, b, spec.iterations, spec.tol)
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """One suite: its configurations, instance builder and checker call.
+
+    ``instance(spec, t)`` builds trial t's instance; ``None`` marks a fixed
+    check that takes no instance and runs one trial.  ``check(spec, combo,
+    x)`` makes the record of configuration ``combo`` on instance ``x``.  A
+    fixture pair is loaded as Hermitian when ``hermitian`` is set and is
+    shaped into an instance by ``from_fixture``.  Entries look checkers,
+    generators and names up when called, so a wrapper installed on a module
+    attribute sees every call.
+    """
+
+    combos: Callable
+    instance: Callable | None
+    check: Callable
+    hermitian: bool = True
+    from_fixture: Callable = lambda spec, pair: pair
+
+
+def _fn(c: dict):
+    return function_by_name(c["fn"])
+
+
+def _mean(c: dict):
+    return mean_by_name(c["mean"])
+
+
+_ALL_FNS = _fns(_ALL_FUNCTIONS)
+_ALL_FNS_MEANS = _fns_means(_ALL_FUNCTIONS)
+
+_SUITES = {
+    "main_chain": _Suite(
+        _ALL_FNS_MEANS, _pd_pair,
+        lambda spec, c, x: checks.check_main_chain(_fn(c), _mean(c), *x, spec.tol),
+    ),
+    "chord": _Suite(
+        _ALL_FNS_MEANS, _pd_pair,
+        lambda spec, c, x: checks.check_chord_bounds(_fn(c), _mean(c), *x, spec.tol),
+    ),
+    "log_example": _Suite(
+        lambda spec: [{}], _pd_pair,
+        lambda spec, c, x: checks.check_log_example(*x, None, spec.tol),
+    ),
+    "mean_diff_norm": _Suite(
+        _fns_means(CONVEX_FUNCTIONS), _pd_pair,
+        lambda spec, c, x: checks.check_mean_difference_norm(
+            _fn(c), _mean(c), *x, _norm_arg(spec), spec.tol
+        ),
+    ),
+    "eig_prod_norm": _Suite(
+        _ALL_FNS_MEANS, _pd_pair,
+        lambda spec, c, x: checks.check_eig_prod_norm(
+            _fn(c), _mean(c), *x, spec.tol, _norm_arg(spec)
+        ),
+    ),
+    "subadditivity": _Suite(
+        _fns(CONVEX_FUNCTIONS), _pd_pair,
+        lambda spec, c, x: checks.check_subadditivity_refinement(
+            _fn(c), *x, _norm_arg(spec), spec.tol
+        ),
+    ),
+    "normal_counterexample": _Suite(
+        lambda spec: [{}], None,
+        lambda spec, c, x: checks.check_normal_counterexample(),
+    ),
+    "normal_triangle": _Suite(
+        lambda spec: [{}], _normal_pair,
+        lambda spec, c, x: checks.check_normal_triangle(*x, _norm_arg(spec), spec.tol),
+        hermitian=False,
+    ),
+    "normal_chain": _Suite(
+        _ALL_FNS, _normal_pair,
+        lambda spec, c, x: checks.check_normal_chain(_fn(c), *x, _norm_arg(spec), spec.tol),
+        hermitian=False,
+    ),
+    "power_mean": _Suite(
+        _alphas_rs, _pd_pair,
+        lambda spec, c, x: checks.check_power_mean_bounds(*x, c["alpha"], c["r"], spec.tol),
+    ),
+    "ando_hiai": _Suite(
+        _alphas_rs, _pd_pair,
+        lambda spec, c, x: checks.check_ando_hiai_comparison(*x, c["alpha"], c["r"], spec.tol),
+    ),
+    "contraction": _Suite(_contraction_pairs, _pd_pair, _check_contraction),
+    "inverse_function": _Suite(
+        _ALL_FNS_MEANS, _pd_pair,
+        lambda spec, c, x: checks.check_inverse_function(_fn(c), _mean(c), *x, spec.tol),
+    ),
+    "determinant": _Suite(
+        _ALL_FNS, _det_instance,
+        lambda spec, c, x: checks.check_determinant_suite(
+            _fn(c), x[0], x[1], x[2], spec.tol
+        ).with_params({"pair_kind": x[3]}),
+        from_fixture=lambda spec, pair: (*pair, spec.alphas[0], "fixture"),
+    ),
+}
+
+SUITE_NAMES = tuple(_SUITES)
+
+
 def _fixture_pair(spec: SuiteSpec, hermitian: bool):
     if len(spec.fixtures) != 2:
         raise UsageError("single-instance checks need exactly two --fixture files (A then B)")
@@ -275,147 +375,6 @@ def _validate_names(spec: SuiteSpec) -> None:
             NormKind.parse(name)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _suite_plan(spec: SuiteSpec):
-    """Return (combos, gen, run) for the named suite."""
-    s = spec.suite
-    tol = spec.tol
-    norms = _norm_arg(spec)
-
-    if s == "main_chain":
-        return (
-            _fn_mean_combos(spec, _ALL_FUNCTIONS),
-            lambda t: _pd_pair(spec, t),
-            lambda c, inst, t: checks.check_main_chain(
-                function_by_name(c["fn"]), mean_by_name(c["mean"]), inst[0], inst[1], tol
-            ),
-        )
-    if s == "chord":
-        return (
-            _fn_mean_combos(spec, _ALL_FUNCTIONS),
-            lambda t: _pd_pair(spec, t),
-            lambda c, inst, t: checks.check_chord_bounds(
-                function_by_name(c["fn"]), mean_by_name(c["mean"]), inst[0], inst[1], tol
-            ),
-        )
-    if s == "log_example":
-        return (
-            [{}],
-            lambda t: _pd_pair(spec, t),
-            lambda c, inst, t: checks.check_log_example(inst[0], inst[1], None, tol),
-        )
-    if s == "mean_diff_norm":
-        return (
-            _fn_mean_combos(spec, CONVEX_FUNCTIONS),
-            lambda t: _pd_pair(spec, t),
-            lambda c, inst, t: checks.check_mean_difference_norm(
-                function_by_name(c["fn"]), mean_by_name(c["mean"]), inst[0], inst[1], norms, tol
-            ),
-        )
-    if s == "eig_prod_norm":
-        return (
-            _fn_mean_combos(spec, _ALL_FUNCTIONS),
-            lambda t: _pd_pair(spec, t),
-            lambda c, inst, t: checks.check_eig_prod_norm(
-                function_by_name(c["fn"]), mean_by_name(c["mean"]), inst[0], inst[1], tol, norms
-            ),
-        )
-    if s == "subadditivity":
-        return (
-            _fn_combos(spec, CONVEX_FUNCTIONS),
-            lambda t: _pd_pair(spec, t),
-            lambda c, inst, t: checks.check_subadditivity_refinement(
-                function_by_name(c["fn"]), inst[0], inst[1], norms, tol
-            ),
-        )
-    if s == "normal_counterexample":
-        return ([{}], lambda t: None, lambda c, inst, t: checks.check_normal_counterexample())
-    if s == "normal_triangle":
-        return (
-            [{}],
-            lambda t: _normal_pair(spec, t),
-            lambda c, inst, t: checks.check_normal_triangle(inst[0], inst[1], norms, tol),
-        )
-    if s == "normal_chain":
-        return (
-            _fn_combos(spec, _ALL_FUNCTIONS),
-            lambda t: _normal_pair(spec, t),
-            lambda c, inst, t: checks.check_normal_chain(
-                function_by_name(c["fn"]), inst[0], inst[1], norms, tol
-            ),
-        )
-    if s == "power_mean":
-        combos = [{"alpha": a, "r": r} for a in spec.alphas for r in spec.rs]
-        return (
-            combos,
-            lambda t: _pd_pair(spec, t),
-            lambda c, inst, t: checks.check_power_mean_bounds(
-                inst[0], inst[1], c["alpha"], c["r"], tol
-            ),
-        )
-    if s == "ando_hiai":
-        combos = [{"alpha": a, "r": r} for a in spec.alphas for r in spec.rs]
-        return (
-            combos,
-            lambda t: _pd_pair(spec, t),
-            lambda c, inst, t: checks.check_ando_hiai_comparison(
-                inst[0], inst[1], c["alpha"], c["r"], tol
-            ),
-        )
-    if s == "contraction":
-        ps = (0.25, 0.5, 0.75)
-        combos = [{"g": f"power:{p:g}", "h": f"power:{q:g}"} for p in ps for q in ps]
-
-        def run(c, inst, t):
-            pair = FunctionPair(function_by_name(c["g"]), function_by_name(c["h"]))
-            sigma_h = MatrixMean(f"h:{pair.h.name}", pair.h)
-            a, b = normalize_for_contraction(sigma_h, inst[0], inst[1])
-            return checks.check_contraction_implication(pair, a, b, spec.iterations, tol)
-
-        return (combos, lambda t: _pd_pair(spec, t), run)
-    if s == "inverse_function":
-        return (
-            _fn_mean_combos(spec, _ALL_FUNCTIONS),
-            lambda t: _pd_pair(spec, t),
-            lambda c, inst, t: checks.check_inverse_function(
-                function_by_name(c["fn"]), mean_by_name(c["mean"]), inst[0], inst[1], tol
-            ),
-        )
-    if s == "determinant":
-        return (
-            _fn_combos(spec, _ALL_FUNCTIONS),
-            lambda t: _det_instance(spec, t),
-            lambda c, inst, t: checks.check_determinant_suite(
-                function_by_name(c["fn"]), inst[0], inst[1], inst[2], tol
-            ).with_params({"pair_kind": inst[3]}),
-        )
-    raise UsageError(f"unknown suite {spec.suite!r}")
-
-
-SUITE_NAMES = (
-    "main_chain",
-    "chord",
-    "log_example",
-    "mean_diff_norm",
-    "eig_prod_norm",
-    "subadditivity",
-    "normal_counterexample",
-    "normal_triangle",
-    "normal_chain",
-    "power_mean",
-    "ando_hiai",
-    "contraction",
-    "inverse_function",
-    "determinant",
-)
-
-
-def _guarded(run, combo, inst, t, check_name):
-    try:
-        return run(combo, inst, t)
-    except ValueError as exc:
-        return CheckOutcome(check_name, "not-applicable", (), {"not_applicable": str(exc)})
 
 
 def _summarize(records, wall_time, found=None) -> Summary:
@@ -451,44 +410,38 @@ def _summarize(records, wall_time, found=None) -> Summary:
     )
 
 
-def run_suite(spec: SuiteSpec, jobs: int = 1) -> Report:
+def run_suite(spec: SuiteSpec) -> Report:
     """Run every (configuration, trial) cell of a suite.
 
     Deterministic for a fixed master seed: trial instances depend only on
-    (seed, trial index), and the record order is (configuration, trial)
-    regardless of the worker count.
+    (seed, trial index), and the record order is (configuration, trial).
     """
     started = time.perf_counter()
     _validate_names(spec)
     if spec.trials < 1:
         raise UsageError("trials must be >= 1")
-    combos, gen, run = _suite_plan(spec)
-    n_trials = 1 if spec.suite == "normal_counterexample" else spec.trials
+    suite = _SUITES.get(spec.suite)
+    if suite is None:
+        raise UsageError(f"unknown suite {spec.suite!r}")
+    combos = suite.combos(spec)
     if spec.fixtures:
-        hermitian = spec.suite not in ("normal_triangle", "normal_chain")
-        pair = _fixture_pair(spec, hermitian)
-        instances = [pair if spec.suite != "determinant" else (*pair, spec.alphas[0], "fixture")]
-        n_trials = 1
+        instances = [suite.from_fixture(spec, _fixture_pair(spec, suite.hermitian))]
+    elif suite.instance is None:
+        instances = [None]
     else:
-        instances = [gen(t) for t in range(n_trials)]
+        instances = [suite.instance(spec, t) for t in range(spec.trials)]
 
-    tasks = [(ci, t) for ci in range(len(combos)) for t in range(n_trials)]
-
-    def do(task):
-        ci, t = task
-        combo = combos[ci]
-        outcome = _guarded(run, combo, instances[t], t, spec.suite)
-        context = {"suite": spec.suite, "trial": t}
-        context.update(combo)
-        if instances[t] is not None and not spec.fixtures:
-            context["dim"] = _dim_for(spec, t)
-        return outcome.with_params(context)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(do, tasks))
-    else:
-        records = [do(task) for task in tasks]
+    records = []
+    for combo in combos:
+        for t, inst in enumerate(instances):
+            try:
+                outcome = suite.check(spec, combo, inst)
+            except ValueError as exc:
+                outcome = CheckOutcome(spec.suite, "not-applicable", (), {"not_applicable": str(exc)})
+            context = {"suite": spec.suite, "trial": t, **combo}
+            if inst is not None and not spec.fixtures:
+                context["dim"] = _dim_for(spec, t)
+            records.append(outcome.with_params(context))
 
     summary = _summarize(records, time.perf_counter() - started)
     return Report(TOOL_VERSION, spec, records, summary)
@@ -496,42 +449,6 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> Report:
 
 # ---------------------------------------------------------------------------
 # counterexample search
-
-def _transplanted_norm_chain(f, A, B, norms, tol) -> CheckOutcome:
-    """The convex upper norm bounds transplanted to normal operands.
-
-    Off the positive definite class the bounds compare
-    |||f(|A|)+f(|B|)||| and |||f(|A|+|B|)||| against (f(M)/M) |||A+B|||
-    with M the largest singular value; they are expected to fail, and a
-    failing link is what the search reports as a hit.
-    """
-    a = as_complex_array(A)
-    b = as_complex_array(B)
-    sv = np.concatenate([singular_values(a), singular_values(b)])
-    M = float(sv.max())
-    coef = float(f(M)) / M
-    abs_a = matrix_abs(a, normal_hint=True).entries
-    abs_b = matrix_abs(b, normal_hint=True).entries
-    images_sum = apply_fn(f, abs_a).entries + apply_fn(f, abs_b).entries
-    image_of_abs_sum = apply_fn(f, abs_a + abs_b).entries
-    links = []
-    for kind in norms:
-        bound = coef * norm(a + b, kind)
-        links.append(
-            checks._scalar_link(f"upper-sep[{kind.label()}]", norm(images_sum, kind), bound, tol)
-        )
-        links.append(
-            checks._scalar_link(
-                f"upper-sum[{kind.label()}]", norm(image_of_abs_sum, kind), bound, tol
-            )
-        )
-    return CheckOutcome(
-        "transplanted_norm_chain",
-        "normal-upper-norm-bounds",
-        tuple(links),
-        {"fn": f.name, "M": M, "m": float(sv.min())},
-    )
-
 
 SEARCH_TARGETS = ("norm_chain_normal", "main_chain")
 
@@ -559,21 +476,13 @@ def search_counterexample(target: str, structure: str | None, budget: int, spec:
     sigma = mean_by_name(spec.means[0]) if spec.means else mean_by_name("arithmetic:1/2")
 
     def instance(t: int):
-        dim = _dim_for(spec, t)
-        cfg = GeneratorConfig(dim, spec.m, spec.M, structure, spec.master_seed)
         if structure == "positive_definite":
-            return (
-                random_pd(cfg, derive_stream_seed(spec.master_seed, 2 * t)),
-                random_pd(cfg, derive_stream_seed(spec.master_seed, 2 * t + 1)),
-            )
-        return (
-            random_normal(cfg, derive_stream_seed(spec.master_seed, 2 * t)),
-            random_normal(cfg, derive_stream_seed(spec.master_seed, 2 * t + 1)),
-        )
+            return _pd_pair(spec, t)
+        return _normal_pair(spec, t, structure)
 
     def evaluate(a, b):
         if target == "norm_chain_normal":
-            return _transplanted_norm_chain(fn, a, b, norms, spec.tol)
+            return checks.check_transplanted_norm_chain(fn, a, b, norms, spec.tol)
         return checks.check_main_chain(fn, sigma, a, b, spec.tol)
 
     records = []

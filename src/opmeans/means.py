@@ -9,6 +9,7 @@ The catalog covers the weighted arithmetic, harmonic and geometric means.
 A :class:`Perspective` applies the same congruence to an arbitrary
 continuous function, without positivity or normalization requirements;
 with phi = log it yields the relative operator entropy.
+``normalize_for_contraction`` rescales a pair so that its mean tops out at I.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "mean",
     "perspective",
     "relative_operator_entropy",
+    "normalize_for_contraction",
     "mean_catalog",
     "mean_by_name",
     "register_mean",
@@ -166,11 +168,6 @@ def mean_by_name(name: str) -> MatrixMean:
     return factory(parse_parameter(param))
 
 
-def _fncalc(arr: np.ndarray, values_of):
-    w, v = np.linalg.eigh(arr)
-    return (v * values_of(w)) @ v.conj().T
-
-
 def _congruence(a: np.ndarray, b: np.ndarray, scalar_map, tol: float):
     """A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) for positive definite A."""
     wa, va = np.linalg.eigh(a)
@@ -266,3 +263,19 @@ def relative_operator_entropy(A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix
     from .functions import function_by_name
 
     return perspective(Perspective(function_by_name("log")), A, B, tol)
+
+
+def normalize_for_contraction(sigma_h: MatrixMean, A, B):
+    """Scale (A, B) by c = lambda_max(A sigma B) so the mean tops out at I.
+
+    Means are positively homogeneous, so (A/c) sigma (B/c) has largest
+    eigenvalue 1; the contraction hypothesis A sigma B <= I then holds with
+    equality at the top.
+    """
+    a = as_hermitian_array(A)
+    b = as_hermitian_array(B)
+    g = mean(sigma_h, a, b)
+    c = float(np.linalg.eigvalsh(g.entries)[-1])
+    if c <= 0.0:
+        raise ValueError("mean has nonpositive largest eigenvalue")
+    return HermitianMatrix(a / c), HermitianMatrix(b / c)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexMatrix, HermitianMatrix, as_hermitian_array
-from .means import MatrixMean, mean
+from .core import ComplexMatrix, HermitianMatrix
 
 __all__ = [
     "MASK64",
@@ -36,9 +35,7 @@ __all__ = [
     "random_unitary",
     "random_pd",
     "random_normal",
-    "random_instance",
     "random_gap_pair",
-    "normalize_for_contraction",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -175,13 +172,6 @@ def random_normal(config: GeneratorConfig, stream_seed: int) -> ComplexMatrix:
     return ComplexMatrix((u * z) @ u.conj().T)
 
 
-def random_instance(config: GeneratorConfig, stream_seed: int):
-    """Dispatch on the configured structure class."""
-    if config.structure == "positive_definite":
-        return random_pd(config, stream_seed)
-    return random_normal(config, stream_seed)
-
-
 _GAP_INTERVALS = {
     # B-spectrum entirely below A's, or entirely above; gap >= 0.1 by design
     "below_a": ((2.0, 3.0), (0.5, 1.0)),
@@ -202,19 +192,3 @@ def random_gap_pair(dim: int, gap_mode: str, stream_seed: int):
     a = _pd(stream, dim, ma, Ma)
     b = _pd(stream, dim, mb, Mb)
     return a, b
-
-
-def normalize_for_contraction(sigma_h: MatrixMean, A, B):
-    """Scale (A, B) by c = lambda_max(A sigma B) so the mean tops out at I.
-
-    Means are positively homogeneous, so (A/c) sigma (B/c) has largest
-    eigenvalue 1; the contraction hypothesis A sigma B <= I then holds with
-    equality at the top.
-    """
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
-    g = mean(sigma_h, a, b)
-    c = float(np.linalg.eigvalsh(g.entries)[-1])
-    if c <= 0.0:
-        raise ValueError("mean has nonpositive largest eigenvalue")
-    return HermitianMatrix(a / c), HermitianMatrix(b / c)

@@ -20,6 +20,7 @@ import pytest
 from scipy.optimize import brentq
 
 import _diag_oracle  # noqa: F401  (oracle import checked early)
+import test_harness as harness_tests
 import test_oracle_equivalence as oracle_eq
 from opmeans import (
     FunctionPair,
@@ -253,17 +254,19 @@ def test_criterion_09_numerical_hygiene():
     assert ok
 
 
-def test_criterion_10_report_determinism():
+def test_criterion_10_report_determinism(tmp_path):
     spec = SuiteSpec(
         "determinant", trials=10, dims=(2, 3), functions=("power:2", "sqrt"),
         master_seed=SEED,
     )
 
-    def render(jobs):
-        d = run_suite(spec, jobs=jobs).to_dict()
+    def render():
+        d = run_suite(spec).to_dict()
         d["summary"].pop("wall_time_s")
         return json.dumps(d, sort_keys=True, indent=2).encode()
 
-    ok = render(1) == render(1) and render(1) == render(4)
-    _verdict("10", "byte-identical reports (same seed, any worker count)", ok)
+    args = ["--suite", "determinant", "--trials", "10", "--dim", "2", "--dim", "3",
+            "--fn", "power:2", "--fn", "sqrt", "--seed", str(SEED)]
+    ok = render() == render() and render() == harness_tests.fresh_process_report(tmp_path, args)
+    _verdict("10", "byte-identical reports (same seed, in process and in a fresh process)", ok)
     assert ok

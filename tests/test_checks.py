@@ -412,8 +412,7 @@ def test_contraction_commuting_frozen():
 
 
 def test_contraction_random_normalized():
-    from opmeans.means import MatrixMean
-    from opmeans.randgen import normalize_for_contraction
+    from opmeans.means import MatrixMean, normalize_for_contraction
 
     pair = FunctionPair(power(0.5), power(0.5))
     sigma = MatrixMean("h:power:1/2", pair.h)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,26 @@ from opmeans.harness import (
 )
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def _json_bytes_without_walltime(report: Report) -> bytes:
     d = report.to_dict()
+    d["summary"].pop("wall_time_s")
+    return json.dumps(d, sort_keys=True, indent=2).encode()
+
+
+def fresh_process_report(tmp_path, args) -> bytes:
+    """Run ``python -m opmeans ARGS`` in a new interpreter; its JSON report without wall time."""
+    path = tmp_path / "fresh.json"
+    pythonpath = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opmeans", *args, "--format", "json", "--report", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    d = json.loads(path.read_text())
     d["summary"].pop("wall_time_s")
     return json.dumps(d, sort_keys=True, indent=2).encode()
 
@@ -61,10 +81,12 @@ def test_report_determinism_same_seed():
     assert a == b
 
 
-def test_report_determinism_any_jobs():
-    a = _json_bytes_without_walltime(run_suite(SMALL, jobs=1))
-    b = _json_bytes_without_walltime(run_suite(SMALL, jobs=3))
-    assert a == b
+def test_report_determinism_across_processes(tmp_path):
+    args = ["--suite", "main_chain", "--trials", "4", "--dim", "2", "--dim", "3",
+            "--fn", "power:2", "--fn", "log1p",
+            "--mean", "arithmetic:1/2", "--mean", "geometric:1/2"]
+    in_process = _json_bytes_without_walltime(run_suite(SMALL))
+    assert in_process == fresh_process_report(tmp_path, args)
 
 
 def test_trial_independence():
@@ -188,6 +210,25 @@ def test_suite_accepts_fixture_pair(tmp_path):
     assert rep.summary.failed_links == 0
 
 
+def test_fixture_loader_and_instance_per_suite(tmp_path):
+    # normal but not Hermitian: the normal suites accept them, main_chain refuses them
+    a_path, b_path = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_matrix_json(np.array([[0.0, 2.0], [-2.0, 0.0]]), a_path)
+    save_matrix_json(np.array([[1.0, 1j], [1j, 1.0]]), b_path)
+    for suite, links in (("normal_chain", 24), ("normal_triangle", 6)):
+        s = run_suite(SuiteSpec(suite, functions=("power:2",), fixtures=(a_path, b_path))).summary
+        assert (s.total_records, s.total_links, s.failed_links) == (1, links, 0)
+    with pytest.raises(UsageError, match="not Hermitian"):
+        run_suite(SuiteSpec("main_chain", functions=("power:2",), fixtures=(a_path, b_path)))
+
+    save_matrix_json(np.diag([1.0, 4.0]), a_path)
+    save_matrix_json(np.diag([2.0, 3.0]), b_path)
+    spec = SuiteSpec("determinant", functions=("power:2",), fixtures=(a_path, b_path))
+    (record,) = run_suite(spec).records
+    assert record.params["pair_kind"] == "fixture"
+    assert record.params["alpha"] == spec.alphas[0]
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def test_cli_identity_equalities_exit_zero(capsys):
@@ -229,14 +270,11 @@ def test_cli_module_entry_point(tmp_path):
     assert "normal_counterexample" in proc.stdout
 
 
-def test_cli_report_determinism_across_jobs(tmp_path):
+def test_cli_report_determinism_across_processes(tmp_path):
     args = ["--suite", "determinant", "--trials", "6", "--dim", "2", "--dim", "3",
-            "--fn", "power:2", "--seed", "42", "--format", "json"]
-    p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
-    assert main(args + ["--report", p1, "--jobs", "1"]) == 0
-    assert main(args + ["--report", p2, "--jobs", "4"]) == 0
+            "--fn", "power:2", "--seed", "42"]
+    assert main(args + ["--format", "json", "--report", str(tmp_path / "r1.json")]) == 0
     d1 = json.loads((tmp_path / "r1.json").read_text())
-    d2 = json.loads((tmp_path / "r2.json").read_text())
     d1["summary"].pop("wall_time_s")
-    d2["summary"].pop("wall_time_s")
-    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+    in_process = json.dumps(d1, sort_keys=True, indent=2).encode()
+    assert in_process == fresh_process_report(tmp_path, args)

@@ -21,8 +21,8 @@ from opmeans import (
     mean_by_name,
     power,
 )
-from opmeans.means import MatrixMean
-from opmeans.randgen import RandomStream, derive_stream_seed, normalize_for_contraction
+from opmeans.means import MatrixMean, normalize_for_contraction
+from opmeans.randgen import RandomStream, derive_stream_seed
 
 FNS = ("power:3/2", "power:2", "power:3", "expm1", "sqrt", "power:2/3", "log1p", "mobius")
 MEANS = ("arithmetic:1/4", "arithmetic:1/2", "harmonic:1/2", "harmonic:3/4",

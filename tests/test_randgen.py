@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from opmeans.means import mean_by_name, mean
+from opmeans.means import mean_by_name, mean, normalize_for_contraction
 from opmeans.randgen import (
     GeneratorConfig,
     RandomStream,
     derive_stream_seed,
     mix64,
-    normalize_for_contraction,
     random_gap_pair,
     random_normal,
     random_pd,

@@ -1,0 +1,70 @@
+"""Structure of the package source, checked on its syntax trees.
+
+No module imports a name it never uses, ``randgen`` depends on nothing in
+the package but ``core``, and ``harness`` reaches into no private name of
+``checks``.  The re-exports in ``__init__.py`` are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PKG = Path(__file__).resolve().parent.parent / "src" / "opmeans"
+MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imports(tree: ast.Module):
+    """(bound name, line) for every import except ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_modules_found():
+    assert {p.stem for p in MODULES} >= {"core", "checks", "harness", "means", "randgen"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in _imports(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_randgen_imports_only_core():
+    package_modules = set()
+    for node in ast.walk(_tree(PKG / "randgen.py")):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                package_modules.add(node.module)
+            else:
+                package_modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("opmeans"):
+            package_modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            package_modules.update(a.name for a in node.names if a.name.startswith("opmeans"))
+    assert package_modules <= {"core"}, f"randgen imports {sorted(package_modules)}"
+
+
+def test_harness_uses_no_private_checks_name():
+    private = sorted(
+        {
+            node.attr
+            for node in ast.walk(_tree(PKG / "harness.py"))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "checks"
+            and node.attr.startswith("_")
+        }
+    )
+    assert not private, f"harness uses private checks names: {private}"
