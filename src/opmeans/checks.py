@@ -29,12 +29,18 @@ from .core import (
     NotNormalError,
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
+    ShapeError,
+    _compose,
+    _eigh,
+    _finite,
+    _fn_values,
+    _loewner,
+    _loewner_on_spectrum,
     as_complex_array,
     as_hermitian_array,
     apply_fn,
     chain_norm_kinds,
     det_root,
-    loewner_leq,
     matrix_abs,
     norm,
     singular_values,
@@ -49,7 +55,7 @@ from .functions import (
     function_by_name,
     times_x,
 )
-from .means import MatrixMean, mean, relative_operator_entropy
+from .means import MatrixMean, _mean_factored, mean, relative_operator_entropy
 
 __all__ = [
     "Link",
@@ -147,10 +153,9 @@ def _scalar_link(desc, lhs, rhs, tol, applicable=True) -> Link:
     return Link(desc, margin, passed, applicable)
 
 
-def _loewner_link(desc, lo, hi, tol, applicable=True) -> Link:
-    res = loewner_leq(lo, hi, tol)
-    passed = True if not applicable else res.passed
-    return Link(desc, res.margin, passed, applicable)
+def _loewner_link(desc, lo, hi, tol) -> Link:
+    res = _loewner(lo, hi, tol)
+    return Link(desc, res.margin, res.passed)
 
 
 def _equality_link(desc, got, want, tol) -> Link:
@@ -173,12 +178,12 @@ def _chain_coefficients(f: ScalarFunction, m: float, M: float):
     return (float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M)))
 
 
-def _chain(prefix, S, X, coefs, forward, tol, link):
+def _chain(prefix, coefs, forward, link):
     """Four links c0 S ? c1 S ? X ? c2 S ? c3 S (direction per tag).
 
-    ``link`` compares the two sides: ``_loewner_link`` for matrices,
-    ``_scalar_link`` for numbers.  Each step lists the coefficients that
-    must be finite for it to apply; a side of ``None`` stands for X.
+    ``link(desc, lo, hi)`` makes the link lo <= hi, where a side is the
+    coefficient c standing for c S, or ``None`` standing for X.  Each step
+    lists the coefficients that must be finite for it to apply.
     """
     c0, c1, c2, c3 = coefs
     links = []
@@ -192,10 +197,42 @@ def _chain(prefix, S, X, coefs, forward, tol, link):
         if not all(math.isfinite(c) for c in needs):
             links.append(_vacuous(desc))
             continue
-        lo = X if lo is None else lo * S
-        hi = X if hi is None else hi * S
-        links.append(link(desc, lo, hi, tol) if forward else link(desc, hi, lo, tol))
+        links.append(link(desc, lo, hi) if forward else link(desc, hi, lo))
     return links
+
+
+def _scalar_chain(prefix, s, x, coefs, forward, tol):
+    """The chain on numbers: s stands for S and x for X."""
+
+    def link(desc, lo, hi):
+        return _scalar_link(desc, x if lo is None else lo * s, x if hi is None else hi * s, tol)
+
+    return _chain(prefix, coefs, forward, link)
+
+
+def _factor_pair(a, b):
+    """Both operands factored: (a, wa, va), (b, wb, vb) and the extreme eigenvalues (m, M)."""
+    fa, fb = (a, *_eigh(a)), (b, *_eigh(b))
+    wa, wb = fa[1], fb[1]
+    if wa.size != wb.size:
+        raise ShapeError("operands must have the same dimension")
+    return fa, fb, float(min(wa[0], wb[0])), float(max(wa[-1], wb[-1]))
+
+
+def _pair_means(f, sigma, fa, fb, tol):
+    """S = A sigma B and X = f(A) sigma f(B) from the factored operands.
+
+    f(A) keeps A's eigenvectors, so A's factors give f(A)^(1/2) and
+    f(A)^(-1/2) for the congruence; only the two congruence middles are
+    factored here.
+    """
+    _, wa, va = fa
+    b, wb, vb = fb
+    S, _ = _mean_factored(sigma.h, wa, va, b, wb, tol)
+    fwa = _finite(_fn_values(f, wa))
+    fwb = _fn_values(f, wb)
+    X, _ = _mean_factored(sigma.h, fwa, va, _finite(_compose(vb, fwb)), fwb, tol)
+    return S, X
 
 
 def _psd_floor(a, b, tol):
@@ -251,21 +288,43 @@ def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     S = A sigma B, and the same chain around f(A sigma B); all comparisons
     reversed for concave f.  Links with an infinite coefficient are
     recorded as vacuous.
+
+    A, B and S are factored once each.  f(S) and c S share S's
+    eigenvectors, so every link between them, and both edge links, is
+    read off spec(S); only the two links against f(A) sigma f(B) and its
+    norm need an eigensolve.
     """
     a = as_hermitian_array(A)
     b = as_hermitian_array(B)
     forward = _require_tagged(f)
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    m, M = spectral_bounds(a, b)
+    fa, fb, m, M = _factor_pair(a, b)
     if m <= 0.0:
         raise NotPositiveDefiniteError(f"spectra must be positive, got m={m:.6e}")
-    S = mean(sigma, a, b, tol).entries
-    X1 = mean(sigma, apply_fn(f, a), apply_fn(f, b), tol).entries
-    X2 = apply_fn(f, S).entries
+    S, X1 = _pair_means(f, sigma, fa, fb, tol)
+    ws, _ = _eigh(S)
+    fws = _finite(_fn_values(f, ws))
+    norm_s = float(np.abs(ws).max())
+
+    def on_spectrum(desc, lo, hi):
+        res = _loewner_on_spectrum(
+            fws if lo is None else lo * ws, fws if hi is None else hi * ws, tol
+        )
+        return Link(desc, res.margin, res.passed)
+
+    def around_x1(desc, lo, hi):
+        if lo is not None and hi is not None:
+            return on_spectrum(desc, lo, hi)
+        if hi is None:
+            res = _loewner(lo * S, X1, tol)
+        else:
+            res = _loewner(X1, hi * S, tol, 1.0 + abs(hi) * norm_s)
+        return Link(desc, res.margin, res.passed)
+
     coefs = _chain_coefficients(f, m, M)
-    links = _chain("fn-then-mean", S, X1, coefs, forward, tol, _loewner_link)
-    links += _chain("mean-then-fn", S, X2, coefs, forward, tol, _loewner_link)
+    links = _chain("fn-then-mean", coefs, forward, around_x1)
+    links += _chain("mean-then-fn", coefs, forward, on_spectrum)
     params = {
         "fn": f.name,
         "mean": sigma.name,
@@ -303,14 +362,14 @@ def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> C
         raise ValueError(f"mean-difference bound requires a convex function, got {f.name}")
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    m, M = spectral_bounds(a, b)
+    fa, fb, m, M = _factor_pair(a, b)
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
     d0, dM = float(f.deriv(0.0)), float(f.deriv(M))
     if not (math.isfinite(d0) and math.isfinite(dM)):
         raise ValueError("infinite endpoint derivative")
-    S = mean(sigma, a, b, tol).entries
-    diff = mean(sigma, apply_fn(f, a), apply_fn(f, b), tol).entries - apply_fn(f, S).entries
+    S, X = _pair_means(f, sigma, fa, fb, tol)
+    diff = X - apply_fn(f, S).entries
     links = tuple(
         _scalar_link(
             f"norm-difference[{kind.label()}]",
@@ -336,33 +395,26 @@ def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOut
     forward = _require_tagged(f)
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    m, M = spectral_bounds(a, b)
+    fa, fb, m, M = _factor_pair(a, b)
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
-    Smat = mean(sigma, a, b, tol)
-    Xmat = mean(sigma, apply_fn(f, a), apply_fn(f, b), tol)
-    s = np.sort(np.linalg.eigvalsh(Smat.entries))[::-1]
-    x = np.sort(np.linalg.eigvalsh(Xmat.entries))[::-1]
+    S, X = _pair_means(f, sigma, fa, fb, tol)
+    s = np.sort(np.linalg.eigvalsh(S))[::-1]
+    x = np.sort(np.linalg.eigvalsh(X))[::-1]
     coefs = _chain_coefficients(f, m, M)
     links = []
     for j in range(s.size):
-        links += _chain("eig", float(s[j]), float(x[j]), coefs, forward, tol, _scalar_link)
+        links += _scalar_chain("eig", float(s[j]), float(x[j]), coefs, forward, tol)
     if s[-1] <= 0.0:
         raise NotPositiveSemidefiniteError("product links need a positive mean spectrum")
     for k in range(1, s.size + 1):
         ck = tuple(c**k if math.isfinite(c) else c for c in coefs)
-        links += _chain(
-            "prod", float(np.prod(s[:k])), float(np.prod(x[:k])), ck, forward, tol, _scalar_link
+        links += _scalar_chain(
+            "prod", float(np.prod(s[:k])), float(np.prod(x[:k])), ck, forward, tol
         )
     for kind in _norm_kinds(norms, a.shape[0]):
-        links += _chain(
-            f"norm[{kind.label()}]",
-            norm(Smat.entries, kind),
-            norm(Xmat.entries, kind),
-            coefs,
-            forward,
-            tol,
-            _scalar_link,
+        links += _scalar_chain(
+            f"norm[{kind.label()}]", norm(S, kind), norm(X, kind), coefs, forward, tol
         )
     params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "convex": forward}
     return CheckOutcome("eig_prod_norm", "eigenvalue-product-norm-chains", tuple(links), params)
@@ -724,16 +776,13 @@ def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError(f"{f.name} has no registered inverse")
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
-    m, M = spectral_bounds(a, b)
+    fa, fb, m, M = _factor_pair(as_hermitian_array(A), as_hermitian_array(B))
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
     inv = f.inverse
     if inv.convexity is Convexity.NEITHER:
         raise ValueError(f"inverse of {f.name} carries no convexity tag")
-    S = mean(sigma, a, b, tol).entries
-    X = mean(sigma, apply_fn(f, a), apply_fn(f, b), tol).entries
+    S, X = _pair_means(f, sigma, fa, fb, tol)
     c_m, c_M = float(f(m)) / m, float(f(M)) / M
     if inv.convexity is Convexity.CONVEX:
         links = (

@@ -82,6 +82,11 @@ def as_complex_array(x) -> np.ndarray:
     arr = np.array(x, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
+    return _finite(arr)
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """Return ``arr``; raise if an entry overflowed or is NaN."""
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     return arr
@@ -252,18 +257,43 @@ class ComparisonResult:
     passed: bool
 
 
-def _eigvalsh(arr: np.ndarray) -> np.ndarray:
+def _lapack(solver, arr: np.ndarray):
     try:
-        return np.linalg.eigvalsh(arr)
+        return solver(arr)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(
             f"eigensolver failed to converge (matrix norm {np.linalg.norm(arr):.3e}): {exc}"
         ) from exc
 
 
+def _eigvalsh(arr: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian array."""
+    return _lapack(np.linalg.eigvalsh, arr)
+
+
+def _eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of a Hermitian array.
+
+    The internal factorization: the basis is LAPACK's, with no canonical
+    phases, because nothing built from the pair depends on them.
+    """
+    return _lapack(np.linalg.eigh, arr)
+
+
 def _opnorm_hermitian(arr: np.ndarray) -> float:
     w = _eigvalsh(arr)
     return float(max(abs(w[0]), abs(w[-1])))
+
+
+def _compose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V diag(w) V* from eigenvector columns V and values w."""
+    return (v * w) @ v.conj().T
+
+
+def _fn_values(f, w: np.ndarray) -> np.ndarray:
+    """f on a spectrum w; values within round-off outside f's domain are clamped onto it."""
+    tol = 1e-10 * (1.0 + float(np.abs(w).max()))
+    return np.asarray(f(f.domain.clamp(w, tol)), dtype=np.float64)
 
 
 def _canonicalize_basis(w: np.ndarray, v: np.ndarray) -> None:
@@ -317,13 +347,7 @@ def eigh(A) -> Spectrum:
         phases are fixed by the sign of the first significant component,
         and degenerate subspaces use a lexicographic column ordering.
     """
-    arr = as_hermitian_array(A)
-    try:
-        w, v = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(
-            f"eigensolver failed to converge (matrix norm {np.linalg.norm(arr):.3e}): {exc}"
-        ) from exc
+    w, v = _eigh(as_hermitian_array(A))
     w = np.ascontiguousarray(w[::-1])
     v = np.ascontiguousarray(v[:, ::-1])
     _canonicalize_basis(w, v)
@@ -342,13 +366,8 @@ def apply_fn(f, A) -> HermitianMatrix:
     fall outside the domain of ``f`` by more than a round-off allowance
     raise :class:`DomainViolationError` naming the offending eigenvalue.
     """
-    spectrum = eigh(A)
-    w = spectrum.eigenvalues
-    tol = 1e-10 * (1.0 + float(np.abs(w).max()))
-    xs = f.domain.clamp(w, tol)
-    vals = np.asarray(f(xs), dtype=np.float64)
-    v = spectrum.eigenvectors
-    return HermitianMatrix((v * vals) @ v.conj().T)
+    w, v = _eigh(as_hermitian_array(A))
+    return HermitianMatrix(_compose(v, _fn_values(f, w)))
 
 
 def matrix_abs(A, normal_hint: bool = False) -> HermitianMatrix:
@@ -382,8 +401,26 @@ def loewner_leq(X, Y, tol: float = DEFAULT_TOL) -> ComparisonResult:
     y = as_hermitian_array(Y)
     if x.shape != y.shape:
         raise ShapeError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    margin = float(_eigvalsh(hermitian_part(y - x))[0])
-    scale = 1.0 + _opnorm_hermitian(y)
+    return _loewner(x, y, tol)
+
+
+def _loewner(x: np.ndarray, y: np.ndarray, tol: float, scale: float | None = None):
+    """X <= Y for Hermitian arrays of one shape; ``scale`` defaults to 1 + ||Y||_op."""
+    margin = float(_eigvalsh(_finite(y - x))[0])
+    if scale is None:
+        scale = 1.0 + _opnorm_hermitian(y)
+    return ComparisonResult(margin, scale, bool(margin >= -tol * scale))
+
+
+def _loewner_on_spectrum(lo: np.ndarray, hi: np.ndarray, tol: float):
+    """lo(S) <= hi(S) for two functions of one Hermitian S, given by their values on spec(S).
+
+    Both sides share S's eigenvectors, so the margin is the smallest
+    difference of values and the scale is 1 + max |hi|; no factorization.
+    """
+    diff = _finite(hi - lo)
+    margin = float(diff.min())
+    scale = 1.0 + float(np.abs(hi).max())
     return ComparisonResult(margin, scale, bool(margin >= -tol * scale))
 
 

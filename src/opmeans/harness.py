@@ -26,7 +26,14 @@ from typing import Callable
 import numpy as np
 
 from . import checks
-from .core import ComplexMatrix, HermitianMatrix, NormKind, as_complex_array
+from .core import (
+    ComplexMatrix,
+    HermitianMatrix,
+    NormKind,
+    ShapeError,
+    as_complex_array,
+    spectral_bounds,
+)
 from .checks import CheckOutcome
 from .functions import FunctionPair, function_by_name
 from .means import MatrixMean, mean_by_name, mean_catalog, normalize_for_contraction
@@ -251,7 +258,7 @@ def _norm_arg(spec: SuiteSpec):
 
 
 def _check_contraction(spec: SuiteSpec, c: dict, x) -> CheckOutcome:
-    pair = FunctionPair(function_by_name(c["g"]), function_by_name(c["h"]))
+    pair = FunctionPair(c["g"], c["h"])
     sigma_h = MatrixMean(f"h:{pair.h.name}", pair.h)
     a, b = normalize_for_contraction(sigma_h, *x)
     return checks.check_contraction_implication(pair, a, b, spec.iterations, spec.tol)
@@ -263,11 +270,12 @@ class _Suite:
 
     ``instance(spec, t)`` builds trial t's instance; ``None`` marks a fixed
     check that takes no instance and runs one trial.  ``check(spec, combo,
-    x)`` makes the record of configuration ``combo`` on instance ``x``.  A
-    fixture pair is loaded as Hermitian when ``hermitian`` is set and is
-    shaped into an instance by ``from_fixture``.  Entries look checkers,
-    generators and names up when called, so a wrapper installed on a module
-    attribute sees every call.
+    x)`` makes the record of configuration ``combo`` on instance ``x``, with
+    the configuration's function and mean names already resolved (see
+    :func:`_resolve`).  A fixture pair is loaded as Hermitian when
+    ``hermitian`` is set and is shaped into an instance by ``from_fixture``.
+    Entries look checkers, generators and names up when called, so a
+    wrapper installed on a module attribute sees every call.
     """
 
     combos: Callable
@@ -277,12 +285,19 @@ class _Suite:
     from_fixture: Callable = lambda spec, pair: pair
 
 
-def _fn(c: dict):
-    return function_by_name(c["fn"])
+def _resolve(combo: dict) -> dict:
+    """The configuration with its function names (fn, g, h) and mean name resolved.
 
-
-def _mean(c: dict):
-    return mean_by_name(c["mean"])
+    Done once per configuration: building a mean reruns its
+    representing-function gate.
+    """
+    out = dict(combo)
+    for key in ("fn", "g", "h"):
+        if key in out:
+            out[key] = function_by_name(out[key])
+    if "mean" in out:
+        out["mean"] = mean_by_name(out["mean"])
+    return out
 
 
 _ALL_FNS = _fns(_ALL_FUNCTIONS)
@@ -291,11 +306,11 @@ _ALL_FNS_MEANS = _fns_means(_ALL_FUNCTIONS)
 _SUITES = {
     "main_chain": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        lambda spec, c, x: checks.check_main_chain(_fn(c), _mean(c), *x, spec.tol),
+        lambda spec, c, x: checks.check_main_chain(c["fn"], c["mean"], *x, spec.tol),
     ),
     "chord": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        lambda spec, c, x: checks.check_chord_bounds(_fn(c), _mean(c), *x, spec.tol),
+        lambda spec, c, x: checks.check_chord_bounds(c["fn"], c["mean"], *x, spec.tol),
     ),
     "log_example": _Suite(
         lambda spec: [{}], _pd_pair,
@@ -304,19 +319,19 @@ _SUITES = {
     "mean_diff_norm": _Suite(
         _fns_means(CONVEX_FUNCTIONS), _pd_pair,
         lambda spec, c, x: checks.check_mean_difference_norm(
-            _fn(c), _mean(c), *x, _norm_arg(spec), spec.tol
+            c["fn"], c["mean"], *x, _norm_arg(spec), spec.tol
         ),
     ),
     "eig_prod_norm": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
         lambda spec, c, x: checks.check_eig_prod_norm(
-            _fn(c), _mean(c), *x, spec.tol, _norm_arg(spec)
+            c["fn"], c["mean"], *x, spec.tol, _norm_arg(spec)
         ),
     ),
     "subadditivity": _Suite(
         _fns(CONVEX_FUNCTIONS), _pd_pair,
         lambda spec, c, x: checks.check_subadditivity_refinement(
-            _fn(c), *x, _norm_arg(spec), spec.tol
+            c["fn"], *x, _norm_arg(spec), spec.tol
         ),
     ),
     "normal_counterexample": _Suite(
@@ -330,7 +345,7 @@ _SUITES = {
     ),
     "normal_chain": _Suite(
         _ALL_FNS, _normal_pair,
-        lambda spec, c, x: checks.check_normal_chain(_fn(c), *x, _norm_arg(spec), spec.tol),
+        lambda spec, c, x: checks.check_normal_chain(c["fn"], *x, _norm_arg(spec), spec.tol),
         hermitian=False,
     ),
     "power_mean": _Suite(
@@ -344,12 +359,12 @@ _SUITES = {
     "contraction": _Suite(_contraction_pairs, _pd_pair, _check_contraction),
     "inverse_function": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        lambda spec, c, x: checks.check_inverse_function(_fn(c), _mean(c), *x, spec.tol),
+        lambda spec, c, x: checks.check_inverse_function(c["fn"], c["mean"], *x, spec.tol),
     ),
     "determinant": _Suite(
         _ALL_FNS, _det_instance,
         lambda spec, c, x: checks.check_determinant_suite(
-            _fn(c), x[0], x[1], x[2], spec.tol
+            c["fn"], x[0], x[1], x[2], spec.tol
         ).with_params({"pair_kind": x[3]}),
         from_fixture=lambda spec, pair: (*pair, spec.alphas[0], "fixture"),
     ),
@@ -424,6 +439,8 @@ def run_suite(spec: SuiteSpec) -> Report:
     if suite is None:
         raise UsageError(f"unknown suite {spec.suite!r}")
     combos = suite.combos(spec)
+    if spec.fixtures and suite.instance is None:
+        raise UsageError(f"suite {spec.suite!r} takes no fixtures")
     if spec.fixtures:
         instances = [suite.from_fixture(spec, _fixture_pair(spec, suite.hermitian))]
     elif suite.instance is None:
@@ -433,9 +450,10 @@ def run_suite(spec: SuiteSpec) -> Report:
 
     records = []
     for combo in combos:
+        resolved = _resolve(combo)
         for t, inst in enumerate(instances):
             try:
-                outcome = suite.check(spec, combo, inst)
+                outcome = suite.check(spec, resolved, inst)
             except ValueError as exc:
                 outcome = CheckOutcome(spec.suite, "not-applicable", (), {"not_applicable": str(exc)})
             context = {"suite": spec.suite, "trial": t, **combo}
@@ -450,6 +468,17 @@ def run_suite(spec: SuiteSpec) -> Report:
 # ---------------------------------------------------------------------------
 # counterexample search
 
+def _require_positive_definite(pair) -> None:
+    try:
+        m, _ = spectral_bounds(*pair)
+    except ShapeError as exc:
+        raise UsageError(f"fixture pair: {exc}") from exc
+    if m <= 0.0:
+        raise UsageError(
+            f"target main_chain needs positive definite fixtures, smallest eigenvalue {m:.6e}"
+        )
+
+
 SEARCH_TARGETS = ("norm_chain_normal", "main_chain")
 
 
@@ -459,9 +488,11 @@ def search_counterexample(target: str, structure: str | None, budget: int, spec:
     For ``norm_chain_normal`` the generated class (Hermitian-indefinite by
     default) violates the checker's positivity hypothesis and a violating
     instance is expected; for ``main_chain`` the hypotheses hold and the
-    search should exhaust its budget.  The first violating instance is
-    reported with its full matrices.  ``summary.counterexample_found``
-    records the verdict.
+    search should exhaust its budget.  Its instances must be positive
+    definite: another structure, or a fixture pair that is not positive
+    definite, is a usage error.  The first violating instance is reported
+    with its full matrices.  ``summary.counterexample_found`` records the
+    verdict.
     """
     started = time.perf_counter()
     if budget < 1:
@@ -471,6 +502,9 @@ def search_counterexample(target: str, structure: str | None, budget: int, spec:
     _validate_names(spec)
     if structure is None:
         structure = "hermitian_indefinite" if target == "norm_chain_normal" else "positive_definite"
+    main_chain = target == "main_chain"
+    if main_chain and structure != "positive_definite":
+        raise UsageError(f"target main_chain needs positive definite instances, not {structure!r}")
     fn = function_by_name(spec.functions[0]) if spec.functions else function_by_name("power:2")
     norms = [NormKind.parse(n) for n in spec.norms] if spec.norms else [NormKind.operator()]
     sigma = mean_by_name(spec.means[0]) if spec.means else mean_by_name("arithmetic:1/2")
@@ -489,7 +523,10 @@ def search_counterexample(target: str, structure: str | None, budget: int, spec:
     found = False
     pairs = []
     if spec.fixtures:
-        pairs.append((-1, _fixture_pair(spec, hermitian=False)))
+        pair = _fixture_pair(spec, hermitian=main_chain)
+        if main_chain:
+            _require_positive_definite(pair)
+        pairs.append((-1, pair))
     pairs.extend((t, None) for t in range(budget - len(pairs)))
     for t, pre in pairs:
         a, b = pre if pre is not None else instance(t)

@@ -25,6 +25,10 @@ from .core import (
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
     ShapeError,
+    _compose,
+    _eigh,
+    _eigvalsh,
+    _finite,
     as_hermitian_array,
     hermitian_part,
 )
@@ -168,16 +172,47 @@ def mean_by_name(name: str) -> MatrixMean:
     return factory(parse_parameter(param))
 
 
-def _congruence(a: np.ndarray, b: np.ndarray, scalar_map, tol: float):
-    """A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) for positive definite A."""
-    wa, va = np.linalg.eigh(a)
-    root = (va * np.sqrt(wa)) @ va.conj().T
-    inv_root = (va * (1.0 / np.sqrt(wa))) @ va.conj().T
-    mid = hermitian_part(inv_root @ b @ inv_root)
-    wm, vm = np.linalg.eigh(mid)
-    vals = scalar_map(wm)
-    inner = (vm * vals) @ vm.conj().T
-    return hermitian_part(root @ inner @ root)
+def _congruence(wa: np.ndarray, va: np.ndarray, b: np.ndarray, scalar_map) -> np.ndarray:
+    """A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) from the eigenpairs of positive definite A."""
+    root = _compose(va, np.sqrt(wa))
+    inv_root = _compose(va, 1.0 / np.sqrt(wa))
+    wm, vm = _eigh(hermitian_part(inv_root @ b @ inv_root))
+    return hermitian_part(root @ _compose(vm, scalar_map(wm)) @ root)
+
+
+def _mean_factored(h, wa, va, b, wb, tol):
+    """A sigma B from A's eigenpairs (wa, va), the matrix B and B's eigenvalues wb.
+
+    The kernel behind :func:`mean`, for callers that already hold the
+    factors; ``h`` is the mean's representing function and neither spectrum
+    need be sorted.  Returns the Hermitian array and the regularization
+    ``meta`` (``None`` when A is safely definite).
+    """
+    norm_b = float(np.abs(wb).max())
+    low_b = wb.min()
+    if low_b < -tol * (1.0 + norm_b):
+        raise NotPositiveSemidefiniteError(
+            f"second operand has eigenvalue {low_b:.6e} below -tol*scale"
+        )
+    norm_a = float(np.abs(wa).max())
+    meta = None
+    if wa.min() <= tol * (1.0 + norm_a):
+        eps = 1e-8 * (1.0 + norm_a + norm_b)
+        wa = wa + eps
+        b = b + eps * np.eye(b.shape[0])
+        meta = {"regularization_eps": eps}
+
+    def scalar_map(w):
+        scale = 1.0 + float(np.abs(w).max())
+        clipped = np.where(w < 0.0, np.where(w >= -tol * scale, 0.0, w), w)
+        if clipped.min() < 0.0:
+            raise NotPositiveSemidefiniteError(
+                f"congruence spectrum has eigenvalue {clipped.min():.6e} below -tol*scale"
+            )
+        xs = h.domain.clamp(clipped, 1e-10 * scale)
+        return np.asarray(h(xs), dtype=float)
+
+    return _finite(_congruence(wa, va, b, scalar_map)), meta
 
 
 def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -201,35 +236,10 @@ def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
     b = as_hermitian_array(B)
     if a.shape != b.shape:
         raise ShapeError("mean operands must have the same dimension")
-    wb = np.linalg.eigvalsh(b)
-    scale_b = 1.0 + float(np.abs(wb).max())
-    if wb[0] < -tol * scale_b:
-        raise NotPositiveSemidefiniteError(
-            f"second operand has eigenvalue {wb[0]:.6e} below -tol*scale"
-        )
-    wa = np.linalg.eigvalsh(a)
-    scale_a = 1.0 + float(np.abs(wa).max())
-    meta = None
-    if wa[0] <= tol * scale_a:
-        eps = 1e-8 * (1.0 + float(np.abs(wa).max()) + float(np.abs(wb).max()))
-        eye = np.eye(a.shape[0])
-        a = a + eps * eye
-        b = b + eps * eye
-        meta = {"regularization_eps": eps}
-
-    h = sigma.h
-
-    def scalar_map(w):
-        scale = 1.0 + float(np.abs(w).max())
-        clipped = np.where(w < 0.0, np.where(w >= -tol * scale, 0.0, w), w)
-        if clipped.min() < 0.0:
-            raise NotPositiveSemidefiniteError(
-                f"congruence spectrum has eigenvalue {clipped.min():.6e} below -tol*scale"
-            )
-        xs = h.domain.clamp(clipped, 1e-10 * scale)
-        return np.asarray(h(xs), dtype=float)
-
-    return HermitianMatrix(_congruence(a, b, scalar_map, tol), meta=meta)
+    wb = _eigvalsh(b)
+    wa, va = _eigh(a)
+    entries, meta = _mean_factored(sigma.h, wa, va, b, wb, tol)
+    return HermitianMatrix(entries, meta=meta)
 
 
 def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -242,7 +252,7 @@ def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatr
     b = as_hermitian_array(B)
     if a.shape != b.shape:
         raise ShapeError("perspective operands must have the same dimension")
-    wa = np.linalg.eigvalsh(a)
+    wa, va = _eigh(a)
     scale_a = 1.0 + float(np.abs(wa).max())
     if wa[0] <= tol * scale_a:
         raise NotPositiveDefiniteError(
@@ -255,7 +265,7 @@ def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatr
         xs = phi.domain.clamp(w, 1e-10 * scale)
         return np.asarray(phi(xs), dtype=float)
 
-    return HermitianMatrix(_congruence(a, b, scalar_map, tol))
+    return HermitianMatrix(_congruence(wa, va, b, scalar_map))
 
 
 def relative_operator_entropy(A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:

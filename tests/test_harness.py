@@ -186,6 +186,18 @@ def test_search_fixture_preseeded_immediate_hit(tmp_path):
     assert rep.records[0].params["trial"] == -1
 
 
+def test_search_main_chain_needs_positive_definite_pairs(tmp_path):
+    spec = SuiteSpec("search", dims=(2,))
+    for structure in ("normal_complex", "hermitian_indefinite"):
+        with pytest.raises(UsageError, match="positive definite instances"):
+            search_counterexample("main_chain", structure, 3, spec)
+    a_path, b_path = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_matrix_json(np.diag([1.0, -1.0]), a_path)
+    save_matrix_json(np.diag([2.0, 3.0]), b_path)
+    with pytest.raises(UsageError, match="positive definite fixtures"):
+        search_counterexample("main_chain", None, 3, SuiteSpec("search", fixtures=(a_path, b_path)))
+
+
 def test_fixture_round_trip_and_validation(tmp_path):
     path = str(tmp_path / "m.json")
     m = np.array([[1.0, 1j], [-1j, 2.0]])
@@ -229,6 +241,36 @@ def test_fixture_loader_and_instance_per_suite(tmp_path):
     assert record.params["alpha"] == spec.alphas[0]
 
 
+def test_names_resolved_once_per_configuration(monkeypatch):
+    import opmeans.harness as harness
+
+    calls = []
+    lookup = harness.mean_by_name
+    monkeypatch.setattr(harness, "mean_by_name", lambda name: calls.append(name) or lookup(name))
+    spec = SuiteSpec("main_chain", trials=5, dims=(2,), functions=("power:2",),
+                     means=("arithmetic:1/2", "geometric:1/2"))
+    assert run_suite(spec).summary.total_records == 10
+    # once per name when the spec is validated, once per configuration when it runs
+    assert sorted(calls) == sorted(2 * ["arithmetic:1/2", "geometric:1/2"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in expm1:RuntimeWarning")
+def test_overflow_breakdown_is_downgraded_not_passed(tmp_path):
+    # expm1 overflows on eigenvalues near M = 800: every record is a downgrade
+    # with the breakdown named, none has a link
+    out = tmp_path / "r.json"
+    rc = main(["--suite", "main_chain", "--fn", "expm1", "--mean", "geometric:1/2",
+               "--M", "800", "--report", str(out)])
+    data = json.loads(out.read_text())
+    assert rc == 0
+    assert len(data["records"]) == 200
+    for rec in data["records"]:
+        assert rec["links"] == []
+        assert rec["params"]["not_applicable"] == "matrix entries must be finite"
+    s = data["summary"]
+    assert (s["downgraded_records"], s["total_links"], s["failed_links"]) == (200, 0, 0)
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def test_cli_identity_equalities_exit_zero(capsys):
@@ -259,6 +301,29 @@ def test_cli_search_exit_codes():
                  "--budget", "100", "--dim", "2"]) == 0
     assert main(["--suite", "search", "--target", "main_chain", "--budget", "20",
                  "--dim", "2", "--fn", "power:2", "--mean", "geometric:1/2"]) == 1
+
+
+def test_cli_search_refuses_pairs_that_are_not_positive_definite(tmp_path, capsys):
+    rc = main(["--suite", "search", "--target", "main_chain", "--structure", "normal_complex",
+               "--budget", "3"])
+    assert rc == 2
+    assert "target main_chain needs positive definite instances" in capsys.readouterr().err
+    a_path, b_path = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_matrix_json(np.diag([0.0, 1.0]), a_path)
+    save_matrix_json(np.diag([2.0, 3.0]), b_path)
+    rc = main(["--suite", "search", "--target", "main_chain", "--fixture", a_path,
+               "--fixture", b_path, "--budget", "3"])
+    assert rc == 2
+    assert "positive definite fixtures" in capsys.readouterr().err
+
+
+def test_cli_fixed_suite_refuses_fixtures(tmp_path, capsys):
+    a_path, b_path = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_matrix_json(np.diag([1.0, 4.0]), a_path)
+    save_matrix_json(np.diag([2.0, 3.0]), b_path)
+    rc = main(["--suite", "normal_counterexample", "--fixture", a_path, "--fixture", b_path])
+    assert rc == 2
+    assert "takes no fixtures" in capsys.readouterr().err
 
 
 def test_cli_module_entry_point(tmp_path):
