@@ -31,18 +31,22 @@ from .core import (
     NotPositiveSemidefiniteError,
     ShapeError,
     _compose,
+    _det_root,
     _eigh,
+    _eigvalsh,
     _finite,
     _fn_values,
     _loewner,
     _loewner_on_spectrum,
+    _norm_of_sv,
+    _normal_factors,
+    _sv_hermitian,
     as_complex_array,
     as_hermitian_array,
     apply_fn,
-    chain_norm_kinds,
-    det_root,
     matrix_abs,
     norm,
+    norm_catalog,
     singular_values,
     spectral_bounds,
 )
@@ -219,6 +223,46 @@ def _factor_pair(a, b):
     return fa, fb, float(min(wa[0], wb[0])), float(max(wa[-1], wb[-1]))
 
 
+def _psd_pair(a, b, tol):
+    """:func:`_factor_pair` for PSD operands: m below -tol * scale raises, else is floored at 0."""
+    fa, fb, m, M = _factor_pair(a, b)
+    scale = 1.0 + max(abs(m), abs(M))
+    if m < -tol * scale:
+        raise NotPositiveSemidefiniteError(f"operand eigenvalue {m:.6e} below -tol*scale")
+    return fa, fb, max(m, 0.0), M
+
+
+def _in_basis_of_a(fa, fb):
+    """The factored pair (A, B) written in A's eigenbasis, where A is diagonal.
+
+    A mean commutes with a unitary change of basis, and Loewner margins and
+    norms do not depend on the basis, so a check built from means of
+    functions of A and B can run there.  The congruence's A^(-1/2) is then
+    exact, which keeps ill-conditioned operands accurate.
+    """
+    (_, wa, va), (_, wb, vb) = fa, fb
+    eye = np.eye(wa.size)
+    w = va.conj().T @ vb
+    return (eye * wa, wa, eye), (_compose(w, wb), wb, w)
+
+
+def _image(f, w, v):
+    """f(X) from the eigenpairs (w, v) of X."""
+    return _finite(_compose(v, _fn_values(f, w)))
+
+
+def _mean_of(sigma, wa, va, wb, vb, tol):
+    """(Va diag(wa) Va*) sigma (Vb diag(wb) Vb*): the mean of two operands given by eigenpairs."""
+    return _mean_factored(sigma.h, wa, va, _finite(_compose(vb, wb)), wb, tol)[0]
+
+
+def _image_mean(f, sigma, fa, fb, tol):
+    """f(A) sigma f(B) from the factored operands; f(A) keeps A's eigenvectors."""
+    _, wa, va = fa
+    _, wb, vb = fb
+    return _mean_of(sigma, _finite(_fn_values(f, wa)), va, _fn_values(f, wb), vb, tol)
+
+
 def _pair_means(f, sigma, fa, fb, tol):
     """S = A sigma B and X = f(A) sigma f(B) from the factored operands.
 
@@ -227,46 +271,42 @@ def _pair_means(f, sigma, fa, fb, tol):
     factored here.
     """
     _, wa, va = fa
-    b, wb, vb = fb
+    b, wb, _ = fb
     S, _ = _mean_factored(sigma.h, wa, va, b, wb, tol)
-    fwa = _finite(_fn_values(f, wa))
-    fwb = _fn_values(f, wb)
-    X, _ = _mean_factored(sigma.h, fwa, va, _finite(_compose(vb, fwb)), fwb, tol)
-    return S, X
-
-
-def _psd_floor(a, b, tol):
-    m, M = spectral_bounds(a, b)
-    scale = 1.0 + max(abs(m), abs(M))
-    if m < -tol * scale:
-        raise NotPositiveSemidefiniteError(f"operand eigenvalue {m:.6e} below -tol*scale")
-    return max(m, 0.0), M
+    return S, _image_mean(f, sigma, fa, fb, tol)
 
 
 def _norm_kinds(norms, dim):
     if norms is None:
-        return chain_norm_kinds(dim)
+        # trace and Frobenius repeat Schatten 1 and 2 under other names
+        return [k for k in norm_catalog(dim) if k.variant not in ("trace", "frobenius")]
     return [NormKind.parse(k) if isinstance(k, str) else k for k in norms]
 
 
 def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
-    """Mean of the endpoint secant lines brackets the mean of the images."""
+    """Mean of the endpoint secant lines brackets the mean of the images.
+
+    The lines slope (X - mI) + f(m) I are functions of X, so they share the
+    operands' eigenvectors with f(A) and f(B); A and B are factored once, and
+    the means are taken in A's eigenbasis.
+    """
     a = as_hermitian_array(A)
     b = as_hermitian_array(B)
     forward = _require_tagged(f)
-    m, M = _psd_floor(a, b, tol)
+    fa, fb, m, M = _psd_pair(a, b, tol)
     lo_c, hi_c = chord_coefficients(f, m, M)
     if not (math.isfinite(lo_c) and math.isfinite(hi_c)):
         raise ValueError(f"infinite chord coefficient for {f.name} on [{m}, {M}]")
-    eye = np.eye(a.shape[0])
     fm = float(f(m))
+    fa, fb = _in_basis_of_a(fa, fb)
+    (_, wa, va), (_, wb, vb) = fa, fb
 
-    def line(x, slope):
-        return slope * (x - m * eye) + fm * eye
+    def line_mean(slope):
+        return _mean_of(sigma, slope * (wa - m) + fm, va, slope * (wb - m) + fm, vb, tol)
 
-    mid = mean(sigma, apply_fn(f, a), apply_fn(f, b), tol).entries
-    low = mean(sigma, line(a, lo_c), line(b, lo_c), tol).entries
-    high = mean(sigma, line(a, hi_c), line(b, hi_c), tol).entries
+    mid = _image_mean(f, sigma, fa, fb, tol)
+    low = line_mean(lo_c)
+    high = line_mean(hi_c)
     if forward:
         links = (
             _loewner_link("lower-slope-line", low, mid, tol),
@@ -340,14 +380,14 @@ def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     """log(M+1)/M * log(A+B+I) <= log(A+I) + log(B+I) for PSD A, B."""
     a = as_hermitian_array(A)
     b = as_hermitian_array(B)
-    m, bound = _psd_floor(a, b, tol)
+    (_, wa, va), (_, wb, vb), m, bound = _psd_pair(a, b, tol)
     if M is None:
         M = bound
     M = float(M)
     coef = math.log1p(M) / M if M > 0.0 else 1.0
     log1p = function_by_name("log1p")
     lhs = coef * apply_fn(log1p, a + b).entries
-    rhs = apply_fn(log1p, a).entries + apply_fn(log1p, b).entries
+    rhs = _image(log1p, wa, va) + _image(log1p, wb, vb)
     link = _loewner_link("shifted-log-bound", lhs, rhs, tol)
     return CheckOutcome(
         "log_example", "shifted-log-sum-bound", (link,), {"m": m, "M": M, "coef": coef}
@@ -369,12 +409,13 @@ def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> C
     if not (math.isfinite(d0) and math.isfinite(dM)):
         raise ValueError("infinite endpoint derivative")
     S, X = _pair_means(f, sigma, fa, fb, tol)
-    diff = X - apply_fn(f, S).entries
+    sv_diff = singular_values(X - apply_fn(f, S).entries)
+    sv_s = singular_values(S)
     links = tuple(
         _scalar_link(
             f"norm-difference[{kind.label()}]",
-            norm(diff, kind),
-            (dM - d0) * norm(S, kind),
+            _norm_of_sv(sv_diff, kind),
+            (dM - d0) * _norm_of_sv(sv_s, kind),
             tol,
         )
         for kind in _norm_kinds(norms, a.shape[0])
@@ -399,8 +440,8 @@ def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOut
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
     S, X = _pair_means(f, sigma, fa, fb, tol)
-    s = np.sort(np.linalg.eigvalsh(S))[::-1]
-    x = np.sort(np.linalg.eigvalsh(X))[::-1]
+    ws, wx = _eigvalsh(S), _eigvalsh(X)
+    s, x = ws[::-1], wx[::-1]
     coefs = _chain_coefficients(f, m, M)
     links = []
     for j in range(s.size):
@@ -412,10 +453,10 @@ def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOut
         links += _scalar_chain(
             "prod", float(np.prod(s[:k])), float(np.prod(x[:k])), ck, forward, tol
         )
+    sv_s, sv_x = _sv_hermitian(ws), _sv_hermitian(wx)
     for kind in _norm_kinds(norms, a.shape[0]):
-        links += _scalar_chain(
-            f"norm[{kind.label()}]", norm(S, kind), norm(X, kind), coefs, forward, tol
-        )
+        ns, nx = _norm_of_sv(sv_s, kind), _norm_of_sv(sv_x, kind)
+        links += _scalar_chain(f"norm[{kind.label()}]", ns, nx, coefs, forward, tol)
     params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "convex": forward}
     return CheckOutcome("eig_prod_norm", "eigenvalue-product-norm-chains", tuple(links), params)
 
@@ -426,6 +467,10 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
     The bridging link needs M <= A + B; when that side condition fails it
     is reported inapplicable while the remaining links are still checked.
     The classical bound |||f(A)+f(B)||| <= |||f(A+B)||| is always included.
+
+    A, B and A + B are factored once each: the singular values of f(A + B)
+    are |f(w)| for the eigenvalues w of A + B.  Every norm kind is read off
+    one singular-value vector per matrix.
     """
     a = as_hermitian_array(A)
     b = as_hermitian_array(B)
@@ -433,42 +478,31 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
         raise ValueError(f"subadditivity refinement requires a convex function, got {f.name}")
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    m, M = _psd_floor(a, b, tol)
+    (_, wa, va), (_, wb, vb), m, M = _psd_pair(a, b, tol)
     if M <= 0.0:
         raise ValueError("zero operands leave no content to check")
     grid = np.geomspace(M * 1e-4, M, 64)
     ratios = np.asarray(f(grid), dtype=float) / grid
     if np.any(np.diff(ratios) < -1e-9 * (1.0 + np.abs(ratios[:-1]))):
         raise ValueError(f"f(x)/x is not nondecreasing for {f.name}")
-    total = a + b
-    images = apply_fn(f, a).entries + apply_fn(f, b).entries
-    image_of_total = apply_fn(f, total).entries
-    floor = float(np.linalg.eigvalsh(total)[0])
+    images = _image(f, wa, va) + _image(f, wb, vb)
+    w_total = _eigvalsh(a + b)
+    sv_image_of_total = _sv_hermitian(_finite(_fn_values(f, w_total)))
+    floor = float(w_total[0])
     bridge_ok = floor >= M - tol * (1.0 + M)
     coef = float(f(M)) / M
+    sv_total, sv_images = _sv_hermitian(w_total), _sv_hermitian(_eigvalsh(images))
     links = []
     for kind in _norm_kinds(norms, a.shape[0]):
-        tot = norm(total, kind)
+        tot = coef * _norm_of_sv(sv_total, kind)
+        lhs = _norm_of_sv(sv_images, kind)
+        rhs = _norm_of_sv(sv_image_of_total, kind)
+        label = kind.label()
+        links.append(_scalar_link(f"images-vs-coef[{label}]", lhs, tot, tol))
         links.append(
-            _scalar_link(f"images-vs-coef[{kind.label()}]", norm(images, kind), coef * tot, tol)
+            _scalar_link(f"coef-vs-image-of-sum[{label}]", tot, rhs, tol, applicable=bridge_ok)
         )
-        links.append(
-            _scalar_link(
-                f"coef-vs-image-of-sum[{kind.label()}]",
-                coef * tot,
-                norm(image_of_total, kind),
-                tol,
-                applicable=bridge_ok,
-            )
-        )
-        links.append(
-            _scalar_link(
-                f"images-vs-image-of-sum[{kind.label()}]",
-                norm(images, kind),
-                norm(image_of_total, kind),
-                tol,
-            )
-        )
+        links.append(_scalar_link(f"images-vs-image-of-sum[{label}]", lhs, rhs, tol))
     params = {
         "fn": f.name,
         "m": m,
@@ -482,15 +516,22 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
 def _abs_images(f, a, b):
     """Shared terms of the norm chains on normal operands a, b.
 
-    Returns the smallest and largest singular value over both operands,
-    f(|a|) + f(|b|) and f(|a| + |b|).
+    Each operand is factored once, by complex Schur: with a = Q T Q*,
+    |a| = Q |diag T| Q* and f(|a|) = Q f(|diag T|) Q*.  Returns the smallest
+    and largest eigenvalue modulus over both operands (their singular values
+    when a and b are normal) and the singular values of f(|a|) + f(|b|) and
+    of f(|a| + |b|).
     """
-    sv = np.concatenate([singular_values(a), singular_values(b)])
-    abs_a = matrix_abs(a, normal_hint=True).entries
-    abs_b = matrix_abs(b, normal_hint=True).entries
-    images_sum = apply_fn(f, abs_a).entries + apply_fn(f, abs_b).entries
-    image_of_abs_sum = apply_fn(f, abs_a + abs_b).entries
-    return float(sv.min()), float(sv.max()), images_sum, image_of_abs_sum
+    (da, qa), (db, qb) = _normal_factors(a), _normal_factors(b)
+    d = np.concatenate([da, db])
+    images = _image(f, da, qa) + _image(f, db, qb)
+    w_abs_sum = _eigvalsh(_compose(qa, da) + _compose(qb, db))
+    return (
+        float(d.min()),
+        float(d.max()),
+        _sv_hermitian(_eigvalsh(images)),
+        _sv_hermitian(_finite(_fn_values(f, w_abs_sum))),
+    )
 
 
 def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
@@ -503,10 +544,10 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
     a = np.diag([2.0, -1.0]).astype(np.complex128)
     b = np.diag([-2.0, 1.0]).astype(np.complex128)
     f = function_by_name("power:2")
-    m, M, images, image_of_abs = _abs_images(f, a, b)
+    m, M, sv_images, sv_image_of_abs = _abs_images(f, a, b)
     op = NormKind.operator()
-    images_sum = norm(images, op)
-    image_of_abs_sum = norm(image_of_abs, op)
+    images_sum = _norm_of_sv(sv_images, op)
+    image_of_abs_sum = _norm_of_sv(sv_image_of_abs, op)
     coef_bound = (float(f(M)) / M) * norm(a + b, op)
     deriv_bound = float(f.deriv(M)) * norm(a + b, op)
     links = (
@@ -547,9 +588,13 @@ def check_normal_triangle(A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     _require_normal(a, tol, "first operand")
     _require_normal(b, tol, "second operand")
     abs_sum = matrix_abs(a, normal_hint=True).entries + matrix_abs(b, normal_hint=True).entries
+    sv_sum, sv_abs_sum = singular_values(a + b), singular_values(abs_sum)
     links = tuple(
         _scalar_link(
-            f"triangle[{kind.label()}]", norm(a + b, kind), norm(abs_sum, kind), tol
+            f"triangle[{kind.label()}]",
+            _norm_of_sv(sv_sum, kind),
+            _norm_of_sv(sv_abs_sum, kind),
+            tol,
         )
         for kind in _norm_kinds(norms, a.shape[0])
     )
@@ -571,7 +616,7 @@ def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError(f"{f.name} does not fix zero")
     _require_normal(a, tol, "first operand")
     _require_normal(b, tol, "second operand")
-    m, M, images_sum, image_of_abs_sum = _abs_images(f, a, b)
+    m, M, sv_images, sv_image_of_abs = _abs_images(f, a, b)
     if m <= 0.0:
         raise NotPositiveDefiniteError("singular values must be positive")
     if forward:
@@ -582,22 +627,23 @@ def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
         edge = float(f.deriv(M))
         c_sep = float(f(M)) / M
         c_sum = float(f(2.0 * M)) / (2.0 * M)
+    sv_sum = singular_values(a + b)
     links = []
     for kind in _norm_kinds(norms, a.shape[0]):
-        base = norm(a + b, kind)
+        base = _norm_of_sv(sv_sum, kind)
+        images_sum = _norm_of_sv(sv_images, kind)
+        image_of_abs_sum = _norm_of_sv(sv_image_of_abs, kind)
         label = kind.label()
         if math.isfinite(edge):
             links.append(_scalar_link(f"sep-edge[{label}]", edge * base, c_sep * base, tol))
         else:
             links.append(_vacuous(f"sep-edge[{label}]"))
-        links.append(_scalar_link(f"sep-bound[{label}]", c_sep * base, norm(images_sum, kind), tol))
+        links.append(_scalar_link(f"sep-bound[{label}]", c_sep * base, images_sum, tol))
         if math.isfinite(edge):
             links.append(_scalar_link(f"sum-edge[{label}]", edge * base, c_sum * base, tol))
         else:
             links.append(_vacuous(f"sum-edge[{label}]"))
-        links.append(
-            _scalar_link(f"sum-bound[{label}]", c_sum * base, norm(image_of_abs_sum, kind), tol)
-        )
+        links.append(_scalar_link(f"sum-bound[{label}]", c_sum * base, image_of_abs_sum, tol))
     params = {"fn": f.name, "m": m, "M": M, "convex": forward, "dim": a.shape[0]}
     return CheckOutcome("normal_chain", "normal-abs-norm-chain", tuple(links), params)
 
@@ -609,17 +655,24 @@ def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutco
     |||f(|A|)+f(|B|)||| and |||f(|A|+|B|)||| against (f(M)/M) |||A+B|||
     with M the largest singular value; they are expected to fail, and a
     failing link is what the counterexample search reports as a hit.
+
+    The operands need not be normal, so m and M are their true singular
+    values, not the eigenvalue moduli that :func:`_abs_images` reports.
     """
     a = as_complex_array(A)
     b = as_complex_array(B)
-    m, M, images_sum, image_of_abs_sum = _abs_images(f, a, b)
+    sv = np.concatenate([singular_values(a), singular_values(b)])
+    m, M = float(sv.min()), float(sv.max())
+    _, _, sv_images, sv_image_of_abs = _abs_images(f, a, b)
     coef = float(f(M)) / M
+    sv_sum = singular_values(a + b)
     links = []
     for kind in norms:
-        bound = coef * norm(a + b, kind)
-        links.append(_scalar_link(f"upper-sep[{kind.label()}]", norm(images_sum, kind), bound, tol))
+        bound = coef * _norm_of_sv(sv_sum, kind)
+        label = kind.label()
+        links.append(_scalar_link(f"upper-sep[{label}]", _norm_of_sv(sv_images, kind), bound, tol))
         links.append(
-            _scalar_link(f"upper-sum[{kind.label()}]", norm(image_of_abs_sum, kind), bound, tol)
+            _scalar_link(f"upper-sum[{label}]", _norm_of_sv(sv_image_of_abs, kind), bound, tol)
         )
     return CheckOutcome(
         "transplanted_norm_chain",
@@ -686,21 +739,19 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError("exponent r must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
-    m, _ = spectral_bounds(a, b)
+    fa, fb, m, _ = _factor_pair(as_hermitian_array(A), as_hermitian_array(B))
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
-    swapped = False
-    if float(np.linalg.eigvalsh(a)[-1]) > float(np.linalg.eigvalsh(b)[-1]):
-        a, b = b, a
-        swapped = True
-    sigma = geometric(alpha)
-    f = function_by_name(f"power:{r:g}")
-    G = mean(sigma, a, b, tol).entries
-    Gr = mean(sigma, apply_fn(f, a).entries, apply_fn(f, b).entries, tol).entries
+    # ||A|| and ||B|| are the top eigenvalues of the positive definite operands;
+    # at a tie within round-off either order meets ||A|| <= ||B||, so none is swapped
+    norm_a, norm_b = float(fa[1][-1]), float(fb[1][-1])
+    swapped = norm_a > norm_b + tol * (1.0 + norm_b)
+    if swapped:
+        fa, fb = fb, fa
+    fa, fb = _in_basis_of_a(fa, fb)
+    G, Gr = _pair_means(function_by_name(f"power:{r:g}"), geometric(alpha), fa, fb, tol)
     c_ah = norm(G, NormKind.operator()) ** (r - 1.0)
-    c_chain = float(np.linalg.eigvalsh(b)[-1]) ** (r - 1.0)
+    c_chain = float(fb[1][-1]) ** (r - 1.0)
     links = (
         _loewner_link("ando-hiai", Gr, c_ah * G, tol),
         _loewner_link("max-norm-bound", Gr, c_chain * G, tol),
@@ -737,31 +788,29 @@ def check_contraction_implication(
     else:
         params["not_applicable"] = "pair conditions mixed; implication direction undefined"
         return CheckOutcome("contraction_implication", "mean-contraction-iterates", (), params)
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
     sigma_h = MatrixMean(f"h:{pair.h.name}", pair.h)
     f = times_x(pair.g)
-    eye = np.eye(a.shape[0])
+    fa, fb, _, _ = _factor_pair(as_hermitian_array(A), as_hermitian_array(B))
+    # The iterates f^k(A), f^k(B) keep the eigenvectors of A and B, and I
+    # keeps its form in any basis; in A's, f^k(A) is diagonal and its
+    # ill-conditioned inverse square root is exact.
+    (_, wa, eye), (_, wb, vb) = _in_basis_of_a(fa, fb)
+
+    def iterate_mean(wx, wy):
+        return _mean_of(sigma_h, wx, eye, wy, vb, tol)
+
     if not forward:
-        g0 = mean(sigma_h, a, b, tol).entries
-        c = float(np.linalg.eigvalsh(g0)[0])
+        c = float(_eigvalsh(iterate_mean(wa, wb))[0])
         if c <= 0.0:
             raise NotPositiveDefiniteError("mean not positive definite; cannot normalize upward")
-        a = a / c
-        b = b / c
-    links = [
-        _loewner_link("hypothesis", *(
-            (mean(sigma_h, a, b, tol).entries, eye) if forward
-            else (eye, mean(sigma_h, a, b, tol).entries)
-        ), tol)
-    ]
-    ak, bk = a, b
-    for _ in range(n_iter):
-        ak = apply_fn(f, ak).entries
-        bk = apply_fn(f, bk).entries
-        gk = mean(sigma_h, ak, bk, tol).entries
-        pairing = (gk, eye) if forward else (eye, gk)
-        links.append(_loewner_link("iterate-bound", *pairing, tol))
+        wa, wb = wa / c, wb / c
+    links = []
+    for k in range(n_iter + 1):
+        if k:
+            wa, wb = _finite(_fn_values(f, wa)), _finite(_fn_values(f, wb))
+        g = iterate_mean(wa, wb)
+        pairing = (g, eye) if forward else (eye, g)
+        links.append(_loewner_link("iterate-bound" if k else "hypothesis", *pairing, tol))
     params["direction"] = "forward" if forward else "reversed"
     return CheckOutcome("contraction_implication", "mean-contraction-iterates", tuple(links), params)
 
@@ -822,26 +871,24 @@ def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome
     beta = 1.0 - alpha
     a = as_hermitian_array(A)
     b = as_hermitian_array(B)
-    m, M = spectral_bounds(a, b)
+    (_, wa, va), (_, wb, vb), m, M = _factor_pair(a, b)
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
     n = a.shape[0]
-    wa = np.linalg.eigvalsh(a)
-    wb = np.linalg.eigvalsh(b)
     gap_tol = tol * (1.0 + max(abs(M), abs(m)))
     gap_below = float(wa[0] - wb[-1]) >= gap_tol  # B entirely below A
     gap_above = float(wb[0] - wa[-1]) >= gap_tol  # B entirely above A
     gap_ok = gap_below or gap_above
 
-    da, db = det_root(a, tol), det_root(b, tol)
-    dsum = det_root(a + b, tol)
-    fa = apply_fn(f, a).entries
-    fb = apply_fn(f, b).entries
-    dfa, dfb = det_root(fa, tol), det_root(fb, tol)
-    dfsum = det_root(fa + fb, tol)
+    # f(A) keeps A's eigenvectors: its determinant root is read off f(wa)
+    da, db = _det_root(wa, tol), _det_root(wb, tol)
+    dsum = _det_root(_eigvalsh(a + b), tol)
+    fwa, fwb = _finite(_fn_values(f, wa)), _finite(_fn_values(f, wb))
+    dfa, dfb = _det_root(fwa, tol), _det_root(fwb, tol)
+    dfsum = _det_root(_eigvalsh(_compose(va, fwa) + _compose(vb, fwb)), tol)
 
     links = [_scalar_link("detroot-superadditivity", da + db, dsum, tol)]
-    det_mix = float(np.prod(np.linalg.eigvalsh(alpha * a + beta * b)))
+    det_mix = float(np.prod(_eigvalsh(alpha * a + beta * b)))
     det_a = float(np.prod(wa))
     det_b = float(np.prod(wb))
     links.append(

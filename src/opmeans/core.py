@@ -42,7 +42,6 @@ __all__ = [
     "det_root",
     "spectral_bounds",
     "norm_catalog",
-    "chain_norm_kinds",
 ]
 
 #: Default relative tolerance for order comparisons and PSD gates.
@@ -280,6 +279,16 @@ def _eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _lapack(np.linalg.eigh, arr)
 
 
+def _normal_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moduli d of the eigenvalues and unitary Q of a complex Schur factorization arr = Q T Q*.
+
+    Q diag(d) Q* is |arr| and d its singular values when arr is normal
+    (then T is diagonal).
+    """
+    t, q = _lapack(lambda x: scipy.linalg.schur(x, output="complex"), arr)
+    return np.abs(np.diagonal(t)), q
+
+
 def _opnorm_hermitian(arr: np.ndarray) -> float:
     w = _eigvalsh(arr)
     return float(max(abs(w[0]), abs(w[-1])))
@@ -380,9 +389,8 @@ def matrix_abs(A, normal_hint: bool = False) -> HermitianMatrix:
     """
     arr = as_complex_array(A)
     if normal_hint:
-        t, q = scipy.linalg.schur(arr, output="complex")
-        d = np.abs(np.diagonal(t))
-        return HermitianMatrix((q * d) @ q.conj().T)
+        d, q = _normal_factors(arr)
+        return HermitianMatrix(_compose(q, d))
     gram = hermitian_part(arr.conj().T @ arr)
     spectrum = eigh(gram)
     d = np.sqrt(np.clip(spectrum.eigenvalues, 0.0, None))
@@ -429,8 +437,7 @@ def singular_values(A) -> np.ndarray:
     arr = as_complex_array(A)
     scale = float(np.abs(arr).max(initial=0.0))
     if np.abs(arr - arr.conj().T).max(initial=0.0) <= 1e-12 * (1.0 + scale):
-        w = _eigvalsh(hermitian_part(arr))
-        return np.sort(np.abs(w))[::-1].copy()
+        return _sv_hermitian(_eigvalsh(hermitian_part(arr)))
     w = eigenvalues_desc(matrix_abs(arr))
     return np.clip(w, 0.0, None)
 
@@ -444,8 +451,15 @@ def norm(A, kind) -> float:
     """
     if isinstance(kind, str):
         kind = NormKind.parse(kind)
-    sv = singular_values(A)
-    n = sv.size
+    return _norm_of_sv(singular_values(A), kind)
+
+
+def _norm_of_sv(sv: np.ndarray, kind: NormKind) -> float:
+    """The norm ``kind`` of a matrix with singular values ``sv`` (sorted decreasing).
+
+    Every unitarily invariant norm is a symmetric gauge function of the
+    singular values, so one vector per matrix serves every kind.
+    """
     if kind.variant == "operator":
         return float(sv[0])
     if kind.variant == "trace":
@@ -455,9 +469,14 @@ def norm(A, kind) -> float:
     if kind.variant == "schatten":
         return float((sv ** kind.param).sum() ** (1.0 / kind.param))
     k = int(kind.param)
-    if not 1 <= k <= n:
-        raise ValueError(f"ky fan k={k} outside 1..{n}")
+    if not 1 <= k <= sv.size:
+        raise ValueError(f"ky fan k={k} outside 1..{sv.size}")
     return float(sv[:k].sum())
+
+
+def _sv_hermitian(w: np.ndarray) -> np.ndarray:
+    """Singular values of a Hermitian matrix with eigenvalues ``w``: |w| sorted decreasing."""
+    return np.sort(np.abs(w))[::-1].copy()
 
 
 def det_root(A, tol: float = DEFAULT_TOL) -> float:
@@ -467,15 +486,18 @@ def det_root(A, tol: float = DEFAULT_TOL) -> float:
     on PSD input); a significantly negative eigenvalue raises
     :class:`NotPositiveSemidefiniteError`.
     """
-    w = _eigvalsh(as_hermitian_array(A))
+    return _det_root(_eigvalsh(as_hermitian_array(A)), tol)
+
+
+def _det_root(w: np.ndarray, tol: float) -> float:
+    """:func:`det_root` of a Hermitian matrix with eigenvalues ``w``, in any order."""
+    low = w.min()
     scale = 1.0 + float(np.abs(w).max())
-    if w[0] < -tol * scale:
+    if low < -tol * scale:
         raise NotPositiveSemidefiniteError(
-            f"matrix has eigenvalue {w[0]:.6e}, below -tol*scale = {-tol * scale:.3e}"
+            f"matrix has eigenvalue {low:.6e}, below -tol*scale = {-tol * scale:.3e}"
         )
-    clamped = np.clip(w, 0.0, None)
-    n = w.size
-    return float(np.prod(clamped) ** (1.0 / n))
+    return float(np.prod(np.clip(w, 0.0, None)) ** (1.0 / w.size))
 
 
 def spectral_bounds(A, B) -> tuple[float, float]:
@@ -488,23 +510,16 @@ def spectral_bounds(A, B) -> tuple[float, float]:
 
 
 def norm_catalog(dim: int) -> list[NormKind]:
-    """Full catalog of norm kinds used by the verification suites."""
+    """Every norm kind the verification suites use, for operands of size ``dim``.
+
+    Operator, trace, Frobenius, Schatten 1/2/3 and Ky Fan 1..dim.  Trace and
+    Frobenius are Schatten 1 and 2 under their own names; the checkers'
+    default set leaves them out.
+    """
     kinds = [
         NormKind.operator(),
         NormKind.trace(),
         NormKind.frobenius(),
-        NormKind.schatten(1.0),
-        NormKind.schatten(2.0),
-        NormKind.schatten(3.0),
-    ]
-    kinds.extend(NormKind.ky_fan(k) for k in range(1, dim + 1))
-    return kinds
-
-
-def chain_norm_kinds(dim: int) -> list[NormKind]:
-    """Operator, Schatten 1/2/3 and Ky Fan 1..n (the chain-check set)."""
-    kinds = [
-        NormKind.operator(),
         NormKind.schatten(1.0),
         NormKind.schatten(2.0),
         NormKind.schatten(3.0),

@@ -392,6 +392,21 @@ def _validate_names(spec: SuiteSpec) -> None:
         raise UsageError(str(exc)) from exc
 
 
+def _check_generator(spec: SuiteSpec, structure: str = "positive_definite") -> None:
+    """Refuse dimensions or a spectral interval that the instance generator rejects.
+
+    Called before the first instance is drawn, so a bad ``--m``, ``--M`` or
+    ``--dim`` is a usage error, not a failure halfway through a run.
+    """
+    if not spec.dims:
+        raise UsageError("need at least one dimension")
+    try:
+        for dim in spec.dims:
+            GeneratorConfig(dim, spec.m, spec.M, structure)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _summarize(records, wall_time, found=None) -> Summary:
     total_links = 0
     failed = 0
@@ -446,6 +461,7 @@ def run_suite(spec: SuiteSpec) -> Report:
     elif suite.instance is None:
         instances = [None]
     else:
+        _check_generator(spec)
         instances = [suite.instance(spec, t) for t in range(spec.trials)]
 
     records = []
@@ -527,6 +543,8 @@ def search_counterexample(target: str, structure: str | None, budget: int, spec:
         if main_chain:
             _require_positive_definite(pair)
         pairs.append((-1, pair))
+    if budget > len(pairs):
+        _check_generator(spec, structure)
     pairs.extend((t, None) for t in range(budget - len(pairs)))
     for t, pre in pairs:
         a, b = pre if pre is not None else instance(t)

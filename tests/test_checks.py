@@ -384,6 +384,18 @@ def test_ando_hiai_swap_recorded():
     assert out.passed
 
 
+def test_ando_hiai_tie_is_not_swapped():
+    # ||A|| = ||B|| = 4, as for every generated pair: either order meets
+    # ||A|| <= ||B||, so the last bit of an eigensolver must not pick one
+    c, s = math.cos(0.3), math.sin(0.3)
+    u = np.array([[c, -s], [s, c]])
+    a, b = np.diag([0.5, 4.0]), u @ np.diag([2.0, 4.0]) @ u.T
+    for x, y in ((a, b), (b, a)):
+        out = check_ando_hiai_comparison(x, y, 0.25, 2.0)
+        assert not out.params["swapped"]
+        assert out.passed
+
+
 def test_ando_hiai_coefficient_always_dominated():
     for seed in range(50):
         a, b = _pd_pair(3, 7000 + seed)

@@ -2,15 +2,40 @@
 
 ``check_main_chain`` factors A, B and S = A sigma B once each and reuses
 A's eigenvectors for f(A); ``mean`` factors A once for its gate and its
-congruence.  The tests count LAPACK eigensolves through numpy.
+congruence.  The norm and determinant checkers factor each matrix once and
+read every norm kind off its one singular-value vector; normal operands are
+factored once by complex Schur.  The tests count LAPACK eigensolves through
+numpy and scipy.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from opmeans import function_by_name, mean, mean_by_name
-from opmeans.checks import check_main_chain
-from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_pd
+from opmeans import (
+    FunctionPair,
+    MatrixMean,
+    NormKind,
+    function_by_name,
+    mean,
+    mean_by_name,
+    norm,
+    norm_catalog,
+    normalize_for_contraction,
+    singular_values,
+)
+from opmeans.checks import (
+    check_ando_hiai_comparison,
+    check_chord_bounds,
+    check_contraction_implication,
+    check_determinant_suite,
+    check_main_chain,
+    check_normal_chain,
+    check_subadditivity_refinement,
+    check_transplanted_norm_chain,
+)
+from opmeans.core import _norm_of_sv
+from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_normal, random_pd
 
 
 def _pd_pair(dim, seed):
@@ -21,19 +46,31 @@ def _pd_pair(dim, seed):
     )
 
 
+def _normal_pair(dim, seed):
+    cfg = GeneratorConfig(dim, 0.5, 4.0, "normal_complex")
+    return (
+        random_normal(cfg, derive_stream_seed(seed, 0)).entries,
+        random_normal(cfg, derive_stream_seed(seed, 1)).entries,
+    )
+
+
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Count calls of numpy.linalg.eigh and eigvalsh, the only eigensolvers used."""
-    counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
-        solver = getattr(np.linalg, name)
+    """Count calls of numpy.linalg.eigh and eigvalsh and scipy.linalg.schur, the eigensolvers used."""
+    counts = {"eigh": 0, "eigvalsh": 0, "schur": 0}
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "schur")):
+        solver = getattr(module, name)
 
         def counted(*args, _name=name, _solver=solver, **kwargs):
             counts[_name] += 1
             return _solver(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
+
+
+def _total(counts):
+    return sum(counts.values())
 
 
 @pytest.mark.parametrize("fn", ["power:2", "sqrt"])
@@ -43,11 +80,95 @@ def test_main_chain_factorizations(eigensolves, fn):
     assert out.passed
     # eigh of A, B, S and the two congruence middles; eigvalsh for the two
     # links against f(A) sigma f(B) and for its norm
-    assert eigensolves["eigh"] + eigensolves["eigvalsh"] <= 8, eigensolves
+    assert _total(eigensolves) <= 8, eigensolves
 
 
 def test_mean_factorizations(eigensolves):
     a, b = _pd_pair(4, 5)
     mean(mean_by_name("harmonic:1/4"), a, b)
     # eigh of A and of the congruence middle, eigvalsh of B for its gate
-    assert eigensolves["eigh"] + eigensolves["eigvalsh"] <= 3, eigensolves
+    assert _total(eigensolves) <= 3, eigensolves
+
+
+def test_subadditivity_factorizations(eigensolves):
+    a, b = _pd_pair(4, 7)
+    out = check_subadditivity_refinement(function_by_name("power:2"), a, b)
+    assert out.passed and len(out.links) == 3 * 8
+    # eigh of A and B, eigvalsh of A + B and of f(A) + f(B); 46 before
+    assert _total(eigensolves) <= 4, eigensolves
+
+
+def test_normal_chain_factorizations(eigensolves):
+    a, b = _normal_pair(4, 11)
+    out = check_normal_chain(function_by_name("power:2"), a, b)
+    assert out.passed and len(out.links) == 4 * 8
+    # Schur of A and B, eigvalsh of f(|A|) + f(|B|) and of |A| + |B|, and
+    # singular_values(A + B) for the non-normal sum; 41 before
+    assert eigensolves["schur"] == 2, eigensolves
+    assert _total(eigensolves) <= 6, eigensolves
+
+
+def test_determinant_factorizations(eigensolves):
+    a, b = _pd_pair(4, 13)
+    out = check_determinant_suite(function_by_name("power:2"), a, b)
+    assert out.passed
+    # eigh of A and B, eigvalsh of A + B, f(A) + f(B) and alpha A + beta B; 13 before
+    assert _total(eigensolves) <= 6, eigensolves
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda a, b: check_chord_bounds(
+            function_by_name("power:2"), mean_by_name("geometric:1/2"), a, b
+        ),
+        lambda a, b: check_ando_hiai_comparison(a, b, 0.5, 2.0),
+    ],
+    ids=["chord", "ando_hiai"],
+)
+def test_image_mean_factorizations(eigensolves, check):
+    a, b = _pd_pair(4, 17)
+    assert check(a, b).passed
+    # eigh of A and B and of each congruence middle (three means for the
+    # chord, two for Ando-Hiai), eigvalsh for ||A #_a B|| and two per link;
+    # 17 and 18 before
+    assert _total(eigensolves) <= 9, eigensolves
+
+
+def test_contraction_factorizations(eigensolves):
+    g, h = function_by_name("power:1/2"), function_by_name("power:1/2")
+    a, b = normalize_for_contraction(MatrixMean("h", h), *_pd_pair(4, 19))
+    for name in eigensolves:
+        eigensolves[name] = 0
+    out = check_contraction_implication(FunctionPair(g, h), a, b, n_iter=3)
+    assert out.passed and len(out.links) == 4
+    # eigh of A and B, then per link one congruence middle and two eigvalsh: 26 before
+    assert _total(eigensolves) <= 2 + 4 * 3, eigensolves
+
+
+def _norm_operands():
+    h = _pd_pair(4, 23)[0] - 2.0 * np.eye(4)  # Hermitian, indefinite
+    n = _normal_pair(4, 29)[0]  # normal, not Hermitian
+    g = np.arange(16.0).reshape(4, 4) + 1j * np.eye(4)  # not normal
+    return {"hermitian": h, "normal": n, "non-normal": g}
+
+
+@pytest.mark.parametrize("which", ["hermitian", "normal", "non-normal"])
+def test_norm_is_a_function_of_one_singular_value_vector(which):
+    x = _norm_operands()[which]
+    sv = singular_values(x)
+    for kind in norm_catalog(4):
+        assert norm(x, kind) == _norm_of_sv(sv, kind), kind
+        assert norm(x, kind.label()) == _norm_of_sv(sv, kind), kind
+
+
+def test_transplanted_chain_takes_true_singular_values():
+    # not normal: the eigenvalue moduli are 1, 1 and 2, 1, the singular values are not
+    a = np.array([[1.0, 2.0], [0.0, 1.0]])
+    b = np.array([[2.0, 0.0], [1.0, 1.0]])
+    out = check_transplanted_norm_chain(function_by_name("power:2"), a, b, [NormKind.operator()])
+    sv = np.concatenate([np.linalg.svd(a, compute_uv=False), np.linalg.svd(b, compute_uv=False)])
+    assert out.params["m"] == pytest.approx(sv.min(), rel=1e-12)  # sqrt(2) - 1
+    assert out.params["M"] == pytest.approx(sv.max(), rel=1e-12)  # sqrt(2) + 1
+    assert out.params["m"] == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-12)
+    assert out.params["M"] == pytest.approx(np.sqrt(2.0) + 1.0, rel=1e-12)

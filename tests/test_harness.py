@@ -296,6 +296,33 @@ def test_cli_usage_error_exit_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--m", "0"], "need 0 < m <= M"),
+        (["--m", "5", "--M", "4"], "need 0 < m <= M"),
+        (["--dim", "0"], "dim must be >= 1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "suite", [["--suite", "main_chain"], ["--suite", "search", "--target", "norm_chain_normal"]]
+)
+def test_cli_bad_interval_or_dimension_exit_two(capsys, suite, args, message):
+    # refused before any instance is drawn: a usage error, not a traceback
+    rc = main(suite + ["--trials", "1", "--budget", "1"] + args)
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_bad_interval_or_dimension_is_a_usage_error():
+    for spec in (SuiteSpec("determinant", m=0.0), SuiteSpec("normal_chain", M=0.25),
+                 SuiteSpec("main_chain", dims=(2, 0)), SuiteSpec("main_chain", dims=())):
+        with pytest.raises(UsageError):
+            run_suite(spec)
+    with pytest.raises(UsageError, match="unknown structure"):
+        search_counterexample("norm_chain_normal", "triangular", 2, SuiteSpec("search"))
+
+
 def test_cli_search_exit_codes():
     assert main(["--suite", "search", "--target", "norm_chain_normal",
                  "--budget", "100", "--dim", "2"]) == 0

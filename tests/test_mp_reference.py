@@ -1,18 +1,26 @@
-"""check_main_chain against a 50-digit reference on non-commuting operands.
+"""check_main_chain and check_contraction_implication against a 50-digit reference.
 
 The diagonal oracle only sees commuting operands, and commuting operands
 cannot catch a wrong eigenbasis reused for f(A) sigma f(B).  Here S = A sigma B,
 f(A) sigma f(B), f(S) and all eight Loewner margins are recomputed with
 ``mpmath.eighe`` at 50 digits, independently of the package, and the float
 margins must agree within ``MARGIN_ULPS * eps * scale * cond(A)``, with scale
-the link's 1 + ||R||_op.
+the link's 1 + ||R||_op.  The contraction iterates A_k = f^k(A) are checked
+the same way, with cond(A_k) of the operand whose inverse square root the
+mean's congruence takes.
 """
 
 import numpy as np
 import pytest
 
-from opmeans import function_by_name, mean_by_name
-from opmeans.checks import check_main_chain
+from opmeans import (
+    FunctionPair,
+    MatrixMean,
+    function_by_name,
+    mean_by_name,
+    normalize_for_contraction,
+)
+from opmeans.checks import check_contraction_implication, check_main_chain
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_pd
 
 mpmath = pytest.importorskip("mpmath")
@@ -109,3 +117,45 @@ def test_main_chain_matches_50_digit_reference(fn, mean_name, dim):
         bound = MARGIN_ULPS * eps * float(scale * cond_a)
         assert abs(link.margin - float(margin)) <= bound, (desc, link.margin, float(margin))
         assert link.passed
+
+
+_POWERS = ("1/4", "1/2", "3/4")
+
+
+def _contraction_instance(g, h, trial):
+    """Trial ``trial`` of ``opmeans --suite contraction --seed 7 --dim 2 --dim 3 --dim 4``."""
+    cfg = GeneratorConfig((2, 3, 4)[trial], 0.5, 4.0)
+    a = random_pd(cfg, derive_stream_seed(7, 2 * trial))
+    b = random_pd(cfg, derive_stream_seed(7, 2 * trial + 1))
+    return normalize_for_contraction(MatrixMean(f"h:{h.name}", h), a, b)
+
+
+def _mp_fraction(text):
+    num, den = text.split("/")
+    return mpmath.mpf(num) / mpmath.mpf(den)
+
+
+@pytest.mark.parametrize("trial", [0, 1, 2])
+@pytest.mark.parametrize("h_power", _POWERS)
+@pytest.mark.parametrize("g_power", _POWERS)
+def test_contraction_iterates_match_50_digit_reference(g_power, h_power, trial):
+    # seed 7, g = power:3/4, h = power:1/4, trial 0: the last margin is
+    # 0.749528768187610 to 15 digits; re-factoring each iterate gave 0.7495287714807
+    g, h = function_by_name(f"power:{g_power}"), function_by_name(f"power:{h_power}")
+    a, b = _contraction_instance(g, h, trial)
+    out = check_contraction_implication(FunctionPair(g, h), a, b)
+    assert out.params["direction"] == "forward"
+    p, q = _mp_fraction(g_power), _mp_fraction(h_power)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        a_mp, b_mp = _mp_matrix(a.entries), _mp_matrix(b.entries)
+        eye = mpmath.eye(a_mp.rows)
+        for k, link in enumerate(out.links):
+            # f(x) = x g(x) = x^(1+p), so the k-th iterate is A^((1+p)^k)
+            e = (1 + p) ** k
+            ak, bk = _fn(a_mp, lambda x: x**e), _fn(b_mp, lambda x: x**e)
+            margin = _spectrum(eye - _mean(lambda x: x**q, ak, bk))[0]
+            w = _spectrum(ak)
+            bound = MARGIN_ULPS * eps * 2.0 * float(w[-1] / w[0])
+            assert abs(link.margin - float(margin)) <= bound, (k, link.margin, float(margin))
+            assert link.passed
