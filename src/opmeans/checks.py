@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,15 +41,16 @@ from .core import (
     _loewner_on_spectrum,
     _norm_of_sv,
     _normal_factors,
+    _opnorm_hermitian,
     _sv_hermitian,
     as_complex_array,
     as_hermitian_array,
     apply_fn,
+    hermitian_part,
     matrix_abs,
     norm,
     norm_catalog,
     singular_values,
-    spectral_bounds,
 )
 from .functions import (
     Convexity,
@@ -59,7 +61,13 @@ from .functions import (
     function_by_name,
     times_x,
 )
-from .means import MatrixMean, _mean_factored, mean, relative_operator_entropy
+from .means import (
+    MatrixMean,
+    _mean_from_middle,
+    _mean_middle,
+    _perspective_from_middle,
+    _require_definite,
+)
 
 __all__ = [
     "Link",
@@ -79,6 +87,8 @@ __all__ = [
     "check_contraction_implication",
     "check_inverse_function",
     "check_determinant_suite",
+    "SharedPair",
+    "SharedOperand",
 ]
 
 
@@ -223,9 +233,12 @@ def _factor_pair(a, b):
     return fa, fb, float(min(wa[0], wb[0])), float(max(wa[-1], wb[-1]))
 
 
-def _psd_pair(a, b, tol):
-    """:func:`_factor_pair` for PSD operands: m below -tol * scale raises, else is floored at 0."""
-    fa, fb, m, M = _factor_pair(a, b)
+def _psd(factors, tol):
+    """:func:`_factor_pair`'s result for PSD operands.
+
+    m below -tol * scale raises, else is floored at 0.
+    """
+    fa, fb, m, M = factors
     scale = 1.0 + max(abs(m), abs(M))
     if m < -tol * scale:
         raise NotPositiveSemidefiniteError(f"operand eigenvalue {m:.6e} below -tol*scale")
@@ -251,29 +264,150 @@ def _image(f, w, v):
     return _finite(_compose(v, _fn_values(f, w)))
 
 
+def _middle_of(wa, va, wb, vb, tol):
+    """The mean-independent half of (Va diag(wa) Va*) sigma (Vb diag(wb) Vb*)."""
+    return _mean_middle(wa, va, _finite(_compose(vb, wb)), wb, tol)
+
+
 def _mean_of(sigma, wa, va, wb, vb, tol):
     """(Va diag(wa) Va*) sigma (Vb diag(wb) Vb*): the mean of two operands given by eigenpairs."""
-    return _mean_factored(sigma.h, wa, va, _finite(_compose(vb, wb)), wb, tol)[0]
+    return _mean_from_middle(sigma.h, _middle_of(wa, va, wb, vb, tol), tol)
+
+
+def _image_middle(f, fa, fb, tol):
+    """The mean-independent half of f(A) sigma f(B) from the factored operands.
+
+    f(A) keeps A's eigenvectors, so A's factors give f(A)^(1/2) and
+    f(A)^(-1/2); only the congruence middle is factored here.
+    """
+    (_, wa, va), (_, wb, vb) = fa, fb
+    return _middle_of(_finite(_fn_values(f, wa)), va, _fn_values(f, wb), vb, tol)
 
 
 def _image_mean(f, sigma, fa, fb, tol):
-    """f(A) sigma f(B) from the factored operands; f(A) keeps A's eigenvectors."""
-    _, wa, va = fa
-    _, wb, vb = fb
-    return _mean_of(sigma, _finite(_fn_values(f, wa)), va, _fn_values(f, wb), vb, tol)
+    """f(A) sigma f(B) from the factored operands."""
+    return _mean_from_middle(sigma.h, _image_middle(f, fa, fb, tol), tol)
 
 
-def _pair_means(f, sigma, fa, fb, tol):
-    """S = A sigma B and X = f(A) sigma f(B) from the factored operands.
+class SharedPair:
+    """An instance (A, B) whose factors the records of one trial share.
 
-    f(A) keeps A's eigenvectors, so A's factors give f(A)^(1/2) and
-    f(A)^(-1/2) for the congruence; only the two congruence middles are
-    factored here.
+    A suite that checks many (function, mean) configurations on one
+    instance builds one pair per trial and gives each record the
+    :meth:`operands` of its mean and function.  Each factor is computed when
+    a checker first asks for it and then kept: the eigenpairs of A and B and
+    the congruence middle A^(-1/2) B A^(-1/2) once per trial, S = A sigma B
+    and its spectrum once per mean, and the middle of f(A) sigma f(B) once
+    per function.  A step that raises keeps nothing, so every record that
+    reaches it raises the same error.  A checker given raw matrices wraps
+    them in a fresh pair, so both paths run the same code.
     """
-    _, wa, va = fa
-    b, wb, _ = fb
-    S, _ = _mean_factored(sigma.h, wa, va, b, wb, tol)
-    return S, _image_mean(f, sigma, fa, fb, tol)
+
+    def __init__(self, A, B, tol=DEFAULT_TOL):
+        self.a = as_hermitian_array(A)
+        self.b = as_hermitian_array(B)
+        self.tol = tol
+
+    @cached_property
+    def factors(self):
+        """:func:`_factor_pair` of (A, B)."""
+        return _factor_pair(self.a, self.b)
+
+    @cached_property
+    def middle(self):
+        """The mean-independent half of A sigma B."""
+        (_, wa, va), (b, wb, _), _, _ = self.factors
+        return _mean_middle(wa, va, b, wb, self.tol)
+
+    def mean(self, sigma) -> "_SharedMean":
+        return _SharedMean(self, sigma)
+
+    def image(self, f) -> "_SharedImage":
+        return _SharedImage(self, f)
+
+    def operands(self, mean, image) -> tuple["SharedOperand", "SharedOperand"]:
+        """A and B for a record whose mean and function have the levels ``mean`` and ``image``."""
+        levels = (mean, image)
+        return SharedOperand(self, 0, levels), SharedOperand(self, 1, levels)
+
+
+class _SharedMean:
+    """S = A sigma B of a :class:`SharedPair` and its spectrum, each computed once."""
+
+    def __init__(self, pair, sigma):
+        self.pair, self.sigma = pair, sigma
+
+    @cached_property
+    def S(self):
+        return _mean_from_middle(self.sigma.h, self.pair.middle, self.pair.tol)
+
+    @cached_property
+    def eigh(self):
+        return _eigh(self.S)
+
+    @cached_property
+    def eigvalsh(self):
+        return _eigvalsh(self.S)
+
+
+class _SharedImage:
+    """The middle of f(A) sigma f(B) for a :class:`SharedPair`, computed once."""
+
+    def __init__(self, pair, f):
+        self.pair, self.f = pair, f
+
+    @cached_property
+    def middle(self):
+        fa, fb, _, _ = self.pair.factors
+        return _image_middle(self.f, fa, fb, self.pair.tol)
+
+
+@dataclass(frozen=True, eq=False)
+class SharedOperand:
+    """Operand A (``which`` 0) or B (1) of a :class:`SharedPair`, with its record's levels.
+
+    ``levels`` holds the record's mean level and function level.  Acts as
+    the raw matrix wherever an array is expected.
+    """
+
+    pair: SharedPair
+    which: int
+    levels: tuple
+
+    def __array__(self, dtype=None, copy=None):
+        # a copy unless asked for none, so no caller can write into the shared pair
+        arr = self.pair.b if self.which else self.pair.a
+        return np.array(arr, dtype=dtype, copy=copy is not False)
+
+
+def _shared(A, B, tol, sigma=None, f=None):
+    """The pair behind operands A, B and its levels for ``sigma`` and ``f``.
+
+    Operands from one :meth:`SharedPair.operands` call bring their pair and
+    levels; anything else is wrapped in a fresh pair.
+    """
+    if (
+        isinstance(A, SharedOperand)
+        and isinstance(B, SharedOperand)
+        and (A.which, B.which) == (0, 1)
+        and A.pair is B.pair
+        and A.levels is B.levels
+        and A.pair.tol == tol
+    ):
+        pair, (mean, image) = A.pair, A.levels
+    else:
+        pair, mean, image = SharedPair(A, B, tol), None, None
+    if sigma is not None and (mean is None or mean.sigma is not sigma):
+        mean = pair.mean(sigma)
+    if f is not None and (image is None or image.f is not f):
+        image = pair.image(f)
+    return pair, mean, image
+
+
+def _shared_means(mean, image, tol):
+    """S = A sigma B and X = f(A) sigma f(B) from a record's shared levels, S first."""
+    S = mean.S
+    return S, _mean_from_middle(mean.sigma.h, image.middle, tol)
 
 
 def _norm_kinds(norms, dim):
@@ -290,10 +424,9 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     operands' eigenvectors with f(A) and f(B); A and B are factored once, and
     the means are taken in A's eigenbasis.
     """
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
+    pair, _, _ = _shared(A, B, tol)
     forward = _require_tagged(f)
-    fa, fb, m, M = _psd_pair(a, b, tol)
+    fa, fb, m, M = _psd(pair.factors, tol)
     lo_c, hi_c = chord_coefficients(f, m, M)
     if not (math.isfinite(lo_c) and math.isfinite(hi_c)):
         raise ValueError(f"infinite chord coefficient for {f.name} on [{m}, {M}]")
@@ -329,21 +462,21 @@ def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     reversed for concave f.  Links with an infinite coefficient are
     recorded as vacuous.
 
-    A, B and S are factored once each.  f(S) and c S share S's
-    eigenvectors, so every link between them, and both edge links, is
-    read off spec(S); only the two links against f(A) sigma f(B) and its
-    norm need an eigensolve.
+    A, B and S are factored once each, and so are the congruence middles
+    of S and of f(A) sigma f(B); with :class:`SharedOperand` operands, once
+    per trial, mean and function.  f(S) and c S share S's eigenvectors, so
+    every link between them, and both edge links, is read off spec(S); only
+    the two links against f(A) sigma f(B) and its norm need an eigensolve.
     """
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
+    pair, mean, image = _shared(A, B, tol, sigma, f)
     forward = _require_tagged(f)
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    fa, fb, m, M = _factor_pair(a, b)
+    _, _, m, M = pair.factors
     if m <= 0.0:
         raise NotPositiveDefiniteError(f"spectra must be positive, got m={m:.6e}")
-    S, X1 = _pair_means(f, sigma, fa, fb, tol)
-    ws, _ = _eigh(S)
+    S, X1 = _shared_means(mean, image, tol)
+    ws, _ = mean.eigh
     fws = _finite(_fn_values(f, ws))
     norm_s = float(np.abs(ws).max())
 
@@ -371,7 +504,7 @@ def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
         "m": m,
         "M": M,
         "convex": forward,
-        "dim": a.shape[0],
+        "dim": pair.a.shape[0],
     }
     return CheckOutcome("main_chain", "mean-coefficient-chain", tuple(links), params)
 
@@ -380,7 +513,7 @@ def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     """log(M+1)/M * log(A+B+I) <= log(A+I) + log(B+I) for PSD A, B."""
     a = as_hermitian_array(A)
     b = as_hermitian_array(B)
-    (_, wa, va), (_, wb, vb), m, bound = _psd_pair(a, b, tol)
+    (_, wa, va), (_, wb, vb), m, bound = _psd(_factor_pair(a, b), tol)
     if M is None:
         M = bound
     M = float(M)
@@ -395,22 +528,25 @@ def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
 
 
 def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
-    """|||f(A) sigma f(B) - f(A sigma B)||| <= (f'(M) - f'(0)) |||A sigma B|||."""
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
+    """|||f(A) sigma f(B) - f(A sigma B)||| <= (f'(M) - f'(0)) |||A sigma B|||.
+
+    f(S) is taken on S's eigenpairs; those and the norms of S are shared
+    like S itself (see :func:`check_main_chain`).
+    """
+    pair, mean, image = _shared(A, B, tol, sigma, f)
     if f.convexity is not Convexity.CONVEX:
         raise ValueError(f"mean-difference bound requires a convex function, got {f.name}")
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    fa, fb, m, M = _factor_pair(a, b)
+    _, _, m, M = pair.factors
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
     d0, dM = float(f.deriv(0.0)), float(f.deriv(M))
     if not (math.isfinite(d0) and math.isfinite(dM)):
         raise ValueError("infinite endpoint derivative")
-    S, X = _pair_means(f, sigma, fa, fb, tol)
-    sv_diff = singular_values(X - apply_fn(f, S).entries)
-    sv_s = singular_values(S)
+    S, X = _shared_means(mean, image, tol)
+    sv_diff = singular_values(X - hermitian_part(_image(f, *mean.eigh)))
+    sv_s = _sv_hermitian(mean.eigvalsh)
     links = tuple(
         _scalar_link(
             f"norm-difference[{kind.label()}]",
@@ -418,7 +554,7 @@ def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> C
             (dM - d0) * _norm_of_sv(sv_s, kind),
             tol,
         )
-        for kind in _norm_kinds(norms, a.shape[0])
+        for kind in _norm_kinds(norms, pair.a.shape[0])
     )
     params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "spread": dM - d0}
     return CheckOutcome("mean_difference_norm", "mean-difference-norm-bound", links, params)
@@ -429,18 +565,18 @@ def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOut
 
     Per index j the chain holds for the j-th eigenvalues (decreasing), per
     k for the top-k eigenvalue products (requires positive spectrum), and
-    per norm kind for the norms of the two sides.
+    per norm kind for the norms of the two sides.  S and spec(S) are shared
+    like in :func:`check_main_chain`.
     """
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
+    pair, mean, image = _shared(A, B, tol, sigma, f)
     forward = _require_tagged(f)
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    fa, fb, m, M = _factor_pair(a, b)
+    _, _, m, M = pair.factors
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
-    S, X = _pair_means(f, sigma, fa, fb, tol)
-    ws, wx = _eigvalsh(S), _eigvalsh(X)
+    _, X = _shared_means(mean, image, tol)
+    ws, wx = mean.eigvalsh, _eigvalsh(X)
     s, x = ws[::-1], wx[::-1]
     coefs = _chain_coefficients(f, m, M)
     links = []
@@ -454,7 +590,7 @@ def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOut
             "prod", float(np.prod(s[:k])), float(np.prod(x[:k])), ck, forward, tol
         )
     sv_s, sv_x = _sv_hermitian(ws), _sv_hermitian(wx)
-    for kind in _norm_kinds(norms, a.shape[0]):
+    for kind in _norm_kinds(norms, pair.a.shape[0]):
         ns, nx = _norm_of_sv(sv_s, kind), _norm_of_sv(sv_x, kind)
         links += _scalar_chain(f"norm[{kind.label()}]", ns, nx, coefs, forward, tol)
     params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "convex": forward}
@@ -478,7 +614,7 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
         raise ValueError(f"subadditivity refinement requires a convex function, got {f.name}")
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    (_, wa, va), (_, wb, vb), m, M = _psd_pair(a, b, tol)
+    (_, wa, va), (_, wb, vb), m, M = _psd(_factor_pair(a, b), tol)
     if M <= 0.0:
         raise ValueError("zero operands leave no content to check")
     grid = np.geomspace(M * 1e-4, M, 64)
@@ -575,10 +711,25 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
 
 
 def _require_normal(arr: np.ndarray, tol: float, label: str) -> None:
-    comm = arr @ arr.conj().T - arr.conj().T @ arr
-    scale = 1.0 + float(np.linalg.norm(arr, 2)) ** 2
-    if float(np.linalg.norm(comm, 2)) > tol * scale:
-        raise NotNormalError(f"{label} does not commute with its adjoint within tolerance")
+    """Raise unless ||A A* - A* A||_2 <= tol (1 + ||A||_2^2).
+
+    ||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F brackets both spectral norms, so
+    the gate is decided from Frobenius norms unless the brackets straddle
+    the threshold.  Only then are the spectral norms taken, as eigenvalues
+    of the Hermitian commutator and of A* A = ||A||_2^2.
+    """
+    n = arr.shape[0]
+    adj = arr.conj().T
+    gram = adj @ arr
+    comm = arr @ adj - gram
+    fro_comm = float(np.linalg.norm(comm))
+    fro_sq = float(np.trace(gram).real)  # ||A||_F^2
+    if fro_comm <= tol * (1.0 + fro_sq / n):
+        return
+    if fro_comm / math.sqrt(n) <= tol * (1.0 + fro_sq):
+        if _opnorm_hermitian(comm) <= tol * (1.0 + float(_eigvalsh(gram)[-1])):
+            return
+    raise NotNormalError(f"{label} does not commute with its adjoint within tolerance")
 
 
 def check_normal_triangle(A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -689,6 +840,10 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     extreme eigenvalues of A and B, and the analogous two links for the
     relative operator entropy.  Entropy operands may be indefinite; the
     Loewner comparison is evaluated on them as Hermitian matrices.
+
+    A and B are factored once, and A^r, B^r keep their eigenvectors.
+    A #_a B and S(A|B) share one congruence middle, and so do A^r #_a B^r
+    and S(A^r|B^r).
     """
     from .means import geometric
 
@@ -696,25 +851,26 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError("exponent r must be >= 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
-    m, M = spectral_bounds(a, b)
+    fa, fb, m, M = _factor_pair(as_hermitian_array(A), as_hermitian_array(B))
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
+    (a, wa, va), (b, wb, vb) = _in_basis_of_a(fa, fb)
     f = function_by_name(f"power:{r:g}")
-    ar = apply_fn(f, a).entries
-    br = apply_fn(f, b).entries
+    war, wbr = _finite(_fn_values(f, wa)), _fn_values(f, wb)
+    middle = _middle_of(wa, va, wb, vb, tol)
+    middle_r = _middle_of(war, va, wbr, vb, tol)
     lo_c, hi_c = m ** (r - 1.0), M ** (r - 1.0)
-    sigma = geometric(alpha) if 0.0 < alpha < 1.0 else None
-    if sigma is None:
-        # boundary weights degenerate to an operand power
-        G = a if alpha == 0.0 else b
-        Gr = ar if alpha == 0.0 else br
+    if 0.0 < alpha < 1.0:
+        h = geometric(alpha).h
+        G, Gr = _mean_from_middle(h, middle, tol), _mean_from_middle(h, middle_r, tol)
     else:
-        G = mean(sigma, a, b, tol).entries
-        Gr = mean(sigma, ar, br, tol).entries
-    S1 = relative_operator_entropy(a, b, tol).entries
-    Sr = relative_operator_entropy(ar, br, tol).entries
+        # boundary weights degenerate to an operand power
+        G, Gr = (a, _image(f, wa, va)) if alpha == 0.0 else (b, _image(f, wb, vb))
+    log = function_by_name("log")
+    _require_definite(wa, tol)
+    S1 = _perspective_from_middle(log, middle)
+    _require_definite(war, tol)
+    Sr = _perspective_from_middle(log, middle_r)
     links = (
         _loewner_link("power-mean:low", lo_c * G, Gr, tol),
         _loewner_link("power-mean:high", Gr, hi_c * G, tol),
@@ -749,7 +905,9 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     if swapped:
         fa, fb = fb, fa
     fa, fb = _in_basis_of_a(fa, fb)
-    G, Gr = _pair_means(function_by_name(f"power:{r:g}"), geometric(alpha), fa, fb, tol)
+    sigma = geometric(alpha)
+    G = _mean_of(sigma, *fa[1:], *fb[1:], tol)
+    Gr = _image_mean(function_by_name(f"power:{r:g}"), sigma, fa, fb, tol)
     c_ah = norm(G, NormKind.operator()) ** (r - 1.0)
     c_chain = float(fb[1][-1]) ** (r - 1.0)
     links = (
@@ -825,13 +983,14 @@ def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError(f"{f.name} has no registered inverse")
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    fa, fb, m, M = _factor_pair(as_hermitian_array(A), as_hermitian_array(B))
+    pair, mean, image = _shared(A, B, tol, sigma, f)
+    _, _, m, M = pair.factors
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
     inv = f.inverse
     if inv.convexity is Convexity.NEITHER:
         raise ValueError(f"inverse of {f.name} carries no convexity tag")
-    S, X = _pair_means(f, sigma, fa, fb, tol)
+    S, X = _shared_means(mean, image, tol)
     c_m, c_M = float(f(m)) / m, float(f(M)) / M
     if inv.convexity is Convexity.CONVEX:
         links = (

@@ -3,7 +3,9 @@
 Exit status contract: 0 when every applicable link passed (or, for the
 search mode, when a counterexample was found within budget); 1 when at
 least one link failed (or no counterexample turned up); 2 for usage or
-configuration errors, raised before any trial runs.
+configuration errors, raised before any trial runs; 3 when a suite ran
+no applicable link at all, so nothing was verified (every record was
+downgraded, or every link was inapplicable).
 """
 
 from __future__ import annotations
@@ -81,8 +83,13 @@ def main(argv=None) -> int:
             verdict = "counterexample found" if found else "no counterexample within budget"
         else:
             report = run_suite(spec)
-            code = 0 if report.summary.failed_links == 0 else 1
-            verdict = "all applicable links passed" if code == 0 else "failing links present"
+            s = report.summary
+            if s.failed_links:
+                code, verdict = 1, "failing links present"
+            elif s.total_links == s.not_applicable_links:
+                code, verdict = 3, "no applicable links ran"
+            else:
+                code, verdict = 0, "all applicable links passed"
         if args.report:
             emit_report(report, args.format, args.report)
             print(f"report written to {args.report}")

@@ -18,7 +18,9 @@ downgrade is surfaced in the summary.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, asdict
 from typing import Callable
@@ -196,27 +198,29 @@ def _matrix_payload(x) -> list:
 # suite table
 
 def _fns(defaults):
-    """Configurations over the chosen functions, or ``defaults``."""
-    return lambda spec: [{"fn": n} for n in spec.functions or defaults]
+    """One axis: the chosen functions, or ``defaults``."""
+    return lambda spec: (("fn", spec.functions or defaults),)
 
 
 def _fns_means(defaults):
-    """Configurations over chosen functions (or ``defaults``) x chosen means (or the catalog)."""
-
-    def combos(spec):
-        mean_names = spec.means or tuple(m.name for m in mean_catalog())
-        return [{"fn": f, "mean": s} for f in spec.functions or defaults for s in mean_names]
-
-    return combos
+    """Chosen functions (or ``defaults``) x chosen means (or the catalog)."""
+    return lambda spec: (
+        ("fn", spec.functions or defaults),
+        ("mean", spec.means or tuple(m.name for m in mean_catalog())),
+    )
 
 
-def _alphas_rs(spec: SuiteSpec) -> list[dict]:
-    return [{"alpha": a, "r": r} for a in spec.alphas for r in spec.rs]
+def _alphas_rs(spec: SuiteSpec):
+    return ("alpha", spec.alphas), ("r", spec.rs)
 
 
-def _contraction_pairs(spec: SuiteSpec) -> list[dict]:
-    ps = (0.25, 0.5, 0.75)
-    return [{"g": f"power:{p:g}", "h": f"power:{q:g}"} for p in ps for q in ps]
+def _contraction_pairs(spec: SuiteSpec):
+    ps = tuple(f"power:{p:g}" for p in (0.25, 0.5, 0.75))
+    return ("g", ps), ("h", ps)
+
+
+def _no_axes(spec: SuiteSpec):
+    return ()
 
 
 def _dim_for(spec: SuiteSpec, t: int) -> int:
@@ -264,40 +268,60 @@ def _check_contraction(spec: SuiteSpec, c: dict, x) -> CheckOutcome:
     return checks.check_contraction_implication(pair, a, b, spec.iterations, spec.tol)
 
 
+def _unshared(spec: SuiteSpec, x, axes: dict) -> list:
+    return [x] * math.prod(map(len, axes.values()))
+
+
+def _shared_pair(spec: SuiteSpec, x, axes: dict) -> list:
+    """Trial instance ``x`` for each (function, mean) configuration, in :func:`_fns_means` order.
+
+    The configurations share one :class:`checks.SharedPair`, each mean's
+    level of it and each function's level of it, so every factor that does
+    not depend on the whole configuration is computed once per trial.
+    """
+    pair = checks.SharedPair(*x, spec.tol)
+    means = [pair.mean(sigma) for sigma in axes["mean"]]
+    images = [pair.image(f) for f in axes["fn"]]
+    return [pair.operands(mean, image) for image in images for mean in means]
+
+
 @dataclass(frozen=True)
 class _Suite:
-    """One suite: its configurations, instance builder and checker call.
+    """One suite: its configuration axes, instance builder and checker call.
 
-    ``instance(spec, t)`` builds trial t's instance; ``None`` marks a fixed
-    check that takes no instance and runs one trial.  ``check(spec, combo,
-    x)`` makes the record of configuration ``combo`` on instance ``x``, with
-    the configuration's function and mean names already resolved (see
-    :func:`_resolve`).  A fixture pair is loaded as Hermitian when
-    ``hermitian`` is set and is shaped into an instance by ``from_fixture``.
-    Entries look checkers, generators and names up when called, so a
-    wrapper installed on a module attribute sees every call.
+    ``axes(spec)`` gives (key, values) pairs; the configurations are their
+    product, first axis outermost.  ``instance(spec, t)`` builds trial t's
+    instance; ``None`` marks a fixed check that takes no instance and runs
+    one trial.  ``share(spec, x, axes)`` turns one trial's instance into
+    the instance of each configuration, in configuration order, with the
+    axes' values resolved; the default hands every configuration ``x``.
+    ``check(spec, combo, x)`` makes the record of configuration ``combo``
+    on instance ``x``, with the configuration's function and mean names
+    resolved (see :func:`_resolve`).  A fixture pair is loaded as Hermitian
+    when ``hermitian`` is set and is shaped into an instance by
+    ``from_fixture``.  Entries look checkers, generators and names up when
+    called, so a wrapper installed on a module attribute sees every call.
     """
 
-    combos: Callable
+    axes: Callable
     instance: Callable | None
     check: Callable
     hermitian: bool = True
     from_fixture: Callable = lambda spec, pair: pair
+    share: Callable = _unshared
 
 
-def _resolve(combo: dict) -> dict:
-    """The configuration with its function names (fn, g, h) and mean name resolved.
+def _resolve(key: str, value):
+    """An axis value with function names (fn, g, h) and mean names resolved.
 
-    Done once per configuration: building a mean reruns its
-    representing-function gate.
+    Done once per value: building a mean reruns its representing-function
+    gate.
     """
-    out = dict(combo)
-    for key in ("fn", "g", "h"):
-        if key in out:
-            out[key] = function_by_name(out[key])
-    if "mean" in out:
-        out["mean"] = mean_by_name(out["mean"])
-    return out
+    if key in ("fn", "g", "h"):
+        return function_by_name(value)
+    if key == "mean":
+        return mean_by_name(value)
+    return value
 
 
 _ALL_FNS = _fns(_ALL_FUNCTIONS)
@@ -307,13 +331,15 @@ _SUITES = {
     "main_chain": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
         lambda spec, c, x: checks.check_main_chain(c["fn"], c["mean"], *x, spec.tol),
+        share=_shared_pair,
     ),
     "chord": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
         lambda spec, c, x: checks.check_chord_bounds(c["fn"], c["mean"], *x, spec.tol),
+        share=_shared_pair,
     ),
     "log_example": _Suite(
-        lambda spec: [{}], _pd_pair,
+        _no_axes, _pd_pair,
         lambda spec, c, x: checks.check_log_example(*x, None, spec.tol),
     ),
     "mean_diff_norm": _Suite(
@@ -321,12 +347,14 @@ _SUITES = {
         lambda spec, c, x: checks.check_mean_difference_norm(
             c["fn"], c["mean"], *x, _norm_arg(spec), spec.tol
         ),
+        share=_shared_pair,
     ),
     "eig_prod_norm": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
         lambda spec, c, x: checks.check_eig_prod_norm(
             c["fn"], c["mean"], *x, spec.tol, _norm_arg(spec)
         ),
+        share=_shared_pair,
     ),
     "subadditivity": _Suite(
         _fns(CONVEX_FUNCTIONS), _pd_pair,
@@ -335,11 +363,11 @@ _SUITES = {
         ),
     ),
     "normal_counterexample": _Suite(
-        lambda spec: [{}], None,
+        _no_axes, None,
         lambda spec, c, x: checks.check_normal_counterexample(),
     ),
     "normal_triangle": _Suite(
-        lambda spec: [{}], _normal_pair,
+        _no_axes, _normal_pair,
         lambda spec, c, x: checks.check_normal_triangle(*x, _norm_arg(spec), spec.tol),
         hermitian=False,
     ),
@@ -360,6 +388,7 @@ _SUITES = {
     "inverse_function": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
         lambda spec, c, x: checks.check_inverse_function(c["fn"], c["mean"], *x, spec.tol),
+        share=_shared_pair,
     ),
     "determinant": _Suite(
         _ALL_FNS, _det_instance,
@@ -445,6 +474,9 @@ def run_suite(spec: SuiteSpec) -> Report:
 
     Deterministic for a fixed master seed: trial instances depend only on
     (seed, trial index), and the record order is (configuration, trial).
+    The loop runs trial by trial, so what a trial's configurations share is
+    built once and dropped when the trial is done; each record is placed at
+    its (configuration, trial) index.
     """
     started = time.perf_counter()
     _validate_names(spec)
@@ -453,7 +485,9 @@ def run_suite(spec: SuiteSpec) -> Report:
     suite = _SUITES.get(spec.suite)
     if suite is None:
         raise UsageError(f"unknown suite {spec.suite!r}")
-    combos = suite.combos(spec)
+    axes = suite.axes(spec)
+    keys = [key for key, _ in axes]
+    combos = [dict(zip(keys, values)) for values in itertools.product(*(v for _, v in axes))]
     if spec.fixtures and suite.instance is None:
         raise UsageError(f"suite {spec.suite!r} takes no fixtures")
     if spec.fixtures:
@@ -464,18 +498,21 @@ def run_suite(spec: SuiteSpec) -> Report:
         _check_generator(spec)
         instances = [suite.instance(spec, t) for t in range(spec.trials)]
 
-    records = []
-    for combo in combos:
-        resolved = _resolve(combo)
-        for t, inst in enumerate(instances):
+    resolved = {key: [_resolve(key, v) for v in values] for key, values in axes}
+    configs = [dict(zip(keys, values)) for values in itertools.product(*resolved.values())]
+    records = [None] * (len(combos) * len(instances))
+    for t, inst in enumerate(instances):
+        for i, (combo, config, x) in enumerate(
+            zip(combos, configs, suite.share(spec, inst, resolved), strict=True)
+        ):
             try:
-                outcome = suite.check(spec, resolved, inst)
+                outcome = suite.check(spec, config, x)
             except ValueError as exc:
                 outcome = CheckOutcome(spec.suite, "not-applicable", (), {"not_applicable": str(exc)})
             context = {"suite": spec.suite, "trial": t, **combo}
             if inst is not None and not spec.fixtures:
                 context["dim"] = _dim_for(spec, t)
-            records.append(outcome.with_params(context))
+            records[i * len(instances) + t] = outcome.with_params(context)
 
     summary = _summarize(records, time.perf_counter() - started)
     return Report(TOOL_VERSION, spec, records, summary)

@@ -10,6 +10,12 @@ A :class:`Perspective` applies the same congruence to an arbitrary
 continuous function, without positivity or normalization requirements;
 with phi = log it yields the relative operator entropy.
 ``normalize_for_contraction`` rescales a pair so that its mean tops out at I.
+
+Only h depends on the mean, so a mean is computed in two steps: a
+mean-independent one (gates, regularization, A^(+-1/2) and the
+eigendecomposition of the middle A^(-1/2) B A^(-1/2)) and a mean-dependent
+one (h on the middle's spectrum, reassembled).  Callers that evaluate many
+means of one pair take the first step once.
 """
 
 from __future__ import annotations
@@ -172,21 +178,33 @@ def mean_by_name(name: str) -> MatrixMean:
     return factory(parse_parameter(param))
 
 
-def _congruence(wa: np.ndarray, va: np.ndarray, b: np.ndarray, scalar_map) -> np.ndarray:
-    """A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) from the eigenpairs of positive definite A."""
+def _middle(wa: np.ndarray, va: np.ndarray, b: np.ndarray):
+    """A^(1/2) and the eigenpairs of the middle A^(-1/2) B A^(-1/2), from the eigenpairs of A."""
     root = _compose(va, np.sqrt(wa))
     inv_root = _compose(va, 1.0 / np.sqrt(wa))
     wm, vm = _eigh(hermitian_part(inv_root @ b @ inv_root))
-    return hermitian_part(root @ _compose(vm, scalar_map(wm)) @ root)
+    return root, wm, vm
 
 
-def _mean_factored(h, wa, va, b, wb, tol):
-    """A sigma B from A's eigenpairs (wa, va), the matrix B and B's eigenvalues wb.
+def _assemble(middle, scalar_map) -> np.ndarray:
+    """A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) from :func:`_middle`.
 
-    The kernel behind :func:`mean`, for callers that already hold the
-    factors; ``h`` is the mean's representing function and neither spectrum
-    need be sorted.  Returns the Hermitian array and the regularization
-    ``meta`` (``None`` when A is safely definite).
+    ``scalar_map`` gives f on the middle's spectrum; an entry that is not
+    finite raises.
+    """
+    root, wm, vm = middle[:3]
+    return _finite(hermitian_part(root @ _compose(vm, scalar_map(wm)) @ root))
+
+
+def _mean_middle(wa, va, b, wb, tol):
+    """The mean-independent half of A sigma B.
+
+    Takes A's eigenpairs (wa, va), the matrix B and B's eigenvalues wb,
+    neither spectrum sorted.  Gates B as positive semidefinite, regularizes
+    a pair whose A is not safely definite, and factors the congruence
+    middle.  Returns ``(root, wm, vm, meta)``: :func:`_middle` of the
+    (regularized) pair and the regularization ``meta`` (``None`` when A is
+    safely definite).
     """
     norm_b = float(np.abs(wb).max())
     low_b = wb.min()
@@ -201,6 +219,15 @@ def _mean_factored(h, wa, va, b, wb, tol):
         wa = wa + eps
         b = b + eps * np.eye(b.shape[0])
         meta = {"regularization_eps": eps}
+    return (*_middle(wa, va, b), meta)
+
+
+def _mean_from_middle(h, middle, tol) -> np.ndarray:
+    """The mean-dependent half of A sigma B: ``h`` on the middle's spectrum, reassembled.
+
+    ``middle`` comes from :func:`_mean_middle`; ``h`` is the mean's
+    representing function.
+    """
 
     def scalar_map(w):
         scale = 1.0 + float(np.abs(w).max())
@@ -212,7 +239,28 @@ def _mean_factored(h, wa, va, b, wb, tol):
         xs = h.domain.clamp(clipped, 1e-10 * scale)
         return np.asarray(h(xs), dtype=float)
 
-    return _finite(_congruence(wa, va, b, scalar_map)), meta
+    return _assemble(middle, scalar_map)
+
+
+def _require_definite(wa: np.ndarray, tol: float) -> None:
+    """The perspective's gate: A, with eigenvalues wa, must be safely positive definite."""
+    scale_a = 1.0 + float(np.abs(wa).max())
+    if wa.min() <= tol * scale_a:
+        raise NotPositiveDefiniteError(
+            f"first operand has smallest eigenvalue {wa.min():.6e}; "
+            "positive definite input required"
+        )
+
+
+def _perspective_from_middle(phi, middle) -> np.ndarray:
+    """A^(1/2) phi(A^(-1/2) B A^(-1/2)) A^(1/2) from the middle of a safely definite A."""
+
+    def scalar_map(w):
+        scale = 1.0 + float(np.abs(w).max())
+        xs = phi.domain.clamp(w, 1e-10 * scale)
+        return np.asarray(phi(xs), dtype=float)
+
+    return _assemble(middle, scalar_map)
 
 
 def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -238,8 +286,8 @@ def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
         raise ShapeError("mean operands must have the same dimension")
     wb = _eigvalsh(b)
     wa, va = _eigh(a)
-    entries, meta = _mean_factored(sigma.h, wa, va, b, wb, tol)
-    return HermitianMatrix(entries, meta=meta)
+    middle = _mean_middle(wa, va, b, wb, tol)
+    return HermitianMatrix(_mean_from_middle(sigma.h, middle, tol), meta=middle[3])
 
 
 def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -253,19 +301,8 @@ def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatr
     if a.shape != b.shape:
         raise ShapeError("perspective operands must have the same dimension")
     wa, va = _eigh(a)
-    scale_a = 1.0 + float(np.abs(wa).max())
-    if wa[0] <= tol * scale_a:
-        raise NotPositiveDefiniteError(
-            f"first operand has smallest eigenvalue {wa[0]:.6e}; positive definite input required"
-        )
-    phi = p.phi
-
-    def scalar_map(w):
-        scale = 1.0 + float(np.abs(w).max())
-        xs = phi.domain.clamp(w, 1e-10 * scale)
-        return np.asarray(phi(xs), dtype=float)
-
-    return HermitianMatrix(_congruence(wa, va, b, scalar_map))
+    _require_definite(wa, tol)
+    return HermitianMatrix(_perspective_from_middle(p.phi, _middle(wa, va, b)))
 
 
 def relative_operator_entropy(A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -285,7 +322,7 @@ def normalize_for_contraction(sigma_h: MatrixMean, A, B):
     a = as_hermitian_array(A)
     b = as_hermitian_array(B)
     g = mean(sigma_h, a, b)
-    c = float(np.linalg.eigvalsh(g.entries)[-1])
+    c = float(_eigvalsh(g.entries)[-1])
     if c <= 0.0:
         raise ValueError("mean has nonpositive largest eigenvalue")
     return HermitianMatrix(a / c), HermitianMatrix(b / c)

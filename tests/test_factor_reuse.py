@@ -4,7 +4,8 @@
 A's eigenvectors for f(A); ``mean`` factors A once for its gate and its
 congruence.  The norm and determinant checkers factor each matrix once and
 read every norm kind off its one singular-value vector; normal operands are
-factored once by complex Schur.  The tests count LAPACK eigensolves through
+factored once by complex Schur.  A suite run shares each trial's factors
+between its configurations.  The tests count LAPACK eigensolves through
 numpy and scipy.
 """
 
@@ -31,9 +32,11 @@ from opmeans.checks import (
     check_determinant_suite,
     check_main_chain,
     check_normal_chain,
+    check_power_mean_bounds,
     check_subadditivity_refinement,
     check_transplanted_norm_chain,
 )
+from opmeans.harness import SuiteSpec, run_suite
 from opmeans.core import _norm_of_sv
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_normal, random_pd
 
@@ -133,6 +136,35 @@ def test_image_mean_factorizations(eigensolves, check):
     # chord, two for Ando-Hiai), eigvalsh for ||A #_a B|| and two per link;
     # 17 and 18 before
     assert _total(eigensolves) <= 9, eigensolves
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_power_mean_factorizations(eigensolves, alpha):
+    a, b = _pd_pair(4, 31)
+    out = check_power_mean_bounds(a, b, alpha, 2.0)
+    assert len(out.links) == 4
+    # eigh of A and B and of the two congruence middles, two eigvalsh per link; 22 before
+    assert _total(eigensolves) <= 12, eigensolves
+
+
+@pytest.mark.parametrize(
+    "fns, means, trials",
+    [
+        (("power:2",), ("geometric:1/2",), 1),
+        (("power:2", "sqrt", "expm1"), ("arithmetic:1/2", "harmonic:1/4"), 3),
+        (("log1p", "power:3/2"), ("geometric:1/4", "geometric:3/4", "arithmetic:1/4"), 2),
+    ],
+)
+def test_main_chain_run_shares_factors(eigensolves, fns, means, trials):
+    spec = SuiteSpec("main_chain", trials=trials, dims=(2, 4), functions=fns, means=means)
+    report = run_suite(spec)
+    assert report.summary.failed_links == 0
+    assert report.summary.downgraded_records == 0
+    F, S, T = len(fns), len(means), trials
+    # per trial: eigh of A, B and A^(-1/2) B A^(-1/2); per mean: eigh of S;
+    # per function: eigh of the middle of f(A) sigma f(B); per record: three eigvalsh
+    assert _total(eigensolves) == T * (3 + S + F + 3 * F * S), eigensolves
+    assert eigensolves["eigvalsh"] == T * 3 * F * S, eigensolves
 
 
 def test_contraction_factorizations(eigensolves):

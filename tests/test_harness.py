@@ -250,19 +250,19 @@ def test_names_resolved_once_per_configuration(monkeypatch):
     spec = SuiteSpec("main_chain", trials=5, dims=(2,), functions=("power:2",),
                      means=("arithmetic:1/2", "geometric:1/2"))
     assert run_suite(spec).summary.total_records == 10
-    # once per name when the spec is validated, once per configuration when it runs
+    # once per name when the spec is validated, once per axis value when it runs
     assert sorted(calls) == sorted(2 * ["arithmetic:1/2", "geometric:1/2"])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in expm1:RuntimeWarning")
 def test_overflow_breakdown_is_downgraded_not_passed(tmp_path):
     # expm1 overflows on eigenvalues near M = 800: every record is a downgrade
-    # with the breakdown named, none has a link
+    # with the breakdown named, none has a link, and the run exits 3
     out = tmp_path / "r.json"
     rc = main(["--suite", "main_chain", "--fn", "expm1", "--mean", "geometric:1/2",
                "--M", "800", "--report", str(out)])
     data = json.loads(out.read_text())
-    assert rc == 0
+    assert rc == 3
     assert len(data["records"]) == 200
     for rec in data["records"]:
         assert rec["links"] == []
@@ -272,6 +272,15 @@ def test_overflow_breakdown_is_downgraded_not_passed(tmp_path):
 
 
 # --- CLI ---------------------------------------------------------------------
+
+def test_cli_no_applicable_link_exits_three(capsys):
+    # sqrt is concave: the convex-only subadditivity refinement downgrades every record
+    rc = main(["--suite", "subadditivity", "--fn", "sqrt", "--trials", "3"])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert "3 records, 0 links" in out
+    assert "no applicable links ran" in out
+
 
 def test_cli_identity_equalities_exit_zero(capsys):
     rc = main(["--suite", "main_chain", "--trials", "1", "--dim", "2",

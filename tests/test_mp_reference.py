@@ -7,7 +7,7 @@ f(A) sigma f(B), f(S) and all eight Loewner margins are recomputed with
 margins must agree within ``MARGIN_ULPS * eps * scale * cond(A)``, with scale
 the link's 1 + ||R||_op.  The contraction iterates A_k = f^k(A) are checked
 the same way, with cond(A_k) of the operand whose inverse square root the
-mean's congruence takes.
+mean's congruence takes, and so are the power-mean links, with cond(A^r).
 """
 
 import numpy as np
@@ -20,7 +20,11 @@ from opmeans import (
     mean_by_name,
     normalize_for_contraction,
 )
-from opmeans.checks import check_contraction_implication, check_main_chain
+from opmeans.checks import (
+    check_contraction_implication,
+    check_main_chain,
+    check_power_mean_bounds,
+)
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_pd
 
 mpmath = pytest.importorskip("mpmath")
@@ -159,3 +163,63 @@ def test_contraction_iterates_match_50_digit_reference(g_power, h_power, trial):
             bound = MARGIN_ULPS * eps * 2.0 * float(w[-1] / w[0])
             assert abs(link.margin - float(margin)) <= bound, (k, link.margin, float(margin))
             assert link.passed
+
+
+def _power_mean_reference(a_arr, b_arr, alpha, r):
+    """Description -> (margin, scale) of the four power-mean links, and cond(A^r)."""
+    a, b = _mp_matrix(a_arr), _mp_matrix(b_arr)
+    wa, wb = _spectrum(a), _spectrum(b)
+    m, M = min(wa[0], wb[0]), max(wa[-1], wb[-1])
+    ar, br = _fn(a, lambda x: x**r), _fn(b, lambda x: x**r)
+    if 0 < alpha < 1:
+        g, gr = _mean(lambda x: x**alpha, a, b), _mean(lambda x: x**alpha, ar, br)
+    else:
+        g, gr = (a, ar) if alpha == 0 else (b, br)
+    s1, sr = _mean(mpmath.log, a, b), _mean(mpmath.log, ar, br)
+    lo, hi = m ** (r - 1), M ** (r - 1)
+    out = {}
+    for desc, x, y in (
+        ("power-mean:low", lo * g, gr),
+        ("power-mean:high", gr, hi * g),
+        ("entropy:low", lo * s1, sr),
+        ("entropy:high", sr, hi * s1),
+    ):
+        w = _spectrum(y)
+        out[desc] = (_spectrum(y - x)[0], 1 + max(abs(w[0]), abs(w[-1])))
+    return out, (wa[-1] / wa[0]) ** r
+
+
+def _power_mean_instance(big_m, seed, trial):
+    """Trial ``trial`` of ``opmeans --suite power_mean --M big_m --seed seed``, dims 2, 3, 4."""
+    cfg = GeneratorConfig((2, 3, 4)[trial], 0.5, big_m)
+    return (
+        random_pd(cfg, derive_stream_seed(seed, 2 * trial)).entries,
+        random_pd(cfg, derive_stream_seed(seed, 2 * trial + 1)).entries,
+    )
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
+@pytest.mark.parametrize(
+    "big_m, seed, trial",
+    # M = 800: cond(A^2) = 2.6e6; taking the congruence through eigh(A^r) was
+    # off by 9.5e3 eps * scale * cond(A^r) on the first of these
+    [(4.0, 7, 0), (4.0, 7, 1), (4.0, 7, 2), (800.0, 20240001, 0), (800.0, 20240001, 1)],
+)
+def test_power_mean_matches_50_digit_reference(big_m, seed, trial, alpha, r):
+    a, b = _power_mean_instance(big_m, seed, trial)
+    assert np.abs(a @ b - b @ a).max() > 1e-3  # the operands do not commute
+    try:
+        out = check_power_mean_bounds(a, b, alpha, r)
+    except ValueError as exc:
+        # A^r is not safely definite at tol once M^r dwarfs m^r
+        assert big_m == 800.0 and r == 3.0, exc
+        return
+    with mpmath.workdps(50):
+        ref, cond = _power_mean_reference(a, b, mpmath.mpf(alpha), mpmath.mpf(r))
+    eps = np.finfo(float).eps
+    assert [link.description for link in out.links] == list(ref)
+    for link in out.links:
+        margin, scale = ref[link.description]
+        bound = MARGIN_ULPS * eps * float(scale * cond)
+        assert abs(link.margin - float(margin)) <= bound, (link.description, link.margin, margin)
