@@ -224,17 +224,8 @@ def _scalar_chain(prefix, s, x, coefs, forward, tol):
     return _chain(prefix, coefs, forward, link)
 
 
-def _factor_pair(a, b):
-    """Both operands factored: (a, wa, va), (b, wb, vb) and the extreme eigenvalues (m, M)."""
-    fa, fb = (a, *_eigh(a)), (b, *_eigh(b))
-    wa, wb = fa[1], fb[1]
-    if wa.size != wb.size:
-        raise ShapeError("operands must have the same dimension")
-    return fa, fb, float(min(wa[0], wb[0])), float(max(wa[-1], wb[-1]))
-
-
 def _psd(factors, tol):
-    """:func:`_factor_pair`'s result for PSD operands.
+    """:attr:`SharedPair.factors` for PSD operands.
 
     m below -tol * scale raises, else is floored at 0.
     """
@@ -290,28 +281,41 @@ def _image_mean(f, sigma, fa, fb, tol):
 
 
 class SharedPair:
-    """An instance (A, B) whose factors the records of one trial share.
+    """A Hermitian instance (A, B): validated and factored once, its factors reused.
 
-    A suite that checks many (function, mean) configurations on one
-    instance builds one pair per trial and gives each record the
-    :meth:`operands` of its mean and function.  Each factor is computed when
-    a checker first asks for it and then kept: the eigenpairs of A and B and
-    the congruence middle A^(-1/2) B A^(-1/2) once per trial, S = A sigma B
-    and its spectrum once per mean, and the middle of f(A) sigma f(B) once
-    per function.  A step that raises keeps nothing, so every record that
-    reaches it raises the same error.  A checker given raw matrices wraps
-    them in a fresh pair, so both paths run the same code.
+    Every checker of a Hermitian pair reads A, B and their factors from a
+    pair.  A suite builds one pair per trial and hands each record the
+    pair's :meth:`operands`, so the records of a trial share what they
+    compute from it.  Each value is computed when a checker first asks for
+    it and then kept: the eigenpairs of A and B and the congruence middle
+    A^(-1/2) B A^(-1/2) once, S = A sigma B and its spectrum once per mean,
+    and the middle of f(A) sigma f(B) once per function.  A step that
+    raises keeps nothing, so every record that reaches it raises the same
+    error.  A checker given raw matrices wraps them in a fresh pair, so both
+    paths run the same code.
     """
 
     def __init__(self, A, B, tol=DEFAULT_TOL):
         self.a = as_hermitian_array(A)
         self.b = as_hermitian_array(B)
         self.tol = tol
+        # (name, id(key)) -> (key, value); holding the key keeps its id from being reused
+        self._kept = {}
+
+    def _keep(self, name, key, compute):
+        slot = (name, id(key))
+        if slot not in self._kept:
+            self._kept[slot] = (key, compute())
+        return self._kept[slot][1]
 
     @cached_property
     def factors(self):
-        """:func:`_factor_pair` of (A, B)."""
-        return _factor_pair(self.a, self.b)
+        """(a, wa, va), (b, wb, vb) and the extreme eigenvalues (m, M) of both."""
+        fa, fb = (self.a, *_eigh(self.a)), (self.b, *_eigh(self.b))
+        wa, wb = fa[1], fb[1]
+        if wa.size != wb.size:
+            raise ShapeError("operands must have the same dimension")
+        return fa, fb, float(min(wa[0], wb[0])), float(max(wa[-1], wb[-1]))
 
     @cached_property
     def middle(self):
@@ -319,60 +323,37 @@ class SharedPair:
         (_, wa, va), (b, wb, _), _, _ = self.factors
         return _mean_middle(wa, va, b, wb, self.tol)
 
-    def mean(self, sigma) -> "_SharedMean":
-        return _SharedMean(self, sigma)
+    def mean(self, sigma):
+        """S = A sigma B."""
+        return self._keep("S", sigma, lambda: _mean_from_middle(sigma.h, self.middle, self.tol))
 
-    def image(self, f) -> "_SharedImage":
-        return _SharedImage(self, f)
+    def mean_eigh(self, sigma):
+        return self._keep("eigh", sigma, lambda: _eigh(self.mean(sigma)))
 
-    def operands(self, mean, image) -> tuple["SharedOperand", "SharedOperand"]:
-        """A and B for a record whose mean and function have the levels ``mean`` and ``image``."""
-        levels = (mean, image)
-        return SharedOperand(self, 0, levels), SharedOperand(self, 1, levels)
+    def mean_eigvalsh(self, sigma):
+        return self._keep("eigvalsh", sigma, lambda: _eigvalsh(self.mean(sigma)))
 
+    def means(self, f, sigma):
+        """S = A sigma B and X = f(A) sigma f(B), S first."""
+        S = self.mean(sigma)
+        fa, fb, _, _ = self.factors
+        middle = self._keep("image", f, lambda: _image_middle(f, fa, fb, self.tol))
+        return S, _mean_from_middle(sigma.h, middle, self.tol)
 
-class _SharedMean:
-    """S = A sigma B of a :class:`SharedPair` and its spectrum, each computed once."""
-
-    def __init__(self, pair, sigma):
-        self.pair, self.sigma = pair, sigma
-
-    @cached_property
-    def S(self):
-        return _mean_from_middle(self.sigma.h, self.pair.middle, self.pair.tol)
-
-    @cached_property
-    def eigh(self):
-        return _eigh(self.S)
-
-    @cached_property
-    def eigvalsh(self):
-        return _eigvalsh(self.S)
-
-
-class _SharedImage:
-    """The middle of f(A) sigma f(B) for a :class:`SharedPair`, computed once."""
-
-    def __init__(self, pair, f):
-        self.pair, self.f = pair, f
-
-    @cached_property
-    def middle(self):
-        fa, fb, _, _ = self.pair.factors
-        return _image_middle(self.f, fa, fb, self.pair.tol)
+    def operands(self) -> tuple["SharedOperand", "SharedOperand"]:
+        """A and B, carrying this pair to the checkers they are handed to."""
+        return SharedOperand(self, 0), SharedOperand(self, 1)
 
 
 @dataclass(frozen=True, eq=False)
 class SharedOperand:
-    """Operand A (``which`` 0) or B (1) of a :class:`SharedPair`, with its record's levels.
+    """Operand A (``which`` 0) or B (1) of a :class:`SharedPair`.
 
-    ``levels`` holds the record's mean level and function level.  Acts as
-    the raw matrix wherever an array is expected.
+    Acts as the raw matrix wherever an array is expected.
     """
 
     pair: SharedPair
     which: int
-    levels: tuple
 
     def __array__(self, dtype=None, copy=None):
         # a copy unless asked for none, so no caller can write into the shared pair
@@ -380,34 +361,17 @@ class SharedOperand:
         return np.array(arr, dtype=dtype, copy=copy is not False)
 
 
-def _shared(A, B, tol, sigma=None, f=None):
-    """The pair behind operands A, B and its levels for ``sigma`` and ``f``.
-
-    Operands from one :meth:`SharedPair.operands` call bring their pair and
-    levels; anything else is wrapped in a fresh pair.
-    """
+def _pair(A, B, tol):
+    """The pair of operands A, B from one :meth:`SharedPair.operands` call, else a fresh one."""
     if (
         isinstance(A, SharedOperand)
         and isinstance(B, SharedOperand)
         and (A.which, B.which) == (0, 1)
         and A.pair is B.pair
-        and A.levels is B.levels
         and A.pair.tol == tol
     ):
-        pair, (mean, image) = A.pair, A.levels
-    else:
-        pair, mean, image = SharedPair(A, B, tol), None, None
-    if sigma is not None and (mean is None or mean.sigma is not sigma):
-        mean = pair.mean(sigma)
-    if f is not None and (image is None or image.f is not f):
-        image = pair.image(f)
-    return pair, mean, image
-
-
-def _shared_means(mean, image, tol):
-    """S = A sigma B and X = f(A) sigma f(B) from a record's shared levels, S first."""
-    S = mean.S
-    return S, _mean_from_middle(mean.sigma.h, image.middle, tol)
+        return A.pair
+    return SharedPair(A, B, tol)
 
 
 def _norm_kinds(norms, dim):
@@ -424,7 +388,7 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     operands' eigenvectors with f(A) and f(B); A and B are factored once, and
     the means are taken in A's eigenbasis.
     """
-    pair, _, _ = _shared(A, B, tol)
+    pair = _pair(A, B, tol)
     forward = _require_tagged(f)
     fa, fb, m, M = _psd(pair.factors, tol)
     lo_c, hi_c = chord_coefficients(f, m, M)
@@ -464,19 +428,20 @@ def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
 
     A, B and S are factored once each, and so are the congruence middles
     of S and of f(A) sigma f(B); with :class:`SharedOperand` operands, once
-    per trial, mean and function.  f(S) and c S share S's eigenvectors, so
-    every link between them, and both edge links, is read off spec(S); only
-    the two links against f(A) sigma f(B) and its norm need an eigensolve.
+    per trial, mean and function (see :class:`SharedPair`).  f(S) and c S
+    share S's eigenvectors, so every link between them, and both edge
+    links, is read off spec(S); only the two links against f(A) sigma f(B)
+    and its norm need an eigensolve.
     """
-    pair, mean, image = _shared(A, B, tol, sigma, f)
+    pair = _pair(A, B, tol)
     forward = _require_tagged(f)
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
     _, _, m, M = pair.factors
     if m <= 0.0:
         raise NotPositiveDefiniteError(f"spectra must be positive, got m={m:.6e}")
-    S, X1 = _shared_means(mean, image, tol)
-    ws, _ = mean.eigh
+    S, X1 = pair.means(f, sigma)
+    ws, _ = pair.mean_eigh(sigma)
     fws = _finite(_fn_values(f, ws))
     norm_s = float(np.abs(ws).max())
 
@@ -511,9 +476,7 @@ def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
 
 def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     """log(M+1)/M * log(A+B+I) <= log(A+I) + log(B+I) for PSD A, B."""
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
-    (_, wa, va), (_, wb, vb), m, bound = _psd(_factor_pair(a, b), tol)
+    (a, wa, va), (b, wb, vb), m, bound = _psd(_pair(A, B, tol).factors, tol)
     if M is None:
         M = bound
     M = float(M)
@@ -533,7 +496,7 @@ def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> C
     f(S) is taken on S's eigenpairs; those and the norms of S are shared
     like S itself (see :func:`check_main_chain`).
     """
-    pair, mean, image = _shared(A, B, tol, sigma, f)
+    pair = _pair(A, B, tol)
     if f.convexity is not Convexity.CONVEX:
         raise ValueError(f"mean-difference bound requires a convex function, got {f.name}")
     if not f.fixes_zero:
@@ -544,9 +507,9 @@ def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> C
     d0, dM = float(f.deriv(0.0)), float(f.deriv(M))
     if not (math.isfinite(d0) and math.isfinite(dM)):
         raise ValueError("infinite endpoint derivative")
-    S, X = _shared_means(mean, image, tol)
-    sv_diff = singular_values(X - hermitian_part(_image(f, *mean.eigh)))
-    sv_s = _sv_hermitian(mean.eigvalsh)
+    _, X = pair.means(f, sigma)
+    sv_diff = singular_values(X - hermitian_part(_image(f, *pair.mean_eigh(sigma))))
+    sv_s = _sv_hermitian(pair.mean_eigvalsh(sigma))
     links = tuple(
         _scalar_link(
             f"norm-difference[{kind.label()}]",
@@ -568,15 +531,15 @@ def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOut
     per norm kind for the norms of the two sides.  S and spec(S) are shared
     like in :func:`check_main_chain`.
     """
-    pair, mean, image = _shared(A, B, tol, sigma, f)
+    pair = _pair(A, B, tol)
     forward = _require_tagged(f)
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
     _, _, m, M = pair.factors
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
-    _, X = _shared_means(mean, image, tol)
-    ws, wx = mean.eigvalsh, _eigvalsh(X)
+    _, X = pair.means(f, sigma)
+    ws, wx = pair.mean_eigvalsh(sigma), _eigvalsh(X)
     s, x = ws[::-1], wx[::-1]
     coefs = _chain_coefficients(f, m, M)
     links = []
@@ -608,13 +571,12 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
     are |f(w)| for the eigenvalues w of A + B.  Every norm kind is read off
     one singular-value vector per matrix.
     """
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
+    pair = _pair(A, B, tol)
     if f.convexity is not Convexity.CONVEX:
         raise ValueError(f"subadditivity refinement requires a convex function, got {f.name}")
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    (_, wa, va), (_, wb, vb), m, M = _psd(_factor_pair(a, b), tol)
+    (a, wa, va), (b, wb, vb), m, M = _psd(pair.factors, tol)
     if M <= 0.0:
         raise ValueError("zero operands leave no content to check")
     grid = np.geomspace(M * 1e-4, M, 64)
@@ -851,7 +813,7 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError("exponent r must be >= 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    fa, fb, m, M = _factor_pair(as_hermitian_array(A), as_hermitian_array(B))
+    fa, fb, m, M = _pair(A, B, tol).factors
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
     (a, wa, va), (b, wb, vb) = _in_basis_of_a(fa, fb)
@@ -895,7 +857,7 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError("exponent r must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    fa, fb, m, _ = _factor_pair(as_hermitian_array(A), as_hermitian_array(B))
+    fa, fb, m, _ = _pair(A, B, tol).factors
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
     # ||A|| and ||B|| are the top eigenvalues of the positive definite operands;
@@ -948,7 +910,7 @@ def check_contraction_implication(
         return CheckOutcome("contraction_implication", "mean-contraction-iterates", (), params)
     sigma_h = MatrixMean(f"h:{pair.h.name}", pair.h)
     f = times_x(pair.g)
-    fa, fb, _, _ = _factor_pair(as_hermitian_array(A), as_hermitian_array(B))
+    fa, fb, _, _ = _pair(A, B, tol).factors
     # The iterates f^k(A), f^k(B) keep the eigenvectors of A and B, and I
     # keeps its form in any basis; in A's, f^k(A) is diagonal and its
     # ill-conditioned inverse square root is exact.
@@ -983,14 +945,14 @@ def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError(f"{f.name} has no registered inverse")
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
-    pair, mean, image = _shared(A, B, tol, sigma, f)
+    pair = _pair(A, B, tol)
     _, _, m, M = pair.factors
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
     inv = f.inverse
     if inv.convexity is Convexity.NEITHER:
         raise ValueError(f"inverse of {f.name} carries no convexity tag")
-    S, X = _shared_means(mean, image, tol)
+    S, X = pair.means(f, sigma)
     c_m, c_M = float(f(m)) / m, float(f(M)) / M
     if inv.convexity is Convexity.CONVEX:
         links = (
@@ -1028,9 +990,7 @@ def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     beta = 1.0 - alpha
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
-    (_, wa, va), (_, wb, vb), m, M = _factor_pair(a, b)
+    (a, wa, va), (b, wb, vb), m, M = _pair(A, B, tol).factors
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
     n = a.shape[0]

@@ -438,8 +438,8 @@ def singular_values(A) -> np.ndarray:
     scale = float(np.abs(arr).max(initial=0.0))
     if np.abs(arr - arr.conj().T).max(initial=0.0) <= 1e-12 * (1.0 + scale):
         return _sv_hermitian(_eigvalsh(hermitian_part(arr)))
-    w = eigenvalues_desc(matrix_abs(arr))
-    return np.clip(w, 0.0, None)
+    # square roots of the eigenvalues of A*A: one eigensolve, no |A| assembled
+    return np.sqrt(np.clip(_eigvalsh(hermitian_part(arr.conj().T @ arr)), 0.0, None))[::-1]
 
 
 def norm(A, kind) -> float:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import time
 from dataclasses import dataclass, asdict
 from typing import Callable
@@ -230,10 +229,9 @@ def _dim_for(spec: SuiteSpec, t: int) -> int:
 def _pd_pair(spec: SuiteSpec, t: int):
     dim = _dim_for(spec, t)
     cfg = GeneratorConfig(dim, spec.m, spec.M, "positive_definite", spec.master_seed)
-    return (
-        random_pd(cfg, derive_stream_seed(spec.master_seed, 2 * t)),
-        random_pd(cfg, derive_stream_seed(spec.master_seed, 2 * t + 1)),
-    )
+    a = random_pd(cfg, derive_stream_seed(spec.master_seed, 2 * t))
+    b = random_pd(cfg, derive_stream_seed(spec.master_seed, 2 * t + 1))
+    return checks.SharedPair(a, b, spec.tol).operands()
 
 
 def _normal_pair(spec: SuiteSpec, t: int, structure: str = "normal_complex"):
@@ -253,6 +251,7 @@ def _det_instance(spec: SuiteSpec, t: int):
     else:
         mode = "below_a" if (t // 2) % 2 == 0 else "above_a"
         a, b = random_gap_pair(_dim_for(spec, t), mode, derive_stream_seed(spec.master_seed, 2 * t))
+        a, b = checks.SharedPair(a, b, spec.tol).operands()
         kind = f"gap:{mode}"
     return a, b, alpha, kind
 
@@ -268,23 +267,6 @@ def _check_contraction(spec: SuiteSpec, c: dict, x) -> CheckOutcome:
     return checks.check_contraction_implication(pair, a, b, spec.iterations, spec.tol)
 
 
-def _unshared(spec: SuiteSpec, x, axes: dict) -> list:
-    return [x] * math.prod(map(len, axes.values()))
-
-
-def _shared_pair(spec: SuiteSpec, x, axes: dict) -> list:
-    """Trial instance ``x`` for each (function, mean) configuration, in :func:`_fns_means` order.
-
-    The configurations share one :class:`checks.SharedPair`, each mean's
-    level of it and each function's level of it, so every factor that does
-    not depend on the whole configuration is computed once per trial.
-    """
-    pair = checks.SharedPair(*x, spec.tol)
-    means = [pair.mean(sigma) for sigma in axes["mean"]]
-    images = [pair.image(f) for f in axes["fn"]]
-    return [pair.operands(mean, image) for image in images for mean in means]
-
-
 @dataclass(frozen=True)
 class _Suite:
     """One suite: its configuration axes, instance builder and checker call.
@@ -292,13 +274,12 @@ class _Suite:
     ``axes(spec)`` gives (key, values) pairs; the configurations are their
     product, first axis outermost.  ``instance(spec, t)`` builds trial t's
     instance; ``None`` marks a fixed check that takes no instance and runs
-    one trial.  ``share(spec, x, axes)`` turns one trial's instance into
-    the instance of each configuration, in configuration order, with the
-    axes' values resolved; the default hands every configuration ``x``.
-    ``check(spec, combo, x)`` makes the record of configuration ``combo``
-    on instance ``x``, with the configuration's function and mean names
-    resolved (see :func:`_resolve`).  A fixture pair is loaded as Hermitian
-    when ``hermitian`` is set and is shaped into an instance by
+    one trial.  A Hermitian instance, drawn or loaded, is the operands of
+    one :class:`checks.SharedPair`, so the trial's configurations share its
+    factors.  ``check(spec, combo, x)`` makes the record of configuration
+    ``combo`` on instance ``x``, with the configuration's function and mean
+    names resolved (see :func:`_resolve`).  A fixture pair is loaded as
+    Hermitian when ``hermitian`` is set and is shaped into an instance by
     ``from_fixture``.  Entries look checkers, generators and names up when
     called, so a wrapper installed on a module attribute sees every call.
     """
@@ -308,7 +289,6 @@ class _Suite:
     check: Callable
     hermitian: bool = True
     from_fixture: Callable = lambda spec, pair: pair
-    share: Callable = _unshared
 
 
 def _resolve(key: str, value):
@@ -331,12 +311,10 @@ _SUITES = {
     "main_chain": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
         lambda spec, c, x: checks.check_main_chain(c["fn"], c["mean"], *x, spec.tol),
-        share=_shared_pair,
     ),
     "chord": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
         lambda spec, c, x: checks.check_chord_bounds(c["fn"], c["mean"], *x, spec.tol),
-        share=_shared_pair,
     ),
     "log_example": _Suite(
         _no_axes, _pd_pair,
@@ -347,14 +325,12 @@ _SUITES = {
         lambda spec, c, x: checks.check_mean_difference_norm(
             c["fn"], c["mean"], *x, _norm_arg(spec), spec.tol
         ),
-        share=_shared_pair,
     ),
     "eig_prod_norm": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
         lambda spec, c, x: checks.check_eig_prod_norm(
             c["fn"], c["mean"], *x, spec.tol, _norm_arg(spec)
         ),
-        share=_shared_pair,
     ),
     "subadditivity": _Suite(
         _fns(CONVEX_FUNCTIONS), _pd_pair,
@@ -388,7 +364,6 @@ _SUITES = {
     "inverse_function": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
         lambda spec, c, x: checks.check_inverse_function(c["fn"], c["mean"], *x, spec.tol),
-        share=_shared_pair,
     ),
     "determinant": _Suite(
         _ALL_FNS, _det_instance,
@@ -405,8 +380,9 @@ SUITE_NAMES = tuple(_SUITES)
 def _fixture_pair(spec: SuiteSpec, hermitian: bool):
     if len(spec.fixtures) != 2:
         raise UsageError("single-instance checks need exactly two --fixture files (A then B)")
-    loader = load_hermitian_fixture if hermitian else load_matrix_json
-    return loader(spec.fixtures[0]), loader(spec.fixtures[1])
+    if not hermitian:
+        return load_matrix_json(spec.fixtures[0]), load_matrix_json(spec.fixtures[1])
+    return checks.SharedPair(*map(load_hermitian_fixture, spec.fixtures), spec.tol).operands()
 
 
 def _validate_names(spec: SuiteSpec) -> None:
@@ -474,9 +450,10 @@ def run_suite(spec: SuiteSpec) -> Report:
 
     Deterministic for a fixed master seed: trial instances depend only on
     (seed, trial index), and the record order is (configuration, trial).
-    The loop runs trial by trial, so what a trial's configurations share is
-    built once and dropped when the trial is done; each record is placed at
-    its (configuration, trial) index.
+    The loop runs trial by trial: trial t's instance is drawn when the
+    trial starts, its configurations share the factors it carries, and it
+    is dropped when the trial is done.  Each record is placed at its
+    (configuration, trial) index.
     """
     started = time.perf_counter()
     _validate_names(spec)
@@ -490,29 +467,26 @@ def run_suite(spec: SuiteSpec) -> Report:
     combos = [dict(zip(keys, values)) for values in itertools.product(*(v for _, v in axes))]
     if spec.fixtures and suite.instance is None:
         raise UsageError(f"suite {spec.suite!r} takes no fixtures")
-    if spec.fixtures:
-        instances = [suite.from_fixture(spec, _fixture_pair(spec, suite.hermitian))]
-    elif suite.instance is None:
-        instances = [None]
-    else:
+    fixed = suite.from_fixture(spec, _fixture_pair(spec, suite.hermitian)) if spec.fixtures else None
+    drawn = suite.instance is not None and not spec.fixtures
+    if drawn:
         _check_generator(spec)
-        instances = [suite.instance(spec, t) for t in range(spec.trials)]
+    trials = spec.trials if drawn else 1
 
-    resolved = {key: [_resolve(key, v) for v in values] for key, values in axes}
-    configs = [dict(zip(keys, values)) for values in itertools.product(*resolved.values())]
-    records = [None] * (len(combos) * len(instances))
-    for t, inst in enumerate(instances):
-        for i, (combo, config, x) in enumerate(
-            zip(combos, configs, suite.share(spec, inst, resolved), strict=True)
-        ):
+    resolved = [[_resolve(key, v) for v in values] for key, values in axes]
+    configs = [dict(zip(keys, values)) for values in itertools.product(*resolved)]
+    records = [None] * (len(combos) * trials)
+    for t in range(trials):
+        x = suite.instance(spec, t) if drawn else fixed
+        for i, (combo, config) in enumerate(zip(combos, configs)):
             try:
                 outcome = suite.check(spec, config, x)
             except ValueError as exc:
                 outcome = CheckOutcome(spec.suite, "not-applicable", (), {"not_applicable": str(exc)})
             context = {"suite": spec.suite, "trial": t, **combo}
-            if inst is not None and not spec.fixtures:
+            if drawn:
                 context["dim"] = _dim_for(spec, t)
-            records[i * len(instances) + t] = outcome.with_params(context)
+            records[i * trials + t] = outcome.with_params(context)
 
     summary = _summarize(records, time.perf_counter() - started)
     return Report(TOOL_VERSION, spec, records, summary)

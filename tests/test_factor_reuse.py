@@ -4,9 +4,9 @@
 A's eigenvectors for f(A); ``mean`` factors A once for its gate and its
 congruence.  The norm and determinant checkers factor each matrix once and
 read every norm kind off its one singular-value vector; normal operands are
-factored once by complex Schur.  A suite run shares each trial's factors
-between its configurations.  The tests count LAPACK eigensolves through
-numpy and scipy.
+factored once by complex Schur.  A run of a positive definite suite shares
+each trial's factors between its configurations.  The tests count LAPACK
+eigensolves through numpy and scipy.
 """
 
 import numpy as np
@@ -105,10 +105,10 @@ def test_normal_chain_factorizations(eigensolves):
     a, b = _normal_pair(4, 11)
     out = check_normal_chain(function_by_name("power:2"), a, b)
     assert out.passed and len(out.links) == 4 * 8
-    # Schur of A and B, eigvalsh of f(|A|) + f(|B|) and of |A| + |B|, and
-    # singular_values(A + B) for the non-normal sum; 41 before
+    # Schur of A and B, eigvalsh of f(|A|) + f(|B|) and of |A| + |B|, and one
+    # eigvalsh of (A + B)*(A + B) for the non-normal sum; 41 before
     assert eigensolves["schur"] == 2, eigensolves
-    assert _total(eigensolves) <= 6, eigensolves
+    assert _total(eigensolves) <= 5, eigensolves
 
 
 def test_determinant_factorizations(eigensolves):
@@ -165,6 +165,31 @@ def test_main_chain_run_shares_factors(eigensolves, fns, means, trials):
     # per function: eigh of the middle of f(A) sigma f(B); per record: three eigvalsh
     assert _total(eigensolves) == T * (3 + S + F + 3 * F * S), eigensolves
     assert eigensolves["eigvalsh"] == T * 3 * F * S, eigensolves
+
+
+@pytest.mark.parametrize("fns, trials", [(("power:2",), 1), (("power:3/2", "power:2", "expm1"), 3)])
+def test_subadditivity_run_shares_factors(eigensolves, fns, trials):
+    spec = SuiteSpec("subadditivity", trials=trials, dims=(2, 4), functions=fns)
+    report = run_suite(spec)
+    assert report.summary.failed_links == 0
+    assert report.summary.downgraded_records == 0
+    F, T = len(fns), trials
+    # per trial: eigh of A and B; per record: eigvalsh of A + B and of f(A) + f(B)
+    assert eigensolves["eigh"] == 2 * T, eigensolves
+    assert eigensolves["eigvalsh"] == 2 * F * T, eigensolves
+    assert eigensolves["schur"] == 0, eigensolves
+
+
+@pytest.mark.parametrize("alphas, rs, trials", [((0.5,), (2.0,), 1), ((0.25, 0.75), (1.5, 3.0), 3)])
+def test_power_mean_run_shares_factors(eigensolves, alphas, rs, trials):
+    spec = SuiteSpec("power_mean", trials=trials, dims=(2, 4), alphas=alphas, rs=rs)
+    assert run_suite(spec).summary.downgraded_records == 0
+    T, R = trials, len(alphas) * len(rs) * trials
+    # per trial: eigh of A and B; per record: eigh of the two congruence
+    # middles and two eigvalsh for each of the four Loewner links
+    assert eigensolves["eigh"] == 2 * T + 2 * R, eigensolves
+    assert eigensolves["eigvalsh"] == 8 * R, eigensolves
+    assert eigensolves["schur"] == 0, eigensolves
 
 
 def test_contraction_factorizations(eigensolves):

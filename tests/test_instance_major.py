@@ -3,7 +3,8 @@
 ``run_suite`` builds each trial's factors once and hands every
 configuration of the trial operands that carry them.  Every record it emits
 must equal, bit for bit, the record of the public checker called on the raw
-instance matrices, downgrades included.
+instance matrices, downgrades included, and every report the report of a
+run whose operands share nothing.
 """
 
 import json
@@ -14,7 +15,7 @@ import pytest
 from opmeans import checks
 from opmeans.checks import SharedPair
 from opmeans.functions import function_by_name
-from opmeans.harness import SuiteSpec, _pd_pair, run_suite
+from opmeans.harness import SUITE_NAMES, SuiteSpec, _pd_pair, run_suite, save_matrix_json
 from opmeans.means import mean_by_name
 
 SUITES = {
@@ -33,7 +34,7 @@ MEANS = ("arithmetic:1/2", "harmonic:1/4", "geometric:3/4")
 
 
 def _raw_record(suite, spec, fn, mean, t):
-    a, b = (x.entries.copy() for x in _pd_pair(spec, t))
+    a, b = (np.array(x) for x in _pd_pair(spec, t))
     try:
         out = SUITES[suite](function_by_name(fn), mean_by_name(mean), a, b, spec)
     except ValueError as exc:
@@ -76,15 +77,15 @@ def test_shared_records_equal_raw_checker_records(suite, fns, extra):
 
 def test_shared_operands_act_as_the_raw_matrices():
     spec = SuiteSpec("main_chain", dims=(3,))
-    a, b = _pd_pair(spec, 0)
+    a, b = (np.array(x) for x in _pd_pair(spec, 0))
     pair = SharedPair(a, b, spec.tol)
     f, sigma = function_by_name("power:2"), mean_by_name("geometric:1/2")
-    x, y = pair.operands(pair.mean(sigma), pair.image(f))
-    assert np.array_equal(np.asarray(x), a.entries)
-    assert np.array_equal(np.asarray(y), b.entries)
+    x, y = pair.operands()
+    assert np.array_equal(np.asarray(x), a)
+    assert np.array_equal(np.asarray(y), b)
     shared = checks.check_main_chain(f, sigma, x, y, spec.tol)
     assert _bits(shared) == _bits(checks.check_main_chain(f, sigma, a, b, spec.tol))
-    # levels built for another mean or function are not used for this one
+    # values kept for another mean are not used for this one
     other = mean_by_name("arithmetic:1/2")
     assert _bits(checks.check_main_chain(f, other, x, y, spec.tol)) == _bits(
         checks.check_main_chain(f, other, a, b, spec.tol)
@@ -93,3 +94,37 @@ def test_shared_operands_act_as_the_raw_matrices():
     assert _bits(checks.check_main_chain(f, sigma, y, x, spec.tol)) == _bits(
         checks.check_main_chain(f, sigma, b, a, spec.tol)
     )
+
+
+@pytest.mark.parametrize("extra", [{}, {"M": 800.0, "functions": ("expm1",)}], ids=["default", "breakdowns"])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sharing_changes_no_report(monkeypatch, suite, extra):
+    spec = SuiteSpec(suite, trials=2, dims=(1, 3), **extra)
+
+    def report():
+        d = run_suite(spec).to_dict()
+        d["summary"]["wall_time_s"] = 0.0
+        # one line per value, so a mismatch is reported at its line
+        return json.dumps(d, sort_keys=True, indent=1).splitlines()
+
+    shared = report()
+    monkeypatch.setattr(SharedPair, "operands", lambda pair: (pair.a.copy(), pair.b.copy()))
+    assert shared == report()
+
+
+
+def test_fixture_run_shares_factors_without_changing_a_record(monkeypatch, tmp_path):
+    paths = (str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+    for x, path in zip(_pd_pair(SuiteSpec("main_chain", dims=(3,)), 0), paths):
+        save_matrix_json(np.array(x), path)
+    fns = ("power:2", "sqrt")
+    spec = SuiteSpec("main_chain", functions=fns, means=MEANS, fixtures=paths)
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: eighs.append(x) or eigh(x))
+    shared = run_suite(spec).records
+    # eigh of A, B and their middle, of S per mean and of the image middle per function
+    assert len(eighs) == 3 + len(MEANS) + len(fns)
+    monkeypatch.setattr(SharedPair, "operands", lambda pair: (pair.a.copy(), pair.b.copy()))
+    assert [_bits(r) for r in shared] == [_bits(r) for r in run_suite(spec).records]

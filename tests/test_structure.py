@@ -1,8 +1,9 @@
 """Structure of the package source, checked on its syntax trees.
 
 No module imports a name it never uses, ``randgen`` depends on nothing in
-the package but ``core``, and ``harness`` reaches into no private name of
-``checks``.  The re-exports in ``__init__.py`` are not checked.
+the package but ``core``, ``harness`` reaches into no private name of
+``checks``, and ``checks`` validates and factors a Hermitian pair only in
+``SharedPair``.  The re-exports in ``__init__.py`` are not checked.
 """
 
 import ast
@@ -68,3 +69,17 @@ def test_harness_uses_no_private_checks_name():
         }
     )
     assert not private, f"harness uses private checks names: {private}"
+
+
+def test_checks_validates_and_factors_pairs_only_in_shared_pair():
+    tree = _tree(PKG / "checks.py")
+    (pair,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SharedPair"]
+    inside = {id(node) for node in ast.walk(pair)}
+    outside = sorted(
+        f"{node.id} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and node.id in ("as_hermitian_array", "_eigh")
+        and id(node) not in inside
+    )
+    assert not outside, f"checks.py validates or factors outside SharedPair: {', '.join(outside)}"
