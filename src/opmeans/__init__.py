@@ -79,6 +79,7 @@ from .checks import (
     check_inverse_function,
     check_log_example,
     check_main_chain,
+    check_main_chain_grid,
     check_mean_difference_norm,
     check_normal_chain,
     check_normal_counterexample,

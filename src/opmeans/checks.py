@@ -74,6 +74,7 @@ __all__ = [
     "CheckOutcome",
     "check_chord_bounds",
     "check_main_chain",
+    "check_main_chain_grid",
     "check_log_example",
     "check_mean_difference_norm",
     "check_eig_prod_norm",
@@ -168,8 +169,8 @@ def _scalar_link(desc, lhs, rhs, tol, applicable=True) -> Link:
 
 
 def _loewner_link(desc, lo, hi, tol) -> Link:
-    res = _loewner(lo, hi, tol)
-    return Link(desc, res.margin, res.passed)
+    (res,) = _loewner([(lo[None], hi[None], None)], tol)
+    return Link(desc, float(res.margin[0]), bool(res.passed[0]))
 
 
 def _equality_link(desc, got, want, tol) -> Link:
@@ -260,11 +261,6 @@ def _middle_of(wa, va, wb, vb, tol):
     return _mean_middle(wa, va, _finite(_compose(vb, wb)), wb, tol)
 
 
-def _mean_of(sigma, wa, va, wb, vb, tol):
-    """(Va diag(wa) Va*) sigma (Vb diag(wb) Vb*): the mean of two operands given by eigenpairs."""
-    return _mean_from_middle(sigma.h, _middle_of(wa, va, wb, vb, tol), tol)
-
-
 def _image_middle(f, fa, fb, tol):
     """The mean-independent half of f(A) sigma f(B) from the factored operands.
 
@@ -275,11 +271,6 @@ def _image_middle(f, fa, fb, tol):
     return _middle_of(_finite(_fn_values(f, wa)), va, _fn_values(f, wb), vb, tol)
 
 
-def _image_mean(f, sigma, fa, fb, tol):
-    """f(A) sigma f(B) from the factored operands."""
-    return _mean_from_middle(sigma.h, _image_middle(f, fa, fb, tol), tol)
-
-
 class SharedPair:
     """A Hermitian instance (A, B): validated and factored once, its factors reused.
 
@@ -288,24 +279,27 @@ class SharedPair:
     pair's :meth:`operands`, so the records of a trial share what they
     compute from it.  Each value is computed when a checker first asks for
     it and then kept: the eigenpairs of A and B and the congruence middle
-    A^(-1/2) B A^(-1/2) once, S = A sigma B and its spectrum once per mean,
-    and the middle of f(A) sigma f(B) once per function.  A step that
+    A^(-1/2) B A^(-1/2) once, the middle of f(A) sigma f(B) once per
+    function, and S = A sigma B with its eigenpairs once per tuple of means
+    asked for together, as one stack (:func:`check_main_chain_grid` asks
+    for all of a trial's means, other checkers for one).  A step that
     raises keeps nothing, so every record that reaches it raises the same
-    error.  A checker given raw matrices wraps them in a fresh pair, so both
-    paths run the same code.
+    error; a mean whose own step fails keeps its error in its row.  A
+    checker given raw matrices wraps them in a fresh pair, so both paths
+    run the same code.
     """
 
     def __init__(self, A, B, tol=DEFAULT_TOL):
         self.a = as_hermitian_array(A)
         self.b = as_hermitian_array(B)
         self.tol = tol
-        # (name, id(key)) -> (key, value); holding the key keeps its id from being reused
+        # (name, *ids of keys) -> (keys, value); holding the keys keeps their ids from being reused
         self._kept = {}
 
-    def _keep(self, name, key, compute):
-        slot = (name, id(key))
+    def _keep(self, name, keys, compute):
+        slot = (name, *map(id, keys))
         if slot not in self._kept:
-            self._kept[slot] = (key, compute())
+            self._kept[slot] = (keys, compute())
         return self._kept[slot][1]
 
     @cached_property
@@ -323,22 +317,58 @@ class SharedPair:
         (_, wa, va), (b, wb, _), _, _ = self.factors
         return _mean_middle(wa, va, b, wb, self.tol)
 
+    def mean_stack(self, sigmas: tuple):
+        """S = A sigma B for each of ``sigmas`` as one stack, and each row's error (or ``None``)."""
+
+        def compute():
+            errors = [None] * len(sigmas)
+            return _mean_from_middle([s.h for s in sigmas], self.middle, self.tol, errors), errors
+
+        return self._keep("S", sigmas, compute)
+
+    def mean_eigh(self, sigmas: tuple):
+        """The eigenpairs of each S of :meth:`mean_stack`, by one stacked eigh."""
+        return self._keep("eigh", sigmas, lambda: _eigh(*self.mean_stack(sigmas)))
+
     def mean(self, sigma):
         """S = A sigma B."""
-        return self._keep("S", sigma, lambda: _mean_from_middle(sigma.h, self.middle, self.tol))
-
-    def mean_eigh(self, sigma):
-        return self._keep("eigh", sigma, lambda: _eigh(self.mean(sigma)))
+        (S,), (error,) = self.mean_stack((sigma,))
+        if error is not None:
+            raise error
+        return S
 
     def mean_eigvalsh(self, sigma):
-        return self._keep("eigvalsh", sigma, lambda: _eigvalsh(self.mean(sigma)))
+        return self._keep("eigvalsh", (sigma,), lambda: _eigvalsh(self.mean(sigma)))
+
+    def image_middle(self, f):
+        """The mean-independent half of f(A) sigma f(B)."""
+        fa, fb, _, _ = self.factors
+        return self._keep("image", (f,), lambda: _image_middle(f, fa, fb, self.tol))
 
     def means(self, f, sigma):
         """S = A sigma B and X = f(A) sigma f(B), S first."""
         S = self.mean(sigma)
+        return S, _mean_from_middle([sigma.h], self.image_middle(f), self.tol)[0]
+
+    def in_basis(self, swapped=False):
+        """(A, B) in A's eigenbasis, or (B, A) in B's when ``swapped`` (:func:`_in_basis_of_a`)."""
         fa, fb, _, _ = self.factors
-        middle = self._keep("image", f, lambda: _image_middle(f, fa, fb, self.tol))
-        return S, _mean_from_middle(sigma.h, middle, self.tol)
+        operands = (fb, fa) if swapped else (fa, fb)
+        return self._keep("basis", (swapped,), lambda: _in_basis_of_a(*operands))
+
+    def basis_middle(self, r=None, swapped=False):
+        """The middle of A^r sigma B^r (A sigma B for r ``None``) in the basis of :meth:`in_basis`.
+
+        Kept per order and per r, by identity: a suite hands all records of one r the same number.
+        """
+        fa, fb = self.in_basis(swapped)
+
+        def compute():
+            if r is None:
+                return _middle_of(*fa[1:], *fb[1:], self.tol)
+            return _image_middle(function_by_name(f"power:{r:g}"), fa, fb, self.tol)
+
+        return self._keep("basis middle", (r, swapped), compute)
 
     def operands(self) -> tuple["SharedOperand", "SharedOperand"]:
         """A and B, carrying this pair to the checkers they are handed to."""
@@ -395,13 +425,14 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     if not (math.isfinite(lo_c) and math.isfinite(hi_c)):
         raise ValueError(f"infinite chord coefficient for {f.name} on [{m}, {M}]")
     fm = float(f(m))
-    fa, fb = _in_basis_of_a(fa, fb)
+    fa, fb = pair.in_basis()
     (_, wa, va), (_, wb, vb) = fa, fb
 
     def line_mean(slope):
-        return _mean_of(sigma, slope * (wa - m) + fm, va, slope * (wb - m) + fm, vb, tol)
+        middle = _middle_of(slope * (wa - m) + fm, va, slope * (wb - m) + fm, vb, tol)
+        return _mean_from_middle([sigma.h], middle, tol)[0]
 
-    mid = _image_mean(f, sigma, fa, fb, tol)
+    mid = _mean_from_middle([sigma.h], _image_middle(f, fa, fb, tol), tol)[0]
     low = line_mean(lo_c)
     high = line_mean(hi_c)
     if forward:
@@ -424,54 +455,93 @@ def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     f'(0) S <= (f(m)/m) S <= f(A) sigma f(B) <= (f(M)/M) S <= f'(M) S with
     S = A sigma B, and the same chain around f(A sigma B); all comparisons
     reversed for concave f.  Links with an infinite coefficient are
-    recorded as vacuous.
+    vacuous.  The 1 x 1 case of :func:`check_main_chain_grid`.
+    """
+    (outcome,) = check_main_chain_grid((f,), (sigma,), A, B, tol)
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
 
-    A, B and S are factored once each, and so are the congruence middles
-    of S and of f(A) sigma f(B); with :class:`SharedOperand` operands, once
-    per trial, mean and function (see :class:`SharedPair`).  f(S) and c S
-    share S's eigenvectors, so every link between them, and both edge
-    links, is read off spec(S); only the two links against f(A) sigma f(B)
-    and its norm need an eigensolve.
+
+def check_main_chain_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
+    """:func:`check_main_chain` for every function in ``fs`` and mean in ``sigmas``.
+
+    Returns one entry per (f, sigma), f outermost: the record, or the
+    ``ValueError`` that :func:`check_main_chain` raises for it.  All S =
+    A sigma B are one stack with one stacked eigh (kept on the
+    :class:`SharedPair`); per function, all X = f(A) sigma f(B) are one
+    stack, the links between f(S) and S and the edge links are margins on
+    spec(S), and the links against X and X itself for its norm take one
+    stacked eigvalsh.  Gates and tolerances are each record's own, and a
+    record that breaks down keeps its error and leaves the later solves.
     """
     pair = _pair(A, B, tol)
+    sigmas = tuple(sigmas)
+    records = []
+    for f in fs:
+        # per mean: None, then the record's error or its outcome
+        results = [None] * len(sigmas)
+        try:
+            columns, params = _main_chain_links(pair, f, sigmas, results)
+        except ValueError as exc:  # a step shared by all of f's records
+            records += [error or exc for error in results]
+            continue
+        for k, sigma in enumerate(sigmas):
+            if results[k] is None:
+                links = tuple(column[k] for column in columns)
+                params_k = {"fn": f.name, "mean": sigma.name, **params}
+                try:
+                    results[k] = CheckOutcome(
+                        "main_chain", "mean-coefficient-chain", links, params_k
+                    )
+                except ValueError as exc:
+                    results[k] = exc
+        records += results
+    return records
+
+
+def _main_chain_links(pair, f, sigmas, errors):
+    """f's links with each of ``sigmas``, one column per chain link, and the records' params.
+
+    A step failing for one record sets its ``errors`` entry; one failing for all raises.
+    """
     forward = _require_tagged(f)
     if not f.fixes_zero:
         raise ValueError(f"{f.name} does not fix zero")
     _, _, m, M = pair.factors
     if m <= 0.0:
         raise NotPositiveDefiniteError(f"spectra must be positive, got m={m:.6e}")
-    S, X1 = pair.means(f, sigma)
-    ws, _ = pair.mean_eigh(sigma)
-    fws = _finite(_fn_values(f, ws))
-    norm_s = float(np.abs(ws).max())
-
-    def on_spectrum(desc, lo, hi):
-        res = _loewner_on_spectrum(
-            fws if lo is None else lo * ws, fws if hi is None else hi * ws, tol
-        )
-        return Link(desc, res.margin, res.passed)
-
-    def around_x1(desc, lo, hi):
-        if lo is not None and hi is not None:
-            return on_spectrum(desc, lo, hi)
-        if hi is None:
-            res = _loewner(lo * S, X1, tol)
-        else:
-            res = _loewner(X1, hi * S, tol, 1.0 + abs(hi) * norm_s)
-        return Link(desc, res.margin, res.passed)
-
+    tol = pair.tol
+    S, errors[:] = pair.mean_stack(sigmas)
+    X = _mean_from_middle([s.h for s in sigmas], pair.image_middle(f), tol, errors)
+    ws, _ = pair.mean_eigh(sigmas)
+    fws = _finite(_fn_values(f, ws, errors), errors)
+    params = {"m": m, "M": M, "convex": forward, "dim": pair.a.shape[0]}
+    if None not in errors:
+        return [], params
     coefs = _chain_coefficients(f, m, M)
-    links = _chain("fn-then-mean", coefs, forward, around_x1)
-    links += _chain("mean-then-fn", coefs, forward, on_spectrum)
-    params = {
-        "fn": f.name,
-        "mean": sigma.name,
-        "m": m,
-        "M": M,
-        "convex": forward,
-        "dim": pair.a.shape[0],
-    }
-    return CheckOutcome("main_chain", "mean-coefficient-chain", tuple(links), params)
+    norm_s = np.abs(ws).max(axis=-1)
+
+    def against_x(lo, hi):
+        scale = None if hi is None else 1.0 + abs(hi) * norm_s  # 1 + ||hi S|| from spec(S)
+        return X if lo is None else lo * S, X if hi is None else hi * S, scale
+
+    # links as (description, lo, hi); those against X are solved together
+    around_x = _chain("fn-then-mean", coefs, forward, lambda *link: link)
+    to_solve = [c for c in around_x if not isinstance(c, Link) and None in c[1:]]
+    solved = _loewner([against_x(lo, hi) for _, lo, hi in to_solve], tol, errors)
+    results = dict(zip((c[0] for c in to_solve), solved))
+    columns = []
+    for c in around_x + _chain("mean-then-fn", coefs, forward, lambda *link: link):
+        if isinstance(c, Link):  # vacuous
+            columns.append([c] * len(sigmas))
+            continue
+        desc, lo, hi = c
+        res = results.get(desc) or _loewner_on_spectrum(
+            fws if lo is None else lo * ws, fws if hi is None else hi * ws, tol, errors
+        )
+        columns.append([Link(desc, *r) for r in zip(res.margin.tolist(), res.passed.tolist())])
+    return columns, params
 
 
 def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -508,7 +578,8 @@ def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> C
     if not (math.isfinite(d0) and math.isfinite(dM)):
         raise ValueError("infinite endpoint derivative")
     _, X = pair.means(f, sigma)
-    sv_diff = singular_values(X - hermitian_part(_image(f, *pair.mean_eigh(sigma))))
+    (ws,), (vs,) = pair.mean_eigh((sigma,))
+    sv_diff = singular_values(X - hermitian_part(_image(f, ws, vs)))
     sv_s = _sv_hermitian(pair.mean_eigvalsh(sigma))
     links = tuple(
         _scalar_link(
@@ -804,8 +875,9 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     Loewner comparison is evaluated on them as Hermitian matrices.
 
     A and B are factored once, and A^r, B^r keep their eigenvectors.
-    A #_a B and S(A|B) share one congruence middle, and so do A^r #_a B^r
-    and S(A^r|B^r).
+    A #_a B and S(A|B) share one congruence middle, kept per trial, and so
+    do A^r #_a B^r and S(A^r|B^r), kept per exponent and trial (see
+    :meth:`SharedPair.basis_middle`).
     """
     from .means import geometric
 
@@ -813,18 +885,18 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError("exponent r must be >= 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    fa, fb, m, M = _pair(A, B, tol).factors
+    pair = _pair(A, B, tol)
+    _, _, m, M = pair.factors
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
-    (a, wa, va), (b, wb, vb) = _in_basis_of_a(fa, fb)
+    (a, wa, va), (b, wb, vb) = pair.in_basis()
     f = function_by_name(f"power:{r:g}")
-    war, wbr = _finite(_fn_values(f, wa)), _fn_values(f, wb)
-    middle = _middle_of(wa, va, wb, vb, tol)
-    middle_r = _middle_of(war, va, wbr, vb, tol)
+    war = _finite(_fn_values(f, wa))
+    middle, middle_r = pair.basis_middle(), pair.basis_middle(r)
     lo_c, hi_c = m ** (r - 1.0), M ** (r - 1.0)
     if 0.0 < alpha < 1.0:
         h = geometric(alpha).h
-        G, Gr = _mean_from_middle(h, middle, tol), _mean_from_middle(h, middle_r, tol)
+        G, Gr = _mean_from_middle([h], middle, tol)[0], _mean_from_middle([h], middle_r, tol)[0]
     else:
         # boundary weights degenerate to an operand power
         G, Gr = (a, _image(f, wa, va)) if alpha == 0.0 else (b, _image(f, wb, vb))
@@ -857,19 +929,19 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError("exponent r must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    fa, fb, m, _ = _pair(A, B, tol).factors
+    pair = _pair(A, B, tol)
+    fa, fb, m, _ = pair.factors
     if m <= 0.0:
         raise NotPositiveDefiniteError("positive definite operands required")
     # ||A|| and ||B|| are the top eigenvalues of the positive definite operands;
     # at a tie within round-off either order meets ||A|| <= ||B||, so none is swapped
     norm_a, norm_b = float(fa[1][-1]), float(fb[1][-1])
     swapped = norm_a > norm_b + tol * (1.0 + norm_b)
-    if swapped:
-        fa, fb = fb, fa
-    fa, fb = _in_basis_of_a(fa, fb)
-    sigma = geometric(alpha)
-    G = _mean_of(sigma, *fa[1:], *fb[1:], tol)
-    Gr = _image_mean(function_by_name(f"power:{r:g}"), sigma, fa, fb, tol)
+    _, fb = pair.in_basis(swapped)
+    # the means of the operands and of their r-th powers, from middles kept per trial
+    h = geometric(alpha).h
+    G = _mean_from_middle([h], pair.basis_middle(None, swapped), tol)[0]
+    Gr = _mean_from_middle([h], pair.basis_middle(r, swapped), tol)[0]
     c_ah = norm(G, NormKind.operator()) ** (r - 1.0)
     c_chain = float(fb[1][-1]) ** (r - 1.0)
     links = (
@@ -910,14 +982,13 @@ def check_contraction_implication(
         return CheckOutcome("contraction_implication", "mean-contraction-iterates", (), params)
     sigma_h = MatrixMean(f"h:{pair.h.name}", pair.h)
     f = times_x(pair.g)
-    fa, fb, _, _ = _pair(A, B, tol).factors
     # The iterates f^k(A), f^k(B) keep the eigenvectors of A and B, and I
     # keeps its form in any basis; in A's, f^k(A) is diagonal and its
     # ill-conditioned inverse square root is exact.
-    (_, wa, eye), (_, wb, vb) = _in_basis_of_a(fa, fb)
+    (_, wa, eye), (_, wb, vb) = _pair(A, B, tol).in_basis()
 
     def iterate_mean(wx, wy):
-        return _mean_of(sigma_h, wx, eye, wy, vb, tol)
+        return _mean_from_middle([sigma_h.h], _middle_of(wx, eye, wy, vb, tol), tol)[0]
 
     if not forward:
         c = float(_eigvalsh(iterate_mean(wa, wb))[0])

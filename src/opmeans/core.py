@@ -84,16 +84,32 @@ def as_complex_array(x) -> np.ndarray:
     return _finite(arr)
 
 
-def _finite(arr: np.ndarray) -> np.ndarray:
-    """Return ``arr``; raise if an entry overflowed or is NaN."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
+def _flag(errors, k, exc) -> None:
+    """Give row k of a stack the error ``exc`` unless it has one; with no ``errors`` list, raise it.
+
+    A stacked kernel given ``errors``, one entry per row (``None`` for no
+    error), records each row's first error there and goes on with the rest.
+    """
+    if errors is None:
+        raise exc
+    if errors[k] is None:
+        errors[k] = exc
+
+
+def _finite(arr: np.ndarray, errors=None) -> np.ndarray:
+    """Return ``arr``; raise if an entry overflowed or is NaN (per row of a stack: :func:`_flag`)."""
+    if errors is None:
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix entries must be finite")
+        return arr
+    for k in np.flatnonzero(~np.isfinite(arr).reshape(len(arr), -1).all(axis=1)):
+        _flag(errors, k, ValueError("matrix entries must be finite"))
     return arr
 
 
 def hermitian_part(arr: np.ndarray) -> np.ndarray:
-    """Return (X + X*)/2."""
-    return (arr + arr.conj().T) / 2.0
+    """Return (X + X*)/2, for one matrix or each of a stack."""
+    return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
 
 
 def as_hermitian_array(x) -> np.ndarray:
@@ -249,6 +265,7 @@ class ComparisonResult:
     ``margin`` is the smallest eigenvalue of Y - X, ``scale`` is
     1 + operator norm of Y, and ``passed`` holds exactly when
     margin >= -tol * scale for the tolerance supplied at comparison time.
+    For a stack of comparisons each field holds one value per row.
     """
 
     margin: float
@@ -256,7 +273,11 @@ class ComparisonResult:
     passed: bool
 
 
-def _lapack(solver, arr: np.ndarray):
+def _lapack(solver, arr: np.ndarray, errors=None):
+    """``solver`` on a matrix or a stack; a row with an error (maybe not finite) is solved as I."""
+    if errors is not None and any(e is not None for e in errors):
+        dead = np.array([e is not None for e in errors])
+        arr = np.where(dead[:, None, None], np.eye(arr.shape[-1]), arr)
     try:
         return solver(arr)
     except np.linalg.LinAlgError as exc:
@@ -265,18 +286,18 @@ def _lapack(solver, arr: np.ndarray):
         ) from exc
 
 
-def _eigvalsh(arr: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian array."""
-    return _lapack(np.linalg.eigvalsh, arr)
+def _eigvalsh(arr: np.ndarray, errors=None) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian array, or of each of a stack, in one LAPACK call."""
+    return _lapack(np.linalg.eigvalsh, arr, errors)
 
 
-def _eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvector columns of a Hermitian array.
+def _eigh(arr: np.ndarray, errors=None) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of a Hermitian array, or of each of a stack.
 
     The internal factorization: the basis is LAPACK's, with no canonical
     phases, because nothing built from the pair depends on them.
     """
-    return _lapack(np.linalg.eigh, arr)
+    return _lapack(np.linalg.eigh, arr, errors)
 
 
 def _normal_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,14 +316,18 @@ def _opnorm_hermitian(arr: np.ndarray) -> float:
 
 
 def _compose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """V diag(w) V* from eigenvector columns V and values w."""
-    return (v * w) @ v.conj().T
+    """V diag(w) V* from eigenvector columns V and values w; either may be a stack."""
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _fn_values(f, w: np.ndarray) -> np.ndarray:
-    """f on a spectrum w; values within round-off outside f's domain are clamped onto it."""
-    tol = 1e-10 * (1.0 + float(np.abs(w).max()))
-    return np.asarray(f(f.domain.clamp(w, tol)), dtype=np.float64)
+def _fn_values(f, w: np.ndarray, errors=None) -> np.ndarray:
+    """f on a spectrum w, or on each row of a stack, with round-off outside f's domain clamped.
+
+    Values within 1e-10 (1 + max |w|) of their row are clamped onto the
+    domain; values further out raise (see :func:`_flag`).
+    """
+    tol = 1e-10 * (1.0 + np.abs(w).max(axis=-1))
+    return np.asarray(f(f.domain.clamp(w, tol, errors)), dtype=np.float64)
 
 
 def _canonicalize_basis(w: np.ndarray, v: np.ndarray) -> None:
@@ -409,27 +434,44 @@ def loewner_leq(X, Y, tol: float = DEFAULT_TOL) -> ComparisonResult:
     y = as_hermitian_array(Y)
     if x.shape != y.shape:
         raise ShapeError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return _loewner(x, y, tol)
+    (res,) = _loewner([(x[None], y[None], None)], tol)
+    return ComparisonResult(float(res.margin[0]), float(res.scale[0]), bool(res.passed[0]))
 
 
-def _loewner(x: np.ndarray, y: np.ndarray, tol: float, scale: float | None = None):
-    """X <= Y for Hermitian arrays of one shape; ``scale`` defaults to 1 + ||Y||_op."""
-    margin = float(_eigvalsh(_finite(y - x))[0])
-    if scale is None:
-        scale = 1.0 + _opnorm_hermitian(y)
-    return ComparisonResult(margin, scale, bool(margin >= -tol * scale))
+def _loewner(comparisons, tol: float, errors=None) -> list[ComparisonResult]:
+    """X <= Y for each row of every comparison ``(x, y, scale)``, by one stacked eigvalsh.
+
+    ``x`` and ``y`` are stacks of Hermitian arrays; ``scale`` is one per
+    row, or ``None`` for 1 + ||Y||_op.  A difference that is not finite
+    raises (see :func:`_flag`).
+    """
+    diffs = [_finite(y - x, errors) for x, y, _ in comparisons]
+    norms = [y for _, y, scale in comparisons if scale is None]
+    count = len(diffs) + len(norms)
+    w = _eigvalsh(np.concatenate(diffs + norms), None if errors is None else errors * count)
+    parts = w.reshape(count, len(diffs[0]), -1)
+    of_norms = iter(parts[len(diffs) :])
+    results = []
+    for part, (_, _, scale) in zip(parts, comparisons):
+        if scale is None:
+            wy = next(of_norms)
+            scale = 1.0 + np.maximum(np.abs(wy[:, 0]), np.abs(wy[:, -1]))
+        margin = part[:, 0]
+        results.append(ComparisonResult(margin, scale, margin >= -tol * scale))
+    return results
 
 
-def _loewner_on_spectrum(lo: np.ndarray, hi: np.ndarray, tol: float):
-    """lo(S) <= hi(S) for two functions of one Hermitian S, given by their values on spec(S).
+def _loewner_on_spectrum(lo: np.ndarray, hi: np.ndarray, tol: float, errors=None):
+    """lo(S) <= hi(S) for two functions of each Hermitian S of a stack, given by values on spec(S).
 
     Both sides share S's eigenvectors, so the margin is the smallest
-    difference of values and the scale is 1 + max |hi|; no factorization.
+    difference of values and the scale is 1 + max |hi|, per row; no
+    factorization.
     """
-    diff = _finite(hi - lo)
-    margin = float(diff.min())
-    scale = 1.0 + float(np.abs(hi).max())
-    return ComparisonResult(margin, scale, bool(margin >= -tol * scale))
+    diff = _finite(hi - lo, errors)
+    scale = 1.0 + np.abs(hi).max(axis=-1)
+    margin = diff.min(axis=-1)
+    return ComparisonResult(margin, scale, margin >= -tol * scale)
 
 
 def singular_values(A) -> np.ndarray:

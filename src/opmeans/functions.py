@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DomainViolationError
+from .core import DomainViolationError, _flag
 
 __all__ = [
     "Convexity",
@@ -67,14 +67,29 @@ class Interval:
             return False
         return True
 
-    def clamp(self, xs: np.ndarray, tol: float) -> np.ndarray:
+    def clamp(self, xs: np.ndarray, tol, errors=None) -> np.ndarray:
         """Clamp values within ``tol`` of a closed endpoint onto it.
 
-        Values outside the interval by more than ``tol`` (or on the wrong
-        side of an open endpoint) raise :class:`DomainViolationError`
-        naming the offending value.
+        ``xs`` is a row of values or a stack of rows, ``tol`` one number or
+        one per row.  Values outside by more than their row's ``tol`` (or on
+        the wrong side of an open endpoint) raise :class:`DomainViolationError`
+        naming the offending value (per row with ``errors``, see ``core._flag``).
         """
         out = np.array(xs, dtype=np.float64, copy=True)
+        rows = out.reshape(-1, out.shape[-1])
+        outside = (rows <= self.lo if self.lo_open else rows < self.lo) | (
+            rows >= self.hi if self.hi_open else rows > self.hi
+        )
+        if outside.any():
+            for k in np.flatnonzero(outside.any(axis=1)):
+                try:
+                    self._clamp_row(rows[k], np.broadcast_to(tol, len(rows))[k])
+                except DomainViolationError as exc:
+                    _flag(errors, k, exc)
+        return out
+
+    def _clamp_row(self, out: np.ndarray, tol: float) -> None:
+        """:meth:`clamp` of one row, in place."""
         below = out < self.lo
         above = out > self.hi
         if self.lo_open:
@@ -99,7 +114,6 @@ class Interval:
             if worst - self.hi > tol:
                 raise DomainViolationError(f"value {worst!r} outside domain {self}")
             out[above] = self.hi
-        return out
 
     def __str__(self):
         left = "(" if self.lo_open else "["

@@ -260,6 +260,21 @@ def _norm_arg(spec: SuiteSpec):
     return tuple(spec.norms) if spec.norms else None
 
 
+def _each(check):
+    """A suite's per-trial check from ``check(spec, config, x)``, which makes one record."""
+
+    def per_trial(spec: SuiteSpec, axes: dict, x) -> list:
+        results = []
+        for values in itertools.product(*axes.values()):
+            try:
+                results.append(check(spec, dict(zip(axes, values)), x))
+            except ValueError as exc:
+                results.append(exc)
+        return results
+
+    return per_trial
+
+
 def _check_contraction(spec: SuiteSpec, c: dict, x) -> CheckOutcome:
     pair = FunctionPair(c["g"], c["h"])
     sigma_h = MatrixMean(f"h:{pair.h.name}", pair.h)
@@ -276,9 +291,11 @@ class _Suite:
     instance; ``None`` marks a fixed check that takes no instance and runs
     one trial.  A Hermitian instance, drawn or loaded, is the operands of
     one :class:`checks.SharedPair`, so the trial's configurations share its
-    factors.  ``check(spec, combo, x)`` makes the record of configuration
-    ``combo`` on instance ``x``, with the configuration's function and mean
-    names resolved (see :func:`_resolve`).  A fixture pair is loaded as
+    factors.  ``check(spec, axes, x)`` gives, for each configuration in
+    order, its record on instance ``x`` or the ``ValueError`` it raised, from
+    each axis's values with names resolved (see :func:`_resolve`); main_chain
+    checks a trial as one grid, the others one configuration at a time
+    (:func:`_each`).  A fixture pair is loaded as
     Hermitian when ``hermitian`` is set and is shaped into an instance by
     ``from_fixture``.  Entries look checkers, generators and names up when
     called, so a wrapper installed on a module attribute sees every call.
@@ -310,66 +327,68 @@ _ALL_FNS_MEANS = _fns_means(_ALL_FUNCTIONS)
 _SUITES = {
     "main_chain": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        lambda spec, c, x: checks.check_main_chain(c["fn"], c["mean"], *x, spec.tol),
+        lambda spec, ax, x: checks.check_main_chain_grid(ax["fn"], ax["mean"], *x, spec.tol),
     ),
     "chord": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        lambda spec, c, x: checks.check_chord_bounds(c["fn"], c["mean"], *x, spec.tol),
+        _each(lambda spec, c, x: checks.check_chord_bounds(c["fn"], c["mean"], *x, spec.tol)),
     ),
     "log_example": _Suite(
         _no_axes, _pd_pair,
-        lambda spec, c, x: checks.check_log_example(*x, None, spec.tol),
+        _each(lambda spec, c, x: checks.check_log_example(*x, None, spec.tol)),
     ),
     "mean_diff_norm": _Suite(
         _fns_means(CONVEX_FUNCTIONS), _pd_pair,
-        lambda spec, c, x: checks.check_mean_difference_norm(
+        _each(lambda spec, c, x: checks.check_mean_difference_norm(
             c["fn"], c["mean"], *x, _norm_arg(spec), spec.tol
-        ),
+        )),
     ),
     "eig_prod_norm": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        lambda spec, c, x: checks.check_eig_prod_norm(
+        _each(lambda spec, c, x: checks.check_eig_prod_norm(
             c["fn"], c["mean"], *x, spec.tol, _norm_arg(spec)
-        ),
+        )),
     ),
     "subadditivity": _Suite(
         _fns(CONVEX_FUNCTIONS), _pd_pair,
-        lambda spec, c, x: checks.check_subadditivity_refinement(
+        _each(lambda spec, c, x: checks.check_subadditivity_refinement(
             c["fn"], *x, _norm_arg(spec), spec.tol
-        ),
+        )),
     ),
     "normal_counterexample": _Suite(
         _no_axes, None,
-        lambda spec, c, x: checks.check_normal_counterexample(),
+        _each(lambda spec, c, x: checks.check_normal_counterexample()),
     ),
     "normal_triangle": _Suite(
         _no_axes, _normal_pair,
-        lambda spec, c, x: checks.check_normal_triangle(*x, _norm_arg(spec), spec.tol),
+        _each(lambda spec, c, x: checks.check_normal_triangle(*x, _norm_arg(spec), spec.tol)),
         hermitian=False,
     ),
     "normal_chain": _Suite(
         _ALL_FNS, _normal_pair,
-        lambda spec, c, x: checks.check_normal_chain(c["fn"], *x, _norm_arg(spec), spec.tol),
+        _each(lambda spec, c, x: checks.check_normal_chain(c["fn"], *x, _norm_arg(spec), spec.tol)),
         hermitian=False,
     ),
     "power_mean": _Suite(
         _alphas_rs, _pd_pair,
-        lambda spec, c, x: checks.check_power_mean_bounds(*x, c["alpha"], c["r"], spec.tol),
+        _each(lambda spec, c, x: checks.check_power_mean_bounds(*x, c["alpha"], c["r"], spec.tol)),
     ),
     "ando_hiai": _Suite(
         _alphas_rs, _pd_pair,
-        lambda spec, c, x: checks.check_ando_hiai_comparison(*x, c["alpha"], c["r"], spec.tol),
+        _each(lambda spec, c, x: checks.check_ando_hiai_comparison(
+            *x, c["alpha"], c["r"], spec.tol
+        )),
     ),
-    "contraction": _Suite(_contraction_pairs, _pd_pair, _check_contraction),
+    "contraction": _Suite(_contraction_pairs, _pd_pair, _each(_check_contraction)),
     "inverse_function": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        lambda spec, c, x: checks.check_inverse_function(c["fn"], c["mean"], *x, spec.tol),
+        _each(lambda spec, c, x: checks.check_inverse_function(c["fn"], c["mean"], *x, spec.tol)),
     ),
     "determinant": _Suite(
         _ALL_FNS, _det_instance,
-        lambda spec, c, x: checks.check_determinant_suite(
+        _each(lambda spec, c, x: checks.check_determinant_suite(
             c["fn"], x[0], x[1], x[2], spec.tol
-        ).with_params({"pair_kind": x[3]}),
+        ).with_params({"pair_kind": x[3]})),
         from_fixture=lambda spec, pair: (*pair, spec.alphas[0], "fixture"),
     ),
 }
@@ -451,7 +470,8 @@ def run_suite(spec: SuiteSpec) -> Report:
     Deterministic for a fixed master seed: trial instances depend only on
     (seed, trial index), and the record order is (configuration, trial).
     The loop runs trial by trial: trial t's instance is drawn when the
-    trial starts, its configurations share the factors it carries, and it
+    trial starts, the suite's check makes all its configurations' records
+    on it at once (a ``ValueError`` makes a not-applicable record), and it
     is dropped when the trial is done.  Each record is placed at its
     (configuration, trial) index.
     """
@@ -473,20 +493,18 @@ def run_suite(spec: SuiteSpec) -> Report:
         _check_generator(spec)
     trials = spec.trials if drawn else 1
 
-    resolved = [[_resolve(key, v) for v in values] for key, values in axes]
-    configs = [dict(zip(keys, values)) for values in itertools.product(*resolved)]
+    resolved = {key: [_resolve(key, v) for v in values] for key, values in axes}
     records = [None] * (len(combos) * trials)
     for t in range(trials):
         x = suite.instance(spec, t) if drawn else fixed
-        for i, (combo, config) in enumerate(zip(combos, configs)):
-            try:
-                outcome = suite.check(spec, config, x)
-            except ValueError as exc:
-                outcome = CheckOutcome(spec.suite, "not-applicable", (), {"not_applicable": str(exc)})
+        outcomes = suite.check(spec, resolved, x)
+        for i, (combo, out) in enumerate(zip(combos, outcomes, strict=True)):
+            if isinstance(out, ValueError):
+                out = CheckOutcome(spec.suite, "not-applicable", (), {"not_applicable": str(out)})
             context = {"suite": spec.suite, "trial": t, **combo}
             if drawn:
                 context["dim"] = _dim_for(spec, t)
-            records[i * trials + t] = outcome.with_params(context)
+            records[i * trials + t] = out.with_params(context)
 
     summary = _summarize(records, time.perf_counter() - started)
     return Report(TOOL_VERSION, spec, records, summary)

@@ -35,6 +35,7 @@ from .core import (
     _eigh,
     _eigvalsh,
     _finite,
+    _flag,
     as_hermitian_array,
     hermitian_part,
 )
@@ -186,14 +187,14 @@ def _middle(wa: np.ndarray, va: np.ndarray, b: np.ndarray):
     return root, wm, vm
 
 
-def _assemble(middle, scalar_map) -> np.ndarray:
-    """A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) from :func:`_middle`.
+def _assemble(middle, values, errors=None) -> np.ndarray:
+    """A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) from :func:`_middle`, for each f in ``values``.
 
-    ``scalar_map`` gives f on the middle's spectrum; an entry that is not
-    finite raises.
+    ``values`` holds f on the middle's spectrum, one row per f; a matrix
+    with an entry that is not finite raises (see ``core._flag``).
     """
-    root, wm, vm = middle[:3]
-    return _finite(hermitian_part(root @ _compose(vm, scalar_map(wm)) @ root))
+    root, _, vm = middle[:3]
+    return _finite(hermitian_part(root @ _compose(vm, values) @ root), errors)
 
 
 def _mean_middle(wa, va, b, wb, tol):
@@ -222,24 +223,28 @@ def _mean_middle(wa, va, b, wb, tol):
     return (*_middle(wa, va, b), meta)
 
 
-def _mean_from_middle(h, middle, tol) -> np.ndarray:
-    """The mean-dependent half of A sigma B: ``h`` on the middle's spectrum, reassembled.
+def _mean_from_middle(hs, middle, tol, errors=None) -> np.ndarray:
+    """The mean-dependent half of A sigma B for each representing function in ``hs``, as one stack.
 
-    ``middle`` comes from :func:`_mean_middle`; ``h`` is the mean's
-    representing function.
+    ``middle`` comes from :func:`_mean_middle`.  The gate on its spectrum
+    raises for every mean; h's domain and the result are checked per row
+    (see ``core._flag``), and h is skipped for a row with an error.
     """
-
-    def scalar_map(w):
-        scale = 1.0 + float(np.abs(w).max())
-        clipped = np.where(w < 0.0, np.where(w >= -tol * scale, 0.0, w), w)
-        if clipped.min() < 0.0:
-            raise NotPositiveSemidefiniteError(
-                f"congruence spectrum has eigenvalue {clipped.min():.6e} below -tol*scale"
-            )
-        xs = h.domain.clamp(clipped, 1e-10 * scale)
-        return np.asarray(h(xs), dtype=float)
-
-    return _assemble(middle, scalar_map)
+    wm = middle[1]
+    scale = 1.0 + float(np.abs(wm).max())
+    clipped = np.where(wm < 0.0, np.where(wm >= -tol * scale, 0.0, wm), wm)
+    if clipped.min() < 0.0:
+        raise NotPositiveSemidefiniteError(
+            f"congruence spectrum has eigenvalue {clipped.min():.6e} below -tol*scale"
+        )
+    values = np.zeros((len(hs), wm.size))
+    for k, h in enumerate(hs):
+        if errors is None or errors[k] is None:
+            try:
+                values[k] = h(h.domain.clamp(clipped, 1e-10 * scale))
+            except ValueError as exc:
+                _flag(errors, k, exc)
+    return _assemble(middle, values, errors)
 
 
 def _require_definite(wa: np.ndarray, tol: float) -> None:
@@ -255,12 +260,9 @@ def _require_definite(wa: np.ndarray, tol: float) -> None:
 def _perspective_from_middle(phi, middle) -> np.ndarray:
     """A^(1/2) phi(A^(-1/2) B A^(-1/2)) A^(1/2) from the middle of a safely definite A."""
 
-    def scalar_map(w):
-        scale = 1.0 + float(np.abs(w).max())
-        xs = phi.domain.clamp(w, 1e-10 * scale)
-        return np.asarray(phi(xs), dtype=float)
-
-    return _assemble(middle, scalar_map)
+    wm = middle[1]
+    scale = 1.0 + float(np.abs(wm).max())
+    return _assemble(middle, np.asarray(phi(phi.domain.clamp(wm, 1e-10 * scale)), dtype=float))
 
 
 def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -287,7 +289,7 @@ def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
     wb = _eigvalsh(b)
     wa, va = _eigh(a)
     middle = _mean_middle(wa, va, b, wb, tol)
-    return HermitianMatrix(_mean_from_middle(sigma.h, middle, tol), meta=middle[3])
+    return HermitianMatrix(_mean_from_middle([sigma.h], middle, tol)[0], meta=middle[3])
 
 
 def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:

@@ -5,8 +5,10 @@ A's eigenvectors for f(A); ``mean`` factors A once for its gate and its
 congruence.  The norm and determinant checkers factor each matrix once and
 read every norm kind off its one singular-value vector; normal operands are
 factored once by complex Schur.  A run of a positive definite suite shares
-each trial's factors between its configurations.  The tests count LAPACK
-eigensolves through numpy and scipy.
+each trial's factors between its configurations, and a ``main_chain`` trial
+is one stacked grid.  The tests count the matrices that LAPACK factors
+through numpy and scipy, each matrix of a stack separately, and where it
+matters the LAPACK calls.
 """
 
 import numpy as np
@@ -58,14 +60,25 @@ def _normal_pair(dim, seed):
 
 
 @pytest.fixture
-def eigensolves(monkeypatch):
-    """Count calls of numpy.linalg.eigh and eigvalsh and scipy.linalg.schur, the eigensolvers used."""
+def solver_calls():
+    """LAPACK calls per eigensolver, filled by :func:`eigensolves`."""
+    return {"eigh": 0, "eigvalsh": 0, "schur": 0}
+
+
+@pytest.fixture
+def eigensolves(monkeypatch, solver_calls):
+    """Count the matrices factored by numpy.linalg.eigh and eigvalsh and scipy.linalg.schur.
+
+    A stack of matrices counts each of its matrices, the product of its
+    leading dimensions; :func:`solver_calls` counts the calls.
+    """
     counts = {"eigh": 0, "eigvalsh": 0, "schur": 0}
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "schur")):
         solver = getattr(module, name)
 
         def counted(*args, _name=name, _solver=solver, **kwargs):
-            counts[_name] += 1
+            counts[_name] += int(np.prod(np.shape(args[0])[:-2]))
+            solver_calls[_name] += 1
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -155,7 +168,7 @@ def test_power_mean_factorizations(eigensolves, alpha):
         (("log1p", "power:3/2"), ("geometric:1/4", "geometric:3/4", "arithmetic:1/4"), 2),
     ],
 )
-def test_main_chain_run_shares_factors(eigensolves, fns, means, trials):
+def test_main_chain_run_shares_factors(eigensolves, solver_calls, fns, means, trials):
     spec = SuiteSpec("main_chain", trials=trials, dims=(2, 4), functions=fns, means=means)
     report = run_suite(spec)
     assert report.summary.failed_links == 0
@@ -165,6 +178,10 @@ def test_main_chain_run_shares_factors(eigensolves, fns, means, trials):
     # per function: eigh of the middle of f(A) sigma f(B); per record: three eigvalsh
     assert _total(eigensolves) == T * (3 + S + F + 3 * F * S), eigensolves
     assert eigensolves["eigvalsh"] == T * 3 * F * S, eigensolves
+    # LAPACK calls do not grow with F * S: per trial one for each of A, B and
+    # their middle and one stacked eigh of every S; per function one for its
+    # middle and one stacked eigvalsh of its records' three matrices
+    assert _total(solver_calls) == T * (4 + 2 * F), solver_calls
 
 
 @pytest.mark.parametrize("fns, trials", [(("power:2",), 1), (("power:3/2", "power:2", "expm1"), 3)])
@@ -185,10 +202,26 @@ def test_power_mean_run_shares_factors(eigensolves, alphas, rs, trials):
     spec = SuiteSpec("power_mean", trials=trials, dims=(2, 4), alphas=alphas, rs=rs)
     assert run_suite(spec).summary.downgraded_records == 0
     T, R = trials, len(alphas) * len(rs) * trials
-    # per trial: eigh of A and B; per record: eigh of the two congruence
-    # middles and two eigvalsh for each of the four Loewner links
-    assert eigensolves["eigh"] == 2 * T + 2 * R, eigensolves
+    # per trial: eigh of A, B and their middle in A's eigenbasis, and per
+    # exponent of the middle of A^r, B^r; per record: two eigvalsh for each
+    # of the four Loewner links
+    assert eigensolves["eigh"] == T * (3 + len(rs)), eigensolves
     assert eigensolves["eigvalsh"] == 8 * R, eigensolves
+    assert eigensolves["schur"] == 0, eigensolves
+
+
+@pytest.mark.parametrize("alphas, rs, trials", [((0.5,), (2.0,), 1), ((0.25, 0.75), (1.5, 3.0), 3)])
+def test_ando_hiai_run_shares_factors(eigensolves, alphas, rs, trials):
+    spec = SuiteSpec("ando_hiai", trials=trials, dims=(2, 4), alphas=alphas, rs=rs)
+    report = run_suite(spec)
+    assert report.summary.failed_links == 0
+    assert report.summary.downgraded_records == 0
+    T, R = trials, len(alphas) * len(rs) * trials
+    # per trial: eigh of A, B and their middle in the eigenbasis of the
+    # operand of smaller norm, and per exponent of the middle of A^r, B^r;
+    # per record: eigvalsh for ||A #_a B|| and two for each Loewner link
+    assert eigensolves["eigh"] == T * (3 + len(rs)), eigensolves
+    assert eigensolves["eigvalsh"] == 5 * R, eigensolves
     assert eigensolves["schur"] == 0, eigensolves
 
 

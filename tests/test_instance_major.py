@@ -12,11 +12,11 @@ import json
 import numpy as np
 import pytest
 
-from opmeans import checks
+from opmeans import checks, means
 from opmeans.checks import SharedPair
-from opmeans.functions import function_by_name
+from opmeans.functions import Convexity, ScalarFunction, function_by_name
 from opmeans.harness import SUITE_NAMES, SuiteSpec, _pd_pair, run_suite, save_matrix_json
-from opmeans.means import mean_by_name
+from opmeans.means import MatrixMean, mean_by_name
 
 SUITES = {
     "main_chain": lambda f, s, a, b, spec: checks.check_main_chain(f, s, a, b, spec.tol),
@@ -124,7 +124,67 @@ def test_fixture_run_shares_factors_without_changing_a_record(monkeypatch, tmp_p
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda x: eighs.append(x) or eigh(x))
     shared = run_suite(spec).records
-    # eigh of A, B and their middle, of S per mean and of the image middle per function
-    assert len(eighs) == 3 + len(MEANS) + len(fns)
+    # eigh of A, B and their middle, of S per mean and of the image middle per
+    # function, counted per matrix: the means' S are one stack
+    assert sum(int(np.prod(x.shape[:-2])) for x in eighs) == 3 + len(MEANS) + len(fns)
     monkeypatch.setattr(SharedPair, "operands", lambda pair: (pair.a.copy(), pair.b.copy()))
     assert [_bits(r) for r in shared] == [_bits(r) for r in run_suite(spec).records]
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        # spec(A^(-1/2) B A^(-1/2)) stays below 2.2, so every S is finite, and
+        # f(A) sigma f(B) overflows for power:2 and expm1, not for sqrt
+        2.2,
+        # S itself overflows in some trials and not in others
+        3.0,
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_breakdowns_inside_one_stack_stay_per_record(monkeypatch, M):
+    # h(x) = exp(500 (x - 1)) passes the mean's grid gate, and overflows once the
+    # congruence spectrum exceeds 1 + log(max float) / 500, about 2.42: in one
+    # trial some means and functions break down and their neighbours in the
+    # same stacks do not
+    h = ScalarFunction(
+        "exp500_h",
+        fn=lambda x: np.exp(500.0 * (np.asarray(x) - 1.0)),
+        deriv=lambda x: 500.0 * np.exp(500.0 * (np.asarray(x) - 1.0)),
+        convexity=Convexity.CONVEX,
+    )
+    monkeypatch.setitem(means._REGISTRY, "exp500", MatrixMean("exp500", h))
+    fns, mean_names = ("power:2", "sqrt", "expm1"), ("arithmetic:1/2", "exp500", "geometric:1/2")
+    spec = SuiteSpec(
+        "main_chain", trials=6, dims=(2, 3, 4), m=1.0, M=M, functions=fns, means=mean_names
+    )
+
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def finite_only(x, _solver=solver):
+            assert np.isfinite(x).all(), "a non-finite matrix reached LAPACK"
+            return _solver(x)
+
+        monkeypatch.setattr(np.linalg, name, finite_only)
+    records = run_suite(spec).records
+    expected = [
+        _raw_record("main_chain", spec, fn, mean, t)
+        for fn in fns
+        for mean in mean_names
+        for t in range(spec.trials)
+    ]
+    assert [_bits(r) for r in records] == [_bits(r) for r in expected]
+
+    def verified(record):
+        return bool(record.links) and record.passed
+
+    mixed = [
+        (fn, t)
+        for i, fn in enumerate(fns)
+        for t in range(spec.trials)
+        if len({verified(records[(i * len(mean_names) + j) * spec.trials + t]) for j in range(3)}) == 2
+    ]
+    assert mixed, "no trial has both broken-down and verified records of one function"
+    reasons = {r.params.get("not_applicable") for r in records} - {None}
+    assert reasons == {"matrix entries must be finite"}

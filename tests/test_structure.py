@@ -2,8 +2,9 @@
 
 No module imports a name it never uses, ``randgen`` depends on nothing in
 the package but ``core``, ``harness`` reaches into no private name of
-``checks``, and ``checks`` validates and factors a Hermitian pair only in
-``SharedPair``.  The re-exports in ``__init__.py`` are not checked.
+``checks``, ``checks`` validates and factors a Hermitian pair only in
+``SharedPair``, and ``checks`` and ``means`` reach LAPACK's eigensolvers
+only through ``core``.  The re-exports in ``__init__.py`` are not checked.
 """
 
 import ast
@@ -83,3 +84,27 @@ def test_checks_validates_and_factors_pairs_only_in_shared_pair():
         and id(node) not in inside
     )
     assert not outside, f"checks.py validates or factors outside SharedPair: {', '.join(outside)}"
+
+
+_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals", "schur"}
+
+
+@pytest.mark.parametrize("name", ["checks", "means"])
+def test_eigensolves_go_through_core(name):
+    # core._eigh and core._eigvalsh turn a LAPACK failure into
+    # EigenConvergenceError, for a stack as for one matrix
+    tree = _tree(PKG / f"{name}.py")
+    direct = [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in _EIGENSOLVERS
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "linalg"
+    ]
+    direct += [
+        f"from {node.module} import ... (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+    ]
+    assert not direct, f"{name}.py calls an eigensolver directly: {', '.join(direct)}"
