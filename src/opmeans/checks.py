@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from .means import (
     _mean_middle,
     _perspective_from_middle,
     _require_definite,
+    geometric,
 )
 
 __all__ = [
@@ -237,38 +238,35 @@ def _psd(factors, tol):
     return fa, fb, max(m, 0.0), M
 
 
-def _in_basis_of_a(fa, fb):
-    """The factored pair (A, B) written in A's eigenbasis, where A is diagonal.
-
-    A mean commutes with a unitary change of basis, and Loewner margins and
-    norms do not depend on the basis, so a check built from means of
-    functions of A and B can run there.  The congruence's A^(-1/2) is then
-    exact, which keeps ill-conditioned operands accurate.
-    """
-    (_, wa, va), (_, wb, vb) = fa, fb
-    eye = np.eye(wa.size)
-    w = va.conj().T @ vb
-    return (eye * wa, wa, eye), (_compose(w, wb), wb, w)
-
-
 def _image(f, w, v):
     """f(X) from the eigenpairs (w, v) of X."""
     return _finite(_compose(v, _fn_values(f, w)))
 
 
-def _middle_of(wa, va, wb, vb, tol):
-    """The mean-independent half of (Va diag(wa) Va*) sigma (Vb diag(wb) Vb*)."""
-    return _mean_middle(wa, va, _finite(_compose(vb, wb)), wb, tol)
+def _middle_of(wa, wb, w, tol):
+    """The mean-independent half of diag(wa) sigma (W diag(wb) W*), in A's eigenbasis.
 
-
-def _image_middle(f, fa, fb, tol):
-    """The mean-independent half of f(A) sigma f(B) from the factored operands.
-
-    f(A) keeps A's eigenvectors, so A's factors give f(A)^(1/2) and
-    f(A)^(-1/2); only the congruence middle is factored here.
+    ``w`` holds B's eigenvectors written in A's eigenbasis
+    (:attr:`SharedPair.basis`), so any functions of A and B keep the form
+    diag(f(wa)) and W diag(g(wb)) W* there.
     """
-    (_, wa, va), (_, wb, vb) = fa, fb
-    return _middle_of(_finite(_fn_values(f, wa)), va, _fn_values(f, wb), vb, tol)
+    return _mean_middle(wa, _finite(_compose(w, wb)), wb, tol)
+
+
+@cache
+def _power(r):
+    """x^r, one object per exponent, so the middles of A^r sigma B^r are kept per exponent."""
+    return function_by_name(f"power:{r:g}")
+
+
+def _require_fixes_zero(f):
+    if not f.fixes_zero:
+        raise ValueError(f"{f.name} does not fix zero")
+
+
+def _require_positive(m):
+    if m <= 0.0:
+        raise NotPositiveDefiniteError("positive definite operands required")
 
 
 class SharedPair:
@@ -278,15 +276,18 @@ class SharedPair:
     pair.  A suite builds one pair per trial and hands each record the
     pair's :meth:`operands`, so the records of a trial share what they
     compute from it.  Each value is computed when a checker first asks for
-    it and then kept: the eigenpairs of A and B and the congruence middle
-    A^(-1/2) B A^(-1/2) once, the middle of f(A) sigma f(B) once per
-    function, and S = A sigma B with its eigenpairs once per tuple of means
-    asked for together, as one stack (:func:`check_main_chain_grid` asks
-    for all of a trial's means, other checkers for one).  A step that
-    raises keeps nothing, so every record that reaches it raises the same
-    error; a mean whose own step fails keeps its error in its row.  A
-    checker given raw matrices wraps them in a fresh pair, so both paths
-    run the same code.
+    it and then kept: the eigenpairs of A and B and B's eigenvectors in A's
+    eigenbasis once, the congruence middle A^(-1/2) B A^(-1/2) once, the
+    middle of f(A) sigma f(B) once per function, and S = A sigma B with its
+    eigenpairs once per tuple of means asked for together, as one stack
+    (:func:`check_main_chain_grid` asks for all of a trial's means, other
+    checkers for one).  Every mean is taken in A's eigenbasis, where A and
+    its functions are diagonal and A^(+-1/2) is an exact scaling; checkers
+    compare means only through Loewner margins, spectra and norms, which do
+    not depend on the basis.  A step that raises keeps nothing, so every
+    record that reaches it raises the same error; a mean whose own step
+    fails keeps its error in its row.  A checker given raw matrices wraps
+    them in a fresh pair, so both paths run the same code.
     """
 
     def __init__(self, A, B, tol=DEFAULT_TOL):
@@ -312,13 +313,19 @@ class SharedPair:
         return fa, fb, float(min(wa[0], wb[0])), float(max(wa[-1], wb[-1]))
 
     @cached_property
+    def basis(self):
+        """B's eigenvectors written in A's eigenbasis, W = Va* Vb: there B = W diag(wb) W*."""
+        (_, _, va), (_, _, vb), _, _ = self.factors
+        return va.conj().T @ vb
+
+    @cached_property
     def middle(self):
         """The mean-independent half of A sigma B."""
-        (_, wa, va), (b, wb, _), _, _ = self.factors
-        return _mean_middle(wa, va, b, wb, self.tol)
+        (_, wa, _), (_, wb, _), _, _ = self.factors
+        return _middle_of(wa, wb, self.basis, self.tol)
 
     def mean_stack(self, sigmas: tuple):
-        """S = A sigma B for each of ``sigmas`` as one stack, and each row's error (or ``None``)."""
+        """S = A sigma B, in A's eigenbasis, for each of ``sigmas`` as one stack, and row errors."""
 
         def compute():
             errors = [None] * len(sigmas)
@@ -337,38 +344,19 @@ class SharedPair:
             raise error
         return S
 
-    def mean_eigvalsh(self, sigma):
-        return self._keep("eigvalsh", (sigma,), lambda: _eigvalsh(self.mean(sigma)))
-
     def image_middle(self, f):
-        """The mean-independent half of f(A) sigma f(B)."""
-        fa, fb, _, _ = self.factors
-        return self._keep("image", (f,), lambda: _image_middle(f, fa, fb, self.tol))
+        """The mean-independent half of f(A) sigma f(B), from f on the spectra of A and B."""
+        (_, wa, _), (_, wb, _), _, _ = self.factors
+
+        def compute():
+            return _middle_of(_finite(_fn_values(f, wa)), _fn_values(f, wb), self.basis, self.tol)
+
+        return self._keep("image", (f,), compute)
 
     def means(self, f, sigma):
         """S = A sigma B and X = f(A) sigma f(B), S first."""
         S = self.mean(sigma)
         return S, _mean_from_middle([sigma.h], self.image_middle(f), self.tol)[0]
-
-    def in_basis(self, swapped=False):
-        """(A, B) in A's eigenbasis, or (B, A) in B's when ``swapped`` (:func:`_in_basis_of_a`)."""
-        fa, fb, _, _ = self.factors
-        operands = (fb, fa) if swapped else (fa, fb)
-        return self._keep("basis", (swapped,), lambda: _in_basis_of_a(*operands))
-
-    def basis_middle(self, r=None, swapped=False):
-        """The middle of A^r sigma B^r (A sigma B for r ``None``) in the basis of :meth:`in_basis`.
-
-        Kept per order and per r, by identity: a suite hands all records of one r the same number.
-        """
-        fa, fb = self.in_basis(swapped)
-
-        def compute():
-            if r is None:
-                return _middle_of(*fa[1:], *fb[1:], self.tol)
-            return _image_middle(function_by_name(f"power:{r:g}"), fa, fb, self.tol)
-
-        return self._keep("basis middle", (r, swapped), compute)
 
     def operands(self) -> tuple["SharedOperand", "SharedOperand"]:
         """A and B, carrying this pair to the checkers they are handed to."""
@@ -416,7 +404,7 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
 
     The lines slope (X - mI) + f(m) I are functions of X, so they share the
     operands' eigenvectors with f(A) and f(B); A and B are factored once, and
-    the means are taken in A's eigenbasis.
+    f(A) sigma f(B) comes from the pair's kept middle.
     """
     pair = _pair(A, B, tol)
     forward = _require_tagged(f)
@@ -425,14 +413,13 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     if not (math.isfinite(lo_c) and math.isfinite(hi_c)):
         raise ValueError(f"infinite chord coefficient for {f.name} on [{m}, {M}]")
     fm = float(f(m))
-    fa, fb = pair.in_basis()
-    (_, wa, va), (_, wb, vb) = fa, fb
+    (_, wa, _), (_, wb, _) = fa, fb
 
     def line_mean(slope):
-        middle = _middle_of(slope * (wa - m) + fm, va, slope * (wb - m) + fm, vb, tol)
+        middle = _middle_of(slope * (wa - m) + fm, slope * (wb - m) + fm, pair.basis, tol)
         return _mean_from_middle([sigma.h], middle, tol)[0]
 
-    mid = _mean_from_middle([sigma.h], _image_middle(f, fa, fb, tol), tol)[0]
+    mid = _mean_from_middle([sigma.h], pair.image_middle(f), tol)[0]
     low = line_mean(lo_c)
     high = line_mean(hi_c)
     if forward:
@@ -506,8 +493,7 @@ def _main_chain_links(pair, f, sigmas, errors):
     A step failing for one record sets its ``errors`` entry; one failing for all raises.
     """
     forward = _require_tagged(f)
-    if not f.fixes_zero:
-        raise ValueError(f"{f.name} does not fix zero")
+    _require_fixes_zero(f)
     _, _, m, M = pair.factors
     if m <= 0.0:
         raise NotPositiveDefiniteError(f"spectra must be positive, got m={m:.6e}")
@@ -569,18 +555,16 @@ def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> C
     pair = _pair(A, B, tol)
     if f.convexity is not Convexity.CONVEX:
         raise ValueError(f"mean-difference bound requires a convex function, got {f.name}")
-    if not f.fixes_zero:
-        raise ValueError(f"{f.name} does not fix zero")
+    _require_fixes_zero(f)
     _, _, m, M = pair.factors
-    if m <= 0.0:
-        raise NotPositiveDefiniteError("positive definite operands required")
+    _require_positive(m)
     d0, dM = float(f.deriv(0.0)), float(f.deriv(M))
     if not (math.isfinite(d0) and math.isfinite(dM)):
         raise ValueError("infinite endpoint derivative")
     _, X = pair.means(f, sigma)
     (ws,), (vs,) = pair.mean_eigh((sigma,))
     sv_diff = singular_values(X - hermitian_part(_image(f, ws, vs)))
-    sv_s = _sv_hermitian(pair.mean_eigvalsh(sigma))
+    sv_s = _sv_hermitian(ws)
     links = tuple(
         _scalar_link(
             f"norm-difference[{kind.label()}]",
@@ -604,13 +588,12 @@ def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOut
     """
     pair = _pair(A, B, tol)
     forward = _require_tagged(f)
-    if not f.fixes_zero:
-        raise ValueError(f"{f.name} does not fix zero")
+    _require_fixes_zero(f)
     _, _, m, M = pair.factors
-    if m <= 0.0:
-        raise NotPositiveDefiniteError("positive definite operands required")
+    _require_positive(m)
     _, X = pair.means(f, sigma)
-    ws, wx = pair.mean_eigvalsh(sigma), _eigvalsh(X)
+    (ws,), _ = pair.mean_eigh((sigma,))
+    wx = _eigvalsh(X)
     s, x = ws[::-1], wx[::-1]
     coefs = _chain_coefficients(f, m, M)
     links = []
@@ -645,8 +628,7 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
     pair = _pair(A, B, tol)
     if f.convexity is not Convexity.CONVEX:
         raise ValueError(f"subadditivity refinement requires a convex function, got {f.name}")
-    if not f.fixes_zero:
-        raise ValueError(f"{f.name} does not fix zero")
+    _require_fixes_zero(f)
     (a, wa, va), (b, wb, vb), m, M = _psd(pair.factors, tol)
     if M <= 0.0:
         raise ValueError("zero operands leave no content to check")
@@ -796,8 +778,7 @@ def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     a = as_complex_array(A)
     b = as_complex_array(B)
     forward = _require_tagged(f)
-    if not f.fixes_zero:
-        raise ValueError(f"{f.name} does not fix zero")
+    _require_fixes_zero(f)
     _require_normal(a, tol, "first operand")
     _require_normal(b, tol, "second operand")
     m, M, sv_images, sv_image_of_abs = _abs_images(f, a, b)
@@ -877,29 +858,26 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     A and B are factored once, and A^r, B^r keep their eigenvectors.
     A #_a B and S(A|B) share one congruence middle, kept per trial, and so
     do A^r #_a B^r and S(A^r|B^r), kept per exponent and trial (see
-    :meth:`SharedPair.basis_middle`).
+    :meth:`SharedPair.image_middle`).
     """
-    from .means import geometric
-
     if r < 1.0:
         raise ValueError("exponent r must be >= 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     pair = _pair(A, B, tol)
-    _, _, m, M = pair.factors
-    if m <= 0.0:
-        raise NotPositiveDefiniteError("positive definite operands required")
-    (a, wa, va), (b, wb, vb) = pair.in_basis()
-    f = function_by_name(f"power:{r:g}")
+    (_, wa, _), (_, wb, _), m, M = pair.factors
+    _require_positive(m)
+    f = _power(r)
     war = _finite(_fn_values(f, wa))
-    middle, middle_r = pair.basis_middle(), pair.basis_middle(r)
+    middle, middle_r = pair.middle, pair.image_middle(f)
     lo_c, hi_c = m ** (r - 1.0), M ** (r - 1.0)
     if 0.0 < alpha < 1.0:
         h = geometric(alpha).h
         G, Gr = _mean_from_middle([h], middle, tol)[0], _mean_from_middle([h], middle_r, tol)[0]
     else:
-        # boundary weights degenerate to an operand power
-        G, Gr = (a, _image(f, wa, va)) if alpha == 0.0 else (b, _image(f, wb, vb))
+        # boundary weights degenerate to an operand power, diag(wa) or W diag(wb) W* and its power
+        w, v = (wa, np.eye(wa.size)) if alpha == 0.0 else (wb, pair.basis)
+        G, Gr = _compose(v, w), _image(f, w, v)
     log = function_by_name("log")
     _require_definite(wa, tol)
     S1 = _perspective_from_middle(log, middle)
@@ -921,29 +899,26 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     A^r #_a B^r <= ||A #_a B||^(r-1) (A #_a B) and
     A^r #_a B^r <= ||B||^(r-1) (A #_a B) with ||A|| <= ||B|| (operands are
     swapped and the swap recorded otherwise), plus the scalar coefficient
-    ordering ||A #_a B||^(r-1) <= ||B||^(r-1).
+    ordering ||A #_a B||^(r-1) <= ||B||^(r-1).  The swapped order takes
+    B #_a A = A #_(1-a) B, on the same middles as the unswapped one.
     """
-    from .means import geometric
-
     if r < 1.0:
         raise ValueError("exponent r must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     pair = _pair(A, B, tol)
-    fa, fb, m, _ = pair.factors
-    if m <= 0.0:
-        raise NotPositiveDefiniteError("positive definite operands required")
+    (_, wa, _), (_, wb, _), m, _ = pair.factors
+    _require_positive(m)
     # ||A|| and ||B|| are the top eigenvalues of the positive definite operands;
     # at a tie within round-off either order meets ||A|| <= ||B||, so none is swapped
-    norm_a, norm_b = float(fa[1][-1]), float(fb[1][-1])
+    norm_a, norm_b = float(wa[-1]), float(wb[-1])
     swapped = norm_a > norm_b + tol * (1.0 + norm_b)
-    _, fb = pair.in_basis(swapped)
     # the means of the operands and of their r-th powers, from middles kept per trial
-    h = geometric(alpha).h
-    G = _mean_from_middle([h], pair.basis_middle(None, swapped), tol)[0]
-    Gr = _mean_from_middle([h], pair.basis_middle(r, swapped), tol)[0]
+    h = geometric(1.0 - alpha if swapped else alpha).h
+    G = _mean_from_middle([h], pair.middle, tol)[0]
+    Gr = _mean_from_middle([h], pair.image_middle(_power(r)), tol)[0]
     c_ah = norm(G, NormKind.operator()) ** (r - 1.0)
-    c_chain = float(fb[1][-1]) ** (r - 1.0)
+    c_chain = (norm_a if swapped else norm_b) ** (r - 1.0)
     links = (
         _loewner_link("ando-hiai", Gr, c_ah * G, tol),
         _loewner_link("max-norm-bound", Gr, c_chain * G, tol),
@@ -985,10 +960,12 @@ def check_contraction_implication(
     # The iterates f^k(A), f^k(B) keep the eigenvectors of A and B, and I
     # keeps its form in any basis; in A's, f^k(A) is diagonal and its
     # ill-conditioned inverse square root is exact.
-    (_, wa, eye), (_, wb, vb) = _pair(A, B, tol).in_basis()
+    shared = _pair(A, B, tol)
+    (_, wa, _), (_, wb, _), _, _ = shared.factors
+    eye = np.eye(wa.size)
 
     def iterate_mean(wx, wy):
-        return _mean_from_middle([sigma_h.h], _middle_of(wx, eye, wy, vb, tol), tol)[0]
+        return _mean_from_middle([sigma_h.h], _middle_of(wx, wy, shared.basis, tol), tol)[0]
 
     if not forward:
         c = float(_eigvalsh(iterate_mean(wa, wb))[0])
@@ -1014,12 +991,10 @@ def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     """
     if f.inverse is None:
         raise ValueError(f"{f.name} has no registered inverse")
-    if not f.fixes_zero:
-        raise ValueError(f"{f.name} does not fix zero")
+    _require_fixes_zero(f)
     pair = _pair(A, B, tol)
     _, _, m, M = pair.factors
-    if m <= 0.0:
-        raise NotPositiveDefiniteError("positive definite operands required")
+    _require_positive(m)
     inv = f.inverse
     if inv.convexity is Convexity.NEITHER:
         raise ValueError(f"inverse of {f.name} carries no convexity tag")
@@ -1056,14 +1031,12 @@ def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome
     links report as inapplicable.
     """
     forward = _require_tagged(f)
-    if not f.fixes_zero:
-        raise ValueError(f"{f.name} does not fix zero")
+    _require_fixes_zero(f)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     beta = 1.0 - alpha
     (a, wa, va), (b, wb, vb), m, M = _pair(A, B, tol).factors
-    if m <= 0.0:
-        raise NotPositiveDefiniteError("positive definite operands required")
+    _require_positive(m)
     n = a.shape[0]
     gap_tol = tol * (1.0 + max(abs(M), abs(m)))
     gap_below = float(wa[0] - wb[-1]) >= gap_tol  # B entirely below A

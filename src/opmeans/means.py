@@ -11,6 +11,8 @@ continuous function, without positivity or normalization requirements;
 with phi = log it yields the relative operator entropy.
 ``normalize_for_contraction`` rescales a pair so that its mean tops out at I.
 
+Every congruence is taken in A's eigenbasis, where A^(+-1/2) is a diagonal
+scaling; ``mean`` and ``perspective`` rotate B in and the result back out.
 Only h depends on the mean, so a mean is computed in two steps: a
 mean-independent one (gates, regularization, A^(+-1/2) and the
 eigendecomposition of the middle A^(-1/2) B A^(-1/2)) and a mean-dependent
@@ -39,7 +41,7 @@ from .core import (
     as_hermitian_array,
     hermitian_part,
 )
-from .functions import Convexity, Interval, ScalarFunction, parse_parameter
+from .functions import Convexity, Interval, ScalarFunction, function_by_name, parse_parameter
 
 __all__ = [
     "MatrixMean",
@@ -179,11 +181,15 @@ def mean_by_name(name: str) -> MatrixMean:
     return factory(parse_parameter(param))
 
 
-def _middle(wa: np.ndarray, va: np.ndarray, b: np.ndarray):
-    """A^(1/2) and the eigenpairs of the middle A^(-1/2) B A^(-1/2), from the eigenpairs of A."""
-    root = _compose(va, np.sqrt(wa))
-    inv_root = _compose(va, 1.0 / np.sqrt(wa))
-    wm, vm = _eigh(hermitian_part(inv_root @ b @ inv_root))
+def _middle(wa: np.ndarray, b: np.ndarray):
+    """A^(1/2) and the eigenpairs of the middle A^(-1/2) B A^(-1/2), in A's eigenbasis.
+
+    Takes A's eigenvalues wa and B written in A's eigenbasis, where
+    A^(+-1/2) are diagonal scalings: A^(1/2) is returned as its diagonal.
+    """
+    root = np.sqrt(wa)
+    inv = 1.0 / root
+    wm, vm = _eigh(hermitian_part(inv[:, None] * b * inv))
     return root, wm, vm
 
 
@@ -194,18 +200,18 @@ def _assemble(middle, values, errors=None) -> np.ndarray:
     with an entry that is not finite raises (see ``core._flag``).
     """
     root, _, vm = middle[:3]
-    return _finite(hermitian_part(root @ _compose(vm, values) @ root), errors)
+    return _finite(hermitian_part(root[:, None] * _compose(vm, values) * root), errors)
 
 
-def _mean_middle(wa, va, b, wb, tol):
-    """The mean-independent half of A sigma B.
+def _mean_middle(wa, b, wb, tol):
+    """The mean-independent half of A sigma B, in A's eigenbasis.
 
-    Takes A's eigenpairs (wa, va), the matrix B and B's eigenvalues wb,
-    neither spectrum sorted.  Gates B as positive semidefinite, regularizes
-    a pair whose A is not safely definite, and factors the congruence
-    middle.  Returns ``(root, wm, vm, meta)``: :func:`_middle` of the
-    (regularized) pair and the regularization ``meta`` (``None`` when A is
-    safely definite).
+    Takes A's eigenvalues wa, the matrix B written in A's eigenbasis and
+    B's eigenvalues wb, neither spectrum sorted.  Gates B as positive
+    semidefinite, regularizes a pair whose A is not safely definite, and
+    factors the congruence middle.  Returns ``(root, wm, vm, meta)``:
+    :func:`_middle` of the (regularized) pair and the regularization
+    ``meta`` (``None`` when A is safely definite).
     """
     norm_b = float(np.abs(wb).max())
     low_b = wb.min()
@@ -220,7 +226,7 @@ def _mean_middle(wa, va, b, wb, tol):
         wa = wa + eps
         b = b + eps * np.eye(b.shape[0])
         meta = {"regularization_eps": eps}
-    return (*_middle(wa, va, b), meta)
+    return (*_middle(wa, b), meta)
 
 
 def _mean_from_middle(hs, middle, tol, errors=None) -> np.ndarray:
@@ -288,8 +294,10 @@ def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
         raise ShapeError("mean operands must have the same dimension")
     wb = _eigvalsh(b)
     wa, va = _eigh(a)
-    middle = _mean_middle(wa, va, b, wb, tol)
-    return HermitianMatrix(_mean_from_middle([sigma.h], middle, tol)[0], meta=middle[3])
+    # the mean is taken in A's eigenbasis and rotated back out
+    middle = _mean_middle(wa, va.conj().T @ b @ va, wb, tol)
+    S = _mean_from_middle([sigma.h], middle, tol)[0]
+    return HermitianMatrix(va @ S @ va.conj().T, meta=middle[3])
 
 
 def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -304,13 +312,12 @@ def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatr
         raise ShapeError("perspective operands must have the same dimension")
     wa, va = _eigh(a)
     _require_definite(wa, tol)
-    return HermitianMatrix(_perspective_from_middle(p.phi, _middle(wa, va, b)))
+    P = _perspective_from_middle(p.phi, _middle(wa, va.conj().T @ b @ va))
+    return HermitianMatrix(va @ P @ va.conj().T)
 
 
 def relative_operator_entropy(A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
     """S(A|B) = A^(1/2) log(A^(-1/2) B A^(-1/2)) A^(1/2)."""
-    from .functions import function_by_name
-
     return perspective(Perspective(function_by_name("log")), A, B, tol)
 
 

@@ -384,6 +384,34 @@ def test_ando_hiai_swap_recorded():
     assert out.passed
 
 
+@pytest.mark.parametrize("r", [2.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+@pytest.mark.parametrize("instance", ["diagonal", "non-commuting"])
+def test_ando_hiai_swap_matches_reversed_pair(instance, alpha, r):
+    # the swapped order takes B #_a A as A #_(1-a) B on the middles of the
+    # given order; it must agree with the unswapped record of (B, A)
+    if instance == "diagonal":
+        a, b = np.diag([3.0, 4.0]), np.diag([1.0, 2.0])
+    else:
+        x, b = _pd_pair(3, 41)
+        a = 2.0 * x
+        assert np.abs(a @ b - b @ a).max() > 1e-3
+    swapped = check_ando_hiai_comparison(a, b, alpha, r)
+    direct = check_ando_hiai_comparison(b, a, alpha, r)
+    assert swapped.params["swapped"] and not direct.params["swapped"]
+    w = np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)])
+    # every side of every link is at most ||B||^(r-1) ||A #_a B|| <= max ||.||^r
+    scale = 1.0 + w.max() ** r
+    cond = max(np.linalg.cond(a), np.linalg.cond(b)) ** r
+    bound = 64 * np.finfo(float).eps * scale * cond
+    assert [l.description for l in swapped.links] == [l.description for l in direct.links]
+    for s_link, d_link in zip(swapped.links, direct.links):
+        assert abs(s_link.margin - d_link.margin) <= bound, (s_link, d_link)
+        assert s_link.passed == d_link.passed
+    for key in ("c_ah", "c_chain"):
+        assert swapped.params[key] == pytest.approx(direct.params[key], rel=0, abs=bound)
+
+
 def test_ando_hiai_tie_is_not_swapped():
     # ||A|| = ||B|| = 4, as for every generated pair: either order meets
     # ||A|| <= ||B||, so the last bit of an eigensolver must not pick one

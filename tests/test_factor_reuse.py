@@ -217,11 +217,53 @@ def test_ando_hiai_run_shares_factors(eigensolves, alphas, rs, trials):
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
     T, R = trials, len(alphas) * len(rs) * trials
-    # per trial: eigh of A, B and their middle in the eigenbasis of the
-    # operand of smaller norm, and per exponent of the middle of A^r, B^r;
+    # per trial: eigh of A, B and their middle in A's eigenbasis, which the
+    # swapped order shares, and per exponent of the middle of A^r, B^r;
     # per record: eigvalsh for ||A #_a B|| and two for each Loewner link
     assert eigensolves["eigh"] == T * (3 + len(rs)), eigensolves
     assert eigensolves["eigvalsh"] == 5 * R, eigensolves
+    assert eigensolves["schur"] == 0, eigensolves
+
+
+@pytest.mark.parametrize(
+    "fns, means, trials",
+    [
+        (("power:2",), ("geometric:1/2",), 1),
+        (("power:2", "sqrt", "expm1"), ("arithmetic:1/2", "harmonic:1/4"), 3),
+    ],
+)
+def test_chord_run_shares_factors(eigensolves, fns, means, trials):
+    spec = SuiteSpec("chord", trials=trials, dims=(2, 4), functions=fns, means=means)
+    report = run_suite(spec)
+    assert report.summary.failed_links == 0
+    assert report.summary.downgraded_records == 0
+    F, T, R = len(fns), trials, len(fns) * len(means) * trials
+    # per trial: eigh of A and B; per function: eigh of the middle of
+    # f(A) sigma f(B); per record: eigh of the middles of the two line means
+    # (2T + 3R before, when each record rebuilt its image middle)
+    assert eigensolves["eigh"] == T * (2 + F) + 2 * R, eigensolves
+    assert eigensolves["schur"] == 0, eigensolves
+
+
+@pytest.mark.parametrize(
+    "fns, means, trials",
+    [
+        (("power:2",), ("geometric:1/2",), 1),
+        (("power:2", "expm1"), ("arithmetic:1/2", "harmonic:1/4"), 3),
+    ],
+)
+def test_mean_diff_norm_run_shares_factors(eigensolves, fns, means, trials):
+    spec = SuiteSpec("mean_diff_norm", trials=trials, dims=(2, 4), functions=fns, means=means)
+    report = run_suite(spec)
+    assert report.summary.failed_links == 0
+    assert report.summary.downgraded_records == 0
+    F, S, T, R = len(fns), len(means), trials, len(fns) * len(means) * trials
+    # per trial: eigh of A, B and their middle; per function: eigh of the
+    # middle of f(A) sigma f(B); per mean: eigh of S, whose eigenvalues give
+    # its norms; per record: eigvalsh for the singular values of the
+    # difference (R + T * S before, with a second eigvalsh of each S)
+    assert eigensolves["eigh"] == T * (3 + F + S), eigensolves
+    assert eigensolves["eigvalsh"] == R, eigensolves
     assert eigensolves["schur"] == 0, eigensolves
 
 

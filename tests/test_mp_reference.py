@@ -96,19 +96,16 @@ def _reference_margins(fn, mean_name, a_arr, b_arr):
     return out, wa[-1] / wa[0]
 
 
-def _pd_pair(dim, seed):
-    cfg = GeneratorConfig(dim, 0.5, 4.0)
+def _pd_pair(dim, seed, big_m=4.0):
+    cfg = GeneratorConfig(dim, 0.5, big_m)
     return (
         random_pd(cfg, derive_stream_seed(seed, 0)).entries,
         random_pd(cfg, derive_stream_seed(seed, 1)).entries,
     )
 
 
-@pytest.mark.parametrize("mean_name", sorted(_MEANS))
-@pytest.mark.parametrize("fn", sorted(_FNS))
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_main_chain_matches_50_digit_reference(fn, mean_name, dim):
-    a, b = _pd_pair(dim, 100 + dim)
+def _assert_main_chain_matches_reference(fn, mean_name, dim, big_m):
+    a, b = _pd_pair(dim, 100 + dim, big_m)
     assert np.abs(a @ b - b @ a).max() > 1e-3  # the operands do not commute
     out = check_main_chain(function_by_name(fn), mean_by_name(mean_name), a, b)
     with mpmath.workdps(50):
@@ -121,6 +118,25 @@ def test_main_chain_matches_50_digit_reference(fn, mean_name, dim):
         bound = MARGIN_ULPS * eps * float(scale * cond_a)
         assert abs(link.margin - float(margin)) <= bound, (desc, link.margin, float(margin))
         assert link.passed
+
+
+@pytest.mark.parametrize("mean_name", sorted(_MEANS))
+@pytest.mark.parametrize("fn", sorted(_FNS))
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_main_chain_matches_50_digit_reference(fn, mean_name, dim):
+    _assert_main_chain_matches_reference(fn, mean_name, dim, 4.0)
+
+
+@pytest.mark.parametrize("mean_name", sorted(_MEANS))
+@pytest.mark.parametrize("fn", ["power:2", "sqrt"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("big_m", [60.0, 400.0])
+def test_main_chain_matches_50_digit_reference_ill_conditioned(big_m, dim, fn, mean_name):
+    # A's inverse square root taken through its eigenvectors, in the standard
+    # basis, was off by 862 eps * scale * cond(A) at M = 60 (dim 2, power:2,
+    # harmonic:1/4) and by 1.5e5 at M = 400; in A's eigenbasis it is a
+    # diagonal scaling
+    _assert_main_chain_matches_reference(fn, mean_name, dim, big_m)
 
 
 _POWERS = ("1/4", "1/2", "3/4")

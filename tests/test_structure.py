@@ -3,8 +3,9 @@
 No module imports a name it never uses, ``randgen`` depends on nothing in
 the package but ``core``, ``harness`` reaches into no private name of
 ``checks``, ``checks`` validates and factors a Hermitian pair only in
-``SharedPair``, and ``checks`` and ``means`` reach LAPACK's eigensolvers
-only through ``core``.  The re-exports in ``__init__.py`` are not checked.
+``SharedPair``, ``checks`` and ``means`` reach LAPACK's eigensolvers
+only through ``core``, and every import is at module level.  The
+re-exports in ``__init__.py`` are not checked for use.
 """
 
 import ast
@@ -108,3 +109,16 @@ def test_eigensolves_go_through_core(name):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
     ]
     assert not direct, f"{name}.py calls an eigensolver directly: {', '.join(direct)}"
+
+
+@pytest.mark.parametrize("path", sorted(PKG.glob("*.py")), ids=lambda p: p.stem)
+def test_no_function_level_imports(path):
+    # a module's dependencies are read off its head, and an import cycle shows at import time
+    inner = sorted(
+        f"{func.name} (line {node.lineno})"
+        for func in ast.walk(_tree(path))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+    assert not inner, f"{path.name} imports inside functions: {', '.join(inner)}"
