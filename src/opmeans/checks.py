@@ -59,6 +59,7 @@ from .functions import (
     chord_coefficients,
     check_pair_conditions,
     function_by_name,
+    power,
     times_x,
 )
 from .means import (
@@ -67,7 +68,6 @@ from .means import (
     _mean_middle,
     _perspective_from_middle,
     _require_definite,
-    geometric,
 )
 
 __all__ = [
@@ -169,9 +169,19 @@ def _scalar_link(desc, lhs, rhs, tol, applicable=True) -> Link:
     return Link(desc, margin, passed, applicable)
 
 
-def _loewner_link(desc, lo, hi, tol) -> Link:
-    (res,) = _loewner([(lo[None], hi[None], None)], tol)
-    return Link(desc, float(res.margin[0]), bool(res.passed[0]))
+def _loewner_links(claims, tol, forward=True) -> tuple[Link, ...]:
+    """A record's Loewner links lo <= hi, one per claim ``(description, lo, hi)``.
+
+    With ``forward`` false every claim is reversed to hi <= lo.  All claims
+    are judged by one stacked eigvalsh.
+    """
+    if not forward:
+        claims = [(desc, hi, lo) for desc, lo, hi in claims]
+    results = _loewner([(lo[None], hi[None], None) for _, lo, hi in claims], tol)
+    return tuple(
+        Link(desc, float(res.margin[0]), bool(res.passed[0]))
+        for (desc, _, _), res in zip(claims, results)
+    )
 
 
 def _equality_link(desc, got, want, tol) -> Link:
@@ -256,7 +266,7 @@ def _middle_of(wa, wb, w, tol):
 @cache
 def _power(r):
     """x^r, one object per exponent, so the middles of A^r sigma B^r are kept per exponent."""
-    return function_by_name(f"power:{r:g}")
+    return power(r)
 
 
 def _require_fixes_zero(f):
@@ -403,8 +413,11 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     """Mean of the endpoint secant lines brackets the mean of the images.
 
     The lines slope (X - mI) + f(m) I are functions of X, so they share the
-    operands' eigenvectors with f(A) and f(B); A and B are factored once, and
-    f(A) sigma f(B) comes from the pair's kept middle.
+    operands' eigenvectors with f(A) and f(B); A and B are factored once.
+    The middles of f(A) sigma f(B) and of the two line means depend on f and
+    the pair only, so they are kept on the pair per function; a record
+    takes its three means from them and judges both links by one stacked
+    eigvalsh.
     """
     pair = _pair(A, B, tol)
     forward = _require_tagged(f)
@@ -415,23 +428,20 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     fm = float(f(m))
     (_, wa, _), (_, wb, _) = fa, fb
 
-    def line_mean(slope):
-        middle = _middle_of(slope * (wa - m) + fm, slope * (wb - m) + fm, pair.basis, tol)
-        return _mean_from_middle([sigma.h], middle, tol)[0]
+    def line_middles():
+        return [
+            _middle_of(slope * (wa - m) + fm, slope * (wb - m) + fm, pair.basis, tol)
+            for slope in (lo_c, hi_c)
+        ]
 
     mid = _mean_from_middle([sigma.h], pair.image_middle(f), tol)[0]
-    low = line_mean(lo_c)
-    high = line_mean(hi_c)
-    if forward:
-        links = (
-            _loewner_link("lower-slope-line", low, mid, tol),
-            _loewner_link("upper-slope-line", mid, high, tol),
-        )
-    else:
-        links = (
-            _loewner_link("lower-slope-line", mid, low, tol),
-            _loewner_link("upper-slope-line", high, mid, tol),
-        )
+    low, high = (
+        _mean_from_middle([sigma.h], middle, tol)[0]
+        for middle in pair._keep("lines", (f,), line_middles)
+    )
+    links = _loewner_links(
+        (("lower-slope-line", low, mid), ("upper-slope-line", mid, high)), tol, forward
+    )
     params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "a": lo_c, "b": hi_c}
     return CheckOutcome("chord_bounds", "secant-line-mean-bracket", links, params)
 
@@ -540,9 +550,9 @@ def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     log1p = function_by_name("log1p")
     lhs = coef * apply_fn(log1p, a + b).entries
     rhs = _image(log1p, wa, va) + _image(log1p, wb, vb)
-    link = _loewner_link("shifted-log-bound", lhs, rhs, tol)
+    links = _loewner_links((("shifted-log-bound", lhs, rhs),), tol)
     return CheckOutcome(
-        "log_example", "shifted-log-sum-bound", (link,), {"m": m, "M": M, "coef": coef}
+        "log_example", "shifted-log-sum-bound", links, {"m": m, "M": M, "coef": coef}
     )
 
 
@@ -784,14 +794,9 @@ def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     m, M, sv_images, sv_image_of_abs = _abs_images(f, a, b)
     if m <= 0.0:
         raise NotPositiveDefiniteError("singular values must be positive")
-    if forward:
-        edge = float(f.deriv(0.0))
-        c_sep = float(f(m)) / m
-        c_sum = float(f(2.0 * m)) / (2.0 * m)
-    else:
-        edge = float(f.deriv(M))
-        c_sep = float(f(M)) / M
-        c_sum = float(f(2.0 * M)) / (2.0 * M)
+    x = m if forward else M
+    edge = float(f.deriv(0.0 if forward else M))
+    c_sep, c_sum = float(f(x)) / x, float(f(2.0 * x)) / (2.0 * x)
     sv_sum = singular_values(a + b)
     links = []
     for kind in _norm_kinds(norms, a.shape[0]):
@@ -872,7 +877,7 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     middle, middle_r = pair.middle, pair.image_middle(f)
     lo_c, hi_c = m ** (r - 1.0), M ** (r - 1.0)
     if 0.0 < alpha < 1.0:
-        h = geometric(alpha).h
+        h = _power(alpha)  # the representing function of #_alpha
         G, Gr = _mean_from_middle([h], middle, tol)[0], _mean_from_middle([h], middle_r, tol)[0]
     else:
         # boundary weights degenerate to an operand power, diag(wa) or W diag(wb) W* and its power
@@ -883,11 +888,14 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     S1 = _perspective_from_middle(log, middle)
     _require_definite(war, tol)
     Sr = _perspective_from_middle(log, middle_r)
-    links = (
-        _loewner_link("power-mean:low", lo_c * G, Gr, tol),
-        _loewner_link("power-mean:high", Gr, hi_c * G, tol),
-        _loewner_link("entropy:low", lo_c * S1, Sr, tol),
-        _loewner_link("entropy:high", Sr, hi_c * S1, tol),
+    links = _loewner_links(
+        (
+            ("power-mean:low", lo_c * G, Gr),
+            ("power-mean:high", Gr, hi_c * G),
+            ("entropy:low", lo_c * S1, Sr),
+            ("entropy:high", Sr, hi_c * S1),
+        ),
+        tol,
     )
     params = {"alpha": alpha, "r": r, "m": m, "M": M}
     return CheckOutcome("power_mean_bounds", "power-scaling-bounds", links, params)
@@ -914,14 +922,13 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     norm_a, norm_b = float(wa[-1]), float(wb[-1])
     swapped = norm_a > norm_b + tol * (1.0 + norm_b)
     # the means of the operands and of their r-th powers, from middles kept per trial
-    h = geometric(1.0 - alpha if swapped else alpha).h
+    h = _power(1.0 - alpha if swapped else alpha)  # the representing function of the mean
     G = _mean_from_middle([h], pair.middle, tol)[0]
     Gr = _mean_from_middle([h], pair.image_middle(_power(r)), tol)[0]
     c_ah = norm(G, NormKind.operator()) ** (r - 1.0)
     c_chain = (norm_a if swapped else norm_b) ** (r - 1.0)
     links = (
-        _loewner_link("ando-hiai", Gr, c_ah * G, tol),
-        _loewner_link("max-norm-bound", Gr, c_chain * G, tol),
+        *_loewner_links((("ando-hiai", Gr, c_ah * G), ("max-norm-bound", Gr, c_chain * G)), tol),
         _scalar_link("coefficient-ordering", c_ah, c_chain, tol),
     )
     params = {"alpha": alpha, "r": r, "swapped": swapped, "c_ah": c_ah, "c_chain": c_chain}
@@ -972,15 +979,14 @@ def check_contraction_implication(
         if c <= 0.0:
             raise NotPositiveDefiniteError("mean not positive definite; cannot normalize upward")
         wa, wb = wa / c, wb / c
-    links = []
+    claims = []
     for k in range(n_iter + 1):
         if k:
             wa, wb = _finite(_fn_values(f, wa)), _finite(_fn_values(f, wb))
-        g = iterate_mean(wa, wb)
-        pairing = (g, eye) if forward else (eye, g)
-        links.append(_loewner_link("iterate-bound" if k else "hypothesis", *pairing, tol))
+        claims.append(("iterate-bound" if k else "hypothesis", iterate_mean(wa, wb), eye))
+    links = _loewner_links(claims, tol, forward)
     params["direction"] = "forward" if forward else "reversed"
-    return CheckOutcome("contraction_implication", "mean-contraction-iterates", tuple(links), params)
+    return CheckOutcome("contraction_implication", "mean-contraction-iterates", links, params)
 
 
 def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1000,16 +1006,8 @@ def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError(f"inverse of {f.name} carries no convexity tag")
     S, X = pair.means(f, sigma)
     c_m, c_M = float(f(m)) / m, float(f(M)) / M
-    if inv.convexity is Convexity.CONVEX:
-        links = (
-            _loewner_link("inverse-low", c_M * S, X, tol),
-            _loewner_link("inverse-high", X, c_m * S, tol),
-        )
-    else:
-        links = (
-            _loewner_link("inverse-low", c_m * S, X, tol),
-            _loewner_link("inverse-high", X, c_M * S, tol),
-        )
+    lo_c, hi_c = (c_M, c_m) if inv.convexity is Convexity.CONVEX else (c_m, c_M)
+    links = _loewner_links((("inverse-low", lo_c * S, X), ("inverse-high", X, hi_c * S)), tol)
     params = {
         "fn": f.name,
         "mean": sigma.name,
@@ -1064,24 +1062,15 @@ def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome
         )
     )
     c_m, c_M = float(f(m)) / m, float(f(M)) / M
-    if forward:
-        links.append(_scalar_link("image-detroot-sum", dfa + dfb, c_M * dsum, tol))
-        links.append(_scalar_link("scaled-detroot-sum", c_m * (da + db), dfsum, tol))
-    else:
-        links.append(_scalar_link("image-detroot-sum", dfa + dfb, c_m * dsum, tol))
-        links.append(_scalar_link("scaled-detroot-sum", c_M * (da + db), dfsum, tol))
-    if forward:
-        links.append(
-            _scalar_link(
-                "reverse-detroot-bound",
-                dfsum,
-                2.0 ** (1.0 - 1.0 / n) * c_M * (da + db),
-                tol,
-                applicable=gap_ok,
-            )
-        )
-    else:
-        links.append(_vacuous("reverse-detroot-bound"))
+    c_lo, c_hi = (c_m, c_M) if forward else (c_M, c_m)
+    links.append(_scalar_link("image-detroot-sum", dfa + dfb, c_hi * dsum, tol))
+    links.append(_scalar_link("scaled-detroot-sum", c_lo * (da + db), dfsum, tol))
+    reverse = 2.0 ** (1.0 - 1.0 / n) * c_M * (da + db)
+    links.append(
+        _scalar_link("reverse-detroot-bound", dfsum, reverse, tol, applicable=gap_ok)
+        if forward
+        else _vacuous("reverse-detroot-bound")
+    )
     params = {
         "fn": f.name,
         "alpha": alpha,

@@ -41,7 +41,7 @@ from .core import (
     as_hermitian_array,
     hermitian_part,
 )
-from .functions import Convexity, Interval, ScalarFunction, function_by_name, parse_parameter
+from .functions import Convexity, Interval, ScalarFunction, _fmt, function_by_name, parse_parameter
 
 __all__ = [
     "MatrixMean",
@@ -96,51 +96,43 @@ class Perspective:
     phi: ScalarFunction
 
 
-def _fmt_weight(t: float) -> str:
-    for num in range(1, 8):
-        for den in range(2, 9):
-            if abs(t - num / den) < 1e-12:
-                return f"{num}/{den}"
-    return f"{t:g}"
-
-
 def arithmetic(t: float) -> MatrixMean:
     """Weighted arithmetic mean (1-t)A + tB, h(x) = (1-t) + t x."""
     _check_weight(t)
     h = ScalarFunction(
-        f"arith_h[{_fmt_weight(t)}]",
+        f"arith_h[{_fmt(t)}]",
         fn=lambda x, _t=t: (1.0 - _t) + _t * x,
         deriv=lambda x, _t=t: _t * np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else t,
         domain=Interval(0.0, math.inf),
         convexity=Convexity.CONVEX,
     )
-    return MatrixMean(f"arithmetic:{_fmt_weight(t)}", h, t)
+    return MatrixMean(f"arithmetic:{_fmt(t)}", h, t)
 
 
 def harmonic(t: float) -> MatrixMean:
     """Weighted harmonic mean ((1-t)A^-1 + tB^-1)^-1, h(x) = x/((1-t)x + t)."""
     _check_weight(t, endpoint_ok=False)
     h = ScalarFunction(
-        f"harm_h[{_fmt_weight(t)}]",
+        f"harm_h[{_fmt(t)}]",
         fn=lambda x, _t=t: x / ((1.0 - _t) * x + _t),
         deriv=lambda x, _t=t: _t / ((1.0 - _t) * x + _t) ** 2,
         domain=Interval(0.0, math.inf),
         convexity=Convexity.CONCAVE,
     )
-    return MatrixMean(f"harmonic:{_fmt_weight(t)}", h, t)
+    return MatrixMean(f"harmonic:{_fmt(t)}", h, t)
 
 
 def geometric(t: float) -> MatrixMean:
     """Weighted geometric mean A #_t B, h(x) = x**t."""
     _check_weight(t, endpoint_ok=False)
     h = ScalarFunction(
-        f"geom_h[{_fmt_weight(t)}]",
+        f"geom_h[{_fmt(t)}]",
         fn=lambda x, _t=t: np.power(x, _t) if np.ndim(x) else float(x) ** _t,
         deriv=lambda x, _t=t: _t * np.power(x, _t - 1.0) if np.ndim(x) else _t * float(x) ** (_t - 1.0),
         domain=Interval(0.0, math.inf),
         convexity=Convexity.CONCAVE,
     )
-    return MatrixMean(f"geometric:{_fmt_weight(t)}", h, t)
+    return MatrixMean(f"geometric:{_fmt(t)}", h, t)
 
 
 def _check_weight(t: float, endpoint_ok: bool = True) -> None:

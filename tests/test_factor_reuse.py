@@ -40,6 +40,7 @@ from opmeans.checks import (
 )
 from opmeans.harness import SuiteSpec, run_suite
 from opmeans.core import _norm_of_sv
+from opmeans.means import _validate_representing
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_normal, random_pd
 
 
@@ -198,7 +199,7 @@ def test_subadditivity_run_shares_factors(eigensolves, fns, trials):
 
 
 @pytest.mark.parametrize("alphas, rs, trials", [((0.5,), (2.0,), 1), ((0.25, 0.75), (1.5, 3.0), 3)])
-def test_power_mean_run_shares_factors(eigensolves, alphas, rs, trials):
+def test_power_mean_run_shares_factors(eigensolves, solver_calls, alphas, rs, trials):
     spec = SuiteSpec("power_mean", trials=trials, dims=(2, 4), alphas=alphas, rs=rs)
     assert run_suite(spec).summary.downgraded_records == 0
     T, R = trials, len(alphas) * len(rs) * trials
@@ -208,10 +209,12 @@ def test_power_mean_run_shares_factors(eigensolves, alphas, rs, trials):
     assert eigensolves["eigh"] == T * (3 + len(rs)), eigensolves
     assert eigensolves["eigvalsh"] == 8 * R, eigensolves
     assert eigensolves["schur"] == 0, eigensolves
+    # the four links of a record are one stacked eigvalsh (4R before)
+    assert solver_calls["eigvalsh"] == R, solver_calls
 
 
 @pytest.mark.parametrize("alphas, rs, trials", [((0.5,), (2.0,), 1), ((0.25, 0.75), (1.5, 3.0), 3)])
-def test_ando_hiai_run_shares_factors(eigensolves, alphas, rs, trials):
+def test_ando_hiai_run_shares_factors(eigensolves, solver_calls, alphas, rs, trials):
     spec = SuiteSpec("ando_hiai", trials=trials, dims=(2, 4), alphas=alphas, rs=rs)
     report = run_suite(spec)
     assert report.summary.failed_links == 0
@@ -223,6 +226,22 @@ def test_ando_hiai_run_shares_factors(eigensolves, alphas, rs, trials):
     assert eigensolves["eigh"] == T * (3 + len(rs)), eigensolves
     assert eigensolves["eigvalsh"] == 5 * R, eigensolves
     assert eigensolves["schur"] == 0, eigensolves
+    # one eigvalsh for ||A #_a B|| and one stacked for both Loewner links (3R before)
+    assert solver_calls["eigvalsh"] == 2 * R, solver_calls
+
+
+@pytest.mark.parametrize("suite", ["power_mean", "ando_hiai"])
+def test_power_mean_runs_build_no_mean(monkeypatch, suite):
+    calls = []
+    monkeypatch.setattr(
+        "opmeans.means._validate_representing",
+        lambda h: calls.append(h) or _validate_representing(h),
+    )
+    spec = SuiteSpec(suite, trials=3, dims=(2, 4), alphas=(0.25, 0.75), rs=(1.5, 3.0))
+    assert run_suite(spec).summary.downgraded_records == 0
+    # A #_a B is taken through its representing function x^a, so no record
+    # builds a MatrixMean and runs its grid gate (one per record before)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -232,17 +251,19 @@ def test_ando_hiai_run_shares_factors(eigensolves, alphas, rs, trials):
         (("power:2", "sqrt", "expm1"), ("arithmetic:1/2", "harmonic:1/4"), 3),
     ],
 )
-def test_chord_run_shares_factors(eigensolves, fns, means, trials):
+def test_chord_run_shares_factors(eigensolves, solver_calls, fns, means, trials):
     spec = SuiteSpec("chord", trials=trials, dims=(2, 4), functions=fns, means=means)
     report = run_suite(spec)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
     F, T, R = len(fns), trials, len(fns) * len(means) * trials
-    # per trial: eigh of A and B; per function: eigh of the middle of
-    # f(A) sigma f(B); per record: eigh of the middles of the two line means
-    # (2T + 3R before, when each record rebuilt its image middle)
-    assert eigensolves["eigh"] == T * (2 + F) + 2 * R, eigensolves
+    # per trial: eigh of A and B; per function: eigh of the middles of
+    # f(A) sigma f(B) and of the two secant lines (T (2 + F) + 2R before,
+    # when each record rebuilt its line middles)
+    assert eigensolves["eigh"] == T * (2 + 3 * F), eigensolves
     assert eigensolves["schur"] == 0, eigensolves
+    # both links of a record are one stacked eigvalsh (2R before)
+    assert solver_calls["eigvalsh"] == R, solver_calls
 
 
 @pytest.mark.parametrize(
@@ -267,15 +288,18 @@ def test_mean_diff_norm_run_shares_factors(eigensolves, fns, means, trials):
     assert eigensolves["schur"] == 0, eigensolves
 
 
-def test_contraction_factorizations(eigensolves):
+def test_contraction_factorizations(eigensolves, solver_calls):
     g, h = function_by_name("power:1/2"), function_by_name("power:1/2")
     a, b = normalize_for_contraction(MatrixMean("h", h), *_pd_pair(4, 19))
-    for name in eigensolves:
-        eigensolves[name] = 0
+    for counts in (eigensolves, solver_calls):
+        for name in counts:
+            counts[name] = 0
     out = check_contraction_implication(FunctionPair(g, h), a, b, n_iter=3)
     assert out.passed and len(out.links) == 4
     # eigh of A and B, then per link one congruence middle and two eigvalsh: 26 before
     assert _total(eigensolves) <= 2 + 4 * 3, eigensolves
+    # the four links are one stacked eigvalsh (four before)
+    assert solver_calls["eigvalsh"] == 1, solver_calls
 
 
 def _norm_operands():

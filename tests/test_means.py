@@ -32,6 +32,15 @@ def _pd_pair(dim, seed, m=0.5, M=4.0):
     )
 
 
+def test_weight_names():
+    # a whole weight is named as a whole number, not as k/k
+    assert mean_by_name("arithmetic:1").name == "arithmetic:1"
+    assert mean_by_name("arithmetic:0").name == "arithmetic:0"
+    kinds = ("arithmetic", "harmonic", "geometric")
+    names = [f"{kind}:{t}" for t in ("1/4", "1/2", "3/4") for kind in kinds]
+    assert [m.name for m in mean_catalog()] == names
+
+
 def test_catalog_shape():
     cat = mean_catalog()
     assert len(cat) == 9

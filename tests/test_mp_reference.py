@@ -214,7 +214,8 @@ def _power_mean_instance(big_m, seed, trial):
     )
 
 
-@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+# 4/3 has no short decimal form: the checker must take A^r with r exactly as given
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 4.0 / 3.0])
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
 @pytest.mark.parametrize(
     "big_m, seed, trial",
