@@ -19,7 +19,7 @@ run with every comparison reversed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -116,60 +116,113 @@ class Link:
         return cls(d["description"], d["margin"], d["passed"], d["applicable"])
 
 
-@dataclass(frozen=True)
+_LINK_FIELDS = ("description", "margin", "passed", "applicable")
+
+
+@dataclass(frozen=True, init=False)
 class CheckOutcome:
-    """Result of one inequality-statement verification."""
+    """Result of one inequality-statement verification, its links stored as columns.
+
+    Link i is (``descriptions[i]``, ``margins[i]``, ``passes[i]``,
+    ``applicable[i]``); each column is a tuple of plain Python values, so
+    records compare, pickle and round-trip like the :class:`Link` tuples
+    they stand for.  ``CheckOutcome(check_name, claim, links, params)``
+    takes :class:`Link` objects and :attr:`links` gives them back; checkers
+    and the report writers use the columns.
+    """
 
     check_name: str
     claim: str
-    links: tuple[Link, ...]
+    descriptions: tuple[str, ...]
+    margins: tuple[float, ...]
+    passes: tuple[bool, ...]
+    applicable: tuple[bool, ...]
     params: dict
 
-    def __post_init__(self):
-        if not all(math.isfinite(link.margin) for link in self.links):
+    def __init__(self, check_name: str, claim: str, links, params: dict):
+        rows = [(x.description, x.margin, x.passed, x.applicable) for x in links]
+        self._fill(check_name, claim, *_columns(rows), params)
+
+    @classmethod
+    def from_columns(
+        cls, check_name, claim, descriptions, margins, passes, applicable, params
+    ) -> "CheckOutcome":
+        """A record from its link columns; every margin must be finite."""
+        self = object.__new__(cls)
+        self._fill(check_name, claim, descriptions, margins, passes, applicable, params)
+        return self
+
+    def _fill(self, check_name, claim, descriptions, margins, passes, applicable, params):
+        margins = tuple(map(float, margins))
+        if not all(map(math.isfinite, margins)):
             raise ValueError("link margins must be finite")
+        # frozen: the fields are set once, here, past the dataclass __setattr__
+        self.__dict__.update(
+            check_name=check_name,
+            claim=claim,
+            descriptions=tuple(descriptions),
+            margins=margins,
+            passes=tuple(map(bool, passes)),
+            applicable=tuple(map(bool, applicable)),
+            params=params,
+        )
+
+    @property
+    def links(self) -> tuple[Link, ...]:
+        return tuple(map(Link, self.descriptions, self.margins, self.passes, self.applicable))
 
     @property
     def passed(self) -> bool:
-        return all(link.passed for link in self.links)
+        return all(self.passes)
 
     @property
     def failed_links(self) -> int:
-        return sum(1 for link in self.links if not link.passed)
+        return self.passes.count(False)
 
     def with_params(self, extra: dict) -> "CheckOutcome":
-        merged = dict(extra)
-        merged.update(self.params)
-        return replace(self, params=merged)
+        """This record with ``extra`` added to its params; its own params win."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, params={**extra, **self.params})
+        return new
 
     def to_dict(self) -> dict:
+        columns = (self.descriptions, self.margins, self.passes, self.applicable)
         return {
             "check_name": self.check_name,
             "claim": self.claim,
-            "links": [link.to_dict() for link in self.links],
+            "links": [dict(zip(_LINK_FIELDS, row)) for row in zip(*columns)],
             "params": dict(self.params),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckOutcome":
-        return cls(
-            d["check_name"],
-            d["claim"],
-            tuple(Link.from_dict(x) for x in d["links"]),
-            dict(d["params"]),
-        )
+        rows = [tuple(x[k] for k in _LINK_FIELDS) for x in d["links"]]
+        return _outcome(d["check_name"], d["claim"], rows, dict(d["params"]))
 
 
-def _scalar_link(desc, lhs, rhs, tol, applicable=True) -> Link:
+def _columns(rows) -> tuple:
+    """Link rows (description, margin, passed, applicable) as four columns."""
+    return tuple(zip(*rows)) or ((), (), (), ())
+
+
+def _outcome(check_name, claim, rows, params) -> CheckOutcome:
+    """A record from its link rows."""
+    return CheckOutcome.from_columns(check_name, claim, *_columns(rows), params)
+
+
+# A checker builds its links as rows (description, margin, passed, applicable)
+# and hands them to _outcome; only CheckOutcome.links makes Link objects.
+
+def _scalar_link(desc, lhs, rhs, tol, applicable=True) -> tuple:
     lhs = float(lhs)
     rhs = float(rhs)
     margin = rhs - lhs
     scale = 1.0 + max(abs(lhs), abs(rhs))
     passed = True if not applicable else bool(margin >= -tol * scale)
-    return Link(desc, margin, passed, applicable)
+    return desc, margin, passed, applicable
 
 
-def _loewner_links(claims, tol, forward=True) -> tuple[Link, ...]:
+def _loewner_links(claims, tol, forward=True) -> list[tuple]:
     """A record's Loewner links lo <= hi, one per claim ``(description, lo, hi)``.
 
     With ``forward`` false every claim is reversed to hi <= lo.  All claims
@@ -178,20 +231,20 @@ def _loewner_links(claims, tol, forward=True) -> tuple[Link, ...]:
     if not forward:
         claims = [(desc, hi, lo) for desc, lo, hi in claims]
     results = _loewner([(lo[None], hi[None], None) for _, lo, hi in claims], tol)
-    return tuple(
-        Link(desc, float(res.margin[0]), bool(res.passed[0]))
+    return [
+        (desc, float(res.margin[0]), bool(res.passed[0]), True)
         for (desc, _, _), res in zip(claims, results)
-    )
+    ]
 
 
-def _equality_link(desc, got, want, tol) -> Link:
+def _equality_link(desc, got, want, tol) -> tuple:
     got = float(got)
     diff = abs(got - float(want))
-    return Link(desc, -diff, bool(diff <= tol), True)
+    return desc, -diff, bool(diff <= tol), True
 
 
-def _vacuous(desc) -> Link:
-    return Link(desc, 0.0, True, False)
+def _vacuous(desc) -> tuple:
+    return desc, 0.0, True, False
 
 
 def _require_tagged(f: ScalarFunction):
@@ -204,36 +257,37 @@ def _chain_coefficients(f: ScalarFunction, m: float, M: float):
     return (float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M)))
 
 
-def _chain(prefix, coefs, forward, link):
-    """Four links c0 S ? c1 S ? X ? c2 S ? c3 S (direction per tag).
+def _chain(prefix, coefs, forward):
+    """Four links c0 S ? c1 S ? X ? c2 S ? c3 S (direction per tag), as (description, sides).
 
-    ``link(desc, lo, hi)`` makes the link lo <= hi, where a side is the
-    coefficient c standing for c S, or ``None`` standing for X.  Each step
-    lists the coefficients that must be finite for it to apply.
+    ``sides`` is (lo, hi) for the link lo <= hi, where a side is the
+    coefficient c standing for c S, or ``None`` standing for X.  It is
+    ``None`` for a vacuous link: each step lists the coefficients that must
+    be finite for it to apply.
     """
     c0, c1, c2, c3 = coefs
-    links = []
+    rows = []
     for name, needs, lo, hi in (
         ("edge-low", (c0, c1), c0, c1),
         ("low", (c1,), c1, None),
         ("high", (), None, c2),
         ("edge-high", (c3,), c2, c3),
     ):
-        desc = f"{prefix}:{name}"
-        if not all(math.isfinite(c) for c in needs):
-            links.append(_vacuous(desc))
-            continue
-        links.append(link(desc, lo, hi) if forward else link(desc, hi, lo))
-    return links
+        applies = all(math.isfinite(c) for c in needs)
+        rows.append((f"{prefix}:{name}", ((lo, hi) if forward else (hi, lo)) if applies else None))
+    return rows
 
 
 def _scalar_chain(prefix, s, x, coefs, forward, tol):
     """The chain on numbers: s stands for S and x for X."""
 
-    def link(desc, lo, hi):
-        return _scalar_link(desc, x if lo is None else lo * s, x if hi is None else hi * s, tol)
+    def side(c):
+        return x if c is None else c * s
 
-    return _chain(prefix, coefs, forward, link)
+    return [
+        _vacuous(desc) if sides is None else _scalar_link(desc, *map(side, sides), tol)
+        for desc, sides in _chain(prefix, coefs, forward)
+    ]
 
 
 def _psd(factors, tol):
@@ -443,7 +497,7 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
         (("lower-slope-line", low, mid), ("upper-slope-line", mid, high)), tol, forward
     )
     params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "a": lo_c, "b": hi_c}
-    return CheckOutcome("chord_bounds", "secant-line-mean-bracket", links, params)
+    return _outcome("chord_bounds", "secant-line-mean-bracket", links, params)
 
 
 def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -479,17 +533,19 @@ def check_main_chain_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
         # per mean: None, then the record's error or its outcome
         results = [None] * len(sigmas)
         try:
-            columns, params = _main_chain_links(pair, f, sigmas, results)
+            descriptions, margins, passes, applicable, params = _main_chain_links(
+                pair, f, sigmas, results
+            )
         except ValueError as exc:  # a step shared by all of f's records
             records += [error or exc for error in results]
             continue
         for k, sigma in enumerate(sigmas):
             if results[k] is None:
-                links = tuple(column[k] for column in columns)
                 params_k = {"fn": f.name, "mean": sigma.name, **params}
                 try:
-                    results[k] = CheckOutcome(
-                        "main_chain", "mean-coefficient-chain", links, params_k
+                    results[k] = CheckOutcome.from_columns(
+                        "main_chain", "mean-coefficient-chain",
+                        descriptions, margins[k], passes[k], applicable, params_k,
                     )
                 except ValueError as exc:
                     results[k] = exc
@@ -498,9 +554,12 @@ def check_main_chain_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
 
 
 def _main_chain_links(pair, f, sigmas, errors):
-    """f's links with each of ``sigmas``, one column per chain link, and the records' params.
+    """f's link columns with each of ``sigmas``, and the records' params.
 
-    A step failing for one record sets its ``errors`` entry; one failing for all raises.
+    Returns the descriptions and applicable flags shared by f's records,
+    the margins and pass flags of each record, and the params.  A step
+    failing for one record sets its ``errors`` entry; one failing for all
+    raises.
     """
     forward = _require_tagged(f)
     _require_fixes_zero(f)
@@ -514,7 +573,7 @@ def _main_chain_links(pair, f, sigmas, errors):
     fws = _finite(_fn_values(f, ws, errors), errors)
     params = {"m": m, "M": M, "convex": forward, "dim": pair.a.shape[0]}
     if None not in errors:
-        return [], params
+        return (), [], [], (), params
     coefs = _chain_coefficients(f, m, M)
     norm_s = np.abs(ws).max(axis=-1)
 
@@ -522,22 +581,27 @@ def _main_chain_links(pair, f, sigmas, errors):
         scale = None if hi is None else 1.0 + abs(hi) * norm_s  # 1 + ||hi S|| from spec(S)
         return X if lo is None else lo * S, X if hi is None else hi * S, scale
 
-    # links as (description, lo, hi); those against X are solved together
-    around_x = _chain("fn-then-mean", coefs, forward, lambda *link: link)
-    to_solve = [c for c in around_x if not isinstance(c, Link) and None in c[1:]]
-    solved = _loewner([against_x(lo, hi) for _, lo, hi in to_solve], tol, errors)
-    results = dict(zip((c[0] for c in to_solve), solved))
-    columns = []
-    for c in around_x + _chain("mean-then-fn", coefs, forward, lambda *link: link):
-        if isinstance(c, Link):  # vacuous
-            columns.append([c] * len(sigmas))
+    # the links against X are solved together
+    around_x = _chain("fn-then-mean", coefs, forward)
+    to_solve = [(desc, sides) for desc, sides in around_x if sides and None in sides]
+    solved = _loewner([against_x(*sides) for _, sides in to_solve], tol, errors)
+    results = dict(zip((desc for desc, _ in to_solve), solved))
+    links = around_x + _chain("mean-then-fn", coefs, forward)
+    margins, passes = [], []  # one row per link, one entry per mean
+    for desc, sides in links:
+        if sides is None:  # vacuous
+            margins.append([0.0] * len(sigmas))
+            passes.append([True] * len(sigmas))
             continue
-        desc, lo, hi = c
+        lo, hi = sides
         res = results.get(desc) or _loewner_on_spectrum(
             fws if lo is None else lo * ws, fws if hi is None else hi * ws, tol, errors
         )
-        columns.append([Link(desc, *r) for r in zip(res.margin.tolist(), res.passed.tolist())])
-    return columns, params
+        margins.append(res.margin.tolist())
+        passes.append(res.passed.tolist())
+    descriptions = tuple(desc for desc, _ in links)
+    applicable = tuple(sides is not None for _, sides in links)
+    return descriptions, list(zip(*margins)), list(zip(*passes)), applicable, params
 
 
 def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -551,7 +615,7 @@ def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     lhs = coef * apply_fn(log1p, a + b).entries
     rhs = _image(log1p, wa, va) + _image(log1p, wb, vb)
     links = _loewner_links((("shifted-log-bound", lhs, rhs),), tol)
-    return CheckOutcome(
+    return _outcome(
         "log_example", "shifted-log-sum-bound", links, {"m": m, "M": M, "coef": coef}
     )
 
@@ -585,7 +649,7 @@ def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> C
         for kind in _norm_kinds(norms, pair.a.shape[0])
     )
     params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "spread": dM - d0}
-    return CheckOutcome("mean_difference_norm", "mean-difference-norm-bound", links, params)
+    return _outcome("mean_difference_norm", "mean-difference-norm-bound", links, params)
 
 
 def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOutcome:
@@ -621,7 +685,7 @@ def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOut
         ns, nx = _norm_of_sv(sv_s, kind), _norm_of_sv(sv_x, kind)
         links += _scalar_chain(f"norm[{kind.label()}]", ns, nx, coefs, forward, tol)
     params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "convex": forward}
-    return CheckOutcome("eig_prod_norm", "eigenvalue-product-norm-chains", tuple(links), params)
+    return _outcome("eig_prod_norm", "eigenvalue-product-norm-chains", links, params)
 
 
 def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -671,7 +735,7 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
         "sum_floor": floor,
         "bridge_condition_met": bridge_ok,
     }
-    return CheckOutcome("subadditivity_refinement", "subadditivity-refinement", tuple(links), params)
+    return _outcome("subadditivity_refinement", "subadditivity-refinement", links, params)
 
 
 def _abs_images(f, a, b):
@@ -716,11 +780,12 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
         _equality_link("value[image-of-abs-sum]", image_of_abs_sum, 16.0, tol),
         _equality_link("value[coef-bound]", coef_bound, 0.0, tol),
         _equality_link("value[deriv-bound]", deriv_bound, 0.0, tol),
-        Link("violation[images-sum]", images_sum - coef_bound, images_sum > coef_bound + tol),
-        Link(
+        ("violation[images-sum]", images_sum - coef_bound, images_sum > coef_bound + tol, True),
+        (
             "violation[image-of-abs-sum]",
             image_of_abs_sum - coef_bound,
             image_of_abs_sum > coef_bound + tol,
+            True,
         ),
     )
     params = {
@@ -732,7 +797,7 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
         "coef_bound": coef_bound,
         "deriv_bound": deriv_bound,
     }
-    return CheckOutcome("normal_counterexample", "normal-norm-chain-counterexample", links, params)
+    return _outcome("normal_counterexample", "normal-norm-chain-counterexample", links, params)
 
 
 def _require_normal(arr: np.ndarray, tol: float, label: str) -> None:
@@ -774,7 +839,7 @@ def check_normal_triangle(A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
         )
         for kind in _norm_kinds(norms, a.shape[0])
     )
-    return CheckOutcome("normal_triangle", "normal-abs-triangle", links, {"dim": a.shape[0]})
+    return _outcome("normal_triangle", "normal-abs-triangle", links, {"dim": a.shape[0]})
 
 
 def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -815,7 +880,7 @@ def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
             links.append(_vacuous(f"sum-edge[{label}]"))
         links.append(_scalar_link(f"sum-bound[{label}]", c_sum * base, image_of_abs_sum, tol))
     params = {"fn": f.name, "m": m, "M": M, "convex": forward, "dim": a.shape[0]}
-    return CheckOutcome("normal_chain", "normal-abs-norm-chain", tuple(links), params)
+    return _outcome("normal_chain", "normal-abs-norm-chain", links, params)
 
 
 def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -844,10 +909,10 @@ def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutco
         links.append(
             _scalar_link(f"upper-sum[{label}]", _norm_of_sv(sv_image_of_abs, kind), bound, tol)
         )
-    return CheckOutcome(
+    return _outcome(
         "transplanted_norm_chain",
         "normal-upper-norm-bounds",
-        tuple(links),
+        links,
         {"fn": f.name, "M": M, "m": m},
     )
 
@@ -898,7 +963,7 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
         tol,
     )
     params = {"alpha": alpha, "r": r, "m": m, "M": M}
-    return CheckOutcome("power_mean_bounds", "power-scaling-bounds", links, params)
+    return _outcome("power_mean_bounds", "power-scaling-bounds", links, params)
 
 
 def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -932,7 +997,7 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
         _scalar_link("coefficient-ordering", c_ah, c_chain, tol),
     )
     params = {"alpha": alpha, "r": r, "swapped": swapped, "c_ah": c_ah, "c_chain": c_chain}
-    return CheckOutcome("ando_hiai_comparison", "ando-hiai-comparison", links, params)
+    return _outcome("ando_hiai_comparison", "ando-hiai-comparison", links, params)
 
 
 def check_contraction_implication(
@@ -961,7 +1026,7 @@ def check_contraction_implication(
         forward = False
     else:
         params["not_applicable"] = "pair conditions mixed; implication direction undefined"
-        return CheckOutcome("contraction_implication", "mean-contraction-iterates", (), params)
+        return _outcome("contraction_implication", "mean-contraction-iterates", (), params)
     sigma_h = MatrixMean(f"h:{pair.h.name}", pair.h)
     f = times_x(pair.g)
     # The iterates f^k(A), f^k(B) keep the eigenvectors of A and B, and I
@@ -986,7 +1051,7 @@ def check_contraction_implication(
         claims.append(("iterate-bound" if k else "hypothesis", iterate_mean(wa, wb), eye))
     links = _loewner_links(claims, tol, forward)
     params["direction"] = "forward" if forward else "reversed"
-    return CheckOutcome("contraction_implication", "mean-contraction-iterates", links, params)
+    return _outcome("contraction_implication", "mean-contraction-iterates", links, params)
 
 
 def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1015,7 +1080,7 @@ def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
         "M": M,
         "inverse_convexity": inv.convexity.value,
     }
-    return CheckOutcome("inverse_function", "inverse-convexity-bounds", links, params)
+    return _outcome("inverse_function", "inverse-convexity-bounds", links, params)
 
 
 def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1081,4 +1146,4 @@ def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome
         "gap_above": gap_above,
         "convex": forward,
     }
-    return CheckOutcome("determinant_suite", "determinant-root-bounds", tuple(links), params)
+    return _outcome("determinant_suite", "determinant-root-bounds", links, params)

@@ -3,9 +3,11 @@
 Exit status contract: 0 when every applicable link passed (or, for the
 search mode, when a counterexample was found within budget); 1 when at
 least one link failed (or no counterexample turned up); 2 for usage or
-configuration errors, raised before any trial runs; 3 when a suite ran
-no applicable link at all, so nothing was verified (every record was
-downgraded, or every link was inapplicable).
+configuration errors, raised before any trial runs, and for a report that
+cannot be written; 3 when a suite ran no applicable link at all, so
+nothing was verified (every record was downgraded, or every link was
+inapplicable).  The summary line counts failed and inapplicable links and
+downgraded records.
 """
 
 from __future__ import annotations
@@ -91,7 +93,12 @@ def main(argv=None) -> int:
             else:
                 code, verdict = 0, "all applicable links passed"
         if args.report:
-            emit_report(report, args.format, args.report)
+            try:
+                emit_report(report, args.format, args.report)
+            except OSError as exc:
+                print(f"error: cannot write report {args.report}: {exc.strerror or exc}",
+                      file=sys.stderr)
+                return 2
             print(f"report written to {args.report}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -100,6 +107,7 @@ def main(argv=None) -> int:
     print(
         f"{args.suite}: {s.total_records} records, {s.total_links} links, "
         f"{s.failed_links} failed, {s.not_applicable_links} inapplicable, "
+        f"{s.downgraded_records} downgraded, "
         f"worst margin {s.worst_margin}, {s.wall_time_s:.2f}s -> {verdict}"
     )
     return code

@@ -18,6 +18,8 @@ downgrade is surfaced in the summary.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import itertools
 import json
 import time
@@ -432,6 +434,7 @@ def _check_generator(spec: SuiteSpec, structure: str = "positive_definite") -> N
 
 
 def _summarize(records, wall_time, found=None) -> Summary:
+    """The run's counts and worst margins, read off the records' link columns."""
     total_links = 0
     failed = 0
     na = 0
@@ -439,18 +442,18 @@ def _summarize(records, wall_time, found=None) -> Summary:
     worst = None
     by_link: dict[str, float] = {}
     for rec in records:
-        if "not_applicable" in rec.params and not rec.links:
+        if "not_applicable" in rec.params and not rec.descriptions:
             downgraded += 1
-        for link in rec.links:
-            total_links += 1
-            if not link.applicable:
-                na += 1
-                continue
-            if not link.passed:
-                failed += 1
-            worst = link.margin if worst is None else min(worst, link.margin)
-            prev = by_link.get(link.description)
-            by_link[link.description] = link.margin if prev is None else min(prev, link.margin)
+        total_links += len(rec.descriptions)
+        na += rec.applicable.count(False)
+        links = zip(rec.descriptions, rec.margins, rec.passes)
+        for desc, margin, passed in itertools.compress(links, rec.applicable):
+            failed += not passed
+            if worst is None or margin < worst:
+                worst = margin
+            prev = by_link.get(desc)
+            if prev is None or margin < prev:
+                by_link[desc] = margin
     return Summary(
         total_records=len(records),
         total_links=total_links,
@@ -598,6 +601,67 @@ def search_counterexample(target: str, structure: str | None, budget: int, spec:
 # ---------------------------------------------------------------------------
 # report emission
 
+# The writers format each link from a fixed template and stream the report
+# record by record; they give the bytes of the generic encoders exactly:
+# json.dump(report.to_dict(), sort_keys=True, indent=2) plus a newline, and
+# csv.writer rows.  Margins are finite floats, written by float.__repr__ as
+# both encoders do.
+
+_JSON_LINK = (
+    '        {\n          "applicable": %s,\n          "description": %s,\n'
+    '          "margin": %s,\n          "passed": %s\n        }'
+)
+_JSON_BOOL = {True: "true", False: "false"}
+_SCALARS = (str, bool, int, float, type(None))
+
+
+def _json_params(params: dict, scalar) -> str:
+    """A record's params at their depth in the report (6 spaces to its brace)."""
+    if not params:
+        return "{}"
+    if not all(isinstance(k, str) and isinstance(v, _SCALARS) for k, v in params.items()):
+        return json.dumps(params, sort_keys=True, indent=2).replace("\n", "\n      ")
+    items = ",\n".join(
+        f"        {scalar(k)}: {scalar(v)}" for k, v in sorted(params.items())
+    )
+    return "{\n" + items + "\n      }"
+
+
+def _write_json(report: Report, fh) -> None:
+    # a report repeats a few strings and numbers many times: each is encoded once,
+    # by the C encoder, keyed by type so that 1, 1.0 and True stay apart
+    scalar = functools.lru_cache(maxsize=None, typed=True)(json.JSONEncoder().encode)
+    fh.write('{\n  "records": [')
+    for i, rec in enumerate(report.records):
+        links = ",\n".join(
+            map(
+                _JSON_LINK.__mod__,
+                zip(
+                    map(_JSON_BOOL.__getitem__, rec.applicable),
+                    map(scalar, rec.descriptions),
+                    map(float.__repr__, rec.margins),
+                    map(_JSON_BOOL.__getitem__, rec.passes),
+                ),
+            )
+        )
+        links = f"[\n{links}\n      ]" if links else "[]"
+        fh.write(
+            f"{',' if i else ''}\n    {{\n"
+            f'      "check_name": {scalar(rec.check_name)},\n'
+            f'      "claim": {scalar(rec.claim)},\n'
+            f'      "links": {links},\n'
+            f'      "params": {_json_params(rec.params, scalar)}\n'
+            "    }"
+        )
+    fh.write("\n  ]" if report.records else "]")
+    rest = {
+        "spec": report.spec.to_dict(),
+        "summary": report.summary.to_dict(),
+        "tool_version": report.tool_version,
+    }
+    fh.write(",\n" + json.dumps(rest, sort_keys=True, indent=2)[2:] + "\n")
+
+
 def _flatten_params(params: dict) -> str:
     simple = {
         k: v for k, v in params.items() if isinstance(v, (str, bool, int, float))
@@ -605,36 +669,52 @@ def _flatten_params(params: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(simple.items()))
 
 
+def _write_csv(report: Report, fh) -> None:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+
+    def field(value) -> str:
+        """``value`` as csv.writer writes it inside a row."""
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(("", value))  # not alone: a lone empty field is written ""
+        return buffer.getvalue()[1:-2]
+
+    quote = functools.cache(field)
+    fh.write("suite,trial,check,claim,link,margin,passed,applicable,params\r\n")
+    for rec in report.records:
+        params = rec.params
+        base = _flatten_params({k: v for k, v in params.items() if k not in ("suite", "trial")})
+        head = ",".join(
+            map(field, (params.get("suite", report.spec.suite), params.get("trial", ""),
+                        rec.check_name, rec.claim))
+        )
+        tail = f",{field(base)}\r\n"
+        fh.write("".join(
+            f"{head},{quote(desc)},{float.__repr__(margin)},{passed},{applicable}{tail}"
+            for desc, margin, passed, applicable in zip(
+                rec.descriptions, rec.margins, rec.passes, rec.applicable
+            )
+        ))
+
+
 def emit_report(report: Report, fmt: str, path: str) -> str:
-    """Write a report as JSON (stable key order) or CSV (one row per link)."""
+    """Write a report to ``path`` as JSON or CSV, record by record.
+
+    JSON is the report's :meth:`Report.to_dict` with sorted keys, indent 2
+    and a final newline; margins are written by ``float.__repr__``, so they
+    read back bit for bit.  CSV has a header row, then one row per link
+    (suite, trial, check, claim, link, margin, passed, applicable, params),
+    quoted as ``csv.writer`` does and ended by ``\\r\\n``; ``params`` joins a
+    record's scalar params other than suite and trial as ``key=value`` with
+    ``;`` in key order.  Returns ``path``.
+    """
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            _write_json(report, fh)
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["suite", "trial", "check", "claim", "link", "margin", "passed", "applicable", "params"]
-            )
-            for rec in report.records:
-                base = _flatten_params(
-                    {k: v for k, v in rec.params.items() if k not in ("suite", "trial")}
-                )
-                for link in rec.links:
-                    writer.writerow(
-                        [
-                            rec.params.get("suite", report.spec.suite),
-                            rec.params.get("trial", ""),
-                            rec.check_name,
-                            rec.claim,
-                            link.description,
-                            repr(link.margin),
-                            link.passed,
-                            link.applicable,
-                            base,
-                        ]
-                    )
+            _write_csv(report, fh)
     else:
         raise UsageError(f"unknown report format {fmt!r}")
     return path

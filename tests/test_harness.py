@@ -1,5 +1,9 @@
+import csv
+import io
 import json
+import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opmeans.checks import CheckOutcome, Link
 from opmeans.cli import main
 from opmeans.harness import (
+    SUITE_NAMES,
     Report,
+    Summary,
     SuiteSpec,
     UsageError,
     emit_report,
@@ -134,11 +141,107 @@ def test_normal_counterexample_suite():
 
 
 def test_json_report_round_trip(tmp_path):
-    rep = run_suite(SMALL)
     path = tmp_path / "report.json"
-    emit_report(rep, "json", str(path))
-    loaded = report_from_dict(json.loads(path.read_text()))
-    assert loaded == rep
+    for spec in (SMALL, *(SuiteSpec(suite, trials=2, dims=(1, 2, 3)) for suite in SUITE_NAMES)):
+        rep = run_suite(spec)
+        emit_report(rep, "json", str(path))
+        loaded = report_from_dict(json.loads(path.read_text()))
+        assert loaded == rep, spec.suite
+        assert pickle.loads(pickle.dumps(rep)) == rep, spec.suite
+        for rec in rep.records:
+            # the columns stand for the Link tuple they were built from, and give it back
+            links = tuple(Link.from_dict(x) for x in rec.to_dict()["links"])
+            assert rec.links == links
+            assert CheckOutcome(rec.check_name, rec.claim, links, rec.params) == rec
+
+
+def test_check_outcome_columns_keep_the_link_api():
+    links = (Link("a", 1.5, True), Link("b", -2.0, False), Link("c", 0.0, True, False))
+    out = CheckOutcome("check", "claim", links, {"k": 1})
+    assert out.links == links
+    assert (out.descriptions, out.margins, out.passes, out.applicable) == (
+        ("a", "b", "c"), (1.5, -2.0, 0.0), (True, False, True), (True, True, False)
+    )
+    assert not out.passed and out.failed_links == 1
+    assert CheckOutcome.from_columns("check", "claim", *zip(*(
+        (l.description, l.margin, l.passed, l.applicable) for l in links
+    )), {"k": 1}) == out
+    assert out.with_params({"k": 0, "trial": 3}).params == {"k": 1, "trial": 3}
+    assert CheckOutcome.from_dict(out.to_dict()) == out
+    assert CheckOutcome("check", "claim", (), {}).links == ()
+    with pytest.raises(ValueError, match="finite"):
+        CheckOutcome("check", "claim", (Link("a", math.inf, True),), {})
+
+
+def _generic_json(report: Report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def _generic_csv(report: Report) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(
+        ["suite", "trial", "check", "claim", "link", "margin", "passed", "applicable", "params"]
+    )
+    d = report.to_dict()
+    for rec in d["records"]:
+        params = rec["params"]
+        simple = {
+            k: v for k, v in params.items()
+            if k not in ("suite", "trial") and isinstance(v, (str, bool, int, float))
+        }
+        base = ";".join(f"{k}={v}" for k, v in sorted(simple.items()))
+        for link in rec["links"]:
+            writer.writerow([
+                params.get("suite", d["spec"]["suite"]), params.get("trial", ""),
+                rec["check_name"], rec["claim"], link["description"], repr(link["margin"]),
+                link["passed"], link["applicable"], base,
+            ])
+    return buffer.getvalue()
+
+
+def _hand_built_report() -> Report:
+    links = (Link('quote " and, comma', 1.5, True), Link("Löwner ≤", -0.0, False, False))
+    params = {
+        "inf": math.inf, "minus_inf": -math.inf, "quote": 'say "hi"', "comma": "a,b",
+        "name": "Löwner", "none": None, "flag": False, "count": 3, "nested": [1, [2.5, "x"]],
+    }
+    record = CheckOutcome("hand", 'claim "c", ü', links, params)
+    summary = Summary(1, 2, 0, 1, 0, 1.5, {links[0].description: 1.5}, 0.0)
+    return Report("0.1.0", SuiteSpec("hand_built"), [record], summary)
+
+
+_WRITER_CASES = {
+    **{
+        suite: lambda suite=suite: run_suite(SuiteSpec(suite, trials=2, dims=(1, 2, 3)))
+        for suite in SUITE_NAMES
+    },
+    "downgraded": lambda: run_suite(SuiteSpec(
+        "mean_diff_norm", trials=2, dims=(2,), functions=("sqrt",), means=("arithmetic:1/2",)
+    )),
+    "search-hit": lambda: search_counterexample(
+        "norm_chain_normal", None, 100, SuiteSpec("search", dims=(2,))
+    ),
+    "search-empty": lambda: search_counterexample(
+        "main_chain", None, 3, SuiteSpec("search", dims=(2,), functions=("power:2",))
+    ),
+    "hand-built": _hand_built_report,
+}
+
+
+@pytest.mark.parametrize("case", _WRITER_CASES)
+def test_writers_match_generic_encoders(tmp_path, case):
+    rep = _WRITER_CASES[case]()
+    if case == "downgraded":
+        assert rep.summary.downgraded_records == 2 and rep.summary.total_links == 0
+    if case == "search-hit":
+        assert {"A", "B"} <= rep.records[0].params.keys()
+    if case == "search-empty":
+        assert rep.records == []
+    emit_report(rep, "json", str(tmp_path / "r.json"))
+    emit_report(rep, "csv", str(tmp_path / "r.csv"))
+    assert (tmp_path / "r.json").read_bytes() == _generic_json(rep).encode()
+    assert (tmp_path / "r.csv").read_bytes() == _generic_csv(rep).encode()
 
 
 def test_csv_row_count_equals_total_links(tmp_path):
@@ -272,6 +375,25 @@ def test_overflow_breakdown_is_downgraded_not_passed(tmp_path):
 
 
 # --- CLI ---------------------------------------------------------------------
+
+def test_cli_unwritable_report_exits_two(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    rc = main(["--suite", "main_chain", "--trials", "1", "--dim", "2", "--fn", "power:2",
+               "--mean", "arithmetic:1/2", "--report", str(path)])
+    assert rc == 2
+    assert f"error: cannot write report {path}" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in expm1:RuntimeWarning")
+def test_cli_summary_line_counts_downgraded_records(capsys):
+    # expm1 overflows near M = 800; power:2 does not, so the run still exits 0
+    rc = main(["--suite", "main_chain", "--fn", "expm1", "--fn", "power:2",
+               "--mean", "geometric:1/2", "--M", "800", "--trials", "2", "--dim", "2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "0 failed, 0 inapplicable, 2 downgraded" in out
+
 
 def test_cli_no_applicable_link_exits_three(capsys):
     # sqrt is concave: the convex-only subadditivity refinement downgrades every record
