@@ -155,18 +155,25 @@ def report_from_dict(d: dict) -> Report:
 # fixture files
 
 def load_matrix_json(path: str) -> ComplexMatrix:
-    """Read the matrix file format {"n": int, "entries": [[[re, im], ...], ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    n = int(data["n"])
-    rows = data["entries"]
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"{path}: entries are not an {n}x{n} grid")
-    arr = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, (re, im) in enumerate(row):
-            arr[i, j] = complex(re, im)
-    return ComplexMatrix(arr)
+    """Read the matrix file format {"n": int, "entries": [[[re, im], ...], ...]}.
+
+    A file that cannot be read or is not in this format is a ``UsageError``
+    naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        n = data["n"]
+        parts = np.asarray(data["entries"], dtype=np.float64)
+    except OSError as exc:
+        raise UsageError(f"cannot read matrix file {path}: {exc.strerror or exc}") from exc
+    except KeyError as exc:
+        raise UsageError(f"{path}: matrix file has no {exc} field") from exc
+    except (TypeError, ValueError) as exc:  # ValueError covers a JSON decode error
+        raise UsageError(f"{path}: not a matrix file: {exc}") from exc
+    if parts.shape != (n, n, 2):
+        raise UsageError(f"{path}: entries are not an n x n grid of [re, im] pairs (n = {n!r})")
+    return ComplexMatrix(parts.view(np.complex128)[..., 0])
 
 
 def save_matrix_json(matrix, path: str) -> None:

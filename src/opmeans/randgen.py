@@ -10,6 +10,18 @@ splitting rule::
 
 where mix64 is the SplitMix64 finalizer and GOLDEN = 0x9E3779B97F4A7C15.
 
+A stream needs no sequential state beyond its position: its n-th output is
+mix64(seed + n * GOLDEN), so k consecutive outputs are computed at once as
+one uint64 array (numpy array arithmetic wraps modulo 2**64).  A uniform is
+(z >> 11) * 2**-53, scaled to [lo, hi); Gaussians are Box-Muller pairs
+(cos first, then sin) over consecutive uniforms.  The Box-Muller log is
+taken through libm's ``math.log``: numpy's vectorised ``np.log`` differs
+from it in the last bit on a few inputs per thousand, and the stream's bits
+are defined by libm.  ``np.sqrt`` is correctly rounded, and ``np.sin`` and
+``np.cos`` agree with libm on the stream (``tests/test_randgen.py`` pins
+generated bits and checks the arrays against the one-draw-at-a-time
+definition).
+
 Generated positive definite matrices attain their spectral endpoints
 exactly (lambda_max = M, lambda_min = m for dim >= 2) so that the verified
 bounds are exercised at their tightest constants.
@@ -55,11 +67,25 @@ def derive_stream_seed(master_seed: int, trial_index: int) -> int:
     return mix64((master_seed + GOLDEN * (trial_index + 1)) & MASK64)
 
 
+# Constants of the array kernel; uint64 array arithmetic wraps modulo 2**64.
+_GOLDEN = np.uint64(GOLDEN)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+_TWO_PI = 2.0 * math.pi
+_SQRT2 = math.sqrt(2.0)
+# GOLDEN * (1, ..., k) modulo 2**64, tabulated up to a 32 x 32 complex Gaussian
+_STEPS = np.arange(1, 2 * 32 * 32 + 1, dtype=np.uint64) * _GOLDEN
+_STEPS.flags.writeable = False
+
+
 class RandomStream:
-    """SplitMix64 stream with uniform and Gaussian draws.
+    """SplitMix64 stream with uniform and Gaussian draws, computed as arrays.
 
     Gaussians use Box-Muller on consecutive uniforms; the spare half is
     cached, so the draw order is fully determined by the call sequence.
+    ``uniform()`` and ``normal()`` are one-element views of ``uniforms`` and
+    ``normals``: drawing k values at once or one at a time gives the same bits.
     """
 
     __slots__ = ("_state", "_spare")
@@ -68,30 +94,70 @@ class RandomStream:
         self._state = seed & MASK64
         self._spare = None
 
+    def _u64s(self, k: int) -> np.ndarray:
+        if k <= _STEPS.size:
+            steps = _STEPS[:k]
+        else:
+            steps = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN
+        z = steps + np.uint64(self._state)
+        self._state = (self._state + GOLDEN * k) & MASK64
+        z ^= z >> _S30
+        z *= _MIX1
+        z ^= z >> _S27
+        z *= _MIX2
+        z ^= z >> _S31
+        return z
+
     def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN) & MASK64
-        return mix64(self._state)
+        return int(self._u64s(1)[0])
+
+    def uniforms(self, k: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """The next k uniforms on [lo, hi): lo + (hi - lo) * (z >> 11) * 2**-53."""
+        z = self._u64s(k)
+        z >>= _S11
+        u = z * 2.0**-53  # exact: z < 2**53
+        if lo != 0.0 or hi != 1.0:
+            u *= hi - lo
+            u += lo
+        return u
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        u = (self.next_u64() >> 11) * 2.0**-53
-        return lo + (hi - lo) * u
+        return float(self.uniforms(1, lo, hi)[0])
+
+    def normals(self, k: int) -> np.ndarray:
+        """The next k standard Gaussians: a pending spare first, then
+        cos/sin Box-Muller pairs; an odd trailing sine becomes the spare."""
+        if k == 0:
+            return np.empty(0)
+        spare, self._spare = self._spare, None
+        head = 0 if spare is None else 1
+        pairs = (k - head + 1) // 2
+        u = self.uniforms(2 * pairs).reshape(pairs, 2)
+        # 1 - u lies in (0, 1], so the log is finite; libm's log, see above
+        r = np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), np.float64, pairs)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = u[:, 1]
+        theta *= _TWO_PI
+        out = np.empty(head + 2 * pairs)
+        if head:
+            out[0] = spare
+        np.multiply(r, np.cos(theta), out=out[head::2])
+        np.multiply(r, np.sin(theta), out=out[head + 1 :: 2])
+        if out.size > k:
+            self._spare = float(out[k])
+        return out[:k]
 
     def normal(self) -> float:
-        if self._spare is not None:
-            z, self._spare = self._spare, None
-            return z
-        u1 = 1.0 - self.uniform()  # (0, 1], keeps log finite
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._spare = r * math.sin(2.0 * math.pi * u2)
-        return r * math.cos(2.0 * math.pi * u2)
+        return float(self.normals(1)[0])
 
     def complex_gaussian(self, dim: int) -> np.ndarray:
-        out = np.empty((dim, dim), dtype=np.complex128)
-        for i in range(dim):
-            for j in range(dim):
-                out[i, j] = complex(self.normal(), self.normal()) / math.sqrt(2.0)
-        return out
+        """A dim x dim standard complex Gaussian: row-major (re, im) pairs / sqrt(2)."""
+        g = self.normals(2 * dim * dim)
+        # divide the float64 parts: numpy divides a complex array by a real
+        # through its reciprocal, which changes the last bit
+        g /= _SQRT2
+        return g.view(np.complex128).reshape(dim, dim)
 
 
 STRUCTURES = ("positive_definite", "normal_complex", "hermitian_indefinite")
@@ -135,7 +201,7 @@ def random_unitary(dim: int, stream_seed: int) -> ComplexMatrix:
 
 
 def _spread_moduli(stream: RandomStream, dim: int, m: float, M: float) -> np.ndarray:
-    lam = np.array([stream.uniform(m, M) for _ in range(dim)])
+    lam = stream.uniforms(dim, m, M)
     if dim >= 2:
         lam[0] = M
         lam[-1] = m
@@ -165,9 +231,9 @@ def random_normal(config: GeneratorConfig, stream_seed: int) -> ComplexMatrix:
     u = _haar(stream, dim)
     moduli = _spread_moduli(stream, dim, config.m, config.M)
     if config.structure == "hermitian_indefinite":
-        phases = np.array([0.0 if stream.uniform() < 0.5 else math.pi for _ in range(dim)])
+        phases = np.where(stream.uniforms(dim) < 0.5, 0.0, math.pi)
     else:
-        phases = np.array([stream.uniform(0.0, 2.0 * math.pi) for _ in range(dim)])
+        phases = stream.uniforms(dim, 0.0, 2.0 * math.pi)
     z = moduli * np.exp(1j * phases)
     return ComplexMatrix((u * z) @ u.conj().T)
 

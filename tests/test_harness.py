@@ -484,6 +484,37 @@ def test_cli_fixed_suite_refuses_fixtures(tmp_path, capsys):
     assert "takes no fixtures" in capsys.readouterr().err
 
 
+def test_cli_missing_fixture_file_exit_two(capsys):
+    rc = main(["--suite", "main_chain", "--fn", "power:2", "--mean", "arithmetic:1/2",
+               "--fixture", "/nonexistent/a.json", "--fixture", "/nonexistent/b.json"])
+    assert rc == 2
+    assert "error: cannot read matrix file /nonexistent/a.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 2}', "has no 'entries' field"),
+        ("{not json", "not a matrix file"),
+        ("[1, 2]", "not a matrix file"),
+        ('{"n": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}', "not a matrix file"),
+        ('{"n": 2, "entries": [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]}', "(n = 2)"),
+        ('{"n": 2.5, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}', "(n = 2.5)"),
+        ('{"n": "2", "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}', "(n = '2')"),
+    ],
+)
+def test_cli_malformed_fixture_file_exit_two(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = str(tmp_path / "b.json")
+    save_matrix_json(np.diag([2.0, 3.0]), good)
+    rc = main(["--suite", "main_chain", "--fn", "power:2", "--mean", "arithmetic:1/2",
+               "--fixture", str(bad), "--fixture", good])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and message in err
+
+
 def test_cli_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "opmeans", "--suite", "normal_counterexample"],

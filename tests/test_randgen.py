@@ -1,11 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from opmeans import randgen
 from opmeans.means import mean_by_name, mean, normalize_for_contraction
 from opmeans.randgen import (
+    GOLDEN,
+    MASK64,
     GeneratorConfig,
     RandomStream,
     derive_stream_seed,
@@ -154,3 +158,145 @@ def test_generator_config_validation():
         GeneratorConfig(2, 3.0, 2.0)
     with pytest.raises(ValueError):
         GeneratorConfig(2, 1.0, 2.0, "tridiagonal")
+
+
+class ScalarStream:
+    """The stream's per-entry definition: one mix64 per uniform, one
+    Box-Muller step per pair of normals.  Oracle for ``RandomStream``."""
+
+    def __init__(self, seed: int):
+        self._state = seed & MASK64
+        self._spare = None
+
+    def next_u64(self) -> int:
+        self._state = (self._state + GOLDEN) & MASK64
+        return mix64(self._state)
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0**-53)
+
+    def uniforms(self, k: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        return np.array([self.uniform(lo, hi) for _ in range(k)], dtype=np.float64)
+
+    def normal(self) -> float:
+        if self._spare is not None:
+            z, self._spare = self._spare, None
+            return z
+        u1 = 1.0 - self.uniform()
+        u2 = self.uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        self._spare = r * math.sin(2.0 * math.pi * u2)
+        return r * math.cos(2.0 * math.pi * u2)
+
+    def normals(self, k: int) -> np.ndarray:
+        return np.array([self.normal() for _ in range(k)], dtype=np.float64)
+
+    def complex_gaussian(self, dim: int) -> np.ndarray:
+        out = np.empty((dim, dim), dtype=np.complex128)
+        for i in range(dim):
+            for j in range(dim):
+                out[i, j] = complex(self.normal(), self.normal()) / math.sqrt(2.0)
+        return out
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_same_state(stream, oracle):
+    assert stream._state == oracle._state
+    if oracle._spare is None:
+        assert stream._spare is None
+    else:
+        assert type(stream._spare) is float
+        assert_same_bits(stream._spare, oracle._spare)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 32, 33])
+def test_complex_gaussian_matches_scalar_definition(dim):
+    for t in range(300):
+        seed = derive_stream_seed(dim, t)
+        stream, oracle = RandomStream(seed), ScalarStream(seed)
+        assert_same_bits(stream.complex_gaussian(dim), oracle.complex_gaussian(dim))
+        assert_same_state(stream, oracle)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [MASK64, MASK64 - 5, 1 << 63, 0, 12345])
+def test_array_draws_match_scalar_definition_near_wraparound(seed):
+    stream, oracle = RandomStream(seed), ScalarStream(seed)
+    assert_same_bits(stream.uniforms(0), oracle.uniforms(0))
+    assert_same_state(stream, oracle)
+    for k, lo, hi in [(1, 0.0, 1.0), (7, 0.5, 4.0), (5, 0.0, 2.0 * math.pi)]:
+        assert_same_bits(stream.uniforms(k, lo, hi), oracle.uniforms(k, lo, hi))
+        assert_same_state(stream, oracle)
+    got = stream.uniform(2.0, 3.0)
+    assert type(got) is float
+    assert_same_bits(got, oracle.uniform(2.0, 3.0))
+    assert stream.next_u64() == oracle.next_u64()
+    for k in (5, 0, 1, 3, 4, 2):  # odd counts leave a spare for the next draw
+        assert_same_bits(stream.normals(k), oracle.normals(k))
+        assert_same_state(stream, oracle)
+    got = stream.normal()
+    assert type(got) is float
+    assert_same_bits(got, oracle.normal())
+    assert_same_bits(stream.complex_gaussian(3), oracle.complex_gaussian(3))
+    assert_same_state(stream, oracle)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pending_spare_comes_first():
+    for t in range(50):
+        seed = derive_stream_seed(7, t)
+        stream, oracle = RandomStream(seed), ScalarStream(seed)
+        assert_same_bits(stream.normal(), oracle.normal())
+        assert_same_state(stream, oracle)
+        assert_same_bits(stream.complex_gaussian(3), oracle.complex_gaussian(3))
+        assert_same_state(stream, oracle)
+        assert_same_bits(stream.normals(0), oracle.normals(0))
+        assert_same_state(stream, oracle)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generators_match_scalar_definition(monkeypatch):
+    def draw_all(dim, t):
+        seed = derive_stream_seed(dim, t)
+        out = [random_pd(GeneratorConfig(dim, 0.5, 4.0), seed), random_unitary(dim, seed)]
+        for structure in ("normal_complex", "hermitian_indefinite"):
+            out.append(random_normal(GeneratorConfig(dim, 0.5, 4.0, structure), seed))
+        for mode in ("below_a", "above_a"):
+            out.extend(random_gap_pair(dim, mode, seed))
+        return [m.entries for m in out]
+
+    cases = [(dim, t) for dim in (1, 2, 3, 5) for t in range(10)]
+    got = [draw_all(*case) for case in cases]
+    monkeypatch.setattr(randgen, "RandomStream", ScalarStream)
+    want = [draw_all(*case) for case in cases]
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert_same_bits(a, b)
+
+
+def sha256_of(*matrices):
+    return hashlib.sha256(b"".join(m.entries.tobytes() for m in matrices)).hexdigest()
+
+
+def test_generated_bits_are_pinned():
+    # sha256 of the entries' bytes, computed with the per-entry stream
+    master = 20240001
+    pd = random_pd(GeneratorConfig(32, 0.5, 4.0), derive_stream_seed(master, 0))
+    assert sha256_of(pd) == "2f710d51bd8f163f7324a677f8589f6d7e278e080101e1cdcebbbd47ff0055b9"
+    normal = random_normal(GeneratorConfig(5, 0.5, 4.0, "normal_complex"), derive_stream_seed(master, 1))
+    assert sha256_of(normal) == "c5bc6155893eaa8c3cc32b3b01ae9f5c7b8284bda199ab51569ae366da984db2"
+    herm = random_normal(GeneratorConfig(5, 0.5, 4.0, "hermitian_indefinite"), derive_stream_seed(master, 2))
+    assert sha256_of(herm) == "da5c21366d69de7751f6cba4eb87cefe3acb0813cb54c504648c463e03fada2a"
+    gap = random_gap_pair(4, "below_a", derive_stream_seed(master, 3))
+    assert sha256_of(*gap) == "787d0b64b9d0048502e9e8724b6f5470a1138d50575a099e4dd3cc9a07465012"
+    # the raw stream, with no LAPACK call in between
+    g = RandomStream(derive_stream_seed(master, 5)).complex_gaussian(32)
+    assert hashlib.sha256(g.tobytes()).hexdigest() == (
+        "4d83d2531d306969c206f85b7b5002f57a89a113c6d420c39cf854aa68c1cd29"
+    )
