@@ -74,6 +74,7 @@ from .checks import (
     check_ando_hiai_comparison,
     check_chord_bounds,
     check_contraction_implication,
+    check_determinant_grid,
     check_determinant_suite,
     check_eig_prod_norm,
     check_inverse_function,
@@ -82,10 +83,12 @@ from .checks import (
     check_main_chain_grid,
     check_mean_difference_norm,
     check_normal_chain,
+    check_normal_chain_grid,
     check_normal_counterexample,
     check_normal_triangle,
     check_transplanted_norm_chain,
     check_power_mean_bounds,
+    check_subadditivity_grid,
     check_subadditivity_refinement,
 )
 from .harness import (

@@ -40,6 +40,7 @@ from .core import (
     _loewner,
     _loewner_on_spectrum,
     _norm_of_sv,
+    _norm_table,
     _normal_factors,
     _opnorm_hermitian,
     _sv_hermitian,
@@ -80,15 +81,18 @@ __all__ = [
     "check_mean_difference_norm",
     "check_eig_prod_norm",
     "check_subadditivity_refinement",
+    "check_subadditivity_grid",
     "check_normal_counterexample",
     "check_normal_triangle",
     "check_normal_chain",
+    "check_normal_chain_grid",
     "check_transplanted_norm_chain",
     "check_power_mean_bounds",
     "check_ando_hiai_comparison",
     "check_contraction_implication",
     "check_inverse_function",
     "check_determinant_suite",
+    "check_determinant_grid",
     "SharedPair",
     "SharedOperand",
 ]
@@ -210,8 +214,18 @@ def _outcome(check_name, claim, rows, params) -> CheckOutcome:
     return CheckOutcome.from_columns(check_name, claim, *_columns(rows), params)
 
 
+def _one(records):
+    """The record of a 1 x 1 grid, or its error raised."""
+    (outcome,) = records
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
+
+
 # A checker builds its links as rows (description, margin, passed, applicable)
-# and hands them to _outcome; only CheckOutcome.links makes Link objects.
+# and hands them to _outcome; a norm grid builds them as (function x norm kind)
+# arrays and hands them to _norm_records.  Only CheckOutcome.links makes Link
+# objects.
 
 def _scalar_link(desc, lhs, rhs, tol, applicable=True) -> tuple:
     lhs = float(lhs)
@@ -220,6 +234,13 @@ def _scalar_link(desc, lhs, rhs, tol, applicable=True) -> tuple:
     scale = 1.0 + max(abs(lhs), abs(rhs))
     passed = True if not applicable else bool(margin >= -tol * scale)
     return desc, margin, passed, applicable
+
+
+def _scalar_margins(lhs, rhs, tol, applicable=True):
+    """:func:`_scalar_link`'s margins and pass flags, elementwise over arrays of sides."""
+    margin = rhs - lhs
+    scale = 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))
+    return margin, (margin >= -tol * scale) | (not applicable)
 
 
 def _loewner_links(claims, tol, forward=True) -> list[tuple]:
@@ -508,10 +529,7 @@ def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     reversed for concave f.  Links with an infinite coefficient are
     vacuous.  The 1 x 1 case of :func:`check_main_chain_grid`.
     """
-    (outcome,) = check_main_chain_grid((f,), (sigma,), A, B, tol)
-    if isinstance(outcome, ValueError):
-        raise outcome
-    return outcome
+    return _one(check_main_chain_grid((f,), (sigma,), A, B, tol))
 
 
 def check_main_chain_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
@@ -695,68 +713,146 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
     is reported inapplicable while the remaining links are still checked.
     The classical bound |||f(A)+f(B)||| <= |||f(A+B)||| is always included.
 
-    A, B and A + B are factored once each: the singular values of f(A + B)
-    are |f(w)| for the eigenvalues w of A + B.  Every norm kind is read off
-    one singular-value vector per matrix.
+    The 1 x 1 case of :func:`check_subadditivity_grid`.
+    """
+    return _one(check_subadditivity_grid((f,), A, B, norms, tol))
+
+
+def _function_rows(fs, step, results) -> tuple:
+    """Run ``step(f)``, giving f's image matrix and the values f keeps, for each function of a grid.
+
+    A function whose step raises a ``ValueError`` gets it in ``results``.
+    Returns the indices of the other functions, their kept values and the
+    eigenvalues of their images, all by one stacked eigvalsh.
+    """
+    rows, images, kept = [], [], []
+    for i, f in enumerate(fs):
+        try:
+            image, values = step(f)
+        except ValueError as exc:
+            results[i] = exc
+            continue
+        rows.append(i)
+        images.append(image)
+        kept.append(values)
+    return rows, kept, _eigvalsh(np.stack(images)) if rows else None
+
+
+def _norm_records(check_name, claim, names, kinds, links, applicable, params, results, rows):
+    """Fill ``results[rows[r]]`` with the record of row r of the link arrays, or its ValueError.
+
+    ``links`` holds, per name in ``names``, a (margins, passes) pair of
+    (rows x kinds) arrays; a record lists its links kind by kind, in the
+    order of ``names`` within a kind.  ``applicable[r]`` and ``params[r]``
+    are row r's flags for one kind's links and its params.
+    """
+    descriptions = tuple(f"{name}[{kind.label()}]" for kind in kinds for name in names)
+    margins, passes = (
+        np.stack(column, axis=-1).reshape(len(rows), -1).tolist() for column in zip(*links)
+    )
+    for r, i in enumerate(rows):
+        try:
+            results[i] = CheckOutcome.from_columns(
+                check_name, claim, descriptions, margins[r], passes[r],
+                applicable[r] * len(kinds), params[r],
+            )
+        except ValueError as exc:
+            results[i] = exc
+    return results
+
+
+def check_subadditivity_grid(fs, A, B, norms=None, tol=DEFAULT_TOL) -> list:
+    """:func:`check_subadditivity_refinement` for every function in ``fs``.
+
+    Returns one entry per function: the record, or the ``ValueError`` that
+    :func:`check_subadditivity_refinement` raises for it.  A, B and A + B
+    are factored once: the singular values of f(A + B) are |f(w)| for the
+    eigenvalues w of A + B.  Per function only f(A) + f(B) remains, and its
+    eigenvalues for every function are one stacked eigvalsh.  Every norm of
+    every matrix is one table (:func:`_norm_table`), and the links are
+    margins over (function x norm kind) arrays.  Each function meets its
+    gates in the order :func:`check_subadditivity_refinement` states them,
+    and a shared step that raises gives its error to each function reaching it.
     """
     pair = _pair(A, B, tol)
-    if f.convexity is not Convexity.CONVEX:
-        raise ValueError(f"subadditivity refinement requires a convex function, got {f.name}")
-    _require_fixes_zero(f)
-    (a, wa, va), (b, wb, vb), m, M = _psd(pair.factors, tol)
-    if M <= 0.0:
-        raise ValueError("zero operands leave no content to check")
-    grid = np.geomspace(M * 1e-4, M, 64)
-    ratios = np.asarray(f(grid), dtype=float) / grid
-    if np.any(np.diff(ratios) < -1e-9 * (1.0 + np.abs(ratios[:-1]))):
-        raise ValueError(f"f(x)/x is not nondecreasing for {f.name}")
-    images = _image(f, wa, va) + _image(f, wb, vb)
-    w_total = _eigvalsh(a + b)
-    sv_image_of_total = _sv_hermitian(_finite(_fn_values(f, w_total)))
+    fs = tuple(fs)
+    results = [None] * len(fs)
+
+    @cache
+    def trial():
+        (a, wa, va), (b, wb, vb), m, M = _psd(pair.factors, tol)
+        if M <= 0.0:
+            raise ValueError("zero operands leave no content to check")
+        return (wa, va), (wb, vb), m, M, _eigvalsh(a + b)
+
+    def step(f):
+        if f.convexity is not Convexity.CONVEX:
+            raise ValueError(f"subadditivity refinement requires a convex function, got {f.name}")
+        _require_fixes_zero(f)
+        fa, fb, _, M, w_total = trial()
+        grid = np.geomspace(M * 1e-4, M, 64)
+        ratios = np.asarray(f(grid), dtype=float) / grid
+        if np.any(np.diff(ratios) < -1e-9 * (1.0 + np.abs(ratios[:-1]))):
+            raise ValueError(f"f(x)/x is not nondecreasing for {f.name}")
+        image = _image(f, *fa) + _image(f, *fb)
+        return image, (_finite(_fn_values(f, w_total)), float(f(M)) / M)
+
+    rows, kept, w_images = _function_rows(fs, step, results)
+    if not rows:
+        return results
+    _, _, m, M, w_total = trial()
+    of_total, coef = zip(*kept)
+    try:
+        kinds = _norm_kinds(norms, w_total.size)
+        w = np.concatenate([w_total[None], w_images, np.stack(of_total)])
+        table = _norm_table(_sv_hermitian(w), kinds)
+    except ValueError as exc:
+        return [exc if r is None else r for r in results]
+    k = len(rows)
+    tot = np.array(coef)[:, None] * table[0]
+    lhs, rhs = table[1 : 1 + k], table[1 + k :]
     floor = float(w_total[0])
     bridge_ok = floor >= M - tol * (1.0 + M)
-    coef = float(f(M)) / M
-    sv_total, sv_images = _sv_hermitian(w_total), _sv_hermitian(_eigvalsh(images))
-    links = []
-    for kind in _norm_kinds(norms, a.shape[0]):
-        tot = coef * _norm_of_sv(sv_total, kind)
-        lhs = _norm_of_sv(sv_images, kind)
-        rhs = _norm_of_sv(sv_image_of_total, kind)
-        label = kind.label()
-        links.append(_scalar_link(f"images-vs-coef[{label}]", lhs, tot, tol))
-        links.append(
-            _scalar_link(f"coef-vs-image-of-sum[{label}]", tot, rhs, tol, applicable=bridge_ok)
-        )
-        links.append(_scalar_link(f"images-vs-image-of-sum[{label}]", lhs, rhs, tol))
-    params = {
-        "fn": f.name,
-        "m": m,
-        "M": M,
-        "sum_floor": floor,
-        "bridge_condition_met": bridge_ok,
-    }
-    return _outcome("subadditivity_refinement", "subadditivity-refinement", links, params)
-
-
-def _abs_images(f, a, b):
-    """Shared terms of the norm chains on normal operands a, b.
-
-    Each operand is factored once, by complex Schur: with a = Q T Q*,
-    |a| = Q |diag T| Q* and f(|a|) = Q f(|diag T|) Q*.  Returns the smallest
-    and largest eigenvalue modulus over both operands (their singular values
-    when a and b are normal) and the singular values of f(|a|) + f(|b|) and
-    of f(|a| + |b|).
-    """
-    (da, qa), (db, qb) = _normal_factors(a), _normal_factors(b)
-    d = np.concatenate([da, db])
-    images = _image(f, da, qa) + _image(f, db, qb)
-    w_abs_sum = _eigvalsh(_compose(qa, da) + _compose(qb, db))
-    return (
-        float(d.min()),
-        float(d.max()),
-        _sv_hermitian(_eigvalsh(images)),
-        _sv_hermitian(_finite(_fn_values(f, w_abs_sum))),
+    links = (
+        _scalar_margins(lhs, tot, tol),
+        _scalar_margins(tot, rhs, tol, bridge_ok),
+        _scalar_margins(lhs, rhs, tol),
     )
+    params = [
+        {"fn": fs[i].name, "m": m, "M": M, "sum_floor": floor, "bridge_condition_met": bridge_ok}
+        for i in rows
+    ]
+    return _norm_records(
+        "subadditivity_refinement", "subadditivity-refinement",
+        ("images-vs-coef", "coef-vs-image-of-sum", "images-vs-image-of-sum"), kinds, links,
+        [(True, bridge_ok, True)] * k, params, results, rows,
+    )
+
+
+def _abs_factors(a, b):
+    """The per-trial half of the norm chains on operands a, b, each factored once by complex Schur.
+
+    With a = Q T Q*, |a| = Q |diag T| Q* and f(|a|) = Q f(|diag T|) Q*.
+    Returns the Schur factors (moduli, Q) of a and b, the smallest and
+    largest modulus over both (their singular values when a and b are
+    normal), and a function giving the eigenvalues of |a| + |b|, computed
+    on its first call.
+    """
+    (da, qa), (db, qb) = factors = _normal_factors(a), _normal_factors(b)
+    d = np.concatenate([da, db])
+    return factors, float(d.min()), float(d.max()), cache(
+        lambda: _eigvalsh(_compose(qa, da) + _compose(qb, db))
+    )
+
+
+def _abs_images(f, factors, abs_sum):
+    """The per-function half: f(|a|) + f(|b|), and f on the eigenvalues ``abs_sum()`` of |a| + |b|.
+
+    ``factors`` and ``abs_sum`` are from :func:`_abs_factors`.
+    """
+    (da, qa), (db, qb) = factors
+    images = _image(f, da, qa) + _image(f, db, qb)
+    return images, _finite(_fn_values(f, abs_sum()))
 
 
 def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
@@ -769,10 +865,11 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
     a = np.diag([2.0, -1.0]).astype(np.complex128)
     b = np.diag([-2.0, 1.0]).astype(np.complex128)
     f = function_by_name("power:2")
-    m, M, sv_images, sv_image_of_abs = _abs_images(f, a, b)
+    factors, m, M, abs_sum = _abs_factors(a, b)
+    images, of_abs_sum = _abs_images(f, factors, abs_sum)
     op = NormKind.operator()
-    images_sum = _norm_of_sv(sv_images, op)
-    image_of_abs_sum = _norm_of_sv(sv_image_of_abs, op)
+    images_sum = _norm_of_sv(_sv_hermitian(_eigvalsh(images)), op)
+    image_of_abs_sum = _norm_of_sv(_sv_hermitian(of_abs_sum), op)
     coef_bound = (float(f(M)) / M) * norm(a + b, op)
     deriv_bound = float(f.deriv(M)) * norm(a + b, op)
     links = (
@@ -848,39 +945,80 @@ def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     Convex f: f'(0)|||A+B||| <= (f(m)/m)|||A+B||| <= |||f(|A|)+f(|B|)|||
     and f'(0)|||A+B||| <= (f(2m)/2m)|||A+B||| <= |||f(|A|+|B|)|||, with m, M
     the extreme singular values of A and B.  Concave f uses coefficients
-    f'(M), f(M)/M and f(2M)/2M instead.
+    f'(M), f(M)/M and f(2M)/2M instead.  The 1 x 1 case of
+    :func:`check_normal_chain_grid`.
+    """
+    return _one(check_normal_chain_grid((f,), A, B, norms, tol))
+
+
+def check_normal_chain_grid(fs, A, B, norms=None, tol=DEFAULT_TOL) -> list:
+    """:func:`check_normal_chain` for every function in ``fs``.
+
+    Returns one entry per function: the record, or the ``ValueError`` that
+    :func:`check_normal_chain` raises for it.  Both normality gates, both
+    Schur factorizations, the eigenvalues of |A| + |B| and the singular
+    values of A + B are computed once; per function only f(|A|) + f(|B|)
+    remains, and its eigenvalues for every function are one stacked
+    eigvalsh.  The norms are tables and the links margins over
+    (function x norm kind) arrays, as in :func:`check_subadditivity_grid`.
     """
     a = as_complex_array(A)
     b = as_complex_array(B)
-    forward = _require_tagged(f)
-    _require_fixes_zero(f)
-    _require_normal(a, tol, "first operand")
-    _require_normal(b, tol, "second operand")
-    m, M, sv_images, sv_image_of_abs = _abs_images(f, a, b)
-    if m <= 0.0:
-        raise NotPositiveDefiniteError("singular values must be positive")
-    x = m if forward else M
-    edge = float(f.deriv(0.0 if forward else M))
-    c_sep, c_sum = float(f(x)) / x, float(f(2.0 * x)) / (2.0 * x)
-    sv_sum = singular_values(a + b)
-    links = []
-    for kind in _norm_kinds(norms, a.shape[0]):
-        base = _norm_of_sv(sv_sum, kind)
-        images_sum = _norm_of_sv(sv_images, kind)
-        image_of_abs_sum = _norm_of_sv(sv_image_of_abs, kind)
-        label = kind.label()
-        if math.isfinite(edge):
-            links.append(_scalar_link(f"sep-edge[{label}]", edge * base, c_sep * base, tol))
-        else:
-            links.append(_vacuous(f"sep-edge[{label}]"))
-        links.append(_scalar_link(f"sep-bound[{label}]", c_sep * base, images_sum, tol))
-        if math.isfinite(edge):
-            links.append(_scalar_link(f"sum-edge[{label}]", edge * base, c_sum * base, tol))
-        else:
-            links.append(_vacuous(f"sum-edge[{label}]"))
-        links.append(_scalar_link(f"sum-bound[{label}]", c_sum * base, image_of_abs_sum, tol))
-    params = {"fn": f.name, "m": m, "M": M, "convex": forward, "dim": a.shape[0]}
-    return _outcome("normal_chain", "normal-abs-norm-chain", links, params)
+    fs = tuple(fs)
+    results = [None] * len(fs)
+
+    @cache
+    def trial():
+        _require_normal(a, tol, "first operand")
+        _require_normal(b, tol, "second operand")
+        return _abs_factors(a, b)
+
+    def step(f):
+        forward = _require_tagged(f)
+        _require_fixes_zero(f)
+        factors, m, M, abs_sum = trial()
+        image, of_abs_sum = _abs_images(f, factors, abs_sum)
+        if m <= 0.0:
+            raise NotPositiveDefiniteError("singular values must be positive")
+        x = m if forward else M
+        edge = float(f.deriv(0.0 if forward else M))
+        coefs = (edge, float(f(x)) / x, float(f(2.0 * x)) / (2.0 * x))
+        params = {"fn": f.name, "m": m, "M": M, "convex": forward, "dim": a.shape[0]}
+        return image, (of_abs_sum, coefs, params)
+
+    rows, kept, w_images = _function_rows(fs, step, results)
+    if not rows:
+        return results
+    of_abs_sum, coefs, params = zip(*kept)
+    sv = _sv_hermitian(np.concatenate([w_images, np.stack(of_abs_sum)]))
+    try:
+        sv_sum = singular_values(a + b)
+        kinds = _norm_kinds(norms, a.shape[0])
+        # a table of its own: stacked, sv_sum would change layout, and with it its Schatten powers
+        base = _norm_table(sv_sum[None], kinds)[0]
+        table = _norm_table(sv, kinds)
+    except ValueError as exc:
+        return [exc if r is None else r for r in results]
+    k = len(rows)
+    edge, c_sep, c_sum = (np.array(c)[:, None] for c in zip(*coefs))
+    # an infinite f'(0) or f'(M) leaves both edge links vacuous: margin 0, passed
+    has_edge = np.isfinite(edge)
+    edge = np.where(has_edge, edge, 0.0) * base
+    sep, tot = c_sep * base, c_sum * base
+    links = [
+        _scalar_margins(edge, sep, tol),
+        _scalar_margins(sep, table[:k], tol),
+        _scalar_margins(edge, tot, tol),
+        _scalar_margins(tot, table[k:], tol),
+    ]
+    for j in (0, 2):
+        margin, passed = links[j]
+        links[j] = np.where(has_edge, margin, 0.0), passed | ~has_edge
+    return _norm_records(
+        "normal_chain", "normal-abs-norm-chain",
+        ("sep-edge", "sep-bound", "sum-edge", "sum-bound"), kinds, links,
+        [(ok, True, ok, True) for ok in has_edge[:, 0].tolist()], params, results, rows,
+    )
 
 
 def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -892,13 +1030,15 @@ def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutco
     failing link is what the counterexample search reports as a hit.
 
     The operands need not be normal, so m and M are their true singular
-    values, not the eigenvalue moduli that :func:`_abs_images` reports.
+    values, not the eigenvalue moduli that :func:`_abs_factors` reports.
     """
     a = as_complex_array(A)
     b = as_complex_array(B)
     sv = np.concatenate([singular_values(a), singular_values(b)])
     m, M = float(sv.min()), float(sv.max())
-    _, _, sv_images, sv_image_of_abs = _abs_images(f, a, b)
+    factors, _, _, abs_sum = _abs_factors(a, b)
+    images, of_abs_sum = _abs_images(f, factors, abs_sum)
+    sv_images, sv_image_of_abs = _sv_hermitian(_eigvalsh(images)), _sv_hermitian(of_abs_sum)
     coef = float(f(M)) / M
     sv_sum = singular_values(a + b)
     links = []
@@ -1091,59 +1231,88 @@ def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome
     convexity-matched coefficient bounds on the f-images.  The convex
     combination bound det(aA + bB) <= a det A + b det B and the reverse
     bound need a spectral gap between the operands; without one those
-    links report as inapplicable.
+    links report as inapplicable.  The 1 x 1 case of
+    :func:`check_determinant_grid`.
     """
-    forward = _require_tagged(f)
-    _require_fixes_zero(f)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+    return _one(check_determinant_grid((f,), A, B, alpha, tol))
+
+
+def check_determinant_grid(fs, A, B, alpha=0.5, tol=DEFAULT_TOL) -> list:
+    """:func:`check_determinant_suite` for every function in ``fs``.
+
+    Returns one entry per function: the record, or the ``ValueError`` that
+    :func:`check_determinant_suite` raises for it.  The eigenvalues of
+    A + B and of alpha A + beta B and the determinant roots of A, B and
+    A + B are computed once; f(A) keeps A's eigenvectors, so its root is
+    read off f on A's spectrum, and per function only f(A) + f(B) remains,
+    its eigenvalues for every function one stacked eigvalsh.
+    """
+    fs = tuple(fs)
+    results = [None] * len(fs)
+
+    @cache
+    def trial():
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must lie strictly inside (0, 1)")
+        (a, wa, va), (b, wb, vb), m, M = _pair(A, B, tol).factors
+        _require_positive(m)
+        da, db = _det_root(wa, tol), _det_root(wb, tol)
+        return (a, wa, va), (b, wb, vb), m, M, da, db, _det_root(_eigvalsh(a + b), tol)
+
+    def step(f):
+        forward = _require_tagged(f)
+        _require_fixes_zero(f)
+        (_, wa, va), (_, wb, vb), *_ = trial()
+        fwa, fwb = _finite(_fn_values(f, wa)), _finite(_fn_values(f, wb))
+        dfab = _det_root(fwa, tol) + _det_root(fwb, tol)
+        return _compose(va, fwa) + _compose(vb, fwb), (forward, dfab)
+
+    rows, kept, w_images = _function_rows(fs, step, results)
+    if not rows:
+        return results
+    (a, wa, _), (b, wb, _), m, M, da, db, dsum = trial()
     beta = 1.0 - alpha
-    (a, wa, va), (b, wb, vb), m, M = _pair(A, B, tol).factors
-    _require_positive(m)
     n = a.shape[0]
     gap_tol = tol * (1.0 + max(abs(M), abs(m)))
     gap_below = float(wa[0] - wb[-1]) >= gap_tol  # B entirely below A
     gap_above = float(wb[0] - wa[-1]) >= gap_tol  # B entirely above A
     gap_ok = gap_below or gap_above
-
-    # f(A) keeps A's eigenvectors: its determinant root is read off f(wa)
-    da, db = _det_root(wa, tol), _det_root(wb, tol)
-    dsum = _det_root(_eigvalsh(a + b), tol)
-    fwa, fwb = _finite(_fn_values(f, wa)), _finite(_fn_values(f, wb))
-    dfa, dfb = _det_root(fwa, tol), _det_root(fwb, tol)
-    dfsum = _det_root(_eigvalsh(_compose(va, fwa) + _compose(vb, fwb)), tol)
-
-    links = [_scalar_link("detroot-superadditivity", da + db, dsum, tol)]
+    superadditivity = _scalar_link("detroot-superadditivity", da + db, dsum, tol)
     det_mix = float(np.prod(_eigvalsh(alpha * a + beta * b)))
-    det_a = float(np.prod(wa))
-    det_b = float(np.prod(wb))
-    links.append(
-        _scalar_link(
-            "convex-combination-det",
-            det_mix,
-            alpha * det_a + beta * det_b,
-            tol,
-            applicable=gap_ok,
-        )
+    mix = _scalar_link(
+        "convex-combination-det",
+        det_mix,
+        alpha * float(np.prod(wa)) + beta * float(np.prod(wb)),
+        tol,
+        applicable=gap_ok,
     )
-    c_m, c_M = float(f(m)) / m, float(f(M)) / M
-    c_lo, c_hi = (c_m, c_M) if forward else (c_M, c_m)
-    links.append(_scalar_link("image-detroot-sum", dfa + dfb, c_hi * dsum, tol))
-    links.append(_scalar_link("scaled-detroot-sum", c_lo * (da + db), dfsum, tol))
-    reverse = 2.0 ** (1.0 - 1.0 / n) * c_M * (da + db)
-    links.append(
-        _scalar_link("reverse-detroot-bound", dfsum, reverse, tol, applicable=gap_ok)
-        if forward
-        else _vacuous("reverse-detroot-bound")
-    )
-    params = {
-        "fn": f.name,
-        "alpha": alpha,
-        "m": m,
-        "M": M,
-        "dim": n,
-        "gap_below": gap_below,
-        "gap_above": gap_above,
-        "convex": forward,
-    }
-    return _outcome("determinant_suite", "determinant-root-bounds", links, params)
+    for i, w, (forward, dfab) in zip(rows, w_images, kept):
+        f = fs[i]
+        try:
+            dfsum = _det_root(w, tol)
+            c_m, c_M = float(f(m)) / m, float(f(M)) / M
+            c_lo, c_hi = (c_m, c_M) if forward else (c_M, c_m)
+            reverse = 2.0 ** (1.0 - 1.0 / n) * c_M * (da + db)
+            links = (
+                superadditivity,
+                mix,
+                _scalar_link("image-detroot-sum", dfab, c_hi * dsum, tol),
+                _scalar_link("scaled-detroot-sum", c_lo * (da + db), dfsum, tol),
+                _scalar_link("reverse-detroot-bound", dfsum, reverse, tol, applicable=gap_ok)
+                if forward
+                else _vacuous("reverse-detroot-bound"),
+            )
+            params = {
+                "fn": f.name,
+                "alpha": alpha,
+                "m": m,
+                "M": M,
+                "dim": n,
+                "gap_below": gap_below,
+                "gap_above": gap_above,
+                "convex": forward,
+            }
+            results[i] = _outcome("determinant_suite", "determinant-root-bounds", links, params)
+        except ValueError as exc:
+            results[i] = exc
+    return results

@@ -499,26 +499,49 @@ def norm(A, kind) -> float:
 def _norm_of_sv(sv: np.ndarray, kind: NormKind) -> float:
     """The norm ``kind`` of a matrix with singular values ``sv`` (sorted decreasing).
 
-    Every unitarily invariant norm is a symmetric gauge function of the
-    singular values, so one vector per matrix serves every kind.
+    One entry of :func:`_norm_table`.
     """
-    if kind.variant == "operator":
-        return float(sv[0])
-    if kind.variant == "trace":
-        return float(sv.sum())
-    if kind.variant == "frobenius":
-        return float(np.sqrt((sv * sv).sum()))
-    if kind.variant == "schatten":
-        return float((sv ** kind.param).sum() ** (1.0 / kind.param))
-    k = int(kind.param)
-    if not 1 <= k <= sv.size:
-        raise ValueError(f"ky fan k={k} outside 1..{sv.size}")
-    return float(sv[:k].sum())
+    return float(_norm_table(sv[None], (kind,))[0, 0])
+
+
+def _norm_table(sv: np.ndarray, kinds) -> np.ndarray:
+    """Each norm in ``kinds`` of each matrix whose singular values are a row of ``sv``.
+
+    Rows are sorted decreasing; returns an array (rows x kinds).  Every
+    unitarily invariant norm is a symmetric gauge function of the singular
+    values, so one vector per matrix serves every kind.  An entry has the
+    bits of the norm taken on its row alone: Ky Fan k sums the slice
+    ``sv[:, :k]`` (a cumulative sum adds in another order), and the
+    Schatten root is libm's ``pow`` per value (numpy's array power can
+    differ from it in the last bit).  The Schatten powers are numpy's
+    array power on ``sv`` as laid out, which takes a SIMD kernel on
+    contiguous rows and libm on strided ones.
+    """
+    table = np.empty((len(sv), len(kinds)))
+    for j, kind in enumerate(kinds):
+        if kind.variant == "operator":
+            table[:, j] = sv[:, 0]
+        elif kind.variant == "trace":
+            table[:, j] = sv.sum(axis=-1)
+        elif kind.variant == "frobenius":
+            table[:, j] = np.sqrt((sv * sv).sum(axis=-1))
+        elif kind.variant == "schatten":
+            root = 1.0 / kind.param
+            table[:, j] = [s**root for s in (sv**kind.param).sum(axis=-1).tolist()]
+        else:
+            k = int(kind.param)
+            if not 1 <= k <= sv.shape[-1]:
+                raise ValueError(f"ky fan k={k} outside 1..{sv.shape[-1]}")
+            table[:, j] = sv[:, :k].sum(axis=-1)
+    return table
 
 
 def _sv_hermitian(w: np.ndarray) -> np.ndarray:
-    """Singular values of a Hermitian matrix with eigenvalues ``w``: |w| sorted decreasing."""
-    return np.sort(np.abs(w))[::-1].copy()
+    """Singular values of a Hermitian matrix with eigenvalues ``w``: |w| sorted decreasing.
+
+    ``w`` may be a stack, one row per matrix.
+    """
+    return np.sort(np.abs(w), axis=-1)[..., ::-1].copy()
 
 
 def det_root(A, tol: float = DEFAULT_TOL) -> float:

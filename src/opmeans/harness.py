@@ -270,7 +270,10 @@ def _norm_arg(spec: SuiteSpec):
 
 
 def _each(check):
-    """A suite's per-trial check from ``check(spec, config, x)``, which makes one record."""
+    """A suite's per-trial check from ``check(spec, config, x)``, which makes one record.
+
+    For the suites with no grid checker.
+    """
 
     def per_trial(spec: SuiteSpec, axes: dict, x) -> list:
         results = []
@@ -302,12 +305,13 @@ class _Suite:
     one :class:`checks.SharedPair`, so the trial's configurations share its
     factors.  ``check(spec, axes, x)`` gives, for each configuration in
     order, its record on instance ``x`` or the ``ValueError`` it raised, from
-    each axis's values with names resolved (see :func:`_resolve`); main_chain
-    checks a trial as one grid, the others one configuration at a time
-    (:func:`_each`).  A fixture pair is loaded as
-    Hermitian when ``hermitian`` is set and is shaped into an instance by
-    ``from_fixture``.  Entries look checkers, generators and names up when
-    called, so a wrapper installed on a module attribute sees every call.
+    each axis's values with names resolved (see :func:`_resolve`).
+    main_chain, subadditivity, normal_chain and determinant check a trial as
+    one grid (``checks.check_*_grid``); the others check one configuration
+    at a time (:func:`_each`).  A fixture pair is loaded as Hermitian when
+    ``hermitian`` is set and is shaped into an instance by ``from_fixture``.
+    Entries look checkers, generators and names up when called, so a
+    wrapper installed on a module attribute sees every call.
     """
 
     axes: Callable
@@ -360,9 +364,9 @@ _SUITES = {
     ),
     "subadditivity": _Suite(
         _fns(CONVEX_FUNCTIONS), _pd_pair,
-        _each(lambda spec, c, x: checks.check_subadditivity_refinement(
-            c["fn"], *x, _norm_arg(spec), spec.tol
-        )),
+        lambda spec, ax, x: checks.check_subadditivity_grid(
+            ax["fn"], *x, _norm_arg(spec), spec.tol
+        ),
     ),
     "normal_counterexample": _Suite(
         _no_axes, None,
@@ -375,7 +379,7 @@ _SUITES = {
     ),
     "normal_chain": _Suite(
         _ALL_FNS, _normal_pair,
-        _each(lambda spec, c, x: checks.check_normal_chain(c["fn"], *x, _norm_arg(spec), spec.tol)),
+        lambda spec, ax, x: checks.check_normal_chain_grid(ax["fn"], *x, _norm_arg(spec), spec.tol),
         hermitian=False,
     ),
     "power_mean": _Suite(
@@ -395,9 +399,10 @@ _SUITES = {
     ),
     "determinant": _Suite(
         _ALL_FNS, _det_instance,
-        _each(lambda spec, c, x: checks.check_determinant_suite(
-            c["fn"], x[0], x[1], x[2], spec.tol
-        ).with_params({"pair_kind": x[3]})),
+        lambda spec, ax, x: [
+            out if isinstance(out, ValueError) else out.with_params({"pair_kind": x[3]})
+            for out in checks.check_determinant_grid(ax["fn"], x[0], x[1], x[2], spec.tol)
+        ],
         from_fixture=lambda spec, pair: (*pair, spec.alphas[0], "fixture"),
     ),
 }
@@ -545,9 +550,11 @@ def search_counterexample(target: str, structure: str | None, budget: int, spec:
     instance is expected; for ``main_chain`` the hypotheses hold and the
     search should exhaust its budget.  Its instances must be positive
     definite: another structure, or a fixture pair that is not positive
-    definite, is a usage error.  The first violating instance is reported
-    with its full matrices.  ``summary.counterexample_found`` records the
-    verdict.
+    definite, is a usage error.  So is an instance the target checker
+    refuses with a ``ValueError`` (a function that does not fix zero, a Ky
+    Fan k above the dimension), with the checker's reason.  The first
+    violating instance is reported with its full matrices.
+    ``summary.counterexample_found`` records the verdict.
     """
     started = time.perf_counter()
     if budget < 1:
@@ -587,7 +594,10 @@ def search_counterexample(target: str, structure: str | None, budget: int, spec:
     pairs.extend((t, None) for t in range(budget - len(pairs)))
     for t, pre in pairs:
         a, b = pre if pre is not None else instance(t)
-        outcome = evaluate(a, b)
+        try:
+            outcome = evaluate(a, b)
+        except ValueError as exc:  # the checker refuses the selection: a verdict on none
+            raise UsageError(f"search target {target}: {exc}") from exc
         if outcome.failed_links:
             outcome = outcome.with_params(
                 {

@@ -24,6 +24,7 @@ from opmeans import (
     singular_values,
     spectral_bounds,
 )
+from opmeans.core import _norm_of_sv, _norm_table
 from opmeans.randgen import GeneratorConfig, RandomStream, derive_stream_seed, random_normal, random_pd, random_unitary
 
 RTOL = 1e-10
@@ -238,3 +239,54 @@ def test_singular_values_nonnegative_sorted(seed):
     sv = singular_values(arr)
     assert np.all(sv >= 0.0)
     assert np.all(np.diff(sv) <= 1e-12)
+
+
+def _norm_oracle(sv, kind):
+    """A norm of one singular-value vector by its definition, each kind on its own."""
+    if kind.variant == "operator":
+        return float(sv[0])
+    if kind.variant == "trace":
+        return float(sv.sum())
+    if kind.variant == "frobenius":
+        return float(np.sqrt((sv * sv).sum()))
+    if kind.variant == "schatten":
+        return float((sv**kind.param).sum() ** (1.0 / kind.param))  # scalar root: libm pow
+    return float(sv[: int(kind.param)].sum())
+
+
+def _kinds(dim):
+    return norm_catalog(dim) + [NormKind.schatten(1.5), NormKind.schatten(7.0)]
+
+
+@pytest.mark.parametrize("dim", range(1, 34))
+def test_norm_table_rows_equal_each_norm_on_its_own(dim):
+    # dims past 8 cross numpy's pairwise-sum block, where a cumulative sum
+    # for Ky Fan k adds in another order than the slice sum of one vector
+    rng = np.random.default_rng(1000 + dim)
+    sv = -np.sort(-rng.uniform(0.0, 10.0, (40, dim)), axis=-1)
+    kinds = _kinds(dim)
+    table = _norm_table(sv, kinds)
+    assert table.shape == (40, len(kinds))
+    for row, values in zip(sv, table.tolist()):
+        for kind, value in zip(kinds, values):
+            assert value == _norm_oracle(row, kind), kind
+            assert _norm_of_sv(row, kind) == value, kind
+    # a row handed over as a reversed view (as singular_values gives it) keeps its own bits
+    rev = np.sort(sv[0])[::-1]
+    assert _norm_table(rev[None], kinds)[0].tolist() == [_norm_oracle(rev, k) for k in kinds]
+
+
+def test_norm_table_takes_the_schatten_root_value_by_value():
+    # on AVX512, numpy's array power gives 4.707825907044956 for the cube root
+    # of this power sum, and libm's pow 4.707825907044957: a root taken over
+    # the table's column at once fails here
+    sv = np.array([[4.707825907044957], [1.0]])
+    kind = NormKind.schatten(3.0)
+    table = _norm_table(sv, [kind])
+    assert table[:, 0].tolist() == [_norm_oracle(row, kind) for row in sv]
+    assert _norm_of_sv(sv[0], kind) == table[0, 0]
+
+
+def test_norm_table_refuses_ky_fan_above_the_dimension():
+    with pytest.raises(ValueError, match="ky fan k=3 outside 1..2"):
+        _norm_table(np.array([[2.0, 1.0]]), [NormKind.operator(), NormKind.ky_fan(3)])

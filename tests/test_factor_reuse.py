@@ -5,10 +5,11 @@ A's eigenvectors for f(A); ``mean`` factors A once for its gate and its
 congruence.  The norm and determinant checkers factor each matrix once and
 read every norm kind off its one singular-value vector; normal operands are
 factored once by complex Schur.  A run of a positive definite suite shares
-each trial's factors between its configurations, and a ``main_chain`` trial
-is one stacked grid.  The tests count the matrices that LAPACK factors
-through numpy and scipy, each matrix of a stack separately, and where it
-matters the LAPACK calls.
+each trial's factors between its configurations, and a ``main_chain``,
+``subadditivity``, ``normal_chain`` or ``determinant`` trial is one stacked
+grid.  The tests count the matrices that LAPACK factors through numpy and
+scipy, each matrix of a stack separately, and where it matters the LAPACK
+calls.
 """
 
 import numpy as np
@@ -186,15 +187,49 @@ def test_main_chain_run_shares_factors(eigensolves, solver_calls, fns, means, tr
 
 
 @pytest.mark.parametrize("fns, trials", [(("power:2",), 1), (("power:3/2", "power:2", "expm1"), 3)])
-def test_subadditivity_run_shares_factors(eigensolves, fns, trials):
+def test_subadditivity_run_shares_factors(eigensolves, solver_calls, fns, trials):
     spec = SuiteSpec("subadditivity", trials=trials, dims=(2, 4), functions=fns)
     report = run_suite(spec)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
     F, T = len(fns), trials
-    # per trial: eigh of A and B; per record: eigvalsh of A + B and of f(A) + f(B)
+    # per trial: eigh of A and B and eigvalsh of A + B; per function: eigvalsh
+    # of f(A) + f(B), all functions in one stacked call (2 F T of each before)
     assert eigensolves["eigh"] == 2 * T, eigensolves
-    assert eigensolves["eigvalsh"] == 2 * F * T, eigensolves
+    assert eigensolves["eigvalsh"] == T * (1 + F), eigensolves
+    assert solver_calls["eigvalsh"] == 2 * T, solver_calls
+    assert eigensolves["schur"] == 0, eigensolves
+
+
+@pytest.mark.parametrize("fns, trials", [(("power:2",), 1), (("power:3/2", "sqrt", "log1p"), 3)])
+def test_normal_chain_run_shares_factors(eigensolves, solver_calls, fns, trials):
+    spec = SuiteSpec("normal_chain", trials=trials, dims=(2, 4), functions=fns)
+    report = run_suite(spec)
+    assert report.summary.failed_links == 0
+    assert report.summary.downgraded_records == 0
+    F, T = len(fns), trials
+    # per trial: Schur of A and B, eigvalsh of |A| + |B| and of (A + B)*(A + B);
+    # per function: eigvalsh of f(|A|) + f(|B|), all functions in one stacked call
+    # (2 F T Schur and 3 F T eigvalsh before)
+    assert eigensolves["schur"] == 2 * T, eigensolves
+    assert eigensolves["eigvalsh"] == T * (2 + F), eigensolves
+    assert solver_calls["eigvalsh"] == 3 * T, solver_calls
+    assert eigensolves["eigh"] == 0, eigensolves
+
+
+@pytest.mark.parametrize("fns, trials", [(("power:2",), 1), (("power:3/2", "sqrt", "log1p"), 4)])
+def test_determinant_run_shares_factors(eigensolves, solver_calls, fns, trials):
+    spec = SuiteSpec("determinant", trials=trials, dims=(2, 4), functions=fns)
+    report = run_suite(spec)
+    assert report.summary.failed_links == 0
+    assert report.summary.downgraded_records == 0
+    F, T = len(fns), trials
+    # per trial: eigh of A and B, eigvalsh of A + B and of alpha A + beta B; per
+    # function: eigvalsh of f(A) + f(B), all functions in one stacked call
+    # (3 F T eigvalsh before)
+    assert eigensolves["eigh"] == 2 * T, eigensolves
+    assert eigensolves["eigvalsh"] == T * (2 + F), eigensolves
+    assert solver_calls["eigvalsh"] == 3 * T, solver_calls
     assert eigensolves["schur"] == 0, eigensolves
 
 

@@ -475,6 +475,25 @@ def test_cli_search_refuses_pairs_that_are_not_positive_definite(tmp_path, capsy
     assert "positive definite fixtures" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["--target", "main_chain", "--fn", "log"], "log does not fix zero"),
+        (["--target", "norm_chain_normal", "--norm", "kyfan:9", "--dim", "2"],
+         "ky fan k=9 outside 1..2"),
+    ],
+    ids=["fn-not-fixing-zero", "kyfan-above-dim"],
+)
+def test_cli_search_refused_by_its_checker_exits_two(capsys, args, reason):
+    # the checker's ValueError is a usage error naming its reason, not a
+    # traceback with exit 1, which means a failed link or an empty search
+    rc = main(["--suite", "search", *args, "--budget", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert "Traceback" not in err
+
+
 def test_cli_fixed_suite_refuses_fixtures(tmp_path, capsys):
     a_path, b_path = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     save_matrix_json(np.diag([1.0, 4.0]), a_path)

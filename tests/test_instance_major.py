@@ -1,10 +1,11 @@
 """A suite run shares factors between configurations without changing a record.
 
 ``run_suite`` builds each trial's factors once and hands every
-configuration of the trial operands that carry them.  Every record it emits
-must equal, bit for bit, the record of the public checker called on the raw
-instance matrices, downgrades included, and every report the report of a
-run whose operands share nothing.
+configuration of the trial operands that carry them; ``main_chain``,
+``subadditivity``, ``normal_chain`` and ``determinant`` judge a trial as one
+grid.  Every record it emits must equal, bit for bit, the record of the
+public checker called on the raw instance matrices, downgrades included,
+and every report the report of a run whose operands share nothing.
 """
 
 import json
@@ -12,10 +13,20 @@ import json
 import numpy as np
 import pytest
 
-from opmeans import checks, means
+from opmeans import checks, means, norm
 from opmeans.checks import SharedPair
 from opmeans.functions import Convexity, ScalarFunction, function_by_name
-from opmeans.harness import SUITE_NAMES, SuiteSpec, _pd_pair, run_suite, save_matrix_json
+from opmeans.harness import (
+    _SUITES,
+    SUITE_NAMES,
+    SuiteSpec,
+    _det_instance,
+    _norm_arg,
+    _normal_pair,
+    _pd_pair,
+    run_suite,
+    save_matrix_json,
+)
 from opmeans.means import MatrixMean, mean_by_name
 
 SUITES = {
@@ -73,6 +84,132 @@ def test_shared_records_equal_raw_checker_records(suite, fns, extra):
     for got, want in zip(records, expected):
         assert got.to_dict() == want.to_dict()
         assert _bits(got) == _bits(want)
+
+
+NORM_SUITES = {
+    # suite: (instance builder, public checker on one function and the raw instance)
+    "subadditivity": (
+        _pd_pair,
+        lambda f, x, spec: checks.check_subadditivity_refinement(
+            f, *map(np.array, x), _norm_arg(spec), spec.tol
+        ),
+    ),
+    "normal_chain": (
+        _normal_pair,
+        lambda f, x, spec: checks.check_normal_chain(
+            f, *(np.array(getattr(y, "entries", y)) for y in x), _norm_arg(spec), spec.tol
+        ),
+    ),
+    "determinant": (
+        _det_instance,
+        lambda f, x, spec: checks.check_determinant_suite(
+            f, np.array(x[0]), np.array(x[1]), x[2], spec.tol
+        ).with_params({"pair_kind": x[3]}),
+    ),
+}
+
+
+def _raw_norm_records(suite, spec, instance):
+    """The records of a norm-side run, each from the public checker on the raw instance."""
+    ((_, fns),) = _SUITES[suite].axes(spec)
+    build, check = NORM_SUITES[suite]
+    trials = 1 if spec.fixtures else spec.trials
+    records = []
+    for fn in fns:
+        for t in range(trials):
+            x = instance if spec.fixtures else build(spec, t)
+            try:
+                out = check(function_by_name(fn), x, spec)
+            except ValueError as exc:
+                out = checks.CheckOutcome(suite, "not-applicable", (), {"not_applicable": str(exc)})
+            context = {"suite": suite, "trial": t, "fn": fn}
+            if not spec.fixtures:
+                context["dim"] = spec.dims[t % len(spec.dims)]
+            records.append(out.with_params(context))
+    return records
+
+
+_KYFAN_2 = "ky fan k=2 outside 1..1"
+_KYFAN_9 = "ky fan k=9 outside 1..2"
+_OVERFLOW = "matrix entries must be finite"
+_LOG = "log does not fix zero"
+
+
+def _convex_only(name):
+    return f"subadditivity refinement requires a convex function, got {name}"
+
+
+@pytest.mark.parametrize(
+    "extra, reasons",
+    [
+        ({}, {}),
+        (
+            {"norms": ("schatten:3", "kyfan:2", "trace", "frobenius", "operator")},
+            {"subadditivity": {_KYFAN_2}, "normal_chain": {_KYFAN_2}},
+        ),
+        # expm1 overflows near M = 800, log does not fix zero, and sqrt is
+        # concave, which the convex-only subadditivity refinement refuses first
+        (
+            {"functions": ("expm1", "log", "sqrt", "power:2"), "M": 800.0},
+            {
+                "subadditivity": {_OVERFLOW, _convex_only("log"), _convex_only("sqrt")},
+                "normal_chain": {_OVERFLOW, _LOG},
+                "determinant": {_OVERFLOW, _LOG},
+            },
+        ),
+        (
+            {"dims": (2,), "norms": ("operator", "kyfan:9")},
+            {"subadditivity": {_KYFAN_9}, "normal_chain": {_KYFAN_9}},
+        ),
+    ],
+    ids=["default", "norms", "breakdowns", "kyfan-above-dim"],
+)
+@pytest.mark.parametrize("suite", sorted(NORM_SUITES))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_norm_grid_records_equal_public_checker_records(suite, extra, reasons):
+    spec = SuiteSpec(suite, **{"trials": 5, "dims": (1, 2, 3, 4, 32), **extra})
+    records = run_suite(spec).records
+    expected = _raw_norm_records(suite, spec, None)
+    assert [_bits(r) for r in records] == [_bits(r) for r in expected]
+    # every downgrade reason the case is built to provoke, and no other
+    got = {r.params["not_applicable"] for r in records if "not_applicable" in r.params}
+    assert got == reasons.get(suite, set())
+
+
+def test_normal_chain_grid_scales_the_norms_of_a_plus_b():
+    # power:2 has f'(0) = 0, so every sep-edge margin is (f(m)/m) |||A + B|||,
+    # with |||A + B||| as the public norm gives it, bit for bit.  The Schatten
+    # powers depend on the layout of the singular-value vector (numpy's SIMD
+    # power on a contiguous one, libm on the reversed view singular_values
+    # returns), so stacking A + B's into the grid's table fails here.
+    norms = ("schatten:1.5", "schatten:3", "schatten:7", "kyfan:2", "trace")
+    spec = SuiteSpec(
+        "normal_chain", trials=60, dims=(2, 3, 4), functions=("power:2",), norms=norms
+    )
+    f = function_by_name("power:2")
+    for t, rec in enumerate(run_suite(spec).records):
+        a, b = (x.entries for x in _normal_pair(spec, t))
+        m = rec.params["m"]
+        margins = dict(zip(rec.descriptions, rec.margins))
+        for kind in norms:
+            assert margins[f"sep-edge[{kind}]"] == float(f(m)) / m * norm(a + b, kind), (t, kind)
+
+
+def test_normal_chain_grid_refuses_a_non_normal_fixture_pair(tmp_path):
+    paths = (str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+    pair = (np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[2.0, 0.0], [1.0, 1.0]]))
+    for x, path in zip(pair, paths):
+        save_matrix_json(x, path)
+    spec = SuiteSpec("normal_chain", functions=("power:2", "sqrt", "log"), fixtures=paths)
+    records = run_suite(spec).records
+    assert [_bits(r) for r in records] == [
+        _bits(r) for r in _raw_norm_records("normal_chain", spec, pair)
+    ]
+    assert [r.params["not_applicable"] for r in records] == [
+        "first operand does not commute with its adjoint within tolerance",
+        "first operand does not commute with its adjoint within tolerance",
+        "log does not fix zero",
+    ]
 
 
 def test_shared_operands_act_as_the_raw_matrices():
