@@ -66,7 +66,8 @@ from .functions import (
 from .means import (
     MatrixMean,
     _mean_from_middle,
-    _mean_middle,
+    _mean_gates,
+    _middles,
     _perspective_from_middle,
     _require_definite,
 )
@@ -278,24 +279,31 @@ def _chain_coefficients(f: ScalarFunction, m: float, M: float):
     return (float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M)))
 
 
+# The chain c0 S <= c1 S <= X <= c2 S <= c3 S of a convex f, as its links
+# (name, left, right, needs) between the positions of (c0, c1, X, c2, c3): a
+# link applies when the coefficients at its ``needs`` positions are finite.
+_CHAIN = (
+    ("edge-low", 0, 1, (0, 1)),
+    ("low", 1, 2, (1,)),
+    ("high", 2, 3, ()),
+    ("edge-high", 3, 4, (4,)),
+)
+
+
 def _chain(prefix, coefs, forward):
-    """Four links c0 S ? c1 S ? X ? c2 S ? c3 S (direction per tag), as (description, sides).
+    """The four links of :data:`_CHAIN` (direction per tag), as (description, sides).
 
     ``sides`` is (lo, hi) for the link lo <= hi, where a side is the
     coefficient c standing for c S, or ``None`` standing for X.  It is
-    ``None`` for a vacuous link: each step lists the coefficients that must
-    be finite for it to apply.
+    ``None`` for a vacuous link.
     """
     c0, c1, c2, c3 = coefs
+    sides = (c0, c1, None, c2, c3)
     rows = []
-    for name, needs, lo, hi in (
-        ("edge-low", (c0, c1), c0, c1),
-        ("low", (c1,), c1, None),
-        ("high", (), None, c2),
-        ("edge-high", (c3,), c2, c3),
-    ):
-        applies = all(math.isfinite(c) for c in needs)
-        rows.append((f"{prefix}:{name}", ((lo, hi) if forward else (hi, lo)) if applies else None))
+    for name, left, right, needs in _CHAIN:
+        applies = all(math.isfinite(sides[p]) for p in needs)
+        lo, hi = (sides[left], sides[right]) if forward else (sides[right], sides[left])
+        rows.append((f"{prefix}:{name}", (lo, hi) if applies else None))
     return rows
 
 
@@ -328,14 +336,14 @@ def _image(f, w, v):
     return _finite(_compose(v, _fn_values(f, w)))
 
 
-def _middle_of(wa, wb, w, tol):
-    """The mean-independent half of diag(wa) sigma (W diag(wb) W*), in A's eigenbasis.
+def _congruence_of(wa, wb, w, tol):
+    """The gates and the congruence of diag(wa) sigma (W diag(wb) W*), in A's eigenbasis.
 
     ``w`` holds B's eigenvectors written in A's eigenbasis
     (:attr:`SharedPair.basis`), so any functions of A and B keep the form
-    diag(f(wa)) and W diag(g(wb)) W* there.
+    diag(f(wa)) and W diag(g(wb)) W* there.  One row of ``means._middles``.
     """
-    return _mean_middle(wa, _finite(_compose(w, wb)), wb, tol)
+    return _mean_gates(wa, _finite(_compose(w, wb)), wb, tol)
 
 
 @cache
@@ -363,16 +371,16 @@ class SharedPair:
     compute from it.  Each value is computed when a checker first asks for
     it and then kept: the eigenpairs of A and B and B's eigenvectors in A's
     eigenbasis once, the congruence middle A^(-1/2) B A^(-1/2) once, the
-    middle of f(A) sigma f(B) once per function, and S = A sigma B with its
-    eigenpairs once per tuple of means asked for together, as one stack
-    (:func:`check_main_chain_grid` asks for all of a trial's means, other
-    checkers for one).  Every mean is taken in A's eigenbasis, where A and
-    its functions are diagonal and A^(+-1/2) is an exact scaling; checkers
-    compare means only through Loewner margins, spectra and norms, which do
-    not depend on the basis.  A step that raises keeps nothing, so every
-    record that reaches it raises the same error; a mean whose own step
-    fails keeps its error in its row.  A checker given raw matrices wraps
-    them in a fresh pair, so both paths run the same code.
+    middles of f(A) sigma f(B) once per tuple of functions and S = A sigma B
+    with its eigenpairs once per tuple of means asked for together, each as
+    one stack (:func:`check_main_chain_grid` asks for all of a trial's
+    functions and means, other checkers for one).  Every mean is taken in
+    A's eigenbasis, where A and its functions are diagonal and A^(+-1/2) is
+    an exact scaling; checkers compare means only through Loewner margins,
+    spectra and norms, which do not depend on the basis.  A step that raises keeps nothing, so every
+    record that reaches it raises the same error; a mean or a function whose
+    own step fails keeps its error in its row.  A checker given raw matrices
+    wraps them in a fresh pair, so both paths run the same code.
     """
 
     def __init__(self, A, B, tol=DEFAULT_TOL):
@@ -405,16 +413,17 @@ class SharedPair:
 
     @cached_property
     def middle(self):
-        """The mean-independent half of A sigma B."""
+        """The mean-independent half of A sigma B, as a 1-row stack of middles."""
         (_, wa, _), (_, wb, _), _, _ = self.factors
-        return _middle_of(wa, wb, self.basis, self.tol)
+        return _middles([_congruence_of(wa, wb, self.basis, self.tol)])
 
     def mean_stack(self, sigmas: tuple):
         """S = A sigma B, in A's eigenbasis, for each of ``sigmas`` as one stack, and row errors."""
 
         def compute():
-            errors = [None] * len(sigmas)
-            return _mean_from_middle([s.h for s in sigmas], self.middle, self.tol, errors), errors
+            errors = np.full(len(sigmas), None, dtype=object)
+            S = _mean_from_middle([s.h for s in sigmas], self.middle, self.tol, errors)[0]
+            return S, errors
 
         return self._keep("S", sigmas, compute)
 
@@ -429,19 +438,40 @@ class SharedPair:
             raise error
         return S
 
-    def image_middle(self, f):
-        """The mean-independent half of f(A) sigma f(B), from f on the spectra of A and B."""
+    def image_middles(self, fs: tuple):
+        """The mean-independent halves of f(A) sigma f(B) for each of ``fs``, and row errors.
+
+        They come from f on the spectra of A and B, by one stacked eigh.  The
+        row of an f whose f(A) is not finite, or whose f(B) fails the
+        mean's gate, keeps that error and is factored as I.
+        """
         (_, wa, _), (_, wb, _), _, _ = self.factors
 
         def compute():
-            return _middle_of(_finite(_fn_values(f, wa)), _fn_values(f, wb), self.basis, self.tol)
+            errors = np.full(len(fs), None, dtype=object)
+            parts = []
+            for k, f in enumerate(fs):
+                try:
+                    fa, fb = _finite(_fn_values(f, wa)), _fn_values(f, wb)
+                    parts.append(_congruence_of(fa, fb, self.basis, self.tol))
+                except ValueError as exc:
+                    errors[k] = exc
+                    parts.append((np.ones(wa.size), np.eye(wa.size), None))
+            return _middles(parts, errors), errors
 
-        return self._keep("image", (f,), compute)
+        return self._keep("image", fs, compute)
+
+    def image_middle(self, f):
+        """The mean-independent half of f(A) sigma f(B): the 1-row view of :meth:`image_middles`."""
+        middle, (error,) = self.image_middles((f,))
+        if error is not None:
+            raise error
+        return middle
 
     def means(self, f, sigma):
         """S = A sigma B and X = f(A) sigma f(B), S first."""
         S = self.mean(sigma)
-        return S, _mean_from_middle([sigma.h], self.image_middle(f), self.tol)[0]
+        return S, _mean_from_middle([sigma.h], self.image_middle(f), self.tol)[0, 0]
 
     def operands(self) -> tuple["SharedOperand", "SharedOperand"]:
         """A and B, carrying this pair to the checkers they are handed to."""
@@ -504,16 +534,15 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     (_, wa, _), (_, wb, _) = fa, fb
 
     def line_middles():
-        return [
-            _middle_of(slope * (wa - m) + fm, slope * (wb - m) + fm, pair.basis, tol)
-            for slope in (lo_c, hi_c)
-        ]
+        return _middles(
+            [
+                _congruence_of(slope * (wa - m) + fm, slope * (wb - m) + fm, pair.basis, tol)
+                for slope in (lo_c, hi_c)
+            ]
+        )
 
-    mid = _mean_from_middle([sigma.h], pair.image_middle(f), tol)[0]
-    low, high = (
-        _mean_from_middle([sigma.h], middle, tol)[0]
-        for middle in pair._keep("lines", (f,), line_middles)
-    )
+    mid = _mean_from_middle([sigma.h], pair.image_middle(f), tol)[0, 0]
+    low, high = _mean_from_middle([sigma.h], pair._keep("lines", (f,), line_middles), tol)[:, 0]
     links = _loewner_links(
         (("lower-slope-line", low, mid), ("upper-slope-line", mid, high)), tol, forward
     )
@@ -536,90 +565,134 @@ def check_main_chain_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
     """:func:`check_main_chain` for every function in ``fs`` and mean in ``sigmas``.
 
     Returns one entry per (f, sigma), f outermost: the record, or the
-    ``ValueError`` that :func:`check_main_chain` raises for it.  All S =
-    A sigma B are one stack with one stacked eigh (kept on the
-    :class:`SharedPair`); per function, all X = f(A) sigma f(B) are one
-    stack, the links between f(S) and S and the edge links are margins on
-    spec(S), and the links against X and X itself for its norm take one
-    stacked eigvalsh.  Gates and tolerances are each record's own, and a
-    record that breaks down keeps its error and leaves the later solves.
+    ``ValueError`` that :func:`check_main_chain` raises for it.  The grid
+    is one stack, whatever its size: one stacked eigh of every S = A sigma B
+    and one of every function's middle of f(A) sigma f(B) (both kept on the
+    :class:`SharedPair`), every X = f(A) sigma f(B) from them as one
+    (function, mean) stack, and one stacked eigvalsh of every link against
+    X and of X itself for its norm.  The links between f(S) and S and the
+    edge links are margins on spec(S), for every record at once.  Gates and
+    tolerances are each record's own, in the order of the per-record
+    checker; a record that breaks down keeps its error, and its matrices
+    are solved as I.
     """
     pair = _pair(A, B, tol)
-    sigmas = tuple(sigmas)
-    records = []
-    for f in fs:
-        # per mean: None, then the record's error or its outcome
-        results = [None] * len(sigmas)
+    fs, sigmas = tuple(fs), tuple(sigmas)
+    # per (f, sigma): None, then the record's error or the record
+    results = np.full((len(fs), len(sigmas)), None, dtype=object)
+    live, forward = [], []  # the functions past their own gates, and their tags
+    for i, f in enumerate(fs):
         try:
-            descriptions, margins, passes, applicable, params = _main_chain_links(
-                pair, f, sigmas, results
-            )
-        except ValueError as exc:  # a step shared by all of f's records
-            records += [error or exc for error in results]
+            tag = _require_tagged(f)
+            _require_fixes_zero(f)
+            _, _, m, _ = pair.factors
+            if m <= 0.0:
+                raise NotPositiveDefiniteError(f"spectra must be positive, got m={m:.6e}")
+        except ValueError as exc:
+            _fail(results[i], exc)
             continue
-        for k, sigma in enumerate(sigmas):
-            if results[k] is None:
-                params_k = {"fn": f.name, "mean": sigma.name, **params}
-                try:
-                    results[k] = CheckOutcome.from_columns(
-                        "main_chain", "mean-coefficient-chain",
-                        descriptions, margins[k], passes[k], applicable, params_k,
-                    )
-                except ValueError as exc:
-                    results[k] = exc
-        records += results
-    return records
+        live.append(i)
+        forward.append(tag)
+    if live:
+        stack = results[live]
+        try:
+            _main_chain_stack(pair, [fs[i] for i in live], forward, sigmas, stack)
+        except ValueError as exc:  # a step shared by every record
+            _fail(stack, exc)
+        results[live] = stack
+    return list(results.ravel())
 
 
-def _main_chain_links(pair, f, sigmas, errors):
-    """f's link columns with each of ``sigmas``, and the records' params.
+def _fail(errors, exc):
+    """Give every record of ``errors`` (an object array) without an error the error ``exc``."""
+    errors[np.equal(errors, None)] = exc
 
-    Returns the descriptions and applicable flags shared by f's records,
-    the margins and pass flags of each record, and the params.  A step
-    failing for one record sets its ``errors`` entry; one failing for all
+
+_MAIN_CHAIN_LINKS = tuple(
+    f"{prefix}:{name}" for prefix in ("fn-then-mean", "mean-then-fn") for name, *_ in _CHAIN
+)
+
+
+def _main_chain_stack(pair, fs, forward, sigmas, results):
+    """The records of every (f, sigma) of the functions ``fs``, which passed their own gates.
+
+    ``forward`` holds the functions' tags.  ``results`` is the (f, sigma)
+    object array that :func:`check_main_chain_grid` returns: a step failing
+    for some records sets their entries to its error (see ``core._flag``),
+    and the records left get their outcomes.  A step failing for all
     raises.
     """
-    forward = _require_tagged(f)
-    _require_fixes_zero(f)
-    _, _, m, M = pair.factors
-    if m <= 0.0:
-        raise NotPositiveDefiniteError(f"spectra must be positive, got m={m:.6e}")
     tol = pair.tol
-    S, errors[:] = pair.mean_stack(sigmas)
-    X = _mean_from_middle([s.h for s in sigmas], pair.image_middle(f), tol, errors)
+    _, _, m, M = pair.factors
+    n_f, n_s = results.shape
+    flat = results.reshape(-1)  # a view, one entry per record
+    S, mean_errors = pair.mean_stack(sigmas)
+    results[:] = mean_errors  # a record starts with its mean's error
+    middles, fn_errors = pair.image_middles(tuple(fs))
+    for row, error in zip(results, fn_errors):
+        if error is not None:
+            _fail(row, error)
+    X = _mean_from_middle([s.h for s in sigmas], middles, tol, flat)
     ws, _ = pair.mean_eigh(sigmas)
-    fws = _finite(_fn_values(f, ws, errors), errors)
-    params = {"m": m, "M": M, "convex": forward, "dim": pair.a.shape[0]}
-    if None not in errors:
-        return (), [], [], (), params
-    coefs = _chain_coefficients(f, m, M)
+    fws = np.empty((n_f, *ws.shape))
+    coefs = np.zeros((n_f, 4))
+    for k, f in enumerate(fs):
+        row = results[k]
+        try:
+            fws[k] = _finite(_fn_values(f, ws, row), row)
+            if np.equal(row, None).any():  # f has records left
+                coefs[k] = _chain_coefficients(f, m, M)
+        except ValueError as exc:  # a step shared by f's records
+            _fail(row, exc)
+    # the links on spec(S): the chain (c0, c1, f, c2, c3) on it, as (f, sigma, link, eigenvalue)
+    at = np.insert(coefs, 2, 0.0, axis=1)
+    chain = at[:, None, :, None] * ws[:, None, :]
+    chain[:, :, 2] = fws
+    applies = np.array([np.isfinite(at[:, list(needs)]).all(axis=1) for *_, needs in _CHAIN]).T
+    left = chain[:, :, [lo for _, lo, _, _ in _CHAIN]]
+    right = chain[:, :, [hi for _, _, hi, _ in _CHAIN]]
+    fwd = np.array(forward)[:, None, None, None]
+    vacuous = ~applies[:, None, :, None]
+    lo = np.where(vacuous, 0.0, np.where(fwd, left, right))
+    hi = np.where(vacuous, 0.0, np.where(fwd, right, left))
+    shape = (n_f * n_s, len(_CHAIN), ws.shape[-1])
+    on_spectrum = _loewner_on_spectrum(lo.reshape(shape), hi.reshape(shape), tol, flat)
+    # both chains' columns: their edge links are the same, and fn-then-mean's low and high
+    # links, against X, are solved below (a vacuous one keeps its masked margin 0)
+    margins = np.tile(on_spectrum.margin.reshape(n_f, n_s, -1), 2)
+    passes = np.tile(on_spectrum.passed.reshape(n_f, n_s, -1), 2)
+    # the links against X: one comparison per (f, link), all in one solve
     norm_s = np.abs(ws).max(axis=-1)
-
-    def against_x(lo, hi):
-        scale = None if hi is None else 1.0 + abs(hi) * norm_s  # 1 + ||hi S|| from spec(S)
-        return X if lo is None else lo * S, X if hi is None else hi * S, scale
-
-    # the links against X are solved together
-    around_x = _chain("fn-then-mean", coefs, forward)
-    to_solve = [(desc, sides) for desc, sides in around_x if sides and None in sides]
-    solved = _loewner([against_x(*sides) for _, sides in to_solve], tol, errors)
-    results = dict(zip((desc for desc, _ in to_solve), solved))
-    links = around_x + _chain("mean-then-fn", coefs, forward)
-    margins, passes = [], []  # one row per link, one entry per mean
-    for desc, sides in links:
-        if sides is None:  # vacuous
-            margins.append([0.0] * len(sigmas))
-            passes.append([True] * len(sigmas))
-            continue
-        lo, hi = sides
-        res = results.get(desc) or _loewner_on_spectrum(
-            fws if lo is None else lo * ws, fws if hi is None else hi * ws, tol, errors
-        )
-        margins.append(res.margin.tolist())
-        passes.append(res.passed.tolist())
-    descriptions = tuple(desc for desc, _ in links)
-    applicable = tuple(sides is not None for _, sides in links)
-    return descriptions, list(zip(*margins)), list(zip(*passes)), applicable, params
+    solved, comparisons = [], []
+    for k in range(n_f):
+        for link, (_, sides) in enumerate(_chain("fn-then-mean", coefs[k], forward[k])):
+            if sides is not None and None in sides:
+                lo_c, hi_c = sides
+                scale = None if hi_c is None else 1.0 + abs(hi_c) * norm_s
+                lhs = X[k] if lo_c is None else lo_c * S
+                rhs = X[k] if hi_c is None else hi_c * S
+                solved.append((k, link))
+                comparisons.append((lhs, rhs, scale))
+    for (k, link), res in zip(solved, _loewner(comparisons, tol, [results[k] for k, _ in solved])):
+        margins[k, :, link] = res.margin
+        passes[k, :, link] = res.passed
+    applicable = [tuple(row) for row in np.tile(applies, 2).tolist()]
+    margins, passes = margins.tolist(), passes.tolist()
+    dim = pair.a.shape[0]
+    for k, f in enumerate(fs):
+        for j, sigma in enumerate(sigmas):
+            if results[k, j] is None:
+                params = {
+                    "fn": f.name, "mean": sigma.name, "m": m, "M": M,
+                    "convex": forward[k], "dim": dim,
+                }
+                try:
+                    results[k, j] = CheckOutcome.from_columns(
+                        "main_chain", "mean-coefficient-chain", _MAIN_CHAIN_LINKS,
+                        margins[k][j], passes[k][j], applicable[k], params,
+                    )
+                except ValueError as exc:
+                    results[k, j] = exc
 
 
 def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1083,7 +1156,7 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     lo_c, hi_c = m ** (r - 1.0), M ** (r - 1.0)
     if 0.0 < alpha < 1.0:
         h = _power(alpha)  # the representing function of #_alpha
-        G, Gr = _mean_from_middle([h], middle, tol)[0], _mean_from_middle([h], middle_r, tol)[0]
+        G, Gr = (_mean_from_middle([h], mid, tol)[0, 0] for mid in (middle, middle_r))
     else:
         # boundary weights degenerate to an operand power, diag(wa) or W diag(wb) W* and its power
         w, v = (wa, np.eye(wa.size)) if alpha == 0.0 else (wb, pair.basis)
@@ -1128,8 +1201,8 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     swapped = norm_a > norm_b + tol * (1.0 + norm_b)
     # the means of the operands and of their r-th powers, from middles kept per trial
     h = _power(1.0 - alpha if swapped else alpha)  # the representing function of the mean
-    G = _mean_from_middle([h], pair.middle, tol)[0]
-    Gr = _mean_from_middle([h], pair.image_middle(_power(r)), tol)[0]
+    G = _mean_from_middle([h], pair.middle, tol)[0, 0]
+    Gr = _mean_from_middle([h], pair.image_middle(_power(r)), tol)[0, 0]
     c_ah = norm(G, NormKind.operator()) ** (r - 1.0)
     c_chain = (norm_a if swapped else norm_b) ** (r - 1.0)
     links = (
@@ -1177,7 +1250,8 @@ def check_contraction_implication(
     eye = np.eye(wa.size)
 
     def iterate_mean(wx, wy):
-        return _mean_from_middle([sigma_h.h], _middle_of(wx, wy, shared.basis, tol), tol)[0]
+        middle = _middles([_congruence_of(wx, wy, shared.basis, tol)])
+        return _mean_from_middle([sigma_h.h], middle, tol)[0, 0]
 
     if not forward:
         c = float(_eigvalsh(iterate_mean(wa, wb))[0])

@@ -98,10 +98,10 @@ def _flag(errors, k, exc) -> None:
 
 def _finite(arr: np.ndarray, errors=None) -> np.ndarray:
     """Return ``arr``; raise if an entry overflowed or is NaN (per row of a stack: :func:`_flag`)."""
-    if errors is None:
-        if not np.isfinite(arr).all():
-            raise ValueError("matrix entries must be finite")
+    if np.isfinite(arr).all():
         return arr
+    if errors is None:
+        raise ValueError("matrix entries must be finite")
     for k in np.flatnonzero(~np.isfinite(arr).reshape(len(arr), -1).all(axis=1)):
         _flag(errors, k, ValueError("matrix entries must be finite"))
     return arr
@@ -441,15 +441,19 @@ def loewner_leq(X, Y, tol: float = DEFAULT_TOL) -> ComparisonResult:
 def _loewner(comparisons, tol: float, errors=None) -> list[ComparisonResult]:
     """X <= Y for each row of every comparison ``(x, y, scale)``, by one stacked eigvalsh.
 
-    ``x`` and ``y`` are stacks of Hermitian arrays; ``scale`` is one per
-    row, or ``None`` for 1 + ||Y||_op.  A difference that is not finite
-    raises (see :func:`_flag`).
+    ``x`` and ``y`` are stacks of Hermitian arrays, as many in every
+    comparison; ``scale`` is one per row, or ``None`` for 1 + ||Y||_op.
+    ``errors`` is ``None`` or one list of row errors per comparison, so one
+    solve can span the records of several checks (comparisons of the same
+    records share one list).  A difference that is not finite raises (see
+    :func:`_flag`).
     """
-    diffs = [_finite(y - x, errors) for x, y, _ in comparisons]
-    norms = [y for _, y, scale in comparisons if scale is None]
-    count = len(diffs) + len(norms)
-    w = _eigvalsh(np.concatenate(diffs + norms), None if errors is None else errors * count)
-    parts = w.reshape(count, len(diffs[0]), -1)
+    errs = [None] * len(comparisons) if errors is None else errors
+    diffs = [_finite(y - x, e) for (x, y, _), e in zip(comparisons, errs)]
+    norms = [(y, e) for (_, y, scale), e in zip(comparisons, errs) if scale is None]
+    blocks = diffs + [y for y, _ in norms]
+    rows = None if errors is None else [r for e in (*errs, *(e for _, e in norms)) for r in e]
+    parts = _eigvalsh(np.concatenate(blocks), rows).reshape(len(blocks), len(diffs[0]), -1)
     of_norms = iter(parts[len(diffs) :])
     results = []
     for part, (_, _, scale) in zip(parts, comparisons):
@@ -465,8 +469,10 @@ def _loewner_on_spectrum(lo: np.ndarray, hi: np.ndarray, tol: float, errors=None
     """lo(S) <= hi(S) for two functions of each Hermitian S of a stack, given by values on spec(S).
 
     Both sides share S's eigenvectors, so the margin is the smallest
-    difference of values and the scale is 1 + max |hi|, per row; no
-    factorization.
+    difference of values and the scale is 1 + max |hi|, over the last axis;
+    no factorization.  The leading axis is the rows of ``errors``: a row
+    may hold several comparisons, (row, comparison, eigenvalue), and one
+    that is not finite is an error of its row (see :func:`_flag`).
     """
     diff = _finite(hi - lo, errors)
     scale = 1.0 + np.abs(hi).max(axis=-1)

@@ -17,12 +17,15 @@ Only h depends on the mean, so a mean is computed in two steps: a
 mean-independent one (gates, regularization, A^(+-1/2) and the
 eigendecomposition of the middle A^(-1/2) B A^(-1/2)) and a mean-dependent
 one (h on the middle's spectrum, reassembled).  Callers that evaluate many
-means of one pair take the first step once.
+means of one pair take the first step once.  Both steps work on stacks: the
+middles of several pairs (say f(A), f(B) for several f) are factored by one
+stacked eigh, and each h is evaluated once on all their spectra.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +75,20 @@ def _validate_representing(h: ScalarFunction) -> None:
         raise ValueError(f"representing function {h.name} not nondecreasing on the check grid")
 
 
+# The representing functions that passed the gate, by id; a function object
+# is gated once, however many means are built on it.
+_GATED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class MatrixMean:
     """A matrix mean identified by its representing function.
 
     ``weight`` records the parameter t for the weighted catalog families.
     Construction runs a grid sanity gate: h(1) = 1 to 1e-12, positivity and
-    monotonicity of h on 512 log-spaced points of (1e-3, 1e3).
+    monotonicity of h on 512 log-spaced points of (1e-3, 1e3).  It runs
+    once per function object: a ScalarFunction is immutable, so a second
+    mean on the same h would repeat the same verdict.
     """
 
     name: str
@@ -86,7 +96,9 @@ class MatrixMean:
     weight: float | None = None
 
     def __post_init__(self):
-        _validate_representing(self.h)
+        if _GATED.get(id(self.h)) is not self.h:
+            _validate_representing(self.h)
+            _GATED[id(self.h)] = self.h
 
 
 @dataclass(frozen=True)
@@ -173,37 +185,51 @@ def mean_by_name(name: str) -> MatrixMean:
     return factory(parse_parameter(param))
 
 
-def _middle(wa: np.ndarray, b: np.ndarray):
-    """A^(1/2) and the eigenpairs of the middle A^(-1/2) B A^(-1/2), in A's eigenbasis.
+def _congruence(wa: np.ndarray, b: np.ndarray, meta=None):
+    """A^(1/2), the congruence matrix A^(-1/2) B A^(-1/2) and ``meta``, in A's eigenbasis.
 
     Takes A's eigenvalues wa and B written in A's eigenbasis, where
     A^(+-1/2) are diagonal scalings: A^(1/2) is returned as its diagonal.
+    :func:`_middles` factors the congruence matrices of a stack of these.
     """
     root = np.sqrt(wa)
     inv = 1.0 / root
-    wm, vm = _eigh(hermitian_part(inv[:, None] * b * inv))
-    return root, wm, vm
+    return root, hermitian_part(inv[:, None] * b * inv), meta
 
 
-def _assemble(middle, values, errors=None) -> np.ndarray:
-    """A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) from :func:`_middle`, for each f in ``values``.
+def _middles(parts, errors=None):
+    """A stack of middles from ``parts``, one :func:`_congruence` per row, by one stacked eigh.
 
-    ``values`` holds f on the middle's spectrum, one row per f; a matrix
-    with an entry that is not finite raises (see ``core._flag``).
+    Returns ``(roots, wm, vm, metas)``: the rows' A^(1/2) diagonals, the
+    eigenpairs of their congruence matrices and their metas.  A row with an
+    error (see ``core._flag``) is factored as I.
     """
-    root, _, vm = middle[:3]
-    return _finite(hermitian_part(root[:, None] * _compose(vm, values) * root), errors)
+    roots, matrices, metas = zip(*parts)
+    return (np.stack(roots), *_eigh(np.stack(matrices), errors), metas)
 
 
-def _mean_middle(wa, b, wb, tol):
-    """The mean-independent half of A sigma B, in A's eigenbasis.
+def _assemble(middles, values, errors=None) -> np.ndarray:
+    """A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) for each of ``middles`` and each f in ``values``.
+
+    ``values`` holds f on each middle's spectrum, one row per (middle, f);
+    the result is one matrix per row.  A matrix with an entry that is not
+    finite raises, per row with ``errors`` (see ``core._flag``).
+    """
+    roots, _, vm = middles[:3]
+    root = roots[:, None]
+    out = hermitian_part(root[..., None] * _compose(vm[:, None], values) * root[..., None, :])
+    _finite(out.reshape(-1, *out.shape[-2:]), errors)
+    return out
+
+
+def _mean_gates(wa, b, wb, tol):
+    """The gates of A sigma B and its :func:`_congruence`, in A's eigenbasis.
 
     Takes A's eigenvalues wa, the matrix B written in A's eigenbasis and
     B's eigenvalues wb, neither spectrum sorted.  Gates B as positive
-    semidefinite, regularizes a pair whose A is not safely definite, and
-    factors the congruence middle.  Returns ``(root, wm, vm, meta)``:
-    :func:`_middle` of the (regularized) pair and the regularization
-    ``meta`` (``None`` when A is safely definite).
+    semidefinite and regularizes a pair whose A is not safely definite; the
+    regularization is the congruence's meta (``None`` when A is safely
+    definite).
     """
     norm_b = float(np.abs(wb).max())
     low_b = wb.min()
@@ -218,31 +244,43 @@ def _mean_middle(wa, b, wb, tol):
         wa = wa + eps
         b = b + eps * np.eye(b.shape[0])
         meta = {"regularization_eps": eps}
-    return (*_middle(wa, b), meta)
+    return _congruence(wa, b, meta)
 
 
-def _mean_from_middle(hs, middle, tol, errors=None) -> np.ndarray:
-    """The mean-dependent half of A sigma B for each representing function in ``hs``, as one stack.
+def _mean_from_middle(hs, middles, tol, errors=None) -> np.ndarray:
+    """The mean-dependent half of A sigma B for each middle and representing function, as one stack.
 
-    ``middle`` comes from :func:`_mean_middle`.  The gate on its spectrum
-    raises for every mean; h's domain and the result are checked per row
-    (see ``core._flag``), and h is skipped for a row with an error.
+    ``middles`` comes from :func:`_middles`; the result has one matrix per
+    (middle, h), middle outermost.  Each h is evaluated once, on every
+    middle's spectrum.  A middle whose spectrum fails the gate, a row whose
+    clipped spectrum leaves h's domain and a result that is not finite are
+    errors of their rows, each within its own middle's scale; with
+    ``errors`` (an object array, one entry per row) they are recorded there
+    (see ``core._flag``), and a row with an error takes no value of h.
     """
-    wm = middle[1]
-    scale = 1.0 + float(np.abs(wm).max())
-    clipped = np.where(wm < 0.0, np.where(wm >= -tol * scale, 0.0, wm), wm)
-    if clipped.min() < 0.0:
-        raise NotPositiveSemidefiniteError(
-            f"congruence spectrum has eigenvalue {clipped.min():.6e} below -tol*scale"
+    wm = middles[1]
+    n_h = len(hs)
+    scale = 1.0 + np.abs(wm).max(axis=-1)
+    clipped = np.where(wm < 0.0, np.where(wm >= -tol * scale[:, None], 0.0, wm), wm)
+    low = clipped.min(axis=-1)
+    for i in np.flatnonzero(low < 0.0):
+        exc = NotPositiveSemidefiniteError(
+            f"congruence spectrum has eigenvalue {low[i]:.6e} below -tol*scale"
         )
-    values = np.zeros((len(hs), wm.size))
-    for k, h in enumerate(hs):
-        if errors is None or errors[k] is None:
-            try:
-                values[k] = h(h.domain.clamp(clipped, 1e-10 * scale))
-            except ValueError as exc:
+        for k in range(i * n_h, (i + 1) * n_h):
+            _flag(errors, k, exc)
+    values = np.zeros((wm.shape[0], n_h, wm.shape[1]))
+    for j, h in enumerate(hs):
+        rows = None if errors is None else errors[j::n_h]  # a view: flags land in ``errors``
+        try:
+            x = h.domain.clamp(clipped, 1e-10 * scale, rows)
+            if rows is not None:
+                x[[e is not None for e in rows]] = 1.0  # a row with an error: h(1) = 1, unused
+            values[:, j] = h(x)
+        except ValueError as exc:
+            for k in range(j, len(wm) * n_h, n_h):
                 _flag(errors, k, exc)
-    return _assemble(middle, values, errors)
+    return _assemble(middles, values, errors)
 
 
 def _require_definite(wa: np.ndarray, tol: float) -> None:
@@ -256,11 +294,11 @@ def _require_definite(wa: np.ndarray, tol: float) -> None:
 
 
 def _perspective_from_middle(phi, middle) -> np.ndarray:
-    """A^(1/2) phi(A^(-1/2) B A^(-1/2)) A^(1/2) from the middle of a safely definite A."""
-
+    """A^(1/2) phi(A^(-1/2) B A^(-1/2)) A^(1/2) from the middle (a 1-row stack) of a definite A."""
     wm = middle[1]
-    scale = 1.0 + float(np.abs(wm).max())
-    return _assemble(middle, np.asarray(phi(phi.domain.clamp(wm, 1e-10 * scale)), dtype=float))
+    scale = 1.0 + np.abs(wm).max(axis=-1)
+    values = np.asarray(phi(phi.domain.clamp(wm, 1e-10 * scale)), dtype=float)
+    return _assemble(middle, values[:, None])[0, 0]
 
 
 def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -287,9 +325,9 @@ def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
     wb = _eigvalsh(b)
     wa, va = _eigh(a)
     # the mean is taken in A's eigenbasis and rotated back out
-    middle = _mean_middle(wa, va.conj().T @ b @ va, wb, tol)
-    S = _mean_from_middle([sigma.h], middle, tol)[0]
-    return HermitianMatrix(va @ S @ va.conj().T, meta=middle[3])
+    middle = _middles([_mean_gates(wa, va.conj().T @ b @ va, wb, tol)])
+    S = _mean_from_middle([sigma.h], middle, tol)[0, 0]
+    return HermitianMatrix(va @ S @ va.conj().T, meta=middle[3][0])
 
 
 def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -304,7 +342,7 @@ def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatr
         raise ShapeError("perspective operands must have the same dimension")
     wa, va = _eigh(a)
     _require_definite(wa, tol)
-    P = _perspective_from_middle(p.phi, _middle(wa, va.conj().T @ b @ va))
+    P = _perspective_from_middle(p.phi, _middles([_congruence(wa, va.conj().T @ b @ va)]))
     return HermitianMatrix(va @ P @ va.conj().T)
 
 

@@ -180,10 +180,10 @@ def test_main_chain_run_shares_factors(eigensolves, solver_calls, fns, means, tr
     # per function: eigh of the middle of f(A) sigma f(B); per record: three eigvalsh
     assert _total(eigensolves) == T * (3 + S + F + 3 * F * S), eigensolves
     assert eigensolves["eigvalsh"] == T * 3 * F * S, eigensolves
-    # LAPACK calls do not grow with F * S: per trial one for each of A, B and
-    # their middle and one stacked eigh of every S; per function one for its
-    # middle and one stacked eigvalsh of its records' three matrices
-    assert _total(solver_calls) == T * (4 + 2 * F), solver_calls
+    # LAPACK calls do not grow with F or S: per trial one for each of A, B and
+    # their middle, one stacked eigh of every S, one of every function's middle
+    # and one stacked eigvalsh of every record's three matrices (T (4 + 2F) before)
+    assert _total(solver_calls) == T * 6, solver_calls
 
 
 @pytest.mark.parametrize("fns, trials", [(("power:2",), 1), (("power:3/2", "power:2", "expm1"), 3)])
@@ -277,6 +277,19 @@ def test_power_mean_runs_build_no_mean(monkeypatch, suite):
     # A #_a B is taken through its representing function x^a, so no record
     # builds a MatrixMean and runs its grid gate (one per record before)
     assert calls == []
+
+
+def test_contraction_run_gates_each_representing_function_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "opmeans.means._validate_representing",
+        lambda h: calls.append(h) or _validate_representing(h),
+    )
+    report = run_suite(SuiteSpec("contraction", trials=3, dims=(2, 4)))
+    assert len(report.records) == 27
+    # the harness's normalization and the checker both build each record's
+    # h-mean (54 gates before); the gate runs once per distinct h
+    assert 0 < len(calls) == len({id(h) for h in calls}) <= 3
 
 
 @pytest.mark.parametrize(

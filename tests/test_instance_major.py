@@ -86,6 +86,37 @@ def test_shared_records_equal_raw_checker_records(suite, fns, extra):
         assert _bits(got) == _bits(want)
 
 
+@pytest.mark.parametrize("dims", [(1, 2, 3, 32), (2, 3)])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mixed_function_stack_records_equal_raw_checker_records(monkeypatch, dims):
+    # at m = 1e-6, f(A) is not safely definite for power:3 and power:2, whose
+    # middles are regularized, and is for sqrt and log1p: one trial's stack of
+    # image middles holds both kinds, and every record must still be the 1 x 1
+    # checker's
+    fns = ("power:3", "power:2", "sqrt", "log1p")
+    spec = SuiteSpec("main_chain", trials=4, dims=dims, m=1e-6, functions=fns)
+    regularized = []
+    image_middles = SharedPair.image_middles
+
+    def spy(pair, fs):
+        middles, errors = image_middles(pair, fs)
+        regularized.append(tuple(meta is not None for meta in middles[3]))
+        return middles, errors
+
+    monkeypatch.setattr(SharedPair, "image_middles", spy)
+    records = run_suite(spec).records
+    assert (True, True, False, False) in regularized
+    (_, _), (_, mean_names) = _SUITES["main_chain"].axes(spec)
+    expected = [
+        _raw_record("main_chain", spec, fn, mean, t)
+        for fn in fns
+        for mean in mean_names
+        for t in range(spec.trials)
+    ]
+    assert len(records) == len(fns) * len(mean_names) * spec.trials
+    assert [_bits(r) for r in records] == [_bits(r) for r in expected]
+
+
 NORM_SUITES = {
     # suite: (instance builder, public checker on one function and the raw instance)
     "subadditivity": (

@@ -18,6 +18,7 @@ from opmeans import (
     relative_operator_entropy,
 )
 from opmeans.functions import Interval
+from opmeans.means import _mean_from_middle
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_pd, random_unitary
 
 A_DIAG = np.diag([1.0, 4.0])
@@ -183,3 +184,20 @@ def test_representing_function_gates():
         MatrixMean("dec", decreasing)
     with pytest.raises(ValueError):
         mean_by_name("geometric:0")
+
+
+def test_stacked_middles_gate_each_row_at_its_own_scale():
+    # -1e-7 fails the congruence-spectrum gate at the scale of its own middle
+    # (1 + 1), though it lies within tol times the other middle's (1 + 1e3);
+    # the other middle's means are those of its 1-row stack
+    wm = np.array([[-1e-7, 1.0], [1.0, 1e3]])
+    eye = np.eye(2, dtype=complex)
+    middles = (np.ones((2, 2)), wm, np.stack([eye, eye]), (None, None))
+    hs = [mean_by_name(name).h for name in ("geometric:1/2", "arithmetic:1/4")]
+    errors = np.full(4, None, dtype=object)
+    stack = _mean_from_middle(hs, middles, 1e-8, errors)
+    assert [type(e) for e in errors] == [NotPositiveSemidefiniteError] * 2 + [type(None)] * 2
+    second = (middles[0][1:], wm[1:], middles[2][1:], (None,))
+    assert np.array_equal(stack[1], _mean_from_middle(hs, second, 1e-8)[0])
+    with pytest.raises(NotPositiveSemidefiniteError):
+        _mean_from_middle(hs, middles, 1e-8)
