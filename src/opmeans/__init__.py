@@ -77,11 +77,14 @@ from .checks import (
     check_determinant_grid,
     check_determinant_suite,
     check_eig_prod_norm,
+    check_eig_prod_norm_grid,
     check_inverse_function,
+    check_inverse_function_grid,
     check_log_example,
     check_main_chain,
     check_main_chain_grid,
     check_mean_difference_norm,
+    check_mean_difference_norm_grid,
     check_normal_chain,
     check_normal_chain_grid,
     check_normal_counterexample,

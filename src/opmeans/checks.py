@@ -80,7 +80,9 @@ __all__ = [
     "check_main_chain_grid",
     "check_log_example",
     "check_mean_difference_norm",
+    "check_mean_difference_norm_grid",
     "check_eig_prod_norm",
+    "check_eig_prod_norm_grid",
     "check_subadditivity_refinement",
     "check_subadditivity_grid",
     "check_normal_counterexample",
@@ -92,6 +94,7 @@ __all__ = [
     "check_ando_hiai_comparison",
     "check_contraction_implication",
     "check_inverse_function",
+    "check_inverse_function_grid",
     "check_determinant_suite",
     "check_determinant_grid",
     "SharedPair",
@@ -224,9 +227,8 @@ def _one(records):
 
 
 # A checker builds its links as rows (description, margin, passed, applicable)
-# and hands them to _outcome; a norm grid builds them as (function x norm kind)
-# arrays and hands them to _norm_records.  Only CheckOutcome.links makes Link
-# objects.
+# and hands them to _outcome; a grid builds them as arrays and hands them to
+# _norm_records or _mean_grid.  Only CheckOutcome.links makes Link objects.
 
 def _scalar_link(desc, lhs, rhs, tol, applicable=True) -> tuple:
     lhs = float(lhs)
@@ -265,18 +267,10 @@ def _equality_link(desc, got, want, tol) -> tuple:
     return desc, -diff, bool(diff <= tol), True
 
 
-def _vacuous(desc) -> tuple:
-    return desc, 0.0, True, False
-
-
 def _require_tagged(f: ScalarFunction):
     if f.convexity is Convexity.NEITHER:
         raise ValueError(f"{f.name} carries no convexity tag; checker needs convex or concave")
     return f.convexity is Convexity.CONVEX
-
-
-def _chain_coefficients(f: ScalarFunction, m: float, M: float):
-    return (float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M)))
 
 
 # The chain c0 S <= c1 S <= X <= c2 S <= c3 S of a convex f, as its links
@@ -290,33 +284,50 @@ _CHAIN = (
 )
 
 
-def _chain(prefix, coefs, forward):
-    """The four links of :data:`_CHAIN` (direction per tag), as (description, sides).
+def _chain_sides(coefs, s, x, forward):
+    """The :data:`_CHAIN` links on values, as (lo, hi, applies) of every link lo <= hi.
 
-    ``sides`` is (lo, hi) for the link lo <= hi, where a side is the
-    coefficient c standing for c S, or ``None`` standing for X.  It is
-    ``None`` for a vacuous link.
+    ``coefs`` (function, 4, 1 or K) holds the coefficients (c0, c1, c2, c3),
+    ``s`` (mean, K) stands for S and ``x`` (function, mean, K) for X.  lo and
+    hi are (function, mean, link, K), reversed where ``forward`` is false,
+    and ``applies`` is (function, link, K); a vacuous link is 0 <= 0.
     """
-    c0, c1, c2, c3 = coefs
-    sides = (c0, c1, None, c2, c3)
-    rows = []
-    for name, left, right, needs in _CHAIN:
-        applies = all(math.isfinite(sides[p]) for p in needs)
-        lo, hi = (sides[left], sides[right]) if forward else (sides[right], sides[left])
-        rows.append((f"{prefix}:{name}", (lo, hi) if applies else None))
-    return rows
+    at = np.insert(coefs, 2, 0.0, axis=1)  # the positions of (c0, c1, X, c2, c3)
+    applies = np.stack([np.isfinite(at[:, list(needs)]).all(axis=1) for *_, needs in _CHAIN], 1)
+
+    def side(positions):
+        values = np.where(applies, at[:, positions], 0.0)[:, None] * s[:, None]
+        return np.where((np.equal(positions, 2)[:, None] & applies)[:, None], x[:, :, None], values)
+
+    left, right = (side([link[i] for link in _CHAIN]) for i in (1, 2))
+    fwd = np.asarray(forward)[:, None, None, None]
+    applies = np.broadcast_to(applies, (*applies.shape[:2], s.shape[-1]))
+    return np.where(fwd, left, right), np.where(fwd, right, left), applies
 
 
-def _scalar_chain(prefix, s, x, coefs, forward, tol):
-    """The chain on numbers: s stands for S and x for X."""
+def _x_links(tol, S, X, coefs, forward, ws, results):
+    """The links c1 S <= X <= c2 S of every record (reversed where ``forward`` is false).
 
-    def side(c):
-        return x if c is None else c * s
-
-    return [
-        _vacuous(desc) if sides is None else _scalar_link(desc, *map(side, sides), tol)
-        for desc, sides in _chain(prefix, coefs, forward)
-    ]
+    All are judged by one stacked eigvalsh, a link with right side c S at
+    the scale 1 + |c| max |spec S|.  Returns their margins and passes,
+    (function, mean, link), and each function's applicable flags: low is
+    vacuous (margin 0) where c1 is infinite.
+    """
+    n_f, n_s = results.shape
+    applies = np.ones((n_f, 2), dtype=bool)
+    applies[:, 0] = np.isfinite(coefs[:, 1])
+    slots, comparisons = np.argwhere(applies).tolist(), []
+    norm_s = np.abs(ws).max(axis=-1)
+    for k, link in slots:
+        c = coefs[k, 1 + link]
+        if (link == 0) == forward[k]:  # c S <= X
+            comparisons.append((c * S, X[k], None))
+        else:
+            comparisons.append((X[k], c * S, 1.0 + abs(c) * norm_s))
+    margins, passes = np.zeros((n_f, n_s, 2)), np.ones((n_f, n_s, 2), dtype=bool)
+    for (k, link), res in zip(slots, _loewner(comparisons, tol, [results[k] for k, _ in slots])):
+        margins[k, :, link], passes[k, :, link] = res.margin, res.passed
+    return margins, passes, applies
 
 
 def _psd(factors, tol):
@@ -372,15 +383,15 @@ class SharedPair:
     it and then kept: the eigenpairs of A and B and B's eigenvectors in A's
     eigenbasis once, the congruence middle A^(-1/2) B A^(-1/2) once, the
     middles of f(A) sigma f(B) once per tuple of functions and S = A sigma B
-    with its eigenpairs once per tuple of means asked for together, each as
-    one stack (:func:`check_main_chain_grid` asks for all of a trial's
-    functions and means, other checkers for one).  Every mean is taken in
+    with its eigenpairs once per tuple of means, each as one stack (a grid
+    asks for all of a trial's functions and means).  Every mean is taken in
     A's eigenbasis, where A and its functions are diagonal and A^(+-1/2) is
     an exact scaling; checkers compare means only through Loewner margins,
-    spectra and norms, which do not depend on the basis.  A step that raises keeps nothing, so every
-    record that reaches it raises the same error; a mean or a function whose
-    own step fails keeps its error in its row.  A checker given raw matrices
-    wraps them in a fresh pair, so both paths run the same code.
+    spectra and norms, which do not depend on the basis.  A step that
+    raises keeps nothing, so every record that reaches it raises the same
+    error; a mean or a function whose own step fails keeps its error in
+    its row.  A checker given raw matrices wraps them in a fresh pair, so
+    both paths run the same code.
     """
 
     def __init__(self, A, B, tol=DEFAULT_TOL):
@@ -418,25 +429,18 @@ class SharedPair:
         return _middles([_congruence_of(wa, wb, self.basis, self.tol)])
 
     def mean_stack(self, sigmas: tuple):
-        """S = A sigma B, in A's eigenbasis, for each of ``sigmas`` as one stack, and row errors."""
+        """S = A sigma B, in A's eigenbasis, for each of ``sigmas`` as one stack.
+
+        Returns (S, row errors, ws, vs): the eigenpairs ws, vs of every S
+        are one stacked eigh, in which a row with an error is factored as I.
+        """
 
         def compute():
             errors = np.full(len(sigmas), None, dtype=object)
             S = _mean_from_middle([s.h for s in sigmas], self.middle, self.tol, errors)[0]
-            return S, errors
+            return S, errors, *_eigh(S, errors)
 
         return self._keep("S", sigmas, compute)
-
-    def mean_eigh(self, sigmas: tuple):
-        """The eigenpairs of each S of :meth:`mean_stack`, by one stacked eigh."""
-        return self._keep("eigh", sigmas, lambda: _eigh(*self.mean_stack(sigmas)))
-
-    def mean(self, sigma):
-        """S = A sigma B."""
-        (S,), (error,) = self.mean_stack((sigma,))
-        if error is not None:
-            raise error
-        return S
 
     def image_middles(self, fs: tuple):
         """The mean-independent halves of f(A) sigma f(B) for each of ``fs``, and row errors.
@@ -467,11 +471,6 @@ class SharedPair:
         if error is not None:
             raise error
         return middle
-
-    def means(self, f, sigma):
-        """S = A sigma B and X = f(A) sigma f(B), S first."""
-        S = self.mean(sigma)
-        return S, _mean_from_middle([sigma.h], self.image_middle(f), self.tol)[0, 0]
 
     def operands(self) -> tuple["SharedOperand", "SharedOperand"]:
         """A and B, carrying this pair to the checkers they are handed to."""
@@ -565,42 +564,14 @@ def check_main_chain_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
     """:func:`check_main_chain` for every function in ``fs`` and mean in ``sigmas``.
 
     Returns one entry per (f, sigma), f outermost: the record, or the
-    ``ValueError`` that :func:`check_main_chain` raises for it.  The grid
-    is one stack, whatever its size: one stacked eigh of every S = A sigma B
-    and one of every function's middle of f(A) sigma f(B) (both kept on the
-    :class:`SharedPair`), every X = f(A) sigma f(B) from them as one
-    (function, mean) stack, and one stacked eigvalsh of every link against
-    X and of X itself for its norm.  The links between f(S) and S and the
-    edge links are margins on spec(S), for every record at once.  Gates and
-    tolerances are each record's own, in the order of the per-record
-    checker; a record that breaks down keeps its error, and its matrices
-    are solved as I.
+    ``ValueError`` that :func:`check_main_chain` raises for it.  One grid
+    (:func:`_mean_grid`): the links against X are one stacked eigvalsh, and
+    the others margins on spec(S).
     """
-    pair = _pair(A, B, tol)
-    fs, sigmas = tuple(fs), tuple(sigmas)
-    # per (f, sigma): None, then the record's error or the record
-    results = np.full((len(fs), len(sigmas)), None, dtype=object)
-    live, forward = [], []  # the functions past their own gates, and their tags
-    for i, f in enumerate(fs):
-        try:
-            tag = _require_tagged(f)
-            _require_fixes_zero(f)
-            _, _, m, _ = pair.factors
-            if m <= 0.0:
-                raise NotPositiveDefiniteError(f"spectra must be positive, got m={m:.6e}")
-        except ValueError as exc:
-            _fail(results[i], exc)
-            continue
-        live.append(i)
-        forward.append(tag)
-    if live:
-        stack = results[live]
-        try:
-            _main_chain_stack(pair, [fs[i] for i in live], forward, sigmas, stack)
-        except ValueError as exc:  # a step shared by every record
-            _fail(stack, exc)
-        results[live] = stack
-    return list(results.ravel())
+    return _mean_grid(
+        "main_chain", "mean-coefficient-chain", _main_chain_gate, _main_chain_judge,
+        fs, sigmas, A, B, tol,
+    )
 
 
 def _fail(errors, exc):
@@ -608,91 +579,111 @@ def _fail(errors, exc):
     errors[np.equal(errors, None)] = exc
 
 
+def _mean_grid(check_name, claim, gate, judge, fs, sigmas, A, B, tol) -> list:
+    """A trial's (f, sigma) records, f outermost, of a chain between S and X = f(A) sigma f(B).
+
+    ``gate(pair, f)`` runs f's own gates and returns its tag.  For the
+    functions past them the grid is one stack: every S with its eigenpairs
+    (:meth:`SharedPair.mean_stack`), every X as one (function, mean) stack,
+    and the coefficients (f'(0), f(m)/m, f(M)/M, f'(M)) of each function
+    with records left.  ``judge(pair, fs, tags, means, X, coefs, results)``
+    returns the link descriptions, the (f, sigma, link) margins and passes,
+    the (f, link) applicable flags and each function's params.  A step
+    failing for some records gives each its error in ``results`` (see
+    ``core._flag``), one failing for all raises; a record keeps its first
+    error, and its matrices are solved as I.
+    """
+    pair = _pair(A, B, tol)
+    fs, sigmas = tuple(fs), tuple(sigmas)
+    # per (f, sigma): None, then the record's error or the record
+    results = np.full((len(fs), len(sigmas)), None, dtype=object)
+    live, tags = [], []  # the functions past their own gates, and their tags
+    for i, f in enumerate(fs):
+        try:
+            tags.append(gate(pair, f))
+            live.append(i)
+        except ValueError as exc:
+            _fail(results[i], exc)
+    if not live:
+        return list(results.ravel())
+    fs, stack = [fs[i] for i in live], results[live]
+    _, _, m, M = pair.factors
+    try:
+        means = pair.mean_stack(sigmas)
+        stack[:] = means[1]  # a record starts with its mean's error
+        middles, fn_errors = pair.image_middles(tuple(fs))
+        for row, error in zip(stack, fn_errors):
+            if error is not None:
+                _fail(row, error)
+        X = _mean_from_middle([s.h for s in sigmas], middles, tol, stack.reshape(-1))
+        coefs = np.zeros((len(fs), 4))
+        for k, f in enumerate(fs):
+            if np.equal(stack[k], None).any():
+                coefs[k] = (
+                    float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M))
+                )
+        descriptions, margins, passes, applicable, params = judge(
+            pair, fs, tags, means, X, coefs, stack
+        )
+    except ValueError as exc:  # a step shared by every record
+        _fail(stack, exc)
+    else:
+        margins, passes, applicable = margins.tolist(), passes.tolist(), applicable.tolist()
+        for k, f in enumerate(fs):
+            for j, sigma in enumerate(sigmas):
+                if stack[k, j] is None:
+                    own = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, **params[k]}
+                    try:
+                        stack[k, j] = CheckOutcome.from_columns(
+                            check_name, claim, descriptions, margins[k][j], passes[k][j],
+                            applicable[k], own,
+                        )
+                    except ValueError as exc:
+                        stack[k, j] = exc
+    results[live] = stack
+    return list(results.ravel())
+
+
+def _on_spectra(fs, ws, results):
+    """(function, mean, index): f on every spectrum; a breakdown is its record's error."""
+    fws = np.empty((len(fs), *ws.shape))
+    for k, f in enumerate(fs):
+        try:
+            fws[k] = _finite(_fn_values(f, ws, results[k]), results[k])
+        except ValueError as exc:
+            _fail(results[k], exc)
+    return fws
+
+
+def _main_chain_gate(pair, f):
+    tag = _require_tagged(f)
+    _require_fixes_zero(f)
+    _, _, m, _ = pair.factors
+    if m <= 0.0:
+        raise NotPositiveDefiniteError(f"spectra must be positive, got m={m:.6e}")
+    return tag
+
+
 _MAIN_CHAIN_LINKS = tuple(
     f"{prefix}:{name}" for prefix in ("fn-then-mean", "mean-then-fn") for name, *_ in _CHAIN
 )
 
 
-def _main_chain_stack(pair, fs, forward, sigmas, results):
-    """The records of every (f, sigma) of the functions ``fs``, which passed their own gates.
-
-    ``forward`` holds the functions' tags.  ``results`` is the (f, sigma)
-    object array that :func:`check_main_chain_grid` returns: a step failing
-    for some records sets their entries to its error (see ``core._flag``),
-    and the records left get their outcomes.  A step failing for all
-    raises.
-    """
-    tol = pair.tol
-    _, _, m, M = pair.factors
+def _main_chain_judge(pair, fs, tags, means, X, coefs, results):
+    S, _, ws, _ = means
     n_f, n_s = results.shape
-    flat = results.reshape(-1)  # a view, one entry per record
-    S, mean_errors = pair.mean_stack(sigmas)
-    results[:] = mean_errors  # a record starts with its mean's error
-    middles, fn_errors = pair.image_middles(tuple(fs))
-    for row, error in zip(results, fn_errors):
-        if error is not None:
-            _fail(row, error)
-    X = _mean_from_middle([s.h for s in sigmas], middles, tol, flat)
-    ws, _ = pair.mean_eigh(sigmas)
-    fws = np.empty((n_f, *ws.shape))
-    coefs = np.zeros((n_f, 4))
-    for k, f in enumerate(fs):
-        row = results[k]
-        try:
-            fws[k] = _finite(_fn_values(f, ws, row), row)
-            if np.equal(row, None).any():  # f has records left
-                coefs[k] = _chain_coefficients(f, m, M)
-        except ValueError as exc:  # a step shared by f's records
-            _fail(row, exc)
-    # the links on spec(S): the chain (c0, c1, f, c2, c3) on it, as (f, sigma, link, eigenvalue)
-    at = np.insert(coefs, 2, 0.0, axis=1)
-    chain = at[:, None, :, None] * ws[:, None, :]
-    chain[:, :, 2] = fws
-    applies = np.array([np.isfinite(at[:, list(needs)]).all(axis=1) for *_, needs in _CHAIN]).T
-    left = chain[:, :, [lo for _, lo, _, _ in _CHAIN]]
-    right = chain[:, :, [hi for _, _, hi, _ in _CHAIN]]
-    fwd = np.array(forward)[:, None, None, None]
-    vacuous = ~applies[:, None, :, None]
-    lo = np.where(vacuous, 0.0, np.where(fwd, left, right))
-    hi = np.where(vacuous, 0.0, np.where(fwd, right, left))
+    # the chain around f(S) on spec(S), as (f, sigma, link, eigenvalue); its edge links
+    # are also fn-then-mean's, whose low and high links against X are solved apart
+    lo, hi, applies = _chain_sides(coefs[..., None], ws, _on_spectra(fs, ws, results), tags)
     shape = (n_f * n_s, len(_CHAIN), ws.shape[-1])
-    on_spectrum = _loewner_on_spectrum(lo.reshape(shape), hi.reshape(shape), tol, flat)
-    # both chains' columns: their edge links are the same, and fn-then-mean's low and high
-    # links, against X, are solved below (a vacuous one keeps its masked margin 0)
+    on_spectrum = _loewner_on_spectrum(
+        lo.reshape(shape), hi.reshape(shape), pair.tol, results.reshape(-1)
+    )
     margins = np.tile(on_spectrum.margin.reshape(n_f, n_s, -1), 2)
     passes = np.tile(on_spectrum.passed.reshape(n_f, n_s, -1), 2)
-    # the links against X: one comparison per (f, link), all in one solve
-    norm_s = np.abs(ws).max(axis=-1)
-    solved, comparisons = [], []
-    for k in range(n_f):
-        for link, (_, sides) in enumerate(_chain("fn-then-mean", coefs[k], forward[k])):
-            if sides is not None and None in sides:
-                lo_c, hi_c = sides
-                scale = None if hi_c is None else 1.0 + abs(hi_c) * norm_s
-                lhs = X[k] if lo_c is None else lo_c * S
-                rhs = X[k] if hi_c is None else hi_c * S
-                solved.append((k, link))
-                comparisons.append((lhs, rhs, scale))
-    for (k, link), res in zip(solved, _loewner(comparisons, tol, [results[k] for k, _ in solved])):
-        margins[k, :, link] = res.margin
-        passes[k, :, link] = res.passed
-    applicable = [tuple(row) for row in np.tile(applies, 2).tolist()]
-    margins, passes = margins.tolist(), passes.tolist()
-    dim = pair.a.shape[0]
-    for k, f in enumerate(fs):
-        for j, sigma in enumerate(sigmas):
-            if results[k, j] is None:
-                params = {
-                    "fn": f.name, "mean": sigma.name, "m": m, "M": M,
-                    "convex": forward[k], "dim": dim,
-                }
-                try:
-                    results[k, j] = CheckOutcome.from_columns(
-                        "main_chain", "mean-coefficient-chain", _MAIN_CHAIN_LINKS,
-                        margins[k][j], passes[k][j], applicable[k], params,
-                    )
-                except ValueError as exc:
-                    results[k, j] = exc
+    margins[..., 1:3], passes[..., 1:3], _ = _x_links(pair.tol, S, X, coefs, tags, ws, results)
+    params = [{"convex": tag, "dim": pair.a.shape[0]} for tag in tags]
+    return _MAIN_CHAIN_LINKS, margins, passes, np.tile(applies[..., 0], 2), params
 
 
 def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -714,33 +705,49 @@ def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
 def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     """|||f(A) sigma f(B) - f(A sigma B)||| <= (f'(M) - f'(0)) |||A sigma B|||.
 
-    f(S) is taken on S's eigenpairs; those and the norms of S are shared
-    like S itself (see :func:`check_main_chain`).
+    The 1 x 1 case of :func:`check_mean_difference_norm_grid`.
     """
-    pair = _pair(A, B, tol)
+    return _one(check_mean_difference_norm_grid((f,), (sigma,), A, B, norms, tol))
+
+
+def check_mean_difference_norm_grid(fs, sigmas, A, B, norms=None, tol=DEFAULT_TOL) -> list:
+    """:func:`check_mean_difference_norm` for every function in ``fs`` and mean in ``sigmas``.
+
+    One grid (:func:`_mean_grid`): every X - f(S) is one stacked eigvalsh,
+    and every norm one table.
+    """
+
+    def judge(pair, fs, tags, means, X, coefs, results):
+        _, _, ws, vs = means
+        n_f, n_s = results.shape
+        flat = results.reshape(-1)
+        diff = X - hermitian_part(_compose(vs, _on_spectra(fs, ws, results)))
+        w = _eigvalsh(_finite(diff.reshape(flat.size, *X.shape[-2:]), flat), flat)
+        kinds = _norm_kinds(norms, pair.a.shape[0])
+        table = _norm_table(_sv_hermitian(np.concatenate([ws, w])), kinds)
+        spread = coefs[:, 3] - coefs[:, 0]  # f'(M) - f'(0)
+        margins, passes = _scalar_margins(
+            table[n_s:].reshape(n_f, n_s, -1), spread[:, None, None] * table[:n_s], tol
+        )
+        descriptions = tuple(f"norm-difference[{kind.label()}]" for kind in kinds)
+        params = [{"spread": d} for d in spread.tolist()]
+        return descriptions, margins, passes, np.ones((n_f, len(kinds)), dtype=bool), params
+
+    return _mean_grid(
+        "mean_difference_norm", "mean-difference-norm-bound", _mean_difference_gate, judge,
+        fs, sigmas, A, B, tol,
+    )
+
+
+def _mean_difference_gate(pair, f):
     if f.convexity is not Convexity.CONVEX:
         raise ValueError(f"mean-difference bound requires a convex function, got {f.name}")
     _require_fixes_zero(f)
     _, _, m, M = pair.factors
     _require_positive(m)
-    d0, dM = float(f.deriv(0.0)), float(f.deriv(M))
-    if not (math.isfinite(d0) and math.isfinite(dM)):
+    if not (math.isfinite(float(f.deriv(0.0))) and math.isfinite(float(f.deriv(M)))):
         raise ValueError("infinite endpoint derivative")
-    _, X = pair.means(f, sigma)
-    (ws,), (vs,) = pair.mean_eigh((sigma,))
-    sv_diff = singular_values(X - hermitian_part(_image(f, ws, vs)))
-    sv_s = _sv_hermitian(ws)
-    links = tuple(
-        _scalar_link(
-            f"norm-difference[{kind.label()}]",
-            _norm_of_sv(sv_diff, kind),
-            (dM - d0) * _norm_of_sv(sv_s, kind),
-            tol,
-        )
-        for kind in _norm_kinds(norms, pair.a.shape[0])
-    )
-    params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "spread": dM - d0}
-    return _outcome("mean_difference_norm", "mean-difference-norm-bound", links, params)
+    return True
 
 
 def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOutcome:
@@ -748,35 +755,69 @@ def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOut
 
     Per index j the chain holds for the j-th eigenvalues (decreasing), per
     k for the top-k eigenvalue products (requires positive spectrum), and
-    per norm kind for the norms of the two sides.  S and spec(S) are shared
-    like in :func:`check_main_chain`.
+    per norm kind for the norms of the two sides.  The 1 x 1 case of
+    :func:`check_eig_prod_norm_grid`.
     """
-    pair = _pair(A, B, tol)
-    forward = _require_tagged(f)
-    _require_fixes_zero(f)
-    _, _, m, M = pair.factors
-    _require_positive(m)
-    _, X = pair.means(f, sigma)
-    (ws,), _ = pair.mean_eigh((sigma,))
-    wx = _eigvalsh(X)
-    s, x = ws[::-1], wx[::-1]
-    coefs = _chain_coefficients(f, m, M)
-    links = []
-    for j in range(s.size):
-        links += _scalar_chain("eig", float(s[j]), float(x[j]), coefs, forward, tol)
-    if s[-1] <= 0.0:
-        raise NotPositiveSemidefiniteError("product links need a positive mean spectrum")
-    for k in range(1, s.size + 1):
-        ck = tuple(c**k if math.isfinite(c) else c for c in coefs)
-        links += _scalar_chain(
-            "prod", float(np.prod(s[:k])), float(np.prod(x[:k])), ck, forward, tol
+    return _one(check_eig_prod_norm_grid((f,), (sigma,), A, B, tol, norms))
+
+
+def _pow_or_inf(c, k):
+    """c**k in Python floats (numpy's power can differ in the last bit), infinite on overflow."""
+    try:
+        return c**k
+    except OverflowError:
+        return math.inf
+
+
+def check_eig_prod_norm_grid(fs, sigmas, A, B, tol=DEFAULT_TOL, norms=None) -> list:
+    """:func:`check_eig_prod_norm` for every function in ``fs`` and mean in ``sigmas``.
+
+    One grid (:func:`_mean_grid`): every spec(X) is one stacked eigvalsh,
+    every norm one table, and every link one :func:`_chain_sides`.
+    """
+
+    def judge(pair, fs, tags, means, X, coefs, results):
+        _, _, ws, _ = means
+        n_f, n_s = results.shape
+        n = ws.shape[-1]
+        wx = _eigvalsh(X.reshape(-1, n, n), results.reshape(-1))
+        for j in np.flatnonzero(ws[:, 0] <= 0.0):
+            _fail(results[:, j], NotPositiveSemidefiniteError(
+                "product links need a positive mean spectrum"
+            ))
+        kinds = _norm_kinds(norms, n)
+        table = _norm_table(_sv_hermitian(np.concatenate([ws, wx])), kinds)
+        powers = [
+            [[c] * n + [_pow_or_inf(c, k) for k in range(1, n + 1)] + [c] * len(kinds) for c in row]
+            for row in coefs.tolist()
+        ]
+        s, x = ws[:, ::-1], wx[:, ::-1].reshape(n_f, n_s, n)  # decreasing
+        # an overflowing side is infinite, as in Python floats, and downgrades its record
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the families side by side on one index: eigenvalues, top-k products, norms
+            s = np.concatenate([s, np.cumprod(s, -1), table[:n_s]], -1)
+            x = np.concatenate([x, np.cumprod(x, -1), table[n_s:].reshape(n_f, n_s, -1)], -1)
+            lo, hi, applies = _chain_sides(np.array(powers), s, x, tags)
+            # a record lists its links index by index, each index's links in chain order
+            margins, passes = _scalar_margins(lo.swapaxes(-1, -2), hi.swapaxes(-1, -2), tol)
+        prefixes = ["eig"] * n + ["prod"] * n + [f"norm[{kind.label()}]" for kind in kinds]
+        return (
+            [f"{p}:{name}" for p in prefixes for name, *_ in _CHAIN],
+            margins.reshape(n_f, n_s, -1), passes.reshape(n_f, n_s, -1),
+            applies.swapaxes(-1, -2).reshape(n_f, -1), [{"convex": tag} for tag in tags],
         )
-    sv_s, sv_x = _sv_hermitian(ws), _sv_hermitian(wx)
-    for kind in _norm_kinds(norms, pair.a.shape[0]):
-        ns, nx = _norm_of_sv(sv_s, kind), _norm_of_sv(sv_x, kind)
-        links += _scalar_chain(f"norm[{kind.label()}]", ns, nx, coefs, forward, tol)
-    params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "convex": forward}
-    return _outcome("eig_prod_norm", "eigenvalue-product-norm-chains", links, params)
+
+    return _mean_grid(
+        "eig_prod_norm", "eigenvalue-product-norm-chains", _eig_prod_norm_gate, judge,
+        fs, sigmas, A, B, tol,
+    )
+
+
+def _eig_prod_norm_gate(pair, f):
+    tag = _require_tagged(f)
+    _require_fixes_zero(f)
+    _require_positive(pair.factors[2])
+    return tag
 
 
 def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1273,28 +1314,42 @@ def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
 
     Convex inverse:  (f(M)/M) S <= f(A) sigma f(B) <= (f(m)/m) S.
     Concave inverse: (f(m)/m) S <= f(A) sigma f(B) <= (f(M)/M) S.
+    The 1 x 1 case of :func:`check_inverse_function_grid`.
     """
+    return _one(check_inverse_function_grid((f,), (sigma,), A, B, tol))
+
+
+def check_inverse_function_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
+    """:func:`check_inverse_function` for every function in ``fs`` and mean in ``sigmas``.
+
+    One grid (:func:`_mean_grid`) of :func:`check_main_chain`'s links
+    against X, run forward for a concave inverse (inverse-low is the low
+    link) and reversed for a convex one (inverse-low is the high link).
+    """
+
+    def judge(pair, fs, tags, means, X, coefs, results):
+        S, _, ws, _ = means
+        margins, passes, applies = _x_links(pair.tol, S, X, coefs, tags, ws, results)
+        swap = ~np.array(tags)  # a convex inverse: inverse-low is the high link
+        for links in (margins, passes, applies):
+            links[swap] = links[swap][..., ::-1]
+        params = [{"inverse_convexity": f.inverse.convexity.value} for f in fs]
+        return ("inverse-low", "inverse-high"), margins, passes, applies, params
+
+    return _mean_grid(
+        "inverse_function", "inverse-convexity-bounds", _inverse_gate, judge,
+        fs, sigmas, A, B, tol,
+    )
+
+
+def _inverse_gate(pair, f):
     if f.inverse is None:
         raise ValueError(f"{f.name} has no registered inverse")
     _require_fixes_zero(f)
-    pair = _pair(A, B, tol)
-    _, _, m, M = pair.factors
-    _require_positive(m)
-    inv = f.inverse
-    if inv.convexity is Convexity.NEITHER:
+    _require_positive(pair.factors[2])
+    if f.inverse.convexity is Convexity.NEITHER:
         raise ValueError(f"inverse of {f.name} carries no convexity tag")
-    S, X = pair.means(f, sigma)
-    c_m, c_M = float(f(m)) / m, float(f(M)) / M
-    lo_c, hi_c = (c_M, c_m) if inv.convexity is Convexity.CONVEX else (c_m, c_M)
-    links = _loewner_links((("inverse-low", lo_c * S, X), ("inverse-high", X, hi_c * S)), tol)
-    params = {
-        "fn": f.name,
-        "mean": sigma.name,
-        "m": m,
-        "M": M,
-        "inverse_convexity": inv.convexity.value,
-    }
-    return _outcome("inverse_function", "inverse-convexity-bounds", links, params)
+    return f.inverse.convexity is Convexity.CONCAVE
 
 
 def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1374,7 +1429,7 @@ def check_determinant_grid(fs, A, B, alpha=0.5, tol=DEFAULT_TOL) -> list:
                 _scalar_link("scaled-detroot-sum", c_lo * (da + db), dfsum, tol),
                 _scalar_link("reverse-detroot-bound", dfsum, reverse, tol, applicable=gap_ok)
                 if forward
-                else _vacuous("reverse-detroot-bound"),
+                else ("reverse-detroot-bound", 0.0, True, False),
             )
             params = {
                 "fn": f.name,

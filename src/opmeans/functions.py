@@ -125,13 +125,14 @@ NONNEG = Interval(0.0, math.inf)
 REALS = Interval()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarFunction:
     """A named scalar function with derivative, domain and convexity class.
 
     ``fn`` and ``deriv`` accept floats or numpy arrays.  ``fixes_zero``
     asserts f(0) = 0; ``inverse`` is an optional registered inverse used by
-    the inverse-function bound checker.
+    the inverse-function bound checker.  A function and its inverse point
+    at each other, so functions compare and hash by identity.
     """
 
     name: str

@@ -306,9 +306,10 @@ class _Suite:
     factors.  ``check(spec, axes, x)`` gives, for each configuration in
     order, its record on instance ``x`` or the ``ValueError`` it raised, from
     each axis's values with names resolved (see :func:`_resolve`).
-    main_chain, subadditivity, normal_chain and determinant check a trial as
-    one grid (``checks.check_*_grid``); the others check one configuration
-    at a time (:func:`_each`).  A fixture pair is loaded as Hermitian when
+    main_chain, eig_prod_norm, inverse_function, mean_diff_norm,
+    subadditivity, normal_chain and determinant check a trial as one grid
+    (``checks.check_*_grid``); the others check one configuration at a time
+    (:func:`_each`).  A fixture pair is loaded as Hermitian when
     ``hermitian`` is set and is shaped into an instance by ``from_fixture``.
     Entries look checkers, generators and names up when called, so a
     wrapper installed on a module attribute sees every call.
@@ -352,15 +353,15 @@ _SUITES = {
     ),
     "mean_diff_norm": _Suite(
         _fns_means(CONVEX_FUNCTIONS), _pd_pair,
-        _each(lambda spec, c, x: checks.check_mean_difference_norm(
-            c["fn"], c["mean"], *x, _norm_arg(spec), spec.tol
-        )),
+        lambda spec, ax, x: checks.check_mean_difference_norm_grid(
+            ax["fn"], ax["mean"], *x, _norm_arg(spec), spec.tol
+        ),
     ),
     "eig_prod_norm": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        _each(lambda spec, c, x: checks.check_eig_prod_norm(
-            c["fn"], c["mean"], *x, spec.tol, _norm_arg(spec)
-        )),
+        lambda spec, ax, x: checks.check_eig_prod_norm_grid(
+            ax["fn"], ax["mean"], *x, spec.tol, _norm_arg(spec)
+        ),
     ),
     "subadditivity": _Suite(
         _fns(CONVEX_FUNCTIONS), _pd_pair,
@@ -395,7 +396,7 @@ _SUITES = {
     "contraction": _Suite(_contraction_pairs, _pd_pair, _each(_check_contraction)),
     "inverse_function": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        _each(lambda spec, c, x: checks.check_inverse_function(c["fn"], c["mean"], *x, spec.tol)),
+        lambda spec, ax, x: checks.check_inverse_function_grid(ax["fn"], ax["mean"], *x, spec.tol),
     ),
     "determinant": _Suite(
         _ALL_FNS, _det_instance,

@@ -197,10 +197,78 @@ def inverse_margins(fn_name, mean_name, a, b):
     ]
 
 
+def _sorted_desc(values):
+    return sorted(values, reverse=True)
+
+
+def _norms(sv, dim):
+    """The checkers' default norms of sorted moduli ``sv``, as (label, value) pairs."""
+    out = [("operator", sv[0])]
+    for p in (1, 2, 3):
+        out.append((f"schatten:{p}", sum(s**p for s in sv) ** (1.0 / p)))
+    out.extend((f"kyfan:{k}", sum(sv[:k])) for k in range(1, dim + 1))
+    return out
+
+
+def _scalar_chain(prefix, s, x, coefs, forward):
+    """The chain on numbers s (for S) and x (for X): (description, margin, scale) per applicable link."""
+    c0, c1, c2, c3 = coefs
+    sides = (c0, c1, None, c2, c3)
+    links = (("edge-low", 0, 1, (0, 1)), ("low", 1, 2, (1,)), ("high", 2, 3, ()),
+             ("edge-high", 3, 4, (4,)))
+    out = []
+    for name, left, right, needs in links:
+        if not all(math.isfinite(sides[p]) for p in needs):
+            continue
+        lo, hi = (sides[left], sides[right]) if forward else (sides[right], sides[left])
+        lo, hi = (x if c is None else c * s for c in (lo, hi))
+        out.append((f"{prefix}:{name}", hi - lo, 1.0 + max(abs(lo), abs(hi))))
+    return out
+
+
+def eig_prod_norm_margins(fn_name, mean_name, a, b):
+    """Eigenvalue, top-k product and norm chains: S and X each sorted decreasing on its own."""
+    f, d = scalar_fn(fn_name)
+    mn = scalar_mean(mean_name)
+    m, M = min(a + b), max(a + b)
+    svec = _sorted_desc(mn(x, y) for x, y in zip(a, b))
+    xvec = _sorted_desc(mn(f(x), f(y)) for x, y in zip(a, b))
+    coefs = (d(0.0), f(m) / m, f(M) / M, d(M))
+    forward = is_convex(fn_name)
+    out = []
+    for s, x in zip(svec, xvec):
+        out += _scalar_chain("eig", s, x, coefs, forward)
+    for k in range(1, len(svec) + 1):
+        ck = tuple(c**k for c in coefs)
+        out += _scalar_chain("prod", math.prod(svec[:k]), math.prod(xvec[:k]), ck, forward)
+    for (label, ns), (_, nx) in zip(_norms(svec, len(a)), _norms(xvec, len(a))):
+        out += _scalar_chain(f"norm[{label}]", ns, nx, coefs, forward)
+    return out
+
+
+def mean_diff_norm_margins(fn_name, mean_name, a, b):
+    """|||X - f(S)||| <= (f'(M) - f'(0)) |||S|||, from the moduli of the diagonals."""
+    f, d = scalar_fn(fn_name)
+    mn = scalar_mean(mean_name)
+    M = max(a + b)
+    svec = [mn(x, y) for x, y in zip(a, b)]
+    diff = _sorted_desc(abs(mn(f(x), f(y)) - f(s)) for x, y, s in zip(a, b, svec))
+    spread = d(M) - d(0.0)
+    out = []
+    for (label, nd), (_, ns) in zip(_norms(diff, len(a)), _norms(_sorted_desc(svec), len(a))):
+        rhs = spread * ns
+        out.append((f"norm-difference[{label}]", rhs - nd, 1.0 + max(nd, abs(rhs))))
+    return out
+
+
 def assert_margins_match(outcome, expected, tol=1e-10):
-    """Compare applicable checker links against oracle pairs, in order."""
+    """Compare applicable checker links against oracle pairs, in order.
+
+    An oracle entry (description, margin, scale) is matched within
+    ``tol * scale``, for links whose sides are large; a pair within ``tol``.
+    """
     actual = [(link.description, link.margin) for link in outcome.links if link.applicable]
     assert len(actual) == len(expected), (actual, expected)
-    for (got_desc, got), (want_desc, want) in zip(actual, expected):
+    for (got_desc, got), (want_desc, want, *scale) in zip(actual, expected):
         assert got_desc == want_desc
-        assert abs(got - want) <= tol, (got_desc, got, want)
+        assert abs(got - want) <= tol * (scale[0] if scale else 1.0), (got_desc, got, want)

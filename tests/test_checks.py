@@ -27,6 +27,8 @@ from opmeans import (
     mean_by_name,
     power,
 )
+from opmeans.functions import Convexity
+from opmeans.harness import SuiteSpec, run_suite
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_pd
 
 A = np.diag([1.0, 4.0])
@@ -505,6 +507,29 @@ def test_inverse_requires_registration():
                           fixes_zero=True)
     with pytest.raises(ValueError):
         check_inverse_function(bare, ARITH, A, B)
+
+
+@pytest.mark.parametrize("extra", [{}, {"dims": (1, 2, 3, 32), "m": 1e-6}], ids=["default", "edge"])
+def test_inverse_function_is_main_chain_against_x(extra):
+    # the inverse bounds are main_chain's fn-then-mean low and high links, run
+    # forward for a concave inverse and reversed, low and high swapped, for a
+    # convex one: margins and passes equal bit for bit
+    fns = ("power:3/2", "power:2", "power:3", "expm1", "sqrt", "power:2/3", "log1p", "mobius",
+           "identity", "power:1")
+    runs = {
+        suite: run_suite(SuiteSpec(suite, trials=4, functions=fns, master_seed=11, **extra))
+        for suite in ("inverse_function", "main_chain")
+    }
+    compared = 0
+    for inv, chain in zip(runs["inverse_function"].records, runs["main_chain"].records):
+        assert (inv.params["fn"], inv.params["mean"]) == (chain.params["fn"], chain.params["mean"])
+        links = dict(zip(chain.descriptions, zip(chain.margins, chain.passes)))
+        low, high = links["fn-then-mean:low"], links["fn-then-mean:high"]
+        if function_by_name(inv.params["fn"]).inverse.convexity is Convexity.CONVEX:
+            low, high = high, low
+        assert tuple(zip(inv.margins, inv.passes)) == (low, high)
+        compared += 1
+    assert compared == len(fns) * 9 * 4
 
 
 # --- determinant suite --------------------------------------------------------------------

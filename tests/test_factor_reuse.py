@@ -6,6 +6,7 @@ congruence.  The norm and determinant checkers factor each matrix once and
 read every norm kind off its one singular-value vector; normal operands are
 factored once by complex Schur.  A run of a positive definite suite shares
 each trial's factors between its configurations, and a ``main_chain``,
+``eig_prod_norm``, ``inverse_function``, ``mean_diff_norm``,
 ``subadditivity``, ``normal_chain`` or ``determinant`` trial is one stacked
 grid.  The tests count the matrices that LAPACK factors through numpy and
 scipy, each matrix of a stack separately, and where it matters the LAPACK
@@ -334,6 +335,34 @@ def test_mean_diff_norm_run_shares_factors(eigensolves, fns, means, trials):
     assert eigensolves["eigh"] == T * (3 + F + S), eigensolves
     assert eigensolves["eigvalsh"] == R, eigensolves
     assert eigensolves["schur"] == 0, eigensolves
+
+
+@pytest.mark.parametrize(
+    "suite, eigvalsh_per_record",
+    # spec(X); X - c1 S, c2 S - X and X for its norm (4 before: c2 S for its norm); X - f(S)
+    [("eig_prod_norm", 1), ("inverse_function", 3), ("mean_diff_norm", 1)],
+)
+@pytest.mark.parametrize(
+    "fns, means, trials",
+    [
+        (("power:2",), ("geometric:1/2",), 1),
+        (("power:2", "power:3", "expm1"), ("arithmetic:1/2", "harmonic:1/4"), 3),
+    ],
+)
+def test_corollary_run_is_one_stack_per_trial(
+    eigensolves, solver_calls, suite, eigvalsh_per_record, fns, means, trials
+):
+    spec = SuiteSpec(suite, trials=trials, dims=(2, 4), functions=fns, means=means)
+    report = run_suite(spec)
+    assert report.summary.failed_links == 0
+    assert report.summary.downgraded_records == 0
+    F, S, T, R = len(fns), len(means), trials, len(fns) * len(means) * trials
+    # per trial: eigh of A, B and their middle, one stacked eigh of every S and
+    # one of every function's image middle, one stacked eigvalsh for the records
+    assert eigensolves["eigh"] == T * (3 + F + S), eigensolves
+    assert eigensolves["eigvalsh"] == eigvalsh_per_record * R, eigensolves
+    assert eigensolves["schur"] == 0, eigensolves
+    assert _total(solver_calls) == T * 6, solver_calls
 
 
 def test_contraction_factorizations(eigensolves, solver_calls):

@@ -77,6 +77,15 @@ def test_inverse_round_trips():
             assert f(f.inverse(y)) == pytest.approx(y, abs=1e-10, rel=1e-10), f.name
 
 
+def test_functions_hash_by_identity():
+    # a function and its registered inverse point at each other: a field-wise
+    # hash recursed between them without end
+    f = function_by_name("power:0.5")
+    pair = FunctionPair(f, f.inverse)
+    assert {f: 1, f.inverse: 2, pair: 3}[pair] == 3
+    assert f != f.inverse and function_by_name("power:0.5") != f
+
+
 def test_convexity_ratio_ordering():
     grid = np.geomspace(1e-2, 20.0, 48)
     for f in function_catalog():

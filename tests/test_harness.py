@@ -395,6 +395,22 @@ def test_cli_summary_line_counts_downgraded_records(capsys):
     assert "0 failed, 0 inapplicable, 2 downgraded" in out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_overflowing_product_coefficient_downgrades_its_record(tmp_path, capsys):
+    # at M = 30 and dim 32, (f(M)/M)^k of expm1 overflows a float for large k;
+    # the expm1 record is downgraded as at M = 20, where only c^k s overflows,
+    # and the run goes on to the power:2 record
+    out = tmp_path / "r.json"
+    rc = main(["--suite", "eig_prod_norm", "--fn", "expm1", "--fn", "power:2",
+               "--mean", "arithmetic:1/2", "--M", "30", "--dim", "32", "--trials", "1",
+               "--report", str(out)])
+    assert rc == 0
+    expm1, power2 = json.loads(out.read_text())["records"]
+    assert expm1["params"]["not_applicable"] == "link margins must be finite"
+    assert len(power2["links"]) == 4 * (32 + 32 + 4 + 32)  # eig, prod, norms
+    assert "0 failed, 0 inapplicable, 1 downgraded" in capsys.readouterr().out
+
+
 def test_cli_no_applicable_link_exits_three(capsys):
     # sqrt is concave: the convex-only subadditivity refinement downgrades every record
     rc = main(["--suite", "subadditivity", "--fn", "sqrt", "--trials", "3"])

@@ -2,6 +2,7 @@
 
 ``run_suite`` builds each trial's factors once and hands every
 configuration of the trial operands that carry them; ``main_chain``,
+``eig_prod_norm``, ``inverse_function``, ``mean_diff_norm``,
 ``subadditivity``, ``normal_chain`` and ``determinant`` judge a trial as one
 grid.  Every record it emits must equal, bit for bit, the record of the
 public checker called on the raw instance matrices, downgrades included,

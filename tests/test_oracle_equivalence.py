@@ -13,9 +13,11 @@ from opmeans import (
     check_ando_hiai_comparison,
     check_chord_bounds,
     check_contraction_implication,
+    check_eig_prod_norm,
     check_inverse_function,
     check_log_example,
     check_main_chain,
+    check_mean_difference_norm,
     check_power_mean_bounds,
     function_by_name,
     mean_by_name,
@@ -99,3 +101,22 @@ def test_inverse_function_matches_diagonal_oracle():
         fn, mn = invertible[i % len(invertible)], MEANS[(i + 5) % len(MEANS)]
         out = check_inverse_function(function_by_name(fn), mean_by_name(mn), np.diag(a), np.diag(b))
         oracle.assert_margins_match(out, oracle.inverse_margins(fn, mn, a, b))
+
+
+def test_eig_prod_norm_matches_diagonal_oracle():
+    for i in range(100):
+        a, b = diag_instance(i)
+        fn, mn = FNS[i % len(FNS)], MEANS[(i + 2) % len(MEANS)]
+        out = check_eig_prod_norm(function_by_name(fn), mean_by_name(mn), np.diag(a), np.diag(b))
+        oracle.assert_margins_match(out, oracle.eig_prod_norm_margins(fn, mn, a, b))
+
+
+def test_mean_diff_norm_matches_diagonal_oracle():
+    convex = ("power:3/2", "power:2", "power:3", "expm1")
+    for i in range(100):
+        a, b = diag_instance(i)
+        fn, mn = convex[i % len(convex)], MEANS[(i + 4) % len(MEANS)]
+        out = check_mean_difference_norm(
+            function_by_name(fn), mean_by_name(mn), np.diag(a), np.diag(b)
+        )
+        oracle.assert_margins_match(out, oracle.mean_diff_norm_margins(fn, mn, a, b))
