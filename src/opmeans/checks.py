@@ -36,6 +36,7 @@ from .core import (
     _eigh,
     _eigvalsh,
     _finite,
+    _flag,
     _fn_values,
     _loewner,
     _loewner_on_spectrum,
@@ -43,6 +44,7 @@ from .core import (
     _norm_table,
     _normal_factors,
     _opnorm_hermitian,
+    _singular_values,
     _sv_hermitian,
     as_complex_array,
     as_hermitian_array,
@@ -240,10 +242,10 @@ def _scalar_link(desc, lhs, rhs, tol, applicable=True) -> tuple:
 
 
 def _scalar_margins(lhs, rhs, tol, applicable=True):
-    """:func:`_scalar_link`'s margins and pass flags, elementwise over arrays of sides."""
+    """:func:`_scalar_link`'s margins and pass flags, elementwise over arrays of sides and flags."""
     margin = rhs - lhs
     scale = 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))
-    return margin, (margin >= -tol * scale) | (not applicable)
+    return margin, (margin >= -tol * scale) | np.logical_not(applicable)
 
 
 def _loewner_links(claims, tol, forward=True) -> list[tuple]:
@@ -410,11 +412,31 @@ class SharedPair:
     @cached_property
     def factors(self):
         """(a, wa, va), (b, wb, vb) and the extreme eigenvalues (m, M) of both."""
-        fa, fb = (self.a, *_eigh(self.a)), (self.b, *_eigh(self.b))
-        wa, wb = fa[1], fb[1]
+        return self._factored(*_eigh(self.a), *_eigh(self.b))
+
+    def _factored(self, wa, va, wb, vb):
         if wa.size != wb.size:
             raise ShapeError("operands must have the same dimension")
-        return fa, fb, float(min(wa[0], wb[0])), float(max(wa[-1], wb[-1]))
+        m, M = float(min(wa[0], wb[0])), float(max(wa[-1], wb[-1]))
+        return (self.a, wa, va), (self.b, wb, vb), m, M
+
+    @staticmethod
+    def factor_group(pairs):
+        """Fill the :attr:`factors` of every pair of a dimension group: one eigh per operand.
+
+        Every pair's A must be n x n for one n.  A pair whose B is not is
+        left to :attr:`factors`, which raises for it.  A stacked eigh gives
+        each matrix the bits of its own, so the factors are those
+        :attr:`factors` computes.
+        """
+        if len({pair.a.shape for pair in pairs}) > 1:
+            raise ShapeError("a group's trials must share one dimension")
+        todo = [p for p in pairs if "factors" not in vars(p) and p.b.shape == p.a.shape]
+        if todo:
+            wa, va = _eigh(np.stack([p.a for p in todo]))
+            wb, vb = _eigh(np.stack([p.b for p in todo]))
+            for pair, *eigenpairs in zip(todo, wa, va, wb, vb):
+                pair.factors = pair._factored(*eigenpairs)
 
     @cached_property
     def basis(self):
@@ -579,6 +601,28 @@ def _fail(errors, exc):
     errors[np.equal(errors, None)] = exc
 
 
+def _open(entries):
+    """The flat indices of a grid's open entries (``None``), with their row and column indices."""
+    rows = np.flatnonzero(np.equal(entries, None))
+    return rows, *np.divmod(rows, entries.shape[1])
+
+
+def _fill(check_name, claim, descriptions, margins, passes, applicable, params, results, rows):
+    """Fill ``results[rows[r]]`` with the record of row r, or the ``ValueError`` it raises.
+
+    ``margins`` and ``passes`` are (row x link) arrays; ``applicable[r]``
+    and ``params[r]`` are row r's link flags and params.
+    """
+    margins, passes = margins.tolist(), passes.tolist()
+    for r, i in enumerate(rows.tolist()):
+        try:
+            results[i] = CheckOutcome.from_columns(
+                check_name, claim, descriptions, margins[r], passes[r], applicable[r], params[r]
+            )
+        except ValueError as exc:
+            results[i] = exc
+
+
 def _mean_grid(check_name, claim, gate, judge, fs, sigmas, A, B, tol) -> list:
     """A trial's (f, sigma) records, f outermost, of a chain between S and X = f(A) sigma f(B).
 
@@ -628,18 +672,15 @@ def _mean_grid(check_name, claim, gate, judge, fs, sigmas, A, B, tol) -> list:
     except ValueError as exc:  # a step shared by every record
         _fail(stack, exc)
     else:
-        margins, passes, applicable = margins.tolist(), passes.tolist(), applicable.tolist()
-        for k, f in enumerate(fs):
-            for j, sigma in enumerate(sigmas):
-                if stack[k, j] is None:
-                    own = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, **params[k]}
-                    try:
-                        stack[k, j] = CheckOutcome.from_columns(
-                            check_name, claim, descriptions, margins[k][j], passes[k][j],
-                            applicable[k], own,
-                        )
-                    except ValueError as exc:
-                        stack[k, j] = exc
+        rows, fn_of, mean_of = _open(stack)
+        cells, applicable = list(zip(fn_of.tolist(), mean_of.tolist())), applicable.tolist()
+        _fill(
+            check_name, claim, descriptions, margins.reshape(stack.size, -1)[rows],
+            passes.reshape(stack.size, -1)[rows], [applicable[k] for k, _ in cells],
+            [{"fn": fs[k].name, "mean": sigmas[j].name, "m": m, "M": M, **params[k]}
+             for k, j in cells],
+            stack.reshape(-1), rows,
+        )
     results[live] = stack
     return list(results.ravel())
 
@@ -829,144 +870,196 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
 
     The 1 x 1 case of :func:`check_subadditivity_grid`.
     """
-    return _one(check_subadditivity_grid((f,), A, B, norms, tol))
+    return _one(check_subadditivity_grid((f,), [(A, B)], norms, tol)[0])
 
 
-def _function_rows(fs, step, results) -> tuple:
-    """Run ``step(f)``, giving f's image matrix and the values f keeps, for each function of a grid.
+# A group grid judges the records of a dimension group: every function of a
+# suite on every trial of one dimension.  Its entries are a (function, trial)
+# array, None while a record is open.  Each function's own gates, then each
+# trial's step, then the (function, trial) steps give their errors to the
+# entries still open (see ``core._flag``), in the order the per-record
+# checker states them; a record keeps its first error, its matrices are
+# solved as I, and the records left open are filled at the end.
 
-    A function whose step raises a ``ValueError`` gets it in ``results``.
-    Returns the indices of the other functions, their kept values and the
-    eigenvalues of their images, all by one stacked eigvalsh.
+def _group_grid(fs, trials, gate, step, judge, prepare=None) -> list:
+    """A group grid's entries, per trial one per function: the record or its ``ValueError``.
+
+    ``gate(f)`` runs f's own gates and returns its tag; ``prepare(trials)``
+    runs once if any function passes them; ``step(x)`` runs each trial's
+    gates and returns its values.  ``judge(fs, tags, stacks, entries)``
+    fills the (function, trial) entries of the functions and trials past
+    their gates, given each step value stacked over those trials.
     """
-    rows, images, kept = [], [], []
+    results = np.full((len(fs), len(trials)), None, dtype=object)
+    live_f, tags = [], []
     for i, f in enumerate(fs):
         try:
-            image, values = step(f)
+            tags.append(gate(f))
+            live_f.append(i)
         except ValueError as exc:
             results[i] = exc
-            continue
-        rows.append(i)
+    if live_f and prepare is not None:
+        prepare(trials)
+    live_t, kept = [], []
+    for t, x in enumerate(trials if live_f else ()):
+        try:
+            kept.append(step(x))
+            live_t.append(t)
+        except ValueError as exc:
+            _fail(results[:, t], exc)
+    if live_t:
+        entries = results[np.ix_(live_f, live_t)]
+        judge([fs[i] for i in live_f], tags, [np.array(v) for v in zip(*kept)], entries)
+        results[np.ix_(live_f, live_t)] = entries
+    return results.T.tolist()
+
+
+def _fail_trials(entries, errors):
+    """Give each trial's error in ``errors`` to its open (function, trial) entries."""
+    for t in np.flatnonzero(~np.equal(errors, None)):
+        _fail(entries[:, t], errors[t])
+
+
+def _image_sums(fs, factors, entries):
+    """f(X) + f(Y) for every function of ``fs`` and trial of a group.
+
+    ``factors`` holds the eigenpairs (w, v) of X and of Y, each stacked over
+    the trials.  Returns f on both spectra, (function, trial, n) each, and
+    the images, (function, trial, n, n).  A breakdown is its (function,
+    trial) entry's error: f on X's spectrum, then f(X), then Y's.
+    """
+    values, images = [], []
+    for w, v in factors:
+        fw = _on_spectra(fs, w, entries)
+        image = _compose(v, fw)
+        _finite(image.reshape(-1, *image.shape[-2:]), entries.reshape(-1))
+        values.append(fw)
         images.append(image)
-        kept.append(values)
-    return rows, kept, _eigvalsh(np.stack(images)) if rows else None
+    return (*values, images[0] + images[1])
 
 
 def _norm_records(check_name, claim, names, kinds, links, applicable, params, results, rows):
-    """Fill ``results[rows[r]]`` with the record of row r of the link arrays, or its ValueError.
+    """:func:`_fill` with links per norm kind.
 
     ``links`` holds, per name in ``names``, a (margins, passes) pair of
     (rows x kinds) arrays; a record lists its links kind by kind, in the
-    order of ``names`` within a kind.  ``applicable[r]`` and ``params[r]``
-    are row r's flags for one kind's links and its params.
+    order of ``names`` within a kind, and ``applicable[r]`` gives row r's
+    flags for one kind's links.
     """
     descriptions = tuple(f"{name}[{kind.label()}]" for kind in kinds for name in names)
-    margins, passes = (
-        np.stack(column, axis=-1).reshape(len(rows), -1).tolist() for column in zip(*links)
-    )
-    for r, i in enumerate(rows):
-        try:
-            results[i] = CheckOutcome.from_columns(
-                check_name, claim, descriptions, margins[r], passes[r],
-                applicable[r] * len(kinds), params[r],
-            )
-        except ValueError as exc:
-            results[i] = exc
-    return results
+    margins, passes = (np.stack(column, axis=-1).reshape(len(rows), -1) for column in zip(*links))
+    applicable = [flags * len(kinds) for flags in applicable]
+    _fill(check_name, claim, descriptions, margins, passes, applicable, params, results, rows)
 
 
-def check_subadditivity_grid(fs, A, B, norms=None, tol=DEFAULT_TOL) -> list:
-    """:func:`check_subadditivity_refinement` for every function in ``fs``.
+def _subadditivity_gate(f):
+    if f.convexity is not Convexity.CONVEX:
+        raise ValueError(f"subadditivity refinement requires a convex function, got {f.name}")
+    _require_fixes_zero(f)
 
-    Returns one entry per function: the record, or the ``ValueError`` that
+
+def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
+    """:func:`check_subadditivity_refinement` for every function in ``fs`` and trial in ``pairs``.
+
+    ``pairs`` is a dimension group: one (A, B) per trial, every operand
+    n x n for one n.  Returns, per trial, one entry per function: the
+    record, or the ``ValueError`` that
     :func:`check_subadditivity_refinement` raises for it.  A, B and A + B
-    are factored once: the singular values of f(A + B) are |f(w)| for the
-    eigenvalues w of A + B.  Per function only f(A) + f(B) remains, and its
-    eigenvalues for every function are one stacked eigvalsh.  Every norm of
-    every matrix is one table (:func:`_norm_table`), and the links are
-    margins over (function x norm kind) arrays.  Each function meets its
-    gates in the order :func:`check_subadditivity_refinement` states them,
-    and a shared step that raises gives its error to each function reaching it.
+    are factored once per trial, each as one stacked solve over the group
+    (:meth:`SharedPair.factor_group`): the singular values of f(A + B) are
+    |f(w)| for the eigenvalues w of A + B.  Per function only f(A) + f(B)
+    remains, and its eigenvalues for every (function, trial) are one
+    stacked eigvalsh.  Every norm of every matrix is one table
+    (:func:`_norm_table`), and the links are margins over (record x norm
+    kind) arrays.  The gates run in the order
+    :func:`check_subadditivity_refinement` states them (see
+    :func:`_group_grid`).
     """
-    pair = _pair(A, B, tol)
-    fs = tuple(fs)
-    results = [None] * len(fs)
+    pairs = [_pair(a, b, tol) for a, b in pairs]
 
-    @cache
-    def trial():
+    def step(pair):
         (a, wa, va), (b, wb, vb), m, M = _psd(pair.factors, tol)
         if M <= 0.0:
             raise ValueError("zero operands leave no content to check")
-        return (wa, va), (wb, vb), m, M, _eigvalsh(a + b)
+        return a, b, wa, va, wb, vb, m, M
 
-    def step(f):
-        if f.convexity is not Convexity.CONVEX:
-            raise ValueError(f"subadditivity refinement requires a convex function, got {f.name}")
-        _require_fixes_zero(f)
-        fa, fb, _, M, w_total = trial()
-        grid = np.geomspace(M * 1e-4, M, 64)
-        ratios = np.asarray(f(grid), dtype=float) / grid
-        if np.any(np.diff(ratios) < -1e-9 * (1.0 + np.abs(ratios[:-1]))):
-            raise ValueError(f"f(x)/x is not nondecreasing for {f.name}")
-        image = _image(f, *fa) + _image(f, *fb)
-        return image, (_finite(_fn_values(f, w_total)), float(f(M)) / M)
+    def judge(fs, _, stacks, entries):
+        a, b, wa, va, wb, vb, m, M = stacks
+        n, T = wa.shape[-1], len(M)
+        w_total = _eigvalsh(a + b)
+        grid = np.geomspace(M * 1e-4, M, 64, axis=-1)
+        for k, f in enumerate(fs):
+            ratios = np.asarray(f(grid), dtype=float) / grid
+            falls = np.diff(ratios, axis=-1) < -1e-9 * (1.0 + np.abs(ratios[:, :-1]))
+            for t in np.flatnonzero(falls.any(axis=-1)):
+                _flag(entries[k], t, ValueError(f"f(x)/x is not nondecreasing for {f.name}"))
+        *_, images = _image_sums(fs, ((wa, va), (wb, vb)), entries)
+        of_total = _on_spectra(fs, w_total, entries).reshape(-1, n)
+        w_images = _eigvalsh(images.reshape(-1, n, n), entries.reshape(-1))
+        rows, fn_of, t_of = _open(entries)
+        if not rows.size:
+            return
+        floor = w_total[:, 0]
+        bridge = floor >= M - tol * (1.0 + M)
+        m, M, floor, met = (x.tolist() for x in (m, M, floor, bridge))
+        cells = list(zip(fn_of.tolist(), t_of.tolist()))
+        coef = np.array([float(fs[i](M[t])) / M[t] for i, t in cells])
+        try:
+            kinds = _norm_kinds(norms, n)
+            w = np.concatenate([w_total, w_images[rows], of_total[rows]])
+            table = _norm_table(_sv_hermitian(w), kinds)
+        except ValueError as exc:
+            _fail(entries, exc)
+            return
+        k = rows.size
+        tot = coef[:, None] * table[:T][t_of]
+        lhs, rhs = table[T : T + k], table[T + k :]
+        links = (
+            _scalar_margins(lhs, tot, tol),
+            _scalar_margins(tot, rhs, tol, bridge[t_of, None]),
+            _scalar_margins(lhs, rhs, tol),
+        )
+        params = [
+            {"fn": fs[i].name, "m": m[t], "M": M[t], "sum_floor": floor[t],
+             "bridge_condition_met": met[t]}
+            for i, t in cells
+        ]
+        _norm_records(
+            "subadditivity_refinement", "subadditivity-refinement",
+            ("images-vs-coef", "coef-vs-image-of-sum", "images-vs-image-of-sum"), kinds, links,
+            [(True, met[t], True) for _, t in cells], params, entries.reshape(-1), rows,
+        )
 
-    rows, kept, w_images = _function_rows(fs, step, results)
-    if not rows:
-        return results
-    _, _, m, M, w_total = trial()
-    of_total, coef = zip(*kept)
-    try:
-        kinds = _norm_kinds(norms, w_total.size)
-        w = np.concatenate([w_total[None], w_images, np.stack(of_total)])
-        table = _norm_table(_sv_hermitian(w), kinds)
-    except ValueError as exc:
-        return [exc if r is None else r for r in results]
-    k = len(rows)
-    tot = np.array(coef)[:, None] * table[0]
-    lhs, rhs = table[1 : 1 + k], table[1 + k :]
-    floor = float(w_total[0])
-    bridge_ok = floor >= M - tol * (1.0 + M)
-    links = (
-        _scalar_margins(lhs, tot, tol),
-        _scalar_margins(tot, rhs, tol, bridge_ok),
-        _scalar_margins(lhs, rhs, tol),
-    )
-    params = [
-        {"fn": fs[i].name, "m": m, "M": M, "sum_floor": floor, "bridge_condition_met": bridge_ok}
-        for i in rows
-    ]
-    return _norm_records(
-        "subadditivity_refinement", "subadditivity-refinement",
-        ("images-vs-coef", "coef-vs-image-of-sum", "images-vs-image-of-sum"), kinds, links,
-        [(True, bridge_ok, True)] * k, params, results, rows,
-    )
+    return _group_grid(fs, pairs, _subadditivity_gate, step, judge, SharedPair.factor_group)
 
 
 def _abs_factors(a, b):
-    """The per-trial half of the norm chains on operands a, b, each factored once by complex Schur.
+    """The per-trial half of the norm chains on stacks a, b of operands, one pair per trial.
 
-    With a = Q T Q*, |a| = Q |diag T| Q* and f(|a|) = Q f(|diag T|) Q*.
-    Returns the Schur factors (moduli, Q) of a and b, the smallest and
-    largest modulus over both (their singular values when a and b are
-    normal), and a function giving the eigenvalues of |a| + |b|, computed
-    on its first call.
+    Each matrix is factored once by complex Schur: with a = Q T Q*,
+    |a| = Q |diag T| Q* and f(|a|) = Q f(|diag T|) Q*.  Returns, stacked
+    over the trials, the Schur factors (moduli, Q) of a and of b, the
+    smallest and largest modulus over both (their singular values when a
+    and b are normal), and the eigenvalues of |a| + |b|, one stacked
+    eigvalsh.
     """
-    (da, qa), (db, qb) = factors = _normal_factors(a), _normal_factors(b)
-    d = np.concatenate([da, db])
-    return factors, float(d.min()), float(d.max()), cache(
-        lambda: _eigvalsh(_compose(qa, da) + _compose(qb, db))
-    )
+    (da, qa), (db, qb) = ([np.array(x) for x in zip(*map(_normal_factors, ops))] for ops in (a, b))
+    d = np.concatenate([da, db], axis=-1)
+    abs_sum = _eigvalsh(_compose(qa, da) + _compose(qb, db))
+    return ((da, qa), (db, qb)), d.min(axis=-1), d.max(axis=-1), abs_sum
 
 
 def _abs_images(f, factors, abs_sum):
-    """The per-function half: f(|a|) + f(|b|), and f on the eigenvalues ``abs_sum()`` of |a| + |b|.
+    """f(|a|) + f(|b|), and f on the eigenvalues of |a| + |b|, for one trial; a breakdown raises.
 
-    ``factors`` and ``abs_sum`` are from :func:`_abs_factors`.
+    ``factors`` and ``abs_sum`` are a 1-trial :func:`_abs_factors`.
     """
-    (da, qa), (db, qb) = factors
-    images = _image(f, da, qa) + _image(f, db, qb)
-    return images, _finite(_fn_values(f, abs_sum()))
+    entries = np.full((1, 1), None, dtype=object)
+    *_, images = _image_sums((f,), factors, entries)
+    of_abs_sum = _on_spectra((f,), abs_sum, entries)
+    if entries[0, 0] is not None:
+        raise entries[0, 0]
+    return images[0, 0], of_abs_sum[0, 0]
 
 
 def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
@@ -979,7 +1072,8 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
     a = np.diag([2.0, -1.0]).astype(np.complex128)
     b = np.diag([-2.0, 1.0]).astype(np.complex128)
     f = function_by_name("power:2")
-    factors, m, M, abs_sum = _abs_factors(a, b)
+    factors, m, M, abs_sum = _abs_factors([a], [b])
+    m, M = float(m[0]), float(M[0])
     images, of_abs_sum = _abs_images(f, factors, abs_sum)
     op = NormKind.operator()
     images_sum = _norm_of_sv(_sv_hermitian(_eigvalsh(images)), op)
@@ -1062,77 +1156,100 @@ def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     f'(M), f(M)/M and f(2M)/2M instead.  The 1 x 1 case of
     :func:`check_normal_chain_grid`.
     """
-    return _one(check_normal_chain_grid((f,), A, B, norms, tol))
+    return _one(check_normal_chain_grid((f,), [(A, B)], norms, tol)[0])
 
 
-def check_normal_chain_grid(fs, A, B, norms=None, tol=DEFAULT_TOL) -> list:
-    """:func:`check_normal_chain` for every function in ``fs``.
+def _tagged_fixing_zero(f):
+    forward = _require_tagged(f)
+    _require_fixes_zero(f)
+    return forward
 
-    Returns one entry per function: the record, or the ``ValueError`` that
-    :func:`check_normal_chain` raises for it.  Both normality gates, both
-    Schur factorizations, the eigenvalues of |A| + |B| and the singular
-    values of A + B are computed once; per function only f(|A|) + f(|B|)
-    remains, and its eigenvalues for every function are one stacked
-    eigvalsh.  The norms are tables and the links margins over
-    (function x norm kind) arrays, as in :func:`check_subadditivity_grid`.
+
+def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
+    """:func:`check_normal_chain` for every function in ``fs`` and trial in ``pairs``.
+
+    ``pairs`` is a dimension group, as for :func:`check_subadditivity_grid`;
+    returns, per trial, one entry per function: the record, or the
+    ``ValueError`` that :func:`check_normal_chain` raises for it.  Per trial
+    both normality gates and both Schur factorizations are computed once,
+    per matrix; the eigenvalues of |A| + |B| and the singular values of
+    A + B are one stacked solve each over the group.  Per function only
+    f(|A|) + f(|B|) remains, and its eigenvalues for every (function,
+    trial) are one stacked eigvalsh.  The norms are tables and the links
+    margins over (record x norm kind) arrays, as in
+    :func:`check_subadditivity_grid`.
     """
-    a = as_complex_array(A)
-    b = as_complex_array(B)
-    fs = tuple(fs)
-    results = [None] * len(fs)
+    pairs = [(as_complex_array(a), as_complex_array(b)) for a, b in pairs]
+    if len({a.shape for a, _ in pairs}) > 1:
+        raise ShapeError("a group's trials must share one dimension")
 
-    @cache
-    def trial():
+    def step(pair):
+        a, b = pair
         _require_normal(a, tol, "first operand")
         _require_normal(b, tol, "second operand")
-        return _abs_factors(a, b)
+        if b.shape != a.shape:
+            raise ShapeError("operands must have the same dimension")
+        return pair
 
-    def step(f):
-        forward = _require_tagged(f)
-        _require_fixes_zero(f)
-        factors, m, M, abs_sum = trial()
-        image, of_abs_sum = _abs_images(f, factors, abs_sum)
-        if m <= 0.0:
-            raise NotPositiveDefiniteError("singular values must be positive")
-        x = m if forward else M
-        edge = float(f.deriv(0.0 if forward else M))
-        coefs = (edge, float(f(x)) / x, float(f(2.0 * x)) / (2.0 * x))
-        params = {"fn": f.name, "m": m, "M": M, "convex": forward, "dim": a.shape[0]}
-        return image, (of_abs_sum, coefs, params)
+    def judge(fs, forward, stacks, entries):
+        a, b = stacks
+        n = a.shape[-1]
+        factors, m, M, abs_sum = _abs_factors(a, b)
+        *_, images = _image_sums(fs, factors, entries)
+        of_abs_sum = _on_spectra(fs, abs_sum, entries).reshape(-1, n)
+        for t in np.flatnonzero(m <= 0.0):
+            _fail(entries[:, t], NotPositiveDefiniteError("singular values must be positive"))
+        w_images = _eigvalsh(images.reshape(-1, n, n), entries.reshape(-1))
+        errors = np.full(len(a), None, dtype=object)
+        sv_sum = _singular_values(_finite(a + b, errors), errors)
+        _fail_trials(entries, errors)
+        rows, fn_of, t_of = _open(entries)
+        if not rows.size:
+            return
+        m, M = m.tolist(), M.tolist()
+        cells = list(zip(fn_of.tolist(), t_of.tolist()))
+        coefs = []
+        for i, t in cells:
+            f, x = fs[i], (m[t] if forward[i] else M[t])
+            edge = float(f.deriv(0.0 if forward[i] else M[t]))
+            coefs.append((edge, float(f(x)) / x, float(f(2.0 * x)) / (2.0 * x)))
+        try:
+            kinds = _norm_kinds(norms, n)
+            # a table per trial: stacked, a strided row of sv_sum would take numpy's SIMD
+            # power instead of libm's, and change its Schatten norms in the last bit
+            base = np.array([_norm_table(sv[None], kinds)[0] for sv in sv_sum])[t_of]
+            w = np.concatenate([w_images[rows], of_abs_sum[rows]])
+            table = _norm_table(_sv_hermitian(w), kinds)
+        except ValueError as exc:
+            _fail(entries, exc)
+            return
+        k = rows.size
+        edge, c_sep, c_sum = (np.array(c)[:, None] for c in zip(*coefs))
+        # an infinite f'(0) or f'(M) leaves both edge links vacuous: margin 0, passed
+        has_edge = np.isfinite(edge)
+        edge = np.where(has_edge, edge, 0.0) * base
+        sep, tot = c_sep * base, c_sum * base
+        links = [
+            _scalar_margins(edge, sep, tol),
+            _scalar_margins(sep, table[:k], tol),
+            _scalar_margins(edge, tot, tol),
+            _scalar_margins(tot, table[k:], tol),
+        ]
+        for j in (0, 2):
+            margin, passed = links[j]
+            links[j] = np.where(has_edge, margin, 0.0), passed | ~has_edge
+        params = [
+            {"fn": fs[i].name, "m": m[t], "M": M[t], "convex": forward[i], "dim": n}
+            for i, t in cells
+        ]
+        _norm_records(
+            "normal_chain", "normal-abs-norm-chain",
+            ("sep-edge", "sep-bound", "sum-edge", "sum-bound"), kinds, links,
+            [(ok, True, ok, True) for ok in has_edge[:, 0].tolist()], params,
+            entries.reshape(-1), rows,
+        )
 
-    rows, kept, w_images = _function_rows(fs, step, results)
-    if not rows:
-        return results
-    of_abs_sum, coefs, params = zip(*kept)
-    sv = _sv_hermitian(np.concatenate([w_images, np.stack(of_abs_sum)]))
-    try:
-        sv_sum = singular_values(a + b)
-        kinds = _norm_kinds(norms, a.shape[0])
-        # a table of its own: stacked, sv_sum would change layout, and with it its Schatten powers
-        base = _norm_table(sv_sum[None], kinds)[0]
-        table = _norm_table(sv, kinds)
-    except ValueError as exc:
-        return [exc if r is None else r for r in results]
-    k = len(rows)
-    edge, c_sep, c_sum = (np.array(c)[:, None] for c in zip(*coefs))
-    # an infinite f'(0) or f'(M) leaves both edge links vacuous: margin 0, passed
-    has_edge = np.isfinite(edge)
-    edge = np.where(has_edge, edge, 0.0) * base
-    sep, tot = c_sep * base, c_sum * base
-    links = [
-        _scalar_margins(edge, sep, tol),
-        _scalar_margins(sep, table[:k], tol),
-        _scalar_margins(edge, tot, tol),
-        _scalar_margins(tot, table[k:], tol),
-    ]
-    for j in (0, 2):
-        margin, passed = links[j]
-        links[j] = np.where(has_edge, margin, 0.0), passed | ~has_edge
-    return _norm_records(
-        "normal_chain", "normal-abs-norm-chain",
-        ("sep-edge", "sep-bound", "sum-edge", "sum-bound"), kinds, links,
-        [(ok, True, ok, True) for ok in has_edge[:, 0].tolist()], params, results, rows,
-    )
+    return _group_grid(fs, pairs, _tagged_fixing_zero, step, judge)
 
 
 def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1150,7 +1267,7 @@ def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutco
     b = as_complex_array(B)
     sv = np.concatenate([singular_values(a), singular_values(b)])
     m, M = float(sv.min()), float(sv.max())
-    factors, _, _, abs_sum = _abs_factors(a, b)
+    factors, _, _, abs_sum = _abs_factors([a], [b])
     images, of_abs_sum = _abs_images(f, factors, abs_sum)
     sv_images, sv_image_of_abs = _sv_hermitian(_eigvalsh(images)), _sv_hermitian(of_abs_sum)
     coef = float(f(M)) / M
@@ -1363,85 +1480,89 @@ def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome
     links report as inapplicable.  The 1 x 1 case of
     :func:`check_determinant_grid`.
     """
-    return _one(check_determinant_grid((f,), A, B, alpha, tol))
+    return _one(check_determinant_grid((f,), [(A, B, alpha)], tol)[0])
 
 
-def check_determinant_grid(fs, A, B, alpha=0.5, tol=DEFAULT_TOL) -> list:
-    """:func:`check_determinant_suite` for every function in ``fs``.
+def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
+    """:func:`check_determinant_suite` for every function in ``fs`` and trial in ``trials``.
 
-    Returns one entry per function: the record, or the ``ValueError`` that
-    :func:`check_determinant_suite` raises for it.  The eigenvalues of
+    ``trials`` is a dimension group: one (A, B, alpha) per trial, every
+    operand n x n for one n.  Returns, per trial, one entry per function:
+    the record, or the ``ValueError`` that :func:`check_determinant_suite`
+    raises for it.  Per trial the factors of A and B, the eigenvalues of
     A + B and of alpha A + beta B and the determinant roots of A, B and
-    A + B are computed once; f(A) keeps A's eigenvectors, so its root is
-    read off f on A's spectrum, and per function only f(A) + f(B) remains,
-    its eigenvalues for every function one stacked eigvalsh.
+    A + B are computed once, each as one stacked solve or array over the
+    group; f(A) keeps A's eigenvectors, so its root is read off f on A's
+    spectrum, and per function only f(A) + f(B) remains, its eigenvalues
+    for every (function, trial) one stacked eigvalsh.
     """
-    fs = tuple(fs)
-    results = [None] * len(fs)
+    trials = [(_pair(a, b, tol), alpha) for a, b, alpha in trials]
 
-    @cache
-    def trial():
+    def step(trial):
+        pair, alpha = trial
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
-        (a, wa, va), (b, wb, vb), m, M = _pair(A, B, tol).factors
+        (a, wa, va), (b, wb, vb), m, M = pair.factors
         _require_positive(m)
-        da, db = _det_root(wa, tol), _det_root(wb, tol)
-        return (a, wa, va), (b, wb, vb), m, M, da, db, _det_root(_eigvalsh(a + b), tol)
+        return a, b, wa, va, wb, vb, m, M, alpha
 
-    def step(f):
-        forward = _require_tagged(f)
-        _require_fixes_zero(f)
-        (_, wa, va), (_, wb, vb), *_ = trial()
-        fwa, fwb = _finite(_fn_values(f, wa)), _finite(_fn_values(f, wb))
-        dfab = _det_root(fwa, tol) + _det_root(fwb, tol)
-        return _compose(va, fwa) + _compose(vb, fwb), (forward, dfab)
+    def judge(fs, forward, stacks, entries):
+        a, b, wa, va, wb, vb, m, M, alpha = stacks
+        n = wa.shape[-1]
+        errors = np.full(len(a), None, dtype=object)
+        da, db = _det_root(wa, tol, errors), _det_root(wb, tol, errors)
+        dsum = _det_root(_eigvalsh(a + b, errors), tol, errors)
+        _fail_trials(entries, errors)
+        fwa, fwb, images = _image_sums(fs, ((wa, va), (wb, vb)), entries)
+        flat = entries.reshape(-1)
+        dfab = _det_root(fwa.reshape(-1, n), tol, flat) + _det_root(fwb.reshape(-1, n), tol, flat)
+        dfsum = _det_root(_eigvalsh(images.reshape(-1, n, n), flat), tol, flat)
+        rows, fn_of, t_of = _open(entries)
+        if not rows.size:
+            return
+        beta = 1.0 - alpha
+        gap_tol = tol * (1.0 + np.maximum(np.abs(M), np.abs(m)))
+        gap_below = wa[:, 0] - wb[:, -1] >= gap_tol  # B entirely below A
+        gap_above = wb[:, 0] - wa[:, -1] >= gap_tol  # B entirely above A
+        gap = gap_below | gap_above
+        mix = np.prod(_eigvalsh(alpha[:, None, None] * a + beta[:, None, None] * b), axis=-1)
+        mixed_dets = alpha * np.prod(wa, axis=-1) + beta * np.prod(wb, axis=-1)
+        trial_links = (
+            _scalar_margins(da + db, dsum, tol),
+            _scalar_margins(mix, mixed_dets, tol, gap),
+        )
+        cells = list(zip(fn_of.tolist(), t_of.tolist()))
+        ms, Ms = m.tolist(), M.tolist()
+        c_m = np.array([float(fs[i](ms[t])) / ms[t] for i, t in cells])
+        c_M = np.array([float(fs[i](Ms[t])) / Ms[t] for i, t in cells])
+        convex = np.array(forward)[fn_of]
+        c_lo, c_hi = np.where(convex, c_m, c_M), np.where(convex, c_M, c_m)
+        d_ab, d_sum, gap_of = (da + db)[t_of], dsum[t_of], gap[t_of]
+        reverse = _scalar_margins(dfsum[rows], 2.0 ** (1.0 - 1.0 / n) * c_M * d_ab, tol, gap_of)
+        links = (
+            *((margin[t_of], passed[t_of]) for margin, passed in trial_links),
+            _scalar_margins(dfab[rows], c_hi * d_sum, tol),
+            _scalar_margins(c_lo * d_ab, dfsum[rows], tol),
+            (np.where(convex, reverse[0], 0.0), np.where(convex, reverse[1], True)),
+        )
+        margins, passes = (np.stack(column, axis=-1) for column in zip(*links))
+        gap_of, below, above, alpha = (x.tolist() for x in (gap_of, gap_below, gap_above, alpha))
+        applicable = [
+            (True, gap, True, True, gap and forward[i]) for (i, _), gap in zip(cells, gap_of)
+        ]
+        params = [
+            {"fn": fs[i].name, "alpha": alpha[t], "m": ms[t], "M": Ms[t], "dim": n,
+             "gap_below": below[t], "gap_above": above[t], "convex": forward[i]}
+            for i, t in cells
+        ]
+        _fill(
+            "determinant_suite", "determinant-root-bounds",
+            ("detroot-superadditivity", "convex-combination-det", "image-detroot-sum",
+             "scaled-detroot-sum", "reverse-detroot-bound"),
+            margins, passes, applicable, params, flat, rows,
+        )
 
-    rows, kept, w_images = _function_rows(fs, step, results)
-    if not rows:
-        return results
-    (a, wa, _), (b, wb, _), m, M, da, db, dsum = trial()
-    beta = 1.0 - alpha
-    n = a.shape[0]
-    gap_tol = tol * (1.0 + max(abs(M), abs(m)))
-    gap_below = float(wa[0] - wb[-1]) >= gap_tol  # B entirely below A
-    gap_above = float(wb[0] - wa[-1]) >= gap_tol  # B entirely above A
-    gap_ok = gap_below or gap_above
-    superadditivity = _scalar_link("detroot-superadditivity", da + db, dsum, tol)
-    det_mix = float(np.prod(_eigvalsh(alpha * a + beta * b)))
-    mix = _scalar_link(
-        "convex-combination-det",
-        det_mix,
-        alpha * float(np.prod(wa)) + beta * float(np.prod(wb)),
-        tol,
-        applicable=gap_ok,
+    return _group_grid(
+        fs, trials, _tagged_fixing_zero, step, judge,
+        lambda trials: SharedPair.factor_group([pair for pair, _ in trials]),
     )
-    for i, w, (forward, dfab) in zip(rows, w_images, kept):
-        f = fs[i]
-        try:
-            dfsum = _det_root(w, tol)
-            c_m, c_M = float(f(m)) / m, float(f(M)) / M
-            c_lo, c_hi = (c_m, c_M) if forward else (c_M, c_m)
-            reverse = 2.0 ** (1.0 - 1.0 / n) * c_M * (da + db)
-            links = (
-                superadditivity,
-                mix,
-                _scalar_link("image-detroot-sum", dfab, c_hi * dsum, tol),
-                _scalar_link("scaled-detroot-sum", c_lo * (da + db), dfsum, tol),
-                _scalar_link("reverse-detroot-bound", dfsum, reverse, tol, applicable=gap_ok)
-                if forward
-                else ("reverse-detroot-bound", 0.0, True, False),
-            )
-            params = {
-                "fn": f.name,
-                "alpha": alpha,
-                "m": m,
-                "M": M,
-                "dim": n,
-                "gap_below": gap_below,
-                "gap_above": gap_above,
-                "convex": forward,
-            }
-            results[i] = _outcome("determinant_suite", "determinant-root-bounds", links, params)
-        except ValueError as exc:
-            results[i] = exc
-    return results

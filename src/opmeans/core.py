@@ -97,7 +97,10 @@ def _flag(errors, k, exc) -> None:
 
 
 def _finite(arr: np.ndarray, errors=None) -> np.ndarray:
-    """Return ``arr``; raise if an entry overflowed or is NaN (per row of a stack: :func:`_flag`)."""
+    """Return ``arr``; raise if an entry overflowed or is NaN.
+
+    For a stack, per row (see :func:`_flag`).
+    """
     if np.isfinite(arr).all():
         return arr
     if errors is None:
@@ -356,7 +359,9 @@ def _canonicalize_basis(w: np.ndarray, v: np.ndarray) -> None:
             cols = range(start, stop)
             keys = {
                 j: tuple(
-                    np.stack([np.round(v[:, j].real, 10), np.round(v[:, j].imag, 10)], axis=1).ravel()
+                    np.stack(
+                        [np.round(v[:, j].real, 10), np.round(v[:, j].imag, 10)], axis=1
+                    ).ravel()
                 )
                 for j in cols
             }
@@ -482,12 +487,27 @@ def _loewner_on_spectrum(lo: np.ndarray, hi: np.ndarray, tol: float, errors=None
 
 def singular_values(A) -> np.ndarray:
     """Singular values (eigenvalues of |A|), sorted decreasing."""
-    arr = as_complex_array(A)
-    scale = float(np.abs(arr).max(initial=0.0))
-    if np.abs(arr - arr.conj().T).max(initial=0.0) <= 1e-12 * (1.0 + scale):
-        return _sv_hermitian(_eigvalsh(hermitian_part(arr)))
-    # square roots of the eigenvalues of A*A: one eigensolve, no |A| assembled
-    return np.sqrt(np.clip(_eigvalsh(hermitian_part(arr.conj().T @ arr)), 0.0, None))[::-1]
+    return _singular_values(as_complex_array(A)[None])[0]
+
+
+def _singular_values(arr: np.ndarray, errors=None) -> list:
+    """:func:`singular_values` of each matrix of a stack, all by one stacked eigvalsh.
+
+    A Hermitian matrix's are |w| on its eigenvalues, a contiguous row;
+    another's are the square roots of the eigenvalues of A*A, no |A|
+    assembled, as a reversed view.  Returns one row per matrix, laid out as
+    described, because a Schatten norm's bits depend on the layout (see
+    :func:`_norm_table`).  A row with an error is solved as I (see
+    :func:`_lapack`).
+    """
+    adj = arr.conj().swapaxes(-1, -2)
+    scale = np.abs(arr).max(axis=(-2, -1), initial=0.0)
+    hermitian = np.abs(arr - adj).max(axis=(-2, -1), initial=0.0) <= 1e-12 * (1.0 + scale)
+    w = _eigvalsh(hermitian_part(np.where(hermitian[:, None, None], arr, adj @ arr)), errors)
+    return [
+        _sv_hermitian(row) if own else np.sqrt(np.clip(row, 0.0, None))[::-1]
+        for row, own in zip(w, hermitian.tolist())
+    ]
 
 
 def norm(A, kind) -> float:
@@ -560,15 +580,22 @@ def det_root(A, tol: float = DEFAULT_TOL) -> float:
     return _det_root(_eigvalsh(as_hermitian_array(A)), tol)
 
 
-def _det_root(w: np.ndarray, tol: float) -> float:
-    """:func:`det_root` of a Hermitian matrix with eigenvalues ``w``, in any order."""
-    low = w.min()
-    scale = 1.0 + float(np.abs(w).max())
-    if low < -tol * scale:
-        raise NotPositiveSemidefiniteError(
-            f"matrix has eigenvalue {low:.6e}, below -tol*scale = {-tol * scale:.3e}"
-        )
-    return float(np.prod(np.clip(w, 0.0, None)) ** (1.0 / w.size))
+def _det_root(w: np.ndarray, tol: float, errors=None):
+    """:func:`det_root` of a Hermitian matrix with eigenvalues ``w``, in any order.
+
+    For a stack of spectra, one root per row as an array, and a row with an
+    eigenvalue below -tol * scale keeps its error (see :func:`_flag`).  The
+    root is libm's ``pow`` value by value, as for one matrix.
+    """
+    low = np.atleast_1d(w.min(axis=-1))
+    scale = np.atleast_1d(1.0 + np.abs(w).max(axis=-1))
+    for k in np.flatnonzero(low < -tol * scale):
+        _flag(errors, k, NotPositiveSemidefiniteError(
+            f"matrix has eigenvalue {low[k]:.6e}, below -tol*scale = {-tol * scale[k]:.3e}"
+        ))
+    products = np.atleast_1d(np.prod(np.clip(w, 0.0, None), axis=-1)).tolist()
+    roots = [p ** (1.0 / w.shape[-1]) for p in products]
+    return roots[0] if w.ndim == 1 else np.array(roots)
 
 
 def spectral_bounds(A, B) -> tuple[float, float]:

@@ -68,6 +68,10 @@ __all__ = [
 
 TOOL_VERSION = "0.1.0"
 
+#: A check call takes at most this many trials x dim^2 operand entries, one
+#: dimension group: every dim-32 trial goes alone, and 28 dim-6 trials at once.
+_GROUP_ENTRIES = 1024
+
 CONVEX_FUNCTIONS = ("power:3/2", "power:2", "power:3", "expm1")
 CONCAVE_FUNCTIONS = ("sqrt", "power:2/3", "log1p", "mobius")
 _ALL_FUNCTIONS = CONVEX_FUNCTIONS + CONCAVE_FUNCTIONS
@@ -269,8 +273,16 @@ def _norm_arg(spec: SuiteSpec):
     return tuple(spec.norms) if spec.norms else None
 
 
+def _trials(check):
+    """A suite's group check from ``check(spec, axes, x)``, which checks one trial.
+
+    For the suites with no group grid: it checks the group's trials one by one.
+    """
+    return lambda spec, axes, xs: [check(spec, axes, x) for x in xs]
+
+
 def _each(check):
-    """A suite's per-trial check from ``check(spec, config, x)``, which makes one record.
+    """A suite's group check from ``check(spec, config, x)``, which makes one record.
 
     For the suites with no grid checker.
     """
@@ -284,7 +296,16 @@ def _each(check):
                 results.append(exc)
         return results
 
-    return per_trial
+    return _trials(per_trial)
+
+
+def _check_determinant(spec: SuiteSpec, axes: dict, xs) -> list:
+    """The determinant grid on a group, each record carrying its trial's pair kind."""
+    grid = checks.check_determinant_grid(axes["fn"], [x[:3] for x in xs], spec.tol)
+    return [
+        [e if isinstance(e, ValueError) else e.with_params({"pair_kind": x[3]}) for e in row]
+        for x, row in zip(xs, grid)
+    ]
 
 
 def _check_contraction(spec: SuiteSpec, c: dict, x) -> CheckOutcome:
@@ -303,16 +324,18 @@ class _Suite:
     instance; ``None`` marks a fixed check that takes no instance and runs
     one trial.  A Hermitian instance, drawn or loaded, is the operands of
     one :class:`checks.SharedPair`, so the trial's configurations share its
-    factors.  ``check(spec, axes, x)`` gives, for each configuration in
-    order, its record on instance ``x`` or the ``ValueError`` it raised, from
-    each axis's values with names resolved (see :func:`_resolve`).
-    main_chain, eig_prod_norm, inverse_function, mean_diff_norm,
-    subadditivity, normal_chain and determinant check a trial as one grid
-    (``checks.check_*_grid``); the others check one configuration at a time
-    (:func:`_each`).  A fixture pair is loaded as Hermitian when
-    ``hermitian`` is set and is shaped into an instance by ``from_fixture``.
-    Entries look checkers, generators and names up when called, so a
-    wrapper installed on a module attribute sees every call.
+    factors.  ``check(spec, axes, xs)`` takes a dimension group: the
+    instances ``xs`` of trials of one dimension.  It gives, per trial, for
+    each configuration in order, its record or the ``ValueError`` it
+    raised, from each axis's values with names resolved (see
+    :func:`_resolve`).  subadditivity, normal_chain and determinant judge
+    the whole group as one grid (``checks.check_*_grid``); main_chain,
+    eig_prod_norm, inverse_function and mean_diff_norm check it trial by
+    trial, each trial as one grid (:func:`_trials`); the others check one
+    configuration at a time (:func:`_each`).  A fixture pair is loaded as
+    Hermitian when ``hermitian`` is set and is shaped into an instance by
+    ``from_fixture``.  Entries look checkers, generators and names up when
+    called, so a wrapper installed on a module attribute sees every call.
     """
 
     axes: Callable
@@ -341,7 +364,9 @@ _ALL_FNS_MEANS = _fns_means(_ALL_FUNCTIONS)
 _SUITES = {
     "main_chain": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        lambda spec, ax, x: checks.check_main_chain_grid(ax["fn"], ax["mean"], *x, spec.tol),
+        _trials(lambda spec, ax, x: checks.check_main_chain_grid(
+            ax["fn"], ax["mean"], *x, spec.tol
+        )),
     ),
     "chord": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
@@ -353,20 +378,20 @@ _SUITES = {
     ),
     "mean_diff_norm": _Suite(
         _fns_means(CONVEX_FUNCTIONS), _pd_pair,
-        lambda spec, ax, x: checks.check_mean_difference_norm_grid(
+        _trials(lambda spec, ax, x: checks.check_mean_difference_norm_grid(
             ax["fn"], ax["mean"], *x, _norm_arg(spec), spec.tol
-        ),
+        )),
     ),
     "eig_prod_norm": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        lambda spec, ax, x: checks.check_eig_prod_norm_grid(
+        _trials(lambda spec, ax, x: checks.check_eig_prod_norm_grid(
             ax["fn"], ax["mean"], *x, spec.tol, _norm_arg(spec)
-        ),
+        )),
     ),
     "subadditivity": _Suite(
         _fns(CONVEX_FUNCTIONS), _pd_pair,
-        lambda spec, ax, x: checks.check_subadditivity_grid(
-            ax["fn"], *x, _norm_arg(spec), spec.tol
+        lambda spec, ax, xs: checks.check_subadditivity_grid(
+            ax["fn"], xs, _norm_arg(spec), spec.tol
         ),
     ),
     "normal_counterexample": _Suite(
@@ -380,7 +405,9 @@ _SUITES = {
     ),
     "normal_chain": _Suite(
         _ALL_FNS, _normal_pair,
-        lambda spec, ax, x: checks.check_normal_chain_grid(ax["fn"], *x, _norm_arg(spec), spec.tol),
+        lambda spec, ax, xs: checks.check_normal_chain_grid(
+            ax["fn"], xs, _norm_arg(spec), spec.tol
+        ),
         hermitian=False,
     ),
     "power_mean": _Suite(
@@ -396,14 +423,12 @@ _SUITES = {
     "contraction": _Suite(_contraction_pairs, _pd_pair, _each(_check_contraction)),
     "inverse_function": _Suite(
         _ALL_FNS_MEANS, _pd_pair,
-        lambda spec, ax, x: checks.check_inverse_function_grid(ax["fn"], ax["mean"], *x, spec.tol),
+        _trials(lambda spec, ax, x: checks.check_inverse_function_grid(
+            ax["fn"], ax["mean"], *x, spec.tol
+        )),
     ),
     "determinant": _Suite(
-        _ALL_FNS, _det_instance,
-        lambda spec, ax, x: [
-            out if isinstance(out, ValueError) else out.with_params({"pair_kind": x[3]})
-            for out in checks.check_determinant_grid(ax["fn"], x[0], x[1], x[2], spec.tol)
-        ],
+        _ALL_FNS, _det_instance, _check_determinant,
         from_fixture=lambda spec, pair: (*pair, spec.alphas[0], "fixture"),
     ),
 }
@@ -435,7 +460,10 @@ def _check_generator(spec: SuiteSpec, structure: str = "positive_definite") -> N
     """Refuse dimensions or a spectral interval that the instance generator rejects.
 
     Called before the first instance is drawn, so a bad ``--m``, ``--M`` or
-    ``--dim`` is a usage error, not a failure halfway through a run.
+    ``--dim`` is a usage error, not a failure halfway through a run.  So is
+    an interval with M/m above 1/eps: an eigenvalue near m of an operand
+    with norm near M is below the eigensolver's absolute error, so its
+    verdicts could not be trusted.
     """
     if not spec.dims:
         raise UsageError("need at least one dimension")
@@ -444,6 +472,12 @@ def _check_generator(spec: SuiteSpec, structure: str = "positive_definite") -> N
             GeneratorConfig(dim, spec.m, spec.M, structure)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    ratio, limit = spec.M / spec.m, 1.0 / np.finfo(np.float64).eps
+    if ratio > limit:
+        raise UsageError(
+            f"spectral interval ratio M/m = {ratio:.3e} exceeds 1/eps = {limit:.3e}:"
+            " the eigensolver cannot resolve the smallest eigenvalue"
+        )
 
 
 def _summarize(records, wall_time, found=None) -> Summary:
@@ -480,16 +514,36 @@ def _summarize(records, wall_time, found=None) -> Summary:
     )
 
 
+def _trial_groups(spec: SuiteSpec, trials: int, drawn: bool) -> list[list[int]]:
+    """The trials, as the suite's check takes them: dimension groups in first-trial order.
+
+    Each group holds trials of one dimension, at most ``_GROUP_ENTRIES``
+    entries of one operand in all.  A fixed instance is one group of one.
+    """
+    if not drawn:
+        return [[0]]
+    by_dim: dict[int, list[int]] = {}
+    for t in range(trials):
+        by_dim.setdefault(_dim_for(spec, t), []).append(t)
+    groups = []
+    for dim, ts in by_dim.items():
+        size = max(1, _GROUP_ENTRIES // dim**2)
+        groups.extend(ts[i : i + size] for i in range(0, len(ts), size))
+    return sorted(groups)
+
+
 def run_suite(spec: SuiteSpec) -> Report:
     """Run every (configuration, trial) cell of a suite.
 
     Deterministic for a fixed master seed: trial instances depend only on
     (seed, trial index), and the record order is (configuration, trial).
-    The loop runs trial by trial: trial t's instance is drawn when the
-    trial starts, the suite's check makes all its configurations' records
-    on it at once (a ``ValueError`` makes a not-applicable record), and it
-    is dropped when the trial is done.  Each record is placed at its
-    (configuration, trial) index.
+    The loop runs one dimension group of trials at a time
+    (:func:`_trial_groups`): each trial's instance is drawn from its own
+    seed when its group starts, the suite's check makes all the group's
+    records at once (a ``ValueError`` makes a not-applicable record), and
+    the instances are dropped when the group is done.  Each record is
+    placed at its (configuration, trial) index, so the grouping changes no
+    report.
     """
     started = time.perf_counter()
     _validate_names(spec)
@@ -503,7 +557,9 @@ def run_suite(spec: SuiteSpec) -> Report:
     combos = [dict(zip(keys, values)) for values in itertools.product(*(v for _, v in axes))]
     if spec.fixtures and suite.instance is None:
         raise UsageError(f"suite {spec.suite!r} takes no fixtures")
-    fixed = suite.from_fixture(spec, _fixture_pair(spec, suite.hermitian)) if spec.fixtures else None
+    fixed = None
+    if spec.fixtures:
+        fixed = suite.from_fixture(spec, _fixture_pair(spec, suite.hermitian))
     drawn = suite.instance is not None and not spec.fixtures
     if drawn:
         _check_generator(spec)
@@ -511,16 +567,18 @@ def run_suite(spec: SuiteSpec) -> Report:
 
     resolved = {key: [_resolve(key, v) for v in values] for key, values in axes}
     records = [None] * (len(combos) * trials)
-    for t in range(trials):
-        x = suite.instance(spec, t) if drawn else fixed
-        outcomes = suite.check(spec, resolved, x)
-        for i, (combo, out) in enumerate(zip(combos, outcomes, strict=True)):
-            if isinstance(out, ValueError):
-                out = CheckOutcome(spec.suite, "not-applicable", (), {"not_applicable": str(out)})
-            context = {"suite": spec.suite, "trial": t, **combo}
-            if drawn:
-                context["dim"] = _dim_for(spec, t)
-            records[i * trials + t] = out.with_params(context)
+    for group in _trial_groups(spec, trials, drawn):
+        xs = [suite.instance(spec, t) if drawn else fixed for t in group]
+        for t, outcomes in zip(group, suite.check(spec, resolved, xs), strict=True):
+            for i, (combo, out) in enumerate(zip(combos, outcomes, strict=True)):
+                if isinstance(out, ValueError):
+                    out = CheckOutcome(
+                        spec.suite, "not-applicable", (), {"not_applicable": str(out)}
+                    )
+                context = {"suite": spec.suite, "trial": t, **combo}
+                if drawn:
+                    context["dim"] = _dim_for(spec, t)
+                records[i * trials + t] = out.with_params(context)
 
     summary = _summarize(records, time.perf_counter() - started)
     return Report(TOOL_VERSION, spec, records, summary)
@@ -543,7 +601,9 @@ def _require_positive_definite(pair) -> None:
 SEARCH_TARGETS = ("norm_chain_normal", "main_chain")
 
 
-def search_counterexample(target: str, structure: str | None, budget: int, spec: SuiteSpec) -> Report:
+def search_counterexample(
+    target: str, structure: str | None, budget: int, spec: SuiteSpec
+) -> Report:
     """Stream random instances at a target checker and stop at the first failure.
 
     For ``norm_chain_normal`` the generated class (Hermitian-indefinite by

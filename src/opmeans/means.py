@@ -140,7 +140,9 @@ def geometric(t: float) -> MatrixMean:
     h = ScalarFunction(
         f"geom_h[{_fmt(t)}]",
         fn=lambda x, _t=t: np.power(x, _t) if np.ndim(x) else float(x) ** _t,
-        deriv=lambda x, _t=t: _t * np.power(x, _t - 1.0) if np.ndim(x) else _t * float(x) ** (_t - 1.0),
+        deriv=lambda x, _t=t: (
+            _t * np.power(x, _t - 1.0) if np.ndim(x) else _t * float(x) ** (_t - 1.0)
+        ),
         domain=Interval(0.0, math.inf),
         convexity=Convexity.CONCAVE,
     )

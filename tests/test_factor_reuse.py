@@ -5,12 +5,12 @@ A's eigenvectors for f(A); ``mean`` factors A once for its gate and its
 congruence.  The norm and determinant checkers factor each matrix once and
 read every norm kind off its one singular-value vector; normal operands are
 factored once by complex Schur.  A run of a positive definite suite shares
-each trial's factors between its configurations, and a ``main_chain``,
-``eig_prod_norm``, ``inverse_function``, ``mean_diff_norm``,
-``subadditivity``, ``normal_chain`` or ``determinant`` trial is one stacked
-grid.  The tests count the matrices that LAPACK factors through numpy and
-scipy, each matrix of a stack separately, and where it matters the LAPACK
-calls.
+each trial's factors between its configurations, a ``main_chain``,
+``eig_prod_norm``, ``inverse_function`` or ``mean_diff_norm`` trial is one
+stacked grid, and a ``subadditivity``, ``normal_chain`` or ``determinant``
+dimension group of trials is one.  The tests count the matrices that
+LAPACK factors through numpy and scipy, each matrix of a stack
+separately, and where it matters the LAPACK calls.
 """
 
 import numpy as np
@@ -90,6 +90,11 @@ def eigensolves(monkeypatch, solver_calls):
 
 def _total(counts):
     return sum(counts.values())
+
+
+def _groups(spec):
+    """The number of dimension groups of a run whose groups are not split by size."""
+    return len({spec.dims[t % len(spec.dims)] for t in range(spec.trials)})
 
 
 @pytest.mark.parametrize("fn", ["power:2", "sqrt"])
@@ -193,12 +198,14 @@ def test_subadditivity_run_shares_factors(eigensolves, solver_calls, fns, trials
     report = run_suite(spec)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
-    F, T = len(fns), trials
+    F, T, G = len(fns), trials, _groups(spec)
     # per trial: eigh of A and B and eigvalsh of A + B; per function: eigvalsh
     # of f(A) + f(B), all functions in one stacked call (2 F T of each before)
     assert eigensolves["eigh"] == 2 * T, eigensolves
     assert eigensolves["eigvalsh"] == T * (1 + F), eigensolves
-    assert solver_calls["eigvalsh"] == 2 * T, solver_calls
+    # LAPACK calls per dimension group: each a stack of the group's trials (2 T before)
+    assert solver_calls["eigh"] == 2 * G, solver_calls
+    assert solver_calls["eigvalsh"] == 2 * G, solver_calls
     assert eigensolves["schur"] == 0, eigensolves
 
 
@@ -208,13 +215,15 @@ def test_normal_chain_run_shares_factors(eigensolves, solver_calls, fns, trials)
     report = run_suite(spec)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
-    F, T = len(fns), trials
+    F, T, G = len(fns), trials, _groups(spec)
     # per trial: Schur of A and B, eigvalsh of |A| + |B| and of (A + B)*(A + B);
     # per function: eigvalsh of f(|A|) + f(|B|), all functions in one stacked call
     # (2 F T Schur and 3 F T eigvalsh before)
     assert eigensolves["schur"] == 2 * T, eigensolves
+    assert solver_calls["schur"] == 2 * T, solver_calls
     assert eigensolves["eigvalsh"] == T * (2 + F), eigensolves
-    assert solver_calls["eigvalsh"] == 3 * T, solver_calls
+    # eigvalsh calls per dimension group, each a stack of the group's trials (3 T before)
+    assert solver_calls["eigvalsh"] == 3 * G, solver_calls
     assert eigensolves["eigh"] == 0, eigensolves
 
 
@@ -224,13 +233,15 @@ def test_determinant_run_shares_factors(eigensolves, solver_calls, fns, trials):
     report = run_suite(spec)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
-    F, T = len(fns), trials
+    F, T, G = len(fns), trials, _groups(spec)
     # per trial: eigh of A and B, eigvalsh of A + B and of alpha A + beta B; per
     # function: eigvalsh of f(A) + f(B), all functions in one stacked call
     # (3 F T eigvalsh before)
     assert eigensolves["eigh"] == 2 * T, eigensolves
     assert eigensolves["eigvalsh"] == T * (2 + F), eigensolves
-    assert solver_calls["eigvalsh"] == 3 * T, solver_calls
+    # LAPACK calls per dimension group, each a stack of the group's trials (2 T and 3 T before)
+    assert solver_calls["eigh"] == 2 * G, solver_calls
+    assert solver_calls["eigvalsh"] == 3 * G, solver_calls
     assert eigensolves["schur"] == 0, eigensolves
 
 

@@ -461,6 +461,25 @@ def test_cli_bad_interval_or_dimension_exit_two(capsys, suite, args, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "suite", [["--suite", "power_mean"], ["--suite", "search", "--target", "norm_chain_normal"]]
+)
+def test_cli_interval_beyond_resolution_exit_two(capsys, suite):
+    # the eigensolver's absolute error near eps * 1e120 swamps m = 0.5: refused
+    # before any instance is drawn, not downgraded as indefinite
+    rc = main(suite + ["--M", "1e120", "--trials", "2", "--budget", "2", "--dim", "2"])
+    assert rc == 2
+    assert "error: spectral interval ratio M/m = 2.000e+120 exceeds 1/eps" in (
+        capsys.readouterr().err
+    )
+
+
+def test_cli_wide_interval_within_resolution_runs(capsys):
+    rc = main(["--suite", "main_chain", "--m", "1e-6", "--M", "400", "--trials", "2"])
+    assert rc in (0, 1)
+    assert "main_chain: 144 records" in capsys.readouterr().out
+
+
 def test_bad_interval_or_dimension_is_a_usage_error():
     for spec in (SuiteSpec("determinant", m=0.0), SuiteSpec("normal_chain", M=0.25),
                  SuiteSpec("main_chain", dims=(2, 0)), SuiteSpec("main_chain", dims=())):

@@ -2,11 +2,12 @@
 
 ``run_suite`` builds each trial's factors once and hands every
 configuration of the trial operands that carry them; ``main_chain``,
-``eig_prod_norm``, ``inverse_function``, ``mean_diff_norm``,
-``subadditivity``, ``normal_chain`` and ``determinant`` judge a trial as one
-grid.  Every record it emits must equal, bit for bit, the record of the
-public checker called on the raw instance matrices, downgrades included,
-and every report the report of a run whose operands share nothing.
+``eig_prod_norm``, ``inverse_function`` and ``mean_diff_norm`` judge a
+trial as one grid, and ``subadditivity``, ``normal_chain`` and
+``determinant`` a dimension group of trials.  Every record it emits must
+equal, bit for bit, the record of the public checker called on the raw
+instance matrices, downgrades included, and every report the report of a
+run whose operands share nothing.
 """
 
 import json

@@ -4,8 +4,9 @@ No module imports a name it never uses, ``randgen`` depends on nothing in
 the package but ``core``, ``harness`` reaches into no private name of
 ``checks``, ``checks`` validates and factors a Hermitian pair only in
 ``SharedPair``, ``checks`` and ``means`` reach LAPACK's eigensolvers
-only through ``core``, and every import is at module level.  The
-re-exports in ``__init__.py`` are not checked for use.
+only through ``core``, every import is at module level, and no source
+line is over 100 characters.  The re-exports in ``__init__.py`` are not
+checked for use.
 """
 
 import ast
@@ -122,3 +123,13 @@ def test_no_function_level_imports(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     )
     assert not inner, f"{path.name} imports inside functions: {', '.join(inner)}"
+
+
+def test_no_line_over_100_characters():
+    long = [
+        f"{path.name}:{number} ({len(line)})"
+        for path in sorted(PKG.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert not long, f"source lines over 100 characters: {', '.join(long)}"
