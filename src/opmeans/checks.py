@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +59,6 @@ from .core import (
 from .functions import (
     Convexity,
     FunctionPair,
-    ScalarFunction,
     chord_coefficients,
     check_pair_conditions,
     function_by_name,
@@ -104,9 +104,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Link:
-    """One verified inequality link: description, margin, pass flag."""
+class Link(NamedTuple):
+    """One verified inequality link, a row (description, margin, passed, applicable)."""
 
     description: str
     margin: float
@@ -114,19 +113,11 @@ class Link:
     applicable: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "margin": self.margin,
-            "passed": self.passed,
-            "applicable": self.applicable,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "Link":
-        return cls(d["description"], d["margin"], d["passed"], d["applicable"])
-
-
-_LINK_FIELDS = ("description", "margin", "passed", "applicable")
+        return cls(*map(d.__getitem__, cls._fields))
 
 
 @dataclass(frozen=True, init=False)
@@ -137,8 +128,8 @@ class CheckOutcome:
     ``applicable[i]``); each column is a tuple of plain Python values, so
     records compare, pickle and round-trip like the :class:`Link` tuples
     they stand for.  ``CheckOutcome(check_name, claim, links, params)``
-    takes :class:`Link` objects and :attr:`links` gives them back; checkers
-    and the report writers use the columns.
+    takes link rows (a :class:`Link` is one) and :attr:`links` gives them
+    back; grids and the report writers use the columns.
     """
 
     check_name: str
@@ -150,8 +141,7 @@ class CheckOutcome:
     params: dict
 
     def __init__(self, check_name: str, claim: str, links, params: dict):
-        rows = [(x.description, x.margin, x.passed, x.applicable) for x in links]
-        self._fill(check_name, claim, *_columns(rows), params)
+        self._fill(check_name, claim, *(tuple(zip(*links)) or ((),) * 4), params)
 
     @classmethod
     def from_columns(
@@ -200,24 +190,13 @@ class CheckOutcome:
         return {
             "check_name": self.check_name,
             "claim": self.claim,
-            "links": [dict(zip(_LINK_FIELDS, row)) for row in zip(*columns)],
+            "links": [dict(zip(Link._fields, row)) for row in zip(*columns)],
             "params": dict(self.params),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckOutcome":
-        rows = [tuple(x[k] for k in _LINK_FIELDS) for x in d["links"]]
-        return _outcome(d["check_name"], d["claim"], rows, dict(d["params"]))
-
-
-def _columns(rows) -> tuple:
-    """Link rows (description, margin, passed, applicable) as four columns."""
-    return tuple(zip(*rows)) or ((), (), (), ())
-
-
-def _outcome(check_name, claim, rows, params) -> CheckOutcome:
-    """A record from its link rows."""
-    return CheckOutcome.from_columns(check_name, claim, *_columns(rows), params)
+        return cls(d["check_name"], d["claim"], map(Link.from_dict, d["links"]), dict(d["params"]))
 
 
 def _one(records):
@@ -229,20 +208,15 @@ def _one(records):
 
 
 # A checker builds its links as rows (description, margin, passed, applicable)
-# and hands them to _outcome; a grid builds them as arrays and hands them to
-# _norm_records or _mean_grid.  Only CheckOutcome.links makes Link objects.
-
-def _scalar_link(desc, lhs, rhs, tol, applicable=True) -> tuple:
-    lhs = float(lhs)
-    rhs = float(rhs)
-    margin = rhs - lhs
-    scale = 1.0 + max(abs(lhs), abs(rhs))
-    passed = True if not applicable else bool(margin >= -tol * scale)
-    return desc, margin, passed, applicable
-
+# and hands them to CheckOutcome; a grid builds them as arrays and hands them
+# to _norm_records or _mean_grid.
 
 def _scalar_margins(lhs, rhs, tol, applicable=True):
-    """:func:`_scalar_link`'s margins and pass flags, elementwise over arrays of sides and flags."""
+    """Scalar links lhs <= rhs, elementwise over arrays of sides and applicable flags.
+
+    Returns the margins rhs - lhs and the pass flags: a link passes when
+    inapplicable or when margin >= -tol * (1 + max(|lhs|, |rhs|)).
+    """
     margin = rhs - lhs
     scale = 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))
     return margin, (margin >= -tol * scale) | np.logical_not(applicable)
@@ -269,10 +243,28 @@ def _equality_link(desc, got, want, tol) -> tuple:
     return desc, -diff, bool(diff <= tol), True
 
 
-def _require_tagged(f: ScalarFunction):
-    if f.convexity is Convexity.NEITHER:
-        raise ValueError(f"{f.name} carries no convexity tag; checker needs convex or concave")
-    return f.convexity is Convexity.CONVEX
+# A checker's hypotheses are gate rows (holds, error, message), run in order by
+# _gate: the first row whose holds(f, pair) is false raises error(message), the
+# message formatted with f and the pair.  A row reads the pair's factors only
+# when it runs, so a function failing its own rows never factors the operands.
+
+_TAGGED = (
+    lambda f, _: f.convexity is not Convexity.NEITHER, ValueError,
+    "{f.name} carries no convexity tag; checker needs convex or concave",
+)
+_FIXES_ZERO = (lambda f, _: f.fixes_zero, ValueError, "{f.name} does not fix zero")
+_TAGGED_FIXING_ZERO = (_TAGGED, _FIXES_ZERO)
+_POSITIVE = (
+    lambda _, pair: pair.factors[2] > 0.0, NotPositiveDefiniteError,
+    "positive definite operands required",
+)
+
+
+def _gate(rows, f, pair=None):
+    """Raise the error of the first of the gate ``rows`` that f (and ``pair``) fails."""
+    for holds, error, message in rows:
+        if not holds(f, pair):
+            raise error(message.format(f=f, pair=pair))
 
 
 # The chain c0 S <= c1 S <= X <= c2 S <= c3 S of a convex f, as its links
@@ -363,16 +355,6 @@ def _congruence_of(wa, wb, w, tol):
 def _power(r):
     """x^r, one object per exponent, so the middles of A^r sigma B^r are kept per exponent."""
     return power(r)
-
-
-def _require_fixes_zero(f):
-    if not f.fixes_zero:
-        raise ValueError(f"{f.name} does not fix zero")
-
-
-def _require_positive(m):
-    if m <= 0.0:
-        raise NotPositiveDefiniteError("positive definite operands required")
 
 
 class SharedPair:
@@ -546,7 +528,8 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     eigvalsh.
     """
     pair = _pair(A, B, tol)
-    forward = _require_tagged(f)
+    _gate((_TAGGED,), f)
+    forward = f.convexity is Convexity.CONVEX
     fa, fb, m, M = _psd(pair.factors, tol)
     lo_c, hi_c = chord_coefficients(f, m, M)
     if not (math.isfinite(lo_c) and math.isfinite(hi_c)):
@@ -568,7 +551,7 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
         (("lower-slope-line", low, mid), ("upper-slope-line", mid, high)), tol, forward
     )
     params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "a": lo_c, "b": hi_c}
-    return _outcome("chord_bounds", "secant-line-mean-bracket", links, params)
+    return CheckOutcome("chord_bounds", "secant-line-mean-bracket", links, params)
 
 
 def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -591,7 +574,7 @@ def check_main_chain_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
     the others margins on spec(S).
     """
     return _mean_grid(
-        "main_chain", "mean-coefficient-chain", _main_chain_gate, _main_chain_judge,
+        "main_chain", "mean-coefficient-chain", _MAIN_CHAIN_GATES, _main_chain_judge,
         fs, sigmas, A, B, tol,
     )
 
@@ -623,14 +606,14 @@ def _fill(check_name, claim, descriptions, margins, passes, applicable, params, 
             results[i] = exc
 
 
-def _mean_grid(check_name, claim, gate, judge, fs, sigmas, A, B, tol) -> list:
+def _mean_grid(check_name, claim, gates, judge, fs, sigmas, A, B, tol) -> list:
     """A trial's (f, sigma) records, f outermost, of a chain between S and X = f(A) sigma f(B).
 
-    ``gate(pair, f)`` runs f's own gates and returns its tag.  For the
+    Each f runs the gate rows ``gates`` (see :func:`_gate`).  For the
     functions past them the grid is one stack: every S with its eigenpairs
     (:meth:`SharedPair.mean_stack`), every X as one (function, mean) stack,
     and the coefficients (f'(0), f(m)/m, f(M)/M, f'(M)) of each function
-    with records left.  ``judge(pair, fs, tags, means, X, coefs, results)``
+    with records left.  ``judge(pair, fs, means, X, coefs, results)``
     returns the link descriptions, the (f, sigma, link) margins and passes,
     the (f, link) applicable flags and each function's params.  A step
     failing for some records gives each its error in ``results`` (see
@@ -641,10 +624,10 @@ def _mean_grid(check_name, claim, gate, judge, fs, sigmas, A, B, tol) -> list:
     fs, sigmas = tuple(fs), tuple(sigmas)
     # per (f, sigma): None, then the record's error or the record
     results = np.full((len(fs), len(sigmas)), None, dtype=object)
-    live, tags = [], []  # the functions past their own gates, and their tags
+    live = []  # the functions past their own gates
     for i, f in enumerate(fs):
         try:
-            tags.append(gate(pair, f))
+            _gate(gates, f, pair)
             live.append(i)
         except ValueError as exc:
             _fail(results[i], exc)
@@ -667,7 +650,7 @@ def _mean_grid(check_name, claim, gate, judge, fs, sigmas, A, B, tol) -> list:
                     float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M))
                 )
         descriptions, margins, passes, applicable, params = judge(
-            pair, fs, tags, means, X, coefs, stack
+            pair, fs, means, X, coefs, stack
         )
     except ValueError as exc:  # a step shared by every record
         _fail(stack, exc)
@@ -696,23 +679,20 @@ def _on_spectra(fs, ws, results):
     return fws
 
 
-def _main_chain_gate(pair, f):
-    tag = _require_tagged(f)
-    _require_fixes_zero(f)
-    _, _, m, _ = pair.factors
-    if m <= 0.0:
-        raise NotPositiveDefiniteError(f"spectra must be positive, got m={m:.6e}")
-    return tag
-
-
+_MAIN_CHAIN_GATES = (
+    *_TAGGED_FIXING_ZERO,
+    (lambda _, pair: pair.factors[2] > 0.0, NotPositiveDefiniteError,
+     "spectra must be positive, got m={pair.factors[2]:.6e}"),
+)
 _MAIN_CHAIN_LINKS = tuple(
     f"{prefix}:{name}" for prefix in ("fn-then-mean", "mean-then-fn") for name, *_ in _CHAIN
 )
 
 
-def _main_chain_judge(pair, fs, tags, means, X, coefs, results):
+def _main_chain_judge(pair, fs, means, X, coefs, results):
     S, _, ws, _ = means
     n_f, n_s = results.shape
+    tags = [f.convexity is Convexity.CONVEX for f in fs]
     # the chain around f(S) on spec(S), as (f, sigma, link, eigenvalue); its edge links
     # are also fn-then-mean's, whose low and high links against X are solved apart
     lo, hi, applies = _chain_sides(coefs[..., None], ws, _on_spectra(fs, ws, results), tags)
@@ -738,7 +718,7 @@ def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     lhs = coef * apply_fn(log1p, a + b).entries
     rhs = _image(log1p, wa, va) + _image(log1p, wb, vb)
     links = _loewner_links((("shifted-log-bound", lhs, rhs),), tol)
-    return _outcome(
+    return CheckOutcome(
         "log_example", "shifted-log-sum-bound", links, {"m": m, "M": M, "coef": coef}
     )
 
@@ -758,7 +738,7 @@ def check_mean_difference_norm_grid(fs, sigmas, A, B, norms=None, tol=DEFAULT_TO
     and every norm one table.
     """
 
-    def judge(pair, fs, tags, means, X, coefs, results):
+    def judge(pair, fs, means, X, coefs, results):
         _, _, ws, vs = means
         n_f, n_s = results.shape
         flat = results.reshape(-1)
@@ -775,20 +755,20 @@ def check_mean_difference_norm_grid(fs, sigmas, A, B, norms=None, tol=DEFAULT_TO
         return descriptions, margins, passes, np.ones((n_f, len(kinds)), dtype=bool), params
 
     return _mean_grid(
-        "mean_difference_norm", "mean-difference-norm-bound", _mean_difference_gate, judge,
+        "mean_difference_norm", "mean-difference-norm-bound", _MEAN_DIFFERENCE_GATES, judge,
         fs, sigmas, A, B, tol,
     )
 
 
-def _mean_difference_gate(pair, f):
-    if f.convexity is not Convexity.CONVEX:
-        raise ValueError(f"mean-difference bound requires a convex function, got {f.name}")
-    _require_fixes_zero(f)
-    _, _, m, M = pair.factors
-    _require_positive(m)
-    if not (math.isfinite(float(f.deriv(0.0))) and math.isfinite(float(f.deriv(M)))):
-        raise ValueError("infinite endpoint derivative")
-    return True
+_MEAN_DIFFERENCE_GATES = (
+    (lambda f, _: f.convexity is Convexity.CONVEX, ValueError,
+     "mean-difference bound requires a convex function, got {f.name}"),
+    _FIXES_ZERO,
+    _POSITIVE,
+    (lambda f, pair: math.isfinite(float(f.deriv(0.0)))
+     and math.isfinite(float(f.deriv(pair.factors[3]))), ValueError,
+     "infinite endpoint derivative"),
+)
 
 
 def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOutcome:
@@ -817,10 +797,11 @@ def check_eig_prod_norm_grid(fs, sigmas, A, B, tol=DEFAULT_TOL, norms=None) -> l
     every norm one table, and every link one :func:`_chain_sides`.
     """
 
-    def judge(pair, fs, tags, means, X, coefs, results):
+    def judge(pair, fs, means, X, coefs, results):
         _, _, ws, _ = means
         n_f, n_s = results.shape
         n = ws.shape[-1]
+        tags = [f.convexity is Convexity.CONVEX for f in fs]
         wx = _eigvalsh(X.reshape(-1, n, n), results.reshape(-1))
         for j in np.flatnonzero(ws[:, 0] <= 0.0):
             _fail(results[:, j], NotPositiveSemidefiniteError(
@@ -849,16 +830,9 @@ def check_eig_prod_norm_grid(fs, sigmas, A, B, tol=DEFAULT_TOL, norms=None) -> l
         )
 
     return _mean_grid(
-        "eig_prod_norm", "eigenvalue-product-norm-chains", _eig_prod_norm_gate, judge,
-        fs, sigmas, A, B, tol,
+        "eig_prod_norm", "eigenvalue-product-norm-chains", (*_TAGGED_FIXING_ZERO, _POSITIVE),
+        judge, fs, sigmas, A, B, tol,
     )
-
-
-def _eig_prod_norm_gate(pair, f):
-    tag = _require_tagged(f)
-    _require_fixes_zero(f)
-    _require_positive(pair.factors[2])
-    return tag
 
 
 def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -881,20 +855,20 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
 # checker states them; a record keeps its first error, its matrices are
 # solved as I, and the records left open are filled at the end.
 
-def _group_grid(fs, trials, gate, step, judge, prepare=None) -> list:
+def _group_grid(fs, trials, gates, step, judge, prepare=None) -> list:
     """A group grid's entries, per trial one per function: the record or its ``ValueError``.
 
-    ``gate(f)`` runs f's own gates and returns its tag; ``prepare(trials)``
-    runs once if any function passes them; ``step(x)`` runs each trial's
-    gates and returns its values.  ``judge(fs, tags, stacks, entries)``
-    fills the (function, trial) entries of the functions and trials past
-    their gates, given each step value stacked over those trials.
+    Each f runs the gate rows ``gates`` (see :func:`_gate`); ``prepare(trials)``
+    runs once if any passes them; ``step(x)`` runs each trial's gates and
+    returns its values.  ``judge(fs, stacks, entries)`` fills the (function,
+    trial) entries of the functions and trials past their gates, given each
+    step value stacked over those trials.
     """
     results = np.full((len(fs), len(trials)), None, dtype=object)
-    live_f, tags = [], []
+    live_f = []
     for i, f in enumerate(fs):
         try:
-            tags.append(gate(f))
+            _gate(gates, f)
             live_f.append(i)
         except ValueError as exc:
             results[i] = exc
@@ -909,7 +883,7 @@ def _group_grid(fs, trials, gate, step, judge, prepare=None) -> list:
             _fail(results[:, t], exc)
     if live_t:
         entries = results[np.ix_(live_f, live_t)]
-        judge([fs[i] for i in live_f], tags, [np.array(v) for v in zip(*kept)], entries)
+        judge([fs[i] for i in live_f], [np.array(v) for v in zip(*kept)], entries)
         results[np.ix_(live_f, live_t)] = entries
     return results.T.tolist()
 
@@ -952,12 +926,6 @@ def _norm_records(check_name, claim, names, kinds, links, applicable, params, re
     _fill(check_name, claim, descriptions, margins, passes, applicable, params, results, rows)
 
 
-def _subadditivity_gate(f):
-    if f.convexity is not Convexity.CONVEX:
-        raise ValueError(f"subadditivity refinement requires a convex function, got {f.name}")
-    _require_fixes_zero(f)
-
-
 def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
     """:func:`check_subadditivity_refinement` for every function in ``fs`` and trial in ``pairs``.
 
@@ -983,7 +951,7 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
             raise ValueError("zero operands leave no content to check")
         return a, b, wa, va, wb, vb, m, M
 
-    def judge(fs, _, stacks, entries):
+    def judge(fs, stacks, entries):
         a, b, wa, va, wb, vb, m, M = stacks
         n, T = wa.shape[-1], len(M)
         w_total = _eigvalsh(a + b)
@@ -1030,7 +998,12 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
             [(True, met[t], True) for _, t in cells], params, entries.reshape(-1), rows,
         )
 
-    return _group_grid(fs, pairs, _subadditivity_gate, step, judge, SharedPair.factor_group)
+    gates = (
+        (lambda f, _: f.convexity is Convexity.CONVEX, ValueError,
+         "subadditivity refinement requires a convex function, got {f.name}"),
+        _FIXES_ZERO,
+    )
+    return _group_grid(fs, pairs, gates, step, judge, SharedPair.factor_group)
 
 
 def _abs_factors(a, b):
@@ -1102,7 +1075,7 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
         "coef_bound": coef_bound,
         "deriv_bound": deriv_bound,
     }
-    return _outcome("normal_counterexample", "normal-norm-chain-counterexample", links, params)
+    return CheckOutcome("normal_counterexample", "normal-norm-chain-counterexample", links, params)
 
 
 def _require_normal(arr: np.ndarray, tol: float, label: str) -> None:
@@ -1135,16 +1108,18 @@ def check_normal_triangle(A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     _require_normal(b, tol, "second operand")
     abs_sum = matrix_abs(a, normal_hint=True).entries + matrix_abs(b, normal_hint=True).entries
     sv_sum, sv_abs_sum = singular_values(a + b), singular_values(abs_sum)
-    links = tuple(
-        _scalar_link(
-            f"triangle[{kind.label()}]",
-            _norm_of_sv(sv_sum, kind),
-            _norm_of_sv(sv_abs_sum, kind),
-            tol,
-        )
-        for kind in _norm_kinds(norms, a.shape[0])
+    kinds = _norm_kinds(norms, a.shape[0])
+    links = (_scalar_margins(*(_norm_table(sv[None], kinds) for sv in (sv_sum, sv_abs_sum)), tol),)
+    return _norm_record(
+        "normal_triangle", "normal-abs-triangle", ("triangle",), kinds, links, {"dim": a.shape[0]}
     )
-    return _outcome("normal_triangle", "normal-abs-triangle", links, {"dim": a.shape[0]})
+
+
+def _norm_record(check_name, claim, names, kinds, links, params) -> CheckOutcome:
+    """The one record of :func:`_norm_records` whose links are all applicable, or its error."""
+    results, rows, applicable = np.full(1, None, dtype=object), np.arange(1), [(True,) * len(names)]
+    _norm_records(check_name, claim, names, kinds, links, applicable, [params], results, rows)
+    return _one(results)
 
 
 def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1157,12 +1132,6 @@ def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     :func:`check_normal_chain_grid`.
     """
     return _one(check_normal_chain_grid((f,), [(A, B)], norms, tol)[0])
-
-
-def _tagged_fixing_zero(f):
-    forward = _require_tagged(f)
-    _require_fixes_zero(f)
-    return forward
 
 
 def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
@@ -1191,9 +1160,9 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
             raise ShapeError("operands must have the same dimension")
         return pair
 
-    def judge(fs, forward, stacks, entries):
+    def judge(fs, stacks, entries):
         a, b = stacks
-        n = a.shape[-1]
+        n, forward = a.shape[-1], [f.convexity is Convexity.CONVEX for f in fs]
         factors, m, M, abs_sum = _abs_factors(a, b)
         *_, images = _image_sums(fs, factors, entries)
         of_abs_sum = _on_spectra(fs, abs_sum, entries).reshape(-1, n)
@@ -1249,7 +1218,7 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
             entries.reshape(-1), rows,
         )
 
-    return _group_grid(fs, pairs, _tagged_fixing_zero, step, judge)
+    return _group_grid(fs, pairs, _TAGGED_FIXING_ZERO, step, judge)
 
 
 def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1271,20 +1240,15 @@ def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutco
     images, of_abs_sum = _abs_images(f, factors, abs_sum)
     sv_images, sv_image_of_abs = _sv_hermitian(_eigvalsh(images)), _sv_hermitian(of_abs_sum)
     coef = float(f(M)) / M
-    sv_sum = singular_values(a + b)
-    links = []
-    for kind in norms:
-        bound = coef * _norm_of_sv(sv_sum, kind)
-        label = kind.label()
-        links.append(_scalar_link(f"upper-sep[{label}]", _norm_of_sv(sv_images, kind), bound, tol))
-        links.append(
-            _scalar_link(f"upper-sum[{label}]", _norm_of_sv(sv_image_of_abs, kind), bound, tol)
-        )
-    return _outcome(
-        "transplanted_norm_chain",
-        "normal-upper-norm-bounds",
-        links,
-        {"fn": f.name, "M": M, "m": m},
+    # one table per side: a Schatten norm's bits depend on the layout of its row
+    base, sep, tot = (
+        _norm_table(sv[None], norms) for sv in (singular_values(a + b), sv_images, sv_image_of_abs)
+    )
+    bound = coef * base
+    links = (_scalar_margins(sep, bound, tol), _scalar_margins(tot, bound, tol))
+    return _norm_record(
+        "transplanted_norm_chain", "normal-upper-norm-bounds", ("upper-sep", "upper-sum"), norms,
+        links, {"fn": f.name, "M": M, "m": m},
     )
 
 
@@ -1307,7 +1271,7 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
         raise ValueError("alpha must lie in [0, 1]")
     pair = _pair(A, B, tol)
     (_, wa, _), (_, wb, _), m, M = pair.factors
-    _require_positive(m)
+    _gate((_POSITIVE,), None, pair)
     f = _power(r)
     war = _finite(_fn_values(f, wa))
     middle, middle_r = pair.middle, pair.image_middle(f)
@@ -1334,7 +1298,7 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
         tol,
     )
     params = {"alpha": alpha, "r": r, "m": m, "M": M}
-    return _outcome("power_mean_bounds", "power-scaling-bounds", links, params)
+    return CheckOutcome("power_mean_bounds", "power-scaling-bounds", links, params)
 
 
 def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1351,8 +1315,8 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     pair = _pair(A, B, tol)
-    (_, wa, _), (_, wb, _), m, _ = pair.factors
-    _require_positive(m)
+    (_, wa, _), (_, wb, _), _, _ = pair.factors
+    _gate((_POSITIVE,), None, pair)
     # ||A|| and ||B|| are the top eigenvalues of the positive definite operands;
     # at a tie within round-off either order meets ||A|| <= ||B||, so none is swapped
     norm_a, norm_b = float(wa[-1]), float(wb[-1])
@@ -1365,10 +1329,10 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     c_chain = (norm_a if swapped else norm_b) ** (r - 1.0)
     links = (
         *_loewner_links((("ando-hiai", Gr, c_ah * G), ("max-norm-bound", Gr, c_chain * G)), tol),
-        _scalar_link("coefficient-ordering", c_ah, c_chain, tol),
+        ("coefficient-ordering", *_scalar_margins(c_ah, c_chain, tol), True),
     )
     params = {"alpha": alpha, "r": r, "swapped": swapped, "c_ah": c_ah, "c_chain": c_chain}
-    return _outcome("ando_hiai_comparison", "ando-hiai-comparison", links, params)
+    return CheckOutcome("ando_hiai_comparison", "ando-hiai-comparison", links, params)
 
 
 def check_contraction_implication(
@@ -1397,7 +1361,7 @@ def check_contraction_implication(
         forward = False
     else:
         params["not_applicable"] = "pair conditions mixed; implication direction undefined"
-        return _outcome("contraction_implication", "mean-contraction-iterates", (), params)
+        return CheckOutcome("contraction_implication", "mean-contraction-iterates", (), params)
     sigma_h = MatrixMean(f"h:{pair.h.name}", pair.h)
     f = times_x(pair.g)
     # The iterates f^k(A), f^k(B) keep the eigenvectors of A and B, and I
@@ -1423,7 +1387,7 @@ def check_contraction_implication(
         claims.append(("iterate-bound" if k else "hypothesis", iterate_mean(wa, wb), eye))
     links = _loewner_links(claims, tol, forward)
     params["direction"] = "forward" if forward else "reversed"
-    return _outcome("contraction_implication", "mean-contraction-iterates", links, params)
+    return CheckOutcome("contraction_implication", "mean-contraction-iterates", links, params)
 
 
 def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1444,29 +1408,26 @@ def check_inverse_function_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
     link) and reversed for a convex one (inverse-low is the high link).
     """
 
-    def judge(pair, fs, tags, means, X, coefs, results):
+    def judge(pair, fs, means, X, coefs, results):
         S, _, ws, _ = means
-        margins, passes, applies = _x_links(pair.tol, S, X, coefs, tags, ws, results)
-        swap = ~np.array(tags)  # a convex inverse: inverse-low is the high link
+        # a convex inverse: inverse-low is the high link
+        swap = np.array([f.inverse.convexity is Convexity.CONVEX for f in fs])
+        margins, passes, applies = _x_links(pair.tol, S, X, coefs, ~swap, ws, results)
         for links in (margins, passes, applies):
             links[swap] = links[swap][..., ::-1]
         params = [{"inverse_convexity": f.inverse.convexity.value} for f in fs]
         return ("inverse-low", "inverse-high"), margins, passes, applies, params
 
-    return _mean_grid(
-        "inverse_function", "inverse-convexity-bounds", _inverse_gate, judge,
-        fs, sigmas, A, B, tol,
+    gates = (
+        (lambda f, _: f.inverse is not None, ValueError, "{f.name} has no registered inverse"),
+        _FIXES_ZERO,
+        _POSITIVE,
+        (lambda f, _: f.inverse.convexity is not Convexity.NEITHER, ValueError,
+         "inverse of {f.name} carries no convexity tag"),
     )
-
-
-def _inverse_gate(pair, f):
-    if f.inverse is None:
-        raise ValueError(f"{f.name} has no registered inverse")
-    _require_fixes_zero(f)
-    _require_positive(pair.factors[2])
-    if f.inverse.convexity is Convexity.NEITHER:
-        raise ValueError(f"inverse of {f.name} carries no convexity tag")
-    return f.inverse.convexity is Convexity.CONCAVE
+    return _mean_grid(
+        "inverse_function", "inverse-convexity-bounds", gates, judge, fs, sigmas, A, B, tol
+    )
 
 
 def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1503,12 +1464,12 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         (a, wa, va), (b, wb, vb), m, M = pair.factors
-        _require_positive(m)
+        _gate((_POSITIVE,), None, pair)
         return a, b, wa, va, wb, vb, m, M, alpha
 
-    def judge(fs, forward, stacks, entries):
+    def judge(fs, stacks, entries):
         a, b, wa, va, wb, vb, m, M, alpha = stacks
-        n = wa.shape[-1]
+        n, forward = wa.shape[-1], [f.convexity is Convexity.CONVEX for f in fs]
         errors = np.full(len(a), None, dtype=object)
         da, db = _det_root(wa, tol, errors), _det_root(wb, tol, errors)
         dsum = _det_root(_eigvalsh(a + b, errors), tol, errors)
@@ -1563,6 +1524,6 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
         )
 
     return _group_grid(
-        fs, trials, _tagged_fixing_zero, step, judge,
+        fs, trials, _TAGGED_FIXING_ZERO, step, judge,
         lambda trials: SharedPair.factor_group([pair for pair, _ in trials]),
     )

@@ -74,8 +74,6 @@ class EigenConvergenceError(RuntimeError):
 
 def as_complex_array(x) -> np.ndarray:
     """Coerce input to a validated square complex128 array (copy)."""
-    if isinstance(x, HermitianMatrix):
-        return x.entries.copy()
     if isinstance(x, ComplexMatrix):
         return x.entries.copy()
     arr = np.array(x, dtype=np.complex128)
@@ -140,17 +138,14 @@ class ComplexMatrix:
     def dim(self) -> int:
         return self._entries.shape[0]
 
-    def adjoint(self) -> "ComplexMatrix":
-        return ComplexMatrix(self._entries.conj().T)
-
     def __array__(self, dtype=None):
         return np.asarray(self._entries, dtype=dtype)
 
     def __repr__(self):
-        return f"ComplexMatrix(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
-class HermitianMatrix:
+class HermitianMatrix(ComplexMatrix):
     """Hermitian matrix; construction symmetrizes via (X + X*)/2.
 
     The symmetrization is unconditional so that accumulated round-off drift
@@ -159,26 +154,11 @@ class HermitianMatrix:
     epsilon applied by a matrix mean on singular input).
     """
 
-    __slots__ = ("base", "meta")
+    __slots__ = ("meta",)
 
     def __init__(self, entries, meta=None):
-        sym = hermitian_part(as_complex_array(entries))
-        self.base = ComplexMatrix(sym)
+        super().__init__(hermitian_part(as_complex_array(entries)))
         self.meta = meta
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.base.entries
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.base.entries, dtype=dtype)
-
-    def __repr__(self):
-        return f"HermitianMatrix(dim={self.dim})"
 
 
 @dataclass(frozen=True, eq=False)

@@ -197,7 +197,7 @@ def identity() -> ScalarFunction:
     return f
 
 
-def power(r: float, name: str | None = None, with_inverse: bool = True) -> ScalarFunction:
+def power(r: float, with_inverse: bool = True) -> ScalarFunction:
     """x**r on [0, inf) (all reals when r is 1 or 2), r > 0.
 
     Convex for r >= 1, concave for r < 1.  The derivative at 0 is +inf for
@@ -232,7 +232,7 @@ def power(r: float, name: str | None = None, with_inverse: bool = True) -> Scala
         return _r * x ** (_r - 1.0)
 
     f = ScalarFunction(
-        name or f"power:{_fmt(r)}",
+        f"power:{_fmt(r)}",
         fn=fn,
         deriv=deriv,
         domain=domain,

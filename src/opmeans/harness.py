@@ -22,6 +22,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, asdict
 from typing import Callable
@@ -35,7 +36,6 @@ from .core import (
     NormKind,
     ShapeError,
     as_complex_array,
-    spectral_bounds,
 )
 from .checks import CheckOutcome
 from .functions import FunctionPair, function_by_name
@@ -444,7 +444,10 @@ def _fixture_pair(spec: SuiteSpec, hermitian: bool):
     return checks.SharedPair(*map(load_hermitian_fixture, spec.fixtures), spec.tol).operands()
 
 
-def _validate_names(spec: SuiteSpec) -> None:
+def _validate_spec(spec: SuiteSpec) -> None:
+    """Refuse unknown names, and a tolerance that is not a finite number >= 0."""
+    if not (math.isfinite(spec.tol) and spec.tol >= 0.0):
+        raise UsageError(f"tolerance must be a finite number >= 0, got {spec.tol!r}")
     try:
         for name in spec.functions:
             function_by_name(name)
@@ -546,7 +549,7 @@ def run_suite(spec: SuiteSpec) -> Report:
     report.
     """
     started = time.perf_counter()
-    _validate_names(spec)
+    _validate_spec(spec)
     if spec.trials < 1:
         raise UsageError("trials must be >= 1")
     suite = _SUITES.get(spec.suite)
@@ -588,8 +591,9 @@ def run_suite(spec: SuiteSpec) -> Report:
 # counterexample search
 
 def _require_positive_definite(pair) -> None:
+    """Refuse a fixture pair that is not positive definite, by m of its own factors."""
     try:
-        m, _ = spectral_bounds(*pair)
+        _, _, m, _ = pair[0].pair.factors
     except ShapeError as exc:
         raise UsageError(f"fixture pair: {exc}") from exc
     if m <= 0.0:
@@ -622,7 +626,7 @@ def search_counterexample(
         raise UsageError("search budget must be >= 1")
     if target not in SEARCH_TARGETS:
         raise UsageError(f"unknown search target {target!r} (choose from {SEARCH_TARGETS})")
-    _validate_names(spec)
+    _validate_spec(spec)
     if structure is None:
         structure = "hermitian_indefinite" if target == "norm_chain_normal" else "positive_definite"
     main_chain = target == "main_chain"

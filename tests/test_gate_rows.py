@@ -1,0 +1,142 @@
+"""A checker's hypotheses run in a fixed order, and a function's own ones first.
+
+Each function-axis checker is handed inputs that fail two of its
+hypotheses at once; the reason it gives is the first one's, in the order
+the checker states them.  A fixture pair of a 2 x 2 and a 3 x 3 operand
+downgrades every record of every positive-definite suite with its reason,
+and raises nothing: a function failing its own hypotheses is refused
+before the pair is factored.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from opmeans import checks
+from opmeans.core import NotPositiveDefiniteError, NotPositiveSemidefiniteError
+from opmeans.functions import REALS, Convexity, ScalarFunction, function_by_name
+from opmeans.harness import SuiteSpec, run_suite, save_matrix_json
+from opmeans.means import mean_by_name
+from opmeans.randgen import GeneratorConfig, random_pd
+
+# untagged, and f(0) = 1
+SHIFTED = ScalarFunction("shifted", fn=lambda x: x + 1.0, deriv=lambda x: 1.0)
+# convex, and f(0) = 1
+EXP = ScalarFunction(
+    "exp", fn=np.exp, deriv=np.exp, domain=REALS, convexity=Convexity.CONVEX
+)
+# convex, fixing zero, with an untagged registered inverse
+CUBE = ScalarFunction(
+    "cube", fn=lambda x: x**3, deriv=lambda x: 3.0 * x**2, domain=REALS,
+    convexity=Convexity.CONVEX, fixes_zero=True,
+    inverse=ScalarFunction("cbrt", fn=np.cbrt, deriv=lambda x: x, domain=REALS),
+)
+# convex, fixing zero, with an infinite derivative
+STEEP = ScalarFunction(
+    "steep", fn=lambda x: x**2, deriv=lambda x: math.inf,
+    convexity=Convexity.CONVEX, fixes_zero=True,
+)
+
+INDEFINITE = (np.diag([1.5, -0.25]), np.diag([1.0, 2.0]))
+DEFINITE = (np.diag([1.5, 0.5]), np.diag([1.0, 2.0]))
+MEAN = mean_by_name("geometric:1/2")
+
+CHECKERS = {
+    "main_chain": lambda f, a, b: checks.check_main_chain(f, MEAN, a, b),
+    "chord": lambda f, a, b: checks.check_chord_bounds(f, MEAN, a, b),
+    "eig_prod_norm": lambda f, a, b: checks.check_eig_prod_norm(f, MEAN, a, b),
+    "inverse_function": lambda f, a, b: checks.check_inverse_function(f, MEAN, a, b),
+    "mean_diff_norm": lambda f, a, b: checks.check_mean_difference_norm(f, MEAN, a, b),
+    "subadditivity": checks.check_subadditivity_refinement,
+    "normal_chain": checks.check_normal_chain,
+    "determinant": checks.check_determinant_suite,
+}
+
+UNTAGGED = (ValueError, "shifted carries no convexity tag; checker needs convex or concave")
+EXP_NOT_ZERO = (ValueError, "exp does not fix zero")
+NOT_PD = (NotPositiveDefiniteError, "positive definite operands required")
+NOT_PSD = (NotPositiveSemidefiniteError, "operand eigenvalue -2.500000e-01 below -tol*scale")
+
+# (checker, function, pair, the error of the first hypothesis it fails)
+CASES = [
+    # untagged and not fixing zero
+    *((name, SHIFTED, INDEFINITE, UNTAGGED)
+      for name in ("main_chain", "chord", "eig_prod_norm", "normal_chain", "determinant")),
+    ("inverse_function", SHIFTED, INDEFINITE, (ValueError, "shifted has no registered inverse")),
+    ("mean_diff_norm", SHIFTED, INDEFINITE,
+     (ValueError, "mean-difference bound requires a convex function, got shifted")),
+    ("subadditivity", SHIFTED, INDEFINITE,
+     (ValueError, "subadditivity refinement requires a convex function, got shifted")),
+    # not fixing zero, and m <= 0
+    *((name, EXP, INDEFINITE, EXP_NOT_ZERO)
+      for name in ("main_chain", "eig_prod_norm", "mean_diff_norm", "subadditivity",
+                   "normal_chain", "determinant")),
+    ("chord", EXP, INDEFINITE, NOT_PSD),
+    ("inverse_function", EXP, INDEFINITE, (ValueError, "exp has no registered inverse")),
+    # an untagged inverse: m > 0 is checked first
+    ("inverse_function", CUBE, INDEFINITE, NOT_PD),
+    ("inverse_function", CUBE, DEFINITE, (ValueError, "inverse of cube carries no convexity tag")),
+    # a concave function on an indefinite pair
+    ("mean_diff_norm", function_by_name("sqrt"), INDEFINITE,
+     (ValueError, "mean-difference bound requires a convex function, got sqrt")),
+    # an infinite endpoint derivative: m > 0 is checked first
+    ("mean_diff_norm", STEEP, INDEFINITE, NOT_PD),
+    ("mean_diff_norm", STEEP, DEFINITE, (ValueError, "infinite endpoint derivative")),
+    # tagged and fixing zero, m <= 0
+    ("main_chain", function_by_name("power:2"), INDEFINITE,
+     (NotPositiveDefiniteError, "spectra must be positive, got m=-2.500000e-01")),
+    *((name, function_by_name("power:2"), INDEFINITE, NOT_PD)
+      for name in ("eig_prod_norm", "inverse_function", "mean_diff_norm", "determinant")),
+    ("subadditivity", function_by_name("power:2"), INDEFINITE, NOT_PSD),
+]
+
+
+@pytest.mark.parametrize(
+    "name, f, pair, expected", CASES,
+    ids=[f"{n}-{f.name}-{'pd' if p is DEFINITE else 'indefinite'}" for n, f, p, _ in CASES],
+)
+def test_first_failing_hypothesis_is_the_reason(name, f, pair, expected):
+    error, message = expected
+    with pytest.raises(ValueError) as info:
+        CHECKERS[name](f, *pair)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+SHAPE = "operands must have the same dimension"
+
+# per suite, the reason of each of power:2, log and sqrt on a 2 x 2 and a 3 x 3 operand
+FIXTURE_REASONS = {
+    "main_chain": (SHAPE, "log does not fix zero", SHAPE),
+    "chord": (SHAPE, SHAPE, SHAPE),
+    "eig_prod_norm": (SHAPE, "log does not fix zero", SHAPE),
+    "inverse_function": (SHAPE, "log has no registered inverse", SHAPE),
+    "mean_diff_norm": (
+        SHAPE,
+        "mean-difference bound requires a convex function, got log",
+        "mean-difference bound requires a convex function, got sqrt",
+    ),
+    "subadditivity": (
+        SHAPE,
+        "subadditivity refinement requires a convex function, got log",
+        "subadditivity refinement requires a convex function, got sqrt",
+    ),
+    "determinant": (SHAPE, "log does not fix zero", SHAPE),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FIXTURE_REASONS))
+def test_mismatched_fixture_pair_downgrades_every_record(tmp_path, suite):
+    paths = []
+    for dim, seed in ((2, 1), (3, 2)):
+        path = str(tmp_path / f"op{dim}.json")
+        save_matrix_json(random_pd(GeneratorConfig(dim, 0.5, 4.0), seed), path)
+        paths.append(path)
+    spec = SuiteSpec(suite, fixtures=tuple(paths), functions=("power:2", "log", "sqrt"))
+    records = run_suite(spec).records
+    reasons = dict(zip(spec.functions, FIXTURE_REASONS[suite]))
+    assert records
+    for rec in records:
+        assert rec.descriptions == ()
+        assert rec.params["not_applicable"] == reasons[rec.params["fn"]]

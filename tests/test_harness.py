@@ -474,6 +474,24 @@ def test_cli_interval_beyond_resolution_exit_two(capsys, suite):
     )
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("suite", [["--suite", "main_chain"], ["--suite", "search"]])
+def test_cli_invalid_tolerance_exit_two(capsys, monkeypatch, suite, tol):
+    # unchecked, nan failed every link, -1 downgraded every record and inf passed every link
+    import opmeans.harness as harness
+
+    def no_instance(*args):
+        raise AssertionError("an instance was drawn")
+
+    for name in ("random_pd", "random_normal"):
+        monkeypatch.setattr(harness, name, no_instance)
+    rc = main(suite + ["--tol", tol, "--trials", "2", "--budget", "2"])
+    assert rc == 2
+    assert f"error: tolerance must be a finite number >= 0, got {float(tol)!r}" in (
+        capsys.readouterr().err
+    )
+
+
 def test_cli_wide_interval_within_resolution_runs(capsys):
     rc = main(["--suite", "main_chain", "--m", "1e-6", "--M", "400", "--trials", "2"])
     assert rc in (0, 1)

@@ -4,9 +4,10 @@ No module imports a name it never uses, ``randgen`` depends on nothing in
 the package but ``core``, ``harness`` reaches into no private name of
 ``checks``, ``checks`` validates and factors a Hermitian pair only in
 ``SharedPair``, ``checks`` and ``means`` reach LAPACK's eigensolvers
-only through ``core``, every import is at module level, and no source
-line is over 100 characters.  The re-exports in ``__init__.py`` are not
-checked for use.
+only through ``core``, every import is at module level, no source
+line is over 100 characters, and every function and class the package
+defines is named somewhere in the repository's code.  The re-exports in
+``__init__.py`` are not checked for use.
 """
 
 import ast
@@ -133,3 +134,28 @@ def test_no_line_over_100_characters():
         if len(line) > 100
     ]
     assert not long, f"source lines over 100 characters: {', '.join(long)}"
+
+
+def test_every_definition_is_referenced():
+    # a function or class that nothing names (a call, an attribute, an __all__
+    # string) is code kept without a use
+    root = PKG.parent.parent
+    files = [p for d in ("src", "tests", "demos", "bench") for p in sorted((root / d).rglob("*.py"))]
+    names = set()
+    for path in files:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    unused = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(PKG.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in names
+    )
+    assert not unused, f"definitions nothing references: {', '.join(unused)}"
