@@ -40,13 +40,7 @@ from .core import (
 from .checks import CheckOutcome
 from .functions import FunctionPair, function_by_name
 from .means import MatrixMean, mean_by_name, mean_catalog, normalize_for_contraction
-from .randgen import (
-    GeneratorConfig,
-    derive_stream_seed,
-    random_gap_pair,
-    random_normal,
-    random_pd,
-)
+from .randgen import GeneratorConfig, derive_stream_seed, gap_pair_rows, random_group
 
 __all__ = [
     "UsageError",
@@ -239,34 +233,48 @@ def _dim_for(spec: SuiteSpec, t: int) -> int:
     return spec.dims[t % len(spec.dims)]
 
 
-def _pd_pair(spec: SuiteSpec, t: int):
-    dim = _dim_for(spec, t)
-    cfg = GeneratorConfig(dim, spec.m, spec.M, "positive_definite", spec.master_seed)
-    a = random_pd(cfg, derive_stream_seed(spec.master_seed, 2 * t))
-    b = random_pd(cfg, derive_stream_seed(spec.master_seed, 2 * t + 1))
-    return checks.SharedPair(a, b, spec.tol).operands()
+def _pair_rows(spec: SuiteSpec, t: int, structure: str = "positive_definite") -> list:
+    """The :func:`random_group` rows of trial t's pair: A from seed 2t, B from seed 2t + 1."""
+    seeds = (derive_stream_seed(spec.master_seed, 2 * t + k) for k in (0, 1))
+    return [(seed, 0, structure, spec.m, spec.M) for seed in seeds]
 
 
-def _normal_pair(spec: SuiteSpec, t: int, structure: str = "normal_complex"):
-    dim = _dim_for(spec, t)
-    cfg = GeneratorConfig(dim, spec.m, spec.M, structure, spec.master_seed)
-    return (
-        random_normal(cfg, derive_stream_seed(spec.master_seed, 2 * t)),
-        random_normal(cfg, derive_stream_seed(spec.master_seed, 2 * t + 1)),
-    )
+def _draw_pairs(spec: SuiteSpec, ts, rows=_pair_rows):
+    """Trials ``ts`` of one dimension, drawn as one group: each trial's pair, from ``rows``."""
+    drawn = random_group(_dim_for(spec, ts[0]), [row for t in ts for row in rows(spec, t)])
+    return zip(drawn[0::2], drawn[1::2])
 
 
-def _det_instance(spec: SuiteSpec, t: int):
-    alpha = spec.alphas[t % len(spec.alphas)]
-    if t % 2 == 0:
-        a, b = _pd_pair(spec, t)
-        kind = "generic"
-    else:
-        mode = "below_a" if (t // 2) % 2 == 0 else "above_a"
-        a, b = random_gap_pair(_dim_for(spec, t), mode, derive_stream_seed(spec.master_seed, 2 * t))
-        a, b = checks.SharedPair(a, b, spec.tol).operands()
-        kind = f"gap:{mode}"
-    return a, b, alpha, kind
+def _pd_pairs(spec: SuiteSpec, ts) -> list:
+    return [checks.SharedPair(a, b, spec.tol).operands() for a, b in _draw_pairs(spec, ts)]
+
+
+def _normal_pairs(spec: SuiteSpec, ts, structure: str = "normal_complex") -> list:
+    pairs = _draw_pairs(spec, ts, lambda spec, t: _pair_rows(spec, t, structure))
+    return [(ComplexMatrix(a), ComplexMatrix(b)) for a, b in pairs]
+
+
+def _det_instances(spec: SuiteSpec, ts) -> list:
+    """determinant's trials: a generic pair for even t, else a gap pair from seed 2t alone.
+
+    The gap pairs alternate between B below A and B above A.
+    """
+    modes = {t: "below_a" if (t // 2) % 2 == 0 else "above_a" for t in ts if t % 2}
+
+    def rows(spec, t):
+        if t not in modes:
+            return _pair_rows(spec, t)
+        seed = derive_stream_seed(spec.master_seed, 2 * t)
+        return gap_pair_rows(_dim_for(spec, t), modes[t], seed)
+
+    return [
+        (
+            *checks.SharedPair(a, b, spec.tol).operands(),
+            spec.alphas[t % len(spec.alphas)],
+            f"gap:{modes[t]}" if t in modes else "generic",
+        )
+        for t, (a, b) in zip(ts, _draw_pairs(spec, ts, rows))
+    ]
 
 
 def _norm_arg(spec: SuiteSpec):
@@ -320,11 +328,12 @@ class _Suite:
     """One suite: its configuration axes, instance builder and checker call.
 
     ``axes(spec)`` gives (key, values) pairs; the configurations are their
-    product, first axis outermost.  ``instance(spec, t)`` builds trial t's
-    instance; ``None`` marks a fixed check that takes no instance and runs
-    one trial.  A Hermitian instance, drawn or loaded, is the operands of
-    one :class:`checks.SharedPair`, so the trial's configurations share its
-    factors.  ``check(spec, axes, xs)`` takes a dimension group: the
+    product, first axis outermost.  ``instances(spec, ts)`` draws the
+    instances of trials ``ts``, one dimension group, as one stack
+    (:func:`randgen.random_group`); ``None`` marks a fixed check that takes
+    no instance and runs one trial.  A Hermitian instance, drawn or loaded,
+    is the operands of one :class:`checks.SharedPair`, so the trial's
+    configurations share its factors.  ``check(spec, axes, xs)`` takes a dimension group: the
     instances ``xs`` of trials of one dimension.  It gives, per trial, for
     each configuration in order, its record or the ``ValueError`` it
     raised, from each axis's values with names resolved (see
@@ -339,7 +348,7 @@ class _Suite:
     """
 
     axes: Callable
-    instance: Callable | None
+    instances: Callable | None
     check: Callable
     hermitian: bool = True
     from_fixture: Callable = lambda spec, pair: pair
@@ -363,33 +372,33 @@ _ALL_FNS_MEANS = _fns_means(_ALL_FUNCTIONS)
 
 _SUITES = {
     "main_chain": _Suite(
-        _ALL_FNS_MEANS, _pd_pair,
+        _ALL_FNS_MEANS, _pd_pairs,
         _trials(lambda spec, ax, x: checks.check_main_chain_grid(
             ax["fn"], ax["mean"], *x, spec.tol
         )),
     ),
     "chord": _Suite(
-        _ALL_FNS_MEANS, _pd_pair,
+        _ALL_FNS_MEANS, _pd_pairs,
         _each(lambda spec, c, x: checks.check_chord_bounds(c["fn"], c["mean"], *x, spec.tol)),
     ),
     "log_example": _Suite(
-        _no_axes, _pd_pair,
+        _no_axes, _pd_pairs,
         _each(lambda spec, c, x: checks.check_log_example(*x, None, spec.tol)),
     ),
     "mean_diff_norm": _Suite(
-        _fns_means(CONVEX_FUNCTIONS), _pd_pair,
+        _fns_means(CONVEX_FUNCTIONS), _pd_pairs,
         _trials(lambda spec, ax, x: checks.check_mean_difference_norm_grid(
             ax["fn"], ax["mean"], *x, _norm_arg(spec), spec.tol
         )),
     ),
     "eig_prod_norm": _Suite(
-        _ALL_FNS_MEANS, _pd_pair,
+        _ALL_FNS_MEANS, _pd_pairs,
         _trials(lambda spec, ax, x: checks.check_eig_prod_norm_grid(
             ax["fn"], ax["mean"], *x, spec.tol, _norm_arg(spec)
         )),
     ),
     "subadditivity": _Suite(
-        _fns(CONVEX_FUNCTIONS), _pd_pair,
+        _fns(CONVEX_FUNCTIONS), _pd_pairs,
         lambda spec, ax, xs: checks.check_subadditivity_grid(
             ax["fn"], xs, _norm_arg(spec), spec.tol
         ),
@@ -399,36 +408,36 @@ _SUITES = {
         _each(lambda spec, c, x: checks.check_normal_counterexample()),
     ),
     "normal_triangle": _Suite(
-        _no_axes, _normal_pair,
+        _no_axes, _normal_pairs,
         _each(lambda spec, c, x: checks.check_normal_triangle(*x, _norm_arg(spec), spec.tol)),
         hermitian=False,
     ),
     "normal_chain": _Suite(
-        _ALL_FNS, _normal_pair,
+        _ALL_FNS, _normal_pairs,
         lambda spec, ax, xs: checks.check_normal_chain_grid(
             ax["fn"], xs, _norm_arg(spec), spec.tol
         ),
         hermitian=False,
     ),
     "power_mean": _Suite(
-        _alphas_rs, _pd_pair,
+        _alphas_rs, _pd_pairs,
         _each(lambda spec, c, x: checks.check_power_mean_bounds(*x, c["alpha"], c["r"], spec.tol)),
     ),
     "ando_hiai": _Suite(
-        _alphas_rs, _pd_pair,
+        _alphas_rs, _pd_pairs,
         _each(lambda spec, c, x: checks.check_ando_hiai_comparison(
             *x, c["alpha"], c["r"], spec.tol
         )),
     ),
-    "contraction": _Suite(_contraction_pairs, _pd_pair, _each(_check_contraction)),
+    "contraction": _Suite(_contraction_pairs, _pd_pairs, _each(_check_contraction)),
     "inverse_function": _Suite(
-        _ALL_FNS_MEANS, _pd_pair,
+        _ALL_FNS_MEANS, _pd_pairs,
         _trials(lambda spec, ax, x: checks.check_inverse_function_grid(
             ax["fn"], ax["mean"], *x, spec.tol
         )),
     ),
     "determinant": _Suite(
-        _ALL_FNS, _det_instance, _check_determinant,
+        _ALL_FNS, _det_instances, _check_determinant,
         from_fixture=lambda spec, pair: (*pair, spec.alphas[0], "fixture"),
     ),
 }
@@ -541,10 +550,11 @@ def run_suite(spec: SuiteSpec) -> Report:
     Deterministic for a fixed master seed: trial instances depend only on
     (seed, trial index), and the record order is (configuration, trial).
     The loop runs one dimension group of trials at a time
-    (:func:`_trial_groups`): each trial's instance is drawn from its own
-    seed when its group starts, the suite's check makes all the group's
-    records at once (a ``ValueError`` makes a not-applicable record), and
-    the instances are dropped when the group is done.  Each record is
+    (:func:`_trial_groups`): the group's instances are drawn as one stack
+    when it starts, each trial's from its own seeds, the suite's check
+    makes all the group's records at once (a ``ValueError`` makes a
+    not-applicable record), and the instances are dropped when the group
+    is done.  Each record is
     placed at its (configuration, trial) index, so the grouping changes no
     report.
     """
@@ -558,12 +568,12 @@ def run_suite(spec: SuiteSpec) -> Report:
     axes = suite.axes(spec)
     keys = [key for key, _ in axes]
     combos = [dict(zip(keys, values)) for values in itertools.product(*(v for _, v in axes))]
-    if spec.fixtures and suite.instance is None:
+    if spec.fixtures and suite.instances is None:
         raise UsageError(f"suite {spec.suite!r} takes no fixtures")
     fixed = None
     if spec.fixtures:
         fixed = suite.from_fixture(spec, _fixture_pair(spec, suite.hermitian))
-    drawn = suite.instance is not None and not spec.fixtures
+    drawn = suite.instances is not None and not spec.fixtures
     if drawn:
         _check_generator(spec)
     trials = spec.trials if drawn else 1
@@ -571,7 +581,7 @@ def run_suite(spec: SuiteSpec) -> Report:
     resolved = {key: [_resolve(key, v) for v in values] for key, values in axes}
     records = [None] * (len(combos) * trials)
     for group in _trial_groups(spec, trials, drawn):
-        xs = [suite.instance(spec, t) if drawn else fixed for t in group]
+        xs = suite.instances(spec, group) if drawn else [fixed]
         for t, outcomes in zip(group, suite.check(spec, resolved, xs), strict=True):
             for i, (combo, out) in enumerate(zip(combos, outcomes, strict=True)):
                 if isinstance(out, ValueError):
@@ -638,8 +648,8 @@ def search_counterexample(
 
     def instance(t: int):
         if structure == "positive_definite":
-            return _pd_pair(spec, t)
-        return _normal_pair(spec, t, structure)
+            return _pd_pairs(spec, [t])[0]
+        return _normal_pairs(spec, [t], structure)[0]
 
     def evaluate(a, b):
         if target == "norm_chain_normal":

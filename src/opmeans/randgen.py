@@ -22,6 +22,19 @@ are defined by libm.  ``np.sqrt`` is correctly rounded, and ``np.sin`` and
 generated bits and checks the arrays against the one-draw-at-a-time
 definition).
 
+Matrices are drawn a group at a time (:func:`random_group`): one row per
+matrix, all of one dimension, each row a stream seed read from a fixed
+offset.  The group is one (rows x k) block of stream outputs, one
+Box-Muller pass, one stacked QR for the Haar factors (QR of a complex
+Ginibre matrix with the phase fix of Mezzadri, Notices AMS 54(5), 2007)
+and one stacked product (U diag(z)) U*.  Stacked LAPACK calls and numpy's
+elementwise kernels give each row the bits it gets alone, except at
+dimension 1: there the one-matrix product U diag(z) broadcasts a 1 x 1
+matrix against a length-1 vector, which numpy multiplies in its scalar
+complex loop, while a stack goes through its SIMD loop, whose fused
+multiply-add rounds a complex product differently.  So a 1 x 1 group takes
+the scalar loop's formula.  The public generators are the one-row case.
+
 Generated positive definite matrices attain their spectral endpoints
 exactly (lambda_max = M, lambda_min = m for dim >= 2) so that the verified
 bounds are exercised at their tightest constants.
@@ -34,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexMatrix, HermitianMatrix
+from .core import ComplexMatrix, HermitianMatrix, _finite
 
 __all__ = [
     "MASK64",
@@ -48,6 +61,8 @@ __all__ = [
     "random_pd",
     "random_normal",
     "random_gap_pair",
+    "random_group",
+    "gap_pair_rows",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -74,9 +89,44 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 _TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
-# GOLDEN * (1, ..., k) modulo 2**64, tabulated up to a 32 x 32 complex Gaussian
-_STEPS = np.arange(1, 2 * 32 * 32 + 1, dtype=np.uint64) * _GOLDEN
-_STEPS.flags.writeable = False
+
+
+def _outputs(starts, k: int) -> np.ndarray:
+    """Outputs 1..k after each stream position in ``starts``: mix64(start + j * GOLDEN).
+
+    ``starts`` is a uint64 scalar (k outputs) or vector (one row of k per start).
+    """
+    z = np.add.outer(starts, np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN)
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
+
+
+def _uniforms(z: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) from outputs: (z >> 11) * 2**-53, exact (shifts ``z`` in place)."""
+    z >>= _S11
+    return z * 2.0**-53
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Gaussian pairs from uniform pairs u[..., 0], u[..., 1]: r cos(theta), then r sin(theta).
+
+    r = sqrt(-2 log(1 - u0)) and theta = 2 pi u1, computed in place of u1.
+    """
+    # 1 - u lies in (0, 1], so the log is finite; libm's log, see above
+    s = 1.0 - u[..., 0]
+    r = np.fromiter(map(math.log, s.ravel().tolist()), np.float64, s.size).reshape(s.shape)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = u[..., 1]
+    theta *= _TWO_PI
+    out = np.empty(u.shape)
+    np.multiply(r, np.cos(theta), out=out[..., 0])
+    np.multiply(r, np.sin(theta), out=out[..., 1])
+    return out
 
 
 class RandomStream:
@@ -95,17 +145,8 @@ class RandomStream:
         self._spare = None
 
     def _u64s(self, k: int) -> np.ndarray:
-        if k <= _STEPS.size:
-            steps = _STEPS[:k]
-        else:
-            steps = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN
-        z = steps + np.uint64(self._state)
+        z = _outputs(np.uint64(self._state), k)
         self._state = (self._state + GOLDEN * k) & MASK64
-        z ^= z >> _S30
-        z *= _MIX1
-        z ^= z >> _S27
-        z *= _MIX2
-        z ^= z >> _S31
         return z
 
     def next_u64(self) -> int:
@@ -113,9 +154,7 @@ class RandomStream:
 
     def uniforms(self, k: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """The next k uniforms on [lo, hi): lo + (hi - lo) * (z >> 11) * 2**-53."""
-        z = self._u64s(k)
-        z >>= _S11
-        u = z * 2.0**-53  # exact: z < 2**53
+        u = _uniforms(self._u64s(k))
         if lo != 0.0 or hi != 1.0:
             u *= hi - lo
             u += lo
@@ -130,20 +169,10 @@ class RandomStream:
         if k == 0:
             return np.empty(0)
         spare, self._spare = self._spare, None
-        head = 0 if spare is None else 1
-        pairs = (k - head + 1) // 2
-        u = self.uniforms(2 * pairs).reshape(pairs, 2)
-        # 1 - u lies in (0, 1], so the log is finite; libm's log, see above
-        r = np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), np.float64, pairs)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        theta = u[:, 1]
-        theta *= _TWO_PI
-        out = np.empty(head + 2 * pairs)
-        if head:
-            out[0] = spare
-        np.multiply(r, np.cos(theta), out=out[head::2])
-        np.multiply(r, np.sin(theta), out=out[head + 1 :: 2])
+        head = () if spare is None else (spare,)
+        pairs = (k - len(head) + 1) // 2
+        drawn = _box_muller(self.uniforms(2 * pairs).reshape(pairs, 2))
+        out = np.concatenate((head, drawn.ravel()))
         if out.size > k:
             self._spare = float(out[k])
         return out[:k]
@@ -165,13 +194,12 @@ STRUCTURES = ("positive_definite", "normal_complex", "hermitian_indefinite")
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Dimension, spectral interval [m, M], structure class and master seed."""
+    """Dimension, spectral interval [m, M] and structure class."""
 
     dim: int
     m: float
     M: float
     structure: str = "positive_definite"
-    master_seed: int = 20240001
 
     def __post_init__(self):
         if self.dim < 1:
@@ -182,41 +210,69 @@ class GeneratorConfig:
             raise ValueError(f"unknown structure {self.structure!r}")
 
 
-def _haar(stream: RandomStream, dim: int) -> np.ndarray:
-    # QR of a complex Ginibre matrix; the phase convention (positive real
-    # diagonal of the triangular factor) makes the factorization unique.
-    g = stream.complex_gaussian(dim)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
+def random_group(dim: int, rows) -> np.ndarray:
+    """One dim x dim matrix per row, drawn as one stack of shape (len(rows), dim, dim).
+
+    A row is ``(stream_seed, offset, structure, m, M)``.  Its matrix reads
+    the stream from output ``offset + 1`` on: 2 dim^2 uniforms for the
+    complex Gaussian of its Haar unitary U, then dim for its eigenvalue
+    moduli on [m, M] (endpoints attained when dim >= 2) and, for a normal
+    structure, dim for their phases (uniform on [0, 2 pi), or 0 and pi for
+    ``hermitian_indefinite``).  The matrix is (U diag(z)) U* with z the
+    eigenvalues, or U itself for ``structure`` None.  A positive definite
+    row is Hermitian up to round-off; :class:`HermitianMatrix` symmetrizes
+    it.  (m, M) are taken as given: :class:`GeneratorConfig` validates them.
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    seeds, offsets, structures, lo, hi = zip(*rows)
+    if not set(structures) <= {None, *STRUCTURES}:
+        raise ValueError(f"unknown structure in {structures!r}")
+    ng = 2 * dim * dim  # uniforms of the complex Gaussian
+    starts = [(seed + offset * GOLDEN) & MASK64 for seed, offset in zip(seeds, offsets)]
+    u = _uniforms(_outputs(np.array(starts, dtype=np.uint64), ng + 2 * dim))
+    g = _box_muller(u[:, :ng].reshape(len(rows), dim * dim, 2))
+    g /= _SQRT2  # as RandomStream.complex_gaussian
+    q, r = np.linalg.qr(g.view(np.complex128).reshape(len(rows), dim, dim))
+    # the phase convention (positive real diagonal of R) makes the factorization unique
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     mod = np.abs(d)
     phases = np.where(mod == 0.0, 1.0, d / np.where(mod == 0.0, 1.0, mod))
-    return q * phases[None, :]
+    haar = q * phases[:, None, :]
+
+    lam = u[:, ng : ng + dim] * np.subtract(hi, lo)[:, None] + np.array(lo)[:, None]
+    if dim >= 2:
+        lam[:, 0] = hi
+        lam[:, -1] = lo
+
+    def rows_of(structure):
+        return np.array([s == structure for s in structures])[:, None]
+
+    phase = u[:, ng + dim :]
+    signs = np.where(rows_of("hermitian_indefinite") & (phase >= 0.5), math.pi, 0.0)
+    theta = np.where(rows_of("normal_complex"), phase * _TWO_PI, signs)
+    z = (lam * np.exp(1j * theta))[:, None, :]
+    if dim == 1:  # numpy's scalar complex product, see the module docstring
+        uz = np.empty_like(haar)
+        uz.real = haar.real * z.real - haar.imag * z.imag
+        uz.imag = haar.real * z.imag + haar.imag * z.real
+    else:
+        uz = haar * z
+    out = uz @ haar.conj().swapaxes(-1, -2)
+    unitary = rows_of(None)[:, 0]
+    out[unitary] = haar[unitary]
+    return _finite(out)
 
 
 def random_unitary(dim: int, stream_seed: int) -> ComplexMatrix:
     """Haar-distributed unitary matrix, deterministic in the stream seed."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return ComplexMatrix(_haar(RandomStream(stream_seed), dim))
-
-
-def _spread_moduli(stream: RandomStream, dim: int, m: float, M: float) -> np.ndarray:
-    lam = stream.uniforms(dim, m, M)
-    if dim >= 2:
-        lam[0] = M
-        lam[-1] = m
-    return lam
-
-
-def _pd(stream: RandomStream, dim: int, m: float, M: float) -> HermitianMatrix:
-    u = _haar(stream, dim)
-    lam = _spread_moduli(stream, dim, m, M)
-    return HermitianMatrix((u * lam) @ u.conj().T)
+    return ComplexMatrix(random_group(dim, [(stream_seed, 0, None, 1.0, 1.0)])[0])
 
 
 def random_pd(config: GeneratorConfig, stream_seed: int) -> HermitianMatrix:
     """Positive definite matrix with spectrum in [m, M], endpoints attained."""
-    return _pd(RandomStream(stream_seed), config.dim, config.m, config.M)
+    row = (stream_seed, 0, "positive_definite", config.m, config.M)
+    return HermitianMatrix(random_group(config.dim, [row])[0])
 
 
 def random_normal(config: GeneratorConfig, stream_seed: int) -> ComplexMatrix:
@@ -226,16 +282,11 @@ def random_normal(config: GeneratorConfig, stream_seed: int) -> ComplexMatrix:
     ``hermitian_indefinite`` restricts phases to {0, pi}, producing a
     Hermitian matrix with eigenvalue moduli in [m, M] and random signs.
     """
-    stream = RandomStream(stream_seed)
-    dim = config.dim
-    u = _haar(stream, dim)
-    moduli = _spread_moduli(stream, dim, config.m, config.M)
-    if config.structure == "hermitian_indefinite":
-        phases = np.where(stream.uniforms(dim) < 0.5, 0.0, math.pi)
-    else:
-        phases = stream.uniforms(dim, 0.0, 2.0 * math.pi)
-    z = moduli * np.exp(1j * phases)
-    return ComplexMatrix((u * z) @ u.conj().T)
+    structure = config.structure
+    if structure != "hermitian_indefinite":
+        structure = "normal_complex"
+    row = (stream_seed, 0, structure, config.m, config.M)
+    return ComplexMatrix(random_group(config.dim, [row])[0])
 
 
 _GAP_INTERVALS = {
@@ -245,16 +296,20 @@ _GAP_INTERVALS = {
 }
 
 
+def gap_pair_rows(dim: int, gap_mode: str, stream_seed: int) -> list:
+    """The :func:`random_group` rows of a gap pair: A, then B from the same stream after A."""
+    if gap_mode not in _GAP_INTERVALS:
+        raise ValueError(f"unknown gap mode {gap_mode!r}")
+    (ma, Ma), (mb, Mb) = _GAP_INTERVALS[gap_mode]
+    pd = "positive_definite"
+    return [(stream_seed, 0, pd, ma, Ma), (stream_seed, 2 * dim * dim + dim, pd, mb, Mb)]
+
+
 def random_gap_pair(dim: int, gap_mode: str, stream_seed: int):
     """A positive definite pair with disjoint spectral intervals.
 
     ``below_a`` realizes lambda_max(B) < lambda_min(A); ``above_a`` is the
     symmetric case lambda_max(A) < lambda_min(B).
     """
-    if gap_mode not in _GAP_INTERVALS:
-        raise ValueError(f"unknown gap mode {gap_mode!r}")
-    (ma, Ma), (mb, Mb) = _GAP_INTERVALS[gap_mode]
-    stream = RandomStream(stream_seed)
-    a = _pd(stream, dim, ma, Ma)
-    b = _pd(stream, dim, mb, Mb)
-    return a, b
+    a, b = random_group(dim, gap_pair_rows(dim, gap_mode, stream_seed))
+    return HermitianMatrix(a), HermitianMatrix(b)

@@ -122,7 +122,7 @@ def test_criterion_04_normal_chain():
     links = 0
     for t in range(500):
         dim = (2, 3, 4, 5, 6)[t % 5]
-        cfg = GeneratorConfig(dim, 1.0, 3.0, "normal_complex", SEED)
+        cfg = GeneratorConfig(dim, 1.0, 3.0, "normal_complex")
         a = random_normal(cfg, derive_stream_seed(SEED, 2 * t))
         b = random_normal(cfg, derive_stream_seed(SEED, 2 * t + 1))
         out = check_normal_chain(fns[t % len(fns)], a, b, norms=norm_catalog(dim))
@@ -146,7 +146,7 @@ def test_criterion_05_determinant_suite():
     worst_eq = 0.0
     ident = function_by_name("identity")
     for t in range(50):
-        cfg = GeneratorConfig(2 + t % 4, 0.5, 4.0, "positive_definite", SEED)
+        cfg = GeneratorConfig(2 + t % 4, 0.5, 4.0, "positive_definite")
         a = random_pd(cfg, derive_stream_seed(SEED + 5, t))
         out = check_determinant_suite(ident, a, a, 0.5)
         margin = [l.margin for l in out.links if l.description == "detroot-superadditivity"][0]

@@ -483,8 +483,7 @@ def test_cli_invalid_tolerance_exit_two(capsys, monkeypatch, suite, tol):
     def no_instance(*args):
         raise AssertionError("an instance was drawn")
 
-    for name in ("random_pd", "random_normal"):
-        monkeypatch.setattr(harness, name, no_instance)
+    monkeypatch.setattr(harness, "random_group", no_instance)
     rc = main(suite + ["--tol", tol, "--trials", "2", "--budget", "2"])
     assert rc == 2
     assert f"error: tolerance must be a finite number >= 0, got {float(tol)!r}" in (

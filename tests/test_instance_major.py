@@ -22,10 +22,10 @@ from opmeans.harness import (
     _SUITES,
     SUITE_NAMES,
     SuiteSpec,
-    _det_instance,
+    _det_instances,
     _norm_arg,
-    _normal_pair,
-    _pd_pair,
+    _normal_pairs,
+    _pd_pairs,
     run_suite,
     save_matrix_json,
 )
@@ -44,6 +44,19 @@ SUITES = {
 }
 
 MEANS = ("arithmetic:1/2", "harmonic:1/4", "geometric:3/4")
+
+
+# trial t's instance, drawn alone: the one-trial group of the suite's builder
+def _pd_pair(spec, t):
+    return _pd_pairs(spec, [t])[0]
+
+
+def _normal_pair(spec, t):
+    return _normal_pairs(spec, [t])[0]
+
+
+def _det_instance(spec, t):
+    return _det_instances(spec, [t])[0]
 
 
 def _raw_record(suite, spec, fn, mean, t):

@@ -6,6 +6,7 @@ import pytest
 import scipy.stats
 
 from opmeans import randgen
+from opmeans.core import hermitian_part
 from opmeans.means import mean_by_name, mean, normalize_for_contraction
 from opmeans.randgen import (
     GOLDEN,
@@ -260,24 +261,87 @@ def test_pending_spare_comes_first():
         assert_same_state(stream, oracle)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_generators_match_scalar_definition(monkeypatch):
-    def draw_all(dim, t):
-        seed = derive_stream_seed(dim, t)
-        out = [random_pd(GeneratorConfig(dim, 0.5, 4.0), seed), random_unitary(dim, seed)]
-        for structure in ("normal_complex", "hermitian_indefinite"):
-            out.append(random_normal(GeneratorConfig(dim, 0.5, 4.0, structure), seed))
-        for mode in ("below_a", "above_a"):
-            out.extend(random_gap_pair(dim, mode, seed))
-        return [m.entries for m in out]
+# The generators' definition, one matrix at a time with 2-D numpy operations on
+# the per-entry stream: the oracle for the stacked draw of randgen.random_group.
 
-    cases = [(dim, t) for dim in (1, 2, 3, 5) for t in range(10)]
-    got = [draw_all(*case) for case in cases]
-    monkeypatch.setattr(randgen, "RandomStream", ScalarStream)
-    want = [draw_all(*case) for case in cases]
-    for g, w in zip(got, want):
-        for a, b in zip(g, w):
-            assert_same_bits(a, b)
+def _haar_oracle(stream, dim):
+    g = stream.complex_gaussian(dim)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    mod = np.abs(d)
+    phases = np.where(mod == 0.0, 1.0, d / np.where(mod == 0.0, 1.0, mod))
+    return q * phases[None, :]
+
+
+def _moduli_oracle(stream, dim, m, M):
+    lam = stream.uniforms(dim, m, M)
+    if dim >= 2:
+        lam[0] = M
+        lam[-1] = m
+    return lam
+
+
+def _pd_oracle(stream, dim, m, M):
+    u = _haar_oracle(stream, dim)
+    lam = _moduli_oracle(stream, dim, m, M)
+    return hermitian_part((u * lam) @ u.conj().T)
+
+
+def _normal_oracle(stream, dim, m, M, structure):
+    u = _haar_oracle(stream, dim)
+    moduli = _moduli_oracle(stream, dim, m, M)
+    if structure == "hermitian_indefinite":
+        phases = np.where(stream.uniforms(dim) < 0.5, 0.0, math.pi)
+    else:
+        phases = stream.uniforms(dim, 0.0, 2.0 * math.pi)
+    z = moduli * np.exp(1j * phases)
+    return (u * z) @ u.conj().T
+
+
+_GAPS = {"below_a": ((2.0, 3.0), (0.5, 1.0)), "above_a": ((0.5, 1.0), (2.0, 3.0))}
+_INTERVALS = ((0.5, 4.0), (2.0, 2.0), (1e-6, 400.0))  # m = M included
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generators_match_scalar_definition():
+    for dim in (1, 2, 3, 5, 7, 32):
+        for t in range(2 if dim == 32 else 8):
+            seed = derive_stream_seed(dim, t)
+            m, M = _INTERVALS[t % len(_INTERVALS)]
+            got = [random_pd(GeneratorConfig(dim, m, M), seed), random_unitary(dim, seed)]
+            want = [_pd_oracle(ScalarStream(seed), dim, m, M)]
+            want.append(_haar_oracle(ScalarStream(seed), dim))
+            for structure in ("normal_complex", "hermitian_indefinite"):
+                got.append(random_normal(GeneratorConfig(dim, m, M, structure), seed))
+                want.append(_normal_oracle(ScalarStream(seed), dim, m, M, structure))
+            for mode, ((ma, Ma), (mb, Mb)) in _GAPS.items():
+                got.extend(random_gap_pair(dim, mode, seed))
+                stream = ScalarStream(seed)  # B continues A's stream
+                want += [_pd_oracle(stream, dim, ma, Ma), _pd_oracle(stream, dim, mb, Mb)]
+            for g, w in zip(got, want, strict=True):
+                assert_same_bits(g.entries, w)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 7, 32])
+def test_group_rows_equal_one_row_draws(dim):
+    rows = []
+    for t in range(6):
+        seed = derive_stream_seed(50 + dim, t)
+        m, M = _INTERVALS[t % len(_INTERVALS)]
+        rows += [(seed, 0, structure, m, M) for structure in randgen.STRUCTURES]
+        rows += randgen.gap_pair_rows(dim, ("below_a", "above_a")[t % 2], seed)
+        rows.append((seed, 0, None, 1.0, 1.0))
+    group = randgen.random_group(dim, rows)
+    assert group.shape == (len(rows), dim, dim)
+    for row, got in zip(rows, group, strict=True):
+        assert_same_bits(got, randgen.random_group(dim, [row])[0])
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_gap_pair_refuses_dim_below_one(dim):
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        random_gap_pair(dim, "below_a", 1)
 
 
 def sha256_of(*matrices):

@@ -136,13 +136,38 @@ def _reports(spec, tmp_path, tag) -> list[bytes]:
 
 
 @pytest.mark.parametrize(
-    "extra", [{}, {"M": 800.0, "functions": ("expm1", "power:2", "sqrt")}],
-    ids=["default", "breakdowns"],
+    "extra",
+    [{}, {"M": 800.0, "functions": ("expm1", "power:2", "sqrt")}, {"dims": (1, 2, 3)}],
+    ids=["default", "breakdowns", "dim-1-edge"],
 )
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_group_size_changes_no_report(monkeypatch, tmp_path, suite, extra):
-    spec = SuiteSpec(suite, trials=8, dims=(1, 2, 3, 5), **extra)
+    spec = SuiteSpec(suite, **{"trials": 8, "dims": (1, 2, 3, 5), **extra})
     grouped = _reports(spec, tmp_path, "grouped")
     monkeypatch.setattr(harness, "_GROUP_ENTRIES", 1)  # every trial a group of its own
     assert _reports(spec, tmp_path, "alone") == grouped
+
+
+def test_one_stacked_qr_per_dimension_group(monkeypatch):
+    # a group's instances are one draw: one QR of the Haar factors of both
+    # operands of all its trials, whatever the suite and the pair kind
+    shapes = []
+    qr = np.linalg.qr
+
+    def counted(a, *rest):
+        shapes.append(np.shape(a))
+        return qr(a, *rest)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    # the default 200 trials over dims 2-6 are 40 per dimension, one group
+    # each, except that 28 dim-6 trials fill a group of 1024 entries
+    expected = [(80, 2, 2), (80, 3, 3), (80, 4, 4), (80, 5, 5), (56, 6, 6), (24, 6, 6)]
+    for suite in ("subadditivity", "normal_chain", "determinant", "main_chain"):
+        shapes.clear()
+        spec = SuiteSpec(suite)
+        if suite == "main_chain":  # the axes do not change what is drawn
+            spec = SuiteSpec(suite, functions=("power:2",), means=("arithmetic:1/2",))
+        run_suite(spec)
+        assert len(harness._trial_groups(spec, spec.trials, True)) == len(expected)
+        assert shapes == expected, suite
