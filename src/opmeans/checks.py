@@ -41,7 +41,6 @@ from .core import (
     _fn_values,
     _loewner,
     _loewner_on_spectrum,
-    _norm_of_sv,
     _norm_table,
     _normal_factors,
     _opnorm_hermitian,
@@ -54,7 +53,6 @@ from .core import (
     matrix_abs,
     norm,
     norm_catalog,
-    singular_values,
 )
 from .functions import (
     Convexity,
@@ -1023,16 +1021,17 @@ def _abs_factors(a, b):
 
 
 def _abs_images(f, factors, abs_sum):
-    """f(|a|) + f(|b|), and f on the eigenvalues of |a| + |b|, for one trial; a breakdown raises.
+    """Singular values of f(|a|) + f(|b|) and of f(|a| + |b|) for one trial; a breakdown raises.
 
-    ``factors`` and ``abs_sum`` are a 1-trial :func:`_abs_factors`.
+    ``factors`` and ``abs_sum`` are a 1-trial :func:`_abs_factors`; returns
+    two rows, one per matrix.
     """
     entries = np.full((1, 1), None, dtype=object)
     *_, images = _image_sums((f,), factors, entries)
     of_abs_sum = _on_spectra((f,), abs_sum, entries)
     if entries[0, 0] is not None:
         raise entries[0, 0]
-    return images[0, 0], of_abs_sum[0, 0]
+    return _sv_hermitian(np.stack([_eigvalsh(images[0, 0]), of_abs_sum[0, 0]]))
 
 
 def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
@@ -1047,12 +1046,10 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
     f = function_by_name("power:2")
     factors, m, M, abs_sum = _abs_factors([a], [b])
     m, M = float(m[0]), float(M[0])
-    images, of_abs_sum = _abs_images(f, factors, abs_sum)
-    op = NormKind.operator()
-    images_sum = _norm_of_sv(_sv_hermitian(_eigvalsh(images)), op)
-    image_of_abs_sum = _norm_of_sv(_sv_hermitian(of_abs_sum), op)
-    coef_bound = (float(f(M)) / M) * norm(a + b, op)
-    deriv_bound = float(f.deriv(M)) * norm(a + b, op)
+    sv = np.concatenate([_abs_images(f, factors, abs_sum), _singular_values((a + b)[None])])
+    images_sum, image_of_abs_sum, sum_norm = _norm_table(sv, (NormKind.operator(),))[:, 0].tolist()
+    coef_bound = (float(f(M)) / M) * sum_norm
+    deriv_bound = float(f.deriv(M)) * sum_norm
     links = (
         _equality_link("value[images-sum]", images_sum, 8.0, tol),
         _equality_link("value[image-of-abs-sum]", image_of_abs_sum, 16.0, tol),
@@ -1107,9 +1104,9 @@ def check_normal_triangle(A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     _require_normal(a, tol, "first operand")
     _require_normal(b, tol, "second operand")
     abs_sum = matrix_abs(a, normal_hint=True).entries + matrix_abs(b, normal_hint=True).entries
-    sv_sum, sv_abs_sum = singular_values(a + b), singular_values(abs_sum)
     kinds = _norm_kinds(norms, a.shape[0])
-    links = (_scalar_margins(*(_norm_table(sv[None], kinds) for sv in (sv_sum, sv_abs_sum)), tol),)
+    table = _norm_table(_singular_values(np.stack([a + b, abs_sum])), kinds)
+    links = (_scalar_margins(table[:1], table[1:], tol),)
     return _norm_record(
         "normal_triangle", "normal-abs-triangle", ("triangle",), kinds, links, {"dim": a.shape[0]}
     )
@@ -1144,8 +1141,8 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
     per matrix; the eigenvalues of |A| + |B| and the singular values of
     A + B are one stacked solve each over the group.  Per function only
     f(|A|) + f(|B|) remains, and its eigenvalues for every (function,
-    trial) are one stacked eigvalsh.  The norms are tables and the links
-    margins over (record x norm kind) arrays, as in
+    trial) are one stacked eigvalsh.  Every norm of every matrix is one
+    table and the links are margins over (record x norm kind) arrays, as in
     :func:`check_subadditivity_grid`.
     """
     pairs = [(as_complex_array(a), as_complex_array(b)) for a, b in pairs]
@@ -1184,15 +1181,13 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
             coefs.append((edge, float(f(x)) / x, float(f(2.0 * x)) / (2.0 * x)))
         try:
             kinds = _norm_kinds(norms, n)
-            # a table per trial: stacked, a strided row of sv_sum would take numpy's SIMD
-            # power instead of libm's, and change its Schatten norms in the last bit
-            base = np.array([_norm_table(sv[None], kinds)[0] for sv in sv_sum])[t_of]
             w = np.concatenate([w_images[rows], of_abs_sum[rows]])
-            table = _norm_table(_sv_hermitian(w), kinds)
+            table = _norm_table(np.concatenate([sv_sum, _sv_hermitian(w)]), kinds)
         except ValueError as exc:
             _fail(entries, exc)
             return
-        k = rows.size
+        T, k = len(a), rows.size
+        base = table[:T][t_of]
         edge, c_sep, c_sum = (np.array(c)[:, None] for c in zip(*coefs))
         # an infinite f'(0) or f'(M) leaves both edge links vacuous: margin 0, passed
         has_edge = np.isfinite(edge)
@@ -1200,9 +1195,9 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
         sep, tot = c_sep * base, c_sum * base
         links = [
             _scalar_margins(edge, sep, tol),
-            _scalar_margins(sep, table[:k], tol),
+            _scalar_margins(sep, table[T : T + k], tol),
             _scalar_margins(edge, tot, tol),
-            _scalar_margins(tot, table[k:], tol),
+            _scalar_margins(tot, table[T + k :], tol),
         ]
         for j in (0, 2):
             margin, passed = links[j]
@@ -1234,17 +1229,12 @@ def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutco
     """
     a = as_complex_array(A)
     b = as_complex_array(B)
-    sv = np.concatenate([singular_values(a), singular_values(b)])
-    m, M = float(sv.min()), float(sv.max())
+    sv = _singular_values(np.stack([a, b, a + b]))
+    m, M = float(sv[:2].min()), float(sv[:2].max())
     factors, _, _, abs_sum = _abs_factors([a], [b])
-    images, of_abs_sum = _abs_images(f, factors, abs_sum)
-    sv_images, sv_image_of_abs = _sv_hermitian(_eigvalsh(images)), _sv_hermitian(of_abs_sum)
-    coef = float(f(M)) / M
-    # one table per side: a Schatten norm's bits depend on the layout of its row
-    base, sep, tot = (
-        _norm_table(sv[None], norms) for sv in (singular_values(a + b), sv_images, sv_image_of_abs)
-    )
-    bound = coef * base
+    sv = np.concatenate([sv[2:], _abs_images(f, factors, abs_sum)])
+    base, sep, tot = np.split(_norm_table(sv, norms), 3)
+    bound = float(f(M)) / M * base
     links = (_scalar_margins(sep, bound, tol), _scalar_margins(tot, bound, tol))
     return _norm_record(
         "transplanted_norm_chain", "normal-upper-norm-bounds", ("upper-sep", "upper-sum"), norms,

@@ -470,24 +470,19 @@ def singular_values(A) -> np.ndarray:
     return _singular_values(as_complex_array(A)[None])[0]
 
 
-def _singular_values(arr: np.ndarray, errors=None) -> list:
+def _singular_values(arr: np.ndarray, errors=None) -> np.ndarray:
     """:func:`singular_values` of each matrix of a stack, all by one stacked eigvalsh.
 
-    A Hermitian matrix's are |w| on its eigenvalues, a contiguous row;
-    another's are the square roots of the eigenvalues of A*A, no |A|
-    assembled, as a reversed view.  Returns one row per matrix, laid out as
-    described, because a Schatten norm's bits depend on the layout (see
-    :func:`_norm_table`).  A row with an error is solved as I (see
-    :func:`_lapack`).
+    A Hermitian matrix's are |w| on its eigenvalues; another's are the
+    square roots of the eigenvalues of A*A, no |A| assembled.  Returns an
+    array (matrices x n), one row per matrix.  A row with an error is
+    solved as I (see :func:`_lapack`).
     """
     adj = arr.conj().swapaxes(-1, -2)
     scale = np.abs(arr).max(axis=(-2, -1), initial=0.0)
     hermitian = np.abs(arr - adj).max(axis=(-2, -1), initial=0.0) <= 1e-12 * (1.0 + scale)
     w = _eigvalsh(hermitian_part(np.where(hermitian[:, None, None], arr, adj @ arr)), errors)
-    return [
-        _sv_hermitian(row) if own else np.sqrt(np.clip(row, 0.0, None))[::-1]
-        for row, own in zip(w, hermitian.tolist())
-    ]
+    return _sv_hermitian(np.where(hermitian[:, None], w, np.sqrt(np.clip(w, 0.0, None))))
 
 
 def norm(A, kind) -> float:
@@ -495,19 +490,12 @@ def norm(A, kind) -> float:
 
     ``kind`` may be a :class:`NormKind` or a string label such as
     ``"schatten:2"``.  Ky Fan k sums the k largest singular values;
-    Schatten p is the p-norm of the singular value vector.
+    Schatten p is the p-norm of the singular value vector.  The value is
+    the matrix's entry of :func:`_norm_table`, bit for bit.
     """
     if isinstance(kind, str):
         kind = NormKind.parse(kind)
-    return _norm_of_sv(singular_values(A), kind)
-
-
-def _norm_of_sv(sv: np.ndarray, kind: NormKind) -> float:
-    """The norm ``kind`` of a matrix with singular values ``sv`` (sorted decreasing).
-
-    One entry of :func:`_norm_table`.
-    """
-    return float(_norm_table(sv[None], (kind,))[0, 0])
+    return float(_norm_table(singular_values(A)[None], (kind,))[0, 0])
 
 
 def _norm_table(sv: np.ndarray, kinds) -> np.ndarray:
@@ -516,13 +504,14 @@ def _norm_table(sv: np.ndarray, kinds) -> np.ndarray:
     Rows are sorted decreasing; returns an array (rows x kinds).  Every
     unitarily invariant norm is a symmetric gauge function of the singular
     values, so one vector per matrix serves every kind.  An entry has the
-    bits of the norm taken on its row alone: Ky Fan k sums the slice
-    ``sv[:, :k]`` (a cumulative sum adds in another order), and the
-    Schatten root is libm's ``pow`` per value (numpy's array power can
-    differ from it in the last bit).  The Schatten powers are numpy's
-    array power on ``sv`` as laid out, which takes a SIMD kernel on
-    contiguous rows and libm on strided ones.
+    bits of the norm taken on its row alone, whatever the row's memory
+    layout: the table reads a C-contiguous copy of ``sv``, because numpy's
+    array power takes a SIMD kernel on contiguous rows and libm's ``pow``
+    on strided ones, and the two can differ in the last bit.  Ky Fan k
+    sums the slice ``sv[:, :k]`` (a cumulative sum adds in another order),
+    and the Schatten root is libm's ``pow`` per value.
     """
+    sv = np.ascontiguousarray(sv)
     table = np.empty((len(sv), len(kinds)))
     for j, kind in enumerate(kinds):
         if kind.variant == "operator":

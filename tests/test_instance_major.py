@@ -224,10 +224,10 @@ def test_norm_grid_records_equal_public_checker_records(suite, extra, reasons):
 
 def test_normal_chain_grid_scales_the_norms_of_a_plus_b():
     # power:2 has f'(0) = 0, so every sep-edge margin is (f(m)/m) |||A + B|||,
-    # with |||A + B||| as the public norm gives it, bit for bit.  The Schatten
-    # powers depend on the layout of the singular-value vector (numpy's SIMD
-    # power on a contiguous one, libm on the reversed view singular_values
-    # returns), so stacking A + B's into the grid's table fails here.
+    # with |||A + B||| as the public norm gives it, bit for bit.  The grid
+    # takes A + B's norms from the group's stacked table and the public norm
+    # from a one-row table, so a Schatten norm whose bits depended on its
+    # row's place or layout would fail here.
     norms = ("schatten:1.5", "schatten:3", "schatten:7", "kyfan:2", "trace")
     spec = SuiteSpec(
         "normal_chain", trials=60, dims=(2, 3, 4), functions=("power:2",), norms=norms

@@ -1,11 +1,11 @@
 """normal_triangle and transplanted_norm_chain margins, bit for bit, against norms taken one by one.
 
-The oracle takes every norm through ``core.norm`` or ``core._norm_of_sv``,
-one matrix and one kind at a time, on singular values laid out as
-``core.singular_values`` gives them: a non-Hermitian A + B has a reversed
-view, whose Schatten norms can differ in the last bit from those of a
-contiguous copy.  So a checker that stacks or copies those rows fails
-here.
+The oracle takes every norm one matrix and one kind at a time: through
+``core.norm`` for a matrix, and through a one-row, one-kind
+``core._norm_table`` for singular values the checker holds without their
+matrix (those of f(|A|) + f(|B|) and of f(|A| + |B|)).  A checker that
+takes its norms from one stacked table must give the margins of these
+one-by-one norms.
 """
 
 import numpy as np
@@ -14,9 +14,7 @@ import pytest
 from opmeans import checks
 from opmeans.core import (
     NormKind,
-    _eigvalsh,
-    _norm_of_sv,
-    _sv_hermitian,
+    _norm_table,
     as_complex_array,
     matrix_abs,
     norm,
@@ -69,10 +67,9 @@ def test_transplanted_norm_chain_margins_bit_for_bit(structure, dim):
         rec = checks.check_transplanted_norm_chain(F, a, b, kinds)
         M = float(np.concatenate([singular_values(a), singular_values(b)]).max())
         factors, _, _, abs_sum = checks._abs_factors([a], [b])
-        images, of_abs_sum = checks._abs_images(F, factors, abs_sum)
-        spectra = (_sv_hermitian(_eigvalsh(images)), _sv_hermitian(of_abs_sum))
+        spectra = checks._abs_images(F, factors, abs_sum)
         want = []
         for kind in kinds:
             bound = (float(F(M)) / M) * norm(a + b, kind)
-            want += [bound - _norm_of_sv(sv, kind) for sv in spectra]
+            want += [bound - _norm_table(sv[None], [kind])[0, 0] for sv in spectra]
         assert _bits(rec.margins) == _bits(want)

@@ -137,8 +137,15 @@ def _reports(spec, tmp_path, tag) -> list[bytes]:
 
 @pytest.mark.parametrize(
     "extra",
-    [{}, {"M": 800.0, "functions": ("expm1", "power:2", "sqrt")}, {"dims": (1, 2, 3)}],
-    ids=["default", "breakdowns", "dim-1-edge"],
+    [
+        {},
+        {"M": 800.0, "functions": ("expm1", "power:2", "sqrt")},
+        {"dims": (1, 2, 3)},
+        # Schatten powers other than 3: a row of a stacked table and a one-row
+        # table would disagree in the last bit if a row's layout mattered
+        {"norms": ("schatten:1.5", "schatten:2.5", "schatten:7", "kyfan:2")},
+    ],
+    ids=["default", "breakdowns", "dim-1-edge", "other-norms"],
 )
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
