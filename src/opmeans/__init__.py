@@ -73,6 +73,7 @@ from .checks import (
     Link,
     check_ando_hiai_comparison,
     check_chord_bounds,
+    check_chord_bounds_grid,
     check_contraction_implication,
     check_determinant_grid,
     check_determinant_suite,

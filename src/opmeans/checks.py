@@ -55,8 +55,10 @@ from .core import (
     norm_catalog,
 )
 from .functions import (
+    REALS,
     Convexity,
     FunctionPair,
+    ScalarFunction,
     chord_coefficients,
     check_pair_conditions,
     function_by_name,
@@ -76,6 +78,7 @@ __all__ = [
     "Link",
     "CheckOutcome",
     "check_chord_bounds",
+    "check_chord_bounds_grid",
     "check_main_chain",
     "check_main_chain_grid",
     "check_log_example",
@@ -243,8 +246,9 @@ def _equality_link(desc, got, want, tol) -> tuple:
 
 # A checker's hypotheses are gate rows (holds, error, message), run in order by
 # _gate: the first row whose holds(f, pair) is false raises error(message), the
-# message formatted with f and the pair.  A row reads the pair's factors only
-# when it runs, so a function failing its own rows never factors the operands.
+# message formatted with f and the pair; a holds may raise its own error
+# (:func:`_secant_slopes`).  A row reads the pair's factors only when it runs,
+# so a function failing its own rows never factors the operands.
 
 _TAGGED = (
     lambda f, _: f.convexity is not Convexity.NEITHER, ValueError,
@@ -359,21 +363,18 @@ class SharedPair:
     """A Hermitian instance (A, B): validated and factored once, its factors reused.
 
     Every checker of a Hermitian pair reads A, B and their factors from a
-    pair.  A suite builds one pair per trial and hands each record the
-    pair's :meth:`operands`, so the records of a trial share what they
-    compute from it.  Each value is computed when a checker first asks for
-    it and then kept: the eigenpairs of A and B and B's eigenvectors in A's
-    eigenbasis once, the congruence middle A^(-1/2) B A^(-1/2) once, the
-    middles of f(A) sigma f(B) once per tuple of functions and S = A sigma B
-    with its eigenpairs once per tuple of means, each as one stack (a grid
-    asks for all of a trial's functions and means).  Every mean is taken in
-    A's eigenbasis, where A and its functions are diagonal and A^(+-1/2) is
-    an exact scaling; checkers compare means only through Loewner margins,
-    spectra and norms, which do not depend on the basis.  A step that
-    raises keeps nothing, so every record that reaches it raises the same
-    error; a mean or a function whose own step fails keeps its error in
-    its row.  A checker given raw matrices wraps them in a fresh pair, so
-    both paths run the same code.
+    pair: a suite hands the records of a trial one pair's :meth:`operands`,
+    and a checker given raw matrices wraps them in a fresh pair.  Each
+    value is computed when first asked for and then kept: the eigenpairs of
+    A and B, B's eigenvectors in A's eigenbasis and the middle
+    A^(-1/2) B A^(-1/2) once, S = A sigma B with its eigenpairs once per
+    tuple of means, and the middles of f(A) sigma f(B) once per tuple of
+    functions (chord's secant lines among them), each tuple as one stack.
+    Every mean is taken in A's eigenbasis, where A and its functions are
+    diagonal; checkers compare means only through Loewner margins, spectra
+    and norms, which do not depend on the basis.  A step that raises keeps
+    nothing, so every record reaching it raises the same error; a mean or
+    a function whose own step fails keeps its error in its row.
     """
 
     def __init__(self, A, B, tol=DEFAULT_TOL):
@@ -518,38 +519,54 @@ def _norm_kinds(norms, dim):
 def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     """Mean of the endpoint secant lines brackets the mean of the images.
 
-    The lines slope (X - mI) + f(m) I are functions of X, so they share the
-    operands' eigenvectors with f(A) and f(B); A and B are factored once.
-    The middles of f(A) sigma f(B) and of the two line means depend on f and
-    the pair only, so they are kept on the pair per function; a record
-    takes its three means from them and judges both links by one stacked
-    eigvalsh.
+    The lines are c (x - m) + f(m) with c = f'(m) below and c = f'(M) above
+    a convex f on PSD operands, reversed for a concave f.  The 1 x 1 case
+    of :func:`check_chord_bounds_grid`.
     """
-    pair = _pair(A, B, tol)
-    _gate((_TAGGED,), f)
-    forward = f.convexity is Convexity.CONVEX
-    fa, fb, m, M = _psd(pair.factors, tol)
-    lo_c, hi_c = chord_coefficients(f, m, M)
-    if not (math.isfinite(lo_c) and math.isfinite(hi_c)):
+    return _one(check_chord_bounds_grid((f,), (sigma,), A, B, tol))
+
+
+def _secant_slopes(f, pair):
+    """(f'(m), f'(M)), m floored at 0 (:func:`_psd`): a gate row that raises its own errors."""
+    _, _, m, M = _psd(pair.factors, pair.tol)
+    slopes = chord_coefficients(f, m, M)
+    if not all(map(math.isfinite, slopes)):
         raise ValueError(f"infinite chord coefficient for {f.name} on [{m}, {M}]")
-    fm = float(f(m))
-    (_, wa, _), (_, wb, _) = fa, fb
+    return slopes
 
-    def line_middles():
-        return _middles(
-            [
-                _congruence_of(slope * (wa - m) + fm, slope * (wb - m) + fm, pair.basis, tol)
-                for slope in (lo_c, hi_c)
-            ]
-        )
 
-    mid = _mean_from_middle([sigma.h], pair.image_middle(f), tol)[0, 0]
-    low, high = _mean_from_middle([sigma.h], pair._keep("lines", (f,), line_middles), tol)[:, 0]
-    links = _loewner_links(
-        (("lower-slope-line", low, mid), ("upper-slope-line", mid, high)), tol, forward
-    )
-    params = {"fn": f.name, "mean": sigma.name, "m": m, "M": M, "a": lo_c, "b": hi_c}
-    return CheckOutcome("chord_bounds", "secant-line-mean-bracket", links, params)
+def check_chord_bounds_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
+    """:func:`check_chord_bounds` for every function in ``fs`` and mean in ``sigmas``.
+
+    One grid (:func:`_mean_grid`) with no S: the lines' middles are image
+    middles in one stack with f's, and every link is one stacked eigvalsh.
+    """
+
+    def judge(pair, fs, sigmas, results):
+        n_f, n_s = results.shape
+        m, slopes = _psd(pair.factors, pair.tol)[2], [_secant_slopes(f, pair) for f in fs]
+        # each f's lower line, then each f's upper line c (x - m) + f(m), on A's and B's spectra
+        lines = [
+            ScalarFunction("secant", lambda x, c=c, fm=float(f(m)): c * (x - m) + fm, None, REALS)
+            for cs in zip(*slopes) for f, c in zip(fs, cs)
+        ]
+        errors = np.full((3 * n_f, n_s), None, dtype=object)
+        mid, low, high = _images(pair, (*fs, *lines), sigmas, errors).reshape(3, -1, *pair.a.shape)
+        for level in errors.reshape(3, n_f, n_s):  # X's error first, then the lower line's
+            open_ = np.equal(results, None)
+            results[open_] = level[open_]
+        fwd = np.repeat([f.convexity is Convexity.CONVEX for f in fs], n_s)[:, None, None]
+        sides = ((low, mid), (mid, high))
+        claims = [(np.where(fwd, lo, hi), np.where(fwd, hi, lo), None) for lo, hi in sides]
+        lower, upper = _loewner(claims, pair.tol, [results.reshape(-1)] * 2)
+        margins = np.stack([lower.margin, upper.margin], -1).reshape(n_f, n_s, 2)
+        passes = np.stack([lower.passed, upper.passed], -1).reshape(n_f, n_s, 2)
+        params = [{"m": m, "a": a, "b": b} for a, b in slopes]  # m floored at 0
+        descriptions = ("lower-slope-line", "upper-slope-line")
+        return descriptions, margins, passes, np.ones((n_f, 2), dtype=bool), params
+
+    gates, claim = (_TAGGED, (_secant_slopes, None, None)), "secant-line-mean-bracket"
+    return _mean_grid("chord_bounds", claim, gates, judge, fs, sigmas, A, B, tol)
 
 
 def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -605,18 +622,16 @@ def _fill(check_name, claim, descriptions, margins, passes, applicable, params, 
 
 
 def _mean_grid(check_name, claim, gates, judge, fs, sigmas, A, B, tol) -> list:
-    """A trial's (f, sigma) records, f outermost, of a chain between S and X = f(A) sigma f(B).
+    """A trial's (f, sigma) records, f outermost, of a claim on X = f(A) sigma f(B).
 
-    Each f runs the gate rows ``gates`` (see :func:`_gate`).  For the
-    functions past them the grid is one stack: every S with its eigenpairs
-    (:meth:`SharedPair.mean_stack`), every X as one (function, mean) stack,
-    and the coefficients (f'(0), f(m)/m, f(M)/M, f'(M)) of each function
-    with records left.  ``judge(pair, fs, means, X, coefs, results)``
-    returns the link descriptions, the (f, sigma, link) margins and passes,
-    the (f, link) applicable flags and each function's params.  A step
-    failing for some records gives each its error in ``results`` (see
-    ``core._flag``), one failing for all raises; a record keeps its first
-    error, and its matrices are solved as I.
+    Each f runs the gate rows ``gates`` (see :func:`_gate`).  The functions
+    past them are one grid: ``judge(pair, fs, sigmas, results)`` takes its
+    stacks (:func:`_images`, :func:`_chain_stacks`) and returns the link
+    descriptions, the (f, sigma, link) margins and passes, the (f, link)
+    applicable flags and each function's params.  A step failing for some
+    records gives each its error in ``results`` (see ``core._flag``), one
+    failing for all raises; a record keeps its first error, and its
+    matrices are solved as I.
     """
     pair = _pair(A, B, tol)
     fs, sigmas = tuple(fs), tuple(sigmas)
@@ -634,22 +649,7 @@ def _mean_grid(check_name, claim, gates, judge, fs, sigmas, A, B, tol) -> list:
     fs, stack = [fs[i] for i in live], results[live]
     _, _, m, M = pair.factors
     try:
-        means = pair.mean_stack(sigmas)
-        stack[:] = means[1]  # a record starts with its mean's error
-        middles, fn_errors = pair.image_middles(tuple(fs))
-        for row, error in zip(stack, fn_errors):
-            if error is not None:
-                _fail(row, error)
-        X = _mean_from_middle([s.h for s in sigmas], middles, tol, stack.reshape(-1))
-        coefs = np.zeros((len(fs), 4))
-        for k, f in enumerate(fs):
-            if np.equal(stack[k], None).any():
-                coefs[k] = (
-                    float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M))
-                )
-        descriptions, margins, passes, applicable, params = judge(
-            pair, fs, means, X, coefs, stack
-        )
+        descriptions, margins, passes, applicable, params = judge(pair, fs, sigmas, stack)
     except ValueError as exc:  # a step shared by every record
         _fail(stack, exc)
     else:
@@ -664,6 +664,31 @@ def _mean_grid(check_name, claim, gates, judge, fs, sigmas, A, B, tol) -> list:
         )
     results[live] = stack
     return list(results.ravel())
+
+
+def _images(pair, fs, sigmas, results):
+    """X = f(A) sigma f(B), one (f, sigma) stack; f's own breakdown is its row's error."""
+    middles, errors = pair.image_middles(tuple(fs))
+    for row, error in zip(results, errors):
+        if error is not None:
+            _fail(row, error)
+    return _mean_from_middle([s.h for s in sigmas], middles, pair.tol, results.reshape(-1))
+
+
+def _chain_stacks(pair, fs, sigmas, results):
+    """:meth:`SharedPair.mean_stack`, X and (f'(0), f(m)/m, f(M)/M, f'(M)) of a chain's f's.
+
+    S's errors come first; the coefficients are taken for an f with records left.
+    """
+    means = pair.mean_stack(sigmas)
+    results[:] = means[1]  # a record starts with its mean's error
+    X = _images(pair, fs, sigmas, results)
+    _, _, m, M = pair.factors
+    coefs = np.zeros((len(fs), 4))
+    for k, f in enumerate(fs):
+        if np.equal(results[k], None).any():
+            coefs[k] = float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M))
+    return means, X, coefs
 
 
 def _on_spectra(fs, ws, results):
@@ -687,8 +712,8 @@ _MAIN_CHAIN_LINKS = tuple(
 )
 
 
-def _main_chain_judge(pair, fs, means, X, coefs, results):
-    S, _, ws, _ = means
+def _main_chain_judge(pair, fs, sigmas, results):
+    (S, _, ws, _), X, coefs = _chain_stacks(pair, fs, sigmas, results)
     n_f, n_s = results.shape
     tags = [f.convexity is Convexity.CONVEX for f in fs]
     # the chain around f(S) on spec(S), as (f, sigma, link, eigenvalue); its edge links
@@ -736,8 +761,8 @@ def check_mean_difference_norm_grid(fs, sigmas, A, B, norms=None, tol=DEFAULT_TO
     and every norm one table.
     """
 
-    def judge(pair, fs, means, X, coefs, results):
-        _, _, ws, vs = means
+    def judge(pair, fs, sigmas, results):
+        (_, _, ws, vs), X, coefs = _chain_stacks(pair, fs, sigmas, results)
         n_f, n_s = results.shape
         flat = results.reshape(-1)
         diff = X - hermitian_part(_compose(vs, _on_spectra(fs, ws, results)))
@@ -795,8 +820,8 @@ def check_eig_prod_norm_grid(fs, sigmas, A, B, tol=DEFAULT_TOL, norms=None) -> l
     every norm one table, and every link one :func:`_chain_sides`.
     """
 
-    def judge(pair, fs, means, X, coefs, results):
-        _, _, ws, _ = means
+    def judge(pair, fs, sigmas, results):
+        (_, _, ws, _), X, coefs = _chain_stacks(pair, fs, sigmas, results)
         n_f, n_s = results.shape
         n = ws.shape[-1]
         tags = [f.convexity is Convexity.CONVEX for f in fs]
@@ -1398,8 +1423,8 @@ def check_inverse_function_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
     link) and reversed for a convex one (inverse-low is the high link).
     """
 
-    def judge(pair, fs, means, X, coefs, results):
-        S, _, ws, _ = means
+    def judge(pair, fs, sigmas, results):
+        (S, _, ws, _), X, coefs = _chain_stacks(pair, fs, sigmas, results)
         # a convex inverse: inverse-low is the high link
         swap = np.array([f.inverse.convexity is Convexity.CONVEX for f in fs])
         margins, passes, applies = _x_links(pair.tol, S, X, coefs, ~swap, ws, results)

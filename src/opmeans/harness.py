@@ -208,12 +208,18 @@ def _fns(defaults):
     return lambda spec: (("fn", spec.functions or defaults),)
 
 
-def _fns_means(defaults):
-    """Chosen functions (or ``defaults``) x chosen means (or the catalog)."""
-    return lambda spec: (
-        ("fn", spec.functions or defaults),
-        ("mean", spec.means or tuple(m.name for m in mean_catalog())),
-    )
+def _mean_suite(grid, fns=_ALL_FUNCTIONS, norms=False):
+    """A (function x mean) suite, each trial one ``checks.<grid>``, looked up when called."""
+
+    def axes(spec):
+        means = spec.means or tuple(m.name for m in mean_catalog())
+        return ("fn", spec.functions or fns), ("mean", means)
+
+    def check(spec, ax, x):
+        extra = {"norms": _norm_arg(spec)} if norms else {}
+        return getattr(checks, grid)(ax["fn"], ax["mean"], *x, tol=spec.tol, **extra)
+
+    return _Suite(axes, _pd_pairs, _trials(check))
 
 
 def _alphas_rs(spec: SuiteSpec):
@@ -333,16 +339,16 @@ class _Suite:
     (:func:`randgen.random_group`); ``None`` marks a fixed check that takes
     no instance and runs one trial.  A Hermitian instance, drawn or loaded,
     is the operands of one :class:`checks.SharedPair`, so the trial's
-    configurations share its factors.  ``check(spec, axes, xs)`` takes a dimension group: the
-    instances ``xs`` of trials of one dimension.  It gives, per trial, for
-    each configuration in order, its record or the ``ValueError`` it
-    raised, from each axis's values with names resolved (see
-    :func:`_resolve`).  subadditivity, normal_chain and determinant judge
-    the whole group as one grid (``checks.check_*_grid``); main_chain,
-    eig_prod_norm, inverse_function and mean_diff_norm check it trial by
-    trial, each trial as one grid (:func:`_trials`); the others check one
-    configuration at a time (:func:`_each`).  A fixture pair is loaded as
-    Hermitian when ``hermitian`` is set and is shaped into an instance by
+    configurations share its factors.  ``check(spec, axes, xs)`` takes a
+    dimension group: the instances ``xs`` of trials of one dimension.  It
+    gives, per trial, for each configuration in order, its record or the
+    ``ValueError`` it raised, from each axis's values with names resolved
+    (see :func:`_resolve`).  subadditivity, normal_chain and determinant
+    judge the whole group as one grid (``checks.check_*_grid``); main_chain,
+    chord, eig_prod_norm, inverse_function and mean_diff_norm check it trial
+    by trial, each trial as one grid (:func:`_mean_suite`); the others check
+    one configuration at a time (:func:`_each`).  A fixture pair is loaded
+    as Hermitian when ``hermitian`` is set and is shaped into an instance by
     ``from_fixture``.  Entries look checkers, generators and names up when
     called, so a wrapper installed on a module attribute sees every call.
     """
@@ -368,35 +374,16 @@ def _resolve(key: str, value):
 
 
 _ALL_FNS = _fns(_ALL_FUNCTIONS)
-_ALL_FNS_MEANS = _fns_means(_ALL_FUNCTIONS)
 
 _SUITES = {
-    "main_chain": _Suite(
-        _ALL_FNS_MEANS, _pd_pairs,
-        _trials(lambda spec, ax, x: checks.check_main_chain_grid(
-            ax["fn"], ax["mean"], *x, spec.tol
-        )),
-    ),
-    "chord": _Suite(
-        _ALL_FNS_MEANS, _pd_pairs,
-        _each(lambda spec, c, x: checks.check_chord_bounds(c["fn"], c["mean"], *x, spec.tol)),
-    ),
+    "main_chain": _mean_suite("check_main_chain_grid"),
+    "chord": _mean_suite("check_chord_bounds_grid"),
     "log_example": _Suite(
         _no_axes, _pd_pairs,
         _each(lambda spec, c, x: checks.check_log_example(*x, None, spec.tol)),
     ),
-    "mean_diff_norm": _Suite(
-        _fns_means(CONVEX_FUNCTIONS), _pd_pairs,
-        _trials(lambda spec, ax, x: checks.check_mean_difference_norm_grid(
-            ax["fn"], ax["mean"], *x, _norm_arg(spec), spec.tol
-        )),
-    ),
-    "eig_prod_norm": _Suite(
-        _ALL_FNS_MEANS, _pd_pairs,
-        _trials(lambda spec, ax, x: checks.check_eig_prod_norm_grid(
-            ax["fn"], ax["mean"], *x, spec.tol, _norm_arg(spec)
-        )),
-    ),
+    "mean_diff_norm": _mean_suite("check_mean_difference_norm_grid", CONVEX_FUNCTIONS, norms=True),
+    "eig_prod_norm": _mean_suite("check_eig_prod_norm_grid", norms=True),
     "subadditivity": _Suite(
         _fns(CONVEX_FUNCTIONS), _pd_pairs,
         lambda spec, ax, xs: checks.check_subadditivity_grid(
@@ -430,12 +417,7 @@ _SUITES = {
         )),
     ),
     "contraction": _Suite(_contraction_pairs, _pd_pairs, _each(_check_contraction)),
-    "inverse_function": _Suite(
-        _ALL_FNS_MEANS, _pd_pairs,
-        _trials(lambda spec, ax, x: checks.check_inverse_function_grid(
-            ax["fn"], ax["mean"], *x, spec.tol
-        )),
-    ),
+    "inverse_function": _mean_suite("check_inverse_function_grid"),
     "determinant": _Suite(
         _ALL_FNS, _det_instances, _check_determinant,
         from_fixture=lambda spec, pair: (*pair, spec.alphas[0], "fixture"),

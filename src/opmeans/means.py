@@ -204,10 +204,10 @@ def _middles(parts, errors=None):
 
     Returns ``(roots, wm, vm, metas)``: the rows' A^(1/2) diagonals, the
     eigenpairs of their congruence matrices and their metas.  A row with an
-    error (see ``core._flag``) is factored as I.
+    error (see ``core._flag``), or whose matrix is not finite, is factored as I.
     """
     roots, matrices, metas = zip(*parts)
-    return (np.stack(roots), *_eigh(np.stack(matrices), errors), metas)
+    return (np.stack(roots), *_eigh(_finite(np.stack(matrices), errors), errors), metas)
 
 
 def _assemble(middles, values, errors=None) -> np.ndarray:

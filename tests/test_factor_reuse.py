@@ -6,8 +6,8 @@ congruence.  The norm and determinant checkers factor each matrix once and
 read every norm kind off its one singular-value vector; normal operands are
 factored once by complex Schur.  A run of a positive definite suite shares
 each trial's factors between its configurations, a ``main_chain``,
-``eig_prod_norm``, ``inverse_function`` or ``mean_diff_norm`` trial is one
-stacked grid, and a ``subadditivity``, ``normal_chain`` or ``determinant``
+``chord``, ``eig_prod_norm``, ``inverse_function`` or ``mean_diff_norm``
+trial is one stacked grid, and a ``subadditivity``, ``normal_chain`` or ``determinant``
 dimension group of trials is one.  The tests count the matrices that
 LAPACK factors through numpy and scipy, each matrix of a stack
 separately, and where it matters the LAPACK calls.
@@ -316,14 +316,18 @@ def test_chord_run_shares_factors(eigensolves, solver_calls, fns, means, trials)
     report = run_suite(spec)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
-    F, T, R = len(fns), trials, len(fns) * len(means) * trials
+    F, T = len(fns), trials
     # per trial: eigh of A and B; per function: eigh of the middles of
     # f(A) sigma f(B) and of the two secant lines (T (2 + F) + 2R before,
-    # when each record rebuilt its line middles)
+    # when each record rebuilt its line middles); no S = A sigma B
     assert eigensolves["eigh"] == T * (2 + 3 * F), eigensolves
     assert eigensolves["schur"] == 0, eigensolves
-    # both links of a record are one stacked eigvalsh (2R before)
-    assert solver_calls["eigvalsh"] == R, solver_calls
+    # both links of every record of a trial are one stacked eigvalsh (2R,
+    # then R before)
+    assert solver_calls["eigvalsh"] == T, solver_calls
+    # per trial: one call for each of A and B, one stacked eigh of every
+    # middle and one stacked eigvalsh of every record's links
+    assert _total(solver_calls) == T * 4, solver_calls
 
 
 @pytest.mark.parametrize(

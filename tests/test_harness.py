@@ -395,6 +395,27 @@ def test_cli_summary_line_counts_downgraded_records(capsys):
     assert "0 failed, 0 inapplicable, 2 downgraded" in out
 
 
+@pytest.mark.parametrize(
+    "suite", ["main_chain", "chord", "eig_prod_norm", "inverse_function", "mean_diff_norm"]
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_nan_congruence_downgrades_its_function(tmp_path, capsys, suite):
+    # at M = 709.7 expm1(A) nears the largest float, the mean's regularization
+    # eps overflows and expm1's congruence matrix is NaN: its records name the
+    # breakdown, power:2's are judged, and no eigensolver error escapes
+    out = tmp_path / "r.json"
+    rc = main(["--suite", suite, "--M", "709.7", "--fn", "expm1", "--fn", "power:2",
+               "--trials", "4", "--dim", "3", "--report", str(out)])
+    assert rc in (0, 1)
+    records = json.loads(out.read_text())["records"]
+    for rec in records:
+        if rec["params"]["fn"] == "expm1":
+            assert rec["params"]["not_applicable"] == "matrix entries must be finite"
+        else:
+            assert rec["links"], rec["params"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_overflowing_product_coefficient_downgrades_its_record(tmp_path, capsys):
     # at M = 30 and dim 32, (f(M)/M)^k of expm1 overflows a float for large k;

@@ -1,13 +1,17 @@
 """A suite run shares factors between configurations without changing a record.
 
 ``run_suite`` builds each trial's factors once and hands every
-configuration of the trial operands that carry them; ``main_chain``,
-``eig_prod_norm``, ``inverse_function`` and ``mean_diff_norm`` judge a
-trial as one grid, and ``subadditivity``, ``normal_chain`` and
-``determinant`` a dimension group of trials.  Every record it emits must
-equal, bit for bit, the record of the public checker called on the raw
-instance matrices, downgrades included, and every report the report of a
-run whose operands share nothing.
+configuration of the trial operands that carry them; the five
+(function x mean) suites, ``main_chain``, ``chord``, ``eig_prod_norm``,
+``inverse_function`` and ``mean_diff_norm``, judge a trial as one grid,
+and ``subadditivity``, ``normal_chain`` and ``determinant`` a dimension
+group of trials.  Every record it emits must equal, bit for bit, the
+record of the public checker called on the raw instance matrices,
+downgrades included, and every report the report of a run whose operands
+share nothing.  A public (function x mean) checker is its grid's 1 x 1
+case, so a function's records in a grid must also equal those of the
+grid of that function alone, breakdowns included: a function's stacked
+steps never fail its neighbours.
 """
 
 import json
@@ -19,6 +23,7 @@ from opmeans import checks, means, norm
 from opmeans.checks import SharedPair
 from opmeans.functions import Convexity, ScalarFunction, function_by_name
 from opmeans.harness import (
+    _ALL_FUNCTIONS,
     _SUITES,
     SUITE_NAMES,
     SuiteSpec,
@@ -29,7 +34,8 @@ from opmeans.harness import (
     run_suite,
     save_matrix_json,
 )
-from opmeans.means import MatrixMean, mean_by_name
+from opmeans.means import MatrixMean, mean_by_name, mean_catalog
+from opmeans.randgen import GeneratorConfig, random_pd
 
 SUITES = {
     "main_chain": lambda f, s, a, b, spec: checks.check_main_chain(f, s, a, b, spec.tol),
@@ -130,6 +136,62 @@ def test_mixed_function_stack_records_equal_raw_checker_records(monkeypatch, dim
     ]
     assert len(records) == len(fns) * len(mean_names) * spec.trials
     assert [_bits(r) for r in records] == [_bits(r) for r in expected]
+
+
+GRIDS = {
+    "main_chain": checks.check_main_chain_grid,
+    "eig_prod_norm": checks.check_eig_prod_norm_grid,
+    "inverse_function": checks.check_inverse_function_grid,
+    "mean_diff_norm": checks.check_mean_difference_norm_grid,
+    "chord": checks.check_chord_bounds_grid,
+}
+
+
+_GRID_INTERVALS = {
+    "log-lines": (1e-9, 400.0), "overflow": (0.5, 709.7), "800": (0.5, 800.0),
+    "4000": (0.5, 4000.0), "singular": (0.5, 4.0),
+}
+
+
+def _grid_instance(case):
+    """A dim-3 pair with spectra in the case's [m, M]; for "singular", A is singular."""
+    cfg = GeneratorConfig(3, *_GRID_INTERVALS[case])
+    a, b = (np.array(random_pd(cfg, seed).entries) for seed in (11, 12))
+    if case == "singular":
+        # a PSD A, singular in a basis that is not the standard one
+        q = np.linalg.eigh(a)[1]
+        a = q @ np.diag([0.0, 1.0, 3.0]) @ q.conj().T
+    return a, b
+
+
+def _entry(out):
+    return (type(out), str(out)) if isinstance(out, ValueError) else _bits(out)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # log's secant lines reach below 0, so their means break down
+        "log-lines",
+        # expm1(A) is near the largest float, and its image middle overflows
+        "overflow",
+        "800",
+        "4000",
+        "singular",
+    ],
+)
+@pytest.mark.parametrize("suite", sorted(GRIDS))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_records_do_not_depend_on_the_other_functions(suite, case):
+    a, b = _grid_instance(case)
+    fs = [function_by_name(name) for name in (*_ALL_FUNCTIONS, "log")]
+    sigmas = mean_catalog()
+    together = GRIDS[suite](fs, sigmas, a, b)
+    for k, f in enumerate(fs):
+        alone = GRIDS[suite]([f], sigmas, a, b)
+        assert [_entry(e) for e in together[k * len(sigmas) : (k + 1) * len(sigmas)]] == [
+            _entry(e) for e in alone
+        ], f.name
 
 
 NORM_SUITES = {

@@ -1,13 +1,15 @@
-"""check_main_chain and check_contraction_implication against a 50-digit reference.
+"""The main-chain, chord, contraction and power-mean margins against a 50-digit reference.
 
 The diagonal oracle only sees commuting operands, and commuting operands
 cannot catch a wrong eigenbasis reused for f(A) sigma f(B).  Here S = A sigma B,
 f(A) sigma f(B), f(S) and all eight Loewner margins are recomputed with
 ``mpmath.eighe`` at 50 digits, independently of the package, and the float
 margins must agree within ``MARGIN_ULPS * eps * scale * cond(A)``, with scale
-the link's 1 + ||R||_op.  The contraction iterates A_k = f^k(A) are checked
-the same way, with cond(A_k) of the operand whose inverse square root the
-mean's congruence takes, and so are the power-mean links, with cond(A^r).
+the link's 1 + ||R||_op.  The secant-line means of the chord links are
+checked the same way, with M/m of the pair's spectral interval.  The
+contraction iterates A_k = f^k(A) are checked the same way, with cond(A_k)
+of the operand whose inverse square root the mean's congruence takes, and
+so are the power-mean links, with cond(A^r).
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from opmeans import (
     normalize_for_contraction,
 )
 from opmeans.checks import (
+    check_chord_bounds,
     check_contraction_implication,
     check_main_chain,
     check_power_mean_bounds,
@@ -104,18 +107,38 @@ def _pd_pair(dim, seed, big_m=4.0):
     )
 
 
-def _assert_main_chain_matches_reference(fn, mean_name, dim, big_m):
+def _chord_reference(fn, mean_name, a_arr, b_arr):
+    """Description -> (margin, scale) of both chord links, and M/m."""
+    f, df, convex = _FNS[fn]
+    h = _MEANS[mean_name]
+    a, b = _mp_matrix(a_arr), _mp_matrix(b_arr)
+    wa, wb = _spectrum(a), _spectrum(b)
+    m, M = min(wa[0], wb[0]), max(wa[-1], wb[-1])
+    low, mid, high = (
+        _mean(h, _fn(a, g), _fn(b, g))
+        for g in (lambda x: df(m) * (x - m) + f(m), f, lambda x: df(M) * (x - m) + f(m))
+    )
+    out = {}
+    for desc, lo, hi in (("lower-slope-line", low, mid), ("upper-slope-line", mid, high)):
+        if not convex:
+            lo, hi = hi, lo
+        w = _spectrum(hi)
+        out[desc] = (_spectrum(hi - lo)[0], 1 + max(abs(w[0]), abs(w[-1])))
+    return out, M / m
+
+
+def _assert_matches_reference(check, reference, fn, mean_name, dim, big_m):
     a, b = _pd_pair(dim, 100 + dim, big_m)
     assert np.abs(a @ b - b @ a).max() > 1e-3  # the operands do not commute
-    out = check_main_chain(function_by_name(fn), mean_by_name(mean_name), a, b)
+    out = check(function_by_name(fn), mean_by_name(mean_name), a, b)
     with mpmath.workdps(50):
-        ref, cond_a = _reference_margins(fn, mean_name, a, b)
+        ref, cond = reference(fn, mean_name, a, b)
     applicable = {link.description: link for link in out.links if link.applicable}
     assert applicable.keys() == ref.keys()
     eps = np.finfo(float).eps
     for desc, link in applicable.items():
         margin, scale = ref[desc]
-        bound = MARGIN_ULPS * eps * float(scale * cond_a)
+        bound = MARGIN_ULPS * eps * float(scale * cond)
         assert abs(link.margin - float(margin)) <= bound, (desc, link.margin, float(margin))
         assert link.passed
 
@@ -124,7 +147,7 @@ def _assert_main_chain_matches_reference(fn, mean_name, dim, big_m):
 @pytest.mark.parametrize("fn", sorted(_FNS))
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_main_chain_matches_50_digit_reference(fn, mean_name, dim):
-    _assert_main_chain_matches_reference(fn, mean_name, dim, 4.0)
+    _assert_matches_reference(check_main_chain, _reference_margins, fn, mean_name, dim, 4.0)
 
 
 @pytest.mark.parametrize("mean_name", sorted(_MEANS))
@@ -136,7 +159,20 @@ def test_main_chain_matches_50_digit_reference_ill_conditioned(big_m, dim, fn, m
     # basis, was off by 862 eps * scale * cond(A) at M = 60 (dim 2, power:2,
     # harmonic:1/4) and by 1.5e5 at M = 400; in A's eigenbasis it is a
     # diagonal scaling
-    _assert_main_chain_matches_reference(fn, mean_name, dim, big_m)
+    _assert_matches_reference(check_main_chain, _reference_margins, fn, mean_name, dim, big_m)
+
+
+@pytest.mark.parametrize("mean_name", sorted(_MEANS))
+@pytest.mark.parametrize(
+    "fn, big_m",
+    [(fn, 4.0) for fn in sorted(_FNS)]
+    + [(fn, big_m) for fn in ("power:2", "sqrt") for big_m in (60.0, 400.0)],
+)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_chord_matches_50_digit_reference(dim, fn, big_m, mean_name):
+    # the secant lines c (x - m) + f(m), c = f'(m) and f'(M), are taken on
+    # A's and B's spectra and their means in A's eigenbasis, beside f's
+    _assert_matches_reference(check_chord_bounds, _chord_reference, fn, mean_name, dim, big_m)
 
 
 _POWERS = ("1/4", "1/2", "3/4")

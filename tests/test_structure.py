@@ -3,7 +3,8 @@
 No module imports a name it never uses, ``randgen`` depends on nothing in
 the package but ``core``, ``harness`` reaches into no private name of
 ``checks``, ``checks`` validates and factors a Hermitian pair only in
-``SharedPair``, ``checks`` and ``means`` reach LAPACK's eigensolvers
+``SharedPair``, no code outside ``SharedPair`` reads its private members,
+``checks`` and ``means`` reach LAPACK's eigensolvers
 only through ``core``, every import is at module level, no source
 line is over 100 characters, and every function and class the package
 defines is named somewhere in the repository's code.  The re-exports in
@@ -87,6 +88,26 @@ def test_checks_validates_and_factors_pairs_only_in_shared_pair():
         and id(node) not in inside
     )
     assert not outside, f"checks.py validates or factors outside SharedPair: {', '.join(outside)}"
+
+
+def test_shared_pair_private_members_stay_inside_it():
+    # what a pair keeps, and when, is the pair's own rule (a failing step keeps nothing)
+    private = {"_keep", "_kept", "_factored"}
+    outside = []
+    for path in MODULES:
+        tree = _tree(path)
+        inside = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "SharedPair"
+            for node in ast.walk(cls)
+        }
+        outside += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in private and id(node) not in inside
+        ]
+    assert not outside, f"SharedPair private members used outside it: {', '.join(outside)}"
 
 
 _EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals", "schur"}
