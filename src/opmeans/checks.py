@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -210,7 +210,7 @@ def _one(records):
 
 # A checker builds its links as rows (description, margin, passed, applicable)
 # and hands them to CheckOutcome; a grid builds them as arrays and hands them
-# to _norm_records or _mean_grid.
+# to _norm_records or _mean_group.
 
 def _scalar_margins(lhs, rhs, tol, applicable=True):
     """Scalar links lhs <= rhs, elementwise over arrays of sides and applicable flags.
@@ -283,47 +283,54 @@ _CHAIN = (
 def _chain_sides(coefs, s, x, forward):
     """The :data:`_CHAIN` links on values, as (lo, hi, applies) of every link lo <= hi.
 
-    ``coefs`` (function, 4, 1 or K) holds the coefficients (c0, c1, c2, c3),
-    ``s`` (mean, K) stands for S and ``x`` (function, mean, K) for X.  lo and
-    hi are (function, mean, link, K), reversed where ``forward`` is false,
-    and ``applies`` is (function, link, K); a vacuous link is 0 <= 0.
+    ``coefs`` (function, trial, 4, 1 or K) holds the coefficients (c0, c1,
+    c2, c3), ``s`` (trial, mean, K) stands for S and ``x`` (function,
+    trial, mean, K) for X.  lo and hi are (function, trial, mean, link, K),
+    reversed where ``forward`` is false, and ``applies`` is (function,
+    trial, link, K); a vacuous link is 0 <= 0.
     """
-    at = np.insert(coefs, 2, 0.0, axis=1)  # the positions of (c0, c1, X, c2, c3)
-    applies = np.stack([np.isfinite(at[:, list(needs)]).all(axis=1) for *_, needs in _CHAIN], 1)
+    at = np.insert(coefs, 2, 0.0, axis=-2)  # the positions of (c0, c1, X, c2, c3)
+    applies = np.stack([np.isfinite(at[..., list(n), :]).all(axis=-2) for *_, n in _CHAIN], -2)
 
     def side(positions):
-        values = np.where(applies, at[:, positions], 0.0)[:, None] * s[:, None]
-        return np.where((np.equal(positions, 2)[:, None] & applies)[:, None], x[:, :, None], values)
+        values = np.where(applies, at[..., positions, :], 0.0)[:, :, None] * s[:, :, None]
+        at_x = (np.equal(positions, 2)[:, None] & applies)[:, :, None]
+        return np.where(at_x, x[..., None, :], values)
 
     left, right = (side([link[i] for link in _CHAIN]) for i in (1, 2))
-    fwd = np.asarray(forward)[:, None, None, None]
-    applies = np.broadcast_to(applies, (*applies.shape[:2], s.shape[-1]))
+    fwd = np.asarray(forward)[:, None, None, None, None]
+    applies = np.broadcast_to(applies, (*applies.shape[:-1], s.shape[-1]))
     return np.where(fwd, left, right), np.where(fwd, right, left), applies
 
 
-def _x_links(tol, S, X, coefs, forward, ws, results):
+def _x_links(tol, S, X, coefs, forward, ws, entries):
     """The links c1 S <= X <= c2 S of every record (reversed where ``forward`` is false).
 
     All are judged by one stacked eigvalsh, a link with right side c S at
     the scale 1 + |c| max |spec S|.  Returns their margins and passes,
-    (function, mean, link), and each function's applicable flags: low is
-    vacuous (margin 0) where c1 is infinite.
+    (function, trial, mean, link), and the applicable flags (function,
+    trial, link): low is vacuous (margin 0) where c1 is infinite.
     """
-    n_f, n_s = results.shape
-    applies = np.ones((n_f, 2), dtype=bool)
-    applies[:, 0] = np.isfinite(coefs[:, 1])
-    slots, comparisons = np.argwhere(applies).tolist(), []
-    norm_s = np.abs(ws).max(axis=-1)
+    (n_f, n_t, n_s), n = entries.shape, S.shape[-1]
+    applies = np.ones((n_f, n_t, 2), dtype=bool)
+    applies[..., 0] = np.isfinite(coefs[..., 1])
+    cs = np.where(applies, coefs[..., 1:3], 0.0)[..., None]  # a vacuous link: 0 S, masked below
+    slots = [(k, link) for k in range(n_f) for link in (0, 1) if applies[k, :, link].any()]
+    norm_s, comparisons = np.abs(ws).max(axis=-1), []
     for k, link in slots:
-        c = coefs[k, 1 + link]
+        c = cs[k, :, link]
+        cS, x = (c[..., None, None] * S).reshape(-1, n, n), X[k].reshape(-1, n, n)
         if (link == 0) == forward[k]:  # c S <= X
-            comparisons.append((c * S, X[k], None))
+            comparisons.append((cS, x, None))
         else:
-            comparisons.append((X[k], c * S, 1.0 + abs(c) * norm_s))
-    margins, passes = np.zeros((n_f, n_s, 2)), np.ones((n_f, n_s, 2), dtype=bool)
-    for (k, link), res in zip(slots, _loewner(comparisons, tol, [results[k] for k, _ in slots])):
-        margins[k, :, link], passes[k, :, link] = res.margin, res.passed
-    return margins, passes, applies
+            comparisons.append((x, cS, (1.0 + np.abs(c) * norm_s).reshape(-1)))
+    margins, passes = np.zeros((n_f, n_t, n_s, 2)), np.ones((n_f, n_t, n_s, 2), dtype=bool)
+    errors = [entries[k].reshape(-1) for k, _ in slots]
+    for (k, link), res in zip(slots, _loewner(comparisons, tol, errors)):
+        margins[k, ..., link] = res.margin.reshape(n_t, n_s)
+        passes[k, ..., link] = res.passed.reshape(n_t, n_s)
+    live = applies[:, :, None]
+    return np.where(live, margins, 0.0), passes | ~live, applies
 
 
 def _psd(factors, tol):
@@ -343,14 +350,17 @@ def _image(f, w, v):
     return _finite(_compose(v, _fn_values(f, w)))
 
 
-def _congruence_of(wa, wb, w, tol):
+def _congruence_of(wa, wb, w, tol, errors=None):
     """The gates and the congruence of diag(wa) sigma (W diag(wb) W*), in A's eigenbasis.
 
     ``w`` holds B's eigenvectors written in A's eigenbasis
     (:attr:`SharedPair.basis`), so any functions of A and B keep the form
-    diag(f(wa)) and W diag(g(wb)) W* there.  One row of ``means._middles``.
+    diag(f(wa)) and W diag(g(wb)) W* there.  The rows of ``means._middles``,
+    one per spectrum of a stack; a row's breakdown is its error.
     """
-    return _mean_gates(wa, _finite(_compose(w, wb)), wb, tol)
+    n = wa.shape[-1]
+    b = _finite(_compose(w, wb).reshape(-1, n, n), errors)
+    return _mean_gates(wa.reshape(-1, n), b, wb.reshape(-1, n), tol, errors)
 
 
 @cache
@@ -359,36 +369,49 @@ def _power(r):
     return power(r)
 
 
+@lru_cache(maxsize=4096)
+def _secant_lines(bits: bytes):
+    """The lines c (x - m) + f(m) on a group's spectra, (c, m, f(m)) per trial as float64 ``bits``.
+
+    One object per set of lines, so the image middles kept by function identity are reused.
+    """
+    c, m, fm = np.frombuffer(bits).reshape(3, -1, 1)
+    return ScalarFunction("secant", lambda x: c * (x - m) + fm, None, REALS)
+
+
 class SharedPair:
     """A Hermitian instance (A, B): validated and factored once, its factors reused.
 
     Every checker of a Hermitian pair reads A, B and their factors from a
-    pair: a suite hands the records of a trial one pair's :meth:`operands`,
-    and a checker given raw matrices wraps them in a fresh pair.  Each
-    value is computed when first asked for and then kept: the eigenpairs of
-    A and B, B's eigenvectors in A's eigenbasis and the middle
-    A^(-1/2) B A^(-1/2) once, S = A sigma B with its eigenpairs once per
-    tuple of means, and the middles of f(A) sigma f(B) once per tuple of
-    functions (chord's secant lines among them), each tuple as one stack.
-    Every mean is taken in A's eigenbasis, where A and its functions are
-    diagonal; checkers compare means only through Loewner margins, spectra
-    and norms, which do not depend on the basis.  A step that raises keeps
-    nothing, so every record reaching it raises the same error; a mean or
-    a function whose own step fails keeps its error in its row.
+    pair: a suite hands a dimension group's check its trials' pairs'
+    :meth:`operands`, and a checker given raw matrices wraps them in a
+    fresh pair.  Each value is computed when first asked for and then kept:
+    the eigenpairs of A and B and B's eigenvectors in A's eigenbasis per
+    pair; per dimension group (see :meth:`factor_group`), S = A sigma B with
+    its eigenpairs per tuple of means and the middles of f(A) sigma f(B) per
+    tuple of functions (``None`` for A sigma B), each one stack over the
+    group's trials.  Every mean is taken in A's eigenbasis, where A and its
+    functions are diagonal; checkers compare means only through Loewner
+    margins, spectra and norms, which do not depend on the basis.  A mean,
+    a function or a pair whose own step fails keeps the error in its rows,
+    so every record reaching it gets that error.
     """
 
     def __init__(self, A, B, tol=DEFAULT_TOL):
         self.a = as_hermitian_array(A)
         self.b = as_hermitian_array(B)
         self.tol = tol
-        # (name, *ids of keys) -> (keys, value); holding the keys keeps their ids from being reused
+        # (name, *ids of a group's pairs and keys) -> ((its other pairs, keys), value), kept
+        # on the group's first pair; holding the pairs and keys keeps their ids from being reused
         self._kept = {}
 
-    def _keep(self, name, keys, compute):
-        slot = (name, *map(id, keys))
-        if slot not in self._kept:
-            self._kept[slot] = (keys, compute())
-        return self._kept[slot][1]
+    @staticmethod
+    def _keep(pairs, name, keys, compute):
+        """``compute()``, the value of step ``name`` on ``keys`` for a group, computed once."""
+        slot, kept = (name, *map(id, pairs), *map(id, keys)), pairs[0]._kept
+        if slot not in kept:
+            kept[slot] = (([*pairs[1:]], keys), compute())  # a list: a view would hold pairs[0]
+        return kept[slot][1]
 
     @cached_property
     def factors(self):
@@ -425,55 +448,60 @@ class SharedPair:
         (_, _, va), (_, _, vb), _, _ = self.factors
         return va.conj().T @ vb
 
-    @cached_property
-    def middle(self):
-        """The mean-independent half of A sigma B, as a 1-row stack of middles."""
-        (_, wa, _), (_, wb, _), _, _ = self.factors
-        return _middles([_congruence_of(wa, wb, self.basis, self.tol)])
+    @staticmethod
+    def mean_stack(pairs, sigmas: tuple):
+        """S = A sigma B, in A's eigenbasis, for each of a group's pairs and each of ``sigmas``.
 
-    def mean_stack(self, sigmas: tuple):
-        """S = A sigma B, in A's eigenbasis, for each of ``sigmas`` as one stack.
-
-        Returns (S, row errors, ws, vs): the eigenpairs ws, vs of every S
-        are one stacked eigh, in which a row with an error is factored as I.
+        Returns (S, errors, ws, vs), each (trial, mean, ...): every S, its error (its middle's
+        first) and its eigenpairs, one stacked eigh factoring a row with an error as I.
         """
 
         def compute():
-            errors = np.full(len(sigmas), None, dtype=object)
-            S = _mean_from_middle([s.h for s in sigmas], self.middle, self.tol, errors)[0]
-            return S, errors, *_eigh(S, errors)
+            middles, errors = SharedPair.image_middles(pairs, (None,))
+            # (trial, mean): a mean starts with its middle's error
+            errors = np.repeat(errors.T, len(sigmas), axis=1)
+            flat = errors.reshape(-1)
+            S = _mean_from_middle([s.h for s in sigmas], middles, pairs[0].tol, flat)
+            ws, vs = _eigh(S.reshape(-1, *S.shape[-2:]), flat)
+            return S, errors, ws.reshape(S.shape[:-1]), vs.reshape(S.shape)
 
-        return self._keep("S", sigmas, compute)
+        return SharedPair._keep(pairs, "S", sigmas, compute)
 
-    def image_middles(self, fs: tuple):
-        """The mean-independent halves of f(A) sigma f(B) for each of ``fs``, and row errors.
+    @staticmethod
+    def image_middles(pairs, fs):
+        """The mean-independent halves of f(A) sigma f(B) for each of ``fs`` and a group's pairs.
 
-        They come from f on the spectra of A and B, by one stacked eigh.  The
-        row of an f whose f(A) is not finite, or whose f(B) fails the
-        mean's gate, keeps that error and is factored as I.
+        Returns the middles (see ``means._middles``), one row per (function,
+        trial), and their errors, (function, trial).  Each f is taken once on
+        the spectra of A and B of all the trials; the middles are one stacked
+        eigh.  The row of an f whose f(A) is not finite, or whose f(B) fails
+        the mean's gate, keeps that error and is factored as I.
         """
-        (_, wa, _), (_, wb, _), _, _ = self.factors
 
         def compute():
-            errors = np.full(len(fs), None, dtype=object)
-            parts = []
+            wa, wb = (np.stack([p.factors[i][1] for p in pairs]) for i in (0, 1))
+            errors = np.full((len(fs), len(pairs)), None, dtype=object)
+            fa, fb = np.ones((2, len(fs), *wa.shape))
             for k, f in enumerate(fs):
                 try:
-                    fa, fb = _finite(_fn_values(f, wa)), _fn_values(f, wb)
-                    parts.append(_congruence_of(fa, fb, self.basis, self.tol))
+                    fa[k] = wa if f is None else _finite(_fn_values(f, wa, errors[k]), errors[k])
+                    fb[k] = wb if f is None else _fn_values(f, wb, errors[k])
                 except ValueError as exc:
-                    errors[k] = exc
-                    parts.append((np.ones(wa.size), np.eye(wa.size), None))
-            return _middles(parts, errors), errors
+                    _fail(errors[k], exc)
+            dead, flat = ~np.equal(errors, None), errors.reshape(-1)
+            if dead.any():
+                fa[dead], fb[dead] = 1.0, 1.0
+            basis = np.stack([p.basis for p in pairs])
+            return _middles(_congruence_of(fa, fb, basis, pairs[0].tol, flat), flat), errors
 
-        return self._keep("image", fs, compute)
+        return SharedPair._keep(pairs, "image", fs, compute)
 
     def image_middle(self, f):
-        """The mean-independent half of f(A) sigma f(B): the 1-row view of :meth:`image_middles`."""
-        middle, (error,) = self.image_middles((f,))
+        """:meth:`image_middles` of this pair and f alone, a 1-row stack; its error raises."""
+        middles, ((error,),) = SharedPair.image_middles([self], (f,))
         if error is not None:
             raise error
-        return middle
+        return middles
 
     def operands(self) -> tuple["SharedOperand", "SharedOperand"]:
         """A and B, carrying this pair to the checkers they are handed to."""
@@ -516,93 +544,68 @@ def _norm_kinds(norms, dim):
     return [NormKind.parse(k) if isinstance(k, str) else k for k in norms]
 
 
-def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
-    """Mean of the endpoint secant lines brackets the mean of the images.
+def _group_grid(fs, trials, gates, step, judge, prepare=None, means=(), cells=()) -> list:
+    """A group grid's entries, per trial one per configuration: the record or its ``ValueError``.
 
-    The lines are c (x - m) + f(m) with c = f'(m) below and c = f'(M) above
-    a convex f on PSD operands, reversed for a concave f.  The 1 x 1 case
-    of :func:`check_chord_bounds_grid`.
+    A group grid judges every configuration of a suite (a function, or a
+    (function, mean) pair, function outermost) on every trial of a
+    dimension group, each step one stacked solve.  Its entries are a
+    (function, trial, *means) array, ``None`` while a record is open.  Each
+    f runs the gate rows ``gates`` (see :func:`_gate`); ``prepare(trials)``
+    runs once if any passes them; ``step(x)`` runs each trial's gates and
+    returns its values; each (f, x) left runs the gate rows ``cells``.
+    ``judge(fs, stacks, entries)`` then takes the functions and trials with
+    entries left and each step value stacked over those trials, and fills
+    the entries; a ``ValueError`` it raises is every open record's.  Each
+    step gives its errors to the entries still open (see ``core._flag``) in
+    the order the 1 x 1 checker states them, and a record with an error is
+    solved as I, so every entry is the 1 x 1 checker's, bit for bit.
     """
-    return _one(check_chord_bounds_grid((f,), (sigma,), A, B, tol))
-
-
-def _secant_slopes(f, pair):
-    """(f'(m), f'(M)), m floored at 0 (:func:`_psd`): a gate row that raises its own errors."""
-    _, _, m, M = _psd(pair.factors, pair.tol)
-    slopes = chord_coefficients(f, m, M)
-    if not all(map(math.isfinite, slopes)):
-        raise ValueError(f"infinite chord coefficient for {f.name} on [{m}, {M}]")
-    return slopes
-
-
-def check_chord_bounds_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
-    """:func:`check_chord_bounds` for every function in ``fs`` and mean in ``sigmas``.
-
-    One grid (:func:`_mean_grid`) with no S: the lines' middles are image
-    middles in one stack with f's, and every link is one stacked eigvalsh.
-    """
-
-    def judge(pair, fs, sigmas, results):
-        n_f, n_s = results.shape
-        m, slopes = _psd(pair.factors, pair.tol)[2], [_secant_slopes(f, pair) for f in fs]
-        # each f's lower line, then each f's upper line c (x - m) + f(m), on A's and B's spectra
-        lines = [
-            ScalarFunction("secant", lambda x, c=c, fm=float(f(m)): c * (x - m) + fm, None, REALS)
-            for cs in zip(*slopes) for f, c in zip(fs, cs)
-        ]
-        errors = np.full((3 * n_f, n_s), None, dtype=object)
-        mid, low, high = _images(pair, (*fs, *lines), sigmas, errors).reshape(3, -1, *pair.a.shape)
-        for level in errors.reshape(3, n_f, n_s):  # X's error first, then the lower line's
-            open_ = np.equal(results, None)
-            results[open_] = level[open_]
-        fwd = np.repeat([f.convexity is Convexity.CONVEX for f in fs], n_s)[:, None, None]
-        sides = ((low, mid), (mid, high))
-        claims = [(np.where(fwd, lo, hi), np.where(fwd, hi, lo), None) for lo, hi in sides]
-        lower, upper = _loewner(claims, pair.tol, [results.reshape(-1)] * 2)
-        margins = np.stack([lower.margin, upper.margin], -1).reshape(n_f, n_s, 2)
-        passes = np.stack([lower.passed, upper.passed], -1).reshape(n_f, n_s, 2)
-        params = [{"m": m, "a": a, "b": b} for a, b in slopes]  # m floored at 0
-        descriptions = ("lower-slope-line", "upper-slope-line")
-        return descriptions, margins, passes, np.ones((n_f, 2), dtype=bool), params
-
-    gates, claim = (_TAGGED, (_secant_slopes, None, None)), "secant-line-mean-bracket"
-    return _mean_grid("chord_bounds", claim, gates, judge, fs, sigmas, A, B, tol)
-
-
-def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
-    """Coefficient chain around f(A) sigma f(B) and around f(A sigma B).
-
-    f'(0) S <= (f(m)/m) S <= f(A) sigma f(B) <= (f(M)/M) S <= f'(M) S with
-    S = A sigma B, and the same chain around f(A sigma B); all comparisons
-    reversed for concave f.  Links with an infinite coefficient are
-    vacuous.  The 1 x 1 case of :func:`check_main_chain_grid`.
-    """
-    return _one(check_main_chain_grid((f,), (sigma,), A, B, tol))
-
-
-def check_main_chain_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
-    """:func:`check_main_chain` for every function in ``fs`` and mean in ``sigmas``.
-
-    Returns one entry per (f, sigma), f outermost: the record, or the
-    ``ValueError`` that :func:`check_main_chain` raises for it.  One grid
-    (:func:`_mean_grid`): the links against X are one stacked eigvalsh, and
-    the others margins on spec(S).
-    """
-    return _mean_grid(
-        "main_chain", "mean-coefficient-chain", _MAIN_CHAIN_GATES, _main_chain_judge,
-        fs, sigmas, A, B, tol,
-    )
+    results = np.full((len(fs), len(trials), *means), None, dtype=object)
+    live_f = []
+    for i, f in enumerate(fs):
+        try:
+            _gate(gates, f)
+            live_f.append(i)
+        except ValueError as exc:
+            results[i] = exc
+    if live_f and prepare is not None:
+        prepare(trials)
+    kept = {}
+    for t, x in enumerate(trials if live_f else ()):
+        try:
+            kept[t] = step(x)
+        except ValueError as exc:
+            _fail(results[:, t], exc)
+    for i in live_f if cells else ():
+        for t in kept:
+            try:
+                _gate(cells, fs[i], trials[t])
+            except ValueError as exc:
+                _fail(results[i, t], exc)
+    live = np.equal(results, None).any(axis=tuple(range(2, results.ndim)))
+    live_f, live_t = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+    if live_t.size:
+        entries = results[np.ix_(live_f, live_t)]
+        stacks = [np.array(v) for v in zip(*(kept[t] for t in live_t))]
+        try:
+            judge([fs[i] for i in live_f], stacks, entries)
+        except ValueError as exc:
+            _fail(entries, exc)
+        results[np.ix_(live_f, live_t)] = entries
+    return results.swapaxes(0, 1).reshape(len(trials), len(fs) * math.prod(means)).tolist()
 
 
 def _fail(errors, exc):
-    """Give every record of ``errors`` (an object array) without an error the error ``exc``."""
-    errors[np.equal(errors, None)] = exc
+    """Give each entry of object array ``errors`` with no error ``exc`` (or its broadcast entry)."""
+    open_ = np.equal(errors, None)
+    errors[open_] = np.broadcast_to(exc, errors.shape)[open_] if np.ndim(exc) else exc
 
 
 def _open(entries):
-    """The flat indices of a grid's open entries (``None``), with their row and column indices."""
+    """The flat indices of a grid's open entries (``None``), with their index along each axis."""
     rows = np.flatnonzero(np.equal(entries, None))
-    return rows, *np.divmod(rows, entries.shape[1])
+    return rows, *np.unravel_index(rows, entries.shape)
 
 
 def _fill(check_name, claim, descriptions, margins, passes, applicable, params, results, rows):
@@ -621,112 +624,185 @@ def _fill(check_name, claim, descriptions, margins, passes, applicable, params, 
             results[i] = exc
 
 
-def _mean_grid(check_name, claim, gates, judge, fs, sigmas, A, B, tol) -> list:
-    """A trial's (f, sigma) records, f outermost, of a claim on X = f(A) sigma f(B).
+def _mean_group(check_name, claim, gates, judge, fs, sigmas, pairs, tol) -> list:
+    """A dimension group's records of a claim on X = f(A) sigma f(B), per trial one per (f, sigma).
 
-    Each f runs the gate rows ``gates`` (see :func:`_gate`).  The functions
-    past them are one grid: ``judge(pair, fs, sigmas, results)`` takes its
-    stacks (:func:`_images`, :func:`_chain_stacks`) and returns the link
-    descriptions, the (f, sigma, link) margins and passes, the (f, link)
-    applicable flags and each function's params.  A step failing for some
-    records gives each its error in ``results`` (see ``core._flag``), one
-    failing for all raises; a record keeps its first error, and its
-    matrices are solved as I.
+    ``pairs`` holds one (A, B) per trial, every operand n x n for one n;
+    ``gates`` the gate rows each function runs, then those each (function,
+    trial) runs.  The cells past them are one :func:`_group_grid`:
+    ``judge(pairs, fs, sigmas, entries)`` returns the link descriptions,
+    the (function, trial, mean, link) margins and passes, the (function,
+    trial, link) applicable flags and each (function, trial)'s params.
     """
-    pair = _pair(A, B, tol)
-    fs, sigmas = tuple(fs), tuple(sigmas)
-    # per (f, sigma): None, then the record's error or the record
-    results = np.full((len(fs), len(sigmas)), None, dtype=object)
-    live = []  # the functions past their own gates
-    for i, f in enumerate(fs):
-        try:
-            _gate(gates, f, pair)
-            live.append(i)
-        except ValueError as exc:
-            _fail(results[i], exc)
-    if not live:
-        return list(results.ravel())
-    fs, stack = [fs[i] for i in live], results[live]
-    _, _, m, M = pair.factors
-    try:
-        descriptions, margins, passes, applicable, params = judge(pair, fs, sigmas, stack)
-    except ValueError as exc:  # a step shared by every record
-        _fail(stack, exc)
-    else:
-        rows, fn_of, mean_of = _open(stack)
-        cells, applicable = list(zip(fn_of.tolist(), mean_of.tolist())), applicable.tolist()
+    fn_rows, cell_rows = gates
+    sigmas = tuple(sigmas)
+
+    def run(fs, stacks, entries):
+        pairs, m, M = stacks
+        descriptions, margins, passes, applicable, params = judge(pairs, fs, sigmas, entries)
+        rows, fn_of, t_of, mean_of = _open(entries)
+        cells = list(zip(fn_of.tolist(), t_of.tolist(), mean_of.tolist()))
+        m, M, applicable = m.tolist(), M.tolist(), applicable.tolist()
         _fill(
-            check_name, claim, descriptions, margins.reshape(stack.size, -1)[rows],
-            passes.reshape(stack.size, -1)[rows], [applicable[k] for k, _ in cells],
-            [{"fn": fs[k].name, "mean": sigmas[j].name, "m": m, "M": M, **params[k]}
-             for k, j in cells],
-            stack.reshape(-1), rows,
+            check_name, claim, descriptions, margins.reshape(entries.size, -1)[rows],
+            passes.reshape(entries.size, -1)[rows], [applicable[k][t] for k, t, _ in cells],
+            [{"fn": fs[k].name, "mean": sigmas[j].name, "m": m[t], "M": M[t], **params[k][t]}
+             for k, t, j in cells],
+            entries.reshape(-1), rows,
         )
-    results[live] = stack
-    return list(results.ravel())
+
+    def step(pair):  # operands that fail to factor are the trial's error
+        return pair, *pair.factors[2:]
+
+    pairs = [_pair(a, b, tol) for a, b in pairs]
+    return _group_grid(
+        fs, pairs, fn_rows, step, run, SharedPair.factor_group, (len(sigmas),), cell_rows
+    )
 
 
-def _images(pair, fs, sigmas, results):
-    """X = f(A) sigma f(B), one (f, sigma) stack; f's own breakdown is its row's error."""
-    middles, errors = pair.image_middles(tuple(fs))
-    for row, error in zip(results, errors):
-        if error is not None:
-            _fail(row, error)
-    return _mean_from_middle([s.h for s in sigmas], middles, pair.tol, results.reshape(-1))
+def _images(pairs, fs, sigmas, entries):
+    """X = f(A) sigma f(B), (function, trial, mean); f's breakdown on a trial is its entries'."""
+    middles, errors = SharedPair.image_middles(pairs, fs)
+    _fail(entries, errors[..., None])
+    X = _mean_from_middle([s.h for s in sigmas], middles, pairs[0].tol, entries.reshape(-1))
+    return X.reshape(*entries.shape, *X.shape[-2:])
 
 
-def _chain_stacks(pair, fs, sigmas, results):
-    """:meth:`SharedPair.mean_stack`, X and (f'(0), f(m)/m, f(M)/M, f'(M)) of a chain's f's.
+def _chain_stacks(pairs, fs, sigmas, entries):
+    """S, X and the coefficients (f'(0), f(m)/m, f(M)/M, f'(M)) of a chain's functions on a group.
 
-    S's errors come first; the coefficients are taken for an f with records left.
+    S (trial, mean) comes with its eigenpairs, X is (function, trial, mean) and the coefficients
+    (function, trial, 4), taken where records are left.  S's errors come first.
     """
-    means = pair.mean_stack(sigmas)
-    results[:] = means[1]  # a record starts with its mean's error
-    X = _images(pair, fs, sigmas, results)
-    _, _, m, M = pair.factors
-    coefs = np.zeros((len(fs), 4))
-    for k, f in enumerate(fs):
-        if np.equal(results[k], None).any():
-            coefs[k] = float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M))
-    return means, X, coefs
+    S, errors, ws, vs = SharedPair.mean_stack(pairs, sigmas)
+    _fail(entries, errors)  # a record starts with its mean's error
+    X = _images(pairs, tuple(fs), sigmas, entries)
+    coefs = np.zeros((len(fs), len(pairs), 4))
+    for k, t in np.argwhere(np.equal(entries, None).any(axis=-1)).tolist():
+        f, (_, _, m, M) = fs[k], pairs[t].factors
+        coefs[k, t] = float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M))
+    return (S, ws, vs), X, coefs
 
 
 def _on_spectra(fs, ws, results):
-    """(function, mean, index): f on every spectrum; a breakdown is its record's error."""
+    """(function, *ws.shape): f on every spectrum of ``ws``; a breakdown is its record's error."""
     fws = np.empty((len(fs), *ws.shape))
+    w = ws.reshape(-1, ws.shape[-1])
     for k, f in enumerate(fs):
+        row = results[k].reshape(-1)
         try:
-            fws[k] = _finite(_fn_values(f, ws, results[k]), results[k])
+            fws[k] = _finite(_fn_values(f, w, row), row).reshape(ws.shape)
         except ValueError as exc:
             _fail(results[k], exc)
     return fws
 
 
-_MAIN_CHAIN_GATES = (
-    *_TAGGED_FIXING_ZERO,
-    (lambda _, pair: pair.factors[2] > 0.0, NotPositiveDefiniteError,
-     "spectra must be positive, got m={pair.factors[2]:.6e}"),
-)
+def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
+    """Mean of the endpoint secant lines brackets the mean of the images.
+
+    The lines are c (x - m) + f(m) with c = f'(m) below and c = f'(M) above
+    a convex f on PSD operands, reversed for a concave f.  The 1 x 1 case
+    of :func:`check_chord_bounds_grid`.
+    """
+    return _one(check_chord_bounds_grid((f,), (sigma,), [(A, B)], tol)[0])
+
+
+def _secant_slopes(f, pair):
+    """(f'(m), f'(M)), m floored at 0 (:func:`_psd`): a gate row that raises its own errors."""
+    _, _, m, M = _psd(pair.factors, pair.tol)
+    slopes = chord_coefficients(f, m, M)
+    if not all(map(math.isfinite, slopes)):
+        raise ValueError(f"infinite chord coefficient for {f.name} on [{m}, {M}]")
+    return slopes
+
+
+def check_chord_bounds_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
+    """:func:`check_chord_bounds` for every function, mean and trial of a group.
+
+    ``pairs`` is a dimension group (see :func:`_mean_group`).  One grid with
+    no S: the lines' middles are image middles in one stack with f's, and
+    every link of the group is one stacked eigvalsh.
+    """
+
+    def judge(pairs, fs, sigmas, entries):
+        n_f, n_t, n_s = entries.shape
+        # (f'(m), f'(M), f(m)) per cell; a cell closed by its gates takes the line 1, unused
+        params, values = [[{}] * n_t for _ in fs], np.tile([0.0, 0.0, 1.0], (n_f, n_t, 1))
+        m = [_psd(pair.factors, pair.tol)[2] for pair in pairs]  # floored at 0
+        for k, t in np.argwhere(np.equal(entries, None).all(axis=-1)).tolist():
+            a, b = _secant_slopes(fs[k], pairs[t])
+            params[k][t], values[k, t] = {"m": m[t], "a": a, "b": b}, (a, b, float(fs[k](m[t])))
+        # each f, each f's lower line, then each f's upper line c (x - m) + f(m)
+        lines = [
+            _secant_lines(np.stack([values[k, :, i], m, values[k, :, 2]]).tobytes())
+            for i in (0, 1) for k in range(n_f)
+        ]
+        errors = np.full((3 * n_f, n_t, n_s), None, dtype=object)
+        X = _images(pairs, (*fs, *lines), sigmas, errors)
+        mid, low, high = X.reshape(3, -1, *X.shape[-2:])
+        for level in errors.reshape(3, n_f, n_t, n_s):  # X's error first, then the lower line's
+            _fail(entries, level)
+        fwd = np.repeat([f.convexity is Convexity.CONVEX for f in fs], n_t * n_s)[:, None, None]
+        sides = ((low, mid), (mid, high))
+        claims = [(np.where(fwd, lo, hi), np.where(fwd, hi, lo), None) for lo, hi in sides]
+        lower, upper = _loewner(claims, pairs[0].tol, [entries.reshape(-1)] * 2)
+        margins = np.stack([lower.margin, upper.margin], -1).reshape(n_f, n_t, n_s, 2)
+        passes = np.stack([lower.passed, upper.passed], -1).reshape(n_f, n_t, n_s, 2)
+        descriptions = ("lower-slope-line", "upper-slope-line")
+        return descriptions, margins, passes, np.ones((n_f, n_t, 2), dtype=bool), params
+
+    gates = ((_TAGGED,), ((_secant_slopes, None, None),))
+    return _mean_group(
+        "chord_bounds", "secant-line-mean-bracket", gates, judge, fs, sigmas, pairs, tol
+    )
+
+
+def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
+    """Coefficient chain around f(A) sigma f(B) and around f(A sigma B).
+
+    f'(0) S <= (f(m)/m) S <= f(A) sigma f(B) <= (f(M)/M) S <= f'(M) S with
+    S = A sigma B, and the same chain around f(A sigma B); all comparisons
+    reversed for concave f.  Links with an infinite coefficient are
+    vacuous.  The 1 x 1 case of :func:`check_main_chain_grid`.
+    """
+    return _one(check_main_chain_grid((f,), (sigma,), [(A, B)], tol)[0])
+
+
+def check_main_chain_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
+    """:func:`check_main_chain` for every function, mean and trial of a group.
+
+    ``pairs`` is a dimension group; returns, per trial, one entry per (f,
+    sigma), f outermost (see :func:`_mean_group`).  The links against X of
+    the whole group are one stacked eigvalsh, the others margins on spec(S).
+    """
+    positive = (lambda _, pair: pair.factors[2] > 0.0, NotPositiveDefiniteError,
+                "spectra must be positive, got m={pair.factors[2]:.6e}")
+    return _mean_group(
+        "main_chain", "mean-coefficient-chain", (_TAGGED_FIXING_ZERO, (positive,)),
+        _main_chain_judge, fs, sigmas, pairs, tol,
+    )
+
+
 _MAIN_CHAIN_LINKS = tuple(
     f"{prefix}:{name}" for prefix in ("fn-then-mean", "mean-then-fn") for name, *_ in _CHAIN
 )
 
 
-def _main_chain_judge(pair, fs, sigmas, results):
-    (S, _, ws, _), X, coefs = _chain_stacks(pair, fs, sigmas, results)
-    n_f, n_s = results.shape
+def _main_chain_judge(pairs, fs, sigmas, entries):
+    (S, ws, _), X, coefs = _chain_stacks(pairs, fs, sigmas, entries)
+    n_f, n_t, n_s = entries.shape
     tags = [f.convexity is Convexity.CONVEX for f in fs]
-    # the chain around f(S) on spec(S), as (f, sigma, link, eigenvalue); its edge links
-    # are also fn-then-mean's, whose low and high links against X are solved apart
-    lo, hi, applies = _chain_sides(coefs[..., None], ws, _on_spectra(fs, ws, results), tags)
-    shape = (n_f * n_s, len(_CHAIN), ws.shape[-1])
+    # the chain around f(S) on spec(S), as (f, trial, sigma, link, eigenvalue); its edge
+    # links are also fn-then-mean's, whose low and high links against X are solved apart
+    lo, hi, applies = _chain_sides(coefs[..., None], ws, _on_spectra(fs, ws, entries), tags)
+    shape = (entries.size, len(_CHAIN), ws.shape[-1])
     on_spectrum = _loewner_on_spectrum(
-        lo.reshape(shape), hi.reshape(shape), pair.tol, results.reshape(-1)
+        lo.reshape(shape), hi.reshape(shape), pairs[0].tol, entries.reshape(-1)
     )
-    margins = np.tile(on_spectrum.margin.reshape(n_f, n_s, -1), 2)
-    passes = np.tile(on_spectrum.passed.reshape(n_f, n_s, -1), 2)
-    margins[..., 1:3], passes[..., 1:3], _ = _x_links(pair.tol, S, X, coefs, tags, ws, results)
-    params = [{"convex": tag, "dim": pair.a.shape[0]} for tag in tags]
+    margins = np.tile(on_spectrum.margin.reshape(n_f, n_t, n_s, -1), 2)
+    passes = np.tile(on_spectrum.passed.reshape(n_f, n_t, n_s, -1), 2)
+    margins[..., 1:3], passes[..., 1:3], _ = _x_links(pairs[0].tol, S, X, coefs, tags, ws, entries)
+    params = [[{"convex": tag, "dim": ws.shape[-1]}] * n_t for tag in tags]
     return _MAIN_CHAIN_LINKS, margins, passes, np.tile(applies[..., 0], 2), params
 
 
@@ -751,46 +827,45 @@ def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> C
 
     The 1 x 1 case of :func:`check_mean_difference_norm_grid`.
     """
-    return _one(check_mean_difference_norm_grid((f,), (sigma,), A, B, norms, tol))
+    return _one(check_mean_difference_norm_grid((f,), (sigma,), [(A, B)], norms, tol)[0])
 
 
-def check_mean_difference_norm_grid(fs, sigmas, A, B, norms=None, tol=DEFAULT_TOL) -> list:
-    """:func:`check_mean_difference_norm` for every function in ``fs`` and mean in ``sigmas``.
+def check_mean_difference_norm_grid(fs, sigmas, pairs, norms=None, tol=DEFAULT_TOL) -> list:
+    """:func:`check_mean_difference_norm` for every function, mean and trial of a group.
 
-    One grid (:func:`_mean_grid`): every X - f(S) is one stacked eigvalsh,
-    and every norm one table.
+    ``pairs`` is a dimension group (see :func:`_mean_group`): every
+    X - f(S) of the group is one stacked eigvalsh, and every norm one table.
     """
 
-    def judge(pair, fs, sigmas, results):
-        (_, _, ws, vs), X, coefs = _chain_stacks(pair, fs, sigmas, results)
-        n_f, n_s = results.shape
-        flat = results.reshape(-1)
-        diff = X - hermitian_part(_compose(vs, _on_spectra(fs, ws, results)))
-        w = _eigvalsh(_finite(diff.reshape(flat.size, *X.shape[-2:]), flat), flat)
-        kinds = _norm_kinds(norms, pair.a.shape[0])
-        table = _norm_table(_sv_hermitian(np.concatenate([ws, w])), kinds)
-        spread = coefs[:, 3] - coefs[:, 0]  # f'(M) - f'(0)
+    def judge(pairs, fs, sigmas, entries):
+        (_, ws, vs), X, coefs = _chain_stacks(pairs, fs, sigmas, entries)
+        n_f, n_t, n_s = entries.shape
+        n, flat = ws.shape[-1], entries.reshape(-1)
+        diff = X - hermitian_part(_compose(vs, _on_spectra(fs, ws, entries)))
+        w = _eigvalsh(_finite(diff.reshape(-1, n, n), flat), flat)
+        kinds = _norm_kinds(norms, n)
+        table = _norm_table(_sv_hermitian(np.concatenate([ws.reshape(-1, n), w])), kinds)
+        spread = coefs[..., 3] - coefs[..., 0]  # f'(M) - f'(0)
+        of_s = table[: n_t * n_s].reshape(n_t, n_s, -1)
         margins, passes = _scalar_margins(
-            table[n_s:].reshape(n_f, n_s, -1), spread[:, None, None] * table[:n_s], tol
+            table[n_t * n_s :].reshape(n_f, n_t, n_s, -1), spread[..., None, None] * of_s, tol
         )
         descriptions = tuple(f"norm-difference[{kind.label()}]" for kind in kinds)
-        params = [{"spread": d} for d in spread.tolist()]
-        return descriptions, margins, passes, np.ones((n_f, len(kinds)), dtype=bool), params
+        params = [[{"spread": d} for d in row] for row in spread.tolist()]
+        return descriptions, margins, passes, np.ones((n_f, n_t, len(kinds)), dtype=bool), params
 
-    return _mean_grid(
+    return _mean_group(
         "mean_difference_norm", "mean-difference-norm-bound", _MEAN_DIFFERENCE_GATES, judge,
-        fs, sigmas, A, B, tol,
+        fs, sigmas, pairs, tol,
     )
 
 
 _MEAN_DIFFERENCE_GATES = (
-    (lambda f, _: f.convexity is Convexity.CONVEX, ValueError,
-     "mean-difference bound requires a convex function, got {f.name}"),
-    _FIXES_ZERO,
-    _POSITIVE,
-    (lambda f, pair: math.isfinite(float(f.deriv(0.0)))
-     and math.isfinite(float(f.deriv(pair.factors[3]))), ValueError,
-     "infinite endpoint derivative"),
+    ((lambda f, _: f.convexity is Convexity.CONVEX, ValueError,
+      "mean-difference bound requires a convex function, got {f.name}"), _FIXES_ZERO),
+    (_POSITIVE, (lambda f, pair: math.isfinite(float(f.deriv(0.0)))
+                 and math.isfinite(float(f.deriv(pair.factors[3]))), ValueError,
+                 "infinite endpoint derivative")),
 )
 
 
@@ -802,7 +877,7 @@ def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOut
     per norm kind for the norms of the two sides.  The 1 x 1 case of
     :func:`check_eig_prod_norm_grid`.
     """
-    return _one(check_eig_prod_norm_grid((f,), (sigma,), A, B, tol, norms))
+    return _one(check_eig_prod_norm_grid((f,), (sigma,), [(A, B)], tol, norms)[0])
 
 
 def _pow_or_inf(c, k):
@@ -813,48 +888,53 @@ def _pow_or_inf(c, k):
         return math.inf
 
 
-def check_eig_prod_norm_grid(fs, sigmas, A, B, tol=DEFAULT_TOL, norms=None) -> list:
-    """:func:`check_eig_prod_norm` for every function in ``fs`` and mean in ``sigmas``.
+def check_eig_prod_norm_grid(fs, sigmas, pairs, tol=DEFAULT_TOL, norms=None) -> list:
+    """:func:`check_eig_prod_norm` for every function, mean and trial of a group.
 
-    One grid (:func:`_mean_grid`): every spec(X) is one stacked eigvalsh,
-    every norm one table, and every link one :func:`_chain_sides`.
+    ``pairs`` is a dimension group (see :func:`_mean_group`): every spec(X)
+    of the group is one stacked eigvalsh, every norm one table, and every
+    link one :func:`_chain_sides`.
     """
 
-    def judge(pair, fs, sigmas, results):
-        (_, _, ws, _), X, coefs = _chain_stacks(pair, fs, sigmas, results)
-        n_f, n_s = results.shape
+    def judge(pairs, fs, sigmas, entries):
+        (_, ws, _), X, coefs = _chain_stacks(pairs, fs, sigmas, entries)
+        n_f, n_t, n_s = entries.shape
         n = ws.shape[-1]
         tags = [f.convexity is Convexity.CONVEX for f in fs]
-        wx = _eigvalsh(X.reshape(-1, n, n), results.reshape(-1))
-        for j in np.flatnonzero(ws[:, 0] <= 0.0):
-            _fail(results[:, j], NotPositiveSemidefiniteError(
+        wx = _eigvalsh(X.reshape(-1, n, n), entries.reshape(-1))
+        for t, j in np.argwhere(ws[..., 0] <= 0.0).tolist():
+            _fail(entries[:, t, j], NotPositiveSemidefiniteError(
                 "product links need a positive mean spectrum"
             ))
         kinds = _norm_kinds(norms, n)
-        table = _norm_table(_sv_hermitian(np.concatenate([ws, wx])), kinds)
+        table = _norm_table(_sv_hermitian(np.concatenate([ws.reshape(-1, n), wx])), kinds)
         powers = [
-            [[c] * n + [_pow_or_inf(c, k) for k in range(1, n + 1)] + [c] * len(kinds) for c in row]
-            for row in coefs.tolist()
+            [[[c] * n + [_pow_or_inf(c, k) for k in range(1, n + 1)] + [c] * len(kinds)
+              for c in row] for row in per_f]
+            for per_f in coefs.tolist()
         ]
-        s, x = ws[:, ::-1], wx[:, ::-1].reshape(n_f, n_s, n)  # decreasing
+        s, x = ws[..., ::-1], wx[:, ::-1].reshape(n_f, n_t, n_s, n)  # decreasing
         # an overflowing side is infinite, as in Python floats, and downgrades its record
         with np.errstate(over="ignore", invalid="ignore"):
             # the families side by side on one index: eigenvalues, top-k products, norms
-            s = np.concatenate([s, np.cumprod(s, -1), table[:n_s]], -1)
-            x = np.concatenate([x, np.cumprod(x, -1), table[n_s:].reshape(n_f, n_s, -1)], -1)
+            of_s = table[: n_t * n_s].reshape(n_t, n_s, -1)
+            s = np.concatenate([s, np.cumprod(s, -1), of_s], -1)
+            of_x = table[n_t * n_s :].reshape(n_f, n_t, n_s, -1)
+            x = np.concatenate([x, np.cumprod(x, -1), of_x], -1)
             lo, hi, applies = _chain_sides(np.array(powers), s, x, tags)
             # a record lists its links index by index, each index's links in chain order
             margins, passes = _scalar_margins(lo.swapaxes(-1, -2), hi.swapaxes(-1, -2), tol)
         prefixes = ["eig"] * n + ["prod"] * n + [f"norm[{kind.label()}]" for kind in kinds]
         return (
             [f"{p}:{name}" for p in prefixes for name, *_ in _CHAIN],
-            margins.reshape(n_f, n_s, -1), passes.reshape(n_f, n_s, -1),
-            applies.swapaxes(-1, -2).reshape(n_f, -1), [{"convex": tag} for tag in tags],
+            margins.reshape(n_f, n_t, n_s, -1), passes.reshape(n_f, n_t, n_s, -1),
+            applies.swapaxes(-1, -2).reshape(n_f, n_t, -1),
+            [[{"convex": tag}] * n_t for tag in tags],
         )
 
-    return _mean_grid(
-        "eig_prod_norm", "eigenvalue-product-norm-chains", (*_TAGGED_FIXING_ZERO, _POSITIVE),
-        judge, fs, sigmas, A, B, tol,
+    gates = (_TAGGED_FIXING_ZERO, (_POSITIVE,))
+    return _mean_group(
+        "eig_prod_norm", "eigenvalue-product-norm-chains", gates, judge, fs, sigmas, pairs, tol
     )
 
 
@@ -868,53 +948,6 @@ def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> Chec
     The 1 x 1 case of :func:`check_subadditivity_grid`.
     """
     return _one(check_subadditivity_grid((f,), [(A, B)], norms, tol)[0])
-
-
-# A group grid judges the records of a dimension group: every function of a
-# suite on every trial of one dimension.  Its entries are a (function, trial)
-# array, None while a record is open.  Each function's own gates, then each
-# trial's step, then the (function, trial) steps give their errors to the
-# entries still open (see ``core._flag``), in the order the per-record
-# checker states them; a record keeps its first error, its matrices are
-# solved as I, and the records left open are filled at the end.
-
-def _group_grid(fs, trials, gates, step, judge, prepare=None) -> list:
-    """A group grid's entries, per trial one per function: the record or its ``ValueError``.
-
-    Each f runs the gate rows ``gates`` (see :func:`_gate`); ``prepare(trials)``
-    runs once if any passes them; ``step(x)`` runs each trial's gates and
-    returns its values.  ``judge(fs, stacks, entries)`` fills the (function,
-    trial) entries of the functions and trials past their gates, given each
-    step value stacked over those trials.
-    """
-    results = np.full((len(fs), len(trials)), None, dtype=object)
-    live_f = []
-    for i, f in enumerate(fs):
-        try:
-            _gate(gates, f)
-            live_f.append(i)
-        except ValueError as exc:
-            results[i] = exc
-    if live_f and prepare is not None:
-        prepare(trials)
-    live_t, kept = [], []
-    for t, x in enumerate(trials if live_f else ()):
-        try:
-            kept.append(step(x))
-            live_t.append(t)
-        except ValueError as exc:
-            _fail(results[:, t], exc)
-    if live_t:
-        entries = results[np.ix_(live_f, live_t)]
-        judge([fs[i] for i in live_f], [np.array(v) for v in zip(*kept)], entries)
-        results[np.ix_(live_f, live_t)] = entries
-    return results.T.tolist()
-
-
-def _fail_trials(entries, errors):
-    """Give each trial's error in ``errors`` to its open (function, trial) entries."""
-    for t in np.flatnonzero(~np.equal(errors, None)):
-        _fail(entries[:, t], errors[t])
 
 
 def _image_sums(fs, factors, entries):
@@ -954,17 +987,12 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
 
     ``pairs`` is a dimension group: one (A, B) per trial, every operand
     n x n for one n.  Returns, per trial, one entry per function: the
-    record, or the ``ValueError`` that
-    :func:`check_subadditivity_refinement` raises for it.  A, B and A + B
-    are factored once per trial, each as one stacked solve over the group
-    (:meth:`SharedPair.factor_group`): the singular values of f(A + B) are
-    |f(w)| for the eigenvalues w of A + B.  Per function only f(A) + f(B)
-    remains, and its eigenvalues for every (function, trial) are one
-    stacked eigvalsh.  Every norm of every matrix is one table
-    (:func:`_norm_table`), and the links are margins over (record x norm
-    kind) arrays.  The gates run in the order
-    :func:`check_subadditivity_refinement` states them (see
-    :func:`_group_grid`).
+    record, or the ``ValueError`` the 1 x 1 checker raises for it (see
+    :func:`_group_grid`).  A, B and A + B are each one stacked solve over
+    the group: the singular values of f(A + B) are |f(w)| for the
+    eigenvalues w of A + B.  Every f(A) + f(B) is one stacked eigvalsh,
+    every norm one table (:func:`_norm_table`), and the links are margins
+    over (record x norm kind) arrays.
     """
     pairs = [_pair(a, b, tol) for a, b in pairs]
 
@@ -995,13 +1023,9 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
         m, M, floor, met = (x.tolist() for x in (m, M, floor, bridge))
         cells = list(zip(fn_of.tolist(), t_of.tolist()))
         coef = np.array([float(fs[i](M[t])) / M[t] for i, t in cells])
-        try:
-            kinds = _norm_kinds(norms, n)
-            w = np.concatenate([w_total, w_images[rows], of_total[rows]])
-            table = _norm_table(_sv_hermitian(w), kinds)
-        except ValueError as exc:
-            _fail(entries, exc)
-            return
+        kinds = _norm_kinds(norms, n)
+        w = np.concatenate([w_total, w_images[rows], of_total[rows]])
+        table = _norm_table(_sv_hermitian(w), kinds)
         k = rows.size
         tot = coef[:, None] * table[:T][t_of]
         lhs, rhs = table[T : T + k], table[T + k :]
@@ -1159,16 +1183,11 @@ def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
 def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
     """:func:`check_normal_chain` for every function in ``fs`` and trial in ``pairs``.
 
-    ``pairs`` is a dimension group, as for :func:`check_subadditivity_grid`;
-    returns, per trial, one entry per function: the record, or the
-    ``ValueError`` that :func:`check_normal_chain` raises for it.  Per trial
-    both normality gates and both Schur factorizations are computed once,
-    per matrix; the eigenvalues of |A| + |B| and the singular values of
-    A + B are one stacked solve each over the group.  Per function only
-    f(|A|) + f(|B|) remains, and its eigenvalues for every (function,
-    trial) are one stacked eigvalsh.  Every norm of every matrix is one
-    table and the links are margins over (record x norm kind) arrays, as in
-    :func:`check_subadditivity_grid`.
+    ``pairs`` is a dimension group, as for :func:`check_subadditivity_grid`.
+    Both normality gates and both Schur factorizations are per matrix; the
+    eigenvalues of |A| + |B| and the singular values of A + B are one
+    stacked solve each over the group, and so are those of every
+    f(|A|) + f(|B|).  Norms and links as in :func:`check_subadditivity_grid`.
     """
     pairs = [(as_complex_array(a), as_complex_array(b)) for a, b in pairs]
     if len({a.shape for a, _ in pairs}) > 1:
@@ -1193,7 +1212,7 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
         w_images = _eigvalsh(images.reshape(-1, n, n), entries.reshape(-1))
         errors = np.full(len(a), None, dtype=object)
         sv_sum = _singular_values(_finite(a + b, errors), errors)
-        _fail_trials(entries, errors)
+        _fail(entries, errors)
         rows, fn_of, t_of = _open(entries)
         if not rows.size:
             return
@@ -1204,13 +1223,9 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
             f, x = fs[i], (m[t] if forward[i] else M[t])
             edge = float(f.deriv(0.0 if forward[i] else M[t]))
             coefs.append((edge, float(f(x)) / x, float(f(2.0 * x)) / (2.0 * x)))
-        try:
-            kinds = _norm_kinds(norms, n)
-            w = np.concatenate([w_images[rows], of_abs_sum[rows]])
-            table = _norm_table(np.concatenate([sv_sum, _sv_hermitian(w)]), kinds)
-        except ValueError as exc:
-            _fail(entries, exc)
-            return
+        kinds = _norm_kinds(norms, n)
+        w = np.concatenate([w_images[rows], of_abs_sum[rows]])
+        table = _norm_table(np.concatenate([sv_sum, _sv_hermitian(w)]), kinds)
         T, k = len(a), rows.size
         base = table[:T][t_of]
         edge, c_sep, c_sum = (np.array(c)[:, None] for c in zip(*coefs))
@@ -1289,7 +1304,7 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     _gate((_POSITIVE,), None, pair)
     f = _power(r)
     war = _finite(_fn_values(f, wa))
-    middle, middle_r = pair.middle, pair.image_middle(f)
+    middle, middle_r = pair.image_middle(None), pair.image_middle(f)
     lo_c, hi_c = m ** (r - 1.0), M ** (r - 1.0)
     if 0.0 < alpha < 1.0:
         h = _power(alpha)  # the representing function of #_alpha
@@ -1338,7 +1353,7 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     swapped = norm_a > norm_b + tol * (1.0 + norm_b)
     # the means of the operands and of their r-th powers, from middles kept per trial
     h = _power(1.0 - alpha if swapped else alpha)  # the representing function of the mean
-    G = _mean_from_middle([h], pair.middle, tol)[0, 0]
+    G = _mean_from_middle([h], pair.image_middle(None), tol)[0, 0]
     Gr = _mean_from_middle([h], pair.image_middle(_power(r)), tol)[0, 0]
     c_ah = norm(G, NormKind.operator()) ** (r - 1.0)
     c_chain = (norm_a if swapped else norm_b) ** (r - 1.0)
@@ -1387,7 +1402,7 @@ def check_contraction_implication(
     eye = np.eye(wa.size)
 
     def iterate_mean(wx, wy):
-        middle = _middles([_congruence_of(wx, wy, shared.basis, tol)])
+        middle = _middles(_congruence_of(wx, wy, shared.basis, tol))
         return _mean_from_middle([sigma_h.h], middle, tol)[0, 0]
 
     if not forward:
@@ -1412,36 +1427,35 @@ def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     Concave inverse: (f(m)/m) S <= f(A) sigma f(B) <= (f(M)/M) S.
     The 1 x 1 case of :func:`check_inverse_function_grid`.
     """
-    return _one(check_inverse_function_grid((f,), (sigma,), A, B, tol))
+    return _one(check_inverse_function_grid((f,), (sigma,), [(A, B)], tol)[0])
 
 
-def check_inverse_function_grid(fs, sigmas, A, B, tol=DEFAULT_TOL) -> list:
-    """:func:`check_inverse_function` for every function in ``fs`` and mean in ``sigmas``.
+def check_inverse_function_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
+    """:func:`check_inverse_function` for every function, mean and trial of a group.
 
-    One grid (:func:`_mean_grid`) of :func:`check_main_chain`'s links
-    against X, run forward for a concave inverse (inverse-low is the low
-    link) and reversed for a convex one (inverse-low is the high link).
+    ``pairs`` is a dimension group (see :func:`_mean_group`): one grid of
+    :func:`check_main_chain`'s links against X, forward for a concave
+    inverse and reversed, inverse-low the high link, for a convex one.
     """
 
-    def judge(pair, fs, sigmas, results):
-        (S, _, ws, _), X, coefs = _chain_stacks(pair, fs, sigmas, results)
+    def judge(pairs, fs, sigmas, entries):
+        (S, ws, _), X, coefs = _chain_stacks(pairs, fs, sigmas, entries)
         # a convex inverse: inverse-low is the high link
         swap = np.array([f.inverse.convexity is Convexity.CONVEX for f in fs])
-        margins, passes, applies = _x_links(pair.tol, S, X, coefs, ~swap, ws, results)
+        margins, passes, applies = _x_links(pairs[0].tol, S, X, coefs, ~swap, ws, entries)
         for links in (margins, passes, applies):
             links[swap] = links[swap][..., ::-1]
-        params = [{"inverse_convexity": f.inverse.convexity.value} for f in fs]
+        params = [[{"inverse_convexity": f.inverse.convexity.value}] * len(pairs) for f in fs]
         return ("inverse-low", "inverse-high"), margins, passes, applies, params
 
     gates = (
-        (lambda f, _: f.inverse is not None, ValueError, "{f.name} has no registered inverse"),
-        _FIXES_ZERO,
-        _POSITIVE,
-        (lambda f, _: f.inverse.convexity is not Convexity.NEITHER, ValueError,
-         "inverse of {f.name} carries no convexity tag"),
+        ((lambda f, _: f.inverse is not None, ValueError, "{f.name} has no registered inverse"),
+         _FIXES_ZERO),
+        (_POSITIVE, (lambda f, _: f.inverse.convexity is not Convexity.NEITHER, ValueError,
+                     "inverse of {f.name} carries no convexity tag")),
     )
-    return _mean_grid(
-        "inverse_function", "inverse-convexity-bounds", gates, judge, fs, sigmas, A, B, tol
+    return _mean_group(
+        "inverse_function", "inverse-convexity-bounds", gates, judge, fs, sigmas, pairs, tol
     )
 
 
@@ -1462,15 +1476,12 @@ def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome
 def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
     """:func:`check_determinant_suite` for every function in ``fs`` and trial in ``trials``.
 
-    ``trials`` is a dimension group: one (A, B, alpha) per trial, every
-    operand n x n for one n.  Returns, per trial, one entry per function:
-    the record, or the ``ValueError`` that :func:`check_determinant_suite`
-    raises for it.  Per trial the factors of A and B, the eigenvalues of
-    A + B and of alpha A + beta B and the determinant roots of A, B and
-    A + B are computed once, each as one stacked solve or array over the
-    group; f(A) keeps A's eigenvectors, so its root is read off f on A's
-    spectrum, and per function only f(A) + f(B) remains, its eigenvalues
-    for every (function, trial) one stacked eigvalsh.
+    ``trials`` is a dimension group, one (A, B, alpha) per trial, as for
+    :func:`check_subadditivity_grid`.  The factors of A and B, the
+    eigenvalues of A + B and of alpha A + beta B and the determinant roots
+    of A, B and A + B are each one stacked solve or array over the group;
+    f(A) keeps A's eigenvectors, so its root is read off f on A's spectrum,
+    and every f(A) + f(B) is one stacked eigvalsh.
     """
     trials = [(_pair(a, b, tol), alpha) for a, b, alpha in trials]
 
@@ -1488,7 +1499,7 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
         errors = np.full(len(a), None, dtype=object)
         da, db = _det_root(wa, tol, errors), _det_root(wb, tol, errors)
         dsum = _det_root(_eigvalsh(a + b, errors), tol, errors)
-        _fail_trials(entries, errors)
+        _fail(entries, errors)
         fwa, fwb, images = _image_sums(fs, ((wa, va), (wb, vb)), entries)
         flat = entries.reshape(-1)
         dfab = _det_root(fwa.reshape(-1, n), tol, flat) + _det_root(fwb.reshape(-1, n), tol, flat)

@@ -55,17 +55,13 @@ class Interval:
     hi_open: bool = False
 
     def contains(self, x: float) -> bool:
-        if self.lo_open:
-            if x <= self.lo:
-                return False
-        elif x < self.lo:
-            return False
-        if self.hi_open:
-            if x >= self.hi:
-                return False
-        elif x > self.hi:
-            return False
-        return True
+        return not self.outside(x)
+
+    def outside(self, xs):
+        """Whether ``xs``, a value or an array of them, lies beyond an endpoint: elementwise."""
+        return (xs <= self.lo if self.lo_open else xs < self.lo) | (
+            xs >= self.hi if self.hi_open else xs > self.hi
+        )
 
     def clamp(self, xs: np.ndarray, tol, errors=None) -> np.ndarray:
         """Clamp values within ``tol`` of a closed endpoint onto it.
@@ -77,9 +73,7 @@ class Interval:
         """
         out = np.array(xs, dtype=np.float64, copy=True)
         rows = out.reshape(-1, out.shape[-1])
-        outside = (rows <= self.lo if self.lo_open else rows < self.lo) | (
-            rows >= self.hi if self.hi_open else rows > self.hi
-        )
+        outside = self.outside(rows)
         if outside.any():
             for k in np.flatnonzero(outside.any(axis=1)):
                 try:
@@ -511,7 +505,7 @@ def check_pair_conditions(
     """
     g, h = pair.g, pair.h
     xs = default_condition_grid() if grid is None else np.asarray(grid, dtype=float)
-    xs = xs[[g.domain.contains(float(x)) and h.domain.contains(float(x)) for x in xs]]
+    xs = xs[~(g.domain.outside(xs) | h.domain.outside(xs))]
     if xs.size == 0:
         raise ValueError("empty grid after intersecting with domains")
 

@@ -209,17 +209,17 @@ def _fns(defaults):
 
 
 def _mean_suite(grid, fns=_ALL_FUNCTIONS, norms=False):
-    """A (function x mean) suite, each trial one ``checks.<grid>``, looked up when called."""
+    """A (function x mean) suite: a dimension group per ``checks.<grid>`` call, looked up then."""
 
     def axes(spec):
         means = spec.means or tuple(m.name for m in mean_catalog())
         return ("fn", spec.functions or fns), ("mean", means)
 
-    def check(spec, ax, x):
+    def check(spec, ax, xs):
         extra = {"norms": _norm_arg(spec)} if norms else {}
-        return getattr(checks, grid)(ax["fn"], ax["mean"], *x, tol=spec.tol, **extra)
+        return getattr(checks, grid)(ax["fn"], ax["mean"], xs, tol=spec.tol, **extra)
 
-    return _Suite(axes, _pd_pairs, _trials(check))
+    return _Suite(axes, _pd_pairs, check)
 
 
 def _alphas_rs(spec: SuiteSpec):
@@ -287,18 +287,10 @@ def _norm_arg(spec: SuiteSpec):
     return tuple(spec.norms) if spec.norms else None
 
 
-def _trials(check):
-    """A suite's group check from ``check(spec, axes, x)``, which checks one trial.
-
-    For the suites with no group grid: it checks the group's trials one by one.
-    """
-    return lambda spec, axes, xs: [check(spec, axes, x) for x in xs]
-
-
 def _each(check):
     """A suite's group check from ``check(spec, config, x)``, which makes one record.
 
-    For the suites with no grid checker.
+    For the suites with no grid checker: trial by trial, one configuration at a time.
     """
 
     def per_trial(spec: SuiteSpec, axes: dict, x) -> list:
@@ -310,7 +302,7 @@ def _each(check):
                 results.append(exc)
         return results
 
-    return _trials(per_trial)
+    return lambda spec, axes, xs: [per_trial(spec, axes, x) for x in xs]
 
 
 def _check_determinant(spec: SuiteSpec, axes: dict, xs) -> list:
@@ -343,12 +335,11 @@ class _Suite:
     dimension group: the instances ``xs`` of trials of one dimension.  It
     gives, per trial, for each configuration in order, its record or the
     ``ValueError`` it raised, from each axis's values with names resolved
-    (see :func:`_resolve`).  subadditivity, normal_chain and determinant
-    judge the whole group as one grid (``checks.check_*_grid``); main_chain,
-    chord, eig_prod_norm, inverse_function and mean_diff_norm check it trial
-    by trial, each trial as one grid (:func:`_mean_suite`); the others check
-    one configuration at a time (:func:`_each`).  A fixture pair is loaded
-    as Hermitian when ``hermitian`` is set and is shaped into an instance by
+    (see :func:`_resolve`).  Eight suites judge the group as one grid
+    (``checks.check_*_grid``), over (function x mean) for the five of
+    :func:`_mean_suite`; the others check one configuration at a time
+    (:func:`_each`).  A fixture pair is loaded as Hermitian when
+    ``hermitian`` is set and is shaped into an instance by
     ``from_fixture``.  Entries look checkers, generators and names up when
     called, so a wrapper installed on a module attribute sees every call.
     """

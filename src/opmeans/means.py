@@ -187,27 +187,27 @@ def mean_by_name(name: str) -> MatrixMean:
     return factory(parse_parameter(param))
 
 
-def _congruence(wa: np.ndarray, b: np.ndarray, meta=None):
-    """A^(1/2), the congruence matrix A^(-1/2) B A^(-1/2) and ``meta``, in A's eigenbasis.
+def _congruence(wa: np.ndarray, b: np.ndarray, metas=None):
+    """A^(1/2), the congruence matrix A^(-1/2) B A^(-1/2) and ``metas``, in A's eigenbasis.
 
-    Takes A's eigenvalues wa and B written in A's eigenbasis, where
-    A^(+-1/2) are diagonal scalings: A^(1/2) is returned as its diagonal.
-    :func:`_middles` factors the congruence matrices of a stack of these.
+    Takes a stack of A's eigenvalues wa and of B written in A's eigenbasis,
+    where A^(+-1/2) are diagonal scalings: A^(1/2) is returned as its
+    diagonal.  :func:`_middles` factors the congruence matrices.
     """
     root = np.sqrt(wa)
     inv = 1.0 / root
-    return root, hermitian_part(inv[:, None] * b * inv), meta
+    return root, hermitian_part(inv[..., :, None] * b * inv[..., None, :]), metas
 
 
-def _middles(parts, errors=None):
-    """A stack of middles from ``parts``, one :func:`_congruence` per row, by one stacked eigh.
+def _middles(congruences, errors=None):
+    """The middles of a stack of :func:`_congruence` rows, by one stacked eigh.
 
     Returns ``(roots, wm, vm, metas)``: the rows' A^(1/2) diagonals, the
     eigenpairs of their congruence matrices and their metas.  A row with an
     error (see ``core._flag``), or whose matrix is not finite, is factored as I.
     """
-    roots, matrices, metas = zip(*parts)
-    return (np.stack(roots), *_eigh(_finite(np.stack(matrices), errors), errors), metas)
+    roots, matrices, metas = congruences
+    return (roots, *_eigh(_finite(matrices, errors), errors), metas)
 
 
 def _assemble(middles, values, errors=None) -> np.ndarray:
@@ -224,29 +224,32 @@ def _assemble(middles, values, errors=None) -> np.ndarray:
     return out
 
 
-def _mean_gates(wa, b, wb, tol):
-    """The gates of A sigma B and its :func:`_congruence`, in A's eigenbasis.
+def _mean_gates(wa, b, wb, tol, errors=None):
+    """The gates of A sigma B and its :func:`_congruence`, in A's eigenbasis, per row of a stack.
 
     Takes A's eigenvalues wa, the matrix B written in A's eigenbasis and
-    B's eigenvalues wb, neither spectrum sorted.  Gates B as positive
-    semidefinite and regularizes a pair whose A is not safely definite; the
-    regularization is the congruence's meta (``None`` when A is safely
-    definite).
+    B's eigenvalues wb, neither spectrum sorted, one row each per pair.
+    Gates B as positive semidefinite (per row with ``errors``, see
+    ``core._flag``) and regularizes a pair whose A is not safely definite;
+    the regularization is the row's meta (``None`` when A is safely
+    definite), an object array of one per row.
     """
-    norm_b = float(np.abs(wb).max())
-    low_b = wb.min()
-    if low_b < -tol * (1.0 + norm_b):
-        raise NotPositiveSemidefiniteError(
-            f"second operand has eigenvalue {low_b:.6e} below -tol*scale"
-        )
-    norm_a = float(np.abs(wa).max())
-    meta = None
-    if wa.min() <= tol * (1.0 + norm_a):
+    norm_b = np.abs(wb).max(axis=-1)
+    low_b = wb.min(axis=-1)
+    for k in np.flatnonzero(low_b < -tol * (1.0 + norm_b)):
+        _flag(errors, k, NotPositiveSemidefiniteError(
+            f"second operand has eigenvalue {low_b[k]:.6e} below -tol*scale"
+        ))
+    norm_a = np.abs(wa).max(axis=-1)
+    regularized = wa.min(axis=-1) <= tol * (1.0 + norm_a)
+    metas = np.full(len(wa), None, dtype=object)
+    if regularized.any():
         eps = 1e-8 * (1.0 + norm_a + norm_b)
-        wa = wa + eps
-        b = b + eps * np.eye(b.shape[0])
-        meta = {"regularization_eps": eps}
-    return _congruence(wa, b, meta)
+        wa = np.where(regularized[:, None], wa + eps[:, None], wa)
+        b = np.where(regularized[:, None, None], b + eps[:, None, None] * np.eye(b.shape[-1]), b)
+        for k in np.flatnonzero(regularized):
+            metas[k] = {"regularization_eps": float(eps[k])}
+    return _congruence(wa, b, metas)
 
 
 def _mean_from_middle(hs, middles, tol, errors=None) -> np.ndarray:
@@ -327,7 +330,7 @@ def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
     wb = _eigvalsh(b)
     wa, va = _eigh(a)
     # the mean is taken in A's eigenbasis and rotated back out
-    middle = _middles([_mean_gates(wa, va.conj().T @ b @ va, wb, tol)])
+    middle = _middles(_mean_gates(wa[None], (va.conj().T @ b @ va)[None], wb[None], tol))
     S = _mean_from_middle([sigma.h], middle, tol)[0, 0]
     return HermitianMatrix(va @ S @ va.conj().T, meta=middle[3][0])
 
@@ -344,7 +347,8 @@ def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatr
         raise ShapeError("perspective operands must have the same dimension")
     wa, va = _eigh(a)
     _require_definite(wa, tol)
-    P = _perspective_from_middle(p.phi, _middles([_congruence(wa, va.conj().T @ b @ va)]))
+    middle = _middles(_congruence(wa[None], (va.conj().T @ b @ va)[None]))
+    P = _perspective_from_middle(p.phi, middle)
     return HermitianMatrix(va @ P @ va.conj().T)
 
 

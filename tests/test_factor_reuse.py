@@ -5,10 +5,10 @@ A's eigenvectors for f(A); ``mean`` factors A once for its gate and its
 congruence.  The norm and determinant checkers factor each matrix once and
 read every norm kind off its one singular-value vector; normal operands are
 factored once by complex Schur.  A run of a positive definite suite shares
-each trial's factors between its configurations, a ``main_chain``,
-``chord``, ``eig_prod_norm``, ``inverse_function`` or ``mean_diff_norm``
-trial is one stacked grid, and a ``subadditivity``, ``normal_chain`` or ``determinant``
-dimension group of trials is one.  The tests count the matrices that
+each trial's factors between its configurations, and a ``main_chain``,
+``chord``, ``eig_prod_norm``, ``inverse_function``, ``mean_diff_norm``,
+``subadditivity``, ``normal_chain`` or ``determinant`` dimension group of
+trials is one stacked grid.  The tests count the matrices that
 LAPACK factors through numpy and scipy, each matrix of a stack
 separately, and where it matters the LAPACK calls.
 """
@@ -24,12 +24,14 @@ from opmeans import (
     function_by_name,
     mean,
     mean_by_name,
+    mean_catalog,
     norm,
     norm_catalog,
     normalize_for_contraction,
     singular_values,
 )
 from opmeans.checks import (
+    SharedPair,
     check_ando_hiai_comparison,
     check_chord_bounds,
     check_contraction_implication,
@@ -181,15 +183,16 @@ def test_main_chain_run_shares_factors(eigensolves, solver_calls, fns, means, tr
     report = run_suite(spec)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
-    F, S, T = len(fns), len(means), trials
+    F, S, T, G = len(fns), len(means), trials, _groups(spec)
     # per trial: eigh of A, B and A^(-1/2) B A^(-1/2); per mean: eigh of S;
     # per function: eigh of the middle of f(A) sigma f(B); per record: three eigvalsh
     assert _total(eigensolves) == T * (3 + S + F + 3 * F * S), eigensolves
     assert eigensolves["eigvalsh"] == T * 3 * F * S, eigensolves
-    # LAPACK calls do not grow with F or S: per trial one for each of A, B and
-    # their middle, one stacked eigh of every S, one of every function's middle
-    # and one stacked eigvalsh of every record's three matrices (T (4 + 2F) before)
-    assert _total(solver_calls) == T * 6, solver_calls
+    # LAPACK calls grow with neither F, S nor T: per dimension group one for each
+    # of A, B and their middles, one stacked eigh of every S, one of every
+    # function's middle and one stacked eigvalsh of every record's three matrices
+    # (T (4 + 2F), then T 6 before)
+    assert _total(solver_calls) == G * 6, solver_calls
 
 
 @pytest.mark.parametrize("fns, trials", [(("power:2",), 1), (("power:3/2", "power:2", "expm1"), 3)])
@@ -316,18 +319,37 @@ def test_chord_run_shares_factors(eigensolves, solver_calls, fns, means, trials)
     report = run_suite(spec)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
-    F, T = len(fns), trials
+    F, T, G = len(fns), trials, _groups(spec)
     # per trial: eigh of A and B; per function: eigh of the middles of
     # f(A) sigma f(B) and of the two secant lines (T (2 + F) + 2R before,
     # when each record rebuilt its line middles); no S = A sigma B
     assert eigensolves["eigh"] == T * (2 + 3 * F), eigensolves
     assert eigensolves["schur"] == 0, eigensolves
-    # both links of every record of a trial are one stacked eigvalsh (2R,
-    # then R before)
-    assert solver_calls["eigvalsh"] == T, solver_calls
-    # per trial: one call for each of A and B, one stacked eigh of every
-    # middle and one stacked eigvalsh of every record's links
-    assert _total(solver_calls) == T * 4, solver_calls
+    # both links of every record of a dimension group are one stacked eigvalsh
+    # (2R, R, then T before)
+    assert solver_calls["eigvalsh"] == G, solver_calls
+    # per dimension group: one call for each of A and B, one stacked eigh of
+    # every middle and one stacked eigvalsh of every record's links (T 4 before)
+    assert _total(solver_calls) == G * 4, solver_calls
+
+
+def test_repeated_chord_checks_reuse_the_line_middles(eigensolves, solver_calls):
+    # one-record checks of one function under each catalog mean, on one pair's
+    # shared operands: the secant lines are one object each, so their middles
+    # are factored once, beside f's, and the pair keeps one stack
+    a, b = _pd_pair(3, 37)
+    f, means = function_by_name("power:2"), [mean_by_name(m.name) for m in mean_catalog()]
+    counts = []
+    for calls in (1, 3, len(means)):
+        pair = SharedPair(a, b)
+        for counter in (eigensolves, solver_calls):
+            counter.update(dict.fromkeys(counter, 0))
+        for sigma in means[:calls]:
+            assert check_chord_bounds(f, sigma, *pair.operands()).passed
+        counts.append((eigensolves["eigh"], solver_calls["eigh"], len(pair._kept)))
+    # eigh of A and B, then one stacked eigh of the middles of f and its two
+    # lines (11 calls for 29 matrices and 9 kept stacks after nine calls before)
+    assert counts == [(5, 3, 1)] * 3, counts
 
 
 @pytest.mark.parametrize(
@@ -372,12 +394,16 @@ def test_corollary_run_is_one_stack_per_trial(
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
     F, S, T, R = len(fns), len(means), trials, len(fns) * len(means) * trials
-    # per trial: eigh of A, B and their middle, one stacked eigh of every S and
-    # one of every function's image middle, one stacked eigvalsh for the records
+    G = _groups(spec)
+    # per trial: eigh of A, B and their middle, of every S and of every
+    # function's image middle; per record: the eigvalsh of its links
     assert eigensolves["eigh"] == T * (3 + F + S), eigensolves
     assert eigensolves["eigvalsh"] == eigvalsh_per_record * R, eigensolves
     assert eigensolves["schur"] == 0, eigensolves
-    assert _total(solver_calls) == T * 6, solver_calls
+    # per dimension group: one call for each of A and B and their middles, one
+    # stacked eigh of every S and one of every image middle, one stacked
+    # eigvalsh for the records (T 6 before)
+    assert _total(solver_calls) == G * 6, solver_calls
 
 
 def test_contraction_factorizations(eigensolves, solver_calls):

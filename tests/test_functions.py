@@ -16,7 +16,7 @@ from opmeans import (
     iterate,
     power,
 )
-from opmeans.functions import times_x
+from opmeans.functions import Interval, times_x
 
 FD_GRID = np.geomspace(1e-2, 50.0, 64)
 
@@ -211,6 +211,37 @@ def test_pair_conditions_domain_violation():
     pair = FunctionPair(function_by_name("log"), function_by_name("x_over_log"))
     with pytest.raises(DomainViolationError):
         check_pair_conditions(pair, grid=np.array([0.5, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "interval",
+    [
+        Interval(0.0, math.inf),
+        Interval(0.0, math.inf, lo_open=True),
+        Interval(-1.0, 1.0, lo_open=True, hi_open=True),
+        Interval(-1.0, 1.0),
+        Interval(-math.inf, 1.0, hi_open=True),
+        Interval(),
+    ],
+    ids=str,
+)
+def test_outside_mask_equals_pointwise_contains(interval):
+    # the grid filter of check_pair_conditions: grids touching both endpoints,
+    # just inside and just outside them, and beyond
+    grid = np.concatenate([
+        np.geomspace(1e-2, 1e2, 256),
+        [-2.0, -1.0, np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -2.0), -0.0, 0.0, 5e-324],
+        [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), -math.inf, math.inf, math.nan],
+    ])
+
+    def refused(x):  # each endpoint by itself: NaN lies beyond neither
+        lo, hi = interval.lo, interval.hi
+        below = x <= lo if interval.lo_open else x < lo
+        return below or (x >= hi if interval.hi_open else x > hi)
+
+    mask = interval.outside(grid)
+    assert mask.tolist() == [refused(float(x)) for x in grid]
+    assert mask.tolist() == [not interval.contains(float(x)) for x in grid]
 
 
 def test_matrix_monotone_smoke_2x2():

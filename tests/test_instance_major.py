@@ -111,22 +111,24 @@ def test_shared_records_equal_raw_checker_records(suite, fns, extra):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mixed_function_stack_records_equal_raw_checker_records(monkeypatch, dims):
     # at m = 1e-6, f(A) is not safely definite for power:3 and power:2, whose
-    # middles are regularized, and is for sqrt and log1p: one trial's stack of
-    # image middles holds both kinds, and every record must still be the 1 x 1
-    # checker's
+    # middles are regularized, and is for sqrt and log1p: one dimension group's
+    # stack of image middles holds both kinds, and every record must still be
+    # the 1 x 1 checker's
     fns = ("power:3", "power:2", "sqrt", "log1p")
     spec = SuiteSpec("main_chain", trials=4, dims=dims, m=1e-6, functions=fns)
     regularized = []
     image_middles = SharedPair.image_middles
 
-    def spy(pair, fs):
-        middles, errors = image_middles(pair, fs)
-        regularized.append(tuple(meta is not None for meta in middles[3]))
+    def spy(pairs, fs):
+        middles, errors = image_middles(pairs, fs)
+        # per trial of the group, whether each function's middle is regularized
+        flags = ~np.equal(middles[3], None).reshape(len(fs), len(pairs))
+        regularized.append([tuple(row) for row in flags.T.tolist()])
         return middles, errors
 
     monkeypatch.setattr(SharedPair, "image_middles", spy)
     records = run_suite(spec).records
-    assert (True, True, False, False) in regularized
+    assert any((True, True, False, False) in stack for stack in regularized)
     (_, _), (_, mean_names) = _SUITES["main_chain"].axes(spec)
     expected = [
         _raw_record("main_chain", spec, fn, mean, t)
@@ -186,9 +188,9 @@ def test_grid_records_do_not_depend_on_the_other_functions(suite, case):
     a, b = _grid_instance(case)
     fs = [function_by_name(name) for name in (*_ALL_FUNCTIONS, "log")]
     sigmas = mean_catalog()
-    together = GRIDS[suite](fs, sigmas, a, b)
+    (together,) = GRIDS[suite](fs, sigmas, [(a, b)])
     for k, f in enumerate(fs):
-        alone = GRIDS[suite]([f], sigmas, a, b)
+        (alone,) = GRIDS[suite]([f], sigmas, [(a, b)])
         assert [_entry(e) for e in together[k * len(sigmas) : (k + 1) * len(sigmas)]] == [
             _entry(e) for e in alone
         ], f.name

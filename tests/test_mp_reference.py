@@ -54,13 +54,27 @@ def _mp_matrix(arr):
     return mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in arr])
 
 
+#: mpmath.eighe of each Hermitian matrix met, per working precision: the (f, sigma)
+#: cases of one instance share the eigensystems of its operands and of their middles
+_EIGENSYSTEMS = {}
+
+
+def _eighe(x):
+    """mpmath.eighe of the Hermitian part of x, computed once per matrix and precision."""
+    y = (x + x.H) / 2
+    key = (mpmath.mp.prec, tuple(map(tuple, y.tolist())))
+    if key not in _EIGENSYSTEMS:
+        _EIGENSYSTEMS[key] = mpmath.eighe(y)
+    return _EIGENSYSTEMS[key]
+
+
 def _spectrum(x):
-    w, _ = mpmath.eighe((x + x.H) / 2)
+    w, _ = _eighe(x)
     return sorted(w[i].real for i in range(x.rows))
 
 
 def _fn(x, g):
-    w, q = mpmath.eighe((x + x.H) / 2)
+    w, q = _eighe(x)
     y = q * mpmath.diag([g(w[i].real) for i in range(x.rows)]) * q.H
     return (y + y.H) / 2
 

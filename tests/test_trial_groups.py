@@ -1,13 +1,18 @@
 """A run hands its checks one dimension group of trials at a time.
 
 ``subadditivity``, ``normal_chain`` and ``determinant`` judge a whole group
-as one grid.  A trial's breakdown must stay that trial's: every entry of a
-group equals, bit for bit, the 1 x 1 checker's record or error on that
-trial's raw matrices, and no eigensolver sees a matrix that is not finite.
-How the trials are cut into groups must change no report.
+as one (function x trial) grid, and ``main_chain``, ``chord``,
+``eig_prod_norm``, ``inverse_function`` and ``mean_diff_norm`` as one
+(function x mean x trial) grid.  A trial's breakdown must stay that
+trial's: every entry of a group equals, bit for bit, the 1 x 1 checker's
+record or error on that trial's raw matrices, and no eigensolver sees a
+matrix that is not finite.  How the trials are cut into groups must change
+no report.
 """
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -16,13 +21,14 @@ import scipy.linalg
 from opmeans import checks, harness
 from opmeans.functions import function_by_name
 from opmeans.harness import SUITE_NAMES, SuiteSpec, emit_report, run_suite
+from opmeans.means import mean_by_name
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_normal, random_pd
 
 FNS = ("power:2", "expm1", "sqrt", "log", "power:3/2")
 
 
-def _pd(seed, dim=3):
-    cfg = GeneratorConfig(dim, 0.5, 4.0)
+def _pd(seed, dim=3, m=0.5):
+    cfg = GeneratorConfig(dim, m, 4.0)
     return np.array(random_pd(cfg, derive_stream_seed(seed, 0)).entries)
 
 
@@ -36,11 +42,47 @@ _ZERO = np.zeros((3, 3), dtype=complex)
 _INDEFINITE = np.diag([1.0, -1.0, 2.0]).astype(complex)
 _NON_NORMAL = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
 
-# suite: (group grid, 1 x 1 checker, trials mixing good ones with broken ones)
+SIGMAS = [mean_by_name(name) for name in ("arithmetic:1/2", "harmonic:1/4", "geometric:3/4")]
+
+
+def _entry(check, f, x):
+    try:
+        return check(f, x)
+    except ValueError as exc:
+        return exc
+
+
+def _alone(one):
+    """The entries of function f on trial x of a (function x trial) grid: the 1 x 1 checker's."""
+    return lambda f, x: [_entry(one, f, x)]
+
+
+def _per_mean(one):
+    """The entries of f on trial x of a (function x mean x trial) grid, one per mean of SIGMAS."""
+    return lambda f, x: [_entry(lambda f, x: one(f, sigma, *x), f, x) for sigma in SIGMAS]
+
+
+# every (function x mean) grid's trials: good ones, B below the PSD floor, expm1
+# overflowing at M = 800, a zero A, one at m = 1e-6 (f(A) regularized for
+# power:2 and power:3/2, not for sqrt) and a B of another dimension; log does
+# not fix zero
+_MEAN_TRIALS = [
+    (_pd(1), _pd(2)),
+    (_pd(3), _INDEFINITE),
+    (_DIAG_800, _pd(4)),
+    (_pd(5), _pd(6)),
+    (_ZERO, _pd(7)),
+    (_pd(8, m=1e-6), _pd(9, m=1e-6)),
+    (_pd(10), _pd(11, dim=2)),
+    (_pd(12), _pd(13)),
+]
+
+# suite: (group grid, per-function entries of the 1 x 1 checker, trials mixing
+# good ones with broken ones)
 GROUPS = {
     "subadditivity": (
         lambda fs, trials: checks.check_subadditivity_grid(fs, trials),
-        lambda f, x: checks.check_subadditivity_refinement(f, *x),
+        _alone(lambda f, x: checks.check_subadditivity_refinement(f, *x)),
         [
             (_pd(1), _pd(2)),
             (_pd(3), _INDEFINITE),  # below the PSD floor
@@ -53,7 +95,7 @@ GROUPS = {
     ),
     "normal_chain": (
         lambda fs, trials: checks.check_normal_chain_grid(fs, trials),
-        lambda f, x: checks.check_normal_chain(f, *x),
+        _alone(lambda f, x: checks.check_normal_chain(f, *x)),
         [
             (_normal(1), _normal(2)),
             (_NON_NORMAL, _normal(3)),
@@ -66,7 +108,7 @@ GROUPS = {
     ),
     "determinant": (
         lambda fs, trials: checks.check_determinant_grid(fs, trials),
-        lambda f, x: checks.check_determinant_suite(f, *x),
+        _alone(lambda f, x: checks.check_determinant_suite(f, *x)),
         [
             (_pd(1), _pd(2), 0.25),
             (_pd(3), _INDEFINITE, 0.5),
@@ -77,14 +119,23 @@ GROUPS = {
             (_pd(10), _pd(11), 0.5),
         ],
     ),
+    **{
+        suite: (
+            lambda fs, trials, grid=grid: grid(fs, SIGMAS, trials),
+            _per_mean(one),
+            _MEAN_TRIALS,
+        )
+        for suite, grid, one in (
+            ("main_chain", checks.check_main_chain_grid, checks.check_main_chain),
+            ("chord", checks.check_chord_bounds_grid, checks.check_chord_bounds),
+            ("eig_prod_norm", checks.check_eig_prod_norm_grid, checks.check_eig_prod_norm),
+            ("inverse_function", checks.check_inverse_function_grid,
+             checks.check_inverse_function),
+            ("mean_diff_norm", checks.check_mean_difference_norm_grid,
+             checks.check_mean_difference_norm),
+        )
+    },
 }
-
-
-def _entry(check, f, x):
-    try:
-        return check(f, x)
-    except ValueError as exc:
-        return exc
 
 
 def _bits(entry) -> str:
@@ -117,7 +168,7 @@ def test_group_entries_equal_per_trial_checker_entries(finite_solves, suite):
     fs = [function_by_name(name) for name in FNS]
     group = grid(fs, trials)
     assert any(len(shape) == 3 and shape[0] > 1 for shape in finite_solves), "nothing was stacked"
-    expected = [[_bits(_entry(one, f, x)) for f in fs] for x in trials]
+    expected = [[_bits(e) for f in fs for e in one(f, x)] for x in trials]
     assert [[_bits(e) for e in row] for row in group] == expected
     # the group mixes records, trial breakdowns and function breakdowns
     kinds = {type(e).__name__ for row in group for e in row}
@@ -178,3 +229,21 @@ def test_one_stacked_qr_per_dimension_group(monkeypatch):
         run_suite(spec)
         assert len(harness._trial_groups(spec, spec.trials, True)) == len(expected)
         assert shapes == expected, suite
+
+
+def test_group_stacks_hold_no_cycle_through_their_first_pair():
+    # a group's stacks are kept on its first pair; if they held that pair back
+    # (a view of the stacked pairs would), every group would live until the
+    # cycle collector ran, and a run's memory would grow with its groups.
+    # Good trials only: a stored error's traceback holds its frame's pairs
+    pairs = [checks.SharedPair(_pd(seed), _pd(seed + 1)) for seed in (1, 3, 5)]
+    refs = [weakref.ref(pair) for pair in pairs]
+    fs = [function_by_name(name) for name in ("power:2", "sqrt", "expm1")]
+    gc.disable()
+    try:
+        for grid in (checks.check_main_chain_grid, checks.check_chord_bounds_grid):
+            grid(fs, SIGMAS, [pair.operands() for pair in pairs])
+        del pairs
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
