@@ -72,6 +72,7 @@ from .checks import (
     CheckOutcome,
     Link,
     check_ando_hiai_comparison,
+    check_ando_hiai_grid,
     check_chord_bounds,
     check_chord_bounds_grid,
     check_contraction_implication,
@@ -92,6 +93,7 @@ from .checks import (
     check_normal_triangle,
     check_transplanted_norm_chain,
     check_power_mean_bounds,
+    check_power_mean_grid,
     check_subadditivity_grid,
     check_subadditivity_refinement,
 )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +51,6 @@ from .core import (
     apply_fn,
     hermitian_part,
     matrix_abs,
-    norm,
     norm_catalog,
 )
 from .functions import (
@@ -94,14 +93,15 @@ __all__ = [
     "check_normal_chain_grid",
     "check_transplanted_norm_chain",
     "check_power_mean_bounds",
+    "check_power_mean_grid",
     "check_ando_hiai_comparison",
+    "check_ando_hiai_grid",
     "check_contraction_implication",
     "check_inverse_function",
     "check_inverse_function_grid",
     "check_determinant_suite",
     "check_determinant_grid",
     "SharedPair",
-    "SharedOperand",
 ]
 
 
@@ -345,9 +345,9 @@ def _psd(factors, tol):
     return fa, fb, max(m, 0.0), M
 
 
-def _image(f, w, v):
-    """f(X) from the eigenpairs (w, v) of X."""
-    return _finite(_compose(v, _fn_values(f, w)))
+def _image(f, w, v, errors=None):
+    """f(X) from the eigenpairs (w, v) of X, or of each X of a stack (see ``core._flag``)."""
+    return _finite(_compose(v, _fn_values(f, w, errors)), errors)
 
 
 def _congruence_of(wa, wb, w, tol, errors=None):
@@ -363,55 +363,28 @@ def _congruence_of(wa, wb, w, tol, errors=None):
     return _mean_gates(wa.reshape(-1, n), b, wb.reshape(-1, n), tol, errors)
 
 
-@cache
-def _power(r):
-    """x^r, one object per exponent, so the middles of A^r sigma B^r are kept per exponent."""
-    return power(r)
-
-
-@lru_cache(maxsize=4096)
-def _secant_lines(bits: bytes):
-    """The lines c (x - m) + f(m) on a group's spectra, (c, m, f(m)) per trial as float64 ``bits``.
-
-    One object per set of lines, so the image middles kept by function identity are reused.
-    """
-    c, m, fm = np.frombuffer(bits).reshape(3, -1, 1)
+def _secant_lines(c, m, fm):
+    """The lines c (x - m) + f(m) on a group's spectra, (c, m, f(m)) one row per trial."""
     return ScalarFunction("secant", lambda x: c * (x - m) + fm, None, REALS)
 
 
 class SharedPair:
     """A Hermitian instance (A, B): validated and factored once, its factors reused.
 
-    Every checker of a Hermitian pair reads A, B and their factors from a
-    pair: a suite hands a dimension group's check its trials' pairs'
-    :meth:`operands`, and a checker given raw matrices wraps them in a
-    fresh pair.  Each value is computed when first asked for and then kept:
-    the eigenpairs of A and B and B's eigenvectors in A's eigenbasis per
-    pair; per dimension group (see :meth:`factor_group`), S = A sigma B with
-    its eigenpairs per tuple of means and the middles of f(A) sigma f(B) per
-    tuple of functions (``None`` for A sigma B), each one stack over the
-    group's trials.  Every mean is taken in A's eigenbasis, where A and its
-    functions are diagonal; checkers compare means only through Loewner
-    margins, spectra and norms, which do not depend on the basis.  A mean,
-    a function or a pair whose own step fails keeps the error in its rows,
-    so every record reaching it gets that error.
+    Every checker of a Hermitian pair builds one pair per instance.  Its
+    factors (:attr:`factors`, :attr:`basis`) are kept; a dimension group's S
+    = A sigma B and middles of f(A) sigma f(B) are one stack over the
+    group's pairs, made for the call that asks and kept by nothing.  Every
+    mean is taken in A's eigenbasis, where A and its functions are diagonal;
+    checkers compare means only by Loewner margins, spectra and norms, which
+    do not depend on the basis.  A step that fails keeps its error in its
+    rows, so every record reaching it gets that error.
     """
 
     def __init__(self, A, B, tol=DEFAULT_TOL):
         self.a = as_hermitian_array(A)
         self.b = as_hermitian_array(B)
         self.tol = tol
-        # (name, *ids of a group's pairs and keys) -> ((its other pairs, keys), value), kept
-        # on the group's first pair; holding the pairs and keys keeps their ids from being reused
-        self._kept = {}
-
-    @staticmethod
-    def _keep(pairs, name, keys, compute):
-        """``compute()``, the value of step ``name`` on ``keys`` for a group, computed once."""
-        slot, kept = (name, *map(id, pairs), *map(id, keys)), pairs[0]._kept
-        if slot not in kept:
-            kept[slot] = (([*pairs[1:]], keys), compute())  # a list: a view would hold pairs[0]
-        return kept[slot][1]
 
     @cached_property
     def factors(self):
@@ -455,17 +428,13 @@ class SharedPair:
         Returns (S, errors, ws, vs), each (trial, mean, ...): every S, its error (its middle's
         first) and its eigenpairs, one stacked eigh factoring a row with an error as I.
         """
-
-        def compute():
-            middles, errors = SharedPair.image_middles(pairs, (None,))
-            # (trial, mean): a mean starts with its middle's error
-            errors = np.repeat(errors.T, len(sigmas), axis=1)
-            flat = errors.reshape(-1)
-            S = _mean_from_middle([s.h for s in sigmas], middles, pairs[0].tol, flat)
-            ws, vs = _eigh(S.reshape(-1, *S.shape[-2:]), flat)
-            return S, errors, ws.reshape(S.shape[:-1]), vs.reshape(S.shape)
-
-        return SharedPair._keep(pairs, "S", sigmas, compute)
+        middles, errors = SharedPair.image_middles(pairs, (None,))
+        # (trial, mean): a mean starts with its middle's error
+        errors = np.repeat(errors.T, len(sigmas), axis=1)
+        flat = errors.reshape(-1)
+        S = _mean_from_middle([s.h for s in sigmas], middles, pairs[0].tol, flat)
+        ws, vs = _eigh(S.reshape(-1, *S.shape[-2:]), flat)
+        return S, errors, ws.reshape(S.shape[:-1]), vs.reshape(S.shape)
 
     @staticmethod
     def image_middles(pairs, fs):
@@ -477,64 +446,20 @@ class SharedPair:
         eigh.  The row of an f whose f(A) is not finite, or whose f(B) fails
         the mean's gate, keeps that error and is factored as I.
         """
-
-        def compute():
-            wa, wb = (np.stack([p.factors[i][1] for p in pairs]) for i in (0, 1))
-            errors = np.full((len(fs), len(pairs)), None, dtype=object)
-            fa, fb = np.ones((2, len(fs), *wa.shape))
-            for k, f in enumerate(fs):
-                try:
-                    fa[k] = wa if f is None else _finite(_fn_values(f, wa, errors[k]), errors[k])
-                    fb[k] = wb if f is None else _fn_values(f, wb, errors[k])
-                except ValueError as exc:
-                    _fail(errors[k], exc)
-            dead, flat = ~np.equal(errors, None), errors.reshape(-1)
-            if dead.any():
-                fa[dead], fb[dead] = 1.0, 1.0
-            basis = np.stack([p.basis for p in pairs])
-            return _middles(_congruence_of(fa, fb, basis, pairs[0].tol, flat), flat), errors
-
-        return SharedPair._keep(pairs, "image", fs, compute)
-
-    def image_middle(self, f):
-        """:meth:`image_middles` of this pair and f alone, a 1-row stack; its error raises."""
-        middles, ((error,),) = SharedPair.image_middles([self], (f,))
-        if error is not None:
-            raise error
-        return middles
-
-    def operands(self) -> tuple["SharedOperand", "SharedOperand"]:
-        """A and B, carrying this pair to the checkers they are handed to."""
-        return SharedOperand(self, 0), SharedOperand(self, 1)
-
-
-@dataclass(frozen=True, eq=False)
-class SharedOperand:
-    """Operand A (``which`` 0) or B (1) of a :class:`SharedPair`.
-
-    Acts as the raw matrix wherever an array is expected.
-    """
-
-    pair: SharedPair
-    which: int
-
-    def __array__(self, dtype=None, copy=None):
-        # a copy unless asked for none, so no caller can write into the shared pair
-        arr = self.pair.b if self.which else self.pair.a
-        return np.array(arr, dtype=dtype, copy=copy is not False)
-
-
-def _pair(A, B, tol):
-    """The pair of operands A, B from one :meth:`SharedPair.operands` call, else a fresh one."""
-    if (
-        isinstance(A, SharedOperand)
-        and isinstance(B, SharedOperand)
-        and (A.which, B.which) == (0, 1)
-        and A.pair is B.pair
-        and A.pair.tol == tol
-    ):
-        return A.pair
-    return SharedPair(A, B, tol)
+        wa, wb = (np.stack([p.factors[i][1] for p in pairs]) for i in (0, 1))
+        errors = np.full((len(fs), len(pairs)), None, dtype=object)
+        fa, fb = np.ones((2, len(fs), *wa.shape))
+        for k, f in enumerate(fs):
+            try:
+                fa[k] = wa if f is None else _finite(_fn_values(f, wa, errors[k]), errors[k])
+                fb[k] = wb if f is None else _fn_values(f, wb, errors[k])
+            except ValueError as exc:
+                _fail(errors[k], exc)
+        dead, flat = ~np.equal(errors, None), errors.reshape(-1)
+        if dead.any():
+            fa[dead], fb[dead] = 1.0, 1.0
+        basis = np.stack([p.basis for p in pairs])
+        return _middles(_congruence_of(fa, fb, basis, pairs[0].tol, flat), flat), errors
 
 
 def _norm_kinds(norms, dim):
@@ -596,10 +521,11 @@ def _group_grid(fs, trials, gates, step, judge, prepare=None, means=(), cells=()
     return results.swapaxes(0, 1).reshape(len(trials), len(fs) * math.prod(means)).tolist()
 
 
-def _fail(errors, exc):
-    """Give each entry of object array ``errors`` with no error ``exc`` (or its broadcast entry)."""
-    open_ = np.equal(errors, None)
-    errors[open_] = np.broadcast_to(exc, errors.shape)[open_] if np.ndim(exc) else exc
+def _fail(errors, *excs):
+    """Give each open entry of object array ``errors`` the first of ``excs`` (broadcast) it gets."""
+    for exc in excs:
+        open_ = np.equal(errors, None)
+        errors[open_] = np.broadcast_to(exc, errors.shape)[open_] if np.ndim(exc) else exc
 
 
 def _open(entries):
@@ -654,7 +580,7 @@ def _mean_group(check_name, claim, gates, judge, fs, sigmas, pairs, tol) -> list
     def step(pair):  # operands that fail to factor are the trial's error
         return pair, *pair.factors[2:]
 
-    pairs = [_pair(a, b, tol) for a, b in pairs]
+    pairs = [SharedPair(a, b, tol) for a, b in pairs]
     return _group_grid(
         fs, pairs, fn_rows, step, run, SharedPair.factor_group, (len(sigmas),), cell_rows
     )
@@ -734,14 +660,13 @@ def check_chord_bounds_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
             params[k][t], values[k, t] = {"m": m[t], "a": a, "b": b}, (a, b, float(fs[k](m[t])))
         # each f, each f's lower line, then each f's upper line c (x - m) + f(m)
         lines = [
-            _secant_lines(np.stack([values[k, :, i], m, values[k, :, 2]]).tobytes())
+            _secant_lines(*np.stack([values[k, :, i], m, values[k, :, 2]])[..., None])
             for i in (0, 1) for k in range(n_f)
         ]
         errors = np.full((3 * n_f, n_t, n_s), None, dtype=object)
         X = _images(pairs, (*fs, *lines), sigmas, errors)
         mid, low, high = X.reshape(3, -1, *X.shape[-2:])
-        for level in errors.reshape(3, n_f, n_t, n_s):  # X's error first, then the lower line's
-            _fail(entries, level)
+        _fail(entries, *errors.reshape(3, n_f, n_t, n_s))  # X's error, then the lower line's
         fwd = np.repeat([f.convexity is Convexity.CONVEX for f in fs], n_t * n_s)[:, None, None]
         sides = ((low, mid), (mid, high))
         claims = [(np.where(fwd, lo, hi), np.where(fwd, hi, lo), None) for lo, hi in sides]
@@ -808,7 +733,7 @@ def _main_chain_judge(pairs, fs, sigmas, entries):
 
 def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     """log(M+1)/M * log(A+B+I) <= log(A+I) + log(B+I) for PSD A, B."""
-    (a, wa, va), (b, wb, vb), m, bound = _psd(_pair(A, B, tol).factors, tol)
+    (a, wa, va), (b, wb, vb), m, bound = _psd(SharedPair(A, B, tol).factors, tol)
     if M is None:
         M = bound
     M = float(M)
@@ -994,8 +919,6 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
     every norm one table (:func:`_norm_table`), and the links are margins
     over (record x norm kind) arrays.
     """
-    pairs = [_pair(a, b, tol) for a, b in pairs]
-
     def step(pair):
         (a, wa, va), (b, wb, vb), m, M = _psd(pair.factors, tol)
         if M <= 0.0:
@@ -1050,6 +973,7 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
          "subadditivity refinement requires a convex function, got {f.name}"),
         _FIXES_ZERO,
     )
+    pairs = [SharedPair(a, b, tol) for a, b in pairs]
     return _group_grid(fs, pairs, gates, step, judge, SharedPair.factor_group)
 
 
@@ -1288,47 +1212,110 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     m^(r-1) (A #_a B) <= A^r #_a B^r <= M^(r-1) (A #_a B), with m, M the
     extreme eigenvalues of A and B, and the analogous two links for the
     relative operator entropy.  Entropy operands may be indefinite; the
-    Loewner comparison is evaluated on them as Hermitian matrices.
-
-    A and B are factored once, and A^r, B^r keep their eigenvectors.
-    A #_a B and S(A|B) share one congruence middle, kept per trial, and so
-    do A^r #_a B^r and S(A^r|B^r), kept per exponent and trial (see
-    :meth:`SharedPair.image_middle`).
+    Loewner comparison is evaluated on them as Hermitian matrices.  The
+    1 x 1 case of :func:`check_power_mean_grid`.
     """
-    if r < 1.0:
-        raise ValueError("exponent r must be >= 1")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    pair = _pair(A, B, tol)
-    (_, wa, _), (_, wb, _), m, M = pair.factors
-    _gate((_POSITIVE,), None, pair)
-    f = _power(r)
-    war = _finite(_fn_values(f, wa))
-    middle, middle_r = pair.image_middle(None), pair.image_middle(f)
-    lo_c, hi_c = m ** (r - 1.0), M ** (r - 1.0)
-    if 0.0 < alpha < 1.0:
-        h = _power(alpha)  # the representing function of #_alpha
-        G, Gr = (_mean_from_middle([h], mid, tol)[0, 0] for mid in (middle, middle_r))
-    else:
-        # boundary weights degenerate to an operand power, diag(wa) or W diag(wb) W* and its power
-        w, v = (wa, np.eye(wa.size)) if alpha == 0.0 else (wb, pair.basis)
-        G, Gr = _compose(v, w), _image(f, w, v)
-    log = function_by_name("log")
-    _require_definite(wa, tol)
-    S1 = _perspective_from_middle(log, middle)
-    _require_definite(war, tol)
-    Sr = _perspective_from_middle(log, middle_r)
-    links = _loewner_links(
-        (
-            ("power-mean:low", lo_c * G, Gr),
-            ("power-mean:high", Gr, hi_c * G),
-            ("entropy:low", lo_c * S1, Sr),
-            ("entropy:high", Sr, hi_c * S1),
-        ),
-        tol,
+    return _one(check_power_mean_grid((alpha,), (r,), [(A, B)], tol)[0])
+
+
+def _power_group(check_name, claim, descriptions, alpha_ok, judge, alphas, rs, pairs, tol):
+    """A dimension group's records on A^r #_a B^r, per trial one per (alpha, r), alpha outermost.
+
+    (alpha, r) needs r >= 1, then ``alpha_ok``; a trial m > 0.  ``judge(pairs,
+    alphas, a_of, powers, level, exponents, entries)`` takes the open
+    configurations' alphas and x^r, and each one's alpha index, level (see
+    :func:`_power_means`) and r - 1.  It fails entries (:func:`_group_grid`)
+    and returns the links, (margins, passes) per (configuration x trial),
+    and ``params(t, i)`` of entry i.
+    """
+
+    def step(pair):
+        _gate((_POSITIVE,), None, pair)
+        return (pair,)
+
+    def run(configs, stacks, entries):
+        axes = [list(dict.fromkeys(axis)) for axis in zip(*configs)]
+        a_of, r_of = (np.array(list(map(axis.index, xs))) for axis, xs in zip(axes, zip(*configs)))
+        links, params = judge(stacks[0], axes[0], a_of, [power(r) for r in axes[1]], 1 + r_of,
+                              [r - 1.0 for _, r in configs], entries)
+        rows, c_of, t_of = _open(entries)
+        margins, passes = (np.stack(column, -1)[rows] for column in zip(*links))
+        params = [{"alpha": configs[c][0], "r": configs[c][1], **params(t, i)}
+                  for i, c, t in zip(rows.tolist(), c_of.tolist(), t_of.tolist())]
+        _fill(check_name, claim, descriptions, margins, passes,
+              [(True,) * len(descriptions)] * rows.size, params, entries.reshape(-1), rows)
+
+    gates = ((lambda c, _: not c[1] < 1.0, ValueError, "exponent r must be >= 1"), alpha_ok)
+    return _group_grid(
+        [(alpha, r) for alpha in alphas for r in rs], [SharedPair(a, b, tol) for a, b in pairs],
+        gates, step, run, SharedPair.factor_group,
     )
-    params = {"alpha": alpha, "r": r, "m": m, "M": M}
-    return CheckOutcome("power_mean_bounds", "power-scaling-bounds", links, params)
+
+
+def _power_means(pairs, weights, k_of, powers, level):
+    """G = A #_w B and Gr = A^r #_w B^r per (configuration c, trial t) of a dimension group.
+
+    w = ``weights[k_of[c, t]]`` by x^w (0 and 1 give A or B itself) and x^r =
+    ``powers[level[c] - 1]``.  For G, then Gr, returns its middle's errors,
+    the means and their errors, each (c, t); then the middles of (A, B) and
+    every (A^r, B^r), levels 0 and 1 + j, one stacked eigh.
+    """
+    middles, middle_errors = SharedPair.image_middles(pairs, (None, *powers))
+    (n_l, n_t), n = middle_errors.shape, middles[1].shape[-1]
+    means = np.empty((len(weights), n_l, n_t, n, n), dtype=complex)
+    errors = np.full(means.shape[:3], None, dtype=object)
+    inner = [k for k, w in enumerate(weights) if 0.0 < w < 1.0]
+    if inner:
+        rows = np.full((n_l * n_t, len(inner)), None, dtype=object)
+        hs = [power(weights[k]) for k in inner]
+        X = _mean_from_middle(hs, middles, pairs[0].tol, rows.reshape(-1))
+        means[inner] = np.moveaxis(X.reshape(n_l, n_t, len(inner), n, n), 2, 0)
+        errors[inner] = np.moveaxis(rows.reshape(n_l, n_t, -1), 2, 0)
+    for k in sorted(set(range(len(weights))) - set(inner)):  # diag(wa) or W diag(wb) W*
+        w = np.stack([p.factors[1 if weights[k] else 0][1] for p in pairs])
+        v = np.stack([p.basis for p in pairs]) if weights[k] else np.eye(n)
+        means[k, 0] = _compose(v, w)
+        for j, f in enumerate(powers, 1):
+            means[k, j] = _image(f, w, v, errors[k, j])
+    t = np.arange(n_t)
+    at = [(middle_errors[i, t], means[k_of, i, t], errors[k_of, i, t]) for i in (0, level[:, None])]
+    return (*at, middles)
+
+
+def check_power_mean_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
+    """:func:`check_power_mean_bounds` for every weight, exponent and trial of a group.
+
+    The group's middles are one stacked eigh, shared by the means and the
+    entropies, and its Loewner links one stacked eigvalsh.  Past m > 0 a
+    record takes the first error of A^r finite, the two middles, the two
+    means, A definite, S(A|B), A^r definite and S(A^r|B^r).
+    """
+
+    def judge(pairs, alphas, a_of, powers, level, exponents, entries):
+        wa = np.stack([p.factors[0][1] for p in pairs])
+        errors = np.full((1 + len(powers), len(pairs)), None, dtype=object)  # A^r finite
+        fw = np.stack([wa, *(_finite(_fn_values(f, wa, e), e) for f, e in zip(powers, errors[1:]))])
+        (e0, G, g0), (er, Gr, gr), mids = _power_means(pairs, alphas, a_of[:, None], powers, level)
+        n, definite, entropy = wa.shape[-1], *np.full((2, *errors.shape), None, dtype=object)
+        _require_definite(fw.reshape(-1, n), tol, definite.reshape(-1))
+        S = _perspective_from_middle(function_by_name("log"), mids, entropy.reshape(-1))
+        S1, Sr = (S.reshape(fw.shape + (n,))[i] for i in (0, level))
+        _fail(entries, errors[level], e0, er, g0, gr, definite[0], entropy[0], definite[level],
+              entropy[level])
+        m, M = ([p.factors[i] for p in pairs] for i in (2, 3))
+        lo, hi = (np.array([[_pow_or_inf(x, k) for x in xs] for k in exponents])[..., None, None]
+                  for xs in (m, M))
+        claims = ((lo * G, Gr), (Gr, hi * G), (lo * S1, Sr), (Sr, hi * S1))
+        results = _loewner([(x.reshape(-1, n, n), y.reshape(-1, n, n), None) for x, y in claims],
+                           tol, [entries.reshape(-1)] * 4)
+        return [(res.margin, res.passed) for res in results], lambda t, i: {"m": m[t], "M": M[t]}
+
+    alpha_ok = (lambda c, _: 0.0 <= c[0] <= 1.0, ValueError, "alpha must lie in [0, 1]")
+    return _power_group(
+        "power_mean_bounds", "power-scaling-bounds",
+        ("power-mean:low", "power-mean:high", "entropy:low", "entropy:high"), alpha_ok, judge,
+        alphas, rs, pairs, tol,
+    )
 
 
 def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1338,31 +1325,48 @@ def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     A^r #_a B^r <= ||B||^(r-1) (A #_a B) with ||A|| <= ||B|| (operands are
     swapped and the swap recorded otherwise), plus the scalar coefficient
     ordering ||A #_a B||^(r-1) <= ||B||^(r-1).  The swapped order takes
-    B #_a A = A #_(1-a) B, on the same middles as the unswapped one.
+    B #_a A = A #_(1-a) B, on the same middles as the unswapped one.  The
+    1 x 1 case of :func:`check_ando_hiai_grid`.
     """
-    if r < 1.0:
-        raise ValueError("exponent r must be >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
-    pair = _pair(A, B, tol)
-    (_, wa, _), (_, wb, _), _, _ = pair.factors
-    _gate((_POSITIVE,), None, pair)
-    # ||A|| and ||B|| are the top eigenvalues of the positive definite operands;
-    # at a tie within round-off either order meets ||A|| <= ||B||, so none is swapped
-    norm_a, norm_b = float(wa[-1]), float(wb[-1])
-    swapped = norm_a > norm_b + tol * (1.0 + norm_b)
-    # the means of the operands and of their r-th powers, from middles kept per trial
-    h = _power(1.0 - alpha if swapped else alpha)  # the representing function of the mean
-    G = _mean_from_middle([h], pair.image_middle(None), tol)[0, 0]
-    Gr = _mean_from_middle([h], pair.image_middle(_power(r)), tol)[0, 0]
-    c_ah = norm(G, NormKind.operator()) ** (r - 1.0)
-    c_chain = (norm_a if swapped else norm_b) ** (r - 1.0)
-    links = (
-        *_loewner_links((("ando-hiai", Gr, c_ah * G), ("max-norm-bound", Gr, c_chain * G)), tol),
-        ("coefficient-ordering", *_scalar_margins(c_ah, c_chain, tol), True),
+    return _one(check_ando_hiai_grid((alpha,), (r,), [(A, B)], tol)[0])
+
+
+def check_ando_hiai_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
+    """:func:`check_ando_hiai_comparison` for every weight, exponent and trial of a group.
+
+    The middles are one stacked eigh, the norms ||A #_a B|| one stacked
+    eigvalsh and the Loewner links another.  Past m > 0 a record takes the
+    first error of the middle of (A, B), A #_a B, the middle of (A^r, B^r)
+    and A^r #_a B^r.
+    """
+
+    def judge(pairs, alphas, a_of, powers, level, exponents, entries):
+        # ||A|| and ||B|| are the top eigenvalues of the positive definite operands;
+        # at a tie within round-off either order meets ||A|| <= ||B||, so none is swapped
+        norm_a, norm_b = ([float(p.factors[i][1][-1]) for p in pairs] for i in (0, 1))
+        swapped = [x > y + tol * (1.0 + y) for x, y in zip(norm_a, norm_b)]
+        # each (alpha, trial)'s weight: B #_a A = A #_(1-a) B
+        w_of = [[1.0 - alpha if s else alpha for s in swapped] for alpha in alphas]
+        weights = list(dict.fromkeys(w for row in w_of for w in row))
+        k_of = np.array([[weights.index(w) for w in row] for row in w_of])[a_of]
+        (e0, G, g0), (er, Gr, gr), _ = _power_means(pairs, weights, k_of, powers, level)
+        _fail(entries, e0, g0, er, gr)
+        n, flat = G.shape[-1], entries.reshape(-1)
+        G, Gr = G.reshape(-1, n, n), Gr.reshape(-1, n, n)
+        tops = [x if s else y for x, y, s in zip(norm_a, norm_b, swapped)] * len(a_of)
+        c_ah, c_chain = ([*map(_pow_or_inf, c, [k for k in exponents for _ in pairs])]
+                         for c in (_singular_values(G, flat)[:, 0].tolist(), tops))
+        cs = np.array([c_ah, c_chain])
+        results = _loewner([(Gr, c[:, None, None] * G, None) for c in cs], tol, [flat] * 2)
+        links = [(res.margin, res.passed) for res in results] + [_scalar_margins(*cs, tol)]
+        return links, lambda t, i: {"swapped": swapped[t], "c_ah": c_ah[i], "c_chain": c_chain[i]}
+
+    alpha_ok = (lambda c, _: 0.0 < c[0] < 1.0, ValueError, "alpha must lie strictly inside (0, 1)")
+    return _power_group(
+        "ando_hiai_comparison", "ando-hiai-comparison",
+        ("ando-hiai", "max-norm-bound", "coefficient-ordering"), alpha_ok, judge, alphas, rs,
+        pairs, tol,
     )
-    params = {"alpha": alpha, "r": r, "swapped": swapped, "c_ah": c_ah, "c_chain": c_chain}
-    return CheckOutcome("ando_hiai_comparison", "ando-hiai-comparison", links, params)
 
 
 def check_contraction_implication(
@@ -1397,7 +1401,7 @@ def check_contraction_implication(
     # The iterates f^k(A), f^k(B) keep the eigenvectors of A and B, and I
     # keeps its form in any basis; in A's, f^k(A) is diagonal and its
     # ill-conditioned inverse square root is exact.
-    shared = _pair(A, B, tol)
+    shared = SharedPair(A, B, tol)
     (_, wa, _), (_, wb, _), _, _ = shared.factors
     eye = np.eye(wa.size)
 
@@ -1483,8 +1487,6 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
     f(A) keeps A's eigenvectors, so its root is read off f on A's spectrum,
     and every f(A) + f(B) is one stacked eigvalsh.
     """
-    trials = [(_pair(a, b, tol), alpha) for a, b, alpha in trials]
-
     def step(trial):
         pair, alpha = trial
         if not 0.0 < alpha < 1.0:
@@ -1549,6 +1551,7 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
             margins, passes, applicable, params, flat, rows,
         )
 
+    trials = [(SharedPair(a, b, tol), alpha) for a, b, alpha in trials]
     return _group_grid(
         fs, trials, _TAGGED_FIXING_ZERO, step, judge,
         lambda trials: SharedPair.factor_group([pair for pair, _ in trials]),

@@ -138,8 +138,8 @@ class ComplexMatrix:
     def dim(self) -> int:
         return self._entries.shape[0]
 
-    def __array__(self, dtype=None):
-        return np.asarray(self._entries, dtype=dtype)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._entries, dtype=dtype, copy=copy)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"

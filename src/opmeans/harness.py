@@ -39,7 +39,7 @@ from .core import (
 )
 from .checks import CheckOutcome
 from .functions import FunctionPair, function_by_name
-from .means import MatrixMean, mean_by_name, mean_catalog, normalize_for_contraction
+from .means import CATALOG_NAMES, MatrixMean, mean_by_name, normalize_for_contraction
 from .randgen import GeneratorConfig, derive_stream_seed, gap_pair_rows, random_group
 
 __all__ = [
@@ -212,8 +212,7 @@ def _mean_suite(grid, fns=_ALL_FUNCTIONS, norms=False):
     """A (function x mean) suite: a dimension group per ``checks.<grid>`` call, looked up then."""
 
     def axes(spec):
-        means = spec.means or tuple(m.name for m in mean_catalog())
-        return ("fn", spec.functions or fns), ("mean", means)
+        return ("fn", spec.functions or fns), ("mean", spec.means or CATALOG_NAMES)
 
     def check(spec, ax, xs):
         extra = {"norms": _norm_arg(spec)} if norms else {}
@@ -252,7 +251,7 @@ def _draw_pairs(spec: SuiteSpec, ts, rows=_pair_rows):
 
 
 def _pd_pairs(spec: SuiteSpec, ts) -> list:
-    return [checks.SharedPair(a, b, spec.tol).operands() for a, b in _draw_pairs(spec, ts)]
+    return [(HermitianMatrix(a), HermitianMatrix(b)) for a, b in _draw_pairs(spec, ts)]
 
 
 def _normal_pairs(spec: SuiteSpec, ts, structure: str = "normal_complex") -> list:
@@ -274,11 +273,8 @@ def _det_instances(spec: SuiteSpec, ts) -> list:
         return gap_pair_rows(_dim_for(spec, t), modes[t], seed)
 
     return [
-        (
-            *checks.SharedPair(a, b, spec.tol).operands(),
-            spec.alphas[t % len(spec.alphas)],
-            f"gap:{modes[t]}" if t in modes else "generic",
-        )
+        (*map(HermitianMatrix, (a, b)), spec.alphas[t % len(spec.alphas)],
+         f"gap:{modes[t]}" if t in modes else "generic")
         for t, (a, b) in zip(ts, _draw_pairs(spec, ts, rows))
     ]
 
@@ -330,18 +326,18 @@ class _Suite:
     instances of trials ``ts``, one dimension group, as one stack
     (:func:`randgen.random_group`); ``None`` marks a fixed check that takes
     no instance and runs one trial.  A Hermitian instance, drawn or loaded,
-    is the operands of one :class:`checks.SharedPair`, so the trial's
-    configurations share its factors.  ``check(spec, axes, xs)`` takes a
-    dimension group: the instances ``xs`` of trials of one dimension.  It
+    is a pair of :class:`HermitianMatrix`.  ``check(spec, axes, xs)`` takes
+    a dimension group: the instances ``xs`` of trials of one dimension.  It
     gives, per trial, for each configuration in order, its record or the
     ``ValueError`` it raised, from each axis's values with names resolved
-    (see :func:`_resolve`).  Eight suites judge the group as one grid
-    (``checks.check_*_grid``), over (function x mean) for the five of
-    :func:`_mean_suite`; the others check one configuration at a time
-    (:func:`_each`).  A fixture pair is loaded as Hermitian when
-    ``hermitian`` is set and is shaped into an instance by
-    ``from_fixture``.  Entries look checkers, generators and names up when
-    called, so a wrapper installed on a module attribute sees every call.
+    (see :func:`_resolve`).  Ten suites judge the group as one grid
+    (``checks.check_*_grid``, each trial's pair factored once), over
+    (function x mean) for the five of :func:`_mean_suite` and (alpha x r)
+    for ``power_mean`` and ``ando_hiai``; the others take one configuration
+    at a time (:func:`_each`).  A fixture pair is loaded as Hermitian when
+    ``hermitian`` is set and is shaped into an instance by ``from_fixture``.
+    Entries look checkers, generators and names up when called, so a
+    wrapper installed on a module attribute sees every call.
     """
 
     axes: Callable
@@ -351,16 +347,16 @@ class _Suite:
     from_fixture: Callable = lambda spec, pair: pair
 
 
-def _resolve(key: str, value):
+def _resolve(key: str, value, means: dict):
     """An axis value with function names (fn, g, h) and mean names resolved.
 
-    Done once per value: building a mean reruns its representing-function
-    gate.
+    A mean is one of the spec's ``means`` or built, each once per run: building
+    a mean reruns its representing-function gate.
     """
     if key in ("fn", "g", "h"):
         return function_by_name(value)
     if key == "mean":
-        return mean_by_name(value)
+        return means.get(value) or mean_by_name(value)
     return value
 
 
@@ -399,13 +395,11 @@ _SUITES = {
     ),
     "power_mean": _Suite(
         _alphas_rs, _pd_pairs,
-        _each(lambda spec, c, x: checks.check_power_mean_bounds(*x, c["alpha"], c["r"], spec.tol)),
+        lambda spec, ax, xs: checks.check_power_mean_grid(ax["alpha"], ax["r"], xs, spec.tol),
     ),
     "ando_hiai": _Suite(
         _alphas_rs, _pd_pairs,
-        _each(lambda spec, c, x: checks.check_ando_hiai_comparison(
-            *x, c["alpha"], c["r"], spec.tol
-        )),
+        lambda spec, ax, xs: checks.check_ando_hiai_grid(ax["alpha"], ax["r"], xs, spec.tol),
     ),
     "contraction": _Suite(_contraction_pairs, _pd_pairs, _each(_check_contraction)),
     "inverse_function": _mean_suite("check_inverse_function_grid"),
@@ -423,22 +417,22 @@ def _fixture_pair(spec: SuiteSpec, hermitian: bool):
         raise UsageError("single-instance checks need exactly two --fixture files (A then B)")
     if not hermitian:
         return load_matrix_json(spec.fixtures[0]), load_matrix_json(spec.fixtures[1])
-    return checks.SharedPair(*map(load_hermitian_fixture, spec.fixtures), spec.tol).operands()
+    return tuple(map(load_hermitian_fixture, spec.fixtures))
 
 
-def _validate_spec(spec: SuiteSpec) -> None:
-    """Refuse unknown names, and a tolerance that is not a finite number >= 0."""
+def _validate_spec(spec: SuiteSpec) -> dict:
+    """Refuse unknown names or a tolerance not a finite number >= 0; return the spec's means."""
     if not (math.isfinite(spec.tol) and spec.tol >= 0.0):
         raise UsageError(f"tolerance must be a finite number >= 0, got {spec.tol!r}")
     try:
         for name in spec.functions:
             function_by_name(name)
-        for name in spec.means:
-            mean_by_name(name)
+        means = {name: mean_by_name(name) for name in spec.means}
         for name in spec.norms:
             NormKind.parse(name)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return means
 
 
 def _check_generator(spec: SuiteSpec, structure: str = "positive_definite") -> None:
@@ -532,7 +526,7 @@ def run_suite(spec: SuiteSpec) -> Report:
     report.
     """
     started = time.perf_counter()
-    _validate_spec(spec)
+    means = _validate_spec(spec)
     if spec.trials < 1:
         raise UsageError("trials must be >= 1")
     suite = _SUITES.get(spec.suite)
@@ -551,7 +545,7 @@ def run_suite(spec: SuiteSpec) -> Report:
         _check_generator(spec)
     trials = spec.trials if drawn else 1
 
-    resolved = {key: [_resolve(key, v) for v in values] for key, values in axes}
+    resolved = {key: [_resolve(key, v, means) for v in values] for key, values in axes}
     records = [None] * (len(combos) * trials)
     for group in _trial_groups(spec, trials, drawn):
         xs = suite.instances(spec, group) if drawn else [fixed]
@@ -576,7 +570,7 @@ def run_suite(spec: SuiteSpec) -> Report:
 def _require_positive_definite(pair) -> None:
     """Refuse a fixture pair that is not positive definite, by m of its own factors."""
     try:
-        _, _, m, _ = pair[0].pair.factors
+        _, _, m, _ = checks.SharedPair(*pair).factors
     except ShapeError as exc:
         raise UsageError(f"fixture pair: {exc}") from exc
     if m <= 0.0:
@@ -609,7 +603,7 @@ def search_counterexample(
         raise UsageError("search budget must be >= 1")
     if target not in SEARCH_TARGETS:
         raise UsageError(f"unknown search target {target!r} (choose from {SEARCH_TARGETS})")
-    _validate_spec(spec)
+    means = _validate_spec(spec)
     if structure is None:
         structure = "hermitian_indefinite" if target == "norm_chain_normal" else "positive_definite"
     main_chain = target == "main_chain"
@@ -617,7 +611,7 @@ def search_counterexample(
         raise UsageError(f"target main_chain needs positive definite instances, not {structure!r}")
     fn = function_by_name(spec.functions[0]) if spec.functions else function_by_name("power:2")
     norms = [NormKind.parse(n) for n in spec.norms] if spec.norms else [NormKind.operator()]
-    sigma = mean_by_name(spec.means[0]) if spec.means else mean_by_name("arithmetic:1/2")
+    sigma = means[spec.means[0]] if spec.means else mean_by_name("arithmetic:1/2")
 
     def instance(t: int):
         if structure == "positive_definite":

@@ -54,6 +54,7 @@ __all__ = [
     "relative_operator_entropy",
     "normalize_for_contraction",
     "mean_catalog",
+    "CATALOG_NAMES",
     "mean_by_name",
     "register_mean",
     "arithmetic",
@@ -165,12 +166,14 @@ def register_mean(mean_obj: MatrixMean) -> MatrixMean:
     return mean_obj
 
 
+_FAMILIES = {"arithmetic": arithmetic, "harmonic": harmonic, "geometric": geometric}
+#: The catalog: each family of means at t in {1/4, 1/2, 3/4}, by name.
+CATALOG_NAMES = tuple(f"{family}:{t}" for t in ("1/4", "1/2", "3/4") for family in _FAMILIES)
+
+
 def mean_catalog() -> list[MatrixMean]:
-    """Arithmetic, harmonic and geometric means at t in {1/4, 1/2, 3/4}."""
-    out = []
-    for t in (0.25, 0.5, 0.75):
-        out.extend((arithmetic(t), harmonic(t), geometric(t)))
-    return out
+    """The means of :data:`CATALOG_NAMES`."""
+    return [mean_by_name(name) for name in CATALOG_NAMES]
 
 
 def mean_by_name(name: str) -> MatrixMean:
@@ -179,9 +182,7 @@ def mean_by_name(name: str) -> MatrixMean:
     if key in _REGISTRY:
         return _REGISTRY[key]
     head, _, param = key.partition(":")
-    factory = {"arithmetic": arithmetic, "harmonic": harmonic, "geometric": geometric}.get(
-        head.lower()
-    )
+    factory = _FAMILIES.get(head.lower())
     if factory is None or not param:
         raise ValueError(f"unknown mean name {name!r} (register custom means first)")
     return factory(parse_parameter(param))
@@ -288,22 +289,22 @@ def _mean_from_middle(hs, middles, tol, errors=None) -> np.ndarray:
     return _assemble(middles, values, errors)
 
 
-def _require_definite(wa: np.ndarray, tol: float) -> None:
-    """The perspective's gate: A, with eigenvalues wa, must be safely positive definite."""
-    scale_a = 1.0 + float(np.abs(wa).max())
-    if wa.min() <= tol * scale_a:
-        raise NotPositiveDefiniteError(
-            f"first operand has smallest eigenvalue {wa.min():.6e}; "
-            "positive definite input required"
-        )
+def _require_definite(wa: np.ndarray, tol: float, errors=None) -> None:
+    """The perspective's gate: each A, a row of eigenvalues wa, safely definite (``core._flag``)."""
+    low = wa.min(axis=-1)
+    for k in np.flatnonzero(low <= tol * (1.0 + np.abs(wa).max(axis=-1))):
+        _flag(errors, k, NotPositiveDefiniteError(
+            f"first operand has smallest eigenvalue {low[k]:.6e}; positive definite input required"
+        ))
 
 
-def _perspective_from_middle(phi, middle) -> np.ndarray:
-    """A^(1/2) phi(A^(-1/2) B A^(-1/2)) A^(1/2) from the middle (a 1-row stack) of a definite A."""
-    wm = middle[1]
-    scale = 1.0 + np.abs(wm).max(axis=-1)
-    values = np.asarray(phi(phi.domain.clamp(wm, 1e-10 * scale)), dtype=float)
-    return _assemble(middle, values[:, None])[0, 0]
+def _perspective_from_middle(phi, middles, errors=None) -> np.ndarray:
+    """A^(1/2) phi(A^(-1/2) B A^(-1/2)) A^(1/2), a definite A's, per row of a stack of middles."""
+    wm = middles[1]
+    x = phi.domain.clamp(wm, 1e-10 * (1.0 + np.abs(wm).max(axis=-1)), errors)
+    if errors is not None:
+        x[[e is not None for e in errors]] = 1.0  # a row with an error: phi(1), unused
+    return _assemble(middles, np.asarray(phi(x), dtype=float)[:, None], errors)[:, 0]
 
 
 def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -346,9 +347,9 @@ def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatr
     if a.shape != b.shape:
         raise ShapeError("perspective operands must have the same dimension")
     wa, va = _eigh(a)
-    _require_definite(wa, tol)
+    _require_definite(wa[None], tol)
     middle = _middles(_congruence(wa[None], (va.conj().T @ b @ va)[None]))
-    P = _perspective_from_middle(p.phi, middle)
+    P = _perspective_from_middle(p.phi, middle)[0]
     return HermitianMatrix(va @ P @ va.conj().T)
 
 

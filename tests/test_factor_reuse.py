@@ -7,8 +7,8 @@ read every norm kind off its one singular-value vector; normal operands are
 factored once by complex Schur.  A run of a positive definite suite shares
 each trial's factors between its configurations, and a ``main_chain``,
 ``chord``, ``eig_prod_norm``, ``inverse_function``, ``mean_diff_norm``,
-``subadditivity``, ``normal_chain`` or ``determinant`` dimension group of
-trials is one stacked grid.  The tests count the matrices that
+``subadditivity``, ``normal_chain``, ``determinant``, ``power_mean`` or
+``ando_hiai`` dimension group of trials is one stacked grid.  The tests count the matrices that
 LAPACK factors through numpy and scipy, each matrix of a stack
 separately, and where it matters the LAPACK calls.
 """
@@ -24,14 +24,12 @@ from opmeans import (
     function_by_name,
     mean,
     mean_by_name,
-    mean_catalog,
     norm,
     norm_catalog,
     normalize_for_contraction,
     singular_values,
 )
 from opmeans.checks import (
-    SharedPair,
     check_ando_hiai_comparison,
     check_chord_bounds,
     check_contraction_implication,
@@ -252,15 +250,18 @@ def test_determinant_run_shares_factors(eigensolves, solver_calls, fns, trials):
 def test_power_mean_run_shares_factors(eigensolves, solver_calls, alphas, rs, trials):
     spec = SuiteSpec("power_mean", trials=trials, dims=(2, 4), alphas=alphas, rs=rs)
     assert run_suite(spec).summary.downgraded_records == 0
-    T, R = trials, len(alphas) * len(rs) * trials
+    T, R, G = trials, len(alphas) * len(rs) * trials, _groups(spec)
     # per trial: eigh of A, B and their middle in A's eigenbasis, and per
     # exponent of the middle of A^r, B^r; per record: two eigvalsh for each
     # of the four Loewner links
     assert eigensolves["eigh"] == T * (3 + len(rs)), eigensolves
     assert eigensolves["eigvalsh"] == 8 * R, eigensolves
     assert eigensolves["schur"] == 0, eigensolves
-    # the four links of a record are one stacked eigvalsh (4R before)
-    assert solver_calls["eigvalsh"] == R, solver_calls
+    # the links of every record of a dimension group are one stacked eigvalsh
+    # (4R, then R before)
+    assert solver_calls["eigvalsh"] == G, solver_calls
+    # per dimension group: one eigh each of the A's, the B's and every middle
+    assert _total(solver_calls) == G * 4, solver_calls
 
 
 @pytest.mark.parametrize("alphas, rs, trials", [((0.5,), (2.0,), 1), ((0.25, 0.75), (1.5, 3.0), 3)])
@@ -269,15 +270,18 @@ def test_ando_hiai_run_shares_factors(eigensolves, solver_calls, alphas, rs, tri
     report = run_suite(spec)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
-    T, R = trials, len(alphas) * len(rs) * trials
+    T, R, G = trials, len(alphas) * len(rs) * trials, _groups(spec)
     # per trial: eigh of A, B and their middle in A's eigenbasis, which the
     # swapped order shares, and per exponent of the middle of A^r, B^r;
     # per record: eigvalsh for ||A #_a B|| and two for each Loewner link
     assert eigensolves["eigh"] == T * (3 + len(rs)), eigensolves
     assert eigensolves["eigvalsh"] == 5 * R, eigensolves
     assert eigensolves["schur"] == 0, eigensolves
-    # one eigvalsh for ||A #_a B|| and one stacked for both Loewner links (3R before)
-    assert solver_calls["eigvalsh"] == 2 * R, solver_calls
+    # per dimension group: one stacked eigvalsh for every ||A #_a B|| and one for
+    # every record's Loewner links (3R, then 2R before)
+    assert solver_calls["eigvalsh"] == 2 * G, solver_calls
+    # and one eigh each of the A's, the B's and every middle
+    assert _total(solver_calls) == G * 5, solver_calls
 
 
 @pytest.mark.parametrize("suite", ["power_mean", "ando_hiai"])
@@ -331,25 +335,6 @@ def test_chord_run_shares_factors(eigensolves, solver_calls, fns, means, trials)
     # per dimension group: one call for each of A and B, one stacked eigh of
     # every middle and one stacked eigvalsh of every record's links (T 4 before)
     assert _total(solver_calls) == G * 4, solver_calls
-
-
-def test_repeated_chord_checks_reuse_the_line_middles(eigensolves, solver_calls):
-    # one-record checks of one function under each catalog mean, on one pair's
-    # shared operands: the secant lines are one object each, so their middles
-    # are factored once, beside f's, and the pair keeps one stack
-    a, b = _pd_pair(3, 37)
-    f, means = function_by_name("power:2"), [mean_by_name(m.name) for m in mean_catalog()]
-    counts = []
-    for calls in (1, 3, len(means)):
-        pair = SharedPair(a, b)
-        for counter in (eigensolves, solver_calls):
-            counter.update(dict.fromkeys(counter, 0))
-        for sigma in means[:calls]:
-            assert check_chord_bounds(f, sigma, *pair.operands()).passed
-        counts.append((eigensolves["eigh"], solver_calls["eigh"], len(pair._kept)))
-    # eigh of A and B, then one stacked eigh of the middles of f and its two
-    # lines (11 calls for 29 matrices and 9 kept stacks after nine calls before)
-    assert counts == [(5, 3, 1)] * 3, counts
 
 
 @pytest.mark.parametrize(

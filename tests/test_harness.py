@@ -353,8 +353,25 @@ def test_names_resolved_once_per_configuration(monkeypatch):
     spec = SuiteSpec("main_chain", trials=5, dims=(2,), functions=("power:2",),
                      means=("arithmetic:1/2", "geometric:1/2"))
     assert run_suite(spec).summary.total_records == 10
-    # once per name when the spec is validated, once per axis value when it runs
-    assert sorted(calls) == sorted(2 * ["arithmetic:1/2", "geometric:1/2"])
+    # once per name: the spec's validation resolves it, and the run reuses it
+    assert sorted(calls) == ["arithmetic:1/2", "geometric:1/2"]
+
+
+@pytest.mark.parametrize(
+    "means, gates", [((), 9), (("geometric:1/2", "arithmetic:1/4"), 2)], ids=["catalog", "chosen"]
+)
+def test_each_mean_is_built_once_per_run(monkeypatch, means, gates):
+    import opmeans.means as means_module
+
+    calls = []
+    gate = means_module._validate_representing
+    monkeypatch.setattr(means_module, "_validate_representing", lambda h: calls.append(h) or gate(h))
+    spec = SuiteSpec("main_chain", trials=2, dims=(2,), functions=("power:2",), means=means)
+    report = run_suite(spec)
+    assert report.summary.total_records == 2 * (len(means) or 9)
+    # building a mean gates its representing function: one gate per mean of the
+    # run (18 and 4 when the catalog's names and the chosen means were built twice)
+    assert len(calls) == gates
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in expm1:RuntimeWarning")

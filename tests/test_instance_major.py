@@ -1,19 +1,20 @@
 """A suite run shares factors between configurations without changing a record.
 
-``run_suite`` builds each trial's factors once and hands every
-configuration of the trial operands that carry them; the five
-(function x mean) suites, ``main_chain``, ``chord``, ``eig_prod_norm``,
-``inverse_function`` and ``mean_diff_norm``, judge a trial as one grid,
-and ``subadditivity``, ``normal_chain`` and ``determinant`` a dimension
-group of trials.  Every record it emits must equal, bit for bit, the
-record of the public checker called on the raw instance matrices,
-downgrades included, and every report the report of a run whose operands
-share nothing.  A public (function x mean) checker is its grid's 1 x 1
-case, so a function's records in a grid must also equal those of the
-grid of that function alone, breakdowns included: a function's stacked
-steps never fail its neighbours.
+A grid check factors each trial's pair once for all the configurations it
+judges: the five (function x mean) suites, ``main_chain``, ``chord``,
+``eig_prod_norm``, ``inverse_function`` and ``mean_diff_norm``, the two
+(alpha x r) suites, ``power_mean`` and ``ando_hiai``, and
+``subadditivity``, ``normal_chain`` and ``determinant`` each judge a
+dimension group of trials as one grid.  Every record a run emits must
+equal, bit for bit, the record of the public checker called on the raw
+instance matrices, downgrades included, and every report the report of a
+run whose pairs are factored one at a time.  A public (function x mean)
+checker is its grid's 1 x 1 case, so a function's records in a grid must
+also equal those of the grid of that function alone, breakdowns included:
+a function's stacked steps never fail its neighbours.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -31,6 +32,7 @@ from opmeans.harness import (
     _norm_arg,
     _normal_pairs,
     _pd_pairs,
+    load_hermitian_fixture,
     run_suite,
     save_matrix_json,
 )
@@ -49,6 +51,15 @@ SUITES = {
     "chord": lambda f, s, a, b, spec: checks.check_chord_bounds(f, s, a, b, spec.tol),
 }
 
+POWER_SUITES = {
+    "power_mean": lambda a, b, c, spec: checks.check_power_mean_bounds(
+        a, b, c["alpha"], c["r"], spec.tol
+    ),
+    "ando_hiai": lambda a, b, c, spec: checks.check_ando_hiai_comparison(
+        a, b, c["alpha"], c["r"], spec.tol
+    ),
+}
+
 MEANS = ("arithmetic:1/2", "harmonic:1/4", "geometric:3/4")
 
 
@@ -65,13 +76,18 @@ def _det_instance(spec, t):
     return _det_instances(spec, [t])[0]
 
 
-def _raw_record(suite, spec, fn, mean, t):
+def _raw_record(suite, spec, config, t):
+    """Trial t's record of a configuration, {"fn", "mean"} or {"alpha", "r"}, from raw matrices."""
     a, b = (np.array(x) for x in _pd_pair(spec, t))
     try:
-        out = SUITES[suite](function_by_name(fn), mean_by_name(mean), a, b, spec)
+        if suite in POWER_SUITES:
+            out = POWER_SUITES[suite](a, b, config, spec)
+        else:
+            f, sigma = function_by_name(config["fn"]), mean_by_name(config["mean"])
+            out = SUITES[suite](f, sigma, a, b, spec)
     except ValueError as exc:
         out = checks.CheckOutcome(suite, "not-applicable", (), {"not_applicable": str(exc)})
-    context = {"suite": suite, "trial": t, "fn": fn, "mean": mean, "dim": a.shape[0]}
+    context = {"suite": suite, "trial": t, **config, "dim": a.shape[0]}
     return out.with_params(context)
 
 
@@ -90,15 +106,19 @@ def _bits(record) -> str:
     ],
     ids=["default", "breakdowns"],
 )
-@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("suite", sorted(SUITES) + sorted(POWER_SUITES))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_shared_records_equal_raw_checker_records(suite, fns, extra):
-    spec = SuiteSpec(suite, trials=3, dims=(1, 2, 3, 4), functions=fns, means=MEANS, **extra)
+    # the (alpha x r) suites mix boundary weights, a weight outside [0, 1] and r < 1
+    spec = SuiteSpec(
+        suite, trials=3, dims=(1, 2, 3, 4), functions=fns, means=MEANS, alphas=(0, 0.25, 1, 1.5),
+        rs=(0.5, 1.5, 3), **extra
+    )
     records = run_suite(spec).records
+    axes = _SUITES[suite].axes(spec)
     expected = [
-        _raw_record(suite, spec, fn, mean, t)
-        for fn in fns
-        for mean in MEANS
+        _raw_record(suite, spec, dict(zip([key for key, _ in axes], config)), t)
+        for config in itertools.product(*(values for _, values in axes))
         for t in range(spec.trials)
     ]
     assert len(records) == len(expected)
@@ -131,7 +151,7 @@ def test_mixed_function_stack_records_equal_raw_checker_records(monkeypatch, dim
     assert any((True, True, False, False) in stack for stack in regularized)
     (_, _), (_, mean_names) = _SUITES["main_chain"].axes(spec)
     expected = [
-        _raw_record("main_chain", spec, fn, mean, t)
+        _raw_record("main_chain", spec, {"fn": fn, "mean": mean}, t)
         for fn in fns
         for mean in mean_names
         for t in range(spec.trials)
@@ -322,32 +342,12 @@ def test_normal_chain_grid_refuses_a_non_normal_fixture_pair(tmp_path):
     ]
 
 
-def test_shared_operands_act_as_the_raw_matrices():
-    spec = SuiteSpec("main_chain", dims=(3,))
-    a, b = (np.array(x) for x in _pd_pair(spec, 0))
-    pair = SharedPair(a, b, spec.tol)
-    f, sigma = function_by_name("power:2"), mean_by_name("geometric:1/2")
-    x, y = pair.operands()
-    assert np.array_equal(np.asarray(x), a)
-    assert np.array_equal(np.asarray(y), b)
-    shared = checks.check_main_chain(f, sigma, x, y, spec.tol)
-    assert _bits(shared) == _bits(checks.check_main_chain(f, sigma, a, b, spec.tol))
-    # values kept for another mean are not used for this one
-    other = mean_by_name("arithmetic:1/2")
-    assert _bits(checks.check_main_chain(f, other, x, y, spec.tol)) == _bits(
-        checks.check_main_chain(f, other, a, b, spec.tol)
-    )
-    # nor are operands handed over in the wrong order
-    assert _bits(checks.check_main_chain(f, sigma, y, x, spec.tol)) == _bits(
-        checks.check_main_chain(f, sigma, b, a, spec.tol)
-    )
-
-
 @pytest.mark.parametrize("extra", [{}, {"M": 800.0, "functions": ("expm1",)}], ids=["default", "breakdowns"])
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sharing_changes_no_report(monkeypatch, suite, extra):
-    spec = SuiteSpec(suite, trials=2, dims=(1, 3), **extra)
+    # two trials per dimension group, so that a group's factors are one stack
+    spec = SuiteSpec(suite, trials=4, dims=(1, 3), **extra)
 
     def report():
         d = run_suite(spec).to_dict()
@@ -356,9 +356,9 @@ def test_sharing_changes_no_report(monkeypatch, suite, extra):
         return json.dumps(d, sort_keys=True, indent=1).splitlines()
 
     shared = report()
-    monkeypatch.setattr(SharedPair, "operands", lambda pair: (pair.a.copy(), pair.b.copy()))
+    # every pair factored on its own when first asked, not as one stack per group
+    monkeypatch.setattr(SharedPair, "factor_group", lambda pairs: None)
     assert shared == report()
-
 
 
 def test_fixture_run_shares_factors_without_changing_a_record(monkeypatch, tmp_path):
@@ -370,12 +370,18 @@ def test_fixture_run_shares_factors_without_changing_a_record(monkeypatch, tmp_p
     eighs = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda x: eighs.append(x) or eigh(x))
-    shared = run_suite(spec).records
+    records = run_suite(spec).records
     # eigh of A, B and their middle, of S per mean and of the image middle per
     # function, counted per matrix: the means' S are one stack
     assert sum(int(np.prod(x.shape[:-2])) for x in eighs) == 3 + len(MEANS) + len(fns)
-    monkeypatch.setattr(SharedPair, "operands", lambda pair: (pair.a.copy(), pair.b.copy()))
-    assert [_bits(r) for r in shared] == [_bits(r) for r in run_suite(spec).records]
+    a, b = (np.array(load_hermitian_fixture(path).entries) for path in paths)
+    expected = [
+        checks.check_main_chain(function_by_name(fn), mean_by_name(mean), a, b, spec.tol)
+        .with_params({"suite": "main_chain", "trial": 0, "fn": fn, "mean": mean})
+        for fn in fns
+        for mean in MEANS
+    ]
+    assert [_bits(r) for r in records] == [_bits(r) for r in expected]
 
 
 @pytest.mark.parametrize(
@@ -416,7 +422,7 @@ def test_breakdowns_inside_one_stack_stay_per_record(monkeypatch, M):
         monkeypatch.setattr(np.linalg, name, finite_only)
     records = run_suite(spec).records
     expected = [
-        _raw_record("main_chain", spec, fn, mean, t)
+        _raw_record("main_chain", spec, {"fn": fn, "mean": mean}, t)
         for fn in fns
         for mean in mean_names
         for t in range(spec.trials)

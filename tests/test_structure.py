@@ -4,7 +4,8 @@ No module imports a name it never uses, ``randgen`` depends on nothing in
 the package but ``core``, ``harness`` reaches into no private name of
 ``checks``, ``checks`` validates and factors a Hermitian pair only in
 ``SharedPair``, no code outside ``SharedPair`` reads its private members,
-``checks`` and ``means`` reach LAPACK's eigensolvers
+no function of ``checks`` keeps a memo across calls, ``checks`` and
+``means`` reach LAPACK's eigensolvers
 only through ``core``, every import is at module level, no source
 line is over 100 characters, and every function and class the package
 defines is named somewhere in the repository's code.  The re-exports in
@@ -91,8 +92,8 @@ def test_checks_validates_and_factors_pairs_only_in_shared_pair():
 
 
 def test_shared_pair_private_members_stay_inside_it():
-    # what a pair keeps, and when, is the pair's own rule (a failing step keeps nothing)
-    private = {"_keep", "_kept", "_factored"}
+    # how a pair fills its factors is the pair's own rule
+    private = {"_factored"}
     outside = []
     for path in MODULES:
         tree = _tree(path)
@@ -108,6 +109,19 @@ def test_shared_pair_private_members_stay_inside_it():
             if isinstance(node, ast.Attribute) and node.attr in private and id(node) not in inside
         ]
     assert not outside, f"SharedPair private members used outside it: {', '.join(outside)}"
+
+
+def test_checks_keeps_no_memo_across_calls():
+    # a group's values are computed for the call that asks for them and dropped
+    # with it: no function of checks is wrapped in functools.cache or lru_cache
+    cached = sorted(
+        f"{func.name} (line {func.lineno})"
+        for func in ast.walk(_tree(PKG / "checks.py"))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for deco in func.decorator_list
+        if ast.unparse(getattr(deco, "func", deco)).rpartition(".")[2] in ("cache", "lru_cache")
+    )
+    assert not cached, f"checks.py keeps a memo across calls: {', '.join(cached)}"
 
 
 _EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals", "schur"}

@@ -1,13 +1,14 @@
 """A run hands its checks one dimension group of trials at a time.
 
 ``subadditivity``, ``normal_chain`` and ``determinant`` judge a whole group
-as one (function x trial) grid, and ``main_chain``, ``chord``,
+as one (function x trial) grid, ``main_chain``, ``chord``,
 ``eig_prod_norm``, ``inverse_function`` and ``mean_diff_norm`` as one
-(function x mean x trial) grid.  A trial's breakdown must stay that
-trial's: every entry of a group equals, bit for bit, the 1 x 1 checker's
-record or error on that trial's raw matrices, and no eigensolver sees a
-matrix that is not finite.  How the trials are cut into groups must change
-no report.
+(function x mean x trial) grid, and ``power_mean`` and ``ando_hiai`` as one
+(alpha x r x trial) grid.  A trial's breakdown must stay that trial's:
+every entry of a group equals, bit for bit, the 1 x 1 checker's record or
+error on that trial's raw matrices, and no eigensolver sees a matrix that
+is not finite.  How the trials are cut into groups must change no report,
+and no pair a grid builds outlives its call.
 """
 
 import gc
@@ -62,6 +63,11 @@ def _per_mean(one):
     return lambda f, x: [_entry(lambda f, x: one(f, sigma, *x), f, x) for sigma in SIGMAS]
 
 
+def _per_config(one):
+    """The entry of configuration (alpha, r) on trial x of an (alpha x r x trial) grid."""
+    return lambda c, x: [_entry(lambda c, x: one(*x, *c), c, x)]
+
+
 # every (function x mean) grid's trials: good ones, B below the PSD floor, expm1
 # overflowing at M = 800, a zero A, one at m = 1e-6 (f(A) regularized for
 # power:2 and power:3/2, not for sqrt) and a B of another dimension; log does
@@ -73,6 +79,22 @@ _MEAN_TRIALS = [
     (_pd(5), _pd(6)),
     (_ZERO, _pd(7)),
     (_pd(8, m=1e-6), _pd(9, m=1e-6)),
+    (_pd(10), _pd(11, dim=2)),
+    (_pd(12), _pd(13)),
+]
+
+_RS = (0.5, 1.5, 3)
+
+# the (alpha x r) grids' trials: good ones, B below the PSD floor, a zero A, one at
+# m = 1e-6 (A^r not safely definite for r = 1.5 and 3), expm1's overflowing
+# operand and a B of another dimension
+_POWER_TRIALS = [
+    (_pd(1), _pd(2)),
+    (_pd(3), _INDEFINITE),
+    (_ZERO, _pd(4)),
+    (_pd(5, m=1e-6), _pd(6, m=1e-6)),
+    (_pd(7), _pd(8)),
+    (_DIAG_800, _pd(9)),
     (_pd(10), _pd(11, dim=2)),
     (_pd(12), _pd(13)),
 ]
@@ -135,6 +157,21 @@ GROUPS = {
              checks.check_mean_difference_norm),
         )
     },
+    # (grid, entries, trials, configurations): a grid over (alpha x r), not functions
+    **{
+        suite: (
+            lambda configs, trials, grid=grid, alphas=alphas: grid(alphas, _RS, trials),
+            _per_config(one),
+            _POWER_TRIALS,
+            [(alpha, r) for alpha in alphas for r in _RS],
+        )
+        for suite, grid, one, alphas in (
+            ("power_mean", checks.check_power_mean_grid, checks.check_power_mean_bounds,
+             (0, 0.25, 1)),
+            ("ando_hiai", checks.check_ando_hiai_grid, checks.check_ando_hiai_comparison,
+             (0.25, 0.75, 1.5)),
+        )
+    },
 }
 
 
@@ -164,11 +201,11 @@ def finite_solves(monkeypatch):
 @pytest.mark.parametrize("suite", sorted(GROUPS))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_group_entries_equal_per_trial_checker_entries(finite_solves, suite):
-    grid, one, trials = GROUPS[suite]
-    fs = [function_by_name(name) for name in FNS]
-    group = grid(fs, trials)
+    grid, one, trials, *configs = GROUPS[suite]
+    configs = configs[0] if configs else [function_by_name(name) for name in FNS]
+    group = grid(configs, trials)
     assert any(len(shape) == 3 and shape[0] > 1 for shape in finite_solves), "nothing was stacked"
-    expected = [[_bits(e) for f in fs for e in one(f, x)] for x in trials]
+    expected = [[_bits(e) for c in configs for e in one(c, x)] for x in trials]
     assert [[_bits(e) for e in row] for row in group] == expected
     # the group mixes records, trial breakdowns and function breakdowns
     kinds = {type(e).__name__ for row in group for e in row}
@@ -231,19 +268,41 @@ def test_one_stacked_qr_per_dimension_group(monkeypatch):
         assert shapes == expected, suite
 
 
-def test_group_stacks_hold_no_cycle_through_their_first_pair():
-    # a group's stacks are kept on its first pair; if they held that pair back
-    # (a view of the stacked pairs would), every group would live until the
-    # cycle collector ran, and a run's memory would grow with its groups.
-    # Good trials only: a stored error's traceback holds its frame's pairs
-    pairs = [checks.SharedPair(_pd(seed), _pd(seed + 1)) for seed in (1, 3, 5)]
-    refs = [weakref.ref(pair) for pair in pairs]
+def test_grid_calls_keep_no_pair_alive(monkeypatch):
+    # a group's factors, S and middles live on pairs that the grid call builds;
+    # if anything kept one of them (a memo, or a cycle through it), every group
+    # would live until the cycle collector ran, and a run's memory would grow
+    # with its groups.  Good trials only: a stored error's traceback holds its
+    # frame's pairs
+    built = []
+    init = checks.SharedPair.__init__
+
+    def tracked(pair, *args):
+        init(pair, *args)
+        built.append(weakref.ref(pair))
+
+    monkeypatch.setattr(checks.SharedPair, "__init__", tracked)
+    trials = [(_pd(seed), _pd(seed + 1)) for seed in (1, 3, 5)]
     fs = [function_by_name(name) for name in ("power:2", "sqrt", "expm1")]
+    grids = {
+        **{grid: lambda grid: grid(fs, SIGMAS, trials) for grid in (
+            checks.check_main_chain_grid, checks.check_chord_bounds_grid,
+            checks.check_eig_prod_norm_grid, checks.check_inverse_function_grid,
+        )},
+        checks.check_mean_difference_norm_grid: lambda grid: grid(fs[::2], SIGMAS, trials),
+        checks.check_power_mean_grid: lambda grid: grid((0, 0.5, 1), (1, 2), trials),
+        checks.check_ando_hiai_grid: lambda grid: grid((0.25, 0.5), (1, 2), trials),
+        checks.check_subadditivity_grid: lambda grid: grid(fs[:1], trials),
+        checks.check_determinant_grid: lambda grid: grid(fs, [(a, b, 0.5) for a, b in trials]),
+    }
     gc.disable()
     try:
-        for grid in (checks.check_main_chain_grid, checks.check_chord_bounds_grid):
-            grid(fs, SIGMAS, [pair.operands() for pair in pairs])
-        del pairs
-        assert [ref() for ref in refs] == [None] * len(refs)
+        for grid, call in grids.items():
+            built.clear()
+            assert all(
+                isinstance(e, checks.CheckOutcome) for row in call(grid) for e in row
+            ), grid.__name__
+            assert len(built) == len(trials), grid.__name__
+            assert [ref() for ref in built] == [None] * len(trials), grid.__name__
     finally:
         gc.enable()
