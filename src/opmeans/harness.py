@@ -62,9 +62,9 @@ __all__ = [
 
 TOOL_VERSION = "0.1.0"
 
-#: A check call takes at most this many trials x dim^2 operand entries, one
-#: dimension group: every dim-32 trial goes alone, and 28 dim-6 trials at once.
-_GROUP_ENTRIES = 1024
+#: A check call's stacks hold at most this many configurations x trials x dim^2 entries
+#: (about 2 MB): 3 dim-32 trials of 6 configurations go together, or 7 dim-6 trials of 72.
+_GROUP_ENTRIES = 20_000
 
 CONVEX_FUNCTIONS = ("power:3/2", "power:2", "power:3", "expm1")
 CONCAVE_FUNCTIONS = ("sqrt", "power:2/3", "log1p", "mobius")
@@ -295,7 +295,7 @@ def _each(check):
             try:
                 results.append(check(spec, dict(zip(axes, values)), x))
             except ValueError as exc:
-                results.append(exc)
+                results.append(exc.with_traceback(None))
         return results
 
     return lambda spec, axes, xs: [per_trial(spec, axes, x) for x in xs]
@@ -493,11 +493,12 @@ def _summarize(records, wall_time, found=None) -> Summary:
     )
 
 
-def _trial_groups(spec: SuiteSpec, trials: int, drawn: bool) -> list[list[int]]:
+def _trial_groups(spec: SuiteSpec, trials: int, drawn: bool, configs: int) -> list[list[int]]:
     """The trials, as the suite's check takes them: dimension groups in first-trial order.
 
-    Each group holds trials of one dimension, at most ``_GROUP_ENTRIES``
-    entries of one operand in all.  A fixed instance is one group of one.
+    Each group holds trials of one dimension n, at most ``_GROUP_ENTRIES``
+    entries of n x n per configuration and trial (or one trial).  A fixed
+    instance is one group of one.
     """
     if not drawn:
         return [[0]]
@@ -506,7 +507,7 @@ def _trial_groups(spec: SuiteSpec, trials: int, drawn: bool) -> list[list[int]]:
         by_dim.setdefault(_dim_for(spec, t), []).append(t)
     groups = []
     for dim, ts in by_dim.items():
-        size = max(1, _GROUP_ENTRIES // dim**2)
+        size = max(1, _GROUP_ENTRIES // (max(configs, 1) * dim**2))
         groups.extend(ts[i : i + size] for i in range(0, len(ts), size))
     return sorted(groups)
 
@@ -547,7 +548,7 @@ def run_suite(spec: SuiteSpec) -> Report:
 
     resolved = {key: [_resolve(key, v, means) for v in values] for key, values in axes}
     records = [None] * (len(combos) * trials)
-    for group in _trial_groups(spec, trials, drawn):
+    for group in _trial_groups(spec, trials, drawn, len(combos)):
         xs = suite.instances(spec, group) if drawn else [fixed]
         for t, outcomes in zip(group, suite.check(spec, resolved, xs), strict=True):
             for i, (combo, out) in enumerate(zip(combos, outcomes, strict=True)):

@@ -13,6 +13,8 @@ and no pair a grid builds outlives its call.
 
 import gc
 import json
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,8 +30,8 @@ from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_normal, 
 FNS = ("power:2", "expm1", "sqrt", "log", "power:3/2")
 
 
-def _pd(seed, dim=3, m=0.5):
-    cfg = GeneratorConfig(dim, m, 4.0)
+def _pd(seed, dim=3, m=0.5, M=4.0):
+    cfg = GeneratorConfig(dim, m, M)
     return np.array(random_pd(cfg, derive_stream_seed(seed, 0)).entries)
 
 
@@ -223,6 +225,13 @@ def _reports(spec, tmp_path, tag) -> list[bytes]:
     return out
 
 
+_FEW = {
+    "functions": ("power:2", "sqrt", "expm1"),
+    "means": ("arithmetic:1/2", "geometric:1/4"),
+    "alphas": (0.25, 0.75),
+}
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -232,21 +241,36 @@ def _reports(spec, tmp_path, tag) -> list[bytes]:
         # Schatten powers other than 3: a row of a stacked table and a one-row
         # table would disagree in the last bit if a row's layout mattered
         {"norms": ("schatten:1.5", "schatten:2.5", "schatten:7", "kyfan:2")},
+        # few configurations, so that dim-16 and dim-32 trials share groups: 4
+        # of each dimension, cut 3 + 1 at dim 32 with 6 configurations
+        {"dims": (16, 32), **_FEW},
+        {"dims": (16, 32), "M": 800.0, **_FEW},
     ],
-    ids=["default", "breakdowns", "dim-1-edge", "other-norms"],
+    ids=["default", "breakdowns", "dim-1-edge", "other-norms", "large-dims", "large-breakdowns"],
 )
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_group_size_changes_no_report(monkeypatch, tmp_path, suite, extra):
     spec = SuiteSpec(suite, **{"trials": 8, "dims": (1, 2, 3, 5), **extra})
+    if spec.dims == (16, 32) and harness._SUITES[suite].instances is not None:
+        assert max(map(len, _run_groups(spec))) >= 3
     grouped = _reports(spec, tmp_path, "grouped")
     monkeypatch.setattr(harness, "_GROUP_ENTRIES", 1)  # every trial a group of its own
     assert _reports(spec, tmp_path, "alone") == grouped
 
 
-def test_one_stacked_qr_per_dimension_group(monkeypatch):
-    # a group's instances are one draw: one QR of the Haar factors of both
-    # operands of all its trials, whatever the suite and the pair kind
+def _configs(spec) -> int:
+    return math.prod(len(values) for _, values in harness._SUITES[spec.suite].axes(spec))
+
+
+def _run_groups(spec) -> list:
+    """The trial groups of ``spec``'s run, one group per check call."""
+    return harness._trial_groups(spec, spec.trials, True, _configs(spec))
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The shapes of the QRs a run makes: one per dimension group, 2 x trials Haar factors."""
     shapes = []
     qr = np.linalg.qr
 
@@ -255,25 +279,94 @@ def test_one_stacked_qr_per_dimension_group(monkeypatch):
         return qr(a, *rest)
 
     monkeypatch.setattr(np.linalg, "qr", counted)
-    # the default 200 trials over dims 2-6 are 40 per dimension, one group
-    # each, except that 28 dim-6 trials fill a group of 1024 entries
-    expected = [(80, 2, 2), (80, 3, 3), (80, 4, 4), (80, 5, 5), (56, 6, 6), (24, 6, 6)]
+    return shapes
+
+
+def test_one_stacked_qr_per_dimension_group(draws):
+    # a group's instances are one draw: one QR of the Haar factors of both
+    # operands of all its trials, whatever the suite and the pair kind.  The
+    # default 200 trials over dims 2-6 are 40 per dimension; with at most 8
+    # configurations they hold at most 8 x 40 x 6^2 entries, so each dimension
+    # is one group
+    expected = [(80, dim, dim) for dim in SuiteSpec("main_chain").dims]
     for suite in ("subadditivity", "normal_chain", "determinant", "main_chain"):
-        shapes.clear()
+        draws.clear()
         spec = SuiteSpec(suite)
         if suite == "main_chain":  # the axes do not change what is drawn
             spec = SuiteSpec(suite, functions=("power:2",), means=("arithmetic:1/2",))
+        assert _configs(spec) in (1, 4, 8) and 8 * 40 * 6**2 <= harness._GROUP_ENTRIES
         run_suite(spec)
-        assert len(harness._trial_groups(spec, spec.trials, True)) == len(expected)
-        assert shapes == expected, suite
+        assert len(_run_groups(spec)) == len(expected)
+        assert draws == expected, suite
 
 
+# the benchmark's workloads: main_chain at dim 32 with 6 configurations, and at
+# dims 2-6 with the default 72; subadditivity, normal_chain and determinant at
+# dims 2-6
+_CHAIN_LARGE = SuiteSpec(
+    "main_chain", trials=20, dims=(32,), functions=("power:2", "sqrt"),
+    means=("arithmetic:1/2", "harmonic:1/2", "geometric:1/2"),
+)
+_SMALL = [SuiteSpec("main_chain", trials=10)] + [
+    SuiteSpec(suite, trials=20) for suite in ("subadditivity", "normal_chain", "determinant")
+]
+
+
+def test_large_dim_trials_share_a_group(draws):
+    # 6 configurations x 3 trials x 32^2 entries fit the budget, 4 trials do not
+    run_suite(_CHAIN_LARGE)
+    assert draws == [(6, 32, 32)] * 6 + [(4, 32, 32)]
+
+
+@pytest.mark.parametrize("spec", _SMALL, ids=[spec.suite for spec in _SMALL])
+def test_small_dim_workloads_keep_one_group_per_dimension(draws, spec):
+    run_suite(spec)
+    per_dim = 2 * spec.trials // len(spec.dims)
+    assert draws == [(per_dim, dim, dim) for dim in spec.dims]
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_no_default_group_exceeds_the_budget(suite):
+    spec = SuiteSpec(suite)
+    drawn = harness._SUITES[suite].instances is not None
+    groups = harness._trial_groups(spec, spec.trials, drawn, _configs(spec))
+    assert sorted(t for group in groups for t in group) == list(range(spec.trials if drawn else 1))
+    for group in groups:
+        (dim,) = {harness._dim_for(spec, t) for t in group}
+        assert len(group) * _configs(spec) * dim**2 <= harness._GROUP_ENTRIES, (suite, dim)
+
+
+def test_a_run_with_no_configuration_makes_no_record():
+    # no configuration: the budget divides by no zero
+    assert run_suite(SuiteSpec("power_mean", alphas=(), trials=2)).records == []
+
+
+def test_large_dim_group_working_set():
+    # a dim-32 main_chain group of 3 trials and 6 configurations: every stack of
+    # the grid, the Loewner stage's included, is at most 0.7 MB per trial
+    fs = [function_by_name(name) for name in _CHAIN_LARGE.functions]
+    sigmas = [mean_by_name(name) for name in _CHAIN_LARGE.means]
+    trials = [(_pd(seed, dim=32), _pd(seed + 1, dim=32)) for seed in (1, 3, 5)]
+    checks.check_main_chain_grid(fs, sigmas, trials)  # warm: first-call allocations
+    tracemalloc.start()
+    try:
+        group = checks.check_main_chain_grid(fs, sigmas, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(e, checks.CheckOutcome) for row in group for e in row)
+    assert peak / len(trials) <= 0.7e6, peak
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grid_calls_keep_no_pair_alive(monkeypatch):
     # a group's factors, S and middles live on pairs that the grid call builds;
     # if anything kept one of them (a memo, or a cycle through it), every group
     # would live until the cycle collector ran, and a run's memory would grow
-    # with its groups.  Good trials only: a stored error's traceback holds its
-    # frame's pairs
+    # with its groups.  A stored error keeps no traceback, which would hold its
+    # frame's pairs: in the second group expm1 overflows at M = 800, an
+    # indefinite B fails its trial's gate and log, which does not fix zero, its
+    # function's
     built = []
     init = checks.SharedPair.__init__
 
@@ -282,27 +375,32 @@ def test_grid_calls_keep_no_pair_alive(monkeypatch):
         built.append(weakref.ref(pair))
 
     monkeypatch.setattr(checks.SharedPair, "__init__", tracked)
-    trials = [(_pd(seed), _pd(seed + 1)) for seed in (1, 3, 5)]
-    fs = [function_by_name(name) for name in ("power:2", "sqrt", "expm1")]
+    good = [(_pd(seed), _pd(seed + 1)) for seed in (1, 3, 5)]
+    broken = good[:1] + [(_pd(3, M=800.0), _pd(4, M=800.0)), (_pd(5), _INDEFINITE)]
+    fs = [function_by_name(name) for name in ("power:2", "sqrt", "expm1", "log")]
     grids = {
-        **{grid: lambda grid: grid(fs, SIGMAS, trials) for grid in (
+        **{grid: lambda grid, fs, trials: grid(fs, SIGMAS, trials) for grid in (
             checks.check_main_chain_grid, checks.check_chord_bounds_grid,
             checks.check_eig_prod_norm_grid, checks.check_inverse_function_grid,
         )},
-        checks.check_mean_difference_norm_grid: lambda grid: grid(fs[::2], SIGMAS, trials),
-        checks.check_power_mean_grid: lambda grid: grid((0, 0.5, 1), (1, 2), trials),
-        checks.check_ando_hiai_grid: lambda grid: grid((0.25, 0.5), (1, 2), trials),
-        checks.check_subadditivity_grid: lambda grid: grid(fs[:1], trials),
-        checks.check_determinant_grid: lambda grid: grid(fs, [(a, b, 0.5) for a, b in trials]),
+        checks.check_mean_difference_norm_grid: lambda grid, fs, trials: grid(
+            fs[:3:2], SIGMAS, trials
+        ),
+        checks.check_power_mean_grid: lambda grid, _, trials: grid((0, 0.5, 1), (1, 2), trials),
+        checks.check_ando_hiai_grid: lambda grid, _, trials: grid((0.25, 0.5), (1, 2), trials),
+        checks.check_subadditivity_grid: lambda grid, fs, trials: grid(fs[:1], trials),
+        checks.check_determinant_grid: lambda grid, fs, trials: grid(
+            fs, [(a, b, 0.5) for a, b in trials]
+        ),
     }
     gc.disable()
     try:
-        for grid, call in grids.items():
-            built.clear()
-            assert all(
-                isinstance(e, checks.CheckOutcome) for row in call(grid) for e in row
-            ), grid.__name__
-            assert len(built) == len(trials), grid.__name__
-            assert [ref() for ref in built] == [None] * len(trials), grid.__name__
+        for trials, names, kinds in ((good, fs[:3], {False}), (broken, fs, {False, True})):
+            for grid, call in grids.items():
+                built.clear()
+                entries = call(grid, names, trials)
+                assert {isinstance(e, ValueError) for row in entries for e in row} == kinds, grid
+                assert len(built) == len(trials), grid.__name__
+                assert [ref() for ref in built] == [None] * len(trials), grid.__name__
     finally:
         gc.enable()
