@@ -319,7 +319,7 @@ def _x_links(tol, S, X, coefs, forward, ws, entries):
     norm_s, comparisons = np.abs(ws).max(axis=-1), []
     for k, link in slots:
         c = cs[k, :, link]
-        cS, x = (c[..., None, None], S), X[k].reshape(-1, n, n)
+        cS, x = (c[..., None, None] * S).reshape(-1, n, n), X[k].reshape(-1, n, n)
         if (link == 0) == forward[k]:  # c S <= X
             comparisons.append((cS, x, None))
         else:
@@ -493,7 +493,7 @@ def _group_grid(fs, trials, gates, step, judge, prepare=None, means=(), cells=()
             _gate(gates, f)
             live_f.append(i)
         except ValueError as exc:
-            results[i] = exc.with_traceback(None)
+            _fail(results[i], exc)
     if live_f and prepare is not None:
         prepare(trials)
     kept = {}
@@ -524,9 +524,11 @@ def _group_grid(fs, trials, gates, step, judge, prepare=None, means=(), cells=()
 def _fail(errors, *excs):
     """Give each open entry of ``errors`` the first of ``excs`` (broadcast), traceback dropped."""
     for exc in excs:
-        exc = exc if np.ndim(exc) else exc.with_traceback(None)
         open_ = np.equal(errors, None)
-        errors[open_] = np.broadcast_to(exc, errors.shape)[open_]
+        if np.ndim(exc):
+            errors[open_] = np.broadcast_to(exc, errors.shape)[open_]
+        else:
+            errors[open_] = exc.with_traceback(None)
 
 
 def _open(entries):
@@ -548,7 +550,7 @@ def _fill(check_name, claim, descriptions, margins, passes, applicable, params, 
                 check_name, claim, descriptions, margins[r], passes[r], applicable[r], params[r]
             )
         except ValueError as exc:
-            results[i] = exc.with_traceback(None)
+            _flag(results, i, exc)
 
 
 def _mean_group(check_name, claim, gates, judge, fs, sigmas, pairs, tol) -> list:
@@ -1306,9 +1308,9 @@ def check_power_mean_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
         m, M = ([p.factors[i] for p in pairs] for i in (2, 3))
         lo, hi = (np.array([[_pow_or_inf(x, k) for x in xs] for k in exponents])[..., None, None]
                   for xs in (m, M))
-        Gr, Sr = Gr.reshape(-1, n, n), Sr.reshape(-1, n, n)
-        claims = (((lo, G), Gr), (Gr, (hi, G)), ((lo, S1), Sr), (Sr, (hi, S1)))
-        results = _loewner([(*claim, None) for claim in claims], tol, [entries.reshape(-1)] * 4)
+        claims = ((lo * G, Gr), (Gr, hi * G), (lo * S1, Sr), (Sr, hi * S1))
+        results = _loewner([(x.reshape(-1, n, n), y.reshape(-1, n, n), None) for x, y in claims],
+                           tol, [entries.reshape(-1)] * 4)
         return [(res.margin, res.passed) for res in results], lambda t, i: {"m": m[t], "M": M[t]}
 
     alpha_ok = (lambda c, _: 0.0 <= c[0] <= 1.0, ValueError, "alpha must lie in [0, 1]")
@@ -1358,7 +1360,7 @@ def check_ando_hiai_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
         c_ah, c_chain = ([*map(_pow_or_inf, c, [k for k in exponents for _ in pairs])]
                          for c in (_singular_values(G, flat)[:, 0].tolist(), tops))
         cs = np.array([c_ah, c_chain])
-        results = _loewner([(Gr, (c[:, None, None], G), None) for c in cs], tol, [flat] * 2)
+        results = _loewner([(Gr, c[:, None, None] * G, None) for c in cs], tol, [flat] * 2)
         links = [(res.margin, res.passed) for res in results] + [_scalar_margins(*cs, tol)]
         return links, lambda t, i: {"swapped": swapped[t], "c_ah": c_ah[i], "c_chain": c_chain[i]}
 

@@ -426,41 +426,28 @@ def loewner_leq(X, Y, tol: float = DEFAULT_TOL) -> ComparisonResult:
 def _loewner(comparisons, tol: float, errors=None) -> list[ComparisonResult]:
     """X <= Y for each row of every comparison ``(x, y, scale)``, by one stacked eigvalsh.
 
-    ``x`` and ``y`` are stacks of complex Hermitian arrays, as many in every
-    comparison, or one of them a pair ``(c, S)`` for c S (its rows in order);
-    each difference, and each Y whose norm is taken, is made in one stack.
-    ``scale`` is one per row, or ``None`` for 1 + ||Y||_op.  ``errors`` is
-    ``None`` or one list of row errors per comparison, so one solve can span
-    the records of several checks (comparisons of the same records share
-    one list).  A difference that is not finite raises (see :func:`_flag`).
+    ``x`` and ``y`` are stacks of Hermitian arrays, as many in every
+    comparison; ``scale`` is one per row, or ``None`` for 1 + ||Y||_op.
+    ``errors`` is ``None`` or one list of row errors per comparison, so one
+    solve can span the records of several checks (comparisons of the same
+    records share one list).  A difference that is not finite raises (see
+    :func:`_flag`).
     """
     errs = [None] * len(comparisons) if errors is None else errors
+    diffs = [_finite(y - x, e) for (x, y, _), e in zip(comparisons, errs)]
     norms = [(y, e) for (_, y, scale), e in zip(comparisons, errs) if scale is None]
-    shape = next(side for side in comparisons[0][:2] if not isinstance(side, tuple)).shape
-    stack = np.empty((len(comparisons) + len(norms), *shape), dtype=complex)
-    for (x, y, _), slot, e in zip(comparisons, stack, errs):
-        if isinstance(x, tuple):
-            x = _into(x, slot)
-        elif isinstance(y, tuple):
-            y = _into(y, slot)
-        _finite(np.subtract(y, x, out=slot), e)
-    for (y, _), slot in zip(norms, stack[len(comparisons) :]):
-        _into(y, slot)
+    blocks = diffs + [y for y, _ in norms]
     rows = None if errors is None else [r for e in (*errs, *(e for _, e in norms)) for r in e]
-    parts = _eigvalsh(stack.reshape(-1, *shape[1:]), rows).reshape(len(stack), shape[0], -1)
-    wy = parts[len(comparisons) :]
-    of_norms = iter(1.0 + np.maximum(np.abs(wy[..., 0]), np.abs(wy[..., -1])))
-    scales = [next(of_norms) if scale is None else scale for _, _, scale in comparisons]
-    return [ComparisonResult(m, s, m >= -tol * s) for m, s in zip(parts[..., 0], scales)]
-
-
-def _into(side, out: np.ndarray) -> np.ndarray:
-    """Write a comparison side into ``out``: copy a stack, or multiply a pair (c, S) into it."""
-    if isinstance(side, tuple):
-        np.multiply(*side, out=out.reshape(np.broadcast_shapes(*map(np.shape, side))))
-    else:
-        out[...] = side
-    return out
+    parts = _eigvalsh(np.concatenate(blocks), rows).reshape(len(blocks), len(diffs[0]), -1)
+    of_norms = iter(parts[len(diffs) :])
+    results = []
+    for part, (_, _, scale) in zip(parts, comparisons):
+        if scale is None:
+            wy = next(of_norms)
+            scale = 1.0 + np.maximum(np.abs(wy[:, 0]), np.abs(wy[:, -1]))
+        margin = part[:, 0]
+        results.append(ComparisonResult(margin, scale, margin >= -tol * scale))
+    return results
 
 
 def _loewner_on_spectrum(lo: np.ndarray, hi: np.ndarray, tol: float, errors=None):

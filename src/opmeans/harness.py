@@ -62,8 +62,9 @@ __all__ = [
 
 TOOL_VERSION = "0.1.0"
 
-#: A check call's stacks hold at most this many configurations x trials x dim^2 entries
-#: (about 2 MB): 3 dim-32 trials of 6 configurations go together, or 7 dim-6 trials of 72.
+#: A check call's stacks hold at most this many configurations x trials x dim^2 entries:
+#: 3 dim-32 trials of 6 configurations go together, or 7 dim-6 trials of 72 (about 3 MB
+#: at peak for main_chain, tracemalloc).
 _GROUP_ENTRIES = 20_000
 
 CONVEX_FUNCTIONS = ("power:3/2", "power:2", "power:3", "expm1")

@@ -241,22 +241,34 @@ _FEW = {
         # Schatten powers other than 3: a row of a stacked table and a one-row
         # table would disagree in the last bit if a row's layout mattered
         {"norms": ("schatten:1.5", "schatten:2.5", "schatten:7", "kyfan:2")},
-        # few configurations, so that dim-16 and dim-32 trials share groups: 4
-        # of each dimension, cut 3 + 1 at dim 32 with 6 configurations
-        {"dims": (16, 32), **_FEW},
-        {"dims": (16, 32), "M": 800.0, **_FEW},
     ],
-    ids=["default", "breakdowns", "dim-1-edge", "other-norms", "large-dims", "large-breakdowns"],
+    ids=["default", "breakdowns", "dim-1-edge", "other-norms"],
 )
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_group_size_changes_no_report(monkeypatch, tmp_path, suite, extra):
     spec = SuiteSpec(suite, **{"trials": 8, "dims": (1, 2, 3, 5), **extra})
-    if spec.dims == (16, 32) and harness._SUITES[suite].instances is not None:
-        assert max(map(len, _run_groups(spec))) >= 3
+    _same_reports_alone(monkeypatch, tmp_path, spec)
+
+
+def _same_reports_alone(monkeypatch, tmp_path, spec):
     grouped = _reports(spec, tmp_path, "grouped")
     monkeypatch.setattr(harness, "_GROUP_ENTRIES", 1)  # every trial a group of its own
     assert _reports(spec, tmp_path, "alone") == grouped
+
+
+# contraction judges trial by trial and draws its pairs as main_chain does, so
+# at large dims it would add time and no grouping
+@pytest.mark.parametrize("extra", [{}, {"M": 800.0}], ids=["large-dims", "large-breakdowns"])
+@pytest.mark.parametrize("suite", [suite for suite in SUITE_NAMES if suite != "contraction"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_large_dim_grouping_changes_no_report(monkeypatch, tmp_path, suite, extra):
+    # few configurations, so that dim-16 and dim-32 trials share groups: 4 of
+    # each dimension, cut 3 + 1 at dim 32 with 6 configurations
+    spec = SuiteSpec(suite, trials=8, dims=(16, 32), **_FEW, **extra)
+    if harness._SUITES[suite].instances is not None:
+        assert max(map(len, _run_groups(spec))) >= 3
+    _same_reports_alone(monkeypatch, tmp_path, spec)
 
 
 def _configs(spec) -> int:
@@ -341,12 +353,16 @@ def test_a_run_with_no_configuration_makes_no_record():
     assert run_suite(SuiteSpec("power_mean", alphas=(), trials=2)).records == []
 
 
-def test_large_dim_group_working_set():
-    # a dim-32 main_chain group of 3 trials and 6 configurations: every stack of
-    # the grid, the Loewner stage's included, is at most 0.7 MB per trial
-    fs = [function_by_name(name) for name in _CHAIN_LARGE.functions]
-    sigmas = [mean_by_name(name) for name in _CHAIN_LARGE.means]
-    trials = [(_pd(seed, dim=32), _pd(seed + 1, dim=32)) for seed in (1, 3, 5)]
+@pytest.mark.parametrize("spec, dim", [(_CHAIN_LARGE, 32), (SuiteSpec("main_chain"), 6)],
+                         ids=["chain_large", "default-dim-6"])
+def test_group_working_set(spec, dim):
+    # the budget counts what a group's stacks hold, so a main_chain group peaks
+    # near 3 MB whatever its shape: 3 dim-32 trials of 6 configurations, or 7
+    # dim-6 trials of the default 72
+    (_, fns), (_, means) = harness._SUITES["main_chain"].axes(spec)
+    fs, sigmas = [function_by_name(name) for name in fns], [mean_by_name(name) for name in means]
+    size = len(next(g for g in _run_groups(spec) if harness._dim_for(spec, g[0]) == dim))
+    trials = [(_pd(seed, dim=dim), _pd(seed + 1, dim=dim)) for seed in range(1, 2 * size, 2)]
     checks.check_main_chain_grid(fs, sigmas, trials)  # warm: first-call allocations
     tracemalloc.start()
     try:
@@ -355,7 +371,7 @@ def test_large_dim_group_working_set():
     finally:
         tracemalloc.stop()
     assert all(isinstance(e, checks.CheckOutcome) for row in group for e in row)
-    assert peak / len(trials) <= 0.7e6, peak
+    assert size >= 3 and peak <= 3.2e6, (size, peak)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -398,8 +414,10 @@ def test_grid_calls_keep_no_pair_alive(monkeypatch):
         for trials, names, kinds in ((good, fs[:3], {False}), (broken, fs, {False, True})):
             for grid, call in grids.items():
                 built.clear()
-                entries = call(grid, names, trials)
-                assert {isinstance(e, ValueError) for row in entries for e in row} == kinds, grid
+                entries = [e for row in call(grid, names, trials) for e in row]
+                record_or_error = (checks.CheckOutcome, ValueError)
+                assert all(isinstance(e, record_or_error) for e in entries), grid.__name__
+                assert {isinstance(e, ValueError) for e in entries} == kinds, grid.__name__
                 assert len(built) == len(trials), grid.__name__
                 assert [ref() for ref in built] == [None] * len(trials), grid.__name__
     finally:
