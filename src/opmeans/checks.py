@@ -415,6 +415,18 @@ class SharedPair:
             for pair, *eigenpairs in zip(todo, wa, va, wb, vb):
                 pair.factors = pair._factored(*eigenpairs)
 
+    @classmethod
+    def group(cls, pairs, tol=DEFAULT_TOL) -> list:
+        """A group's pairs factored as one stack, a pair whose operands are refused as its error."""
+        built = []
+        for a, b in pairs:
+            try:
+                built.append(cls(a, b, tol))
+            except ValueError as exc:
+                built.append(exc.with_traceback(None))
+        cls.factor_group([pair for pair in built if isinstance(pair, cls)])
+        return built
+
     @cached_property
     def basis(self):
         """B's eigenvectors written in A's eigenbasis, W = Va* Vb: there B = W diag(wb) W*."""
@@ -477,8 +489,9 @@ def _group_grid(fs, trials, gates, step, judge, prepare=None, means=(), cells=()
     dimension group, each step one stacked solve.  Its entries are a
     (function, trial, *means) array, ``None`` while a record is open.  Each
     f runs the gate rows ``gates`` (see :func:`_gate`); ``prepare(trials)``
-    runs once if any passes them; ``step(x)`` runs each trial's gates and
-    returns its values; each (f, x) left runs the gate rows ``cells``.
+    runs once if any passes them and gives the trials, a trial it refuses as
+    its ``ValueError``; ``step(x)`` runs each trial's gates and returns its
+    values; each (f, x) left runs the gate rows ``cells``.
     ``judge(fs, stacks, entries)`` then takes the functions and trials with
     entries left and each step value stacked over those trials, and fills
     the entries; a ``ValueError`` it raises is every open record's.  Each
@@ -495,10 +508,12 @@ def _group_grid(fs, trials, gates, step, judge, prepare=None, means=(), cells=()
         except ValueError as exc:
             _fail(results[i], exc)
     if live_f and prepare is not None:
-        prepare(trials)
+        trials = prepare(trials)
     kept = {}
     for t, x in enumerate(trials if live_f else ()):
         try:
+            if isinstance(x, ValueError):
+                raise x
             kept[t] = step(x)
         except ValueError as exc:
             _fail(results[:, t], exc)
@@ -583,10 +598,8 @@ def _mean_group(check_name, claim, gates, judge, fs, sigmas, pairs, tol) -> list
     def step(pair):  # operands that fail to factor are the trial's error
         return pair, *pair.factors[2:]
 
-    pairs = [SharedPair(a, b, tol) for a, b in pairs]
-    return _group_grid(
-        fs, pairs, fn_rows, step, run, SharedPair.factor_group, (len(sigmas),), cell_rows
-    )
+    return _group_grid(fs, pairs, fn_rows, step, run, lambda pairs: SharedPair.group(pairs, tol),
+                       (len(sigmas),), cell_rows)
 
 
 def _images(pairs, fs, sigmas, entries):
@@ -976,8 +989,7 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
          "subadditivity refinement requires a convex function, got {f.name}"),
         _FIXES_ZERO,
     )
-    pairs = [SharedPair(a, b, tol) for a, b in pairs]
-    return _group_grid(fs, pairs, gates, step, judge, SharedPair.factor_group)
+    return _group_grid(fs, pairs, gates, step, judge, lambda pairs: SharedPair.group(pairs, tol))
 
 
 def _abs_factors(a, b):
@@ -1116,17 +1128,16 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
     stacked solve each over the group, and so are those of every
     f(|A|) + f(|B|).  Norms and links as in :func:`check_subadditivity_grid`.
     """
-    pairs = [(as_complex_array(a), as_complex_array(b)) for a, b in pairs]
-    if len({a.shape for a, _ in pairs}) > 1:
+    if len({np.shape(a) for a, _ in pairs}) > 1:
         raise ShapeError("a group's trials must share one dimension")
 
     def step(pair):
-        a, b = pair
+        a, b = map(as_complex_array, pair)
         _require_normal(a, tol, "first operand")
         _require_normal(b, tol, "second operand")
         if b.shape != a.shape:
             raise ShapeError("operands must have the same dimension")
-        return pair
+        return a, b
 
     def judge(fs, stacks, entries):
         a, b = stacks
@@ -1250,8 +1261,8 @@ def _power_group(check_name, claim, descriptions, alpha_ok, judge, alphas, rs, p
 
     gates = ((lambda c, _: not c[1] < 1.0, ValueError, "exponent r must be >= 1"), alpha_ok)
     return _group_grid(
-        [(alpha, r) for alpha in alphas for r in rs], [SharedPair(a, b, tol) for a, b in pairs],
-        gates, step, run, SharedPair.factor_group,
+        [(alpha, r) for alpha in alphas for r in rs], pairs, gates, step, run,
+        lambda pairs: SharedPair.group(pairs, tol),
     )
 
 
@@ -1554,8 +1565,8 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
             margins, passes, applicable, params, flat, rows,
         )
 
-    trials = [(SharedPair(a, b, tol), alpha) for a, b, alpha in trials]
-    return _group_grid(
-        fs, trials, _TAGGED_FIXING_ZERO, step, judge,
-        lambda trials: SharedPair.factor_group([pair for pair, _ in trials]),
-    )
+    def prepare(trials):
+        pairs = SharedPair.group([trial[:2] for trial in trials], tol)
+        return [p if isinstance(p, ValueError) else (p, t[2]) for p, t in zip(pairs, trials)]
+
+    return _group_grid(fs, trials, _TAGGED_FIXING_ZERO, step, judge, prepare)

@@ -18,7 +18,6 @@ downgrade is surfaced in the summary.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -176,11 +175,8 @@ def load_matrix_json(path: str) -> ComplexMatrix:
 
 
 def save_matrix_json(matrix, path: str) -> None:
-    arr = as_complex_array(matrix)
-    data = {
-        "n": arr.shape[0],
-        "entries": [[[z.real, z.imag] for z in row] for row in arr],
-    }
+    entries = _matrix_payload(matrix)
+    data = {"n": len(entries), "entries": entries}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, sort_keys=True)
         fh.write("\n")
@@ -461,34 +457,37 @@ def _check_generator(spec: SuiteSpec, structure: str = "positive_definite") -> N
 
 
 def _summarize(records, wall_time, found=None) -> Summary:
-    """The run's counts and worst margins, read off the records' link columns."""
-    total_links = 0
-    failed = 0
-    na = 0
-    downgraded = 0
-    worst = None
-    by_link: dict[str, float] = {}
-    for rec in records:
-        if "not_applicable" in rec.params and not rec.descriptions:
-            downgraded += 1
-        total_links += len(rec.descriptions)
-        na += rec.applicable.count(False)
-        links = zip(rec.descriptions, rec.margins, rec.passes)
-        for desc, margin, passed in itertools.compress(links, rec.applicable):
-            failed += not passed
-            if worst is None or margin < worst:
-                worst = margin
-            prev = by_link.get(desc)
-            if prev is None or margin < prev:
-                by_link[desc] = margin
+    """The run's counts and worst margins, read off the records' link columns.
+
+    Records are taken by shape, their (descriptions, applicable) columns, and
+    a shape's margins and passes are one array each.  A link's worst margin is
+    its first smallest applicable margin in (record, link) order, as a scan
+    link by link finds it: of a 0.0 and a -0.0 that tie, the first.
+    """
+    shapes: dict[tuple, list[int]] = {}
+    for i, rec in enumerate(records):
+        shapes.setdefault((rec.descriptions, rec.applicable), []).append(i)
+    total_links = failed = na = 0
+    first: dict[str, tuple] = {}  # description -> (margin, record, link) of its worst
+    for (descriptions, applicable), rows in shapes.items():
+        group = [records[i] for i in rows]
+        total_links += len(descriptions) * len(rows)
+        na += applicable.count(False) * len(rows)
+        cols = list(itertools.compress(range(len(applicable)), applicable))
+        margins = np.array([r.margins for r in group], float)[:, cols]
+        failed += int(np.count_nonzero(~np.array([r.passes for r in group], bool)[:, cols]))
+        for j, r in zip(cols, margins.argmin(axis=0).tolist()):
+            worst = (group[r].margins[j], rows[r], j)
+            if worst < first.get(descriptions[j], (math.inf,)):
+                first[descriptions[j]] = worst
     return Summary(
         total_records=len(records),
         total_links=total_links,
         failed_links=failed,
         not_applicable_links=na,
-        downgraded_records=downgraded,
-        worst_margin=worst,
-        worst_margin_by_link=dict(sorted(by_link.items())),
+        downgraded_records=sum("not_applicable" in r.params for r in records if not r.descriptions),
+        worst_margin=min(first.values(), default=(None,))[0],
+        worst_margin_by_link={desc: worst[0] for desc, worst in sorted(first.items())},
         wall_time_s=wall_time,
         counterexample_found=found,
     )
@@ -662,72 +661,79 @@ def search_counterexample(
 # ---------------------------------------------------------------------------
 # report emission
 
-# The writers format each link from a fixed template and stream the report
-# record by record; they give the bytes of the generic encoders exactly:
-# json.dump(report.to_dict(), sort_keys=True, indent=2) plus a newline, and
-# csv.writer rows.  Margins are finite floats, written by float.__repr__ as
-# both encoders do.
+# The writers stream the report record by record and give the bytes of the
+# generic encoders exactly: json.dump(report.to_dict(), sort_keys=True, indent=2)
+# plus a newline, and csv.writer rows.  A record's text is one % on a template
+# made once per report for its shape, its (descriptions, applicable, passes)
+# columns, with a slot per margin; margins are finite floats, written by
+# float.__repr__ as both encoders do.  Other values are encoded once per report.
 
 _JSON_LINK = (
     '        {\n          "applicable": %s,\n          "description": %s,\n'
-    '          "margin": %s,\n          "passed": %s\n        }'
+    '          "margin": \0,\n          "passed": %s\n        }'
 )
-_JSON_BOOL = {True: "true", False: "false"}
-_SCALARS = (str, bool, int, float, type(None))
+_SCALARS = (str, int, float, bool, type(None))
 
 
-def _json_params(params: dict, scalar) -> str:
-    """A record's params at their depth in the report (6 spaces to its brace)."""
-    if not params:
-        return "{}"
-    if not all(isinstance(k, str) and isinstance(v, _SCALARS) for k, v in params.items()):
-        return json.dumps(params, sort_keys=True, indent=2).replace("\n", "\n      ")
-    items = ",\n".join(
-        f"        {scalar(k)}: {scalar(v)}" for k, v in sorted(params.items())
+def _once(encode):
+    """``encode`` for one writer call, each scalar value encoded once.
+
+    A scalar is keyed with its type, and a false one by its repr: 1, 1.0 and
+    True, or 0.0 and -0.0, would be one key otherwise.  Any other value (a
+    list may hold 0.0 or -0.0 alike) is encoded each time.
+    """
+    kept = {}
+
+    def text(value):
+        if type(value) not in _SCALARS:
+            return encode(value)
+        key = type(value), value or repr(value)
+        return kept[key] if key in kept else kept.setdefault(key, encode(value))
+
+    return text
+
+
+def _json_template(encode, check_name, claim, descriptions, applicable, passes, keys):
+    """A record's text and the param keys in the order their values fill it.
+
+    The text has a %s for the separator before it, one per margin, then one per
+    param value, or one for all params if a key is not a string (keys None).
+    """
+    links = ",\n".join(
+        _JSON_LINK % (str(a).lower(), encode(d), str(p).lower())
+        for d, a, p in zip(descriptions, applicable, passes)
     )
-    return "{\n" + items + "\n      }"
+    keys = sorted(keys) if all(isinstance(k, str) for k in keys) else None
+    params = ",\n".join(f"        {encode(k)}: \0" for k in keys or ())
+    links = "[\n" + links + "\n      ]" if links else "[]"
+    params = "\0" if keys is None else "{\n" + params + "\n      }" if keys else "{}"
+    text = (
+        f'\0\n    {{\n      "check_name": {encode(check_name)},\n      "claim": {encode(claim)},\n'
+        f'      "links": {links},\n      "params": {params}\n    }}'
+    )
+    # encoded strings hold no NUL (json escapes it), so each NUL is a slot
+    return text.replace("%", "%%").replace("\0", "%s"), keys
 
 
 def _write_json(report: Report, fh) -> None:
-    # a report repeats a few strings and numbers many times: each is encoded once,
-    # by the C encoder, keyed by type so that 1, 1.0 and True stay apart
-    scalar = functools.lru_cache(maxsize=None, typed=True)(json.JSONEncoder().encode)
+    encode = json.JSONEncoder().encode
+    param = _once(lambda v: json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n        "))
+    templates = {}
     fh.write('{\n  "records": [')
     for i, rec in enumerate(report.records):
-        links = ",\n".join(
-            map(
-                _JSON_LINK.__mod__,
-                zip(
-                    map(_JSON_BOOL.__getitem__, rec.applicable),
-                    map(scalar, rec.descriptions),
-                    map(float.__repr__, rec.margins),
-                    map(_JSON_BOOL.__getitem__, rec.passes),
-                ),
-            )
-        )
-        links = f"[\n{links}\n      ]" if links else "[]"
-        fh.write(
-            f"{',' if i else ''}\n    {{\n"
-            f'      "check_name": {scalar(rec.check_name)},\n'
-            f'      "claim": {scalar(rec.claim)},\n'
-            f'      "links": {links},\n'
-            f'      "params": {_json_params(rec.params, scalar)}\n'
-            "    }"
-        )
+        params = rec.params
+        shape = (rec.check_name, rec.claim, rec.descriptions, rec.applicable, rec.passes,
+                 tuple(params))
+        if shape not in templates:
+            templates[shape] = _json_template(encode, *shape)
+        template, keys = templates[shape]
+        values = ([param(params[k]) for k in keys] if keys is not None
+                  else [json.dumps(params, sort_keys=True, indent=2).replace("\n", "\n      ")])
+        fh.write(template % ("," if i else "", *map(float.__repr__, rec.margins), *values))
     fh.write("\n  ]" if report.records else "]")
-    rest = {
-        "spec": report.spec.to_dict(),
-        "summary": report.summary.to_dict(),
-        "tool_version": report.tool_version,
-    }
+    rest = {"spec": report.spec.to_dict(), "summary": report.summary.to_dict(),
+            "tool_version": report.tool_version}
     fh.write(",\n" + json.dumps(rest, sort_keys=True, indent=2)[2:] + "\n")
-
-
-def _flatten_params(params: dict) -> str:
-    simple = {
-        k: v for k, v in params.items() if isinstance(v, (str, bool, int, float))
-    }
-    return ";".join(f"{k}={v}" for k, v in sorted(simple.items()))
 
 
 def _write_csv(report: Report, fh) -> None:
@@ -741,22 +747,25 @@ def _write_csv(report: Report, fh) -> None:
         writer.writerow(("", value))  # not alone: a lone empty field is written ""
         return buffer.getvalue()[1:-2]
 
-    quote = functools.cache(field)
+    quote, text, templates = _once(field), _once(format), {}
     fh.write("suite,trial,check,claim,link,margin,passed,applicable,params\r\n")
     for rec in report.records:
         params = rec.params
-        base = _flatten_params({k: v for k, v in params.items() if k not in ("suite", "trial")})
-        head = ",".join(
-            map(field, (params.get("suite", report.spec.suite), params.get("trial", ""),
-                        rec.check_name, rec.claim))
-        )
-        tail = f",{field(base)}\r\n"
-        fh.write("".join(
-            f"{head},{quote(desc)},{float.__repr__(margin)},{passed},{applicable}{tail}"
-            for desc, margin, passed, applicable in zip(
-                rec.descriptions, rec.margins, rec.passes, rec.applicable
+        head = (params.get("suite", report.spec.suite), params.get("trial", ""), rec.check_name,
+                rec.claim)
+        base = ";".join([f"{k}={text(v)}" for k, v in sorted(
+            (k, v) for k, v in params.items()
+            if k not in ("suite", "trial") and isinstance(v, (str, bool, int, float))
+        )])
+        # a row: the record's head, its link, margin, passed and applicable, then base
+        shape = (rec.descriptions, rec.passes, rec.applicable)
+        if shape not in templates:
+            templates[shape] = "".join(
+                f"%s,{field(d).replace('%', '%%')},%s,{p},{a}%s" for d, p, a in zip(*shape)
             )
-        ))
+        values = [",".join(map(quote, head)), None, f",{field(base)}\r\n"] * len(rec.margins)
+        values[1::3] = map(float.__repr__, rec.margins)
+        fh.write(templates[shape] % tuple(values))
 
 
 def emit_report(report: Report, fmt: str, path: str) -> str:

@@ -5,7 +5,9 @@ hypotheses at once; the reason it gives is the first one's, in the order
 the checker states them.  A fixture pair of a 2 x 2 and a 3 x 3 operand
 downgrades every record of every positive-definite suite with its reason,
 and raises nothing: a function failing its own hypotheses is refused
-before the pair is factored.
+before the pair is factored.  So is a configuration (an exponent or a
+weight) failing its own, and both come before a pair that is not square or
+not finite is refused.
 """
 
 import math
@@ -140,3 +142,39 @@ def test_mismatched_fixture_pair_downgrades_every_record(tmp_path, suite):
     for rec in records:
         assert rec.descriptions == ()
         assert rec.params["not_applicable"] == reasons[rec.params["fn"]]
+
+
+NON_SQUARE = (np.ones((2, 3)), np.eye(2))
+NON_FINITE = (np.diag([np.nan, 1.0]), np.eye(2))
+MALFORMED = {"non-square": NON_SQUARE, "non-finite": NON_FINITE}
+
+
+@pytest.mark.parametrize(
+    "checker", [checks.check_power_mean_bounds, checks.check_ando_hiai_comparison],
+    ids=["power_mean", "ando_hiai"],
+)
+@pytest.mark.parametrize("pair", MALFORMED.values(), ids=MALFORMED)
+def test_configuration_gates_come_before_the_operands(checker, pair):
+    # the exponent's and the weight's gates run before the pair is validated
+    with pytest.raises(ValueError, match=r"^exponent r must be >= 1$"):
+        checker(*pair, 0.5, 0.5)
+    if checker is checks.check_power_mean_bounds:
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]$"):
+            checker(*pair, 1.5, 2.0)
+    with pytest.raises(ValueError) as info:
+        checker(*pair, 0.5, 2.0)
+    assert "exponent" not in str(info.value) and "alpha" not in str(info.value)
+
+
+# per checker, the reason of its untagged function not fixing zero
+SHIFTED_REASONS = {name: expected for name, f, _, expected in CASES if f is SHIFTED}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTED_REASONS))
+@pytest.mark.parametrize("pair", MALFORMED.values(), ids=MALFORMED)
+def test_function_gates_come_before_the_operands(name, pair):
+    error, message = SHIFTED_REASONS[name]
+    with pytest.raises(ValueError) as info:
+        CHECKERS[name](SHIFTED, *pair)
+    assert type(info.value) is error
+    assert str(info.value) == message

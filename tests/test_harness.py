@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from opmeans.harness import (
     Summary,
     SuiteSpec,
     UsageError,
+    _summarize,
     emit_report,
     load_hermitian_fixture,
     load_matrix_json,
@@ -201,14 +203,31 @@ def _generic_csv(report: Report) -> str:
 
 
 def _hand_built_report() -> Report:
-    links = (Link('quote " and, comma', 1.5, True), Link("Löwner ≤", -0.0, False, False))
+    # every string the templates hold carries %, %s and %%; values that compare
+    # equal but are written apart (1, 1.0, True; 0.0, -0.0) fill the same slots
+    links = (
+        Link('quote " and, comma %s', 1.5, True), Link("Löwner ≤ 100% %%", -0.0, False, False),
+    )
     params = {
         "inf": math.inf, "minus_inf": -math.inf, "quote": 'say "hi"', "comma": "a,b",
-        "name": "Löwner", "none": None, "flag": False, "count": 3, "nested": [1, [2.5, "x"]],
+        "name": "Löwner", "none": None, "flag": False, "count": 3,
+        "percent %s": "50% of %s, %%d", "zero": 0.0, "one": 1,
     }
-    record = CheckOutcome("hand", 'claim "c", ü', links, params)
-    summary = Summary(1, 2, 0, 1, 0, 1.5, {links[0].description: 1.5}, 0.0)
-    return Report("0.1.0", SuiteSpec("hand_built"), [record], summary)
+    check, claim = "hand %s %%", 'claim "c", ü 100%'
+    records = [
+        CheckOutcome(check, claim, links, {**params, "nested": [1, [2.5, "x"]]}),
+        CheckOutcome(check, claim, links, params),
+        CheckOutcome(check, claim, [links[0], Link(links[1].description, 0.0, False, False)],
+                     {**params, "zero": -0.0, "one": True, "trial": -0.0, "suite": "a,%s"}),
+        CheckOutcome(check, claim, links, {**params, "zero": 0.0, "one": 1.0, "trial": 0.0}),
+        CheckOutcome(check, claim, links, {**params, "one": "1", "trial": True, "count": -0.0,
+                                           "pair": (0.0, 1)}),
+        CheckOutcome(check, claim, links, {**params, "pair": (-0.0, 1)}),
+        CheckOutcome(check, claim, links, {"count": 1, "trial": 1, "suite": "a,%s"}),
+        CheckOutcome(check, "other", (), {}),
+        CheckOutcome(check, claim, links, {1: "int key", 2: 0.5}),
+    ]
+    return Report("0.1.0", SuiteSpec("hand_built"), records, _summarize(records, 0.0))
 
 
 _WRITER_CASES = {
@@ -219,6 +238,8 @@ _WRITER_CASES = {
     "downgraded": lambda: run_suite(SuiteSpec(
         "mean_diff_norm", trials=2, dims=(2,), functions=("sqrt",), means=("arithmetic:1/2",)
     )),
+    # failing links among passing ones, in records of one shape
+    "mixed-verdicts": lambda: run_suite(SuiteSpec("ando_hiai", trials=20, dims=(2, 3), M=400.0)),
     "search-hit": lambda: search_counterexample(
         "norm_chain_normal", None, 100, SuiteSpec("search", dims=(2,))
     ),
@@ -238,10 +259,113 @@ def test_writers_match_generic_encoders(tmp_path, case):
         assert {"A", "B"} <= rep.records[0].params.keys()
     if case == "search-empty":
         assert rep.records == []
+    if case == "mixed-verdicts":
+        assert 0 < rep.summary.failed_links < rep.summary.total_links
     emit_report(rep, "json", str(tmp_path / "r.json"))
     emit_report(rep, "csv", str(tmp_path / "r.csv"))
     assert (tmp_path / "r.json").read_bytes() == _generic_json(rep).encode()
     assert (tmp_path / "r.csv").read_bytes() == _generic_csv(rep).encode()
+
+
+def _summary_by_scan(records) -> dict:
+    """``Summary.to_dict()`` of ``records``, counted link by link (wall time 0)."""
+    total_links = failed = na = downgraded = 0
+    worst = None
+    by_link = {}
+    for rec in records:
+        if "not_applicable" in rec.params and not rec.descriptions:
+            downgraded += 1
+        total_links += len(rec.descriptions)
+        na += rec.applicable.count(False)
+        links = zip(rec.descriptions, rec.margins, rec.passes)
+        for desc, margin, passed in itertools.compress(links, rec.applicable):
+            failed += not passed
+            if worst is None or margin < worst:
+                worst = margin
+            if desc not in by_link or margin < by_link[desc]:
+                by_link[desc] = margin
+    return Summary(
+        len(records), total_links, failed, na, downgraded, worst, dict(sorted(by_link.items())), 0.0
+    ).to_dict()
+
+
+def _reprs(value):
+    """``value`` with every float replaced by its repr, so that -0.0 and 0.0 differ."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _reprs(v) for k, v in value.items()}
+    return value
+
+
+def _records(*rows) -> list:
+    """Records of links (description, margin), every link passing; a "skip" link is inapplicable."""
+    return [
+        CheckOutcome("hand", "claim", [Link(d, m, True, d != "skip") for d, m in row], {})
+        for row in rows
+    ]
+
+
+# 0.0 and -0.0 tying as a worst margin: the first in (record, link) order is the worst
+_TIED_ZEROS = {
+    "tied-zeros-one-shape": lambda: _records(
+        [("tie", -0.0), ("x", 1.0)], [("tie", 0.0), ("x", 1.0)]
+    ),
+    "tied-zeros-two-shapes": lambda: _records(
+        [("x", 1.0), ("tie", 1.0)],
+        [("skip", -1.0), ("tie", 0.0), ("y", 1.0)],
+        [("x", -0.0), ("tie", -0.0)],
+        [("skip", -1.0), ("tie", -0.0), ("y", 0.0)],
+    ),
+}
+
+
+def _random_records(seed: int, values) -> list:
+    """Records of a few shapes and repeated descriptions, margins from ``values``, at ``seed``."""
+    rng = np.random.default_rng(seed)
+    shapes = [("a", "b", "a"), ("b", "c"), ("a",), (), ("c", "c", "c", "a")]
+    records = []
+    for _ in range(300):
+        descs = shapes[rng.integers(len(shapes))]
+        applicable = rng.random(len(descs)) < 0.8
+        links = [
+            Link(d, float(values[rng.integers(len(values))]), bool(rng.random() < 0.7), bool(a))
+            for d, a in zip(descs, applicable)
+        ]
+        params = {"not_applicable": "why"} if not descs and rng.random() < 0.5 else {}
+        records.append(CheckOutcome("random", "claim", links, params))
+    return records
+
+
+_SUMMARY_CASES = {
+    **{f"writer-{case}": lambda case=case: _WRITER_CASES[case]().records for case in _WRITER_CASES},
+    "repeated-descriptions": lambda: [
+        CheckOutcome("eig", "claim", [Link("eig:low", m, m >= 0) for m in ms], {})
+        for ms in ((0.5, -0.0, 0.0), (0.25, 0.0, -0.0), (-0.0, 0.0, 0.75))
+    ],
+    "inapplicable-and-downgraded": lambda: [
+        CheckOutcome("x", "claim", [Link("a", -2.0, False, False), Link("b", 3.0, True, False)], {}),
+        CheckOutcome("x", "not-applicable", (), {"not_applicable": "m <= 0"}),
+        CheckOutcome("x", "claim", (), {}),
+        CheckOutcome("x", "claim", [Link("a", 1.0, True, False), Link("b", -1.0, False, False)], {}),
+    ],
+    **_TIED_ZEROS,
+    **{f"{case}-reversed": lambda case=case: _TIED_ZEROS[case]()[::-1] for case in _TIED_ZEROS},
+    "random": lambda: _random_records(20240001, (-1.0, -0.0, 0.0, 0.5, -1e-300)),
+    "random-zeros": lambda: _random_records(7, (-0.0, 0.0, 0.5)),
+    "empty": lambda: [],
+}
+
+
+@pytest.mark.parametrize("case", _SUMMARY_CASES)
+def test_summary_matches_a_link_by_link_scan(case):
+    records = _SUMMARY_CASES[case]()
+    got = _summarize(records, 0.0).to_dict()
+    assert _reprs(got) == _reprs(_summary_by_scan(records))
+    if case.startswith("tied-zeros"):
+        ties = [m for rec in records for d, m in zip(rec.descriptions, rec.margins) if d == "tie"]
+        first_zero = next(m for m in ties if m == 0.0)
+        assert repr(got["worst_margin_by_link"]["tie"]) == repr(first_zero)
 
 
 def test_csv_row_count_equals_total_links(tmp_path):

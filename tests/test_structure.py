@@ -4,7 +4,8 @@ No module imports a name it never uses, ``randgen`` depends on nothing in
 the package but ``core``, ``harness`` reaches into no private name of
 ``checks``, ``checks`` validates and factors a Hermitian pair only in
 ``SharedPair``, no code outside ``SharedPair`` reads its private members,
-no function of ``checks`` keeps a memo across calls, ``checks`` and
+no function of ``checks`` and no module-level function of ``harness``
+keeps a memo across calls, ``checks`` and
 ``means`` reach LAPACK's eigensolvers
 only through ``core``, every import is at module level, no source
 line is over 100 characters, and every function and class the package
@@ -111,6 +112,11 @@ def test_shared_pair_private_members_stay_inside_it():
     assert not outside, f"SharedPair private members used outside it: {', '.join(outside)}"
 
 
+def _is_cache(node) -> bool:
+    """Whether ``node`` names functools.cache or lru_cache, or calls one."""
+    return ast.unparse(getattr(node, "func", node)).rpartition(".")[2] in ("cache", "lru_cache")
+
+
 def test_checks_keeps_no_memo_across_calls():
     # a group's values are computed for the call that asks for them and dropped
     # with it: no function of checks is wrapped in functools.cache or lru_cache
@@ -118,10 +124,25 @@ def test_checks_keeps_no_memo_across_calls():
         f"{func.name} (line {func.lineno})"
         for func in ast.walk(_tree(PKG / "checks.py"))
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for deco in func.decorator_list
-        if ast.unparse(getattr(deco, "func", deco)).rpartition(".")[2] in ("cache", "lru_cache")
+        and any(map(_is_cache, func.decorator_list))
     )
     assert not cached, f"checks.py keeps a memo across calls: {', '.join(cached)}"
+
+
+def test_harness_keeps_no_memo_across_calls():
+    # a writer's encodings live for the report it writes: no module-level function
+    # of harness is wrapped in functools.cache or lru_cache, and no module-level
+    # name is bound to such a wrapper; a cache made inside one writer call is allowed
+    cached = []
+    for top in _tree(PKG / "harness.py").body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes = top.decorator_list
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)) and top.value is not None:
+            nodes = list(ast.walk(top.value))
+        else:
+            continue
+        cached += [f"line {node.lineno}" for node in nodes if _is_cache(node)]
+    assert not cached, f"harness.py keeps a memo across calls: {', '.join(sorted(set(cached)))}"
 
 
 _EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals", "schur"}
