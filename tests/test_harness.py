@@ -344,10 +344,12 @@ _SUMMARY_CASES = {
         for ms in ((0.5, -0.0, 0.0), (0.25, 0.0, -0.0), (-0.0, 0.0, 0.75))
     ],
     "inapplicable-and-downgraded": lambda: [
-        CheckOutcome("x", "claim", [Link("a", -2.0, False, False), Link("b", 3.0, True, False)], {}),
+        CheckOutcome("x", "claim", [Link("a", -2.0, False, False), Link("b", 3.0, True, False)],
+                     {}),
         CheckOutcome("x", "not-applicable", (), {"not_applicable": "m <= 0"}),
         CheckOutcome("x", "claim", (), {}),
-        CheckOutcome("x", "claim", [Link("a", 1.0, True, False), Link("b", -1.0, False, False)], {}),
+        CheckOutcome("x", "claim", [Link("a", 1.0, True, False), Link("b", -1.0, False, False)],
+                     {}),
     ],
     **_TIED_ZEROS,
     **{f"{case}-reversed": lambda case=case: _TIED_ZEROS[case]()[::-1] for case in _TIED_ZEROS},
