@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -101,7 +100,7 @@ __all__ = [
     "check_inverse_function_grid",
     "check_determinant_suite",
     "check_determinant_grid",
-    "SharedPair",
+    "PairStack",
 ]
 
 
@@ -247,8 +246,8 @@ def _equality_link(desc, got, want, tol) -> tuple:
 # A checker's hypotheses are gate rows (holds, error, message), run in order by
 # _gate: the first row whose holds(f, pair) is false raises error(message), the
 # message formatted with f and the pair; a holds may raise its own error
-# (:func:`_secant_slopes`).  A row reads the pair's factors only when it runs,
-# so a function failing its own rows never factors the operands.
+# (:func:`_secant_slopes`).  A pair is a :class:`PairStack` row, factored only
+# once some function has passed its own rows (see :func:`_group_grid`).
 
 _TAGGED = (
     lambda f, _: f.convexity is not Convexity.NEITHER, ValueError,
@@ -257,7 +256,7 @@ _TAGGED = (
 _FIXES_ZERO = (lambda f, _: f.fixes_zero, ValueError, "{f.name} does not fix zero")
 _TAGGED_FIXING_ZERO = (_TAGGED, _FIXES_ZERO)
 _POSITIVE = (
-    lambda _, pair: pair.factors[2] > 0.0, NotPositiveDefiniteError,
+    lambda _, pair: pair.m > 0.0, NotPositiveDefiniteError,
     "positive definite operands required",
 )
 
@@ -333,16 +332,12 @@ def _x_links(tol, S, X, coefs, forward, ws, entries):
     return np.where(live, margins, 0.0), passes | ~live, applies
 
 
-def _psd(factors, tol):
-    """:attr:`SharedPair.factors` for PSD operands.
-
-    m below -tol * scale raises, else is floored at 0.
-    """
-    fa, fb, m, M = factors
-    scale = 1.0 + max(abs(m), abs(M))
-    if m < -tol * scale:
+def _psd(pair, tol):
+    """A :class:`PairStack` row of PSD operands: m below -tol * scale raises, else floored at 0."""
+    m, M = pair.m, pair.M
+    if m < -tol * (1.0 + max(abs(m), abs(M))):
         raise NotPositiveSemidefiniteError(f"operand eigenvalue {m:.6e} below -tol*scale")
-    return fa, fb, max(m, 0.0), M
+    return pair._replace(m=max(m, 0.0))
 
 
 def _image(f, w, v, errors=None):
@@ -354,7 +349,7 @@ def _congruence_of(wa, wb, w, tol, errors=None):
     """The gates and the congruence of diag(wa) sigma (W diag(wb) W*), in A's eigenbasis.
 
     ``w`` holds B's eigenvectors written in A's eigenbasis
-    (:attr:`SharedPair.basis`), so any functions of A and B keep the form
+    (:meth:`PairStack.basis`), so any functions of A and B keep the form
     diag(f(wa)) and W diag(g(wb)) W* there.  The rows of ``means._middles``,
     one per spectrum of a stack; a row's breakdown is its error.
     """
@@ -368,89 +363,81 @@ def _secant_lines(c, m, fm):
     return ScalarFunction("secant", lambda x: c * (x - m) + fm, None, REALS)
 
 
-class SharedPair:
-    """A Hermitian instance (A, B): validated and factored once, its factors reused.
+class PairStack(NamedTuple):
+    """Hermitian instances (A, B) with their factors: a group's stacked, or one trial's row.
 
-    Every checker of a Hermitian pair builds one pair per instance.  Its
-    factors (:attr:`factors`, :attr:`basis`) are kept; a dimension group's S
-    = A sigma B and middles of f(A) sigma f(B) are one stack over the
-    group's pairs, made for the call that asks and kept by nothing.  Every
-    mean is taken in A's eigenbasis, where A and its functions are diagonal;
-    checkers compare means only by Loewner margins, spectra and norms, which
-    do not depend on the basis.  A step that fails keeps its error in its
-    rows, so every record reaching it gets that error.
+    Each field holds one value per trial on a leading axis, or, in a row,
+    one trial's: the operands, their eigenpairs (wa, va) and (wb, vb), and
+    the extreme eigenvalues (m, M) of both.  :meth:`group` is the one place
+    a pair is validated and factored.  A dimension group's S = A sigma B
+    and middles of f(A) sigma f(B) are made for the call that asks and kept
+    by nothing.  Every mean is taken in A's eigenbasis, where A and its
+    functions are diagonal; checkers compare means only by Loewner margins,
+    spectra and norms, which do not depend on the basis.  A step that fails
+    keeps its error in its rows, so every record reaching it gets that error.
     """
 
-    def __init__(self, A, B, tol=DEFAULT_TOL):
-        self.a = as_hermitian_array(A)
-        self.b = as_hermitian_array(B)
-        self.tol = tol
-
-    @cached_property
-    def factors(self):
-        """(a, wa, va), (b, wb, vb) and the extreme eigenvalues (m, M) of both."""
-        return self._factored(*_eigh(self.a), *_eigh(self.b))
-
-    def _factored(self, wa, va, wb, vb):
-        if wa.size != wb.size:
-            raise ShapeError("operands must have the same dimension")
-        m, M = float(min(wa[0], wb[0])), float(max(wa[-1], wb[-1]))
-        return (self.a, wa, va), (self.b, wb, vb), m, M
-
-    @staticmethod
-    def factor_group(pairs):
-        """Fill the :attr:`factors` of every pair of a dimension group: one eigh per operand.
-
-        Every pair's A must be n x n for one n.  A pair whose B is not is
-        left to :attr:`factors`, which raises for it.  A stacked eigh gives
-        each matrix the bits of its own, so the factors are those
-        :attr:`factors` computes.
-        """
-        if len({pair.a.shape for pair in pairs}) > 1:
-            raise ShapeError("a group's trials must share one dimension")
-        todo = [p for p in pairs if "factors" not in vars(p) and p.b.shape == p.a.shape]
-        if todo:
-            wa, va = _eigh(np.stack([p.a for p in todo]))
-            wb, vb = _eigh(np.stack([p.b for p in todo]))
-            for pair, *eigenpairs in zip(todo, wa, va, wb, vb):
-                pair.factors = pair._factored(*eigenpairs)
+    a: np.ndarray
+    b: np.ndarray
+    wa: np.ndarray
+    va: np.ndarray
+    wb: np.ndarray
+    vb: np.ndarray
+    m: float
+    M: float
 
     @classmethod
-    def group(cls, pairs, tol=DEFAULT_TOL) -> list:
-        """A group's pairs factored as one stack, a pair whose operands are refused as its error."""
-        built = []
-        for a, b in pairs:
-            try:
-                built.append(cls(a, b, tol))
-            except ValueError as exc:
-                built.append(exc.with_traceback(None))
-        cls.factor_group([pair for pair in built if isinstance(pair, cls)])
-        return built
+    def group(cls, pairs) -> list:
+        """A dimension group's (A, B) pairs, per trial its row or its ``ValueError``.
 
-    @cached_property
+        A refused operand is its trial's error, A's before B's.  Every A
+        left must be n x n for one n; a B that is not is its trial's error.
+        The A's left are one stacked eigh, and so are the B's: a stacked
+        eigh gives each matrix the bits of its own.
+        """
+        rows = []
+        for A, B in pairs:
+            try:
+                rows.append((as_hermitian_array(A), as_hermitian_array(B)))
+            except ValueError as exc:
+                rows.append(exc.with_traceback(None))
+        valid = [t for t, row in enumerate(rows) if isinstance(row, tuple)]
+        if len({rows[t][0].shape for t in valid}) > 1:
+            raise ShapeError("a group's trials must share one dimension")
+        for t in valid:
+            if rows[t][1].shape != rows[t][0].shape:
+                rows[t] = ShapeError("operands must have the same dimension")
+        same = [t for t in valid if isinstance(rows[t], tuple)]
+        if same:
+            a, b = (np.stack([rows[t][i] for t in same]) for i in (0, 1))
+            (wa, va), (wb, vb) = _eigh(a), _eigh(b)
+            # Python floats, min and max in (A, B) order: a -0.0 stays -0.0
+            m = map(min, wa[:, 0].tolist(), wb[:, 0].tolist())
+            M = map(max, wa[:, -1].tolist(), wb[:, -1].tolist())
+            for t, *row in zip(same, a, b, wa, va, wb, vb, m, M):
+                rows[t] = cls(*row)
+        return rows
+
     def basis(self):
         """B's eigenvectors written in A's eigenbasis, W = Va* Vb: there B = W diag(wb) W*."""
-        (_, _, va), (_, _, vb), _, _ = self.factors
-        return va.conj().T @ vb
+        return self.va.conj().swapaxes(-1, -2) @ self.vb
 
-    @staticmethod
-    def mean_stack(pairs, sigmas: tuple):
-        """S = A sigma B, in A's eigenbasis, for each of a group's pairs and each of ``sigmas``.
+    def mean_stack(self, sigmas: tuple, tol):
+        """S = A sigma B, in A's eigenbasis, for each trial of the stack and each of ``sigmas``.
 
         Returns (S, errors, ws, vs), each (trial, mean, ...): every S, its error (its middle's
         first) and its eigenpairs, one stacked eigh factoring a row with an error as I.
         """
-        middles, errors = SharedPair.image_middles(pairs, (None,))
+        middles, errors = self.image_middles((None,), tol)
         # (trial, mean): a mean starts with its middle's error
         errors = np.repeat(errors.T, len(sigmas), axis=1)
         flat = errors.reshape(-1)
-        S = _mean_from_middle([s.h for s in sigmas], middles, pairs[0].tol, flat)
+        S = _mean_from_middle([s.h for s in sigmas], middles, tol, flat)
         ws, vs = _eigh(S.reshape(-1, *S.shape[-2:]), flat)
         return S, errors, ws.reshape(S.shape[:-1]), vs.reshape(S.shape)
 
-    @staticmethod
-    def image_middles(pairs, fs):
-        """The mean-independent halves of f(A) sigma f(B) for each of ``fs`` and a group's pairs.
+    def image_middles(self, fs, tol):
+        """The mean-independent halves of f(A) sigma f(B) for each of ``fs`` and trial of the stack.
 
         Returns the middles (see ``means._middles``), one row per (function,
         trial), and their errors, (function, trial).  Each f is taken once on
@@ -458,8 +445,8 @@ class SharedPair:
         eigh.  The row of an f whose f(A) is not finite, or whose f(B) fails
         the mean's gate, keeps that error and is factored as I.
         """
-        wa, wb = (np.stack([p.factors[i][1] for p in pairs]) for i in (0, 1))
-        errors = np.full((len(fs), len(pairs)), None, dtype=object)
+        wa, wb = self.wa, self.wb
+        errors = np.full((len(fs), len(wa)), None, dtype=object)
         fa, fb = np.ones((2, len(fs), *wa.shape))
         for k, f in enumerate(fs):
             try:
@@ -470,8 +457,7 @@ class SharedPair:
         dead, flat = ~np.equal(errors, None), errors.reshape(-1)
         if dead.any():
             fa[dead], fb[dead] = 1.0, 1.0
-        basis = np.stack([p.basis for p in pairs])
-        return _middles(_congruence_of(fa, fb, basis, pairs[0].tol, flat), flat), errors
+        return _middles(_congruence_of(fa, fb, self.basis(), tol, flat), flat), errors
 
 
 def _norm_kinds(norms, dim):
@@ -574,7 +560,8 @@ def _mean_group(check_name, claim, gates, judge, fs, sigmas, pairs, tol) -> list
     ``pairs`` holds one (A, B) per trial, every operand n x n for one n;
     ``gates`` the gate rows each function runs, then those each (function,
     trial) runs.  The cells past them are one :func:`_group_grid`:
-    ``judge(pairs, fs, sigmas, entries)`` returns the link descriptions,
+    ``judge(stack, fs, sigmas, entries)``, with the open trials' one
+    :class:`PairStack`, returns the link descriptions,
     the (function, trial, mean, link) margins and passes, the (function,
     trial, link) applicable flags and each (function, trial)'s params.
     """
@@ -582,11 +569,11 @@ def _mean_group(check_name, claim, gates, judge, fs, sigmas, pairs, tol) -> list
     sigmas = tuple(sigmas)
 
     def run(fs, stacks, entries):
-        pairs, m, M = stacks
-        descriptions, margins, passes, applicable, params = judge(pairs, fs, sigmas, entries)
+        stack = PairStack(*stacks)
+        descriptions, margins, passes, applicable, params = judge(stack, fs, sigmas, entries)
         rows, fn_of, t_of, mean_of = _open(entries)
         cells = list(zip(fn_of.tolist(), t_of.tolist(), mean_of.tolist()))
-        m, M, applicable = m.tolist(), M.tolist(), applicable.tolist()
+        m, M, applicable = stack.m.tolist(), stack.M.tolist(), applicable.tolist()
         _fill(
             check_name, claim, descriptions, margins.reshape(entries.size, -1)[rows],
             passes.reshape(entries.size, -1)[rows], [applicable[k][t] for k, t, _ in cells],
@@ -595,33 +582,31 @@ def _mean_group(check_name, claim, gates, judge, fs, sigmas, pairs, tol) -> list
             entries.reshape(-1), rows,
         )
 
-    def step(pair):  # operands that fail to factor are the trial's error
-        return pair, *pair.factors[2:]
-
-    return _group_grid(fs, pairs, fn_rows, step, run, lambda pairs: SharedPair.group(pairs, tol),
+    return _group_grid(fs, pairs, fn_rows, lambda pair: pair, run, PairStack.group,
                        (len(sigmas),), cell_rows)
 
 
-def _images(pairs, fs, sigmas, entries):
+def _images(stack, fs, sigmas, tol, entries):
     """X = f(A) sigma f(B), (function, trial, mean); f's breakdown on a trial is its entries'."""
-    middles, errors = SharedPair.image_middles(pairs, fs)
+    middles, errors = stack.image_middles(fs, tol)
     _fail(entries, errors[..., None])
-    X = _mean_from_middle([s.h for s in sigmas], middles, pairs[0].tol, entries.reshape(-1))
+    X = _mean_from_middle([s.h for s in sigmas], middles, tol, entries.reshape(-1))
     return X.reshape(*entries.shape, *X.shape[-2:])
 
 
-def _chain_stacks(pairs, fs, sigmas, entries):
+def _chain_stacks(stack, fs, sigmas, tol, entries):
     """S, X and the coefficients (f'(0), f(m)/m, f(M)/M, f'(M)) of a chain's functions on a group.
 
     S (trial, mean) comes with its eigenpairs, X is (function, trial, mean) and the coefficients
     (function, trial, 4), taken where records are left.  S's errors come first.
     """
-    S, errors, ws, vs = SharedPair.mean_stack(pairs, sigmas)
+    S, errors, ws, vs = stack.mean_stack(sigmas, tol)
     _fail(entries, errors)  # a record starts with its mean's error
-    X = _images(pairs, tuple(fs), sigmas, entries)
-    coefs = np.zeros((len(fs), len(pairs), 4))
+    X = _images(stack, tuple(fs), sigmas, tol, entries)
+    ms, Ms = stack.m.tolist(), stack.M.tolist()
+    coefs = np.zeros((len(fs), len(ms), 4))
     for k, t in np.argwhere(np.equal(entries, None).any(axis=-1)).tolist():
-        f, (_, _, m, M) = fs[k], pairs[t].factors
+        f, m, M = fs[k], ms[t], Ms[t]
         coefs[k, t] = float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M))
     return (S, ws, vs), X, coefs
 
@@ -649,9 +634,9 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     return _one(check_chord_bounds_grid((f,), (sigma,), [(A, B)], tol)[0])
 
 
-def _secant_slopes(f, pair):
+def _secant_slopes(f, pair, tol):
     """(f'(m), f'(M)), m floored at 0 (:func:`_psd`): a gate row that raises its own errors."""
-    _, _, m, M = _psd(pair.factors, pair.tol)
+    *_, m, M = _psd(pair, tol)
     slopes = chord_coefficients(f, m, M)
     if not all(map(math.isfinite, slopes)):
         raise ValueError(f"infinite chord coefficient for {f.name} on [{m}, {M}]")
@@ -666,13 +651,13 @@ def check_chord_bounds_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
     every link of the group is one stacked eigvalsh.
     """
 
-    def judge(pairs, fs, sigmas, entries):
+    def judge(stack, fs, sigmas, entries):
         n_f, n_t, n_s = entries.shape
         # (f'(m), f'(M), f(m)) per cell; a cell closed by its gates takes the line 1, unused
         params, values = [[{}] * n_t for _ in fs], np.tile([0.0, 0.0, 1.0], (n_f, n_t, 1))
-        m = [_psd(pair.factors, pair.tol)[2] for pair in pairs]  # floored at 0
+        m, M = [max(x, 0.0) for x in stack.m.tolist()], stack.M.tolist()  # m floored as _psd does
         for k, t in np.argwhere(np.equal(entries, None).all(axis=-1)).tolist():
-            a, b = _secant_slopes(fs[k], pairs[t])
+            a, b = chord_coefficients(fs[k], m[t], M[t])  # finite: the cell passed _secant_slopes
             params[k][t], values[k, t] = {"m": m[t], "a": a, "b": b}, (a, b, float(fs[k](m[t])))
         # each f, each f's lower line, then each f's upper line c (x - m) + f(m)
         lines = [
@@ -680,19 +665,19 @@ def check_chord_bounds_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
             for i in (0, 1) for k in range(n_f)
         ]
         errors = np.full((3 * n_f, n_t, n_s), None, dtype=object)
-        X = _images(pairs, (*fs, *lines), sigmas, errors)
+        X = _images(stack, (*fs, *lines), sigmas, tol, errors)
         mid, low, high = X.reshape(3, -1, *X.shape[-2:])
         _fail(entries, *errors.reshape(3, n_f, n_t, n_s))  # X's error, then the lower line's
         fwd = np.repeat([f.convexity is Convexity.CONVEX for f in fs], n_t * n_s)[:, None, None]
         sides = ((low, mid), (mid, high))
         claims = [(np.where(fwd, lo, hi), np.where(fwd, hi, lo), None) for lo, hi in sides]
-        lower, upper = _loewner(claims, pairs[0].tol, [entries.reshape(-1)] * 2)
+        lower, upper = _loewner(claims, tol, [entries.reshape(-1)] * 2)
         margins = np.stack([lower.margin, upper.margin], -1).reshape(n_f, n_t, n_s, 2)
         passes = np.stack([lower.passed, upper.passed], -1).reshape(n_f, n_t, n_s, 2)
         descriptions = ("lower-slope-line", "upper-slope-line")
         return descriptions, margins, passes, np.ones((n_f, n_t, 2), dtype=bool), params
 
-    gates = ((_TAGGED,), ((_secant_slopes, None, None),))
+    gates = ((_TAGGED,), ((lambda f, pair: _secant_slopes(f, pair, tol), None, None),))
     return _mean_group(
         "chord_bounds", "secant-line-mean-bracket", gates, judge, fs, sigmas, pairs, tol
     )
@@ -716,11 +701,29 @@ def check_main_chain_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
     sigma), f outermost (see :func:`_mean_group`).  The links against X of
     the whole group are one stacked eigvalsh, the others margins on spec(S).
     """
-    positive = (lambda _, pair: pair.factors[2] > 0.0, NotPositiveDefiniteError,
-                "spectra must be positive, got m={pair.factors[2]:.6e}")
+
+    def judge(stack, fs, sigmas, entries):
+        (S, ws, _), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
+        n_f, n_t, n_s = entries.shape
+        tags = [f.convexity is Convexity.CONVEX for f in fs]
+        # the chain around f(S) on spec(S), as (f, trial, sigma, link, eigenvalue); its edge
+        # links are also fn-then-mean's, whose low and high links against X are solved apart
+        lo, hi, applies = _chain_sides(coefs[..., None], ws, _on_spectra(fs, ws, entries), tags)
+        shape = (entries.size, len(_CHAIN), ws.shape[-1])
+        on_spectrum = _loewner_on_spectrum(
+            lo.reshape(shape), hi.reshape(shape), tol, entries.reshape(-1)
+        )
+        margins = np.tile(on_spectrum.margin.reshape(n_f, n_t, n_s, -1), 2)
+        passes = np.tile(on_spectrum.passed.reshape(n_f, n_t, n_s, -1), 2)
+        margins[..., 1:3], passes[..., 1:3], _ = _x_links(tol, S, X, coefs, tags, ws, entries)
+        params = [[{"convex": tag, "dim": ws.shape[-1]}] * n_t for tag in tags]
+        return _MAIN_CHAIN_LINKS, margins, passes, np.tile(applies[..., 0], 2), params
+
+    positive = (lambda _, pair: pair.m > 0.0, NotPositiveDefiniteError,
+                "spectra must be positive, got m={pair.m:.6e}")
     return _mean_group(
-        "main_chain", "mean-coefficient-chain", (_TAGGED_FIXING_ZERO, (positive,)),
-        _main_chain_judge, fs, sigmas, pairs, tol,
+        "main_chain", "mean-coefficient-chain", (_TAGGED_FIXING_ZERO, (positive,)), judge,
+        fs, sigmas, pairs, tol,
     )
 
 
@@ -729,27 +732,9 @@ _MAIN_CHAIN_LINKS = tuple(
 )
 
 
-def _main_chain_judge(pairs, fs, sigmas, entries):
-    (S, ws, _), X, coefs = _chain_stacks(pairs, fs, sigmas, entries)
-    n_f, n_t, n_s = entries.shape
-    tags = [f.convexity is Convexity.CONVEX for f in fs]
-    # the chain around f(S) on spec(S), as (f, trial, sigma, link, eigenvalue); its edge
-    # links are also fn-then-mean's, whose low and high links against X are solved apart
-    lo, hi, applies = _chain_sides(coefs[..., None], ws, _on_spectra(fs, ws, entries), tags)
-    shape = (entries.size, len(_CHAIN), ws.shape[-1])
-    on_spectrum = _loewner_on_spectrum(
-        lo.reshape(shape), hi.reshape(shape), pairs[0].tol, entries.reshape(-1)
-    )
-    margins = np.tile(on_spectrum.margin.reshape(n_f, n_t, n_s, -1), 2)
-    passes = np.tile(on_spectrum.passed.reshape(n_f, n_t, n_s, -1), 2)
-    margins[..., 1:3], passes[..., 1:3], _ = _x_links(pairs[0].tol, S, X, coefs, tags, ws, entries)
-    params = [[{"convex": tag, "dim": ws.shape[-1]}] * n_t for tag in tags]
-    return _MAIN_CHAIN_LINKS, margins, passes, np.tile(applies[..., 0], 2), params
-
-
 def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     """log(M+1)/M * log(A+B+I) <= log(A+I) + log(B+I) for PSD A, B."""
-    (a, wa, va), (b, wb, vb), m, bound = _psd(SharedPair(A, B, tol).factors, tol)
+    a, b, wa, va, wb, vb, m, bound = _psd(_one(PairStack.group([(A, B)])), tol)
     if M is None:
         M = bound
     M = float(M)
@@ -778,8 +763,8 @@ def check_mean_difference_norm_grid(fs, sigmas, pairs, norms=None, tol=DEFAULT_T
     X - f(S) of the group is one stacked eigvalsh, and every norm one table.
     """
 
-    def judge(pairs, fs, sigmas, entries):
-        (_, ws, vs), X, coefs = _chain_stacks(pairs, fs, sigmas, entries)
+    def judge(stack, fs, sigmas, entries):
+        (_, ws, vs), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
         n_f, n_t, n_s = entries.shape
         n, flat = ws.shape[-1], entries.reshape(-1)
         diff = X - hermitian_part(_compose(vs, _on_spectra(fs, ws, entries)))
@@ -805,7 +790,7 @@ _MEAN_DIFFERENCE_GATES = (
     ((lambda f, _: f.convexity is Convexity.CONVEX, ValueError,
       "mean-difference bound requires a convex function, got {f.name}"), _FIXES_ZERO),
     (_POSITIVE, (lambda f, pair: math.isfinite(float(f.deriv(0.0)))
-                 and math.isfinite(float(f.deriv(pair.factors[3]))), ValueError,
+                 and math.isfinite(float(f.deriv(pair.M))), ValueError,
                  "infinite endpoint derivative")),
 )
 
@@ -837,8 +822,8 @@ def check_eig_prod_norm_grid(fs, sigmas, pairs, tol=DEFAULT_TOL, norms=None) -> 
     link one :func:`_chain_sides`.
     """
 
-    def judge(pairs, fs, sigmas, entries):
-        (_, ws, _), X, coefs = _chain_stacks(pairs, fs, sigmas, entries)
+    def judge(stack, fs, sigmas, entries):
+        (_, ws, _), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
         n_f, n_t, n_s = entries.shape
         n = ws.shape[-1]
         tags = [f.convexity is Convexity.CONVEX for f in fs]
@@ -936,10 +921,10 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
     over (record x norm kind) arrays.
     """
     def step(pair):
-        (a, wa, va), (b, wb, vb), m, M = _psd(pair.factors, tol)
-        if M <= 0.0:
+        pair = _psd(pair, tol)
+        if pair.M <= 0.0:
             raise ValueError("zero operands leave no content to check")
-        return a, b, wa, va, wb, vb, m, M
+        return pair
 
     def judge(fs, stacks, entries):
         a, b, wa, va, wb, vb, m, M = stacks
@@ -989,7 +974,7 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
          "subadditivity refinement requires a convex function, got {f.name}"),
         _FIXES_ZERO,
     )
-    return _group_grid(fs, pairs, gates, step, judge, lambda pairs: SharedPair.group(pairs, tol))
+    return _group_grid(fs, pairs, gates, step, judge, PairStack.group)
 
 
 def _abs_factors(a, b):
@@ -1235,23 +1220,23 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
 def _power_group(check_name, claim, descriptions, alpha_ok, judge, alphas, rs, pairs, tol):
     """A dimension group's records on A^r #_a B^r, per trial one per (alpha, r), alpha outermost.
 
-    (alpha, r) needs r >= 1, then ``alpha_ok``; a trial m > 0.  ``judge(pairs,
-    alphas, a_of, powers, level, exponents, entries)`` takes the open
-    configurations' alphas and x^r, and each one's alpha index, level (see
-    :func:`_power_means`) and r - 1.  It fails entries (:func:`_group_grid`)
-    and returns the links, (margins, passes) per (configuration x trial),
-    and ``params(t, i)`` of entry i.
+    (alpha, r) needs r >= 1, then ``alpha_ok``; a trial m > 0.  ``judge(stack,
+    alphas, a_of, powers, level, exponents, entries)`` takes the open trials'
+    :class:`PairStack`, the open configurations' alphas and x^r, and each
+    one's alpha index, level (see :func:`_power_means`) and r - 1.  It fails
+    entries (:func:`_group_grid`) and returns the links, (margins, passes)
+    per (configuration x trial), and ``params(t, i)`` of entry i.
     """
 
     def step(pair):
         _gate((_POSITIVE,), None, pair)
-        return (pair,)
+        return pair
 
     def run(configs, stacks, entries):
         axes = [list(dict.fromkeys(axis)) for axis in zip(*configs)]
         a_of, r_of = (np.array(list(map(axis.index, xs))) for axis, xs in zip(axes, zip(*configs)))
-        links, params = judge(stacks[0], axes[0], a_of, [power(r) for r in axes[1]], 1 + r_of,
-                              [r - 1.0 for _, r in configs], entries)
+        links, params = judge(PairStack(*stacks), axes[0], a_of, [power(r) for r in axes[1]],
+                              1 + r_of, [r - 1.0 for _, r in configs], entries)
         rows, c_of, t_of = _open(entries)
         margins, passes = (np.stack(column, -1)[rows] for column in zip(*links))
         params = [{"alpha": configs[c][0], "r": configs[c][1], **params(t, i)}
@@ -1261,12 +1246,11 @@ def _power_group(check_name, claim, descriptions, alpha_ok, judge, alphas, rs, p
 
     gates = ((lambda c, _: not c[1] < 1.0, ValueError, "exponent r must be >= 1"), alpha_ok)
     return _group_grid(
-        [(alpha, r) for alpha in alphas for r in rs], pairs, gates, step, run,
-        lambda pairs: SharedPair.group(pairs, tol),
+        [(alpha, r) for alpha in alphas for r in rs], pairs, gates, step, run, PairStack.group
     )
 
 
-def _power_means(pairs, weights, k_of, powers, level):
+def _power_means(stack, weights, k_of, powers, level, tol):
     """G = A #_w B and Gr = A^r #_w B^r per (configuration c, trial t) of a dimension group.
 
     w = ``weights[k_of[c, t]]`` by x^w (0 and 1 give A or B itself) and x^r =
@@ -1274,7 +1258,7 @@ def _power_means(pairs, weights, k_of, powers, level):
     the means and their errors, each (c, t); then the middles of (A, B) and
     every (A^r, B^r), levels 0 and 1 + j, one stacked eigh.
     """
-    middles, middle_errors = SharedPair.image_middles(pairs, (None, *powers))
+    middles, middle_errors = stack.image_middles((None, *powers), tol)
     (n_l, n_t), n = middle_errors.shape, middles[1].shape[-1]
     means = np.empty((len(weights), n_l, n_t, n, n), dtype=complex)
     errors = np.full(means.shape[:3], None, dtype=object)
@@ -1282,12 +1266,11 @@ def _power_means(pairs, weights, k_of, powers, level):
     if inner:
         rows = np.full((n_l * n_t, len(inner)), None, dtype=object)
         hs = [power(weights[k]) for k in inner]
-        X = _mean_from_middle(hs, middles, pairs[0].tol, rows.reshape(-1))
+        X = _mean_from_middle(hs, middles, tol, rows.reshape(-1))
         means[inner] = np.moveaxis(X.reshape(n_l, n_t, len(inner), n, n), 2, 0)
         errors[inner] = np.moveaxis(rows.reshape(n_l, n_t, -1), 2, 0)
     for k in sorted(set(range(len(weights))) - set(inner)):  # diag(wa) or W diag(wb) W*
-        w = np.stack([p.factors[1 if weights[k] else 0][1] for p in pairs])
-        v = np.stack([p.basis for p in pairs]) if weights[k] else np.eye(n)
+        w, v = (stack.wb, stack.basis()) if weights[k] else (stack.wa, np.eye(n))
         means[k, 0] = _compose(v, w)
         for j, f in enumerate(powers, 1):
             means[k, j] = _image(f, w, v, errors[k, j])
@@ -1305,18 +1288,20 @@ def check_power_mean_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
     means, A definite, S(A|B), A^r definite and S(A^r|B^r).
     """
 
-    def judge(pairs, alphas, a_of, powers, level, exponents, entries):
-        wa = np.stack([p.factors[0][1] for p in pairs])
-        errors = np.full((1 + len(powers), len(pairs)), None, dtype=object)  # A^r finite
+    def judge(stack, alphas, a_of, powers, level, exponents, entries):
+        wa = stack.wa
+        errors = np.full((1 + len(powers), len(wa)), None, dtype=object)  # A^r finite
         fw = np.stack([wa, *(_finite(_fn_values(f, wa, e), e) for f, e in zip(powers, errors[1:]))])
-        (e0, G, g0), (er, Gr, gr), mids = _power_means(pairs, alphas, a_of[:, None], powers, level)
+        (e0, G, g0), (er, Gr, gr), mids = _power_means(
+            stack, alphas, a_of[:, None], powers, level, tol
+        )
         n, definite, entropy = wa.shape[-1], *np.full((2, *errors.shape), None, dtype=object)
         _require_definite(fw.reshape(-1, n), tol, definite.reshape(-1))
         S = _perspective_from_middle(function_by_name("log"), mids, entropy.reshape(-1))
         S1, Sr = (S.reshape(fw.shape + (n,))[i] for i in (0, level))
         _fail(entries, errors[level], e0, er, g0, gr, definite[0], entropy[0], definite[level],
               entropy[level])
-        m, M = ([p.factors[i] for p in pairs] for i in (2, 3))
+        m, M = stack.m.tolist(), stack.M.tolist()
         lo, hi = (np.array([[_pow_or_inf(x, k) for x in xs] for k in exponents])[..., None, None]
                   for xs in (m, M))
         claims = ((lo * G, Gr), (Gr, hi * G), (lo * S1, Sr), (Sr, hi * S1))
@@ -1354,21 +1339,21 @@ def check_ando_hiai_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
     and A^r #_a B^r.
     """
 
-    def judge(pairs, alphas, a_of, powers, level, exponents, entries):
+    def judge(stack, alphas, a_of, powers, level, exponents, entries):
         # ||A|| and ||B|| are the top eigenvalues of the positive definite operands;
         # at a tie within round-off either order meets ||A|| <= ||B||, so none is swapped
-        norm_a, norm_b = ([float(p.factors[i][1][-1]) for p in pairs] for i in (0, 1))
+        norm_a, norm_b = stack.wa[:, -1].tolist(), stack.wb[:, -1].tolist()
         swapped = [x > y + tol * (1.0 + y) for x, y in zip(norm_a, norm_b)]
         # each (alpha, trial)'s weight: B #_a A = A #_(1-a) B
         w_of = [[1.0 - alpha if s else alpha for s in swapped] for alpha in alphas]
         weights = list(dict.fromkeys(w for row in w_of for w in row))
         k_of = np.array([[weights.index(w) for w in row] for row in w_of])[a_of]
-        (e0, G, g0), (er, Gr, gr), _ = _power_means(pairs, weights, k_of, powers, level)
+        (e0, G, g0), (er, Gr, gr), _ = _power_means(stack, weights, k_of, powers, level, tol)
         _fail(entries, e0, g0, er, gr)
         n, flat = G.shape[-1], entries.reshape(-1)
         G, Gr = G.reshape(-1, n, n), Gr.reshape(-1, n, n)
         tops = [x if s else y for x, y, s in zip(norm_a, norm_b, swapped)] * len(a_of)
-        c_ah, c_chain = ([*map(_pow_or_inf, c, [k for k in exponents for _ in pairs])]
+        c_ah, c_chain = ([*map(_pow_or_inf, c, [k for k in exponents for _ in norm_a])]
                          for c in (_singular_values(G, flat)[:, 0].tolist(), tops))
         cs = np.array([c_ah, c_chain])
         results = _loewner([(Gr, c[:, None, None] * G, None) for c in cs], tol, [flat] * 2)
@@ -1415,12 +1400,11 @@ def check_contraction_implication(
     # The iterates f^k(A), f^k(B) keep the eigenvectors of A and B, and I
     # keeps its form in any basis; in A's, f^k(A) is diagonal and its
     # ill-conditioned inverse square root is exact.
-    shared = SharedPair(A, B, tol)
-    (_, wa, _), (_, wb, _), _, _ = shared.factors
-    eye = np.eye(wa.size)
+    pair = _one(PairStack.group([(A, B)]))
+    wa, wb, basis, eye = pair.wa, pair.wb, pair.basis(), np.eye(pair.wa.size)
 
     def iterate_mean(wx, wy):
-        middle = _middles(_congruence_of(wx, wy, shared.basis, tol))
+        middle = _middles(_congruence_of(wx, wy, basis, tol))
         return _mean_from_middle([sigma_h.h], middle, tol)[0, 0]
 
     if not forward:
@@ -1456,14 +1440,14 @@ def check_inverse_function_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
     inverse and reversed, inverse-low the high link, for a convex one.
     """
 
-    def judge(pairs, fs, sigmas, entries):
-        (S, ws, _), X, coefs = _chain_stacks(pairs, fs, sigmas, entries)
+    def judge(stack, fs, sigmas, entries):
+        (S, ws, _), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
         # a convex inverse: inverse-low is the high link
         swap = np.array([f.inverse.convexity is Convexity.CONVEX for f in fs])
-        margins, passes, applies = _x_links(pairs[0].tol, S, X, coefs, ~swap, ws, entries)
+        margins, passes, applies = _x_links(tol, S, X, coefs, ~swap, ws, entries)
         for links in (margins, passes, applies):
             links[swap] = links[swap][..., ::-1]
-        params = [[{"inverse_convexity": f.inverse.convexity.value}] * len(pairs) for f in fs]
+        params = [[{"inverse_convexity": f.inverse.convexity.value}] * len(ws) for f in fs]
         return ("inverse-low", "inverse-high"), margins, passes, applies, params
 
     gates = (
@@ -1495,7 +1479,8 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
     """:func:`check_determinant_suite` for every function in ``fs`` and trial in ``trials``.
 
     ``trials`` is a dimension group, one (A, B, alpha) per trial, as for
-    :func:`check_subadditivity_grid`.  The factors of A and B, the
+    :func:`check_subadditivity_grid`; an alpha outside (0, 1) is its trial's
+    error, before any error of its operands.  The factors of A and B, the
     eigenvalues of A + B and of alpha A + beta B and the determinant roots
     of A, B and A + B are each one stacked solve or array over the group;
     f(A) keeps A's eigenvectors, so its root is read off f on A's spectrum,
@@ -1503,11 +1488,8 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
     """
     def step(trial):
         pair, alpha = trial
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie strictly inside (0, 1)")
-        (a, wa, va), (b, wb, vb), m, M = pair.factors
         _gate((_POSITIVE,), None, pair)
-        return a, b, wa, va, wb, vb, m, M, alpha
+        return *pair, alpha
 
     def judge(fs, stacks, entries):
         a, b, wa, va, wb, vb, m, M, alpha = stacks
@@ -1565,8 +1547,12 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
             margins, passes, applicable, params, flat, rows,
         )
 
-    def prepare(trials):
-        pairs = SharedPair.group([trial[:2] for trial in trials], tol)
-        return [p if isinstance(p, ValueError) else (p, t[2]) for p, t in zip(pairs, trials)]
+    def prepare(trials):  # a trial's alpha comes before its operands
+        pairs = PairStack.group([trial[:2] for trial in trials])
+        return [
+            ValueError("alpha must lie strictly inside (0, 1)") if not 0.0 < alpha < 1.0
+            else pair if isinstance(pair, ValueError) else (pair, alpha)
+            for pair, (_, _, alpha) in zip(pairs, trials)
+        ]
 
     return _group_grid(fs, trials, _TAGGED_FIXING_ZERO, step, judge, prepare)

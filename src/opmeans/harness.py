@@ -256,6 +256,13 @@ def _normal_pairs(spec: SuiteSpec, ts, structure: str = "normal_complex") -> lis
     return [(ComplexMatrix(a), ComplexMatrix(b)) for a, b in pairs]
 
 
+def _det_alphas(spec: SuiteSpec) -> tuple:
+    """determinant's alphas, taken by the trials in turn: none is a usage error."""
+    if not spec.alphas:
+        raise UsageError("suite 'determinant' needs at least one alpha")
+    return spec.alphas
+
+
 def _det_instances(spec: SuiteSpec, ts) -> list:
     """determinant's trials: a generic pair for even t, else a gap pair from seed 2t alone.
 
@@ -269,8 +276,9 @@ def _det_instances(spec: SuiteSpec, ts) -> list:
         seed = derive_stream_seed(spec.master_seed, 2 * t)
         return gap_pair_rows(_dim_for(spec, t), modes[t], seed)
 
+    alphas = _det_alphas(spec)
     return [
-        (*map(HermitianMatrix, (a, b)), spec.alphas[t % len(spec.alphas)],
+        (*map(HermitianMatrix, (a, b)), alphas[t % len(alphas)],
          f"gap:{modes[t]}" if t in modes else "generic")
         for t, (a, b) in zip(ts, _draw_pairs(spec, ts, rows))
     ]
@@ -402,7 +410,7 @@ _SUITES = {
     "inverse_function": _mean_suite("check_inverse_function_grid"),
     "determinant": _Suite(
         _ALL_FNS, _det_instances, _check_determinant,
-        from_fixture=lambda spec, pair: (*pair, spec.alphas[0], "fixture"),
+        from_fixture=lambda spec, pair: (*pair, _det_alphas(spec)[0], "fixture"),
     ),
 }
 
@@ -570,13 +578,14 @@ def run_suite(spec: SuiteSpec) -> Report:
 
 def _require_positive_definite(pair) -> None:
     """Refuse a fixture pair that is not positive definite, by m of its own factors."""
-    try:
-        _, _, m, _ = checks.SharedPair(*pair).factors
-    except ShapeError as exc:
-        raise UsageError(f"fixture pair: {exc}") from exc
-    if m <= 0.0:
+    (pair,) = checks.PairStack.group([pair])
+    if isinstance(pair, ShapeError):
+        raise UsageError(f"fixture pair: {pair}") from pair
+    if isinstance(pair, ValueError):
+        raise pair
+    if pair.m <= 0.0:
         raise UsageError(
-            f"target main_chain needs positive definite fixtures, smallest eigenvalue {m:.6e}"
+            f"target main_chain needs positive definite fixtures, smallest eigenvalue {pair.m:.6e}"
         )
 
 

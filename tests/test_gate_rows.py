@@ -149,20 +149,34 @@ NON_FINITE = (np.diag([np.nan, 1.0]), np.eye(2))
 MALFORMED = {"non-square": NON_SQUARE, "non-finite": NON_FINITE}
 
 
-@pytest.mark.parametrize(
-    "checker", [checks.check_power_mean_bounds, checks.check_ando_hiai_comparison],
-    ids=["power_mean", "ando_hiai"],
-)
+POWER_2 = function_by_name("power:2")
+
+# per checker of a configuration: the call on a pair, and per configuration
+# that fails a gate, the gate's message; (0.5, 2.0) and 0.5 pass every gate
+CONFIGURED = {
+    "power_mean": (checks.check_power_mean_bounds, {
+        (0.5, 0.5): r"^exponent r must be >= 1$", (1.5, 2.0): r"^alpha must lie in \[0, 1\]$",
+    }, (0.5, 2.0)),
+    "ando_hiai": (checks.check_ando_hiai_comparison, {
+        (0.5, 0.5): r"^exponent r must be >= 1$",
+    }, (0.5, 2.0)),
+    "determinant": (lambda a, b, alpha: checks.check_determinant_suite(POWER_2, a, b, alpha), {
+        (1.5,): r"^alpha must lie strictly inside \(0, 1\)$",
+        (0.0,): r"^alpha must lie strictly inside \(0, 1\)$",
+    }, (0.5,)),
+}
+
+
+@pytest.mark.parametrize("checker", ["power_mean", "ando_hiai", "determinant"])
 @pytest.mark.parametrize("pair", MALFORMED.values(), ids=MALFORMED)
 def test_configuration_gates_come_before_the_operands(checker, pair):
     # the exponent's and the weight's gates run before the pair is validated
-    with pytest.raises(ValueError, match=r"^exponent r must be >= 1$"):
-        checker(*pair, 0.5, 0.5)
-    if checker is checks.check_power_mean_bounds:
-        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]$"):
-            checker(*pair, 1.5, 2.0)
+    call, refused, passing = CONFIGURED[checker]
+    for config, message in refused.items():
+        with pytest.raises(ValueError, match=message):
+            call(*pair, *config)
     with pytest.raises(ValueError) as info:
-        checker(*pair, 0.5, 2.0)
+        call(*pair, *passing)
     assert "exponent" not in str(info.value) and "alpha" not in str(info.value)
 
 

@@ -84,6 +84,24 @@ def test_unknown_names_rejected_before_trials():
         run_suite(SuiteSpec("main_chain", trials=0))
 
 
+def test_determinant_without_alphas_is_a_usage_error(monkeypatch, tmp_path):
+    # a determinant trial takes its alpha from the spec's in turn: with none, the
+    # run is refused before any instance is drawn, drawn or loaded from fixtures
+    import opmeans.harness as harness
+
+    draws = []
+    random_group = harness.random_group
+    monkeypatch.setattr(harness, "random_group", lambda *a: draws.append(a) or random_group(*a))
+    paths = (str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+    for path in paths:
+        save_matrix_json(np.diag([1.0, 2.0]), path)
+    for extra in ({"trials": 2}, {"fixtures": paths}):
+        with pytest.raises(UsageError, match="^suite 'determinant' needs at least one alpha$"):
+            run_suite(SuiteSpec("determinant", alphas=(), **extra))
+    assert draws == []
+    assert run_suite(SuiteSpec("determinant", alphas=(0.5,), trials=2)).records
+
+
 def test_report_determinism_same_seed():
     a = _json_bytes_without_walltime(run_suite(SMALL))
     b = _json_bytes_without_walltime(run_suite(SMALL))

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from opmeans import checks, means, norm
-from opmeans.checks import SharedPair
+from opmeans.checks import PairStack
 from opmeans.functions import Convexity, ScalarFunction, function_by_name
 from opmeans.harness import (
     _ALL_FUNCTIONS,
@@ -137,16 +137,16 @@ def test_mixed_function_stack_records_equal_raw_checker_records(monkeypatch, dim
     fns = ("power:3", "power:2", "sqrt", "log1p")
     spec = SuiteSpec("main_chain", trials=4, dims=dims, m=1e-6, functions=fns)
     regularized = []
-    image_middles = SharedPair.image_middles
+    image_middles = PairStack.image_middles
 
-    def spy(pairs, fs):
-        middles, errors = image_middles(pairs, fs)
+    def spy(stack, fs, tol):
+        middles, errors = image_middles(stack, fs, tol)
         # per trial of the group, whether each function's middle is regularized
-        flags = ~np.equal(middles[3], None).reshape(len(fs), len(pairs))
+        flags = ~np.equal(middles[3], None).reshape(len(fs), len(stack.wa))
         regularized.append([tuple(row) for row in flags.T.tolist()])
         return middles, errors
 
-    monkeypatch.setattr(SharedPair, "image_middles", spy)
+    monkeypatch.setattr(PairStack, "image_middles", spy)
     records = run_suite(spec).records
     assert any((True, True, False, False) in stack for stack in regularized)
     (_, _), (_, mean_names) = _SUITES["main_chain"].axes(spec)
@@ -356,8 +356,11 @@ def test_sharing_changes_no_report(monkeypatch, suite, extra):
         return json.dumps(d, sort_keys=True, indent=1).splitlines()
 
     shared = report()
-    # every pair factored on its own when first asked, not as one stack per group
-    monkeypatch.setattr(SharedPair, "factor_group", lambda pairs: None)
+    # every pair validated and factored on its own, not as one stack per group
+    group = PairStack.group
+    monkeypatch.setattr(
+        PairStack, "group", staticmethod(lambda pairs: [row for p in pairs for row in group([p])])
+    )
     assert shared == report()
 
 

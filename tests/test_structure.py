@@ -3,7 +3,7 @@
 No module imports a name it never uses, ``randgen`` depends on nothing in
 the package but ``core``, ``harness`` reaches into no private name of
 ``checks``, ``checks`` validates and factors a Hermitian pair only in
-``SharedPair``, no code outside ``SharedPair`` reads its private members,
+``PairStack``, every name a module lists in ``__all__`` is bound in it,
 no function of ``checks`` and no module-level function of ``harness``
 keeps a memo across calls, ``checks`` and
 ``means`` reach LAPACK's eigensolvers
@@ -78,9 +78,9 @@ def test_harness_uses_no_private_checks_name():
     assert not private, f"harness uses private checks names: {private}"
 
 
-def test_checks_validates_and_factors_pairs_only_in_shared_pair():
+def test_checks_validates_and_factors_pairs_only_in_pair_stack():
     tree = _tree(PKG / "checks.py")
-    (pair,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SharedPair"]
+    (pair,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PairStack"]
     inside = {id(node) for node in ast.walk(pair)}
     outside = sorted(
         f"{node.id} (line {node.lineno})"
@@ -89,27 +89,36 @@ def test_checks_validates_and_factors_pairs_only_in_shared_pair():
         and node.id in ("as_hermitian_array", "_eigh")
         and id(node) not in inside
     )
-    assert not outside, f"checks.py validates or factors outside SharedPair: {', '.join(outside)}"
+    assert not outside, f"checks.py validates or factors outside PairStack: {', '.join(outside)}"
 
 
-def test_shared_pair_private_members_stay_inside_it():
-    # how a pair fills its factors is the pair's own rule
-    private = {"_factored"}
-    outside = []
-    for path in MODULES:
-        tree = _tree(path)
-        inside = {
-            id(node)
-            for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and cls.name == "SharedPair"
-            for node in ast.walk(cls)
-        }
-        outside += [
-            f"{path.name}:{node.lineno} {node.attr}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in private and id(node) not in inside
-        ]
-    assert not outside, f"SharedPair private members used outside it: {', '.join(outside)}"
+def _bound_at_module_level(tree: ast.Module) -> set:
+    """The names a module binds at its top level: defs, classes, assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PKG.glob("*.py")), ids=lambda p: p.stem)
+def test_every_exported_name_is_bound(path):
+    # a name left in __all__ after a rename breaks `from module import *` only
+    # when some caller runs it
+    tree = _tree(path)
+    exported = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    missing = sorted(set().union(*exported) - _bound_at_module_level(tree))
+    assert not missing, f"{path.name} exports names it does not bind: {', '.join(missing)}"
 
 
 def _is_cache(node) -> bool:

@@ -376,21 +376,26 @@ def test_group_working_set(spec, dim):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grid_calls_keep_no_pair_alive(monkeypatch):
-    # a group's factors, S and middles live on pairs that the grid call builds;
-    # if anything kept one of them (a memo, or a cycle through it), every group
-    # would live until the cycle collector ran, and a run's memory would grow
-    # with its groups.  A stored error keeps no traceback, which would hold its
-    # frame's pairs: in the second group expm1 overflows at M = 800, an
-    # indefinite B fails its trial's gate and log, which does not fix zero, its
-    # function's
-    built = []
-    init = checks.SharedPair.__init__
+    # a group's operands and factors live in the stacks and rows that the grid
+    # call builds; if anything kept one of them (a memo, or a cycle through it),
+    # every group would live until the cycle collector ran, and a run's memory
+    # would grow with its groups.  A stored error keeps no traceback, which
+    # would hold its frame's stacks: in the second group expm1 overflows at
+    # M = 800, an indefinite B fails its trial's gate and log, which does not
+    # fix zero, its function's.  A row is a tuple, which takes no weak
+    # reference, so each of its arrays and the stack it is a view of is tracked
+    built, rows = [], []
+    new = checks.PairStack.__new__
 
-    def tracked(pair, *args):
-        init(pair, *args)
-        built.append(weakref.ref(pair))
+    def tracked(cls, *fields):
+        pair = new(cls, *fields)
+        arrays = [x for x in pair if isinstance(x, np.ndarray)]
+        arrays += [x.base for x in arrays if x.base is not None]
+        built.extend(map(weakref.ref, arrays))
+        rows.append(pair.a.ndim == 2)
+        return pair
 
-    monkeypatch.setattr(checks.SharedPair, "__init__", tracked)
+    monkeypatch.setattr(checks.PairStack, "__new__", tracked)
     good = [(_pd(seed), _pd(seed + 1)) for seed in (1, 3, 5)]
     broken = good[:1] + [(_pd(3, M=800.0), _pd(4, M=800.0)), (_pd(5), _INDEFINITE)]
     fs = [function_by_name(name) for name in ("power:2", "sqrt", "expm1", "log")]
@@ -414,11 +419,12 @@ def test_grid_calls_keep_no_pair_alive(monkeypatch):
         for trials, names, kinds in ((good, fs[:3], {False}), (broken, fs, {False, True})):
             for grid, call in grids.items():
                 built.clear()
+                rows.clear()
                 entries = [e for row in call(grid, names, trials) for e in row]
                 record_or_error = (checks.CheckOutcome, ValueError)
                 assert all(isinstance(e, record_or_error) for e in entries), grid.__name__
                 assert {isinstance(e, ValueError) for e in entries} == kinds, grid.__name__
-                assert len(built) == len(trials), grid.__name__
-                assert [ref() for ref in built] == [None] * len(trials), grid.__name__
+                assert rows.count(True) == len(trials), grid.__name__  # one row per trial
+                assert [ref() for ref in built] == [None] * len(built), grid.__name__
     finally:
         gc.enable()
