@@ -513,13 +513,28 @@ def _group_grid(fs, trials, gates, step, judge, prepare=None, means=(), cells=()
     live_f, live_t = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
     if live_t.size:
         entries = results[np.ix_(live_f, live_t)]
-        stacks = [np.array(v) for v in zip(*(kept[t] for t in live_t))]
+        stacks = [_stacked(v) for v in zip(*(kept[t] for t in live_t))]
         try:
             judge([fs[i] for i in live_f], stacks, entries)
         except ValueError as exc:
             _fail(entries, exc)
         results[np.ix_(live_f, live_t)] = entries
     return results.swapaxes(0, 1).reshape(len(trials), len(fs) * math.prod(means)).tolist()
+
+
+def _stacked(rows):
+    """The step values of a group's open trials, one per trial in trial order, stacked.
+
+    A trial's step sees only its own :class:`PairStack` row, views of the
+    stacks :meth:`PairStack.group` made; so values that view one stack, one
+    per row and shaped as its rows, are its rows in order, and are that stack.
+    """
+    whole, first = getattr(rows[0], "base", None), rows[0]
+    if (isinstance(whole, np.ndarray) and whole.shape == (len(rows), *first.shape)
+            and whole.dtype == first.dtype and whole.strides[1:] == first.strides
+            and all(row.base is whole for row in rows)):
+        return whole
+    return np.array(rows)
 
 
 def _fail(errors, *excs):

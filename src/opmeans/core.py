@@ -7,14 +7,29 @@ roots, and Loewner-order comparison with explicit margins.
 
 All operations are pure: inputs are never mutated and outputs are freshly
 allocated, so values can be shared freely between callers.
+
+Hermitian operands need only numpy's eigensolvers.  scipy.linalg serves the
+complex Schur factorization of normal operands alone, so it is found at
+import, and a missing scipy fails there, but it runs only when the first
+Schur factorization reads it: a process that judges only Hermitian pairs
+never loads it.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+
+if "scipy.linalg" in sys.modules:
+    _scipy_linalg = sys.modules["scipy.linalg"]
+else:  # found now, run at its first attribute read (see the module docstring)
+    _spec = importlib.util.find_spec("scipy.linalg")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _scipy_linalg = sys.modules["scipy.linalg"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(_scipy_linalg)
 
 __all__ = [
     "DEFAULT_TOL",
@@ -289,7 +304,7 @@ def _normal_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Q diag(d) Q* is |arr| and d its singular values when arr is normal
     (then T is diagonal).
     """
-    t, q = _lapack(lambda x: scipy.linalg.schur(x, output="complex"), arr)
+    t, q = _lapack(lambda x: _scipy_linalg.schur(x, output="complex"), arr)
     return np.abs(np.diagonal(t)), q
 
 

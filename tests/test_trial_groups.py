@@ -374,6 +374,41 @@ def test_group_working_set(spec, dim):
     assert size >= 3 and peak <= 3.2e6, (size, peak)
 
 
+def test_an_open_group_is_judged_on_its_own_stacks(monkeypatch):
+    # every trial open, the judge reads the operands PairStack.group stacked;
+    # a closed trial (here an indefinite A) leaves the open rows copied out
+    built = []
+    new = checks.PairStack.__new__
+
+    def tracked(cls, *fields):
+        built.append(new(cls, *fields))
+        return built[-1]
+
+    monkeypatch.setattr(checks.PairStack, "__new__", tracked)
+    fs = [function_by_name("power:2")]
+    for trials, shared in (
+        ([(_pd(1), _pd(2)), (_pd(3), _pd(4))], True),
+        ([(_pd(1), _pd(2)), (_INDEFINITE, _pd(4)), (_pd(5), _pd(6))], False),
+    ):
+        built.clear()
+        checks.check_main_chain_grid(fs, SIGMAS, trials)
+        (judged,) = [pair for pair in built if pair.a.ndim == 3]
+        group = built[0].a.base
+        assert len(judged.a) == len(group) - (not shared)
+        assert np.shares_memory(judged.a, group) is shared
+        assert np.shares_memory(judged.vb, built[0].vb.base) is shared
+
+
+def test_stacked_rows_are_their_array_only_whole_and_as_its_rows():
+    whole = np.arange(24.0).reshape(4, 3, 2).copy()  # owns its memory, as a stack does
+    assert checks._stacked(list(whole)) is whole
+    for rows in (list(whole)[:3], list(whole[:, ::-1]), list(whole.view(np.int64)),
+                 [x.reshape(2, 3) for x in whole], [1.0, 2.0]):
+        stacked = checks._stacked(rows)
+        assert not np.shares_memory(stacked, whole)
+        np.testing.assert_array_equal(stacked, np.array(rows))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grid_calls_keep_no_pair_alive(monkeypatch):
     # a group's operands and factors live in the stacks and rows that the grid
