@@ -995,14 +995,12 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
 def _abs_factors(a, b):
     """The per-trial half of the norm chains on stacks a, b of operands, one pair per trial.
 
-    Each matrix is factored once by complex Schur: with a = Q T Q*,
-    |a| = Q |diag T| Q* and f(|a|) = Q f(|diag T|) Q*.  Returns, stacked
-    over the trials, the Schur factors (moduli, Q) of a and of b, the
-    smallest and largest modulus over both (their singular values when a
-    and b are normal), and the eigenvalues of |a| + |b|, one stacked
-    eigvalsh.
+    Each side is one stacked SVD: with a = U diag(s) W*, |a| = W diag(s) W*
+    and f(|a|) = W f(diag s) W*.  Returns, stacked over the trials, the
+    factors (s, W) of a and of b, the smallest and largest singular value
+    over both, and the eigenvalues of |a| + |b|, one stacked eigvalsh.
     """
-    (da, qa), (db, qb) = ([np.array(x) for x in zip(*map(_normal_factors, ops))] for ops in (a, b))
+    (da, qa), (db, qb) = map(_normal_factors, (a, b))
     d = np.concatenate([da, db], axis=-1)
     abs_sum = _eigvalsh(_compose(qa, da) + _compose(qb, db))
     return ((da, qa), (db, qb)), d.min(axis=-1), d.max(axis=-1), abs_sum
@@ -1091,7 +1089,7 @@ def check_normal_triangle(A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     b = as_complex_array(B)
     _require_normal(a, tol, "first operand")
     _require_normal(b, tol, "second operand")
-    abs_sum = matrix_abs(a, normal_hint=True).entries + matrix_abs(b, normal_hint=True).entries
+    abs_sum = matrix_abs(a).entries + matrix_abs(b).entries
     kinds = _norm_kinds(norms, a.shape[0])
     table = _norm_table(_singular_values(np.stack([a + b, abs_sum])), kinds)
     links = (_scalar_margins(table[:1], table[1:], tol),)
@@ -1123,9 +1121,9 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
     """:func:`check_normal_chain` for every function in ``fs`` and trial in ``pairs``.
 
     ``pairs`` is a dimension group, as for :func:`check_subadditivity_grid`.
-    Both normality gates and both Schur factorizations are per matrix; the
-    eigenvalues of |A| + |B| and the singular values of A + B are one
-    stacked solve each over the group, and so are those of every
+    Both normality gates are per matrix; the SVDs of the A's and of the
+    B's, the eigenvalues of |A| + |B| and the singular values of A + B are
+    one stacked solve each over the group, and so are those of every
     f(|A|) + f(|B|).  Norms and links as in :func:`check_subadditivity_grid`.
     """
     if len({np.shape(a) for a, _ in pairs}) > 1:
@@ -1200,17 +1198,14 @@ def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutco
     Off the positive definite class the bounds compare
     |||f(|A|)+f(|B|)||| and |||f(|A|+|B|)||| against (f(M)/M) |||A+B|||
     with M the largest singular value; they are expected to fail, and a
-    failing link is what the counterexample search reports as a hit.
-
-    The operands need not be normal, so m and M are their true singular
-    values, not the eigenvalue moduli that :func:`_abs_factors` reports.
+    failing link is what the counterexample search reports as a hit.  The
+    operands need not be normal.
     """
     a = as_complex_array(A)
     b = as_complex_array(B)
-    sv = _singular_values(np.stack([a, b, a + b]))
-    m, M = float(sv[:2].min()), float(sv[:2].max())
-    factors, _, _, abs_sum = _abs_factors([a], [b])
-    sv = np.concatenate([sv[2:], _abs_images(f, factors, abs_sum)])
+    factors, m, M, abs_sum = _abs_factors([a], [b])
+    m, M = float(m[0]), float(M[0])
+    sv = np.concatenate([_singular_values((a + b)[None]), _abs_images(f, factors, abs_sum)])
     base, sep, tot = np.split(_norm_table(sv, norms), 3)
     bound = float(f(M)) / M * base
     links = (_scalar_margins(sep, bound, tol), _scalar_margins(tot, bound, tol))

@@ -8,28 +8,16 @@ roots, and Loewner-order comparison with explicit margins.
 All operations are pure: inputs are never mutated and outputs are freshly
 allocated, so values can be shared freely between callers.
 
-Hermitian operands need only numpy's eigensolvers.  scipy.linalg serves the
-complex Schur factorization of normal operands alone, so it is found at
-import, and a missing scipy fails there, but it runs only when the first
-Schur factorization reads it: a process that judges only Hermitian pairs
-never loads it.
+Every factorization is numpy's: Hermitian operands go through its
+eigensolvers, and |A| of any square operand through its SVD, for one
+matrix or a stack in one LAPACK call.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-if "scipy.linalg" in sys.modules:
-    _scipy_linalg = sys.modules["scipy.linalg"]
-else:  # found now, run at its first attribute read (see the module docstring)
-    _spec = importlib.util.find_spec("scipy.linalg")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    _scipy_linalg = sys.modules["scipy.linalg"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(_scipy_linalg)
 
 __all__ = [
     "DEFAULT_TOL",
@@ -299,13 +287,13 @@ def _eigh(arr: np.ndarray, errors=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normal_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Moduli d of the eigenvalues and unitary Q of a complex Schur factorization arr = Q T Q*.
+    """Singular values s, decreasing, and right singular vectors W of a matrix or of a stack.
 
-    Q diag(d) Q* is |arr| and d its singular values when arr is normal
-    (then T is diagonal).
+    With arr = U diag(s) W*, |arr| = (arr* arr)^(1/2) = W diag(s) W* for
+    any square arr (Higham, *Functions of Matrices*, ch. 8).
     """
-    t, q = _lapack(lambda x: _scipy_linalg.schur(x, output="complex"), arr)
-    return np.abs(np.diagonal(t)), q
+    _, s, wh = _lapack(np.linalg.svd, arr)
+    return s, wh.conj().swapaxes(-1, -2)
 
 
 def _opnorm_hermitian(arr: np.ndarray) -> float:
@@ -404,23 +392,14 @@ def apply_fn(f, A) -> HermitianMatrix:
     return HermitianMatrix(_compose(v, _fn_values(f, w)))
 
 
-def matrix_abs(A, normal_hint: bool = False) -> HermitianMatrix:
-    """Polar absolute value |A| = (A*A)^(1/2).
+def matrix_abs(A) -> HermitianMatrix:
+    """Polar absolute value |A| = (A*A)^(1/2) of a square matrix, W diag(s) W* from its SVD.
 
-    With ``normal_hint`` the operand is unitarily diagonalized through a
-    complex Schur factorization and |A| is assembled from the moduli of its
-    eigenvalues, which is cheaper and exact for normal input.  The default
-    path takes the PSD square root of A*A and works for any square matrix.
+    The SVD keeps singular values far below sqrt(eps) ||A||, which a square
+    root of A*A loses.
     """
-    arr = as_complex_array(A)
-    if normal_hint:
-        d, q = _normal_factors(arr)
-        return HermitianMatrix(_compose(q, d))
-    gram = hermitian_part(arr.conj().T @ arr)
-    spectrum = eigh(gram)
-    d = np.sqrt(np.clip(spectrum.eigenvalues, 0.0, None))
-    v = spectrum.eigenvectors
-    return HermitianMatrix((v * d) @ v.conj().T)
+    s, w = _normal_factors(as_complex_array(A))
+    return HermitianMatrix(_compose(w, s))
 
 
 def loewner_leq(X, Y, tol: float = DEFAULT_TOL) -> ComparisonResult:

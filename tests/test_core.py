@@ -120,12 +120,14 @@ def test_matrix_abs_fixtures():
     assert np.allclose(matrix_abs(np.zeros((2, 2))).entries, np.zeros((2, 2)))
 
 
-def test_matrix_abs_normal_hint_agrees():
-    cfg = GeneratorConfig(5, 0.5, 3.0, "normal_complex")
-    a = random_normal(cfg, derive_stream_seed(7, 3)).entries
-    plain = matrix_abs(a).entries
-    hinted = matrix_abs(a, normal_hint=True).entries
-    assert np.linalg.norm(plain - hinted, 2) <= 1e-9 * (1.0 + np.linalg.norm(plain, 2))
+def test_matrix_abs_keeps_small_singular_values():
+    # a square root of A*A loses singular values below about sqrt(eps) ||A||:
+    # here it gave eigenvalues (7.7e-9, 9.99999e-6, 1), an error of 7.6e-9
+    s = np.array([1.0, 1e-5, 1e-10])
+    u, w = (random_unitary(3, derive_stream_seed(5, k)).entries for k in (0, 1))
+    got = matrix_abs((u * s) @ w.conj().T).entries
+    assert np.linalg.norm(got - (w * s) @ w.conj().T, 2) <= 1e-14
+    assert np.abs(np.linalg.eigvalsh(got) - s[::-1]).max() <= 1e-14
 
 
 def test_loewner_examples():

@@ -4,18 +4,18 @@
 A's eigenvectors for f(A); ``mean`` factors A once for its gate and its
 congruence.  The norm and determinant checkers factor each matrix once and
 read every norm kind off its one singular-value vector; normal operands are
-factored once by complex Schur.  A run of a positive definite suite shares
-each trial's factors between its configurations, and a ``main_chain``,
-``chord``, ``eig_prod_norm``, ``inverse_function``, ``mean_diff_norm``,
-``subadditivity``, ``normal_chain``, ``determinant``, ``power_mean`` or
-``ando_hiai`` dimension group of trials is one stacked grid.  The tests count the matrices that
-LAPACK factors through numpy and scipy, each matrix of a stack
+factored once by SVD, one stacked call per side of a dimension group.  A
+run of a positive definite suite shares each trial's factors between its
+configurations, and a ``main_chain``, ``chord``, ``eig_prod_norm``,
+``inverse_function``, ``mean_diff_norm``, ``subadditivity``,
+``normal_chain``, ``determinant``, ``power_mean`` or ``ando_hiai``
+dimension group of trials is one stacked grid.  The tests count the
+matrices that LAPACK factors through numpy, each matrix of a stack
 separately, and where it matters the LAPACK calls.
 """
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from opmeans import (
     FunctionPair,
@@ -65,26 +65,26 @@ def _normal_pair(dim, seed):
 @pytest.fixture
 def solver_calls():
     """LAPACK calls per eigensolver, filled by :func:`eigensolves`."""
-    return {"eigh": 0, "eigvalsh": 0, "schur": 0}
+    return {"eigh": 0, "eigvalsh": 0, "svd": 0}
 
 
 @pytest.fixture
 def eigensolves(monkeypatch, solver_calls):
-    """Count the matrices factored by numpy.linalg.eigh and eigvalsh and scipy.linalg.schur.
+    """Count the matrices factored by numpy.linalg.eigh, eigvalsh and svd.
 
     A stack of matrices counts each of its matrices, the product of its
     leading dimensions; :func:`solver_calls` counts the calls.
     """
-    counts = {"eigh": 0, "eigvalsh": 0, "schur": 0}
-    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "schur")):
-        solver = getattr(module, name)
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    for name in ("eigh", "eigvalsh", "svd"):
+        solver = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _solver=solver, **kwargs):
             counts[_name] += int(np.prod(np.shape(args[0])[:-2]))
             solver_calls[_name] += 1
             return _solver(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     return counts
 
 
@@ -126,9 +126,9 @@ def test_normal_chain_factorizations(eigensolves):
     a, b = _normal_pair(4, 11)
     out = check_normal_chain(function_by_name("power:2"), a, b)
     assert out.passed and len(out.links) == 4 * 8
-    # Schur of A and B, eigvalsh of f(|A|) + f(|B|) and of |A| + |B|, and one
+    # SVD of A and B, eigvalsh of f(|A|) + f(|B|) and of |A| + |B|, and one
     # eigvalsh of (A + B)*(A + B) for the non-normal sum; 41 before
-    assert eigensolves["schur"] == 2, eigensolves
+    assert eigensolves["svd"] == 2, eigensolves
     assert _total(eigensolves) <= 5, eigensolves
 
 
@@ -207,7 +207,7 @@ def test_subadditivity_run_shares_factors(eigensolves, solver_calls, fns, trials
     # LAPACK calls per dimension group: each a stack of the group's trials (2 T before)
     assert solver_calls["eigh"] == 2 * G, solver_calls
     assert solver_calls["eigvalsh"] == 2 * G, solver_calls
-    assert eigensolves["schur"] == 0, eigensolves
+    assert eigensolves["svd"] == 0, eigensolves
 
 
 @pytest.mark.parametrize("fns, trials", [(("power:2",), 1), (("power:3/2", "sqrt", "log1p"), 3)])
@@ -217,11 +217,12 @@ def test_normal_chain_run_shares_factors(eigensolves, solver_calls, fns, trials)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
     F, T, G = len(fns), trials, _groups(spec)
-    # per trial: Schur of A and B, eigvalsh of |A| + |B| and of (A + B)*(A + B);
+    # per trial: SVD of A and B, eigvalsh of |A| + |B| and of (A + B)*(A + B);
     # per function: eigvalsh of f(|A|) + f(|B|), all functions in one stacked call
-    # (2 F T Schur and 3 F T eigvalsh before)
-    assert eigensolves["schur"] == 2 * T, eigensolves
-    assert solver_calls["schur"] == 2 * T, solver_calls
+    # (2 F T complex Schur factorizations and 3 F T eigvalsh before)
+    assert eigensolves["svd"] == 2 * T, eigensolves
+    # one stacked SVD per side per dimension group (2 T per-matrix Schur calls before)
+    assert solver_calls["svd"] == 2 * G, solver_calls
     assert eigensolves["eigvalsh"] == T * (2 + F), eigensolves
     # eigvalsh calls per dimension group, each a stack of the group's trials (3 T before)
     assert solver_calls["eigvalsh"] == 3 * G, solver_calls
@@ -243,7 +244,7 @@ def test_determinant_run_shares_factors(eigensolves, solver_calls, fns, trials):
     # LAPACK calls per dimension group, each a stack of the group's trials (2 T and 3 T before)
     assert solver_calls["eigh"] == 2 * G, solver_calls
     assert solver_calls["eigvalsh"] == 3 * G, solver_calls
-    assert eigensolves["schur"] == 0, eigensolves
+    assert eigensolves["svd"] == 0, eigensolves
 
 
 @pytest.mark.parametrize("alphas, rs, trials", [((0.5,), (2.0,), 1), ((0.25, 0.75), (1.5, 3.0), 3)])
@@ -256,7 +257,7 @@ def test_power_mean_run_shares_factors(eigensolves, solver_calls, alphas, rs, tr
     # of the four Loewner links
     assert eigensolves["eigh"] == T * (3 + len(rs)), eigensolves
     assert eigensolves["eigvalsh"] == 8 * R, eigensolves
-    assert eigensolves["schur"] == 0, eigensolves
+    assert eigensolves["svd"] == 0, eigensolves
     # the links of every record of a dimension group are one stacked eigvalsh
     # (4R, then R before)
     assert solver_calls["eigvalsh"] == G, solver_calls
@@ -276,7 +277,7 @@ def test_ando_hiai_run_shares_factors(eigensolves, solver_calls, alphas, rs, tri
     # per record: eigvalsh for ||A #_a B|| and two for each Loewner link
     assert eigensolves["eigh"] == T * (3 + len(rs)), eigensolves
     assert eigensolves["eigvalsh"] == 5 * R, eigensolves
-    assert eigensolves["schur"] == 0, eigensolves
+    assert eigensolves["svd"] == 0, eigensolves
     # per dimension group: one stacked eigvalsh for every ||A #_a B|| and one for
     # every record's Loewner links (3R, then 2R before)
     assert solver_calls["eigvalsh"] == 2 * G, solver_calls
@@ -328,7 +329,7 @@ def test_chord_run_shares_factors(eigensolves, solver_calls, fns, means, trials)
     # f(A) sigma f(B) and of the two secant lines (T (2 + F) + 2R before,
     # when each record rebuilt its line middles); no S = A sigma B
     assert eigensolves["eigh"] == T * (2 + 3 * F), eigensolves
-    assert eigensolves["schur"] == 0, eigensolves
+    assert eigensolves["svd"] == 0, eigensolves
     # both links of every record of a dimension group are one stacked eigvalsh
     # (2R, R, then T before)
     assert solver_calls["eigvalsh"] == G, solver_calls
@@ -356,7 +357,7 @@ def test_mean_diff_norm_run_shares_factors(eigensolves, fns, means, trials):
     # difference (R + T * S before, with a second eigvalsh of each S)
     assert eigensolves["eigh"] == T * (3 + F + S), eigensolves
     assert eigensolves["eigvalsh"] == R, eigensolves
-    assert eigensolves["schur"] == 0, eigensolves
+    assert eigensolves["svd"] == 0, eigensolves
 
 
 @pytest.mark.parametrize(
@@ -384,7 +385,7 @@ def test_corollary_run_is_one_stack_per_trial(
     # function's image middle; per record: the eigvalsh of its links
     assert eigensolves["eigh"] == T * (3 + F + S), eigensolves
     assert eigensolves["eigvalsh"] == eigvalsh_per_record * R, eigensolves
-    assert eigensolves["schur"] == 0, eigensolves
+    assert eigensolves["svd"] == 0, eigensolves
     # per dimension group: one call for each of A and B and their middles, one
     # stacked eigh of every S and one of every image middle, one stacked
     # eigvalsh for the records (T 6 before)

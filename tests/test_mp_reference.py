@@ -1,4 +1,4 @@
-"""The main-chain, chord, contraction and power-mean margins against a 50-digit reference.
+"""Main-chain, chord, contraction, power-mean and normal-chain margins against a 50-digit reference.
 
 The diagonal oracle only sees commuting operands, and commuting operands
 cannot catch a wrong eigenbasis reused for f(A) sigma f(B).  Here S = A sigma B,
@@ -9,7 +9,10 @@ the link's 1 + ||R||_op.  The secant-line means of the chord links are
 checked the same way, with M/m of the pair's spectral interval.  The
 contraction iterates A_k = f^k(A) are checked the same way, with cond(A_k)
 of the operand whose inverse square root the mean's congruence takes, and
-so are the power-mean links, with cond(A^r).
+so are the power-mean links, with cond(A^r).  The normal-chain links are
+checked on normal, non-Hermitian pairs U diag(z) U*, U an mpmath unitary,
+whose |A| = U diag|z| U* is known exactly, with cond = M/m of the pair's
+singular values.
 """
 
 import numpy as np
@@ -20,12 +23,14 @@ from opmeans import (
     MatrixMean,
     function_by_name,
     mean_by_name,
+    norm_catalog,
     normalize_for_contraction,
 )
 from opmeans.checks import (
     check_chord_bounds,
     check_contraction_implication,
     check_main_chain,
+    check_normal_chain,
     check_power_mean_bounds,
 )
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_pd
@@ -290,3 +295,92 @@ def test_power_mean_matches_50_digit_reference(big_m, seed, trial, alpha, r):
         margin, scale = ref[link.description]
         bound = MARGIN_ULPS * eps * float(scale * cond)
         assert abs(link.margin - float(margin)) <= bound, (link.description, link.margin, margin)
+
+
+def _normal_instance(dim, seed, big_m):
+    """Normal, non-Hermitian A = U diag(z) U*, B likewise, at 50 digits and rounded to floats.
+
+    U is the Q of an mpmath QR of a complex Gaussian matrix, so unitary to
+    50 digits; the moduli |z| lie in [1/2, big_m], 1/2 attained by A's and
+    big_m by B's, and the phases are uniform.  Returns the float operands
+    and, per operand, (U, z) in mpmath.
+    """
+    rng = np.random.default_rng(seed)
+    floats, factors = [], []
+    for end in (0.5, big_m):
+        moduli = np.concatenate([[end], rng.uniform(0.5, big_m, dim - 1)])
+        z = [mpmath.mpc(x.real, x.imag) for x in moduli * np.exp(2j * np.pi * rng.random(dim))]
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        u, _ = mpmath.qr(_mp_matrix(g))
+        x = u * mpmath.diag(z) * u.H
+        floats.append(np.array([[complex(x[i, j]) for j in range(dim)] for i in range(dim)]))
+        factors.append((u, z))
+    return floats, factors
+
+
+def _mp_norm(sv, kind):
+    """A unitarily invariant norm of singular values ``sv``, sorted decreasing."""
+    if kind.variant == "operator":
+        return sv[0]
+    if kind.variant == "schatten":
+        p = mpmath.mpf(kind.param)
+        return mpmath.fsum(s**p for s in sv) ** (1 / p)
+    return mpmath.fsum(sv[: int(kind.param)])
+
+
+def _normal_chain_reference(fn, factors, kinds):
+    """Description -> (margin, scale) of every applicable normal-chain link, and M/m."""
+    f, df, convex = _FNS[fn]
+    (ua, za), (ub, zb) = factors
+    moduli = [abs(x) for x in za + zb]
+    m, M = min(moduli), max(moduli)
+
+    def image(g):
+        return [u * mpmath.diag([g(abs(x)) for x in z]) * u.H for u, z in factors]
+
+    def sv(w):
+        return sorted((abs(x) for x in w), reverse=True)
+
+    a, b = image(lambda x: x)  # |A| and |B|, not A and B: their sum is Hermitian
+    ab = ua * mpmath.diag(za) * ua.H + ub * mpmath.diag(zb) * ub.H
+    base = sv(mpmath.sqrt(x) for x in _spectrum(ab.H * ab))
+    fa, fb = image(f)
+    images = sv(_spectrum(fa + fb))
+    of_abs_sum = sv(f(x) for x in _spectrum(a + b))
+    x = m if convex else M
+    edge = df(mpmath.mpf(0)) if convex else df(M)
+    c_sep, c_sum = f(x) / x, f(2 * x) / (2 * x)
+    out = {}
+    for kind in kinds:
+        norm_sum = _mp_norm(base, kind)
+        for name, lo, hi in (
+            ("sep-edge", edge * norm_sum, c_sep * norm_sum),
+            ("sep-bound", c_sep * norm_sum, _mp_norm(images, kind)),
+            ("sum-edge", edge * norm_sum, c_sum * norm_sum),
+            ("sum-bound", c_sum * norm_sum, _mp_norm(of_abs_sum, kind)),
+        ):
+            if mpmath.isfinite(lo):
+                out[f"{name}[{kind.label()}]"] = (hi - lo, 1 + max(abs(lo), abs(hi)))
+    return out, M / m
+
+
+@pytest.mark.parametrize(
+    "fn, big_m, dim",
+    [(fn, 4.0, dim) for fn in sorted(_FNS) for dim in (2, 3, 4)]
+    + [(fn, 400.0, dim) for fn in ("power:2", "sqrt") for dim in (2, 3)],
+)
+def test_normal_chain_matches_50_digit_reference(fn, big_m, dim):
+    with mpmath.workdps(50):
+        (a, b), factors = _normal_instance(dim, 300 + dim, big_m)
+        assert np.abs(a - a.conj().T).max() > 1e-3  # not Hermitian
+        out = check_normal_chain(function_by_name(fn), a, b)
+        kinds = [kind for kind in norm_catalog(dim) if kind.variant not in ("trace", "frobenius")]
+        ref, cond = _normal_chain_reference(fn, factors, kinds)
+    applicable = {link.description: link for link in out.links if link.applicable}
+    assert applicable.keys() == ref.keys()
+    eps = np.finfo(float).eps
+    for desc, link in applicable.items():
+        margin, scale = ref[desc]
+        bound = MARGIN_ULPS * eps * float(scale * cond)
+        assert abs(link.margin - float(margin)) <= bound, (desc, link.margin, float(margin))
+        assert link.passed

@@ -18,7 +18,6 @@ from opmeans.core import (
     as_complex_array,
     matrix_abs,
     norm,
-    singular_values,
 )
 from opmeans.functions import function_by_name
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_normal
@@ -55,7 +54,7 @@ def test_normal_triangle_margins_bit_for_bit(structure, dim):
     kinds = _kinds(dim)
     for a, b in _pairs(structure, dim):
         rec = checks.check_normal_triangle(a, b, kinds)
-        abs_sum = matrix_abs(a, normal_hint=True).entries + matrix_abs(b, normal_hint=True).entries
+        abs_sum = matrix_abs(a).entries + matrix_abs(b).entries
         want = [norm(abs_sum, kind) - norm(a + b, kind) for kind in kinds]
         assert _bits(rec.margins) == _bits(want)
 
@@ -65,11 +64,24 @@ def test_transplanted_norm_chain_margins_bit_for_bit(structure, dim):
     kinds = _kinds(dim)
     for a, b in _pairs(structure, dim):
         rec = checks.check_transplanted_norm_chain(F, a, b, kinds)
-        M = float(np.concatenate([singular_values(a), singular_values(b)]).max())
-        factors, _, _, abs_sum = checks._abs_factors([a], [b])
+        factors, _, M, abs_sum = checks._abs_factors([a], [b])
+        M = float(M[0])
         spectra = checks._abs_images(F, factors, abs_sum)
         want = []
         for kind in kinds:
             bound = (float(F(M)) / M) * norm(a + b, kind)
             want += [bound - _norm_table(sv[None], [kind])[0, 0] for sv in spectra]
         assert _bits(rec.margins) == _bits(want)
+
+
+def test_transplanted_norm_chain_takes_true_abs_of_non_normal_operands():
+    # the moduli of a Schur factorization gave |A| = I here, and upper-sep[operator] 3.9385
+    a = np.array([[1.0, 2.0], [0.0, 1.0]])
+    b = np.array([[2.0, 0.0], [1.0, -1.0]])
+    assert np.allclose(matrix_abs(a).entries, np.array([[1.0, 1.0], [1.0, 3.0]]) / np.sqrt(2.0))
+    rec = checks.check_transplanted_norm_chain(F, a, b, [NormKind.operator()])
+    sep = rec.links[0]
+    assert sep.description == "upper-sep[operator]"
+    # |||f(|A|) + f(|B|)|||_op = 7 and (f(M)/M) |||A + B|||_op = M ||A + B||_op, M = 1 + sqrt(2)
+    bound = (1.0 + np.sqrt(2.0)) * np.linalg.norm(a + b, 2)
+    assert sep.margin == pytest.approx(bound - 7.0, rel=1e-12)  # 1.9385

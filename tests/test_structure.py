@@ -5,12 +5,12 @@ the package but ``core``, ``harness`` reaches into no private name of
 ``checks``, ``checks`` validates and factors a Hermitian pair only in
 ``PairStack``, every name a module lists in ``__all__`` is bound in it,
 no function of ``checks`` and no module-level function of ``harness``
-keeps a memo across calls, ``checks`` and
-``means`` reach LAPACK's eigensolvers
-only through ``core``, every import is at module level, no source
-line is over 100 characters, and every function and class the package
-defines is named somewhere in the repository's code.  The re-exports in
-``__init__.py`` are not checked for use.
+keeps a memo across calls, ``checks`` and ``means`` reach LAPACK's
+eigensolvers only through ``core``, no module imports scipy, every import
+is at module level, no source line is over 100 characters, and every
+function and class the package defines is named somewhere in the
+repository's code.  The re-exports in ``__init__.py`` are not checked for
+use.
 """
 
 import ast
@@ -176,6 +176,23 @@ def test_eigensolves_go_through_core(name):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
     ]
     assert not direct, f"{name}.py calls an eigensolver directly: {', '.join(direct)}"
+
+
+@pytest.mark.parametrize("path", sorted(PKG.glob("*.py")), ids=lambda p: p.stem)
+def test_no_scipy_imports(path):
+    # every factorization is numpy's, so the package runs where scipy is not
+    # installed; a module name in a string would be imported by importlib
+    names = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append((node.module, node.lineno))
+        elif isinstance(node, ast.Constant):
+            names.append((node.value, node.lineno))
+    scipy = [f"{name} (line {line})" for name, line in names
+             if isinstance(name, str) and name.partition(".")[0] == "scipy"]
+    assert not scipy, f"{path.name} imports scipy: {', '.join(scipy)}"
 
 
 @pytest.mark.parametrize("path", sorted(PKG.glob("*.py")), ids=lambda p: p.stem)
