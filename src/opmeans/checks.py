@@ -305,9 +305,9 @@ def _chain_sides(coefs, s, x, forward):
 def _x_links(tol, S, X, coefs, forward, ws, entries):
     """The links c1 S <= X <= c2 S of every record (reversed where ``forward`` is false).
 
-    All are judged by one stacked eigvalsh, a link with right side c S at
-    the scale 1 + |c| max |spec S|.  Returns their margins and passes,
-    (function, trial, mean, link), and the applicable flags (function,
+    All are one stacked eigvalsh, a link with right side c S at the scale 1 + |c| max |spec S|,
+    one with right side X at 1 + ||X||_op, solved only for a negative margin.  Returns their
+    margins and passes, (function, trial, mean, link), and the applicable flags (function,
     trial, link): low is vacuous (margin 0) where c1 is infinite.
     """
     (n_f, n_t, n_s), n = entries.shape, S.shape[-1]
@@ -425,16 +425,18 @@ class PairStack(NamedTuple):
     def mean_stack(self, sigmas: tuple, tol):
         """S = A sigma B, in A's eigenbasis, for each trial of the stack and each of ``sigmas``.
 
-        Returns (S, errors, ws, vs), each (trial, mean, ...): every S, its error (its middle's
-        first) and its eigenpairs, one stacked eigh factoring a row with an error as I.
+        Returns (S, errors), each (trial, mean, ...): every S and its error (its middle's
+        first).  A caller factors S as it reads it, a row with an error as I.
         """
         middles, errors = self.image_middles((None,), tol)
         # (trial, mean): a mean starts with its middle's error
         errors = np.repeat(errors.T, len(sigmas), axis=1)
-        flat = errors.reshape(-1)
-        S = _mean_from_middle([s.h for s in sigmas], middles, tol, flat)
-        ws, vs = _eigh(S.reshape(-1, *S.shape[-2:]), flat)
-        return S, errors, ws.reshape(S.shape[:-1]), vs.reshape(S.shape)
+        return _mean_from_middle([s.h for s in sigmas], middles, tol, errors.reshape(-1)), errors
+
+    @staticmethod
+    def mean_spectra(S, errors, vectors=False):
+        """Each S's eigenvalues (or ``vectors``: eigenpairs), a row per (trial, mean), one solve."""
+        return (_eigh if vectors else _eigvalsh)(S.reshape(-1, *S.shape[-2:]), errors.reshape(-1))
 
     def image_middles(self, fs, tol):
         """The mean-independent halves of f(A) sigma f(B) for each of ``fs`` and trial of the stack.
@@ -612,10 +614,10 @@ def _images(stack, fs, sigmas, tol, entries):
 def _chain_stacks(stack, fs, sigmas, tol, entries):
     """S, X and the coefficients (f'(0), f(m)/m, f(M)/M, f'(M)) of a chain's functions on a group.
 
-    S (trial, mean) comes with its eigenpairs, X is (function, trial, mean) and the coefficients
-    (function, trial, 4), taken where records are left.  S's errors come first.
+    S (trial, mean) comes with its errors, for a judge to factor as it reads S, X is (function,
+    trial, mean) and the coefficients (function, trial, 4), taken where records are left.
     """
-    S, errors, ws, vs = stack.mean_stack(sigmas, tol)
+    S, errors = stack.mean_stack(sigmas, tol)
     _fail(entries, errors)  # a record starts with its mean's error
     X = _images(stack, tuple(fs), sigmas, tol, entries)
     ms, Ms = stack.m.tolist(), stack.M.tolist()
@@ -623,7 +625,7 @@ def _chain_stacks(stack, fs, sigmas, tol, entries):
     for k, t in np.argwhere(np.equal(entries, None).any(axis=-1)).tolist():
         f, m, M = fs[k], ms[t], Ms[t]
         coefs[k, t] = float(f.deriv(0.0)), float(f(m)) / m, float(f(M)) / M, float(f.deriv(M))
-    return (S, ws, vs), X, coefs
+    return (S, errors), X, coefs
 
 
 def _on_spectra(fs, ws, results):
@@ -718,8 +720,9 @@ def check_main_chain_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
     """
 
     def judge(stack, fs, sigmas, entries):
-        (S, ws, _), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
-        n_f, n_t, n_s = entries.shape
+        (S, errors), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
+        n_f, n_t, n_s, n = *entries.shape, S.shape[-1]
+        ws = stack.mean_spectra(S, errors).reshape(n_t, n_s, n)
         tags = [f.convexity is Convexity.CONVEX for f in fs]
         # the chain around f(S) on spec(S), as (f, trial, sigma, link, eigenvalue); its edge
         # links are also fn-then-mean's, whose low and high links against X are solved apart
@@ -779,13 +782,13 @@ def check_mean_difference_norm_grid(fs, sigmas, pairs, norms=None, tol=DEFAULT_T
     """
 
     def judge(stack, fs, sigmas, entries):
-        (_, ws, vs), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
-        n_f, n_t, n_s = entries.shape
-        n, flat = ws.shape[-1], entries.reshape(-1)
-        diff = X - hermitian_part(_compose(vs, _on_spectra(fs, ws, entries)))
+        (S, errors), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
+        ws, vs = stack.mean_spectra(S, errors, vectors=True)  # f(S) reads S's eigenvectors
+        (n_f, n_t, n_s), n, flat = entries.shape, S.shape[-1], entries.reshape(-1)
+        diff = X.reshape(n_f, -1, n, n) - hermitian_part(_compose(vs, _on_spectra(fs, ws, entries)))
         w = _eigvalsh(_finite(diff.reshape(-1, n, n), flat), flat)
         kinds = _norm_kinds(norms, n)
-        table = _norm_table(_sv_hermitian(np.concatenate([ws.reshape(-1, n), w])), kinds)
+        table = _norm_table(_sv_hermitian(np.concatenate([ws, w])), kinds)
         spread = coefs[..., 3] - coefs[..., 0]  # f'(M) - f'(0)
         of_s = table[: n_t * n_s].reshape(n_t, n_s, -1)
         margins, passes = _scalar_margins(
@@ -838,9 +841,9 @@ def check_eig_prod_norm_grid(fs, sigmas, pairs, tol=DEFAULT_TOL, norms=None) -> 
     """
 
     def judge(stack, fs, sigmas, entries):
-        (_, ws, _), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
-        n_f, n_t, n_s = entries.shape
-        n = ws.shape[-1]
+        (S, errors), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
+        n_f, n_t, n_s, n = *entries.shape, S.shape[-1]
+        ws = stack.mean_spectra(S, errors).reshape(n_t, n_s, n)
         tags = [f.convexity is Convexity.CONVEX for f in fs]
         wx = _eigvalsh(X.reshape(-1, n, n), entries.reshape(-1))
         for t, j in np.argwhere(ws[..., 0] <= 0.0).tolist():
@@ -1451,7 +1454,8 @@ def check_inverse_function_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
     """
 
     def judge(stack, fs, sigmas, entries):
-        (S, ws, _), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
+        (S, errors), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
+        ws = stack.mean_spectra(S, errors).reshape(S.shape[:-1])
         # a convex inverse: inverse-low is the high link
         swap = np.array([f.inverse.convexity is Convexity.CONVEX for f in fs])
         margins, passes, applies = _x_links(tol, S, X, coefs, ~swap, ws, entries)

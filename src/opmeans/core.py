@@ -251,7 +251,7 @@ class ComparisonResult:
     ``margin`` is the smallest eigenvalue of Y - X, ``scale`` is
     1 + operator norm of Y, and ``passed`` holds exactly when
     margin >= -tol * scale for the tolerance supplied at comparison time.
-    For a stack of comparisons each field holds one value per row.
+    For a stack each field holds one value per row, and a NaN scale was not solved (margin >= 0).
     """
 
     margin: float
@@ -406,14 +406,14 @@ def loewner_leq(X, Y, tol: float = DEFAULT_TOL) -> ComparisonResult:
     """Check X <= Y in the Loewner order with an explicit margin.
 
     The margin is the smallest eigenvalue of Y - X.  The comparison is
-    relative: it passes when margin >= -tol * (1 + ||Y||_op), since
-    eigensolver noise scales with the magnitude of the operands.
+    relative: it passes when margin >= -tol * scale, scale = 1 + ||Y||_op
+    solved at any margin, since eigensolver noise scales with the operands.
     """
     x = as_hermitian_array(X)
     y = as_hermitian_array(Y)
     if x.shape != y.shape:
         raise ShapeError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    (res,) = _loewner([(x[None], y[None], None)], tol)
+    (res,) = _loewner([(x[None], y[None], np.array([1.0 + _opnorm_hermitian(y)]))], tol)
     return ComparisonResult(float(res.margin[0]), float(res.scale[0]), bool(res.passed[0]))
 
 
@@ -421,27 +421,28 @@ def _loewner(comparisons, tol: float, errors=None) -> list[ComparisonResult]:
     """X <= Y for each row of every comparison ``(x, y, scale)``, by one stacked eigvalsh.
 
     ``x`` and ``y`` are stacks of Hermitian arrays, as many in every
-    comparison; ``scale`` is one per row, or ``None`` for 1 + ||Y||_op.
-    ``errors`` is ``None`` or one list of row errors per comparison, so one
-    solve can span the records of several checks (comparisons of the same
-    records share one list).  A difference that is not finite raises (see
-    :func:`_flag`).
+    comparison; ``scale`` is one per row, or ``None`` for 1 + ||Y||_op on
+    demand: a margin >= 0 passes at any scale >= 1 (tol >= 0), so only the
+    Y of negative margins are solved, one more stacked eigvalsh, the other
+    scales left NaN.  ``errors`` is ``None`` or one list of row errors per
+    comparison, so one solve can span the records of several checks (those
+    of the same records share one list); a difference not finite raises.
     """
     errs = [None] * len(comparisons) if errors is None else errors
     diffs = [_finite(y - x, e) for (x, y, _), e in zip(comparisons, errs)]
-    norms = [(y, e) for (_, y, scale), e in zip(comparisons, errs) if scale is None]
-    blocks = diffs + [y for y, _ in norms]
-    rows = None if errors is None else [r for e in (*errs, *(e for _, e in norms)) for r in e]
-    parts = _eigvalsh(np.concatenate(blocks), rows).reshape(len(blocks), len(diffs[0]), -1)
-    of_norms = iter(parts[len(diffs) :])
-    results = []
-    for part, (_, _, scale) in zip(parts, comparisons):
-        if scale is None:
-            wy = next(of_norms)
-            scale = 1.0 + np.maximum(np.abs(wy[:, 0]), np.abs(wy[:, -1]))
-        margin = part[:, 0]
-        results.append(ComparisonResult(margin, scale, margin >= -tol * scale))
-    return results
+    rows = None if errors is None else [r for e in errs for r in e]
+    margins = _eigvalsh(np.concatenate(diffs), rows)[:, 0].reshape(len(diffs), -1)
+    scales = [np.full(len(y), np.nan) if s is None else s for _, y, s in comparisons]
+    need = [(k, np.flatnonzero((margins[k] < 0.0) | (tol < 0.0)))
+            for k, (_, _, s) in enumerate(comparisons) if s is None]
+    if any(i.size for _, i in need):
+        rows = None if errors is None else [errors[k][j] for k, i in need for j in i]
+        wy = _eigvalsh(np.concatenate([comparisons[k][1][i] for k, i in need]), rows)
+        tops = 1.0 + np.abs(wy[:, [0, -1]]).max(axis=-1)
+        for (k, i), top in zip(need, np.split(tops, np.cumsum([i.size for _, i in need]))):
+            scales[k][i] = top
+    return [ComparisonResult(m, s, (m >= -tol * s) | (np.isnan(s) & (c[2] is None)))
+            for c, m, s in zip(comparisons, margins, scales)]
 
 
 def _loewner_on_spectrum(lo: np.ndarray, hi: np.ndarray, tol: float, errors=None):
@@ -465,18 +466,23 @@ def singular_values(A) -> np.ndarray:
 
 
 def _singular_values(arr: np.ndarray, errors=None) -> np.ndarray:
-    """:func:`singular_values` of each matrix of a stack, all by one stacked eigvalsh.
+    """:func:`singular_values` of each matrix of a stack, one LAPACK call per kind of matrix.
 
-    A Hermitian matrix's are |w| on its eigenvalues; another's are the
-    square roots of the eigenvalues of A*A, no |A| assembled.  Returns an
-    array (matrices x n), one row per matrix.  A row with an error is
-    solved as I (see :func:`_lapack`).
+    The Hermitian matrices' are |w| on their eigenvalues, one stacked
+    eigvalsh; the others' one stacked SVD, which keeps those far below
+    sqrt(eps) ||A|| that the eigenvalues of A*A lose.  Returns an array
+    (matrices x n), one row per matrix; a row with an error is solved as I.
     """
     adj = arr.conj().swapaxes(-1, -2)
     scale = np.abs(arr).max(axis=(-2, -1), initial=0.0)
     hermitian = np.abs(arr - adj).max(axis=(-2, -1), initial=0.0) <= 1e-12 * (1.0 + scale)
-    w = _eigvalsh(hermitian_part(np.where(hermitian[:, None, None], arr, adj @ arr)), errors)
-    return _sv_hermitian(np.where(hermitian[:, None], w, np.sqrt(np.clip(w, 0.0, None))))
+    arr, w = np.where(hermitian[:, None, None], hermitian_part(arr), arr), np.empty(arr.shape[:-1])
+    for rows, solve in ((hermitian, np.linalg.eigvalsh),
+                        (~hermitian, lambda x: np.linalg.svd(x, compute_uv=False))):
+        if rows.any():
+            errs = None if errors is None else [errors[k] for k in np.flatnonzero(rows)]
+            w[rows] = _lapack(solve, arr[rows], errs)
+    return _sv_hermitian(w)
 
 
 def norm(A, kind) -> float:

@@ -24,7 +24,7 @@ from opmeans import (
     singular_values,
     spectral_bounds,
 )
-from opmeans.core import _norm_table
+from opmeans.core import _norm_table, _singular_values
 from opmeans.randgen import GeneratorConfig, RandomStream, derive_stream_seed, random_normal, random_pd, random_unitary
 
 RTOL = 1e-10
@@ -200,6 +200,31 @@ def test_singular_values_match_svd():
     cfg = GeneratorConfig(5, 0.5, 3.0, "normal_complex")
     a = random_normal(cfg, derive_stream_seed(55, 1)).entries
     assert np.allclose(singular_values(a), np.linalg.svd(a, compute_uv=False), atol=1e-10)
+
+
+def test_singular_values_keep_small_values():
+    # a square root of the eigenvalues of A*A loses singular values below about
+    # sqrt(eps) ||A||: here it gave 8.28e-9 for 1e-10, and a trace norm off by 8.2e-9
+    s = np.array([1.0, 1e-5, 1e-10])
+    u, w = (random_unitary(3, derive_stream_seed(5, k)).entries for k in (0, 1))
+    a = (u * s) @ w.conj().T
+    assert np.abs(singular_values(a) - s).max() <= 1e-14
+    assert norm(a, "trace") == pytest.approx(s.sum(), abs=1e-14)
+
+
+def test_singular_values_of_a_mixed_stack():
+    # Hermitian rows are |eigvalsh|, the others one stacked SVD, bit for bit as
+    # each matrix alone; a row with an error is solved as I
+    h = _pd(3, 61).entries - 2.0 * np.eye(3)
+    g = RandomStream(derive_stream_seed(62, 0)).complex_gaussian(3)
+    bad = np.full((3, 3), np.nan)
+    stack = np.stack([g, h, bad, 2.0 * g, h.conj()])
+    sv = _singular_values(stack, [None, None, ValueError("refused"), None, None])
+    assert sv[0].tolist() == np.linalg.svd(g, compute_uv=False).tolist()
+    assert sv[1].tolist() == np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1].tolist()
+    assert sv[2].tolist() == [1.0, 1.0, 1.0]
+    assert sv[3].tolist() == np.linalg.svd(2.0 * g, compute_uv=False).tolist()
+    assert sv[4].tolist() == singular_values(h.conj()).tolist()
 
 
 def test_det_root_examples():

@@ -1,10 +1,16 @@
-"""Factorization counts: each operand is factored once.
+"""Factorization counts: each operand is factored once, and only as far as it is read.
 
-``check_main_chain`` factors A, B and S = A sigma B once each and reuses
-A's eigenvectors for f(A); ``mean`` factors A once for its gate and its
-congruence.  The norm and determinant checkers factor each matrix once and
-read every norm kind off its one singular-value vector; normal operands are
-factored once by SVD, one stacked call per side of a dimension group.  A
+``check_main_chain`` factors A and B once each by eigh, reusing A's
+eigenvectors for f(A), and S = A sigma B once by eigvalsh, because it
+reads only S's spectrum (``mean_diff_norm`` alone reads S's eigenvectors);
+``mean`` factors A once for its gate and its congruence.  A Loewner link
+whose scale is 1 + ||Y||_op solves Y only when its margin is negative: the
+links of a group with no negative margin are one stacked eigvalsh of their
+differences, and a group with some makes one more, of those rows' Y.  The
+norm and determinant checkers factor each matrix once and read every norm
+kind off its one singular-value vector; normal operands are factored once
+by SVD, one stacked call per side of a dimension group, and their
+non-Hermitian sums A + B by one more.  A
 run of a positive definite suite shares each trial's factors between its
 configurations, and a ``main_chain``, ``chord``, ``eig_prod_norm``,
 ``inverse_function``, ``mean_diff_norm``, ``subadditivity``,
@@ -92,6 +98,16 @@ def _total(counts):
     return sum(counts.values())
 
 
+def _negative_margins(report, spec, links):
+    """(rows, groups): a run's negative margins among each record's ``links(record)``.
+
+    Those are its Loewner links scaled by 1 + ||Y||_op; each negative one
+    solves its Y, all of a dimension group's in one more stacked eigvalsh.
+    """
+    trials = [r.params["trial"] for r in report.records for i in links(r) if r.margins[i] < 0.0]
+    return len(trials), len({spec.dims[t % len(spec.dims)] for t in trials})
+
+
 def _groups(spec):
     """The number of dimension groups of a run whose groups are not split by size."""
     return len({spec.dims[t % len(spec.dims)] for t in range(spec.trials)})
@@ -102,8 +118,8 @@ def test_main_chain_factorizations(eigensolves, fn):
     a, b = _pd_pair(4, 3)
     out = check_main_chain(function_by_name(fn), mean_by_name("geometric:1/2"), a, b)
     assert out.passed
-    # eigh of A, B, S and the two congruence middles; eigvalsh for the two
-    # links against f(A) sigma f(B) and for its norm
+    # eigh of A, B and the two congruence middles, eigvalsh of S and of the
+    # two links against f(A) sigma f(B), whose margins are >= 0: no norm solve
     assert _total(eigensolves) <= 8, eigensolves
 
 
@@ -126,9 +142,9 @@ def test_normal_chain_factorizations(eigensolves):
     a, b = _normal_pair(4, 11)
     out = check_normal_chain(function_by_name("power:2"), a, b)
     assert out.passed and len(out.links) == 4 * 8
-    # SVD of A and B, eigvalsh of f(|A|) + f(|B|) and of |A| + |B|, and one
-    # eigvalsh of (A + B)*(A + B) for the non-normal sum; 41 before
-    assert eigensolves["svd"] == 2, eigensolves
+    # SVD of A and B and of the non-normal sum A + B, eigvalsh of
+    # f(|A|) + f(|B|) and of |A| + |B|; 41 before
+    assert eigensolves["svd"] == 3, eigensolves
     assert _total(eigensolves) <= 5, eigensolves
 
 
@@ -182,13 +198,16 @@ def test_main_chain_run_shares_factors(eigensolves, solver_calls, fns, means, tr
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
     F, S, T, G = len(fns), len(means), trials, _groups(spec)
-    # per trial: eigh of A, B and A^(-1/2) B A^(-1/2); per mean: eigh of S;
-    # per function: eigh of the middle of f(A) sigma f(B); per record: three eigvalsh
-    assert _total(eigensolves) == T * (3 + S + F + 3 * F * S), eigensolves
-    assert eigensolves["eigvalsh"] == T * 3 * F * S, eigensolves
+    # the link scaled by ||X||_op: fn-then-mean:low for a convex f, :high for a concave one
+    assert _negative_margins(report, spec, lambda r: [2 - r.params["convex"]]) == (0, 0)
+    # per trial: eigh of A, B and A^(-1/2) B A^(-1/2); per function: eigh of
+    # the middle of f(A) sigma f(B); per mean: eigvalsh of S; per record: two
+    # eigvalsh, no margin being negative (T (3 + S + F) and 3 T F S before)
+    assert eigensolves["eigh"] == T * (3 + F), eigensolves
+    assert eigensolves["eigvalsh"] == T * (S + 2 * F * S), eigensolves
     # LAPACK calls grow with neither F, S nor T: per dimension group one for each
-    # of A, B and their middles, one stacked eigh of every S, one of every
-    # function's middle and one stacked eigvalsh of every record's three matrices
+    # of A, B and their middles, one stacked eigh of every function's middle,
+    # one stacked eigvalsh of every S and one of every record's two differences
     # (T (4 + 2F), then T 6 before)
     assert _total(solver_calls) == G * 6, solver_calls
 
@@ -217,15 +236,17 @@ def test_normal_chain_run_shares_factors(eigensolves, solver_calls, fns, trials)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
     F, T, G = len(fns), trials, _groups(spec)
-    # per trial: SVD of A and B, eigvalsh of |A| + |B| and of (A + B)*(A + B);
+    # per trial: SVD of A, B and the non-normal A + B, eigvalsh of |A| + |B|;
     # per function: eigvalsh of f(|A|) + f(|B|), all functions in one stacked call
-    # (2 F T complex Schur factorizations and 3 F T eigvalsh before)
-    assert eigensolves["svd"] == 2 * T, eigensolves
-    # one stacked SVD per side per dimension group (2 T per-matrix Schur calls before)
-    assert solver_calls["svd"] == 2 * G, solver_calls
-    assert eigensolves["eigvalsh"] == T * (2 + F), eigensolves
-    # eigvalsh calls per dimension group, each a stack of the group's trials (3 T before)
-    assert solver_calls["eigvalsh"] == 3 * G, solver_calls
+    # (2 F T complex Schur factorizations and 3 F T eigvalsh before, then 2 T
+    # SVDs and T (2 + F) eigvalsh, one of (A + B)*(A + B) per trial)
+    assert eigensolves["svd"] == 3 * T, eigensolves
+    # one stacked SVD per matrix kind per dimension group (2 T per-matrix Schur
+    # calls, then 2 G before)
+    assert solver_calls["svd"] == 3 * G, solver_calls
+    assert eigensolves["eigvalsh"] == T * (1 + F), eigensolves
+    # eigvalsh calls per dimension group, each a stack of the group's trials (3 T, then 3 G before)
+    assert solver_calls["eigvalsh"] == 2 * G, solver_calls
     assert eigensolves["eigh"] == 0, eigensolves
 
 
@@ -250,19 +271,24 @@ def test_determinant_run_shares_factors(eigensolves, solver_calls, fns, trials):
 @pytest.mark.parametrize("alphas, rs, trials", [((0.5,), (2.0,), 1), ((0.25, 0.75), (1.5, 3.0), 3)])
 def test_power_mean_run_shares_factors(eigensolves, solver_calls, alphas, rs, trials):
     spec = SuiteSpec("power_mean", trials=trials, dims=(2, 4), alphas=alphas, rs=rs)
-    assert run_suite(spec).summary.downgraded_records == 0
+    report = run_suite(spec)
+    assert report.summary.downgraded_records == 0
     T, R, G = trials, len(alphas) * len(rs) * trials, _groups(spec)
+    # the companion entropy links fail: 1 of 4 margins, and 16 of 48 in 2 groups
+    negative, groups = _negative_margins(report, spec, lambda r: range(4))
+    assert (negative, groups) == ((1, 1) if R == 1 else (16, 2))
     # per trial: eigh of A, B and their middle in A's eigenbasis, and per
-    # exponent of the middle of A^r, B^r; per record: two eigvalsh for each
-    # of the four Loewner links
+    # exponent of the middle of A^r, B^r; per record: one eigvalsh for each of
+    # the four Loewner links, and one for the norm of each link's right side
+    # whose margin is negative (8R before: every norm)
     assert eigensolves["eigh"] == T * (3 + len(rs)), eigensolves
-    assert eigensolves["eigvalsh"] == 8 * R, eigensolves
+    assert eigensolves["eigvalsh"] == 4 * R + negative, eigensolves
     assert eigensolves["svd"] == 0, eigensolves
-    # the links of every record of a dimension group are one stacked eigvalsh
-    # (4R, then R before)
-    assert solver_calls["eigvalsh"] == G, solver_calls
+    # the links of every record of a dimension group are one stacked eigvalsh,
+    # and the norms of a group's negative margins one more (4R, then R, then G before)
+    assert solver_calls["eigvalsh"] == G + groups, solver_calls
     # per dimension group: one eigh each of the A's, the B's and every middle
-    assert _total(solver_calls) == G * 4, solver_calls
+    assert _total(solver_calls) == G * 4 + groups, solver_calls
 
 
 @pytest.mark.parametrize("alphas, rs, trials", [((0.5,), (2.0,), 1), ((0.25, 0.75), (1.5, 3.0), 3)])
@@ -272,11 +298,13 @@ def test_ando_hiai_run_shares_factors(eigensolves, solver_calls, alphas, rs, tri
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
     T, R, G = trials, len(alphas) * len(rs) * trials, _groups(spec)
+    assert _negative_margins(report, spec, lambda r: (0, 1)) == (0, 0)
     # per trial: eigh of A, B and their middle in A's eigenbasis, which the
     # swapped order shares, and per exponent of the middle of A^r, B^r;
-    # per record: eigvalsh for ||A #_a B|| and two for each Loewner link
+    # per record: eigvalsh for ||A #_a B|| and one for each Loewner link,
+    # none of whose margins is negative (5R before: one more per link, for its norm)
     assert eigensolves["eigh"] == T * (3 + len(rs)), eigensolves
-    assert eigensolves["eigvalsh"] == 5 * R, eigensolves
+    assert eigensolves["eigvalsh"] == 3 * R, eigensolves
     assert eigensolves["svd"] == 0, eigensolves
     # per dimension group: one stacked eigvalsh for every ||A #_a B|| and one for
     # every record's Loewner links (3R, then 2R before)
@@ -324,12 +352,16 @@ def test_chord_run_shares_factors(eigensolves, solver_calls, fns, means, trials)
     report = run_suite(spec)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
-    F, T, G = len(fns), trials, _groups(spec)
+    F, T, G, R = len(fns), trials, _groups(spec), len(fns) * len(means) * trials
+    assert _negative_margins(report, spec, lambda r: (0, 1)) == (0, 0)
     # per trial: eigh of A and B; per function: eigh of the middles of
     # f(A) sigma f(B) and of the two secant lines (T (2 + F) + 2R before,
     # when each record rebuilt its line middles); no S = A sigma B
     assert eigensolves["eigh"] == T * (2 + 3 * F), eigensolves
     assert eigensolves["svd"] == 0, eigensolves
+    # per record: one eigvalsh per link, no margin being negative (4 before:
+    # one more per link, for the norm of its right side)
+    assert eigensolves["eigvalsh"] == 2 * R, eigensolves
     # both links of every record of a dimension group are one stacked eigvalsh
     # (2R, R, then T before)
     assert solver_calls["eigvalsh"] == G, solver_calls
@@ -362,8 +394,9 @@ def test_mean_diff_norm_run_shares_factors(eigensolves, fns, means, trials):
 
 @pytest.mark.parametrize(
     "suite, eigvalsh_per_record",
-    # spec(X); X - c1 S, c2 S - X and X for its norm (4 before: c2 S for its norm); X - f(S)
-    [("eig_prod_norm", 1), ("inverse_function", 3), ("mean_diff_norm", 1)],
+    # spec(X); X - c1 S and c2 S - X (3 before: X for its norm; 4 before that:
+    # c2 S for its norm); X - f(S)
+    [("eig_prod_norm", 1), ("inverse_function", 2), ("mean_diff_norm", 1)],
 )
 @pytest.mark.parametrize(
     "fns, means, trials",
@@ -381,14 +414,18 @@ def test_corollary_run_is_one_stack_per_trial(
     assert report.summary.downgraded_records == 0
     F, S, T, R = len(fns), len(means), trials, len(fns) * len(means) * trials
     G = _groups(spec)
-    # per trial: eigh of A, B and their middle, of every S and of every
-    # function's image middle; per record: the eigvalsh of its links
-    assert eigensolves["eigh"] == T * (3 + F + S), eigensolves
-    assert eigensolves["eigvalsh"] == eigvalsh_per_record * R, eigensolves
+    eigh_of_s = suite == "mean_diff_norm"  # its f(S) reads S's eigenvectors
+    # inverse-low is the link whose scale is 1 + ||X||_op
+    assert suite != "inverse_function" or _negative_margins(report, spec, lambda r: (0,)) == (0, 0)
+    # per trial: eigh of A, B and their middle and of every function's image
+    # middle, and eigh of every S where its eigenvectors are read, else eigvalsh;
+    # per record: the eigvalsh of its links (T (3 + F + S) eigh before, for every suite)
+    assert eigensolves["eigh"] == T * (3 + F + S * eigh_of_s), eigensolves
+    assert eigensolves["eigvalsh"] == eigvalsh_per_record * R + T * S * (not eigh_of_s), eigensolves
     assert eigensolves["svd"] == 0, eigensolves
     # per dimension group: one call for each of A and B and their middles, one
-    # stacked eigh of every S and one of every image middle, one stacked
-    # eigvalsh for the records (T 6 before)
+    # stacked eigh or eigvalsh of every S and one eigh of every image middle, one
+    # stacked eigvalsh for the records (T 6 before)
     assert _total(solver_calls) == G * 6, solver_calls
 
 
@@ -402,8 +439,11 @@ def test_contraction_factorizations(eigensolves, solver_calls):
     assert out.passed and len(out.links) == 4
     # eigh of A and B, then per link one congruence middle and two eigvalsh: 26 before
     assert _total(eigensolves) <= 2 + 4 * 3, eigensolves
-    # the four links are one stacked eigvalsh (four before)
-    assert solver_calls["eigvalsh"] == 1, solver_calls
+    # the four links are one stacked eigvalsh (four before), and the norms of
+    # I for the links whose margin is negative (round-off at the unit bound) one more
+    negative = sum(m < 0.0 for m in out.margins)
+    assert eigensolves["eigvalsh"] == 4 + negative, eigensolves
+    assert solver_calls["eigvalsh"] == 1 + (negative > 0), solver_calls
 
 
 def _norm_operands():

@@ -374,9 +374,10 @@ def test_fixture_run_shares_factors_without_changing_a_record(monkeypatch, tmp_p
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda x: eighs.append(x) or eigh(x))
     records = run_suite(spec).records
-    # eigh of A, B and their middle, of S per mean and of the image middle per
-    # function, counted per matrix: the means' S are one stack
-    assert sum(int(np.prod(x.shape[:-2])) for x in eighs) == 3 + len(MEANS) + len(fns)
+    # eigh of A, B and their middle and of the image middle per function,
+    # counted per matrix; main_chain reads only S's spectrum, so S is no eigh
+    # (3 + len(MEANS) + len(fns) before, an eigh of S per mean)
+    assert sum(int(np.prod(x.shape[:-2])) for x in eighs) == 3 + len(fns)
     a, b = (np.array(load_hermitian_fixture(path).entries) for path in paths)
     expected = [
         checks.check_main_chain(function_by_name(fn), mean_by_name(mean), a, b, spec.tol)

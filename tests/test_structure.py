@@ -6,7 +6,9 @@ the package but ``core``, ``harness`` reaches into no private name of
 ``PairStack``, every name a module lists in ``__all__`` is bound in it,
 no function of ``checks`` and no module-level function of ``harness``
 keeps a memo across calls, ``checks`` and ``means`` reach LAPACK's
-eigensolvers only through ``core``, no module imports scipy, every import
+eigensolvers only through ``core``, no call site throws away eigenvectors
+of an ``_eigh``, directly or through a function that returns them, no
+module imports scipy, every import
 is at module level, no source line is over 100 characters, and every
 function and class the package defines is named somewhere in the
 repository's code.  The re-exports in ``__init__.py`` are not checked for
@@ -176,6 +178,110 @@ def test_eigensolves_go_through_core(name):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
     ]
     assert not direct, f"{name}.py calls an eigensolver directly: {', '.join(direct)}"
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, not those of the functions and lambdas it defines."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += [n for n in ast.iter_child_nodes(node)
+                 if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+
+
+def _callees(call):
+    """The names a call may call: ``f(...)``, ``x.f(...)`` or ``(f if c else g)(...)``."""
+    funcs = [call.func.body, call.func.orelse] if isinstance(call.func, ast.IfExp) else [call.func]
+    return {getattr(f, "id", None) or getattr(f, "attr", None) for f in funcs}
+
+
+def _assigned(node):
+    """(target, value) of an assignment, tuples of equal length paired element by element."""
+    pairs = [(t, node.value) for t in node.targets]
+    while pairs:
+        target, value = pairs.pop()
+        if (isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                and len(target.elts) == len(value.elts)):
+            pairs += zip(target.elts, value.elts)
+        else:
+            yield target, value
+
+
+def _at(target, paths):
+    """The parts of a tuple target at ``paths``, those it has."""
+    for path in paths:
+        node = target
+        for i in path:
+            elts = node.elts if isinstance(node, ast.Tuple) else []
+            node = elts[i] if i < len(elts) else None
+            if node is None or isinstance(node, ast.Starred):
+                break
+        else:
+            yield node
+
+
+def _result_paths(expr, vectors, slots, prefix=()):
+    """The paths into a returned value that hold eigenvectors: a name in ``vectors``, or a call's."""
+    if isinstance(expr, ast.Tuple):
+        for i, elt in enumerate(expr.elts):
+            if isinstance(elt, ast.Starred):  # later positions depend on its length
+                return
+            yield from _result_paths(elt, vectors, slots, prefix + (i,))
+    elif isinstance(expr, ast.Call) and _callees(expr) & slots.keys():
+        yield from (prefix + p for c in _callees(expr) & slots.keys() for p in slots[c])
+    elif any(isinstance(n, ast.Name) and n.id in vectors for n in ast.walk(expr)):
+        yield prefix
+
+
+def _eigenvector_slots(funcs):
+    """Per function name, the paths into its result that hold eigenvectors of an ``_eigh``.
+
+    ``_eigh`` returns (w, v); a function that returns a name bound to such a
+    slot, or an expression of one, returns eigenvectors at that position too.
+    """
+    slots = {"_eigh": {(1,)}}
+    while True:
+        found = {}
+        for func in funcs:
+            nodes = list(_own_nodes(func))
+            vectors = {
+                node.id
+                for assign in nodes if isinstance(assign, ast.Assign)
+                for target, value in _assigned(assign) if isinstance(value, ast.Call)
+                for callee in _callees(value) & slots.keys()
+                for node in _at(target, slots[callee]) if isinstance(node, ast.Name)
+            }
+            for ret in nodes:
+                if isinstance(ret, ast.Return) and ret.value is not None:
+                    paths = set(_result_paths(ret.value, vectors, slots))
+                    if paths:
+                        found.setdefault(func.name, set()).update(paths)
+        grown = {name: paths - slots.get(name, set()) for name, paths in found.items()}
+        if not any(grown.values()):
+            return slots
+        for name, paths in grown.items():
+            slots.setdefault(name, set()).update(paths)
+
+
+def test_no_call_site_throws_away_eigenvectors():
+    # a caller that reads only eigenvalues takes them from an eigvalsh: binding
+    # the eigenvectors of an eigh to _, here or through a function that returns
+    # them (S's eigenpairs once came so, unread, to three judges), is a solve wasted
+    trees = {path.name: _tree(path) for path in sorted(PKG.glob("*.py"))}
+    funcs = [f for tree in trees.values() for f in ast.walk(tree)
+             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    slots = _eigenvector_slots(funcs)
+    assert slots["_eigh"] == {(1,)} and len(slots) > 1  # the rule reaches through functions
+    wasted = sorted(
+        f"{name}:{assign.lineno} {ast.unparse(value.func)}"
+        for name, tree in trees.items()
+        for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+        for target, value in _assigned(assign) if isinstance(value, ast.Call)
+        for callee in _callees(value) & slots.keys()
+        if any(isinstance(n, ast.Name) and n.id == "_" for n in _at(target, slots[callee]))
+    )
+    assert not wasted, f"eigenvectors bound to _: {', '.join(wasted)}"
 
 
 @pytest.mark.parametrize("path", sorted(PKG.glob("*.py")), ids=lambda p: p.stem)
