@@ -75,6 +75,7 @@ from .checks import (
     check_ando_hiai_grid,
     check_chord_bounds,
     check_chord_bounds_grid,
+    check_contraction_grid,
     check_contraction_implication,
     check_determinant_grid,
     check_determinant_suite,

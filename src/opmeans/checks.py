@@ -65,6 +65,7 @@ from .functions import (
 )
 from .means import (
     MatrixMean,
+    _contraction_scales,
     _mean_from_middle,
     _mean_gates,
     _middles,
@@ -96,6 +97,7 @@ __all__ = [
     "check_ando_hiai_comparison",
     "check_ando_hiai_grid",
     "check_contraction_implication",
+    "check_contraction_grid",
     "check_inverse_function",
     "check_inverse_function_grid",
     "check_determinant_suite",
@@ -220,21 +222,6 @@ def _scalar_margins(lhs, rhs, tol, applicable=True):
     margin = rhs - lhs
     scale = 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))
     return margin, (margin >= -tol * scale) | np.logical_not(applicable)
-
-
-def _loewner_links(claims, tol, forward=True) -> list[tuple]:
-    """A record's Loewner links lo <= hi, one per claim ``(description, lo, hi)``.
-
-    With ``forward`` false every claim is reversed to hi <= lo.  All claims
-    are judged by one stacked eigvalsh.
-    """
-    if not forward:
-        claims = [(desc, hi, lo) for desc, lo, hi in claims]
-    results = _loewner([(lo[None], hi[None], None) for _, lo, hi in claims], tol)
-    return [
-        (desc, float(res.margin[0]), bool(res.passed[0]), True)
-        for (desc, _, _), res in zip(claims, results)
-    ]
 
 
 def _equality_link(desc, got, want, tol) -> tuple:
@@ -760,7 +747,8 @@ def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     log1p = function_by_name("log1p")
     lhs = coef * apply_fn(log1p, a + b).entries
     rhs = _image(log1p, wa, va) + _image(log1p, wb, vb)
-    links = _loewner_links((("shifted-log-bound", lhs, rhs),), tol)
+    (res,) = _loewner([(lhs[None], rhs[None], None)], tol)
+    links = [("shifted-log-bound", float(res.margin[0]), bool(res.passed[0]), True)]
     return CheckOutcome(
         "log_example", "shifted-log-sum-bound", links, {"m": m, "M": M, "coef": coef}
     )
@@ -1390,49 +1378,133 @@ def check_contraction_implication(
     grid (the default one unless the pair needs a restricted domain),
     either as stated (then A sigma_h B <= I propagates to every iterate)
     or all reversed (then >= I propagates).  Mixed conditions yield an
-    inapplicable outcome with no links.
+    inapplicable outcome with no links.  The operands are judged as given;
+    the 1 x 1 case of :func:`_contraction_group`.
     """
-    if n_iter < 1:
-        raise ValueError("iteration count must be >= 1")
-    report = check_pair_conditions(pair, grid=condition_grid)
-    params = {
-        "g": pair.g.name,
-        "h": pair.h.name,
-        "n_iter": n_iter,
-        "conditions": [c.direction for c in report.results],
-    }
-    if report.all_forward:
-        forward = True
-    elif report.all_reversed:
-        forward = False
-    else:
-        params["not_applicable"] = "pair conditions mixed; implication direction undefined"
-        return CheckOutcome("contraction_implication", "mean-contraction-iterates", (), params)
-    sigma_h = MatrixMean(f"h:{pair.h.name}", pair.h)
-    f = times_x(pair.g)
-    # The iterates f^k(A), f^k(B) keep the eigenvectors of A and B, and I
-    # keeps its form in any basis; in A's, f^k(A) is diagonal and its
-    # ill-conditioned inverse square root is exact.
-    pair = _one(PairStack.group([(A, B)]))
-    wa, wb, basis, eye = pair.wa, pair.wb, pair.basis(), np.eye(pair.wa.size)
+    return _one(_contraction_group(
+        (pair.g,), (pair.h,), [(A, B)], n_iter, tol,
+        lambda stack, hs: (PairStack(*(x[:, None] for x in stack)), None), condition_grid,
+    )[0])
 
-    def iterate_mean(wx, wy):
-        middle = _middles(_congruence_of(wx, wy, basis, tol))
-        return _mean_from_middle([sigma_h.h], middle, tol)[0, 0]
 
-    if not forward:
-        c = float(_eigvalsh(iterate_mean(wa, wb))[0])
-        if c <= 0.0:
-            raise NotPositiveDefiniteError("mean not positive definite; cannot normalize upward")
-        wa, wb = wa / c, wb / c
-    claims = []
-    for k in range(n_iter + 1):
-        if k:
-            wa, wb = _finite(_fn_values(f, wa)), _finite(_fn_values(f, wb))
-        claims.append(("iterate-bound" if k else "hypothesis", iterate_mean(wa, wb), eye))
-    links = _loewner_links(claims, tol, forward)
-    params["direction"] = "forward" if forward else "reversed"
-    return CheckOutcome("contraction_implication", "mean-contraction-iterates", links, params)
+def check_contraction_grid(gs, hs, pairs, n_iter=3, tol=DEFAULT_TOL) -> list:
+    """:func:`check_contraction_implication` for every (g, h) and trial of a group, normalized.
+
+    ``pairs`` is a dimension group; returns, per trial, one entry per (g, h),
+    g outermost.  Each pair is first scaled by c = lambda_max(A sigma_h B),
+    as ``means.normalize_for_contraction`` does: every c of the group is one
+    stack, and the scaled pairs one :meth:`PairStack.group`.
+    """
+
+    def normalize(stack, hs):
+        errors = np.full((len(stack.a), len(hs)), None, dtype=object)
+        c = _contraction_scales(hs, stack.wa, stack.va, stack.b, DEFAULT_TOL, errors)
+        c, n, flat = np.where(np.equal(errors, None), c, 1.0), stack.a.shape[-1], errors.reshape(-1)
+        scaled = [_finite((x[:, None] / c[..., None, None]).reshape(-1, n, n), flat)
+                  for x in (stack.a, stack.b)]
+        live = np.equal(flat, None)[:, None, None]  # a row with an error is judged as (I, I)
+        rows = PairStack.group(zip(*(np.where(live, x, np.eye(n)) for x in scaled)))
+        return PairStack(*(_stacked(x).reshape(*errors.shape, *np.shape(x[0]))
+                           for x in zip(*rows))), errors
+
+    return _contraction_group(gs, hs, pairs, n_iter, tol, normalize)
+
+
+_CONTRACTION = ("contraction_implication", "mean-contraction-iterates")
+_MIXED = "pair conditions mixed; implication direction undefined"
+
+
+def _contraction_group(gs, hs, pairs, n_iter, tol, normalize, condition_grid=None) -> list:
+    """A dimension group's contraction records, per trial one per (g, h), g outermost.
+
+    Each (g, h) runs the iteration count, the pair conditions (mixed ones
+    give a record with no links, whatever the operands) and h's mean gate.
+    ``normalize(stack, hs)`` gives the open trials' pairs to judge, a
+    :class:`PairStack` over (trial, h), and their errors or ``None``.  The
+    means of every iterate are one middle eigh and one mean per h, the links
+    one eigvalsh; a record takes its first error in the 1 x 1 order.
+    """
+    reports = {}
+
+    def directed(c, _):
+        reports[c] = check_pair_conditions(FunctionPair(*c), grid=condition_grid)
+        return reports[c].all_forward or reports[c].all_reversed
+
+    def params(c, **extra):
+        return {"g": c[0].name, "h": c[1].name, "n_iter": n_iter,
+                "conditions": [r.direction for r in reports[c].results], **extra}
+
+    def judge(configs, stacks, entries):
+        hs = list(dict.fromkeys(h for _, h in configs))
+        h_of = [hs.index(h) for _, h in configs]
+        pairs, errors = normalize(PairStack(*stacks), hs)
+        if errors is not None:
+            _fail(entries, errors[:, h_of].T)
+        (n_c, n_t), n, k1 = entries.shape, pairs.wa.shape[-1], n_iter + 1
+        fwd = np.array([[reports[c].all_forward] for c in configs])
+        basis = pairs.basis().swapaxes(0, 1)[h_of]
+        # f^k(A), f^k(B) keep the eigenvectors of A and B, and I its form in any basis; in
+        # A's, f^k(A) is diagonal and its ill-conditioned inverse square root is exact.  So
+        # the iterates are spectra, (iterate, config, operand, trial), in each pair's basis
+        w = np.empty((k1, n_c, 2, n_t, n))
+        w[0] = np.stack([pairs.wa, pairs.wb]).swapaxes(1, 2)[:, h_of].swapaxes(0, 1)
+
+        def means(wx, wy, errors):
+            """A sigma_h B of each row (..., config, trial), A and B spectra in its pair's basis."""
+            flat, on_h = errors.reshape(-1), np.broadcast_to(np.c_[h_of], errors.shape).reshape(-1)
+            middles = _middles(_congruence_of(wx, wy, basis, tol, flat), flat)
+            out = np.empty(middles[2].shape, dtype=complex)
+            for j, h in enumerate(hs):
+                rows = np.flatnonzero(on_h == j)
+                e = flat[rows]
+                out[rows] = _mean_from_middle([h], tuple(x[rows] for x in middles), tol, e)[:, 0]
+                flat[rows] = e
+            return out
+
+        if not fwd.all():  # a reversed pair is scaled up by lambda_min of its mean
+            e = np.full((n_c, n_t), None, dtype=object)
+            low = _eigvalsh(means(w[0, :, 0], w[0, :, 1], e), e.reshape(-1))[:, 0].reshape(n_c, n_t)
+            up = ~fwd & np.equal(e, None)
+            e[up & (low <= 0.0)] = NotPositiveDefiniteError(
+                "mean not positive definite; cannot normalize upward"
+            )
+            _fail(entries, np.where(fwd, None, e))
+            w[0] /= np.where(up & (low > 0.0), low, 1.0)[:, None, :, None]
+        errs = np.full((2, k1, n_c, n_t), None, dtype=object)  # each iterate's f, then its mean
+        for k in range(1, k1):
+            for i, (g, _) in enumerate(configs):
+                e = np.full(2 * n_t, None, dtype=object)  # f(A)'s, then f(B)'s
+                f = _fn_values(times_x(g), w[k - 1, i].reshape(-1, n), e)
+                w[k, i] = _finite(f, e).reshape(2, n_t, n)
+                _fail(errs[0, k, i], *e.reshape(2, n_t))
+            dead = ~np.equal(errs[0, : k + 1], None).any(0)
+            w[k].swapaxes(1, 2)[dead] = 1.0  # a row with an error: the pair (I, I), unused
+        X = means(w[:, :, 0], w[:, :, 1], errs[1])
+        _fail(entries, *errs.swapaxes(0, 1).reshape(-1, n_c, n_t))
+        # A sigma_h B <= I for each iterate, reversed for a reversed pair
+        eye, fw = np.eye(n), np.broadcast_to(fwd[..., None, None], (k1, n_c, n_t, 1, 1))
+        fw, rows = fw.reshape(-1, 1, 1), np.broadcast_to(entries, (k1, n_c, n_t)).copy()
+        (res,) = _loewner([(np.where(fw, X, eye), np.where(fw, eye, X), None)], tol,
+                          [rows.reshape(-1)])
+        _fail(entries, *rows)
+        margins, passes = (np.moveaxis(x.reshape(k1, -1), 0, -1) for x in (res.margin, res.passed))
+        rows, c_of, _ = _open(entries)
+        _fill(*_CONTRACTION, ("hypothesis",) + ("iterate-bound",) * n_iter, margins[rows],
+              passes[rows], [(True,) * k1] * rows.size,
+              [params(configs[c], direction="forward" if fwd[c, 0] else "reversed")
+               for c in c_of.tolist()], entries.reshape(-1), rows)
+
+    gates = (
+        (lambda c, _: n_iter >= 1, ValueError, "iteration count must be >= 1"),
+        (directed, ValueError, _MIXED),
+        (lambda c, _: MatrixMean(f"h:{c[1].name}", c[1]), None, None),
+    )
+    configs = [(g, h) for g in gs for h in hs]
+    records = _group_grid(configs, pairs, gates, lambda pair: pair, judge, PairStack.group)
+    mixed = {i: CheckOutcome(*_CONTRACTION, (), params(c, not_applicable=_MIXED))
+             for i, c in enumerate(configs)
+             if c in reports and not (reports[c].all_forward or reports[c].all_reversed)}
+    return [[mixed.get(i, e) for i, e in enumerate(row)] for row in records]
 
 
 def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:

@@ -37,8 +37,8 @@ from .core import (
     as_complex_array,
 )
 from .checks import CheckOutcome
-from .functions import FunctionPair, function_by_name
-from .means import CATALOG_NAMES, MatrixMean, mean_by_name, normalize_for_contraction
+from .functions import function_by_name
+from .means import CATALOG_NAMES, mean_by_name
 from .randgen import GeneratorConfig, derive_stream_seed, gap_pair_rows, random_group
 
 __all__ = [
@@ -289,21 +289,18 @@ def _norm_arg(spec: SuiteSpec):
 
 
 def _each(check):
-    """A suite's group check from ``check(spec, config, x)``, which makes one record.
+    """A fixed suite's group check from ``check(spec, x)``, which makes a trial's one record.
 
-    For the suites with no grid checker: trial by trial, one configuration at a time.
+    For the suites with no axes and no grid checker: trial by trial.
     """
 
-    def per_trial(spec: SuiteSpec, axes: dict, x) -> list:
-        results = []
-        for values in itertools.product(*axes.values()):
-            try:
-                results.append(check(spec, dict(zip(axes, values)), x))
-            except ValueError as exc:
-                results.append(exc.with_traceback(None))
-        return results
+    def one(spec: SuiteSpec, x) -> list:
+        try:
+            return [check(spec, x)]
+        except ValueError as exc:
+            return [exc.with_traceback(None)]
 
-    return lambda spec, axes, xs: [per_trial(spec, axes, x) for x in xs]
+    return lambda spec, axes, xs: [one(spec, x) for x in xs]
 
 
 def _check_determinant(spec: SuiteSpec, axes: dict, xs) -> list:
@@ -313,13 +310,6 @@ def _check_determinant(spec: SuiteSpec, axes: dict, xs) -> list:
         [e if isinstance(e, ValueError) else e.with_params({"pair_kind": x[3]}) for e in row]
         for x, row in zip(xs, grid)
     ]
-
-
-def _check_contraction(spec: SuiteSpec, c: dict, x) -> CheckOutcome:
-    pair = FunctionPair(c["g"], c["h"])
-    sigma_h = MatrixMean(f"h:{pair.h.name}", pair.h)
-    a, b = normalize_for_contraction(sigma_h, *x)
-    return checks.check_contraction_implication(pair, a, b, spec.iterations, spec.tol)
 
 
 @dataclass(frozen=True)
@@ -335,12 +325,13 @@ class _Suite:
     a dimension group: the instances ``xs`` of trials of one dimension.  It
     gives, per trial, for each configuration in order, its record or the
     ``ValueError`` it raised, from each axis's values with names resolved
-    (see :func:`_resolve`).  Ten suites judge the group as one grid
+    (see :func:`_resolve`).  Eleven suites judge the group as one grid
     (``checks.check_*_grid``, each trial's pair factored once), over
-    (function x mean) for the five of :func:`_mean_suite` and (alpha x r)
-    for ``power_mean`` and ``ando_hiai``; the others take one configuration
-    at a time (:func:`_each`).  A fixture pair is loaded as Hermitian when
-    ``hermitian`` is set and is shaped into an instance by ``from_fixture``.
+    (function x mean) for the five of :func:`_mean_suite`, (alpha x r) for
+    ``power_mean`` and ``ando_hiai`` and (g x h) for ``contraction``; the
+    three with no axes take one trial at a time (:func:`_each`).  A fixture
+    pair is loaded as Hermitian when ``hermitian`` is set and is shaped into
+    an instance by ``from_fixture``.
     Entries look checkers, generators and names up when called, so a
     wrapper installed on a module attribute sees every call.
     """
@@ -372,7 +363,7 @@ _SUITES = {
     "chord": _mean_suite("check_chord_bounds_grid"),
     "log_example": _Suite(
         _no_axes, _pd_pairs,
-        _each(lambda spec, c, x: checks.check_log_example(*x, None, spec.tol)),
+        _each(lambda spec, x: checks.check_log_example(*x, None, spec.tol)),
     ),
     "mean_diff_norm": _mean_suite("check_mean_difference_norm_grid", CONVEX_FUNCTIONS, norms=True),
     "eig_prod_norm": _mean_suite("check_eig_prod_norm_grid", norms=True),
@@ -384,11 +375,11 @@ _SUITES = {
     ),
     "normal_counterexample": _Suite(
         _no_axes, None,
-        _each(lambda spec, c, x: checks.check_normal_counterexample()),
+        _each(lambda spec, x: checks.check_normal_counterexample()),
     ),
     "normal_triangle": _Suite(
         _no_axes, _normal_pairs,
-        _each(lambda spec, c, x: checks.check_normal_triangle(*x, _norm_arg(spec), spec.tol)),
+        _each(lambda spec, x: checks.check_normal_triangle(*x, _norm_arg(spec), spec.tol)),
         hermitian=False,
     ),
     "normal_chain": _Suite(
@@ -406,7 +397,12 @@ _SUITES = {
         _alphas_rs, _pd_pairs,
         lambda spec, ax, xs: checks.check_ando_hiai_grid(ax["alpha"], ax["r"], xs, spec.tol),
     ),
-    "contraction": _Suite(_contraction_pairs, _pd_pairs, _each(_check_contraction)),
+    "contraction": _Suite(
+        _contraction_pairs, _pd_pairs,
+        lambda spec, ax, xs: checks.check_contraction_grid(
+            ax["g"], ax["h"], xs, spec.iterations, spec.tol
+        ),
+    ),
     "inverse_function": _mean_suite("check_inverse_function_grid"),
     "determinant": _Suite(
         _ALL_FNS, _det_instances, _check_determinant,

@@ -307,6 +307,41 @@ def _perspective_from_middle(phi, middles, errors=None) -> np.ndarray:
     return _assemble(middles, np.asarray(phi(x), dtype=float)[:, None], errors)[:, 0]
 
 
+def _operands(A, B, name: str):
+    """A and B as Hermitian arrays of one shape; else a ShapeError naming the ``name`` operands."""
+    a, b = as_hermitian_array(A), as_hermitian_array(B)
+    if a.shape != b.shape:
+        raise ShapeError(f"{name} operands must have the same dimension")
+    return a, b
+
+
+def _mean_stack(hs, wa, va, b, tol, errors=None):
+    """A sigma_h B in the original basis, (pair, h, n, n), for each pair of a stack and each h.
+
+    Takes A's eigenpairs (wa, va) and B, one row each per pair; returns the
+    means and each pair's meta (see :func:`_mean_gates`).  With ``errors``,
+    a (pair, h) object array of ``None``, a breakdown is its row's (see
+    ``core._flag``): a pair's gate or middle error is each of its means'.
+    """
+    rows = None if errors is None else np.full(len(b), None, dtype=object)
+    vh = va.conj().swapaxes(-1, -2)
+    middles = _middles(_mean_gates(wa, vh @ b @ va, _eigvalsh(b), tol, rows), rows)
+    if errors is not None:
+        errors[...] = rows[:, None]
+    S = _mean_from_middle(hs, middles, tol, None if errors is None else errors.reshape(-1))
+    return hermitian_part(va[:, None] @ S @ vh[:, None]), middles[3]
+
+
+def _contraction_scales(hs, wa, va, b, tol, errors=None) -> np.ndarray:
+    """c = lambda_max(A sigma_h B), (pair, h), of :func:`_mean_stack`; c <= 0 is its row's error."""
+    G = _mean_stack(hs, wa, va, b, tol, errors)[0]
+    flat = None if errors is None else errors.reshape(-1)
+    c = _eigvalsh(G.reshape(-1, *G.shape[-2:]), flat)[:, -1]
+    for k in np.flatnonzero(c <= 0.0):
+        _flag(flat, k, ValueError("mean has nonpositive largest eigenvalue"))
+    return c.reshape(G.shape[:2])
+
+
 def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
     """Evaluate A sigma B through the representing-function congruence.
 
@@ -324,16 +359,9 @@ def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
     NotPositiveSemidefiniteError
         If B has an eigenvalue significantly below zero.
     """
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
-    if a.shape != b.shape:
-        raise ShapeError("mean operands must have the same dimension")
-    wb = _eigvalsh(b)
-    wa, va = _eigh(a)
-    # the mean is taken in A's eigenbasis and rotated back out
-    middle = _middles(_mean_gates(wa[None], (va.conj().T @ b @ va)[None], wb[None], tol))
-    S = _mean_from_middle([sigma.h], middle, tol)[0, 0]
-    return HermitianMatrix(va @ S @ va.conj().T, meta=middle[3][0])
+    a, b = _operands(A, B, "mean")
+    G, metas = _mean_stack([sigma.h], *_eigh(a[None]), b[None], tol)
+    return HermitianMatrix(G[0, 0], meta=metas[0])
 
 
 def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -342,10 +370,7 @@ def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatr
     The spectrum of the congruence term must lie inside the domain of phi;
     otherwise a domain violation is raised.
     """
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
-    if a.shape != b.shape:
-        raise ShapeError("perspective operands must have the same dimension")
+    a, b = _operands(A, B, "perspective")
     wa, va = _eigh(a)
     _require_definite(wa[None], tol)
     middle = _middles(_congruence(wa[None], (va.conj().T @ b @ va)[None]))
@@ -365,10 +390,6 @@ def normalize_for_contraction(sigma_h: MatrixMean, A, B):
     eigenvalue 1; the contraction hypothesis A sigma B <= I then holds with
     equality at the top.
     """
-    a = as_hermitian_array(A)
-    b = as_hermitian_array(B)
-    g = mean(sigma_h, a, b)
-    c = float(_eigvalsh(g.entries)[-1])
-    if c <= 0.0:
-        raise ValueError("mean has nonpositive largest eigenvalue")
+    a, b = _operands(A, B, "mean")
+    c = float(_contraction_scales([sigma_h.h], *_eigh(a[None]), b[None], DEFAULT_TOL)[0, 0])
     return HermitianMatrix(a / c), HermitianMatrix(b / c)

@@ -9,6 +9,7 @@ from opmeans import (
     NotPositiveDefiniteError,
     check_ando_hiai_comparison,
     check_chord_bounds,
+    check_contraction_grid,
     check_contraction_implication,
     check_determinant_suite,
     check_eig_prod_norm,
@@ -27,7 +28,8 @@ from opmeans import (
     mean_by_name,
     power,
 )
-from opmeans.functions import Convexity
+from opmeans.functions import Convexity, ScalarFunction
+from opmeans.means import MatrixMean, normalize_for_contraction
 from opmeans.harness import SuiteSpec, run_suite
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_pd
 
@@ -473,6 +475,47 @@ def test_contraction_mixed_conditions_not_applicable():
     out = check_contraction_implication(pair, np.eye(2), np.eye(2), condition_grid=grid)
     assert out.links == ()
     assert "not_applicable" in out.params
+
+
+# g = 2 with h = x^(1/2): conditions (i) and (ii) reverse and (iii) is an equality,
+# so A sigma_h B >= I propagates.  f(x) = 2x doubles the mean at each iterate, so
+# once the pair is scaled up to lambda_min(A sigma_h B) = 1 the margins are 2^k - 1.
+TWO = ScalarFunction("two", lambda x: np.full(np.shape(x), 2.0), lambda x: np.zeros(np.shape(x)))
+REVERSED_MARGINS = [0.0, 1.0, 3.0, 7.0]
+
+
+def _assert_reversed(out):
+    assert out.params["conditions"] == ["reversed", "reversed", "forward"]
+    assert out.params["direction"] == "reversed"
+    assert out.descriptions == ("hypothesis",) + ("iterate-bound",) * 3
+    assert list(out.margins) == pytest.approx(REVERSED_MARGINS, abs=1e-8)
+    assert out.passed
+
+
+def test_contraction_reversed_pair_normalizes_upward():
+    for seed in range(5):
+        a, b = _pd_pair(3, 950 + seed, M=40.0)
+        _assert_reversed(check_contraction_implication(FunctionPair(TWO, power(0.5)), a, b))
+
+
+def test_contraction_grid_judges_reversed_forward_and_mixed_pairs(monkeypatch):
+    # (log, x_over_log) is mixed on (e, 100], as in
+    # test_contraction_mixed_conditions_not_applicable; the other pairs keep
+    # their directions there
+    grid = np.geomspace(math.e * 1.000001, 100.0, 256)
+    monkeypatch.setattr("opmeans.functions.default_condition_grid", lambda: grid)
+    sqrt, log, x_over_log = power(0.5), function_by_name("log"), function_by_name("x_over_log")
+    pairs = [_pd_pair(3, 960 + t) for t in range(4)]
+    rows = check_contraction_grid((TWO, sqrt, log), (sqrt, x_over_log), pairs)
+    sigma = MatrixMean("h:power:1/2", sqrt)
+    for (a, b), row in zip(pairs, rows):
+        reversed_, forward, mixed = row[0], row[2], row[5]
+        _assert_reversed(reversed_)
+        want = check_contraction_implication(
+            FunctionPair(sqrt, sqrt), *normalize_for_contraction(sigma, a, b)
+        )
+        assert forward == want and forward.params["direction"] == "forward"
+        assert mixed.links == () and "not_applicable" in mixed.params
 
 
 # --- inverse function bounds -----------------------------------------------------------

@@ -14,8 +14,8 @@ non-Hermitian sums A + B by one more.  A
 run of a positive definite suite shares each trial's factors between its
 configurations, and a ``main_chain``, ``chord``, ``eig_prod_norm``,
 ``inverse_function``, ``mean_diff_norm``, ``subadditivity``,
-``normal_chain``, ``determinant``, ``power_mean`` or ``ando_hiai``
-dimension group of trials is one stacked grid.  The tests count the
+``normal_chain``, ``determinant``, ``power_mean``, ``ando_hiai`` or
+``contraction`` dimension group of trials is one stacked grid.  The tests count the
 matrices that LAPACK factors through numpy, each matrix of a stack
 separately, and where it matters the LAPACK calls.
 """
@@ -46,7 +46,7 @@ from opmeans.checks import (
     check_subadditivity_refinement,
     check_transplanted_norm_chain,
 )
-from opmeans.harness import SuiteSpec, run_suite
+from opmeans.harness import SuiteSpec, _pd_pairs, run_suite
 from opmeans.core import _norm_table
 from opmeans.means import _validate_representing
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_normal, random_pd
@@ -335,8 +335,8 @@ def test_contraction_run_gates_each_representing_function_once(monkeypatch):
     )
     report = run_suite(SuiteSpec("contraction", trials=3, dims=(2, 4)))
     assert len(report.records) == 27
-    # the harness's normalization and the checker both build each record's
-    # h-mean (54 gates before); the gate runs once per distinct h
+    # the grid builds each (g, h)'s h-mean once per group (54 gates before, two
+    # per record); the gate runs once per distinct h
     assert 0 < len(calls) == len({id(h) for h in calls}) <= 3
 
 
@@ -429,6 +429,29 @@ def test_corollary_run_is_one_stack_per_trial(
     assert _total(solver_calls) == G * 6, solver_calls
 
 
+@pytest.mark.parametrize("trials", [2, 7])
+def test_contraction_run_shares_factors(eigensolves, solver_calls, trials):
+    spec = SuiteSpec("contraction", trials=trials, dims=(2, 4))
+    report = run_suite(spec)
+    assert report.summary.failed_links == 0
+    assert report.summary.downgraded_records == 0
+    # per dimension group: eigh of A and B, eigvalsh of B, eigh of the middles of
+    # (A, B), eigvalsh of every A sigma_h B for its scale c, eigh of every A/c and
+    # every B/c, eigh of every iterate's middle and eigvalsh of every link, then the
+    # norms of I for the links whose margin is negative (round-off at the unit
+    # bound); 11 calls per record before, and one more for a negative margin
+    negative = _negative_margins(report, spec, lambda r: range(len(r.margins)))[1]
+    assert _total(solver_calls) == _groups(spec) * 9 + negative, solver_calls
+    # each record is the public per-pair path's, bit for bit
+    for record in report.records:
+        g, h = (function_by_name(record.params[key]) for key in ("g", "h"))
+        (pair,) = _pd_pairs(spec, [record.params["trial"]])
+        want = check_contraction_implication(
+            FunctionPair(g, h), *normalize_for_contraction(MatrixMean(f"h:{h.name}", h), *pair)
+        )
+        assert record == want.with_params(record.params), record.params
+
+
 def test_contraction_factorizations(eigensolves, solver_calls):
     g, h = function_by_name("power:1/2"), function_by_name("power:1/2")
     a, b = normalize_for_contraction(MatrixMean("h", h), *_pd_pair(4, 19))
@@ -439,6 +462,8 @@ def test_contraction_factorizations(eigensolves, solver_calls):
     assert out.passed and len(out.links) == 4
     # eigh of A and B, then per link one congruence middle and two eigvalsh: 26 before
     assert _total(eigensolves) <= 2 + 4 * 3, eigensolves
+    # the four middles are one stacked eigh (four calls before)
+    assert solver_calls["eigh"] == 3, solver_calls
     # the four links are one stacked eigvalsh (four before), and the norms of
     # I for the links whose margin is negative (round-off at the unit bound) one more
     negative = sum(m < 0.0 for m in out.margins)

@@ -5,7 +5,8 @@ the package but ``core``, ``harness`` reaches into no private name of
 ``checks``, ``checks`` validates and factors a Hermitian pair only in
 ``PairStack``, every name a module lists in ``__all__`` is bound in it,
 no function of ``checks`` and no module-level function of ``harness``
-keeps a memo across calls, ``checks`` and ``means`` reach LAPACK's
+keeps a memo across calls, no suite with configuration axes is judged
+record by record through ``harness._each``, ``checks`` and ``means`` reach LAPACK's
 eigensolvers only through ``core``, no call site throws away eigenvectors
 of an ``_eigh``, directly or through a function that returns them, no
 module imports scipy, every import
@@ -19,6 +20,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from opmeans import harness
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "opmeans"
 MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
@@ -154,6 +157,19 @@ def test_harness_keeps_no_memo_across_calls():
             continue
         cached += [f"line {node.lineno}" for node in nodes if _is_cache(node)]
     assert not cached, f"harness.py keeps a memo across calls: {', '.join(sorted(set(cached)))}"
+
+
+def test_no_suite_with_axes_is_judged_record_by_record():
+    # _each makes one record per check call; a suite with configuration axes
+    # is judged a dimension group at a time, as one grid over its axes
+    (table,) = [node.value for node in _tree(PKG / "harness.py").body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_SUITES"]
+    per_record = sorted(
+        key.value for key, entry in zip(table.keys, table.values)
+        if any(isinstance(n, ast.Call) and ast.unparse(n.func) == "_each" for n in ast.walk(entry))
+        and harness._SUITES[key.value].axes(harness.SuiteSpec(key.value))
+    )
+    assert not per_record, f"suites with axes judged through _each: {', '.join(per_record)}"
 
 
 _EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals", "schur"}

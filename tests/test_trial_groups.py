@@ -256,10 +256,8 @@ def _same_reports_alone(monkeypatch, tmp_path, spec):
     assert _reports(spec, tmp_path, "alone") == grouped
 
 
-# contraction judges trial by trial and draws its pairs as main_chain does, so
-# at large dims it would add time and no grouping
 @pytest.mark.parametrize("extra", [{}, {"M": 800.0}], ids=["large-dims", "large-breakdowns"])
-@pytest.mark.parametrize("suite", [suite for suite in SUITE_NAMES if suite != "contraction"])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_large_dim_grouping_changes_no_report(monkeypatch, tmp_path, suite, extra):
     # few configurations, so that dim-16 and dim-32 trials share groups: 4 of
