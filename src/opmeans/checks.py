@@ -65,7 +65,6 @@ from .functions import (
 )
 from .means import (
     MatrixMean,
-    _contraction_scales,
     _mean_from_middle,
     _mean_gates,
     _middles,
@@ -1378,12 +1377,11 @@ def check_contraction_implication(
     grid (the default one unless the pair needs a restricted domain),
     either as stated (then A sigma_h B <= I propagates to every iterate)
     or all reversed (then >= I propagates).  Mixed conditions yield an
-    inapplicable outcome with no links.  The operands are judged as given;
-    the 1 x 1 case of :func:`_contraction_group`.
+    inapplicable outcome with no links.  A forward pair is judged as given;
+    a reversed one is first scaled up by c = lambda_min(A sigma_h B).
     """
     return _one(_contraction_group(
-        (pair.g,), (pair.h,), [(A, B)], n_iter, tol,
-        lambda stack, hs: (PairStack(*(x[:, None] for x in stack)), None), condition_grid,
+        (pair.g,), (pair.h,), [(A, B)], n_iter, tol, False, condition_grid
     )[0])
 
 
@@ -1391,40 +1389,31 @@ def check_contraction_grid(gs, hs, pairs, n_iter=3, tol=DEFAULT_TOL) -> list:
     """:func:`check_contraction_implication` for every (g, h) and trial of a group, normalized.
 
     ``pairs`` is a dimension group; returns, per trial, one entry per (g, h),
-    g outermost.  Each pair is first scaled by c = lambda_max(A sigma_h B),
-    as ``means.normalize_for_contraction`` does: every c of the group is one
-    stack, and the scaled pairs one :meth:`PairStack.group`.
+    g outermost.  A forward pair is first scaled by c = lambda_max(A sigma_h B),
+    as ``means.normalize_for_contraction`` does, a reversed one by
+    lambda_min.  A mean is positively homogeneous, so the scaled pair is its
+    spectra divided by c on its own eigenvectors, and every c of the group
+    is one stacked spectrum.
     """
-
-    def normalize(stack, hs):
-        errors = np.full((len(stack.a), len(hs)), None, dtype=object)
-        c = _contraction_scales(hs, stack.wa, stack.va, stack.b, DEFAULT_TOL, errors)
-        c, n, flat = np.where(np.equal(errors, None), c, 1.0), stack.a.shape[-1], errors.reshape(-1)
-        scaled = [_finite((x[:, None] / c[..., None, None]).reshape(-1, n, n), flat)
-                  for x in (stack.a, stack.b)]
-        live = np.equal(flat, None)[:, None, None]  # a row with an error is judged as (I, I)
-        rows = PairStack.group(zip(*(np.where(live, x, np.eye(n)) for x in scaled)))
-        return PairStack(*(_stacked(x).reshape(*errors.shape, *np.shape(x[0]))
-                           for x in zip(*rows))), errors
-
-    return _contraction_group(gs, hs, pairs, n_iter, tol, normalize)
+    return _contraction_group(gs, hs, pairs, n_iter, tol, True)
 
 
 _CONTRACTION = ("contraction_implication", "mean-contraction-iterates")
 _MIXED = "pair conditions mixed; implication direction undefined"
 
 
-def _contraction_group(gs, hs, pairs, n_iter, tol, normalize, condition_grid=None) -> list:
+def _contraction_group(gs, hs, pairs, n_iter, tol, normalized, condition_grid=None) -> list:
     """A dimension group's contraction records, per trial one per (g, h), g outermost.
 
     Each (g, h) runs the iteration count, the pair conditions (mixed ones
     give a record with no links, whatever the operands) and h's mean gate.
-    ``normalize(stack, hs)`` gives the open trials' pairs to judge, a
-    :class:`PairStack` over (trial, h), and their errors or ``None``.  The
-    means of every iterate are one middle eigh and one mean per h, the links
-    one eigvalsh; a record takes its first error in the 1 x 1 order.
+    Each pair is judged scaled by c: lambda_min(A sigma_h B) for a reversed
+    pair, lambda_max for a forward one if ``normalized``, else 1.  Every
+    A sigma_h B is one stacked spectrum, the means of every iterate one middle
+    eigh and one mean per h, the links one eigvalsh; a record takes its first
+    error in the 1 x 1 order.
     """
-    reports = {}
+    reports, sigmas = {}, {}
 
     def directed(c, _):
         reports[c] = check_pair_conditions(FunctionPair(*c), grid=condition_grid)
@@ -1435,41 +1424,28 @@ def _contraction_group(gs, hs, pairs, n_iter, tol, normalize, condition_grid=Non
                 "conditions": [r.direction for r in reports[c].results], **extra}
 
     def judge(configs, stacks, entries):
-        hs = list(dict.fromkeys(h for _, h in configs))
+        stack, hs = PairStack(*stacks), list(dict.fromkeys(h for _, h in configs))
         h_of = [hs.index(h) for _, h in configs]
-        pairs, errors = normalize(PairStack(*stacks), hs)
-        if errors is not None:
-            _fail(entries, errors[:, h_of].T)
-        (n_c, n_t), n, k1 = entries.shape, pairs.wa.shape[-1], n_iter + 1
+        (n_c, n_t), n, k1 = entries.shape, stack.wa.shape[-1], n_iter + 1
         fwd = np.array([[reports[c].all_forward] for c in configs])
-        basis = pairs.basis().swapaxes(0, 1)[h_of]
-        # f^k(A), f^k(B) keep the eigenvectors of A and B, and I its form in any basis; in
-        # A's, f^k(A) is diagonal and its ill-conditioned inverse square root is exact.  So
-        # the iterates are spectra, (iterate, config, operand, trial), in each pair's basis
-        w = np.empty((k1, n_c, 2, n_t, n))
-        w[0] = np.stack([pairs.wa, pairs.wb]).swapaxes(1, 2)[:, h_of].swapaxes(0, 1)
-
-        def means(wx, wy, errors):
-            """A sigma_h B of each row (..., config, trial), A and B spectra in its pair's basis."""
-            flat, on_h = errors.reshape(-1), np.broadcast_to(np.c_[h_of], errors.shape).reshape(-1)
-            middles = _middles(_congruence_of(wx, wy, basis, tol, flat), flat)
-            out = np.empty(middles[2].shape, dtype=complex)
-            for j, h in enumerate(hs):
-                rows = np.flatnonzero(on_h == j)
-                e = flat[rows]
-                out[rows] = _mean_from_middle([h], tuple(x[rows] for x in middles), tol, e)[:, 0]
-                flat[rows] = e
-            return out
-
-        if not fwd.all():  # a reversed pair is scaled up by lambda_min of its mean
-            e = np.full((n_c, n_t), None, dtype=object)
-            low = _eigvalsh(means(w[0, :, 0], w[0, :, 1], e), e.reshape(-1))[:, 0].reshape(n_c, n_t)
-            up = ~fwd & np.equal(e, None)
-            e[up & (low <= 0.0)] = NotPositiveDefiniteError(
+        c = np.ones((n_c, n_t))
+        if normalized or not fwd.all():
+            S, errors = stack.mean_stack(tuple(sigmas[h] for h in hs), tol)
+            ws = PairStack.mean_spectra(S, errors).reshape(n_t, len(hs), n)[:, h_of]
+            errors = errors[:, h_of].T
+            c = np.where(fwd, ws[..., -1].T if normalized else 1.0, ws[..., 0].T)
+            bad = np.equal(errors, None) & (c <= 0.0)
+            errors[bad & fwd] = ValueError("mean has nonpositive largest eigenvalue")
+            errors[bad & ~fwd] = NotPositiveDefiniteError(
                 "mean not positive definite; cannot normalize upward"
             )
-            _fail(entries, np.where(fwd, None, e))
-            w[0] /= np.where(up & (low > 0.0), low, 1.0)[:, None, :, None]
+            _fail(entries, errors)
+            c[bad] = 1.0  # its record has the error; the row is unused
+        # f^k(A), f^k(B) keep the eigenvectors of A and B, and I its form in any basis; in
+        # A's, f^k(A) is diagonal and its ill-conditioned inverse square root is exact.  So
+        # the iterates are spectra, (iterate, config, operand, trial), in each trial's basis
+        w = np.empty((k1, n_c, 2, n_t, n))
+        w[0] = np.stack([stack.wa, stack.wb]) / c[:, None, :, None]
         errs = np.full((2, k1, n_c, n_t), None, dtype=object)  # each iterate's f, then its mean
         for k in range(1, k1):
             for i, (g, _) in enumerate(configs):
@@ -1479,7 +1455,15 @@ def _contraction_group(gs, hs, pairs, n_iter, tol, normalize, condition_grid=Non
                 _fail(errs[0, k, i], *e.reshape(2, n_t))
             dead = ~np.equal(errs[0, : k + 1], None).any(0)
             w[k].swapaxes(1, 2)[dead] = 1.0  # a row with an error: the pair (I, I), unused
-        X = means(w[:, :, 0], w[:, :, 1], errs[1])
+        # A sigma_h B of every (iterate, config, trial), its rows taken one h at a time
+        flat, on_h = errs[1].reshape(-1), np.broadcast_to(np.c_[h_of], (k1, n_c, n_t)).reshape(-1)
+        middles = _middles(_congruence_of(w[:, :, 0], w[:, :, 1], stack.basis(), tol, flat), flat)
+        X = np.empty(middles[2].shape, dtype=complex)
+        for j, h in enumerate(hs):
+            rows = np.flatnonzero(on_h == j)
+            e = flat[rows]
+            X[rows] = _mean_from_middle([h], tuple(x[rows] for x in middles), tol, e)[:, 0]
+            flat[rows] = e
         _fail(entries, *errs.swapaxes(0, 1).reshape(-1, n_c, n_t))
         # A sigma_h B <= I for each iterate, reversed for a reversed pair
         eye, fw = np.eye(n), np.broadcast_to(fwd[..., None, None], (k1, n_c, n_t, 1, 1))
@@ -1497,7 +1481,7 @@ def _contraction_group(gs, hs, pairs, n_iter, tol, normalize, condition_grid=Non
     gates = (
         (lambda c, _: n_iter >= 1, ValueError, "iteration count must be >= 1"),
         (directed, ValueError, _MIXED),
-        (lambda c, _: MatrixMean(f"h:{c[1].name}", c[1]), None, None),
+        (lambda c, _: sigmas.setdefault(c[1], MatrixMean(f"h:{c[1].name}", c[1])), None, None),
     )
     configs = [(g, h) for g in gs for h in hs]
     records = _group_grid(configs, pairs, gates, lambda pair: pair, judge, PairStack.group)

@@ -10,6 +10,8 @@ A :class:`Perspective` applies the same congruence to an arbitrary
 continuous function, without positivity or normalization requirements;
 with phi = log it yields the relative operator entropy.
 ``normalize_for_contraction`` rescales a pair so that its mean tops out at I.
+A mean is positively homogeneous, (A/c) sigma (B/c) = (A sigma B)/c, and
+A/c keeps A's eigenvectors, so a scaled pair is its spectra divided by c.
 
 Every congruence is taken in A's eigenbasis, where A^(+-1/2) is a diagonal
 scaling; ``mean`` and ``perspective`` rotate B in and the result back out.
@@ -315,33 +317,6 @@ def _operands(A, B, name: str):
     return a, b
 
 
-def _mean_stack(hs, wa, va, b, tol, errors=None):
-    """A sigma_h B in the original basis, (pair, h, n, n), for each pair of a stack and each h.
-
-    Takes A's eigenpairs (wa, va) and B, one row each per pair; returns the
-    means and each pair's meta (see :func:`_mean_gates`).  With ``errors``,
-    a (pair, h) object array of ``None``, a breakdown is its row's (see
-    ``core._flag``): a pair's gate or middle error is each of its means'.
-    """
-    rows = None if errors is None else np.full(len(b), None, dtype=object)
-    vh = va.conj().swapaxes(-1, -2)
-    middles = _middles(_mean_gates(wa, vh @ b @ va, _eigvalsh(b), tol, rows), rows)
-    if errors is not None:
-        errors[...] = rows[:, None]
-    S = _mean_from_middle(hs, middles, tol, None if errors is None else errors.reshape(-1))
-    return hermitian_part(va[:, None] @ S @ vh[:, None]), middles[3]
-
-
-def _contraction_scales(hs, wa, va, b, tol, errors=None) -> np.ndarray:
-    """c = lambda_max(A sigma_h B), (pair, h), of :func:`_mean_stack`; c <= 0 is its row's error."""
-    G = _mean_stack(hs, wa, va, b, tol, errors)[0]
-    flat = None if errors is None else errors.reshape(-1)
-    c = _eigvalsh(G.reshape(-1, *G.shape[-2:]), flat)[:, -1]
-    for k in np.flatnonzero(c <= 0.0):
-        _flag(flat, k, ValueError("mean has nonpositive largest eigenvalue"))
-    return c.reshape(G.shape[:2])
-
-
 def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
     """Evaluate A sigma B through the representing-function congruence.
 
@@ -360,8 +335,11 @@ def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
         If B has an eigenvalue significantly below zero.
     """
     a, b = _operands(A, B, "mean")
-    G, metas = _mean_stack([sigma.h], *_eigh(a[None]), b[None], tol)
-    return HermitianMatrix(G[0, 0], meta=metas[0])
+    wa, va = _eigh(a[None])
+    vh = va.conj().swapaxes(-1, -2)
+    middles = _middles(_mean_gates(wa, vh @ b[None] @ va, _eigvalsh(b[None]), tol))
+    S = _mean_from_middle([sigma.h], middles, tol)[0, 0]
+    return HermitianMatrix(va[0] @ S @ vh[0], meta=middles[3][0])
 
 
 def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
@@ -391,5 +369,7 @@ def normalize_for_contraction(sigma_h: MatrixMean, A, B):
     equality at the top.
     """
     a, b = _operands(A, B, "mean")
-    c = float(_contraction_scales([sigma_h.h], *_eigh(a[None]), b[None], DEFAULT_TOL)[0, 0])
+    c = float(_eigvalsh(mean(sigma_h, a, b).entries)[-1])
+    if c <= 0.0:
+        raise ValueError("mean has nonpositive largest eigenvalue")
     return HermitianMatrix(a / c), HermitianMatrix(b / c)

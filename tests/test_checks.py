@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from opmeans import (
+    CheckOutcome,
     FunctionPair,
     NotNormalError,
     NotPositiveDefiniteError,
+    NotPositiveSemidefiniteError,
     check_ando_hiai_comparison,
     check_chord_bounds,
     check_contraction_grid,
@@ -514,8 +516,30 @@ def test_contraction_grid_judges_reversed_forward_and_mixed_pairs(monkeypatch):
         want = check_contraction_implication(
             FunctionPair(sqrt, sqrt), *normalize_for_contraction(sigma, a, b)
         )
-        assert forward == want and forward.params["direction"] == "forward"
+        assert forward.params == want.params and forward.params["direction"] == "forward"
+        assert forward.descriptions == want.descriptions and forward.passes == want.passes
+        # the grid divides A's and B's spectra by c where the per-pair path factors A/c
+        # and B/c again, so the margins agree within test_mp_reference's 50-digit bound,
+        # MARGIN_ULPS = 64 eps 2 cond(A_k), A_k = f^k(A/c) = (A/c)^((3/2)^k)
+        w = np.linalg.eigvalsh(a)
+        bound = [64 * np.finfo(float).eps * 2.0 * (w[-1] / w[0]) ** 1.5**k for k in range(4)]
+        assert np.all(np.abs(np.subtract(forward.margins, want.margins)) <= bound)
         assert mixed.links == () and "not_applicable" in mixed.params
+
+
+def test_contraction_grid_normalizes_at_its_tol():
+    # B's smallest eigenvalue -1e-7 lies between -1e-6 and -1e-8 times its scale
+    # 1 + ||B|| = 3: the scale's mean gate takes B as PSD at tol 1e-6, not at 1e-8
+    rng = np.random.default_rng(3)
+    (qa, _), (qb, _) = (np.linalg.qr(rng.standard_normal((3, 3))) for _ in range(2))
+    a = qa @ np.diag([0.5, 1.0, 2.0]) @ qa.T
+    b = qb @ np.diag([-1e-7, 1.0, 2.0]) @ qb.T
+    args = (function_by_name("power:2"),), (power(0.5),), [(a, b)]
+    ((strict,),) = check_contraction_grid(*args)
+    assert isinstance(strict, NotPositiveSemidefiniteError)
+    assert "second operand has eigenvalue" in str(strict)
+    ((loose,),) = check_contraction_grid(*args, tol=1e-6)
+    assert isinstance(loose, CheckOutcome) and loose.passed, loose
 
 
 # --- inverse function bounds -----------------------------------------------------------

@@ -38,6 +38,7 @@ from opmeans import (
 from opmeans.checks import (
     check_ando_hiai_comparison,
     check_chord_bounds,
+    check_contraction_grid,
     check_contraction_implication,
     check_determinant_suite,
     check_main_chain,
@@ -435,21 +436,31 @@ def test_contraction_run_shares_factors(eigensolves, solver_calls, trials):
     report = run_suite(spec)
     assert report.summary.failed_links == 0
     assert report.summary.downgraded_records == 0
-    # per dimension group: eigh of A and B, eigvalsh of B, eigh of the middles of
-    # (A, B), eigvalsh of every A sigma_h B for its scale c, eigh of every A/c and
-    # every B/c, eigh of every iterate's middle and eigvalsh of every link, then the
-    # norms of I for the links whose margin is negative (round-off at the unit
-    # bound); 11 calls per record before, and one more for a negative margin
+    # per dimension group: eigh of A and B, eigh of the middles of (A, B), eigvalsh of
+    # every A sigma_h B for its scale c, eigh of every iterate's middle and eigvalsh of
+    # every link, then the norms of I for the links whose margin is negative (round-off
+    # at the unit bound).  A scaled pair (A/c, B/c) is A's and B's spectra over c on their
+    # own eigenvectors: 9 calls before, with eigvalsh of B for c and eigh of every A/c
+    # and every B/c; 11 calls per record before that, and one more for a negative margin
     negative = _negative_margins(report, spec, lambda r: range(len(r.margins)))[1]
-    assert _total(solver_calls) == _groups(spec) * 9 + negative, solver_calls
-    # each record is the public per-pair path's, bit for bit
-    for record in report.records:
-        g, h = (function_by_name(record.params[key]) for key in ("g", "h"))
-        (pair,) = _pd_pairs(spec, [record.params["trial"]])
-        want = check_contraction_implication(
-            FunctionPair(g, h), *normalize_for_contraction(MatrixMean(f"h:{h.name}", h), *pair)
-        )
-        assert record == want.with_params(record.params), record.params
+    assert _total(solver_calls) == _groups(spec) * 6 + negative, solver_calls
+    for t in range(trials):
+        records = [r for r in report.records if r.params["trial"] == t]
+        gs, hs = ([function_by_name(n) for n in dict.fromkeys(r.params[key] for r in records)]
+                  for key in ("g", "h"))
+        (pair,) = _pd_pairs(spec, [t])
+        # each record is the grid's on its trial alone, bit for bit
+        for record, alone in zip(records, check_contraction_grid(gs, hs, [pair])[0], strict=True):
+            assert record == alone.with_params(record.params), record.params
+        # and has the verdicts and params of the public per-pair path, whose margins
+        # differ in round-off (test_mp_reference bounds both at 50 digits)
+        for record in records:
+            g, h = (function_by_name(record.params[key]) for key in ("g", "h"))
+            want = check_contraction_implication(
+                FunctionPair(g, h), *normalize_for_contraction(MatrixMean(f"h:{h.name}", h), *pair)
+            )
+            assert record.passes == want.passes, record.params
+            assert record.params == want.with_params(record.params).params, record.params
 
 
 def test_contraction_factorizations(eigensolves, solver_calls):

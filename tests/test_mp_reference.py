@@ -8,8 +8,10 @@ margins must agree within ``MARGIN_ULPS * eps * scale * cond(A)``, with scale
 the link's 1 + ||R||_op.  The secant-line means of the chord links are
 checked the same way, with M/m of the pair's spectral interval.  The
 contraction iterates A_k = f^k(A) are checked the same way, with cond(A_k)
-of the operand whose inverse square root the mean's congruence takes, and
-so are the power-mean links, with cond(A^r).  The normal-chain links are
+of the operand whose inverse square root the mean's congruence takes; the
+suite's grid, which scales each raw pair by its own c = lambda_max(A sigma_h B),
+against the pair scaled by c at 50 digits.  The power-mean links are checked
+the same way, with cond(A^r).  The normal-chain links are
 checked on normal, non-Hermitian pairs U diag(z) U*, U an mpmath unitary,
 whose |A| = U diag|z| U* is known exactly, with cond = M/m of the pair's
 singular values.
@@ -28,6 +30,7 @@ from opmeans import (
 )
 from opmeans.checks import (
     check_chord_bounds,
+    check_contraction_grid,
     check_contraction_implication,
     check_main_chain,
     check_normal_chain,
@@ -197,17 +200,37 @@ def test_chord_matches_50_digit_reference(dim, fn, big_m, mean_name):
 _POWERS = ("1/4", "1/2", "3/4")
 
 
+def _contraction_pair(trial):
+    """The raw pair of :func:`_contraction_instance`, as the suite draws it."""
+    cfg = GeneratorConfig((2, 3, 4)[trial], 0.5, 4.0)
+    return tuple(random_pd(cfg, derive_stream_seed(7, 2 * trial + k)) for k in (0, 1))
+
+
 def _contraction_instance(g, h, trial):
     """Trial ``trial`` of ``opmeans --suite contraction --seed 7 --dim 2 --dim 3 --dim 4``."""
-    cfg = GeneratorConfig((2, 3, 4)[trial], 0.5, 4.0)
-    a = random_pd(cfg, derive_stream_seed(7, 2 * trial))
-    b = random_pd(cfg, derive_stream_seed(7, 2 * trial + 1))
-    return normalize_for_contraction(MatrixMean(f"h:{h.name}", h), a, b)
+    return normalize_for_contraction(MatrixMean(f"h:{h.name}", h), *_contraction_pair(trial))
 
 
 def _mp_fraction(text):
     num, den = text.split("/")
     return mpmath.mpf(num) / mpmath.mpf(den)
+
+
+def _assert_iterates_match(out, a_mp, b_mp, g_power, h_power):
+    """The links of ``out`` against the 50-digit iterates of the forward pair (a_mp, b_mp)."""
+    assert out.params["direction"] == "forward"
+    p, q = _mp_fraction(g_power), _mp_fraction(h_power)
+    eps = np.finfo(float).eps
+    eye = mpmath.eye(a_mp.rows)
+    for k, link in enumerate(out.links):
+        # f(x) = x g(x) = x^(1+p), so the k-th iterate is A^((1+p)^k)
+        e = (1 + p) ** k
+        ak, bk = _fn(a_mp, lambda x: x**e), _fn(b_mp, lambda x: x**e)
+        margin = _spectrum(eye - _mean(lambda x: x**q, ak, bk))[0]
+        w = _spectrum(ak)
+        bound = MARGIN_ULPS * eps * 2.0 * float(w[-1] / w[0])
+        assert abs(link.margin - float(margin)) <= bound, (k, link.margin, float(margin))
+        assert link.passed
 
 
 @pytest.mark.parametrize("trial", [0, 1, 2])
@@ -219,21 +242,26 @@ def test_contraction_iterates_match_50_digit_reference(g_power, h_power, trial):
     g, h = function_by_name(f"power:{g_power}"), function_by_name(f"power:{h_power}")
     a, b = _contraction_instance(g, h, trial)
     out = check_contraction_implication(FunctionPair(g, h), a, b)
-    assert out.params["direction"] == "forward"
-    p, q = _mp_fraction(g_power), _mp_fraction(h_power)
-    eps = np.finfo(float).eps
     with mpmath.workdps(50):
-        a_mp, b_mp = _mp_matrix(a.entries), _mp_matrix(b.entries)
-        eye = mpmath.eye(a_mp.rows)
-        for k, link in enumerate(out.links):
-            # f(x) = x g(x) = x^(1+p), so the k-th iterate is A^((1+p)^k)
-            e = (1 + p) ** k
-            ak, bk = _fn(a_mp, lambda x: x**e), _fn(b_mp, lambda x: x**e)
-            margin = _spectrum(eye - _mean(lambda x: x**q, ak, bk))[0]
-            w = _spectrum(ak)
-            bound = MARGIN_ULPS * eps * 2.0 * float(w[-1] / w[0])
-            assert abs(link.margin - float(margin)) <= bound, (k, link.margin, float(margin))
-            assert link.passed
+        _assert_iterates_match(out, _mp_matrix(a.entries), _mp_matrix(b.entries), g_power, h_power)
+
+
+@pytest.mark.parametrize("trial", [0, 1, 2])
+@pytest.mark.parametrize("h_power", _POWERS)
+@pytest.mark.parametrize("g_power", _POWERS)
+def test_contraction_grid_matches_50_digit_reference(g_power, h_power, trial):
+    # the suite's path: the grid scales the raw pair by c = lambda_max(A sigma_h B) on
+    # its own factors; the reference scales it by c at 50 digits
+    powers = [function_by_name(f"power:{p}") for p in _POWERS]
+    a, b = (x.entries for x in _contraction_pair(trial))
+    out = check_contraction_grid(powers, powers, [(a, b)])[0][
+        3 * _POWERS.index(g_power) + _POWERS.index(h_power)
+    ]
+    assert (out.params["g"], out.params["h"]) == (f"power:{g_power}", f"power:{h_power}")
+    with mpmath.workdps(50):
+        a_mp, b_mp = _mp_matrix(a), _mp_matrix(b)
+        c = _spectrum(_mean(lambda x: x ** _mp_fraction(h_power), a_mp, b_mp))[-1]
+        _assert_iterates_match(out, a_mp / c, b_mp / c, g_power, h_power)
 
 
 def _power_mean_reference(a_arr, b_arr, alpha, r):

@@ -6,7 +6,8 @@ the package but ``core``, ``harness`` reaches into no private name of
 ``PairStack``, every name a module lists in ``__all__`` is bound in it,
 no function of ``checks`` and no module-level function of ``harness``
 keeps a memo across calls, no suite with configuration axes is judged
-record by record through ``harness._each``, ``checks`` and ``means`` reach LAPACK's
+record by record through ``harness._each``, ``checks`` names ``DEFAULT_TOL``
+only as a parameter default, ``checks`` and ``means`` reach LAPACK's
 eigensolvers only through ``core``, no call site throws away eigenvectors
 of an ``_eigh``, directly or through a function that returns them, no
 module imports scipy, every import
@@ -170,6 +171,26 @@ def test_no_suite_with_axes_is_judged_record_by_record():
         and harness._SUITES[key.value].axes(harness.SuiteSpec(key.value))
     )
     assert not per_record, f"suites with axes judged through _each: {', '.join(per_record)}"
+
+
+def test_checks_names_default_tol_only_as_a_parameter_default():
+    # a checker judges at the tol it is given: a step that names DEFAULT_TOL
+    # itself would gate, clip or regularize at 1e-8 whatever the caller's tol
+    tree = _tree(PKG / "checks.py")
+    defaults = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for default in func.args.defaults + func.args.kw_defaults
+        if default is not None
+        for node in ast.walk(default)
+    }
+    named = sorted(
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "DEFAULT_TOL" and id(node) not in defaults
+    )
+    assert not named, f"checks.py names DEFAULT_TOL outside a parameter default: {', '.join(named)}"
 
 
 _EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals", "schur"}
