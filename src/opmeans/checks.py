@@ -14,6 +14,10 @@ Links whose coefficients are infinite, or whose side conditions fail, are
 recorded as inapplicable (``applicable=False``) rather than failed; an
 inapplicable link never fails the outcome.  Chains for concave functions
 run with every comparison reversed.
+
+Every record is named from one table, ``_CLAIMS``: per check, its claim and its
+link families, each a theorem unless listed as a companion, evaluated for
+information only (:attr:`CheckOutcome.companion`).
 """
 
 from __future__ import annotations
@@ -105,6 +109,44 @@ __all__ = [
 ]
 
 
+class _Claim(NamedTuple):  # a claim, its link families in record order, its companion families
+    claim: str
+    families: tuple[str, ...]
+    companions: tuple[str, ...] = ()
+
+
+# Per check name.  A record names a link by its family: per norm kind as family[kind]
+# (_per_kind), in eig_prod_norm per index as index:family, in contraction once per iterate.
+_CLAIMS = {
+    "chord_bounds": _Claim("secant-line-mean-bracket", ("lower-slope-line", "upper-slope-line")),
+    "main_chain": _Claim("mean-coefficient-chain", tuple(f"{side}:{link}" for side in (
+        "fn-then-mean", "mean-then-fn") for link in ("edge-low", "low", "high", "edge-high"))),
+    "log_example": _Claim("shifted-log-sum-bound", ("shifted-log-bound",)),
+    "mean_difference_norm": _Claim("mean-difference-norm-bound", ("norm-difference",)),
+    "eig_prod_norm": _Claim("eigenvalue-product-norm-chains", ("edge-low", "low", "high",
+                                                               "edge-high")),  # _CHAIN's links
+    "subadditivity_refinement": _Claim("subadditivity-refinement", (
+        "images-vs-coef", "coef-vs-image-of-sum", "images-vs-image-of-sum")),
+    "normal_counterexample": _Claim("normal-norm-chain-counterexample", (
+        "value[images-sum]", "value[image-of-abs-sum]", "value[coef-bound]", "value[deriv-bound]",
+        "violation[images-sum]", "violation[image-of-abs-sum]")),
+    "normal_triangle": _Claim("normal-abs-triangle", ("triangle",)),
+    "normal_chain": _Claim("normal-abs-norm-chain", ("sep-edge", "sep-bound", "sum-edge",
+                                                     "sum-bound")),
+    "transplanted_norm_chain": _Claim("normal-upper-norm-bounds", ("upper-sep", "upper-sum")),
+    "power_mean_bounds": _Claim("power-scaling-bounds", ("power-mean:low", "power-mean:high",
+                                                         "entropy:low", "entropy:high"),
+                                companions=("entropy:low", "entropy:high")),
+    "ando_hiai_comparison": _Claim("ando-hiai-comparison", ("ando-hiai", "max-norm-bound",
+                                                            "coefficient-ordering")),
+    "contraction_implication": _Claim("mean-contraction-iterates", ("hypothesis", "iterate-bound")),
+    "inverse_function": _Claim("inverse-convexity-bounds", ("inverse-low", "inverse-high")),
+    "determinant_suite": _Claim("determinant-root-bounds", (
+        "detroot-superadditivity", "convex-combination-det", "image-detroot-sum",
+        "scaled-detroot-sum", "reverse-detroot-bound")),
+}
+
+
 class Link(NamedTuple):
     """One verified inequality link, a row (description, margin, passed, applicable)."""
 
@@ -180,6 +222,13 @@ class CheckOutcome:
     def failed_links(self) -> int:
         return self.passes.count(False)
 
+    @property
+    def companion(self) -> tuple[bool, ...]:
+        """Per link, whether its family (bare, family[kind] or index:family) is a companion."""
+        names = getattr(_CLAIMS.get(self.check_name), "companions", ())
+        return tuple(bool(names) and any(x in names for x in (d, d.split("[")[0], d.split(":")[-1]))
+                     for d in self.descriptions)
+
     def with_params(self, extra: dict) -> "CheckOutcome":
         """This record with ``extra`` added to its params; its own params win."""
         new = object.__new__(type(self))
@@ -208,10 +257,6 @@ def _one(records):
     return outcome
 
 
-# A checker builds its links as rows (description, margin, passed, applicable)
-# and hands them to CheckOutcome; a grid builds them as arrays and hands them
-# to _norm_records or _mean_group.
-
 def _scalar_margins(lhs, rhs, tol, applicable=True):
     """Scalar links lhs <= rhs, elementwise over arrays of sides and applicable flags.
 
@@ -221,12 +266,6 @@ def _scalar_margins(lhs, rhs, tol, applicable=True):
     margin = rhs - lhs
     scale = 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))
     return margin, (margin >= -tol * scale) | np.logical_not(applicable)
-
-
-def _equality_link(desc, got, want, tol) -> tuple:
-    got = float(got)
-    diff = abs(got - float(want))
-    return desc, -diff, bool(diff <= tol), True
 
 
 # A checker's hypotheses are gate rows (holds, error, message), run in order by
@@ -254,15 +293,10 @@ def _gate(rows, f, pair=None):
             raise error(message.format(f=f, pair=pair))
 
 
-# The chain c0 S <= c1 S <= X <= c2 S <= c3 S of a convex f, as its links
-# (name, left, right, needs) between the positions of (c0, c1, X, c2, c3): a
-# link applies when the coefficients at its ``needs`` positions are finite.
-_CHAIN = (
-    ("edge-low", 0, 1, (0, 1)),
-    ("low", 1, 2, (1,)),
-    ("high", 2, 3, ()),
-    ("edge-high", 3, 4, (4,)),
-)
+# The chain c0 S <= c1 S <= X <= c2 S <= c3 S of a convex f, as its links (left, right,
+# needs) between the positions of (c0, c1, X, c2, c3), named by eig_prod_norm's families:
+# a link applies when the coefficients at its ``needs`` positions are finite.
+_CHAIN = ((0, 1, (0, 1)), (1, 2, (1,)), (2, 3, ()), (3, 4, (4,)))
 
 
 def _chain_sides(coefs, s, x, forward):
@@ -282,7 +316,7 @@ def _chain_sides(coefs, s, x, forward):
         at_x = (np.equal(positions, 2)[:, None] & applies)[:, :, None]
         return np.where(at_x, x[..., None, :], values)
 
-    left, right = (side([link[i] for link in _CHAIN]) for i in (1, 2))
+    left, right = (side([link[i] for link in _CHAIN]) for i in (0, 1))
     fwd = np.asarray(forward)[:, None, None, None, None]
     applies = np.broadcast_to(applies, (*applies.shape[:-1], s.shape[-1]))
     return np.where(fwd, left, right), np.where(fwd, right, left), applies
@@ -541,48 +575,60 @@ def _open(entries):
     return rows, *np.unravel_index(rows, entries.shape)
 
 
-def _fill(check_name, claim, descriptions, margins, passes, applicable, params, results, rows):
-    """Fill ``results[rows[r]]`` with the record of row r, or the ``ValueError`` it raises.
+def _fill(check, margins, passes, applicable, params, results, rows, descriptions=None):
+    """Fill ``results[rows[r]]`` with ``check``'s record of row r, or the ``ValueError`` it raises.
 
     ``margins`` and ``passes`` are (row x link) arrays; ``applicable[r]``
-    and ``params[r]`` are row r's link flags and params.
+    and ``params[r]`` are row r's link flags and params.  The claim, and the
+    links unless ``descriptions`` names them, are the check's in ``_CLAIMS``.
     """
+    claim, families, _ = _CLAIMS[check]
+    descriptions = families if descriptions is None else descriptions
     margins, passes = margins.tolist(), passes.tolist()
     for r, i in enumerate(rows.tolist()):
         try:
             results[i] = CheckOutcome.from_columns(
-                check_name, claim, descriptions, margins[r], passes[r], applicable[r], params[r]
+                check, claim, descriptions, margins[r], passes[r], applicable[r], params[r]
             )
         except ValueError as exc:
             _flag(results, i, exc)
 
 
-def _mean_group(check_name, claim, gates, judge, fs, sigmas, pairs, tol) -> list:
-    """A dimension group's records of a claim on X = f(A) sigma f(B), per trial one per (f, sigma).
+def _record(check, margins, passes, params, kinds=None) -> CheckOutcome:
+    """``check``'s one record, its links (per kind if ``kinds``) all applicable, or its error."""
+    results = np.full(1, None, dtype=object)
+    margins, passes = np.reshape(margins, (1, -1)), np.reshape(passes, (1, -1))
+    _fill(check, margins, passes, [(True,) * margins.size], [params], results, np.arange(1),
+          None if kinds is None else _per_kind(check, kinds))
+    return _one(results)
+
+
+def _mean_group(check, gates, judge, fs, sigmas, pairs, tol) -> list:
+    """A dimension group's ``check`` records on X = f(A) sigma f(B), per trial one per (f, sigma).
 
     ``pairs`` holds one (A, B) per trial, every operand n x n for one n;
     ``gates`` the gate rows each function runs, then those each (function,
     trial) runs.  The cells past them are one :func:`_group_grid`:
     ``judge(stack, fs, sigmas, entries)``, with the open trials' one
-    :class:`PairStack`, returns the link descriptions,
-    the (function, trial, mean, link) margins and passes, the (function,
-    trial, link) applicable flags and each (function, trial)'s params.
+    :class:`PairStack`, returns the (function, trial, mean, link) margins and
+    passes, the (function, trial, link) applicable flags, each (function,
+    trial)'s params and the link descriptions if not the check's families.
     """
     fn_rows, cell_rows = gates
     sigmas = tuple(sigmas)
 
     def run(fs, stacks, entries):
         stack = PairStack(*stacks)
-        descriptions, margins, passes, applicable, params = judge(stack, fs, sigmas, entries)
+        margins, passes, applicable, params, *descriptions = judge(stack, fs, sigmas, entries)
         rows, fn_of, t_of, mean_of = _open(entries)
         cells = list(zip(fn_of.tolist(), t_of.tolist(), mean_of.tolist()))
         m, M, applicable = stack.m.tolist(), stack.M.tolist(), applicable.tolist()
         _fill(
-            check_name, claim, descriptions, margins.reshape(entries.size, -1)[rows],
+            check, margins.reshape(entries.size, -1)[rows],
             passes.reshape(entries.size, -1)[rows], [applicable[k][t] for k, t, _ in cells],
             [{"fn": fs[k].name, "mean": sigmas[j].name, "m": m[t], "M": M[t], **params[k][t]}
              for k, t, j in cells],
-            entries.reshape(-1), rows,
+            entries.reshape(-1), rows, *descriptions,
         )
 
     return _group_grid(fs, pairs, fn_rows, lambda pair: pair, run, PairStack.group,
@@ -677,13 +723,10 @@ def check_chord_bounds_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
         lower, upper = _loewner(claims, tol, [entries.reshape(-1)] * 2)
         margins = np.stack([lower.margin, upper.margin], -1).reshape(n_f, n_t, n_s, 2)
         passes = np.stack([lower.passed, upper.passed], -1).reshape(n_f, n_t, n_s, 2)
-        descriptions = ("lower-slope-line", "upper-slope-line")
-        return descriptions, margins, passes, np.ones((n_f, n_t, 2), dtype=bool), params
+        return margins, passes, np.ones((n_f, n_t, 2), dtype=bool), params
 
     gates = ((_TAGGED,), ((lambda f, pair: _secant_slopes(f, pair, tol), None, None),))
-    return _mean_group(
-        "chord_bounds", "secant-line-mean-bracket", gates, judge, fs, sigmas, pairs, tol
-    )
+    return _mean_group("chord_bounds", gates, judge, fs, sigmas, pairs, tol)
 
 
 def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -721,19 +764,12 @@ def check_main_chain_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
         passes = np.tile(on_spectrum.passed.reshape(n_f, n_t, n_s, -1), 2)
         margins[..., 1:3], passes[..., 1:3], _ = _x_links(tol, S, X, coefs, tags, ws, entries)
         params = [[{"convex": tag, "dim": ws.shape[-1]}] * n_t for tag in tags]
-        return _MAIN_CHAIN_LINKS, margins, passes, np.tile(applies[..., 0], 2), params
+        return margins, passes, np.tile(applies[..., 0], 2), params
 
     positive = (lambda _, pair: pair.m > 0.0, NotPositiveDefiniteError,
                 "spectra must be positive, got m={pair.m:.6e}")
-    return _mean_group(
-        "main_chain", "mean-coefficient-chain", (_TAGGED_FIXING_ZERO, (positive,)), judge,
-        fs, sigmas, pairs, tol,
-    )
-
-
-_MAIN_CHAIN_LINKS = tuple(
-    f"{prefix}:{name}" for prefix in ("fn-then-mean", "mean-then-fn") for name, *_ in _CHAIN
-)
+    gates = (_TAGGED_FIXING_ZERO, (positive,))
+    return _mean_group("main_chain", gates, judge, fs, sigmas, pairs, tol)
 
 
 def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -747,10 +783,7 @@ def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     lhs = coef * apply_fn(log1p, a + b).entries
     rhs = _image(log1p, wa, va) + _image(log1p, wb, vb)
     (res,) = _loewner([(lhs[None], rhs[None], None)], tol)
-    links = [("shifted-log-bound", float(res.margin[0]), bool(res.passed[0]), True)]
-    return CheckOutcome(
-        "log_example", "shifted-log-sum-bound", links, {"m": m, "M": M, "coef": coef}
-    )
+    return _record("log_example", res.margin, res.passed, {"m": m, "M": M, "coef": coef})
 
 
 def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -781,13 +814,12 @@ def check_mean_difference_norm_grid(fs, sigmas, pairs, norms=None, tol=DEFAULT_T
         margins, passes = _scalar_margins(
             table[n_t * n_s :].reshape(n_f, n_t, n_s, -1), spread[..., None, None] * of_s, tol
         )
-        descriptions = tuple(f"norm-difference[{kind.label()}]" for kind in kinds)
         params = [[{"spread": d} for d in row] for row in spread.tolist()]
-        return descriptions, margins, passes, np.ones((n_f, n_t, len(kinds)), dtype=bool), params
+        applicable = np.ones((n_f, n_t, len(kinds)), dtype=bool)
+        return margins, passes, applicable, params, _per_kind("mean_difference_norm", kinds)
 
     return _mean_group(
-        "mean_difference_norm", "mean-difference-norm-bound", _MEAN_DIFFERENCE_GATES, judge,
-        fs, sigmas, pairs, tol,
+        "mean_difference_norm", _MEAN_DIFFERENCE_GATES, judge, fs, sigmas, pairs, tol
     )
 
 
@@ -855,18 +887,16 @@ def check_eig_prod_norm_grid(fs, sigmas, pairs, tol=DEFAULT_TOL, norms=None) -> 
             lo, hi, applies = _chain_sides(np.array(powers), s, x, tags)
             # a record lists its links index by index, each index's links in chain order
             margins, passes = _scalar_margins(lo.swapaxes(-1, -2), hi.swapaxes(-1, -2), tol)
-        prefixes = ["eig"] * n + ["prod"] * n + [f"norm[{kind.label()}]" for kind in kinds]
+        index = ["eig"] * n + ["prod"] * n + [f"norm[{kind.label()}]" for kind in kinds]
         return (
-            [f"{p}:{name}" for p in prefixes for name, *_ in _CHAIN],
             margins.reshape(n_f, n_t, n_s, -1), passes.reshape(n_f, n_t, n_s, -1),
             applies.swapaxes(-1, -2).reshape(n_f, n_t, -1),
             [[{"convex": tag}] * n_t for tag in tags],
+            [f"{i}:{name}" for i in index for name in _CLAIMS["eig_prod_norm"].families],
         )
 
     gates = (_TAGGED_FIXING_ZERO, (_POSITIVE,))
-    return _mean_group(
-        "eig_prod_norm", "eigenvalue-product-norm-chains", gates, judge, fs, sigmas, pairs, tol
-    )
+    return _mean_group("eig_prod_norm", gates, judge, fs, sigmas, pairs, tol)
 
 
 def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -899,18 +929,20 @@ def _image_sums(fs, factors, entries):
     return (*values, images[0] + images[1])
 
 
-def _norm_records(check_name, claim, names, kinds, links, applicable, params, results, rows):
-    """:func:`_fill` with links per norm kind.
+def _per_kind(check, kinds) -> tuple:
+    """The links of ``check``'s families per norm kind, kind by kind: family[kind]."""
+    return tuple(f"{name}[{kind.label()}]" for kind in kinds for name in _CLAIMS[check].families)
 
-    ``links`` holds, per name in ``names``, a (margins, passes) pair of
-    (rows x kinds) arrays; a record lists its links kind by kind, in the
-    order of ``names`` within a kind, and ``applicable[r]`` gives row r's
-    flags for one kind's links.
+
+def _norm_records(check, kinds, links, applicable, params, results, rows):
+    """:func:`_fill` with links per norm kind (:func:`_per_kind`).
+
+    ``links`` holds, per family, a (margins, passes) pair of (rows x kinds)
+    arrays; ``applicable[r]`` gives row r's flags for one kind's links.
     """
-    descriptions = tuple(f"{name}[{kind.label()}]" for kind in kinds for name in names)
     margins, passes = (np.stack(column, axis=-1).reshape(len(rows), -1) for column in zip(*links))
     applicable = [flags * len(kinds) for flags in applicable]
-    _fill(check_name, claim, descriptions, margins, passes, applicable, params, results, rows)
+    _fill(check, margins, passes, applicable, params, results, rows, _per_kind(check, kinds))
 
 
 def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
@@ -968,11 +1000,8 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
              "bridge_condition_met": met[t]}
             for i, t in cells
         ]
-        _norm_records(
-            "subadditivity_refinement", "subadditivity-refinement",
-            ("images-vs-coef", "coef-vs-image-of-sum", "images-vs-image-of-sum"), kinds, links,
-            [(True, met[t], True) for _, t in cells], params, entries.reshape(-1), rows,
-        )
+        _norm_records("subadditivity_refinement", kinds, links,
+                      [(True, met[t], True) for _, t in cells], params, entries.reshape(-1), rows)
 
     gates = (
         (lambda f, _: f.convexity is Convexity.CONVEX, ValueError,
@@ -1026,19 +1055,11 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
     images_sum, image_of_abs_sum, sum_norm = _norm_table(sv, (NormKind.operator(),))[:, 0].tolist()
     coef_bound = (float(f(M)) / M) * sum_norm
     deriv_bound = float(f.deriv(M)) * sum_norm
-    links = (
-        _equality_link("value[images-sum]", images_sum, 8.0, tol),
-        _equality_link("value[image-of-abs-sum]", image_of_abs_sum, 16.0, tol),
-        _equality_link("value[coef-bound]", coef_bound, 0.0, tol),
-        _equality_link("value[deriv-bound]", deriv_bound, 0.0, tol),
-        ("violation[images-sum]", images_sum - coef_bound, images_sum > coef_bound + tol, True),
-        (
-            "violation[image-of-abs-sum]",
-            image_of_abs_sum - coef_bound,
-            image_of_abs_sum > coef_bound + tol,
-            True,
-        ),
-    )
+    # the four values as fixed, then the two upper bounds violated
+    values = np.array([images_sum, image_of_abs_sum, coef_bound, deriv_bound])
+    diff = np.abs(values - [8.0, 16.0, 0.0, 0.0])
+    margins = np.concatenate([-diff, values[:2] - coef_bound])
+    passes = np.concatenate([diff <= tol, values[:2] > coef_bound + tol])
     params = {
         "fn": f.name,
         "M": M,
@@ -1048,7 +1069,7 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
         "coef_bound": coef_bound,
         "deriv_bound": deriv_bound,
     }
-    return CheckOutcome("normal_counterexample", "normal-norm-chain-counterexample", links, params)
+    return _record("normal_counterexample", margins, passes, params)
 
 
 def _require_normal(arr: np.ndarray, tol: float, label: str) -> None:
@@ -1082,17 +1103,8 @@ def check_normal_triangle(A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     abs_sum = matrix_abs(a).entries + matrix_abs(b).entries
     kinds = _norm_kinds(norms, a.shape[0])
     table = _norm_table(_singular_values(np.stack([a + b, abs_sum])), kinds)
-    links = (_scalar_margins(table[:1], table[1:], tol),)
-    return _norm_record(
-        "normal_triangle", "normal-abs-triangle", ("triangle",), kinds, links, {"dim": a.shape[0]}
-    )
-
-
-def _norm_record(check_name, claim, names, kinds, links, params) -> CheckOutcome:
-    """The one record of :func:`_norm_records` whose links are all applicable, or its error."""
-    results, rows, applicable = np.full(1, None, dtype=object), np.arange(1), [(True,) * len(names)]
-    _norm_records(check_name, claim, names, kinds, links, applicable, [params], results, rows)
-    return _one(results)
+    margins, passes = _scalar_margins(table[:1], table[1:], tol)
+    return _record("normal_triangle", margins, passes, {"dim": a.shape[0]}, kinds)
 
 
 def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1172,12 +1184,9 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
             {"fn": fs[i].name, "m": m[t], "M": M[t], "convex": forward[i], "dim": n}
             for i, t in cells
         ]
-        _norm_records(
-            "normal_chain", "normal-abs-norm-chain",
-            ("sep-edge", "sep-bound", "sum-edge", "sum-bound"), kinds, links,
-            [(ok, True, ok, True) for ok in has_edge[:, 0].tolist()], params,
-            entries.reshape(-1), rows,
-        )
+        _norm_records("normal_chain", kinds, links,
+                      [(ok, True, ok, True) for ok in has_edge[:, 0].tolist()], params,
+                      entries.reshape(-1), rows)
 
     return _group_grid(fs, pairs, _TAGGED_FIXING_ZERO, step, judge)
 
@@ -1198,11 +1207,8 @@ def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutco
     sv = np.concatenate([_singular_values((a + b)[None]), _abs_images(f, factors, abs_sum)])
     base, sep, tot = np.split(_norm_table(sv, norms), 3)
     bound = float(f(M)) / M * base
-    links = (_scalar_margins(sep, bound, tol), _scalar_margins(tot, bound, tol))
-    return _norm_record(
-        "transplanted_norm_chain", "normal-upper-norm-bounds", ("upper-sep", "upper-sum"), norms,
-        links, {"fn": f.name, "M": M, "m": m},
-    )
+    margins, passes = _scalar_margins(np.stack([sep, tot], -1), bound[..., None], tol)
+    return _record("transplanted_norm_chain", margins, passes, dict(fn=f.name, M=M, m=m), norms)
 
 
 def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1217,8 +1223,8 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     return _one(check_power_mean_grid((alpha,), (r,), [(A, B)], tol)[0])
 
 
-def _power_group(check_name, claim, descriptions, alpha_ok, judge, alphas, rs, pairs, tol):
-    """A dimension group's records on A^r #_a B^r, per trial one per (alpha, r), alpha outermost.
+def _power_group(check, alpha_ok, judge, alphas, rs, pairs, tol):
+    """A group's ``check`` records on A^r #_a B^r, per trial one per (alpha, r), alpha outermost.
 
     (alpha, r) needs r >= 1, then ``alpha_ok``; a trial m > 0.  ``judge(stack,
     alphas, a_of, powers, level, exponents, entries)`` takes the open trials'
@@ -1241,8 +1247,8 @@ def _power_group(check_name, claim, descriptions, alpha_ok, judge, alphas, rs, p
         margins, passes = (np.stack(column, -1)[rows] for column in zip(*links))
         params = [{"alpha": configs[c][0], "r": configs[c][1], **params(t, i)}
                   for i, c, t in zip(rows.tolist(), c_of.tolist(), t_of.tolist())]
-        _fill(check_name, claim, descriptions, margins, passes,
-              [(True,) * len(descriptions)] * rows.size, params, entries.reshape(-1), rows)
+        _fill(check, margins, passes, [(True,) * len(links)] * rows.size, params,
+              entries.reshape(-1), rows)
 
     gates = ((lambda c, _: not c[1] < 1.0, ValueError, "exponent r must be >= 1"), alpha_ok)
     return _group_grid(
@@ -1310,11 +1316,7 @@ def check_power_mean_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
         return [(res.margin, res.passed) for res in results], lambda t, i: {"m": m[t], "M": M[t]}
 
     alpha_ok = (lambda c, _: 0.0 <= c[0] <= 1.0, ValueError, "alpha must lie in [0, 1]")
-    return _power_group(
-        "power_mean_bounds", "power-scaling-bounds",
-        ("power-mean:low", "power-mean:high", "entropy:low", "entropy:high"), alpha_ok, judge,
-        alphas, rs, pairs, tol,
-    )
+    return _power_group("power_mean_bounds", alpha_ok, judge, alphas, rs, pairs, tol)
 
 
 def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1361,11 +1363,7 @@ def check_ando_hiai_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
         return links, lambda t, i: {"swapped": swapped[t], "c_ah": c_ah[i], "c_chain": c_chain[i]}
 
     alpha_ok = (lambda c, _: 0.0 < c[0] < 1.0, ValueError, "alpha must lie strictly inside (0, 1)")
-    return _power_group(
-        "ando_hiai_comparison", "ando-hiai-comparison",
-        ("ando-hiai", "max-norm-bound", "coefficient-ordering"), alpha_ok, judge, alphas, rs,
-        pairs, tol,
-    )
+    return _power_group("ando_hiai_comparison", alpha_ok, judge, alphas, rs, pairs, tol)
 
 
 def check_contraction_implication(
@@ -1398,7 +1396,6 @@ def check_contraction_grid(gs, hs, pairs, n_iter=3, tol=DEFAULT_TOL) -> list:
     return _contraction_group(gs, hs, pairs, n_iter, tol, True)
 
 
-_CONTRACTION = ("contraction_implication", "mean-contraction-iterates")
 _MIXED = "pair conditions mixed; implication direction undefined"
 
 
@@ -1413,7 +1410,7 @@ def _contraction_group(gs, hs, pairs, n_iter, tol, normalized, condition_grid=No
     eigh and one mean per h, the links one eigvalsh; a record takes its first
     error in the 1 x 1 order.
     """
-    reports, sigmas = {}, {}
+    reports, sigmas, check = {}, {}, "contraction_implication"
 
     def directed(c, _):
         reports[c] = check_pair_conditions(FunctionPair(*c), grid=condition_grid)
@@ -1473,10 +1470,11 @@ def _contraction_group(gs, hs, pairs, n_iter, tol, normalized, condition_grid=No
         _fail(entries, *rows)
         margins, passes = (np.moveaxis(x.reshape(k1, -1), 0, -1) for x in (res.margin, res.passed))
         rows, c_of, _ = _open(entries)
-        _fill(*_CONTRACTION, ("hypothesis",) + ("iterate-bound",) * n_iter, margins[rows],
-              passes[rows], [(True,) * k1] * rows.size,
+        hypothesis, iterate = _CLAIMS[check].families
+        _fill(check, margins[rows], passes[rows], [(True,) * k1] * rows.size,
               [params(configs[c], direction="forward" if fwd[c, 0] else "reversed")
-               for c in c_of.tolist()], entries.reshape(-1), rows)
+               for c in c_of.tolist()], entries.reshape(-1), rows,
+              (hypothesis,) + (iterate,) * n_iter)
 
     gates = (
         (lambda c, _: n_iter >= 1, ValueError, "iteration count must be >= 1"),
@@ -1485,7 +1483,7 @@ def _contraction_group(gs, hs, pairs, n_iter, tol, normalized, condition_grid=No
     )
     configs = [(g, h) for g in gs for h in hs]
     records = _group_grid(configs, pairs, gates, lambda pair: pair, judge, PairStack.group)
-    mixed = {i: CheckOutcome(*_CONTRACTION, (), params(c, not_applicable=_MIXED))
+    mixed = {i: CheckOutcome(check, _CLAIMS[check].claim, (), params(c, not_applicable=_MIXED))
              for i, c in enumerate(configs)
              if c in reports and not (reports[c].all_forward or reports[c].all_reversed)}
     return [[mixed.get(i, e) for i, e in enumerate(row)] for row in records]
@@ -1518,7 +1516,7 @@ def check_inverse_function_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
         for links in (margins, passes, applies):
             links[swap] = links[swap][..., ::-1]
         params = [[{"inverse_convexity": f.inverse.convexity.value}] * len(ws) for f in fs]
-        return ("inverse-low", "inverse-high"), margins, passes, applies, params
+        return margins, passes, applies, params
 
     gates = (
         ((lambda f, _: f.inverse is not None, ValueError, "{f.name} has no registered inverse"),
@@ -1526,9 +1524,7 @@ def check_inverse_function_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
         (_POSITIVE, (lambda f, _: f.inverse.convexity is not Convexity.NEITHER, ValueError,
                      "inverse of {f.name} carries no convexity tag")),
     )
-    return _mean_group(
-        "inverse_function", "inverse-convexity-bounds", gates, judge, fs, sigmas, pairs, tol
-    )
+    return _mean_group("inverse_function", gates, judge, fs, sigmas, pairs, tol)
 
 
 def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1610,12 +1606,7 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
              "gap_below": below[t], "gap_above": above[t], "convex": forward[i]}
             for i, t in cells
         ]
-        _fill(
-            "determinant_suite", "determinant-root-bounds",
-            ("detroot-superadditivity", "convex-combination-det", "image-detroot-sum",
-             "scaled-detroot-sum", "reverse-detroot-bound"),
-            margins, passes, applicable, params, flat, rows,
-        )
+        _fill("determinant_suite", margins, passes, applicable, params, flat, rows)
 
     def prepare(trials):  # a trial's alpha comes before its operands
         pairs = PairStack.group([trial[:2] for trial in trials])

@@ -1,13 +1,13 @@
 """Command-line front end for the verification harness.
 
-Exit status contract: 0 when every applicable link passed (or, for the
-search mode, when a counterexample was found within budget); 1 when at
-least one link failed (or no counterexample turned up); 2 for usage or
-configuration errors, raised before any trial runs, and for a report that
-cannot be written; 3 when a suite ran no applicable link at all, so
-nothing was verified (every record was downgraded, or every link was
-inapplicable).  The summary line counts failed and inapplicable links and
-downgraded records.
+Exit status contract: 0 when every applicable theorem link passed (or, for
+the search mode, when a counterexample was found within budget); 1 when at
+least one theorem link failed (or no counterexample turned up); 2 for usage
+or configuration errors, raised before any trial runs, and for a report that
+cannot be written; 3 when a suite ran no applicable link at all (every record
+downgraded, or every link inapplicable).  A companion link (see ``checks``)
+never decides it.  The summary line counts failed links, companion ones among
+them, inapplicable links and downgraded records.
 """
 
 from __future__ import annotations
@@ -86,10 +86,12 @@ def main(argv=None) -> int:
         else:
             report = run_suite(spec)
             s = report.summary
-            if s.failed_links:
+            if s.failed_links > s.failed_companion_links:
                 code, verdict = 1, "failing links present"
             elif s.total_links == s.not_applicable_links:
                 code, verdict = 3, "no applicable links ran"
+            elif s.failed_links:
+                code, verdict = 0, "all applicable theorem links passed"
             else:
                 code, verdict = 0, "all applicable links passed"
         if args.report:
@@ -106,7 +108,8 @@ def main(argv=None) -> int:
     s = report.summary
     print(
         f"{args.suite}: {s.total_records} records, {s.total_links} links, "
-        f"{s.failed_links} failed, {s.not_applicable_links} inapplicable, "
+        f"{s.failed_links} failed ({s.failed_companion_links} companion), "
+        f"{s.not_applicable_links} inapplicable, "
         f"{s.downgraded_records} downgraded, "
         f"worst margin {s.worst_margin}, {s.wall_time_s:.2f}s -> {verdict}"
     )

@@ -67,9 +67,9 @@ class Interval:
         """Clamp values within ``tol`` of a closed endpoint onto it.
 
         ``xs`` is a row of values or a stack of rows, ``tol`` one number or
-        one per row.  Values outside by more than their row's ``tol`` (or on
-        the wrong side of an open endpoint) raise :class:`DomainViolationError`
-        naming the offending value (per row with ``errors``, see ``core._flag``).
+        one per row.  A value outside by more than its row's ``tol`` (or beyond
+        an open endpoint) raises :class:`DomainViolationError` naming it; with
+        ``errors`` the row takes it (``core._flag``) and is set inside the interval.
         """
         out = np.array(xs, dtype=np.float64, copy=True)
         rows = out.reshape(-1, out.shape[-1])
@@ -80,6 +80,8 @@ class Interval:
                     self._clamp_row(rows[k], np.broadcast_to(tol, len(rows))[k])
                 except DomainViolationError as exc:
                     _flag(errors, k, exc)
+                    lo, hi = self.lo, self.hi
+                    rows[k] = (lo + hi) / 2.0 if hi - lo <= 2.0 else min(max(0.0, lo + 1), hi - 1)
         return out
 
     def _clamp_row(self, out: np.ndarray, tol: float) -> None:

@@ -118,6 +118,7 @@ class Summary:
     worst_margin: float | None
     worst_margin_by_link: dict
     wall_time_s: float
+    failed_companion_links: int = 0  # of failed_links, those of companion families
     counterexample_found: bool | None = None
 
     def to_dict(self) -> dict:
@@ -461,25 +462,27 @@ def _check_generator(spec: SuiteSpec, structure: str = "positive_definite") -> N
 
 
 def _summarize(records, wall_time, found=None) -> Summary:
-    """The run's counts and worst margins, read off the records' link columns.
+    """The run's counts, failed companion links apart too, and worst margins, by link column.
 
-    Records are taken by shape, their (descriptions, applicable) columns, and
-    a shape's margins and passes are one array each.  A link's worst margin is
-    its first smallest applicable margin in (record, link) order, as a scan
-    link by link finds it: of a 0.0 and a -0.0 that tie, the first.
+    Records are taken by shape, their check name and (descriptions, applicable)
+    columns, and a shape's margins and passes are one array each.  A link's worst
+    margin is its first smallest applicable margin in (record, link) order, as a
+    scan link by link finds it: of a 0.0 and a -0.0 that tie, the first.
     """
     shapes: dict[tuple, list[int]] = {}
     for i, rec in enumerate(records):
-        shapes.setdefault((rec.descriptions, rec.applicable), []).append(i)
-    total_links = failed = na = 0
+        shapes.setdefault((rec.check_name, rec.descriptions, rec.applicable), []).append(i)
+    total_links = failed = companions = na = 0
     first: dict[str, tuple] = {}  # description -> (margin, record, link) of its worst
-    for (descriptions, applicable), rows in shapes.items():
+    for (_, descriptions, applicable), rows in shapes.items():
         group = [records[i] for i in rows]
         total_links += len(descriptions) * len(rows)
         na += applicable.count(False) * len(rows)
         cols = list(itertools.compress(range(len(applicable)), applicable))
         margins = np.array([r.margins for r in group], float)[:, cols]
-        failed += int(np.count_nonzero(~np.array([r.passes for r in group], bool)[:, cols]))
+        fails = np.count_nonzero(~np.array([r.passes for r in group], bool), axis=0) * applicable
+        failed += int(fails.sum())
+        companions += int(fails[list(group[0].companion)].sum())
         for j, r in zip(cols, margins.argmin(axis=0).tolist()):
             worst = (group[r].margins[j], rows[r], j)
             if worst < first.get(descriptions[j], (math.inf,)):
@@ -488,6 +491,7 @@ def _summarize(records, wall_time, found=None) -> Summary:
         total_records=len(records),
         total_links=total_links,
         failed_links=failed,
+        failed_companion_links=companions,
         not_applicable_links=na,
         downgraded_records=sum("not_applicable" in r.params for r in records if not r.descriptions),
         worst_margin=min(first.values(), default=(None,))[0],

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from opmeans import (
     CheckOutcome,
+    DomainViolationError,
     FunctionPair,
     NotNormalError,
     NotPositiveDefiniteError,
@@ -540,6 +542,18 @@ def test_contraction_grid_normalizes_at_its_tol():
     assert "second operand has eigenvalue" in str(strict)
     ((loose,),) = check_contraction_grid(*args, tol=1e-6)
     assert isinstance(loose, CheckOutcome) and loose.passed, loose
+
+
+def test_contraction_flagged_row_is_not_evaluated_off_its_domain():
+    # at tol 1e-6 B = Q diag(-1e-7, 1, 2) Q^T passes the mean's PSD gate, and its first
+    # iterate x^(3/2) is refused on -1e-7: the record is that error, with no warning
+    # from evaluating x^(3/2) on the refused value
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    a, b = (q @ np.diag([low, 1.0, 2.0]) @ q.T for low in (0.5, -1e-7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainViolationError, match="outside domain"):
+            check_contraction_implication(FunctionPair(power(0.5), power(0.5)), a, b, tol=1e-6)
 
 
 # --- inverse function bounds -----------------------------------------------------------

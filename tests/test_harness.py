@@ -175,6 +175,13 @@ def test_json_report_round_trip(tmp_path):
             assert CheckOutcome(rec.check_name, rec.claim, links, rec.params) == rec
 
 
+def test_report_without_companion_count_loads():
+    # a report written before companion links were counted apart has no such key
+    d = run_suite(SuiteSpec("power_mean", trials=2, dims=(2,))).to_dict()
+    assert d["summary"].pop("failed_companion_links") == d["summary"]["failed_links"] > 0
+    assert report_from_dict(d).summary.failed_companion_links == 0
+
+
 def test_check_outcome_columns_keep_the_link_api():
     links = (Link("a", 1.5, True), Link("b", -2.0, False), Link("c", 0.0, True, False))
     out = CheckOutcome("check", "claim", links, {"k": 1})
@@ -285,9 +292,13 @@ def test_writers_match_generic_encoders(tmp_path, case):
     assert (tmp_path / "r.csv").read_bytes() == _generic_csv(rep).encode()
 
 
+# the paper's companion links, evaluated for information only: (check, description)
+_COMPANIONS = {("power_mean_bounds", "entropy:low"), ("power_mean_bounds", "entropy:high")}
+
+
 def _summary_by_scan(records) -> dict:
     """``Summary.to_dict()`` of ``records``, counted link by link (wall time 0)."""
-    total_links = failed = na = downgraded = 0
+    total_links = failed = companions = na = downgraded = 0
     worst = None
     by_link = {}
     for rec in records:
@@ -298,12 +309,14 @@ def _summary_by_scan(records) -> dict:
         links = zip(rec.descriptions, rec.margins, rec.passes)
         for desc, margin, passed in itertools.compress(links, rec.applicable):
             failed += not passed
+            companions += not passed and (rec.check_name, desc) in _COMPANIONS
             if worst is None or margin < worst:
                 worst = margin
             if desc not in by_link or margin < by_link[desc]:
                 by_link[desc] = margin
     return Summary(
-        len(records), total_links, failed, na, downgraded, worst, dict(sorted(by_link.items())), 0.0
+        len(records), total_links, failed, na, downgraded, worst, dict(sorted(by_link.items())), 0.0,
+        failed_companion_links=companions,
     ).to_dict()
 
 
@@ -553,7 +566,7 @@ def test_cli_summary_line_counts_downgraded_records(capsys):
                "--mean", "geometric:1/2", "--M", "800", "--trials", "2", "--dim", "2"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "0 failed, 0 inapplicable, 2 downgraded" in out
+    assert "0 failed (0 companion), 0 inapplicable, 2 downgraded" in out
 
 
 @pytest.mark.parametrize(
@@ -590,7 +603,41 @@ def test_cli_overflowing_product_coefficient_downgrades_its_record(tmp_path, cap
     expm1, power2 = json.loads(out.read_text())["records"]
     assert expm1["params"]["not_applicable"] == "link margins must be finite"
     assert len(power2["links"]) == 4 * (32 + 32 + 4 + 32)  # eig, prod, norms
-    assert "0 failed, 0 inapplicable, 1 downgraded" in capsys.readouterr().out
+    assert "0 failed (0 companion), 0 inapplicable, 1 downgraded" in capsys.readouterr().out
+
+
+def test_cli_failing_companion_links_exit_zero(capsys):
+    # every failure of power_mean at its default spec is a companion entropy link
+    rc = main(["--suite", "power_mean", "--trials", "40"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "1440 links, 549 failed (549 companion), 0 inapplicable" in out
+    assert "all applicable theorem links passed" in out
+
+
+def test_cli_failing_theorem_link_exits_one(monkeypatch, capsys):
+    # the first record's power-mean:low link judged failed, the companions as they come
+    import opmeans.checks as checks
+
+    grid, calls = checks.check_power_mean_grid, []
+
+    def one_failing(*args):
+        rows = grid(*args)
+        if not calls:
+            rec = rows[0][0]
+            rows[0][0] = CheckOutcome.from_columns(
+                rec.check_name, rec.claim, rec.descriptions, rec.margins,
+                (False, *rec.passes[1:]), rec.applicable, rec.params,
+            )
+        calls.append(args)
+        return rows
+
+    monkeypatch.setattr(checks, "check_power_mean_grid", one_failing)
+    rc = main(["--suite", "power_mean", "--trials", "40"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "1440 links, 550 failed (549 companion), 0 inapplicable" in out
+    assert "failing links present" in out
 
 
 def test_cli_no_applicable_link_exits_three(capsys):

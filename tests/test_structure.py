@@ -11,9 +11,11 @@ only as a parameter default, ``checks`` and ``means`` reach LAPACK's
 eigensolvers only through ``core``, no call site throws away eigenvectors
 of an ``_eigh``, directly or through a function that returns them, no
 module imports scipy, every import
-is at module level, no source line is over 100 characters, and every
+is at module level, no source line is over 100 characters, every
 function and class the package defines is named somewhere in the
-repository's code.  The re-exports in ``__init__.py`` are not checked for
+repository's code, and every link a run reports is named from
+``checks._CLAIMS``, whose families are all reported and are named nowhere
+else in ``checks``.  The re-exports in ``__init__.py`` are not checked for
 use.
 """
 
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from opmeans import harness
+from opmeans import checks, harness
+from opmeans.core import NormKind
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "opmeans"
 MODULES = sorted(p for p in PKG.glob("*.py") if p.name != "__init__.py")
@@ -384,3 +387,74 @@ def test_every_definition_is_referenced():
         and node.name not in names
     )
     assert not unused, f"definitions nothing references: {', '.join(unused)}"
+
+
+@pytest.fixture(scope="module")
+def emitted():
+    """The records with links of every suite's default spec at 3 trials and of both searches."""
+    search = harness.SuiteSpec("search", dims=(2,))
+    reports = [harness.search_counterexample(t, None, 100, search) for t in harness.SEARCH_TARGETS]
+    reports += [harness.run_suite(harness.SuiteSpec(s, trials=3)) for s in harness.SUITE_NAMES]
+    return [rec for report in reports for rec in report.records if rec.descriptions]
+
+
+def _is_kind(label: str) -> bool:
+    try:
+        return NormKind.parse(label).label() == label
+    except ValueError:
+        return False
+
+
+def _family(description: str, families) -> str | None:
+    """The family a link description names: bare, as family[kind], or as index:family."""
+    head, _, kind = description.partition("[")
+    index, _, tail = description.rpartition(":")
+    if description in families:
+        return description
+    if head in families and kind.endswith("]") and _is_kind(kind[:-1]):
+        return head
+    if tail in families and (index in ("eig", "prod")
+                             or index.startswith("norm[") and _is_kind(index[5:-1])):
+        return tail
+    return None
+
+
+def test_every_reported_link_is_a_family_of_its_check(emitted):
+    stray = sorted({
+        f"{rec.check_name}: {desc}"
+        for rec in emitted
+        for desc in rec.descriptions
+        if rec.check_name not in checks._CLAIMS
+        or rec.claim != checks._CLAIMS[rec.check_name].claim
+        or _family(desc, checks._CLAIMS[rec.check_name].families) is None
+    })
+    assert not stray, f"links named outside the claim table: {', '.join(stray)}"
+
+
+def test_every_claim_family_is_reported(emitted):
+    seen = {
+        (rec.check_name, _family(desc, checks._CLAIMS[rec.check_name].families))
+        for rec in emitted
+        for desc in rec.descriptions
+    }
+    table = {(check, name) for check, claim in checks._CLAIMS.items() for name in claim.families}
+    assert all(family in claim.families for claim in checks._CLAIMS.values()
+               for family in claim.companions)
+    assert table - seen == set(), f"families no run reports: {sorted(table - seen)}"
+
+
+def test_checks_names_links_only_in_the_claim_table(emitted):
+    # a link's name and its claim are read from _CLAIMS; a string of either written
+    # elsewhere in checks would be a second declaration
+    tree = _tree(PKG / "checks.py")
+    (table,) = [node for node in tree.body if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "_CLAIMS"]
+    inside = {id(node) for node in ast.walk(table)}
+    names = {rec.claim for rec in emitted} | {d for rec in emitted for d in rec.descriptions}
+    names |= {name for claim in checks._CLAIMS.values() for name in (claim.claim, *claim.families)}
+    stray = sorted(
+        f"{node.value!r} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in names and id(node) not in inside
+    )
+    assert not stray, f"checks.py names links outside _CLAIMS: {', '.join(stray)}"
