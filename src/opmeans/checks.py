@@ -184,29 +184,28 @@ class CheckOutcome:
     params: dict
 
     def __init__(self, check_name: str, claim: str, links, params: dict):
-        self._fill(check_name, claim, *(tuple(zip(*links)) or ((),) * 4), params)
-
-    @classmethod
-    def from_columns(
-        cls, check_name, claim, descriptions, margins, passes, applicable, params
-    ) -> "CheckOutcome":
-        """A record from its link columns; every margin must be finite."""
-        self = object.__new__(cls)
-        self._fill(check_name, claim, descriptions, margins, passes, applicable, params)
-        return self
-
-    def _fill(self, check_name, claim, descriptions, margins, passes, applicable, params):
+        descriptions, margins, passes, applicable = tuple(zip(*links)) or ((),) * 4
         margins = tuple(map(float, margins))
         if not all(map(math.isfinite, margins)):
             raise ValueError("link margins must be finite")
+        self._set(check_name, claim, descriptions, margins, tuple(map(bool, passes)),
+                  tuple(map(bool, applicable)), params)
+
+    @classmethod
+    def from_columns(cls, check_name, claim, descriptions, margins, passes, applicable, params):
+        """A record from its link columns, of one length; every margin must be finite."""
+        return cls(check_name, claim, zip(descriptions, margins, passes, applicable, strict=True),
+                   params)
+
+    def _set(self, check_name, claim, descriptions, margins, passes, applicable, params):
         # frozen: the fields are set once, here, past the dataclass __setattr__
         self.__dict__.update(
             check_name=check_name,
             claim=claim,
-            descriptions=tuple(descriptions),
+            descriptions=descriptions,
             margins=margins,
-            passes=tuple(map(bool, passes)),
-            applicable=tuple(map(bool, applicable)),
+            passes=passes,
+            applicable=applicable,
             params=params,
         )
 
@@ -576,22 +575,25 @@ def _open(entries):
 
 
 def _fill(check, margins, passes, applicable, params, results, rows, descriptions=None):
-    """Fill ``results[rows[r]]`` with ``check``'s record of row r, or the ``ValueError`` it raises.
+    """Fill ``results[rows[r]]`` with ``check``'s record of row r, or its non-finite-margin error.
 
     ``margins`` and ``passes`` are (row x link) arrays; ``applicable[r]``
-    and ``params[r]`` are row r's link flags and params.  The claim, and the
-    links unless ``descriptions`` names them, are the check's in ``_CLAIMS``.
+    and ``params[r]`` are row r's link flags and params, its record's own
+    (rows that share a dict get copies).  The claim, and the links unless
+    ``descriptions`` names them, are the check's in ``_CLAIMS``.
     """
     claim, families, _ = _CLAIMS[check]
-    descriptions = families if descriptions is None else descriptions
-    margins, passes = margins.tolist(), passes.tolist()
-    for r, i in enumerate(rows.tolist()):
-        try:
-            results[i] = CheckOutcome.from_columns(
-                check, claim, descriptions, margins[r], passes[r], applicable[r], params[r]
-            )
-        except ValueError as exc:
-            _flag(results, i, exc)
+    descriptions = families if descriptions is None else tuple(descriptions)
+    margins, passes = np.asarray(margins, dtype=float), np.asarray(passes, dtype=bool)
+    if len(set(map(id, params))) < len(params):
+        params = list(map(dict, params))
+    for i, ok, m, p, a, own in zip(rows.tolist(), np.isfinite(margins).all(axis=1).tolist(),
+                                   margins.tolist(), passes.tolist(), applicable, params):
+        if ok:
+            results[i] = record = object.__new__(CheckOutcome)
+            record._set(check, claim, descriptions, tuple(m), tuple(p), tuple(a), own)
+        else:
+            _flag(results, i, ValueError("link margins must be finite"))
 
 
 def _record(check, margins, passes, params, kinds=None) -> CheckOutcome:
@@ -1483,10 +1485,10 @@ def _contraction_group(gs, hs, pairs, n_iter, tol, normalized, condition_grid=No
     )
     configs = [(g, h) for g in gs for h in hs]
     records = _group_grid(configs, pairs, gates, lambda pair: pair, judge, PairStack.group)
-    mixed = {i: CheckOutcome(check, _CLAIMS[check].claim, (), params(c, not_applicable=_MIXED))
-             for i, c in enumerate(configs)
-             if c in reports and not (reports[c].all_forward or reports[c].all_reversed)}
-    return [[mixed.get(i, e) for i, e in enumerate(row)] for row in records]
+    mixed = [c in reports and not (reports[c].all_forward or reports[c].all_reversed)
+             for c in configs]
+    return [[CheckOutcome(check, _CLAIMS[check].claim, (), params(c, not_applicable=_MIXED))
+             if mix else e for c, mix, e in zip(configs, mixed, row)] for row in records]
 
 
 def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:

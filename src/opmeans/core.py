@@ -5,8 +5,8 @@ deterministic basis convention, scalar functional calculus on Hermitian
 matrices, the polar absolute value, unitarily invariant norms, determinant
 roots, and Loewner-order comparison with explicit margins.
 
-All operations are pure: inputs are never mutated and outputs are freshly
-allocated, so values can be shared freely between callers.
+All public operations are pure: inputs are never mutated and outputs are
+freshly allocated, so values can be shared freely between callers.
 
 Every factorization is numpy's: Hermitian operands go through its
 eigensolvers, and |A| of any square operand through its SVD, for one
@@ -262,8 +262,8 @@ class ComparisonResult:
 def _lapack(solver, arr: np.ndarray, errors=None):
     """``solver`` on a matrix or a stack; a row with an error (maybe not finite) is solved as I."""
     if errors is not None and any(e is not None for e in errors):
-        dead = np.array([e is not None for e in errors])
-        arr = np.where(dead[:, None, None], np.eye(arr.shape[-1]), arr)
+        # in place: only records that carry the row's error read the caller's stack there again
+        arr[[e is not None for e in errors]] = np.eye(arr.shape[-1])
     try:
         return solver(arr)
     except np.linalg.LinAlgError as exc:

@@ -216,7 +216,7 @@ def _mean_suite(grid, fns=_ALL_FUNCTIONS, norms=False):
         extra = {"norms": _norm_arg(spec)} if norms else {}
         return getattr(checks, grid)(ax["fn"], ax["mean"], xs, tol=spec.tol, **extra)
 
-    return _Suite(axes, _pd_pairs, check)
+    return _Suite(grid.removeprefix("check_").removesuffix("_grid"), axes, _pd_pairs, check)
 
 
 def _alphas_rs(spec: SuiteSpec):
@@ -307,19 +307,20 @@ def _each(check):
 def _check_determinant(spec: SuiteSpec, axes: dict, xs) -> list:
     """The determinant grid on a group, each record carrying its trial's pair kind."""
     grid = checks.check_determinant_grid(axes["fn"], [x[:3] for x in xs], spec.tol)
-    return [
-        [e if isinstance(e, ValueError) else e.with_params({"pair_kind": x[3]}) for e in row]
-        for x, row in zip(xs, grid)
-    ]
+    for x, row in zip(xs, grid):
+        for e in (e for e in row if not isinstance(e, ValueError)):
+            e.params.setdefault("pair_kind", x[3])
+    return grid
 
 
 @dataclass(frozen=True)
 class _Suite:
-    """One suite: its configuration axes, instance builder and checker call.
+    """One suite: its check's name, configuration axes, instance builder and checker call.
 
-    ``axes(spec)`` gives (key, values) pairs; the configurations are their
-    product, first axis outermost.  ``instances(spec, ts)`` draws the
-    instances of trials ``ts``, one dimension group, as one stack
+    ``check_name`` names the suite's records, and the records a ``ValueError``
+    downgrades.  ``axes(spec)`` gives (key, values) pairs; the configurations
+    are their product, first axis outermost.  ``instances(spec, ts)`` draws
+    the instances of trials ``ts``, one dimension group, as one stack
     (:func:`randgen.random_group`); ``None`` marks a fixed check that takes
     no instance and runs one trial.  A Hermitian instance, drawn or loaded,
     is a pair of :class:`HermitianMatrix`.  ``check(spec, axes, xs)`` takes
@@ -332,11 +333,12 @@ class _Suite:
     ``power_mean`` and ``ando_hiai`` and (g x h) for ``contraction``; the
     three with no axes take one trial at a time (:func:`_each`).  A fixture
     pair is loaded as Hermitian when ``hermitian`` is set and is shaped into
-    an instance by ``from_fixture``.
-    Entries look checkers, generators and names up when called, so a
-    wrapper installed on a module attribute sees every call.
+    an instance by ``from_fixture``.  Entries look checkers, generators and
+    names up when called, so a wrapper installed on a module attribute sees
+    every call.
     """
 
+    check_name: str
     axes: Callable
     instances: Callable | None
     check: Callable
@@ -363,50 +365,50 @@ _SUITES = {
     "main_chain": _mean_suite("check_main_chain_grid"),
     "chord": _mean_suite("check_chord_bounds_grid"),
     "log_example": _Suite(
-        _no_axes, _pd_pairs,
+        "log_example", _no_axes, _pd_pairs,
         _each(lambda spec, x: checks.check_log_example(*x, None, spec.tol)),
     ),
     "mean_diff_norm": _mean_suite("check_mean_difference_norm_grid", CONVEX_FUNCTIONS, norms=True),
     "eig_prod_norm": _mean_suite("check_eig_prod_norm_grid", norms=True),
     "subadditivity": _Suite(
-        _fns(CONVEX_FUNCTIONS), _pd_pairs,
+        "subadditivity_refinement", _fns(CONVEX_FUNCTIONS), _pd_pairs,
         lambda spec, ax, xs: checks.check_subadditivity_grid(
             ax["fn"], xs, _norm_arg(spec), spec.tol
         ),
     ),
     "normal_counterexample": _Suite(
-        _no_axes, None,
+        "normal_counterexample", _no_axes, None,
         _each(lambda spec, x: checks.check_normal_counterexample()),
     ),
     "normal_triangle": _Suite(
-        _no_axes, _normal_pairs,
+        "normal_triangle", _no_axes, _normal_pairs,
         _each(lambda spec, x: checks.check_normal_triangle(*x, _norm_arg(spec), spec.tol)),
         hermitian=False,
     ),
     "normal_chain": _Suite(
-        _ALL_FNS, _normal_pairs,
+        "normal_chain", _ALL_FNS, _normal_pairs,
         lambda spec, ax, xs: checks.check_normal_chain_grid(
             ax["fn"], xs, _norm_arg(spec), spec.tol
         ),
         hermitian=False,
     ),
     "power_mean": _Suite(
-        _alphas_rs, _pd_pairs,
+        "power_mean_bounds", _alphas_rs, _pd_pairs,
         lambda spec, ax, xs: checks.check_power_mean_grid(ax["alpha"], ax["r"], xs, spec.tol),
     ),
     "ando_hiai": _Suite(
-        _alphas_rs, _pd_pairs,
+        "ando_hiai_comparison", _alphas_rs, _pd_pairs,
         lambda spec, ax, xs: checks.check_ando_hiai_grid(ax["alpha"], ax["r"], xs, spec.tol),
     ),
     "contraction": _Suite(
-        _contraction_pairs, _pd_pairs,
+        "contraction_implication", _contraction_pairs, _pd_pairs,
         lambda spec, ax, xs: checks.check_contraction_grid(
             ax["g"], ax["h"], xs, spec.iterations, spec.tol
         ),
     ),
     "inverse_function": _mean_suite("check_inverse_function_grid"),
     "determinant": _Suite(
-        _ALL_FNS, _det_instances, _check_determinant,
+        "determinant_suite", _ALL_FNS, _det_instances, _check_determinant,
         from_fixture=lambda spec, pair: (*pair, _det_alphas(spec)[0], "fixture"),
     ),
 }
@@ -417,9 +419,7 @@ SUITE_NAMES = tuple(_SUITES)
 def _fixture_pair(spec: SuiteSpec, hermitian: bool):
     if len(spec.fixtures) != 2:
         raise UsageError("single-instance checks need exactly two --fixture files (A then B)")
-    if not hermitian:
-        return load_matrix_json(spec.fixtures[0]), load_matrix_json(spec.fixtures[1])
-    return tuple(map(load_hermitian_fixture, spec.fixtures))
+    return tuple(map(load_hermitian_fixture if hermitian else load_matrix_json, spec.fixtures))
 
 
 def _validate_spec(spec: SuiteSpec) -> dict:
@@ -542,8 +542,7 @@ def run_suite(spec: SuiteSpec) -> Report:
     if suite is None:
         raise UsageError(f"unknown suite {spec.suite!r}")
     axes = suite.axes(spec)
-    keys = [key for key, _ in axes]
-    combos = [dict(zip(keys, values)) for values in itertools.product(*(v for _, v in axes))]
+    combos = list(itertools.product(*([(key, v) for v in values] for key, values in axes)))
     if spec.fixtures and suite.instances is None:
         raise UsageError(f"suite {spec.suite!r} takes no fixtures")
     fixed = None
@@ -558,16 +557,17 @@ def run_suite(spec: SuiteSpec) -> Report:
     records = [None] * (len(combos) * trials)
     for group in _trial_groups(spec, trials, drawn, len(combos)):
         xs = suite.instances(spec, group) if drawn else [fixed]
+        dim = (("dim", _dim_for(spec, group[0])),) if drawn else ()
         for t, outcomes in zip(group, suite.check(spec, resolved, xs), strict=True):
+            context = (("suite", spec.suite), ("trial", t), *dim)
             for i, (combo, out) in enumerate(zip(combos, outcomes, strict=True)):
                 if isinstance(out, ValueError):
                     out = CheckOutcome(
-                        spec.suite, "not-applicable", (), {"not_applicable": str(out)}
+                        suite.check_name, "not-applicable", (), {"not_applicable": str(out)}
                     )
-                context = {"suite": spec.suite, "trial": t, **combo}
-                if drawn:
-                    context["dim"] = _dim_for(spec, t)
-                records[i * trials + t] = out.with_params(context)
+                for key, value in (*context, *combo):  # the record's own params win
+                    out.params.setdefault(key, value)
+                records[i * trials + t] = out
 
     summary = _summarize(records, time.perf_counter() - started)
     return Report(TOOL_VERSION, spec, records, summary)
@@ -634,7 +634,6 @@ def search_counterexample(
         return checks.check_main_chain(fn, sigma, a, b, spec.tol)
 
     records = []
-    found = False
     pairs = []
     if spec.fixtures:
         pair = _fixture_pair(spec, hermitian=main_chain)
@@ -661,9 +660,8 @@ def search_counterexample(
                 }
             )
             records.append(outcome)
-            found = True
             break
-    summary = _summarize(records, time.perf_counter() - started, found=found)
+    summary = _summarize(records, time.perf_counter() - started, found=bool(records))
     return Report(TOOL_VERSION, spec, records, summary)
 
 

@@ -26,6 +26,7 @@ from opmeans import (
     check_normal_triangle,
     check_power_mean_bounds,
     check_subadditivity_refinement,
+    checks,
     function_by_name,
     loewner_leq,
     mean,
@@ -527,6 +528,8 @@ def test_contraction_grid_judges_reversed_forward_and_mixed_pairs(monkeypatch):
         bound = [64 * np.finfo(float).eps * 2.0 * (w[-1] / w[0]) ** 1.5**k for k in range(4)]
         assert np.all(np.abs(np.subtract(forward.margins, want.margins)) <= bound)
         assert mixed.links == () and "not_applicable" in mixed.params
+    # each trial's mixed record is its own, params and all, for a run to complete in place
+    assert len({id(row[5].params) for row in rows}) == len(rows)
 
 
 def test_contraction_grid_normalizes_at_its_tol():
@@ -666,3 +669,18 @@ def test_determinant_gap_pairs_random():
         out = check_determinant_suite(SQ, a, b, 0.25)
         assert out.params["gap_below" if mode == "below_a" else "gap_above"]
         assert out.passed
+
+
+def test_fill_makes_one_own_record_per_finite_row():
+    shared, results = {"k": 1}, np.full(4, None, dtype=object)
+    results[3] = ValueError("earlier")
+    margins = np.array([[0.0, -0.0], [1.0, 2.0], [np.inf, 0.0], [np.nan, 1.0]])
+    checks._fill("chord_bounds", margins, margins >= 0.0, [[True, False]] * 4, [shared] * 4,
+                 results, np.arange(4))
+    first, second, overflow, earlier = results
+    assert first.params == second.params == shared
+    assert len({id(shared), id(first.params), id(second.params)}) == 3
+    assert first.margins == (0.0, -0.0) and math.copysign(1.0, first.margins[1]) == -1.0
+    assert first.applicable == (True, False) and first.passes == (True, True)
+    assert first.descriptions is second.descriptions
+    assert str(overflow) == "link margins must be finite" and str(earlier) == "earlier"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from opmeans import (
     singular_values,
     spectral_bounds,
 )
+from opmeans import core
 from opmeans.core import _norm_table, _singular_values
 from opmeans.randgen import GeneratorConfig, RandomStream, derive_stream_seed, random_normal, random_pd, random_unitary
 
@@ -334,3 +336,36 @@ def test_norm_table_takes_the_schatten_root_value_by_value():
 def test_norm_table_refuses_ky_fan_above_the_dimension():
     with pytest.raises(ValueError, match="ky fan k=3 outside 1..2"):
         _norm_table(np.array([[2.0, 1.0]]), [NormKind.operator(), NormKind.ky_fan(3)])
+
+
+def _hermitian_stack(count, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    return x + x.conj().swapaxes(-1, -2)
+
+
+def test_dead_rows_are_solved_as_identity_and_live_rows_keep_their_bits():
+    stack, dead = _hermitian_stack(12, 5), [2, 7]
+    errors = [ValueError("dead") if k in dead else None for k in range(12)]
+    stack[2] = np.nan  # a row with an error may hold anything
+    # the stack with its dead rows replaced by I in a copy, as one solve
+    mask = np.isin(np.arange(12), dead)[:, None, None]
+    want = np.linalg.eigvalsh(np.where(mask, np.eye(5), stack))
+    got = core._eigvalsh(stack, errors)
+    live = [k for k in range(12) if k not in dead]
+    assert got[live].tobytes() == want[live].tobytes()
+    assert np.array_equal(got[dead], np.ones((2, 5)))
+
+
+def test_a_dead_row_does_not_copy_the_stack():
+    stack = _hermitian_stack(64, 16)
+    errors = [None] * 64
+    errors[5] = ValueError("dead")
+    core._eigvalsh(stack.copy(), errors)  # warm-up: numpy's lazily made objects
+    tracemalloc.start()
+    try:
+        core._eigvalsh(stack, errors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack.nbytes / 2

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -130,6 +131,53 @@ def test_hypothesis_violation_downgrades():
     assert rep.summary.failed_links == 0
     assert rep.summary.downgraded_records == 2
     assert all("not_applicable" in r.params for r in rep.records)
+
+
+def test_downgraded_record_is_named_after_its_check():
+    # sqrt is concave: the convex-only mean-difference bound downgrades its record
+    spec = SuiteSpec("mean_diff_norm", trials=1, dims=(2,), functions=("sqrt",),
+                     means=("arithmetic:1/2",))
+    (down,) = run_suite(spec).records
+    (judged,) = run_suite(dataclasses.replace(spec, functions=("power:2",))).records
+    assert (down.claim, down.descriptions) == ("not-applicable", ())
+    assert "not_applicable" in down.params
+    assert down.check_name == judged.check_name == "mean_difference_norm"
+
+
+def _own_records(records):
+    assert len({id(r) for r in records}) == len(records)
+    assert len({id(r.params) for r in records}) == len(records)
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_record_and_params_dict_is_its_own(suite):
+    _own_records(run_suite(SuiteSpec(suite, trials=3)).records)
+
+
+def test_fixture_records_and_params_dicts_are_their_own(tmp_path):
+    a_path, b_path = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_matrix_json(np.diag([1.0, 4.0]), a_path)
+    save_matrix_json(np.diag([2.0, 3.0]), b_path)
+    for suite in ("main_chain", "determinant", "contraction"):
+        _own_records(run_suite(SuiteSpec(suite, fixtures=(a_path, b_path))).records)
+
+
+def test_a_records_own_param_beats_the_run_context(monkeypatch):
+    import opmeans.checks as checks
+
+    grid = checks.check_power_mean_grid
+
+    def own_trial(*args):
+        rows = grid(*args)
+        for rec in itertools.chain(*rows):
+            rec.params["trial"] = -1
+        return rows
+
+    monkeypatch.setattr(checks, "check_power_mean_grid", own_trial)
+    records = run_suite(SuiteSpec("power_mean", trials=2, dims=(2, 3))).records
+    assert {r.params["trial"] for r in records} == {-1}
+    assert [r.params["dim"] for r in records[:2]] == [2, 3]
+    assert {r.params["suite"] for r in records} == {"power_mean"}
 
 
 def test_every_suite_runs_clean():

@@ -86,7 +86,8 @@ def _raw_record(suite, spec, config, t):
             f, sigma = function_by_name(config["fn"]), mean_by_name(config["mean"])
             out = SUITES[suite](f, sigma, a, b, spec)
     except ValueError as exc:
-        out = checks.CheckOutcome(suite, "not-applicable", (), {"not_applicable": str(exc)})
+        name = _SUITES[suite].check_name  # a downgrade is named after its check
+        out = checks.CheckOutcome(name, "not-applicable", (), {"not_applicable": str(exc)})
     context = {"suite": suite, "trial": t, **config, "dim": a.shape[0]}
     return out.with_params(context)
 
@@ -251,7 +252,9 @@ def _raw_norm_records(suite, spec, instance):
             try:
                 out = check(function_by_name(fn), x, spec)
             except ValueError as exc:
-                out = checks.CheckOutcome(suite, "not-applicable", (), {"not_applicable": str(exc)})
+                out = checks.CheckOutcome(
+                    _SUITES[suite].check_name, "not-applicable", (), {"not_applicable": str(exc)}
+                )
             context = {"suite": suite, "trial": t, "fn": fn}
             if not spec.fixtures:
                 context["dim"] = spec.dims[t % len(spec.dims)]

@@ -2,8 +2,9 @@
 
 No module imports a name it never uses, ``randgen`` depends on nothing in
 the package but ``core``, ``harness`` reaches into no private name of
-``checks``, ``checks`` validates and factors a Hermitian pair only in
-``PairStack``, every name a module lists in ``__all__`` is bound in it,
+``checks``, ``run_suite`` and ``_check_determinant`` complete a record's
+params in place rather than copy it through ``with_params``, ``checks``
+validates and factors a Hermitian pair only in ``PairStack``, every name a module lists in ``__all__`` is bound in it,
 no function of ``checks`` and no module-level function of ``harness``
 keeps a memo across calls, no suite with configuration axes is judged
 record by record through ``harness._each``, ``checks`` names ``DEFAULT_TOL``
@@ -85,6 +86,18 @@ def test_harness_uses_no_private_checks_name():
         }
     )
     assert not private, f"harness uses private checks names: {private}"
+
+
+def test_run_path_completes_records_in_place():
+    # each record is made once: the run path adds its context to the record's own params
+    body = {n.name: n for n in _tree(PKG / "harness.py").body if isinstance(n, ast.FunctionDef)}
+    for name in ("run_suite", "_check_determinant"):
+        calls = {
+            node.func.attr
+            for node in ast.walk(body[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "with_params" not in calls, f"{name} copies records through with_params"
 
 
 def test_checks_validates_and_factors_pairs_only_in_pair_stack():
