@@ -155,9 +155,6 @@ class Link(NamedTuple):
     passed: bool
     applicable: bool = True
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
     @classmethod
     def from_dict(cls, d: dict) -> "Link":
         return cls(*map(d.__getitem__, cls._fields))
@@ -267,29 +264,24 @@ def _scalar_margins(lhs, rhs, tol, applicable=True):
     return margin, (margin >= -tol * scale) | np.logical_not(applicable)
 
 
-# A checker's hypotheses are gate rows (holds, error, message), run in order by
-# _gate: the first row whose holds(f, pair) is false raises error(message), the
-# message formatted with f and the pair; a holds may raise its own error
-# (:func:`_secant_slopes`).  A pair is a :class:`PairStack` row, factored only
-# once some function has passed its own rows (see :func:`_group_grid`).
+# A checker's hypotheses run in the order it states them: a configuration's own as gate
+# rows (holds, error, message), where _gate raises error(message), formatted with f, for
+# the first row whose holds(f) is false; then each trial's, on the group's stack, and
+# each cell's, before any solve (see :func:`_group_grid`).
 
 _TAGGED = (
-    lambda f, _: f.convexity is not Convexity.NEITHER, ValueError,
+    lambda f: f.convexity is not Convexity.NEITHER, ValueError,
     "{f.name} carries no convexity tag; checker needs convex or concave",
 )
-_FIXES_ZERO = (lambda f, _: f.fixes_zero, ValueError, "{f.name} does not fix zero")
+_FIXES_ZERO = (lambda f: f.fixes_zero, ValueError, "{f.name} does not fix zero")
 _TAGGED_FIXING_ZERO = (_TAGGED, _FIXES_ZERO)
-_POSITIVE = (
-    lambda _, pair: pair.m > 0.0, NotPositiveDefiniteError,
-    "positive definite operands required",
-)
 
 
-def _gate(rows, f, pair=None):
-    """Raise the error of the first of the gate ``rows`` that f (and ``pair``) fails."""
+def _gate(rows, f):
+    """Raise the error of the first of the gate ``rows`` that f fails."""
     for holds, error, message in rows:
-        if not holds(f, pair):
-            raise error(message.format(f=f, pair=pair))
+        if not holds(f):
+            raise error(message.format(f=f))
 
 
 # The chain c0 S <= c1 S <= X <= c2 S <= c3 S of a convex f, as its links (left, right,
@@ -351,12 +343,23 @@ def _x_links(tol, S, X, coefs, forward, ws, entries):
     return np.where(live, margins, 0.0), passes | ~live, applies
 
 
-def _psd(pair, tol):
-    """A :class:`PairStack` row of PSD operands: m below -tol * scale raises, else floored at 0."""
-    m, M = pair.m, pair.M
-    if m < -tol * (1.0 + max(abs(m), abs(M))):
-        raise NotPositiveSemidefiniteError(f"operand eigenvalue {m:.6e} below -tol*scale")
-    return pair._replace(m=max(m, 0.0))
+def _psd_group(pairs, tol):
+    """:meth:`PairStack.group` with m below -tol * scale refusing its trial, else floored at 0."""
+    stack, errors = PairStack.group(pairs)
+    m, M = stack.m, stack.M
+    for t in np.flatnonzero(m < -tol * (1.0 + np.maximum(np.abs(m), np.abs(M)))):
+        error = NotPositiveSemidefiniteError(f"operand eigenvalue {m[t]:.6e} below -tol*scale")
+        _flag(errors, t, error)
+    m[m < 0.0] = 0.0  # as max(m, 0.0): a -0.0 stays -0.0
+    return stack, errors
+
+
+def _pd_group(pairs, message="positive definite operands required"):
+    """:meth:`PairStack.group` with m <= 0 refusing its trial, ``message`` formatted with m."""
+    stack, errors = PairStack.group(pairs)
+    for t in np.flatnonzero(stack.m <= 0.0):
+        _flag(errors, t, NotPositiveDefiniteError(message.format(m=stack.m[t])))
+    return stack, errors
 
 
 def _image(f, w, v, errors=None):
@@ -382,18 +385,41 @@ def _secant_lines(c, m, fm):
     return ScalarFunction("secant", lambda x: c * (x - m) + fm, None, REALS)
 
 
-class PairStack(NamedTuple):
-    """Hermitian instances (A, B) with their factors: a group's stacked, or one trial's row.
+def _operand_stacks(pairs, validate):
+    """``validate(A, B)`` of each trial's pair, each operand stacked, and each trial's error.
 
-    Each field holds one value per trial on a leading axis, or, in a row,
-    one trial's: the operands, their eigenpairs (wa, va) and (wb, vb), and
-    the extreme eigenvalues (m, M) of both.  :meth:`group` is the one place
-    a pair is validated and factored.  A dimension group's S = A sigma B
+    A trial ``validate`` refuses keeps its ``ValueError``, ``None`` when
+    accepted.  Every A left must be n x n for one n; a B that is not is its
+    trial's error.  A refused trial's row is the pair (I, I).
+    """
+    rows, errors = [], np.full(len(pairs), None, dtype=object)
+    for t, (A, B) in enumerate(pairs):
+        try:
+            rows.append(validate(A, B))
+        except ValueError as exc:
+            rows.append(None)
+            errors[t] = exc.with_traceback(None)
+    shapes = {row[0].shape for row in rows if row is not None}
+    if len(shapes) > 1:
+        raise ShapeError("a group's trials must share one dimension")
+    eye = np.eye(next(iter(shapes), (1,))[0], dtype=complex)
+    for t, row in enumerate(rows):
+        if row is not None and row[1].shape != eye.shape:
+            rows[t], errors[t] = None, ShapeError("operands must have the same dimension")
+    return [np.stack([eye if x is None else x[i] for x in rows]) for i in (0, 1)], errors
+
+
+class PairStack(NamedTuple):
+    """Hermitian instances (A, B) with their factors, stacked over a dimension group's trials.
+
+    Each field holds one value per trial on a leading axis: the operands,
+    their eigenpairs (wa, va) and (wb, vb), and the extreme eigenvalues
+    (m, M) of both.  :meth:`group` is the one place a pair is validated
+    and factored.  A dimension group's S = A sigma B
     and middles of f(A) sigma f(B) are made for the call that asks and kept
     by nothing.  Every mean is taken in A's eigenbasis, where A and its
     functions are diagonal; checkers compare means only by Loewner margins,
-    spectra and norms, which do not depend on the basis.  A step that fails
-    keeps its error in its rows, so every record reaching it gets that error.
+    spectra and norms, which do not depend on the basis.
     """
 
     a: np.ndarray
@@ -402,40 +428,22 @@ class PairStack(NamedTuple):
     va: np.ndarray
     wb: np.ndarray
     vb: np.ndarray
-    m: float
-    M: float
+    m: np.ndarray
+    M: np.ndarray
 
     @classmethod
-    def group(cls, pairs) -> list:
-        """A dimension group's (A, B) pairs, per trial its row or its ``ValueError``.
+    def group(cls, pairs):
+        """A dimension group's (A, B) pairs as one stack, and each trial's error or ``None``.
 
-        A refused operand is its trial's error, A's before B's.  Every A
-        left must be n x n for one n; a B that is not is its trial's error.
-        The A's left are one stacked eigh, and so are the B's: a stacked
-        eigh gives each matrix the bits of its own.
+        A refused operand is its trial's error, A's before B's (:func:`_operand_stacks`).  The
+        A's are one stacked eigh, and so are the B's: each matrix gets the bits of its own.
         """
-        rows = []
-        for A, B in pairs:
-            try:
-                rows.append((as_hermitian_array(A), as_hermitian_array(B)))
-            except ValueError as exc:
-                rows.append(exc.with_traceback(None))
-        valid = [t for t, row in enumerate(rows) if isinstance(row, tuple)]
-        if len({rows[t][0].shape for t in valid}) > 1:
-            raise ShapeError("a group's trials must share one dimension")
-        for t in valid:
-            if rows[t][1].shape != rows[t][0].shape:
-                rows[t] = ShapeError("operands must have the same dimension")
-        same = [t for t in valid if isinstance(rows[t], tuple)]
-        if same:
-            a, b = (np.stack([rows[t][i] for t in same]) for i in (0, 1))
-            (wa, va), (wb, vb) = _eigh(a), _eigh(b)
-            # Python floats, min and max in (A, B) order: a -0.0 stays -0.0
-            m = map(min, wa[:, 0].tolist(), wb[:, 0].tolist())
-            M = map(max, wa[:, -1].tolist(), wb[:, -1].tolist())
-            for t, *row in zip(same, a, b, wa, va, wb, vb, m, M):
-                rows[t] = cls(*row)
-        return rows
+        (a, b), errors = _operand_stacks(pairs, lambda *pair: tuple(map(as_hermitian_array, pair)))
+        (wa, va), (wb, vb) = _eigh(a), _eigh(b)
+        # min and max in (A, B) order, as Python's: a -0.0 stays -0.0
+        m = np.where(wb[:, 0] < wa[:, 0], wb[:, 0], wa[:, 0])
+        M = np.where(wb[:, -1] > wa[:, -1], wb[:, -1], wa[:, -1])
+        return cls(a, b, wa, va, wb, vb, m, M), errors
 
     def basis(self):
         """B's eigenvectors written in A's eigenbasis, W = Va* Vb: there B = W diag(wb) W*."""
@@ -488,23 +496,23 @@ def _norm_kinds(norms, dim):
     return [NormKind.parse(k) if isinstance(k, str) else k for k in norms]
 
 
-def _group_grid(fs, trials, gates, step, judge, prepare=None, means=(), cells=()) -> list:
+def _group_grid(fs, trials, gates, group, judge, means=()) -> list:
     """A group grid's entries, per trial one per configuration: the record or its ``ValueError``.
 
     A group grid judges every configuration of a suite (a function, or a
     (function, mean) pair, function outermost) on every trial of a
     dimension group, each step one stacked solve.  Its entries are a
     (function, trial, *means) array, ``None`` while a record is open.  Each
-    f runs the gate rows ``gates`` (see :func:`_gate`); ``prepare(trials)``
-    runs once if any passes them and gives the trials, a trial it refuses as
-    its ``ValueError``; ``step(x)`` runs each trial's gates and returns its
-    values; each (f, x) left runs the gate rows ``cells``.
-    ``judge(fs, stacks, entries)`` then takes the functions and trials with
-    entries left and each step value stacked over those trials, and fills
-    the entries; a ``ValueError`` it raises is every open record's.  Each
-    step gives its errors to the entries still open (see ``core._flag``) in
-    the order the 1 x 1 checker states them, and a record with an error is
-    solved as I, so every entry is the 1 x 1 checker's, bit for bit.
+    f runs the gate rows ``gates`` (see :func:`_gate`).  If any passes,
+    ``group(trials)`` gives the group's one stack, its arrays with a row per
+    trial, and each trial's error (``None`` if accepted) from the trials'
+    hypotheses.  ``judge(fs, stack, entries)``, on those arrays or on
+    copies of their accepted rows, checks the cells' hypotheses and fills
+    the entries, all open when it starts; a ``ValueError`` it raises is
+    every open record's.  Each step gives its errors to the entries still
+    open (see ``core._flag``) in the 1 x 1 checker's order, and a record
+    with an error is solved as I, so every entry is the 1 x 1 checker's,
+    bit for bit.
     """
     results = np.full((len(fs), len(trials), *means), None, dtype=object)
     live_f = []
@@ -514,48 +522,20 @@ def _group_grid(fs, trials, gates, step, judge, prepare=None, means=(), cells=()
             live_f.append(i)
         except ValueError as exc:
             _fail(results[i], exc)
-    if live_f and prepare is not None:
-        trials = prepare(trials)
-    kept = {}
-    for t, x in enumerate(trials if live_f else ()):
-        try:
-            if isinstance(x, ValueError):
-                raise x
-            kept[t] = step(x)
-        except ValueError as exc:
-            _fail(results[:, t], exc)
-    for i in live_f if cells else ():
-        for t in kept:
+    if live_f:
+        stack, errors = group(trials)
+        _fail(np.moveaxis(results, 1, -1), errors)
+        live_t = np.flatnonzero(np.equal(errors, None))
+        if 0 < live_t.size < len(trials):
+            stack = [x[live_t] for x in stack]
+        if live_t.size:
+            entries = results[np.ix_(live_f, live_t)]
             try:
-                _gate(cells, fs[i], trials[t])
+                judge([fs[i] for i in live_f], stack, entries)
             except ValueError as exc:
-                _fail(results[i, t], exc)
-    live = np.equal(results, None).any(axis=tuple(range(2, results.ndim)))
-    live_f, live_t = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
-    if live_t.size:
-        entries = results[np.ix_(live_f, live_t)]
-        stacks = [_stacked(v) for v in zip(*(kept[t] for t in live_t))]
-        try:
-            judge([fs[i] for i in live_f], stacks, entries)
-        except ValueError as exc:
-            _fail(entries, exc)
-        results[np.ix_(live_f, live_t)] = entries
+                _fail(entries, exc)
+            results[np.ix_(live_f, live_t)] = entries
     return results.swapaxes(0, 1).reshape(len(trials), len(fs) * math.prod(means)).tolist()
-
-
-def _stacked(rows):
-    """The step values of a group's open trials, one per trial in trial order, stacked.
-
-    A trial's step sees only its own :class:`PairStack` row, views of the
-    stacks :meth:`PairStack.group` made; so values that view one stack, one
-    per row and shaped as its rows, are its rows in order, and are that stack.
-    """
-    whole, first = getattr(rows[0], "base", None), rows[0]
-    if (isinstance(whole, np.ndarray) and whole.shape == (len(rows), *first.shape)
-            and whole.dtype == first.dtype and whole.strides[1:] == first.strides
-            and all(row.base is whole for row in rows)):
-        return whole
-    return np.array(rows)
 
 
 def _fail(errors, *excs):
@@ -605,22 +585,20 @@ def _record(check, margins, passes, params, kinds=None) -> CheckOutcome:
     return _one(results)
 
 
-def _mean_group(check, gates, judge, fs, sigmas, pairs, tol) -> list:
+def _mean_group(check, gates, group, judge, fs, sigmas, pairs) -> list:
     """A dimension group's ``check`` records on X = f(A) sigma f(B), per trial one per (f, sigma).
 
-    ``pairs`` holds one (A, B) per trial, every operand n x n for one n;
-    ``gates`` the gate rows each function runs, then those each (function,
-    trial) runs.  The cells past them are one :func:`_group_grid`:
-    ``judge(stack, fs, sigmas, entries)``, with the open trials' one
-    :class:`PairStack`, returns the (function, trial, mean, link) margins and
-    passes, the (function, trial, link) applicable flags, each (function,
-    trial)'s params and the link descriptions if not the check's families.
+    ``pairs`` holds one (A, B) per trial, every operand n x n for one n, on
+    one :func:`_group_grid` with ``gates`` and ``group``.  Its judge
+    ``judge(stack, fs, sigmas, entries)`` returns the (function, trial,
+    mean, link) margins and passes, the (function, trial, link) applicable
+    flags, each (function, trial)'s params and the link descriptions if
+    not the check's families.
     """
-    fn_rows, cell_rows = gates
     sigmas = tuple(sigmas)
 
-    def run(fs, stacks, entries):
-        stack = PairStack(*stacks)
+    def run(fs, stack, entries):
+        stack = PairStack(*stack)
         margins, passes, applicable, params, *descriptions = judge(stack, fs, sigmas, entries)
         rows, fn_of, t_of, mean_of = _open(entries)
         cells = list(zip(fn_of.tolist(), t_of.tolist(), mean_of.tolist()))
@@ -633,8 +611,7 @@ def _mean_group(check, gates, judge, fs, sigmas, pairs, tol) -> list:
             entries.reshape(-1), rows, *descriptions,
         )
 
-    return _group_grid(fs, pairs, fn_rows, lambda pair: pair, run, PairStack.group,
-                       (len(sigmas),), cell_rows)
+    return _group_grid(fs, pairs, gates, group, run, (len(sigmas),))
 
 
 def _images(stack, fs, sigmas, tol, entries):
@@ -685,15 +662,6 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     return _one(check_chord_bounds_grid((f,), (sigma,), [(A, B)], tol)[0])
 
 
-def _secant_slopes(f, pair, tol):
-    """(f'(m), f'(M)), m floored at 0 (:func:`_psd`): a gate row that raises its own errors."""
-    *_, m, M = _psd(pair, tol)
-    slopes = chord_coefficients(f, m, M)
-    if not all(map(math.isfinite, slopes)):
-        raise ValueError(f"infinite chord coefficient for {f.name} on [{m}, {M}]")
-    return slopes
-
-
 def check_chord_bounds_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
     """:func:`check_chord_bounds` for every function, mean and trial of a group.
 
@@ -704,11 +672,19 @@ def check_chord_bounds_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
 
     def judge(stack, fs, sigmas, entries):
         n_f, n_t, n_s = entries.shape
-        # (f'(m), f'(M), f(m)) per cell; a cell closed by its gates takes the line 1, unused
+        # (f'(m), f'(M), f(m)) per cell, m floored at 0 (_psd_group), the slopes finite; a
+        # cell they close takes the line 1, unused
         params, values = [[{}] * n_t for _ in fs], np.tile([0.0, 0.0, 1.0], (n_f, n_t, 1))
-        m, M = [max(x, 0.0) for x in stack.m.tolist()], stack.M.tolist()  # m floored as _psd does
-        for k, t in np.argwhere(np.equal(entries, None).all(axis=-1)).tolist():
-            a, b = chord_coefficients(fs[k], m[t], M[t])  # finite: the cell passed _secant_slopes
+        m, M = stack.m.tolist(), stack.M.tolist()
+        for k, t in np.ndindex(n_f, n_t):
+            try:
+                a, b = chord_coefficients(fs[k], m[t], M[t])
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    raise ValueError(f"infinite chord coefficient for {fs[k].name} on [{m[t]}, "
+                                     f"{M[t]}]")
+            except ValueError as exc:
+                _fail(entries[k, t], exc)
+                continue
             params[k][t], values[k, t] = {"m": m[t], "a": a, "b": b}, (a, b, float(fs[k](m[t])))
         # each f, each f's lower line, then each f's upper line c (x - m) + f(m)
         lines = [
@@ -727,8 +703,8 @@ def check_chord_bounds_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
         passes = np.stack([lower.passed, upper.passed], -1).reshape(n_f, n_t, n_s, 2)
         return margins, passes, np.ones((n_f, n_t, 2), dtype=bool), params
 
-    gates = ((_TAGGED,), ((lambda f, pair: _secant_slopes(f, pair, tol), None, None),))
-    return _mean_group("chord_bounds", gates, judge, fs, sigmas, pairs, tol)
+    return _mean_group("chord_bounds", (_TAGGED,), lambda pairs: _psd_group(pairs, tol), judge,
+                       fs, sigmas, pairs)
 
 
 def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -768,18 +744,17 @@ def check_main_chain_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
         params = [[{"convex": tag, "dim": ws.shape[-1]}] * n_t for tag in tags]
         return margins, passes, np.tile(applies[..., 0], 2), params
 
-    positive = (lambda _, pair: pair.m > 0.0, NotPositiveDefiniteError,
-                "spectra must be positive, got m={pair.m:.6e}")
-    gates = (_TAGGED_FIXING_ZERO, (positive,))
-    return _mean_group("main_chain", gates, judge, fs, sigmas, pairs, tol)
+    return _mean_group("main_chain", _TAGGED_FIXING_ZERO, lambda pairs: _pd_group(
+        pairs, "spectra must be positive, got m={m:.6e}"), judge, fs, sigmas, pairs)
 
 
 def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     """log(M+1)/M * log(A+B+I) <= log(A+I) + log(B+I) for PSD A, B."""
-    a, b, wa, va, wb, vb, m, bound = _psd(_one(PairStack.group([(A, B)])), tol)
-    if M is None:
-        M = bound
-    M = float(M)
+    stack, (error,) = _psd_group([(A, B)], tol)
+    if error is not None:
+        raise error
+    a, b, wa, va, wb, vb = (x[0] for x in stack[:6])
+    m, M = float(stack.m[0]), float(stack.M[0] if M is None else M)
     coef = math.log1p(M) / M if M > 0.0 else 1.0
     log1p = function_by_name("log1p")
     lhs = coef * apply_fn(log1p, a + b).entries
@@ -804,6 +779,10 @@ def check_mean_difference_norm_grid(fs, sigmas, pairs, norms=None, tol=DEFAULT_T
     """
 
     def judge(stack, fs, sigmas, entries):
+        for k, f in enumerate(fs):  # f'(0) and f'(M) finite, checked before any solve
+            finite = np.isfinite(f.deriv(0.0)) & np.isfinite(f.deriv(stack.M))
+            bad = ~np.broadcast_to(finite, stack.M.shape)
+            entries[k, bad] = ValueError("infinite endpoint derivative")
         (S, errors), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
         ws, vs = stack.mean_spectra(S, errors, vectors=True)  # f(S) reads S's eigenvectors
         (n_f, n_t, n_s), n, flat = entries.shape, S.shape[-1], entries.reshape(-1)
@@ -820,18 +799,9 @@ def check_mean_difference_norm_grid(fs, sigmas, pairs, norms=None, tol=DEFAULT_T
         applicable = np.ones((n_f, n_t, len(kinds)), dtype=bool)
         return margins, passes, applicable, params, _per_kind("mean_difference_norm", kinds)
 
-    return _mean_group(
-        "mean_difference_norm", _MEAN_DIFFERENCE_GATES, judge, fs, sigmas, pairs, tol
-    )
-
-
-_MEAN_DIFFERENCE_GATES = (
-    ((lambda f, _: f.convexity is Convexity.CONVEX, ValueError,
-      "mean-difference bound requires a convex function, got {f.name}"), _FIXES_ZERO),
-    (_POSITIVE, (lambda f, pair: math.isfinite(float(f.deriv(0.0)))
-                 and math.isfinite(float(f.deriv(pair.M))), ValueError,
-                 "infinite endpoint derivative")),
-)
+    gates = ((lambda f: f.convexity is Convexity.CONVEX, ValueError,
+              "mean-difference bound requires a convex function, got {f.name}"), _FIXES_ZERO)
+    return _mean_group("mean_difference_norm", gates, _pd_group, judge, fs, sigmas, pairs)
 
 
 def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOutcome:
@@ -897,8 +867,7 @@ def check_eig_prod_norm_grid(fs, sigmas, pairs, tol=DEFAULT_TOL, norms=None) -> 
             [f"{i}:{name}" for i in index for name in _CLAIMS["eig_prod_norm"].families],
         )
 
-    gates = (_TAGGED_FIXING_ZERO, (_POSITIVE,))
-    return _mean_group("eig_prod_norm", gates, judge, fs, sigmas, pairs, tol)
+    return _mean_group("eig_prod_norm", _TAGGED_FIXING_ZERO, _pd_group, judge, fs, sigmas, pairs)
 
 
 def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -959,14 +928,14 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
     every norm one table (:func:`_norm_table`), and the links are margins
     over (record x norm kind) arrays.
     """
-    def step(pair):
-        pair = _psd(pair, tol)
-        if pair.M <= 0.0:
-            raise ValueError("zero operands leave no content to check")
-        return pair
+    def group(pairs):
+        stack, errors = _psd_group(pairs, tol)
+        for t in np.flatnonzero(stack.M <= 0.0):
+            _flag(errors, t, ValueError("zero operands leave no content to check"))
+        return stack, errors
 
-    def judge(fs, stacks, entries):
-        a, b, wa, va, wb, vb, m, M = stacks
+    def judge(fs, stack, entries):
+        a, b, wa, va, wb, vb, m, M = stack
         n, T = wa.shape[-1], len(M)
         w_total = _eigvalsh(a + b)
         grid = np.geomspace(M * 1e-4, M, 64, axis=-1)
@@ -1005,12 +974,9 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
         _norm_records("subadditivity_refinement", kinds, links,
                       [(True, met[t], True) for _, t in cells], params, entries.reshape(-1), rows)
 
-    gates = (
-        (lambda f, _: f.convexity is Convexity.CONVEX, ValueError,
-         "subadditivity refinement requires a convex function, got {f.name}"),
-        _FIXES_ZERO,
-    )
-    return _group_grid(fs, pairs, gates, step, judge, PairStack.group)
+    gates = ((lambda f: f.convexity is Convexity.CONVEX, ValueError,
+              "subadditivity refinement requires a convex function, got {f.name}"), _FIXES_ZERO)
+    return _group_grid(fs, pairs, gates, group, judge)
 
 
 def _abs_factors(a, b):
@@ -1130,19 +1096,21 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
     one stacked solve each over the group, and so are those of every
     f(|A|) + f(|B|).  Norms and links as in :func:`check_subadditivity_grid`.
     """
-    if len({np.shape(a) for a, _ in pairs}) > 1:
-        raise ShapeError("a group's trials must share one dimension")
-
-    def step(pair):
-        a, b = map(as_complex_array, pair)
+    def operands(A, B):
+        a, b = map(as_complex_array, (A, B))
         _require_normal(a, tol, "first operand")
         _require_normal(b, tol, "second operand")
         if b.shape != a.shape:
             raise ShapeError("operands must have the same dimension")
         return a, b
 
-    def judge(fs, stacks, entries):
-        a, b = stacks
+    def group(pairs):
+        if len({np.shape(a) for a, _ in pairs}) > 1:
+            raise ShapeError("a group's trials must share one dimension")
+        return _operand_stacks(pairs, operands)
+
+    def judge(fs, stack, entries):
+        a, b = stack
         n, forward = a.shape[-1], [f.convexity is Convexity.CONVEX for f in fs]
         factors, m, M, abs_sum = _abs_factors(a, b)
         *_, images = _image_sums(fs, factors, entries)
@@ -1190,7 +1158,7 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
                       [(ok, True, ok, True) for ok in has_edge[:, 0].tolist()], params,
                       entries.reshape(-1), rows)
 
-    return _group_grid(fs, pairs, _TAGGED_FIXING_ZERO, step, judge)
+    return _group_grid(fs, pairs, _TAGGED_FIXING_ZERO, group, judge)
 
 
 def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1225,7 +1193,7 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     return _one(check_power_mean_grid((alpha,), (r,), [(A, B)], tol)[0])
 
 
-def _power_group(check, alpha_ok, judge, alphas, rs, pairs, tol):
+def _power_group(check, alpha_ok, judge, alphas, rs, pairs):
     """A group's ``check`` records on A^r #_a B^r, per trial one per (alpha, r), alpha outermost.
 
     (alpha, r) needs r >= 1, then ``alpha_ok``; a trial m > 0.  ``judge(stack,
@@ -1236,14 +1204,10 @@ def _power_group(check, alpha_ok, judge, alphas, rs, pairs, tol):
     per (configuration x trial), and ``params(t, i)`` of entry i.
     """
 
-    def step(pair):
-        _gate((_POSITIVE,), None, pair)
-        return pair
-
-    def run(configs, stacks, entries):
+    def run(configs, stack, entries):
         axes = [list(dict.fromkeys(axis)) for axis in zip(*configs)]
         a_of, r_of = (np.array(list(map(axis.index, xs))) for axis, xs in zip(axes, zip(*configs)))
-        links, params = judge(PairStack(*stacks), axes[0], a_of, [power(r) for r in axes[1]],
+        links, params = judge(PairStack(*stack), axes[0], a_of, [power(r) for r in axes[1]],
                               1 + r_of, [r - 1.0 for _, r in configs], entries)
         rows, c_of, t_of = _open(entries)
         margins, passes = (np.stack(column, -1)[rows] for column in zip(*links))
@@ -1252,10 +1216,8 @@ def _power_group(check, alpha_ok, judge, alphas, rs, pairs, tol):
         _fill(check, margins, passes, [(True,) * len(links)] * rows.size, params,
               entries.reshape(-1), rows)
 
-    gates = ((lambda c, _: not c[1] < 1.0, ValueError, "exponent r must be >= 1"), alpha_ok)
-    return _group_grid(
-        [(alpha, r) for alpha in alphas for r in rs], pairs, gates, step, run, PairStack.group
-    )
+    gates = ((lambda c: not c[1] < 1.0, ValueError, "exponent r must be >= 1"), alpha_ok)
+    return _group_grid([(alpha, r) for alpha in alphas for r in rs], pairs, gates, _pd_group, run)
 
 
 def _power_means(stack, weights, k_of, powers, level, tol):
@@ -1317,8 +1279,8 @@ def check_power_mean_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
                            tol, [entries.reshape(-1)] * 4)
         return [(res.margin, res.passed) for res in results], lambda t, i: {"m": m[t], "M": M[t]}
 
-    alpha_ok = (lambda c, _: 0.0 <= c[0] <= 1.0, ValueError, "alpha must lie in [0, 1]")
-    return _power_group("power_mean_bounds", alpha_ok, judge, alphas, rs, pairs, tol)
+    alpha_ok = (lambda c: 0.0 <= c[0] <= 1.0, ValueError, "alpha must lie in [0, 1]")
+    return _power_group("power_mean_bounds", alpha_ok, judge, alphas, rs, pairs)
 
 
 def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1364,8 +1326,8 @@ def check_ando_hiai_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
         links = [(res.margin, res.passed) for res in results] + [_scalar_margins(*cs, tol)]
         return links, lambda t, i: {"swapped": swapped[t], "c_ah": c_ah[i], "c_chain": c_chain[i]}
 
-    alpha_ok = (lambda c, _: 0.0 < c[0] < 1.0, ValueError, "alpha must lie strictly inside (0, 1)")
-    return _power_group("ando_hiai_comparison", alpha_ok, judge, alphas, rs, pairs, tol)
+    alpha_ok = (lambda c: 0.0 < c[0] < 1.0, ValueError, "alpha must lie strictly inside (0, 1)")
+    return _power_group("ando_hiai_comparison", alpha_ok, judge, alphas, rs, pairs)
 
 
 def check_contraction_implication(
@@ -1404,26 +1366,33 @@ _MIXED = "pair conditions mixed; implication direction undefined"
 def _contraction_group(gs, hs, pairs, n_iter, tol, normalized, condition_grid=None) -> list:
     """A dimension group's contraction records, per trial one per (g, h), g outermost.
 
-    Each (g, h) runs the iteration count, the pair conditions (mixed ones
-    give a record with no links, whatever the operands) and h's mean gate.
-    Each pair is judged scaled by c: lambda_min(A sigma_h B) for a reversed
+    Each (g, h) runs the iteration count, then, in one loop, the pair conditions
+    (mixed ones give a record with no links, whatever the operands) and h's mean
+    gate.  Each pair is judged scaled by c: lambda_min(A sigma_h B) for a reversed
     pair, lambda_max for a forward one if ``normalized``, else 1.  Every
     A sigma_h B is one stacked spectrum, the means of every iterate one middle
     eigh and one mean per h, the links one eigvalsh; a record takes its first
     error in the 1 x 1 order.
     """
-    reports, sigmas, check = {}, {}, "contraction_implication"
-
-    def directed(c, _):
-        reports[c] = check_pair_conditions(FunctionPair(*c), grid=condition_grid)
-        return reports[c].all_forward or reports[c].all_reversed
+    configs, check = [(g, h) for g in gs for h in hs], "contraction_implication"
+    reports, sigmas, closed = {}, {}, {}  # closed: a configuration's error, None if mixed
 
     def params(c, **extra):
         return {"g": c[0].name, "h": c[1].name, "n_iter": n_iter,
                 "conditions": [r.direction for r in reports[c].results], **extra}
 
-    def judge(configs, stacks, entries):
-        stack, hs = PairStack(*stacks), list(dict.fromkeys(h for _, h in configs))
+    for c in configs if n_iter >= 1 else ():
+        try:
+            reports[c] = check_pair_conditions(FunctionPair(*c), grid=condition_grid)
+            if reports[c].all_forward or reports[c].all_reversed:
+                sigmas.setdefault(c[1], MatrixMean(f"h:{c[1].name}", c[1]))
+            else:
+                closed[c] = None
+        except ValueError as exc:
+            closed[c] = exc.with_traceback(None)
+
+    def judge(configs, stack, entries):
+        stack, hs = PairStack(*stack), list(dict.fromkeys(h for _, h in configs))
         h_of = [hs.index(h) for _, h in configs]
         (n_c, n_t), n, k1 = entries.shape, stack.wa.shape[-1], n_iter + 1
         fwd = np.array([[reports[c].all_forward] for c in configs])
@@ -1479,16 +1448,14 @@ def _contraction_group(gs, hs, pairs, n_iter, tol, normalized, condition_grid=No
               (hypothesis,) + (iterate,) * n_iter)
 
     gates = (
-        (lambda c, _: n_iter >= 1, ValueError, "iteration count must be >= 1"),
-        (directed, ValueError, _MIXED),
-        (lambda c, _: sigmas.setdefault(c[1], MatrixMean(f"h:{c[1].name}", c[1])), None, None),
+        (lambda c: n_iter >= 1, ValueError, "iteration count must be >= 1"),
+        (lambda c: c not in closed, ValueError, _MIXED),  # its entry replaced below
     )
-    configs = [(g, h) for g in gs for h in hs]
-    records = _group_grid(configs, pairs, gates, lambda pair: pair, judge, PairStack.group)
-    mixed = [c in reports and not (reports[c].all_forward or reports[c].all_reversed)
-             for c in configs]
-    return [[CheckOutcome(check, _CLAIMS[check].claim, (), params(c, not_applicable=_MIXED))
-             if mix else e for c, mix, e in zip(configs, mixed, row)] for row in records]
+    records = _group_grid(configs, pairs, gates, PairStack.group, judge)
+    # a closed configuration's entry is its error, or each trial's own record with no links
+    return [[e if c not in closed else closed[c] or CheckOutcome(
+        check, _CLAIMS[check].claim, (), params(c, not_applicable=_MIXED)
+    ) for c, e in zip(configs, row)] for row in records]
 
 
 def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1510,6 +1477,9 @@ def check_inverse_function_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
     """
 
     def judge(stack, fs, sigmas, entries):
+        for k, f in enumerate(fs):  # checked past m > 0, before any solve
+            if f.inverse.convexity is Convexity.NEITHER:
+                _fail(entries[k], ValueError(f"inverse of {f.name} carries no convexity tag"))
         (S, errors), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
         ws = stack.mean_spectra(S, errors).reshape(S.shape[:-1])
         # a convex inverse: inverse-low is the high link
@@ -1520,13 +1490,9 @@ def check_inverse_function_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
         params = [[{"inverse_convexity": f.inverse.convexity.value}] * len(ws) for f in fs]
         return margins, passes, applies, params
 
-    gates = (
-        ((lambda f, _: f.inverse is not None, ValueError, "{f.name} has no registered inverse"),
-         _FIXES_ZERO),
-        (_POSITIVE, (lambda f, _: f.inverse.convexity is not Convexity.NEITHER, ValueError,
-                     "inverse of {f.name} carries no convexity tag")),
-    )
-    return _mean_group("inverse_function", gates, judge, fs, sigmas, pairs, tol)
+    gates = ((lambda f: f.inverse is not None, ValueError, "{f.name} has no registered inverse"),
+             _FIXES_ZERO)
+    return _mean_group("inverse_function", gates, _pd_group, judge, fs, sigmas, pairs)
 
 
 def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1554,13 +1520,15 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
     f(A) keeps A's eigenvectors, so its root is read off f on A's spectrum,
     and every f(A) + f(B) is one stacked eigvalsh.
     """
-    def step(trial):
-        pair, alpha = trial
-        _gate((_POSITIVE,), None, pair)
-        return *pair, alpha
+    def group(trials):  # a trial's alpha comes before its operands
+        stack, errors = _pd_group([trial[:2] for trial in trials])
+        alpha = np.array([trial[2] for trial in trials], dtype=float)
+        outside = ~((0.0 < alpha) & (alpha < 1.0))
+        errors[outside] = ValueError("alpha must lie strictly inside (0, 1)")
+        return (*stack, alpha), errors
 
-    def judge(fs, stacks, entries):
-        a, b, wa, va, wb, vb, m, M, alpha = stacks
+    def judge(fs, stack, entries):
+        a, b, wa, va, wb, vb, m, M, alpha = stack
         n, forward = wa.shape[-1], [f.convexity is Convexity.CONVEX for f in fs]
         errors = np.full(len(a), None, dtype=object)
         da, db = _det_root(wa, tol, errors), _det_root(wb, tol, errors)
@@ -1610,12 +1578,4 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
         ]
         _fill("determinant_suite", margins, passes, applicable, params, flat, rows)
 
-    def prepare(trials):  # a trial's alpha comes before its operands
-        pairs = PairStack.group([trial[:2] for trial in trials])
-        return [
-            ValueError("alpha must lie strictly inside (0, 1)") if not 0.0 < alpha < 1.0
-            else pair if isinstance(pair, ValueError) else (pair, alpha)
-            for pair, (_, _, alpha) in zip(pairs, trials)
-        ]
-
-    return _group_grid(fs, trials, _TAGGED_FIXING_ZERO, step, judge, prepare)
+    return _group_grid(fs, trials, _TAGGED_FIXING_ZERO, group, judge)

@@ -5,9 +5,11 @@ the search mode, when a counterexample was found within budget); 1 when at
 least one theorem link failed (or no counterexample turned up); 2 for usage
 or configuration errors, raised before any trial runs, and for a report that
 cannot be written; 3 when a suite ran no applicable link at all (every record
-downgraded, or every link inapplicable).  A companion link (see ``checks``)
-never decides it.  The summary line counts failed links, companion ones among
-them, inapplicable links and downgraded records.
+downgraded, or every link inapplicable); 4 when any other exception escapes a
+run (an eigensolver that fails to converge, say), printed as ``error: <Type>:
+<message>`` with no traceback.  A companion link (see ``checks``) never
+decides it.  The summary line counts failed links, companion ones among them,
+inapplicable links and downgraded records.
 """
 
 from __future__ import annotations
@@ -105,6 +107,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other escape: named, with no traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     s = report.summary
     print(
         f"{args.suite}: {s.total_records} records, {s.total_links} links, "

@@ -156,7 +156,8 @@ def report_from_dict(d: dict) -> Report:
 def load_matrix_json(path: str) -> ComplexMatrix:
     """Read the matrix file format {"n": int, "entries": [[[re, im], ...], ...]}.
 
-    A file that cannot be read or is not in this format is a ``UsageError``
+    A file that cannot be read or is not in this format, or that has a
+    non-finite entry (JSON's ``NaN`` or ``Infinity``), is a ``UsageError``
     naming the path.
     """
     try:
@@ -172,6 +173,8 @@ def load_matrix_json(path: str) -> ComplexMatrix:
         raise UsageError(f"{path}: not a matrix file: {exc}") from exc
     if parts.shape != (n, n, 2):
         raise UsageError(f"{path}: entries are not an n x n grid of [re, im] pairs (n = {n!r})")
+    if not np.isfinite(parts).all():
+        raise UsageError(f"{path}: matrix entries must be finite")
     return ComplexMatrix(parts.view(np.complex128)[..., 0])
 
 
@@ -578,14 +581,15 @@ def run_suite(spec: SuiteSpec) -> Report:
 
 def _require_positive_definite(pair) -> None:
     """Refuse a fixture pair that is not positive definite, by m of its own factors."""
-    (pair,) = checks.PairStack.group([pair])
-    if isinstance(pair, ShapeError):
-        raise UsageError(f"fixture pair: {pair}") from pair
-    if isinstance(pair, ValueError):
-        raise pair
-    if pair.m <= 0.0:
+    stack, (error,) = checks.PairStack.group([pair])
+    if isinstance(error, ShapeError):
+        raise UsageError(f"fixture pair: {error}") from error
+    if error is not None:
+        raise error
+    (m,) = stack.m
+    if m <= 0.0:
         raise UsageError(
-            f"target main_chain needs positive definite fixtures, smallest eigenvalue {pair.m:.6e}"
+            f"target main_chain needs positive definite fixtures, smallest eigenvalue {m:.6e}"
         )
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from opmeans.checks import CheckOutcome, Link
 from opmeans.cli import main
+from opmeans.core import EigenConvergenceError
 from opmeans.harness import (
     SUITE_NAMES,
     Report,
@@ -518,6 +519,22 @@ def test_fixture_round_trip_and_validation(tmp_path):
         load_hermitian_fixture(bad)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_fixture_entry_is_a_usage_error_naming_the_file(tmp_path, capsys, literal):
+    # Python's json reads these literals; the entry is refused as a usage error (exit 2),
+    # not left to escape from the matrix constructor as a traceback and exit 1
+    bad, ok = tmp_path / "bad.json", str(tmp_path / "ok.json")
+    bad.write_text('{"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [%s, 0.0]]]}'
+                   % literal)
+    save_matrix_json(np.eye(2), ok)
+    message = f"{bad}: matrix entries must be finite"
+    with pytest.raises(UsageError) as info:
+        load_matrix_json(str(bad))
+    assert str(info.value) == message
+    assert main(["--suite", "main_chain", "--fixture", str(bad), "--fixture", ok]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_suite_accepts_fixture_pair(tmp_path):
     a_path, b_path = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     save_matrix_json(np.diag([1.0, 4.0]), a_path)
@@ -718,6 +735,37 @@ def test_cli_usage_error_exit_two(capsys):
     rc = main(["--suite", "main_chain", "--fn", "wat", "--trials", "1"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_fixture_and_search_usage_errors(tmp_path):
+    a_path, b_path = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_matrix_json(np.eye(2), a_path)
+    save_matrix_json(np.eye(3), b_path)
+    with pytest.raises(UsageError, match=r"^single-instance checks need exactly two --fixture"):
+        run_suite(SuiteSpec("main_chain", fixtures=(a_path,)))
+    spec = SuiteSpec("search", fixtures=(a_path, b_path))
+    with pytest.raises(UsageError, match="^fixture pair: operands must have the same dimension$"):
+        search_counterexample("main_chain", None, 3, spec)
+    spec = SuiteSpec("search", dims=(2,))
+    with pytest.raises(UsageError, match="^search budget must be >= 1$"):
+        search_counterexample("main_chain", None, 0, spec)
+    with pytest.raises(UsageError, match="^unknown search target 'nope'"):
+        search_counterexample("nope", None, 3, spec)
+
+
+def test_cli_escaped_exception_exits_four(monkeypatch, capsys):
+    # an eigensolver that does not converge is no failed hypothesis: it downgrades no
+    # record but escapes the run, and the CLI names it and exits 4, not 1 (a failed link)
+    def fails(*_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+    with pytest.raises(EigenConvergenceError):
+        run_suite(SuiteSpec("main_chain", trials=1, dims=(2,)))
+    assert main(["--suite", "main_chain", "--trials", "1", "--dim", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: EigenConvergenceError: eigensolver failed to converge")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

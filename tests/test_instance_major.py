@@ -361,9 +361,12 @@ def test_sharing_changes_no_report(monkeypatch, suite, extra):
     shared = report()
     # every pair validated and factored on its own, not as one stack per group
     group = PairStack.group
-    monkeypatch.setattr(
-        PairStack, "group", staticmethod(lambda pairs: [row for p in pairs for row in group([p])])
-    )
+
+    def one_by_one(pairs):
+        stacks, errors = zip(*(group([p]) for p in pairs))
+        return PairStack(*map(np.concatenate, zip(*stacks))), np.concatenate(errors)
+
+    monkeypatch.setattr(PairStack, "group", staticmethod(one_by_one))
     assert shared == report()
 
 

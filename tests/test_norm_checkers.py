@@ -14,6 +14,7 @@ import pytest
 from opmeans import checks
 from opmeans.core import (
     NormKind,
+    NotNormalError,
     _norm_table,
     as_complex_array,
     matrix_abs,
@@ -85,3 +86,23 @@ def test_transplanted_norm_chain_takes_true_abs_of_non_normal_operands():
     # |||f(|A|) + f(|B|)|||_op = 7 and (f(M)/M) |||A + B|||_op = M ||A + B||_op, M = 1 + sqrt(2)
     bound = (1.0 + np.sqrt(2.0)) * np.linalg.norm(a + b, 2)
     assert sep.margin == pytest.approx(bound - 7.0, rel=1e-12)  # 1.9385
+
+
+@pytest.mark.parametrize("eps, normal", [(5e-4, True), (1.1e-3, False)])
+def test_normality_near_its_threshold_is_decided_by_spectral_norms(monkeypatch, eps, normal):
+    # A = diag(10, 0, 0, 0) + eps e_2 e_3^T: its commutator diag(0, 0, eps^2, -eps^2) has
+    # Frobenius norm eps^2 sqrt(2), above tol (1 + ||A||_F^2 / 4) at tol 1e-8 for both eps,
+    # and spectral norm eps^2, against tol (1 + ||A||_2^2) = 1.01e-6: 2.5e-7 passes, 1.21e-6
+    # does not.  The diagonal B is decided by its Frobenius norms alone
+    a = np.diag([10.0, 0.0, 0.0, 0.0])
+    a[2, 3] = eps
+    b = np.diag([1.0, 2.0, 3.0, 4.0])
+    spectral = []
+    opnorm = checks._opnorm_hermitian
+    monkeypatch.setattr(checks, "_opnorm_hermitian", lambda x: spectral.append(x) or opnorm(x))
+    if normal:
+        assert checks.check_normal_triangle(a, b, tol=1e-8).passed
+    else:
+        with pytest.raises(NotNormalError, match="^first operand does not commute"):
+            checks.check_normal_triangle(a, b, tol=1e-8)
+    assert len(spectral) == 1

@@ -16,7 +16,8 @@ is at module level, no source line is over 100 characters, every
 function and class the package defines is named somewhere in the
 repository's code, and every link a run reports is named from
 ``checks._CLAIMS``, whose families are all reported and are named nowhere
-else in ``checks``.  The re-exports in ``__init__.py`` are not checked for
+else in ``checks``, and ``checks`` catches a ``ValueError`` only at its
+listed sites.  The re-exports in ``__init__.py`` are not checked for
 use.
 """
 
@@ -471,3 +472,35 @@ def test_checks_names_links_only_in_the_claim_table(emitted):
         if isinstance(node, ast.Constant) and node.value in names and id(node) not in inside
     )
     assert not stray, f"checks.py names links outside _CLAIMS: {', '.join(stray)}"
+
+
+def _enclosing_handlers(node, scope=()):
+    """(enclosing function, as Class.method or outer.inner, handled type) of every except clause."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = (*scope, child.name)
+        if isinstance(child, ast.ExceptHandler) and child.type is not None:
+            yield ".".join(scope), ast.unparse(child.type)
+        yield from _enclosing_handlers(child, inner)
+
+
+# every place checks turns a ValueError into an entry or a trial's error, by enclosing
+# function: the grid skeleton catches only its configurations' gates and its judge
+VALUE_ERROR_SITES = [
+    "PairStack.image_middles",
+    "_contraction_group",
+    "_group_grid",
+    "_group_grid",
+    "_on_spectra",
+    "_operand_stacks",
+    "check_chord_bounds_grid.judge",
+]
+
+
+def test_checks_catches_value_errors_only_at_its_listed_sites():
+    sites = sorted(
+        scope for scope, caught in _enclosing_handlers(_tree(PKG / "checks.py"))
+        if "ValueError" in caught
+    )
+    assert sites == VALUE_ERROR_SITES

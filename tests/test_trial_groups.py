@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from opmeans import checks, harness
-from opmeans.functions import function_by_name
+from opmeans.functions import ScalarFunction, function_by_name
 from opmeans.harness import SUITE_NAMES, SuiteSpec, emit_report, run_suite
 from opmeans.means import mean_by_name
 from opmeans.randgen import GeneratorConfig, derive_stream_seed, random_normal, random_pd
@@ -372,8 +372,8 @@ def test_group_working_set(spec, dim):
 
 
 def test_an_open_group_is_judged_on_its_own_stacks(monkeypatch):
-    # every trial open, the judge reads the operands PairStack.group stacked;
-    # a closed trial (here an indefinite A) leaves the open rows copied out
+    # every trial open, the judge reads the stack PairStack.group made; a
+    # closed trial (here an indefinite A) leaves the open rows copied out
     built = []
     new = checks.PairStack.__new__
 
@@ -389,21 +389,32 @@ def test_an_open_group_is_judged_on_its_own_stacks(monkeypatch):
     ):
         built.clear()
         checks.check_main_chain_grid(fs, SIGMAS, trials)
-        (judged,) = [pair for pair in built if pair.a.ndim == 3]
-        group = built[0].a.base
-        assert len(judged.a) == len(group) - (not shared)
-        assert np.shares_memory(judged.a, group) is shared
-        assert np.shares_memory(judged.vb, built[0].vb.base) is shared
+        group, judged = built  # the group's stack, then the one its judge reads
+        assert len(group.a) == len(trials)
+        assert (judged.a is group.a) is shared
+        assert len(judged.a) == len(group.a) - (not shared)
+        assert np.shares_memory(judged.a, group.a) is shared
+        assert np.shares_memory(judged.vb, group.vb) is shared
 
 
-def test_stacked_rows_are_their_array_only_whole_and_as_its_rows():
-    whole = np.arange(24.0).reshape(4, 3, 2).copy()  # owns its memory, as a stack does
-    assert checks._stacked(list(whole)) is whole
-    for rows in (list(whole)[:3], list(whole[:, ::-1]), list(whole.view(np.int64)),
-                 [x.reshape(2, 3) for x in whole], [1.0, 2.0]):
-        stacked = checks._stacked(rows)
-        assert not np.shares_memory(stacked, whole)
-        np.testing.assert_array_equal(stacked, np.array(rows))
+def test_chord_slopes_are_taken_once_per_open_cell(monkeypatch):
+    # past the function gates (log carries a tag, the untagged one does not) and the
+    # trials' (an indefinite A), each (function, trial) takes its slopes once, for
+    # every mean, and the lines are read off them
+    calls = []
+    slopes = checks.chord_coefficients
+    monkeypatch.setattr(checks, "chord_coefficients", lambda f, m, M: calls.append(
+        (f.name, m, M)) or slopes(f, m, M))
+    untagged = ScalarFunction("untagged", fn=lambda x: x, deriv=lambda x: 1.0)
+    fs = [function_by_name("power:2"), untagged, function_by_name("sqrt")]
+    trials = [(_pd(1), _pd(2)), (_INDEFINITE, _pd(4)), (_pd(5), _pd(6))]
+    grid = checks.check_chord_bounds_grid(fs, SIGMAS, trials)
+    assert [name for name, *_ in calls] == ["power:2", "power:2", "sqrt", "sqrt"]
+    for t, row in enumerate(grid):
+        for k, f in enumerate(fs):
+            for j, sigma in enumerate(SIGMAS):
+                want = _entry(lambda f, x: checks.check_chord_bounds(f, sigma, *x), f, trials[t])
+                assert _bits(row[k * len(SIGMAS) + j]) == _bits(want)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -414,9 +425,9 @@ def test_grid_calls_keep_no_pair_alive(monkeypatch):
     # would grow with its groups.  A stored error keeps no traceback, which
     # would hold its frame's stacks: in the second group expm1 overflows at
     # M = 800, an indefinite B fails its trial's gate and log, which does not
-    # fix zero, its function's.  A row is a tuple, which takes no weak
-    # reference, so each of its arrays and the stack it is a view of is tracked
-    built, rows = [], []
+    # fix zero, its function's.  A stack is a tuple, which takes no weak
+    # reference, so each of its arrays and any array one is a view of is tracked
+    built, sizes = [], []
     new = checks.PairStack.__new__
 
     def tracked(cls, *fields):
@@ -424,7 +435,7 @@ def test_grid_calls_keep_no_pair_alive(monkeypatch):
         arrays = [x for x in pair if isinstance(x, np.ndarray)]
         arrays += [x.base for x in arrays if x.base is not None]
         built.extend(map(weakref.ref, arrays))
-        rows.append(pair.a.ndim == 2)
+        sizes.append(len(pair.a))
         return pair
 
     monkeypatch.setattr(checks.PairStack, "__new__", tracked)
@@ -451,12 +462,12 @@ def test_grid_calls_keep_no_pair_alive(monkeypatch):
         for trials, names, kinds in ((good, fs[:3], {False}), (broken, fs, {False, True})):
             for grid, call in grids.items():
                 built.clear()
-                rows.clear()
+                sizes.clear()
                 entries = [e for row in call(grid, names, trials) for e in row]
                 record_or_error = (checks.CheckOutcome, ValueError)
                 assert all(isinstance(e, record_or_error) for e in entries), grid.__name__
                 assert {isinstance(e, ValueError) for e in entries} == kinds, grid.__name__
-                assert rows.count(True) == len(trials), grid.__name__  # one row per trial
+                assert sizes[0] == len(trials), grid.__name__  # the group's stack, a row per trial
                 assert [ref() for ref in built] == [None] * len(built), grid.__name__
     finally:
         gc.enable()
