@@ -71,7 +71,6 @@ from .means import (
     MatrixMean,
     _mean_from_middle,
     _mean_gates,
-    _middles,
     _perspective_from_middle,
     _require_definite,
 )
@@ -364,7 +363,8 @@ def _pd_group(pairs, message="positive definite operands required"):
 
 def _image(f, w, v, errors=None):
     """f(X) from the eigenpairs (w, v) of X, or of each X of a stack (see ``core._flag``)."""
-    return _finite(_compose(v, _fn_values(f, w, errors)), errors)
+    values = _fn_values((f,), w, None if errors is None else [errors])[0]
+    return _finite(_compose(v, values), errors)
 
 
 def _congruence_of(wa, wb, w, tol, errors=None):
@@ -372,7 +372,7 @@ def _congruence_of(wa, wb, w, tol, errors=None):
 
     ``w`` holds B's eigenvectors written in A's eigenbasis
     (:meth:`PairStack.basis`), so any functions of A and B keep the form
-    diag(f(wa)) and W diag(g(wb)) W* there.  The rows of ``means._middles``,
+    diag(f(wa)) and W diag(g(wb)) W* there.  The middles of ``means._congruence``,
     one per spectrum of a stack; a row's breakdown is its error.
     """
     n = wa.shape[-1]
@@ -468,25 +468,22 @@ class PairStack(NamedTuple):
     def image_middles(self, fs, tol):
         """The mean-independent halves of f(A) sigma f(B) for each of ``fs`` and trial of the stack.
 
-        Returns the middles (see ``means._middles``), one row per (function,
-        trial), and their errors, (function, trial).  Each f is taken once on
-        the spectra of A and B of all the trials; the middles are one stacked
-        eigh.  The row of an f whose f(A) is not finite, or whose f(B) fails
-        the mean's gate, keeps that error and is factored as I.
+        Returns the middles (see ``means._congruence``), one row per (function,
+        trial), and their errors, (function, trial).  Each f (``None`` for x) is
+        taken once on the spectra of A and B of all the trials; the middles are
+        one stacked eigh.  The row of an f that breaks down on A or B, or whose
+        f(B) fails the mean's gate, keeps that error and is factored as I.
         """
         wa, wb = self.wa, self.wb
         errors = np.full((len(fs), len(wa)), None, dtype=object)
-        fa, fb = np.ones((2, len(fs), *wa.shape))
-        for k, f in enumerate(fs):
-            try:
-                fa[k] = wa if f is None else _finite(_fn_values(f, wa, errors[k]), errors[k])
-                fb[k] = wb if f is None else _fn_values(f, wb, errors[k])
-            except ValueError as exc:
-                _fail(errors[k], exc)
+        fa, fb = np.repeat([[wa], [wb]], len(fs), axis=1)
+        on = [k for k, f in enumerate(fs) if f is not None]
+        fs_on, rows = [fs[k] for k in on], [errors[k] for k in on]
+        fa[on], fb[on] = _fn_values(fs_on, wa, rows), _fn_values(fs_on, wb, rows)
         dead, flat = ~np.equal(errors, None), errors.reshape(-1)
         if dead.any():
             fa[dead], fb[dead] = 1.0, 1.0
-        return _middles(_congruence_of(fa, fb, self.basis(), tol, flat), flat), errors
+        return _congruence_of(fa, fb, self.basis(), tol, flat), errors
 
 
 def _norm_kinds(norms, dim):
@@ -639,19 +636,6 @@ def _chain_stacks(stack, fs, sigmas, tol, entries):
     return (S, errors), X, coefs
 
 
-def _on_spectra(fs, ws, results):
-    """(function, *ws.shape): f on every spectrum of ``ws``; a breakdown is its record's error."""
-    fws = np.empty((len(fs), *ws.shape))
-    w = ws.reshape(-1, ws.shape[-1])
-    for k, f in enumerate(fs):
-        row = results[k].reshape(-1)
-        try:
-            fws[k] = _finite(_fn_values(f, w, row), row).reshape(ws.shape)
-        except ValueError as exc:
-            _fail(results[k], exc)
-    return fws
-
-
 def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
     """Mean of the endpoint secant lines brackets the mean of the images.
 
@@ -733,7 +717,7 @@ def check_main_chain_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
         tags = [f.convexity is Convexity.CONVEX for f in fs]
         # the chain around f(S) on spec(S), as (f, trial, sigma, link, eigenvalue); its edge
         # links are also fn-then-mean's, whose low and high links against X are solved apart
-        lo, hi, applies = _chain_sides(coefs[..., None], ws, _on_spectra(fs, ws, entries), tags)
+        lo, hi, applies = _chain_sides(coefs[..., None], ws, _fn_values(fs, ws, entries), tags)
         shape = (entries.size, len(_CHAIN), ws.shape[-1])
         on_spectrum = _loewner_on_spectrum(
             lo.reshape(shape), hi.reshape(shape), tol, entries.reshape(-1)
@@ -786,7 +770,7 @@ def check_mean_difference_norm_grid(fs, sigmas, pairs, norms=None, tol=DEFAULT_T
         (S, errors), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
         ws, vs = stack.mean_spectra(S, errors, vectors=True)  # f(S) reads S's eigenvectors
         (n_f, n_t, n_s), n, flat = entries.shape, S.shape[-1], entries.reshape(-1)
-        diff = X.reshape(n_f, -1, n, n) - hermitian_part(_compose(vs, _on_spectra(fs, ws, entries)))
+        diff = X.reshape(n_f, -1, n, n) - hermitian_part(_compose(vs, _fn_values(fs, ws, entries)))
         w = _eigvalsh(_finite(diff.reshape(-1, n, n), flat), flat)
         kinds = _norm_kinds(norms, n)
         table = _norm_table(_sv_hermitian(np.concatenate([ws, w])), kinds)
@@ -892,7 +876,7 @@ def _image_sums(fs, factors, entries):
     """
     values, images = [], []
     for w, v in factors:
-        fw = _on_spectra(fs, w, entries)
+        fw = _fn_values(fs, w, entries)
         image = _compose(v, fw)
         _finite(image.reshape(-1, *image.shape[-2:]), entries.reshape(-1))
         values.append(fw)
@@ -945,7 +929,7 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
             for t in np.flatnonzero(falls.any(axis=-1)):
                 _flag(entries[k], t, ValueError(f"f(x)/x is not nondecreasing for {f.name}"))
         *_, images = _image_sums(fs, ((wa, va), (wb, vb)), entries)
-        of_total = _on_spectra(fs, w_total, entries).reshape(-1, n)
+        of_total = _fn_values(fs, w_total, entries).reshape(-1, n)
         w_images = _eigvalsh(images.reshape(-1, n, n), entries.reshape(-1))
         rows, fn_of, t_of = _open(entries)
         if not rows.size:
@@ -1001,7 +985,7 @@ def _abs_images(f, factors, abs_sum):
     """
     entries = np.full((1, 1), None, dtype=object)
     *_, images = _image_sums((f,), factors, entries)
-    of_abs_sum = _on_spectra((f,), abs_sum, entries)
+    of_abs_sum = _fn_values((f,), abs_sum, entries)
     if entries[0, 0] is not None:
         raise entries[0, 0]
     return _sv_hermitian(np.stack([_eigvalsh(images[0, 0]), of_abs_sum[0, 0]]))
@@ -1104,17 +1088,12 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
             raise ShapeError("operands must have the same dimension")
         return a, b
 
-    def group(pairs):
-        if len({np.shape(a) for a, _ in pairs}) > 1:
-            raise ShapeError("a group's trials must share one dimension")
-        return _operand_stacks(pairs, operands)
-
     def judge(fs, stack, entries):
         a, b = stack
         n, forward = a.shape[-1], [f.convexity is Convexity.CONVEX for f in fs]
         factors, m, M, abs_sum = _abs_factors(a, b)
         *_, images = _image_sums(fs, factors, entries)
-        of_abs_sum = _on_spectra(fs, abs_sum, entries).reshape(-1, n)
+        of_abs_sum = _fn_values(fs, abs_sum, entries).reshape(-1, n)
         for t in np.flatnonzero(m <= 0.0):
             _fail(entries[:, t], NotPositiveDefiniteError("singular values must be positive"))
         w_images = _eigvalsh(images.reshape(-1, n, n), entries.reshape(-1))
@@ -1158,7 +1137,8 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
                       [(ok, True, ok, True) for ok in has_edge[:, 0].tolist()], params,
                       entries.reshape(-1), rows)
 
-    return _group_grid(fs, pairs, _TAGGED_FIXING_ZERO, group, judge)
+    return _group_grid(fs, pairs, _TAGGED_FIXING_ZERO,
+                       lambda pairs: _operand_stacks(pairs, operands), judge)
 
 
 def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1261,7 +1241,7 @@ def check_power_mean_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
     def judge(stack, alphas, a_of, powers, level, exponents, entries):
         wa = stack.wa
         errors = np.full((1 + len(powers), len(wa)), None, dtype=object)  # A^r finite
-        fw = np.stack([wa, *(_finite(_fn_values(f, wa, e), e) for f, e in zip(powers, errors[1:]))])
+        fw = np.concatenate([wa[None], _fn_values(powers, wa, errors[1:])])
         (e0, G, g0), (er, Gr, gr), mids = _power_means(
             stack, alphas, a_of[:, None], powers, level, tol
         )
@@ -1418,14 +1398,13 @@ def _contraction_group(gs, hs, pairs, n_iter, tol, normalized, condition_grid=No
         for k in range(1, k1):
             for i, (g, _) in enumerate(configs):
                 e = np.full(2 * n_t, None, dtype=object)  # f(A)'s, then f(B)'s
-                f = _fn_values(times_x(g), w[k - 1, i].reshape(-1, n), e)
-                w[k, i] = _finite(f, e).reshape(2, n_t, n)
+                w[k, i] = _fn_values((times_x(g),), w[k - 1, i], [e])[0]
                 _fail(errs[0, k, i], *e.reshape(2, n_t))
             dead = ~np.equal(errs[0, : k + 1], None).any(0)
             w[k].swapaxes(1, 2)[dead] = 1.0  # a row with an error: the pair (I, I), unused
         # A sigma_h B of every (iterate, config, trial), its rows taken one h at a time
         flat, on_h = errs[1].reshape(-1), np.broadcast_to(np.c_[h_of], (k1, n_c, n_t)).reshape(-1)
-        middles = _middles(_congruence_of(w[:, :, 0], w[:, :, 1], stack.basis(), tol, flat), flat)
+        middles = _congruence_of(w[:, :, 0], w[:, :, 1], stack.basis(), tol, flat)
         X = np.empty(middles[2].shape, dtype=complex)
         for j, h in enumerate(hs):
             rows = np.flatnonzero(on_h == j)

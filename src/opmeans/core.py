@@ -306,14 +306,28 @@ def _compose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _fn_values(f, w: np.ndarray, errors=None) -> np.ndarray:
-    """f on a spectrum w, or on each row of a stack, with round-off outside f's domain clamped.
+def _fn_values(fs, w: np.ndarray, errors=None) -> np.ndarray:
+    """Each f of ``fs`` on every spectrum of ``w``, its last axis: an array (function, *w.shape).
 
-    Values within 1e-10 (1 + max |w|) of their row are clamped onto the
-    domain; values further out raise (see :func:`_flag`).
+    The one place a scalar function meets a spectrum.  Values within 1e-10 (1 + max |w|) of
+    their row are clamped onto f's domain; a value further out, a ``ValueError`` f raises and
+    a value that is not finite are errors of their rows, kept in ``errors``, one array of row
+    errors per f viewing the caller's (see :func:`_flag`), else raised.  A row with an error
+    is evaluated at a point inside f's domain, and its values are unused.
     """
-    tol = 1e-10 * (1.0 + np.abs(w).max(axis=-1))
-    return np.asarray(f(f.domain.clamp(w, tol, errors)), dtype=np.float64)
+    rows = w.reshape(-1, w.shape[-1])
+    tol = 1e-10 * (1.0 + np.abs(rows).max(axis=-1))
+    out = np.zeros((len(fs), *rows.shape))
+    for j, f in enumerate(fs):
+        e = None if errors is None else errors[j].reshape(-1)
+        x = f.domain.clamp(rows, tol, e)
+        try:
+            out[j] = f(x)
+        except ValueError as exc:
+            for k in range(len(rows)):
+                _flag(e, k, exc)
+        _finite(out[j], e)
+    return out.reshape(len(fs), *w.shape)
 
 
 def _canonicalize_basis(w: np.ndarray, v: np.ndarray) -> None:
@@ -389,7 +403,7 @@ def apply_fn(f, A) -> HermitianMatrix:
     raise :class:`DomainViolationError` naming the offending eigenvalue.
     """
     w, v = _eigh(as_hermitian_array(A))
-    return HermitianMatrix(_compose(v, _fn_values(f, w)))
+    return HermitianMatrix(_compose(v, _fn_values((f,), w)[0]))
 
 
 def matrix_abs(A) -> HermitianMatrix:

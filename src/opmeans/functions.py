@@ -69,10 +69,15 @@ class Interval:
         ``xs`` is a row of values or a stack of rows, ``tol`` one number or
         one per row.  A value outside by more than its row's ``tol`` (or beyond
         an open endpoint) raises :class:`DomainViolationError` naming it; with
-        ``errors`` the row takes it (``core._flag``) and is set inside the interval.
+        ``errors`` the row takes it (``core._flag``).  A row with an error, one
+        it had before the call too, is set to a point inside the interval.
         """
         out = np.array(xs, dtype=np.float64, copy=True)
         rows = out.reshape(-1, out.shape[-1])
+        lo, hi = self.lo, self.hi
+        inside = (lo + hi) / 2.0 if hi - lo <= 2.0 else min(max(0.0, lo + 1), hi - 1)
+        if errors is not None:
+            rows[np.not_equal(errors, None)] = inside
         outside = self.outside(rows)
         if outside.any():
             for k in np.flatnonzero(outside.any(axis=1)):
@@ -80,8 +85,7 @@ class Interval:
                     self._clamp_row(rows[k], np.broadcast_to(tol, len(rows))[k])
                 except DomainViolationError as exc:
                     _flag(errors, k, exc)
-                    lo, hi = self.lo, self.hi
-                    rows[k] = (lo + hi) / 2.0 if hi - lo <= 2.0 else min(max(0.0, lo + 1), hi - 1)
+                    rows[k] = inside
         return out
 
     def _clamp_row(self, out: np.ndarray, tol: float) -> None:

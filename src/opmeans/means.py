@@ -43,6 +43,7 @@ from .core import (
     _eigvalsh,
     _finite,
     _flag,
+    _fn_values,
     as_hermitian_array,
     hermitian_part,
 )
@@ -190,27 +191,18 @@ def mean_by_name(name: str) -> MatrixMean:
     return factory(parse_parameter(param))
 
 
-def _congruence(wa: np.ndarray, b: np.ndarray, metas=None):
-    """A^(1/2), the congruence matrix A^(-1/2) B A^(-1/2) and ``metas``, in A's eigenbasis.
+def _congruence(wa: np.ndarray, b: np.ndarray, metas=None, errors=None):
+    """The middles of a stack of pairs: A^(1/2), A^(-1/2) B A^(-1/2) factored, and ``metas``.
 
-    Takes a stack of A's eigenvalues wa and of B written in A's eigenbasis,
-    where A^(+-1/2) are diagonal scalings: A^(1/2) is returned as its
-    diagonal.  :func:`_middles` factors the congruence matrices.
+    Takes a stack of A's eigenvalues wa and of B written in A's eigenbasis, where A^(+-1/2)
+    are diagonal scalings.  Returns ``(roots, wm, vm, metas)``: A^(1/2) as its diagonal, then
+    the congruence matrices' eigenpairs by one stacked eigh, a row with an error (see
+    ``core._flag``) or whose matrix is not finite factored as I.
     """
     root = np.sqrt(wa)
     inv = 1.0 / root
-    return root, hermitian_part(inv[..., :, None] * b * inv[..., None, :]), metas
-
-
-def _middles(congruences, errors=None):
-    """The middles of a stack of :func:`_congruence` rows, by one stacked eigh.
-
-    Returns ``(roots, wm, vm, metas)``: the rows' A^(1/2) diagonals, the
-    eigenpairs of their congruence matrices and their metas.  A row with an
-    error (see ``core._flag``), or whose matrix is not finite, is factored as I.
-    """
-    roots, matrices, metas = congruences
-    return (roots, *_eigh(_finite(matrices, errors), errors), metas)
+    matrices = hermitian_part(inv[..., :, None] * b * inv[..., None, :])
+    return (root, *_eigh(_finite(matrices, errors), errors), metas)
 
 
 def _assemble(middles, values, errors=None) -> np.ndarray:
@@ -252,19 +244,18 @@ def _mean_gates(wa, b, wb, tol, errors=None):
         b = np.where(regularized[:, None, None], b + eps[:, None, None] * np.eye(b.shape[-1]), b)
         for k in np.flatnonzero(regularized):
             metas[k] = {"regularization_eps": float(eps[k])}
-    return _congruence(wa, b, metas)
+    return _congruence(wa, b, metas, errors)
 
 
 def _mean_from_middle(hs, middles, tol, errors=None) -> np.ndarray:
     """The mean-dependent half of A sigma B for each middle and representing function, as one stack.
 
-    ``middles`` comes from :func:`_middles`; the result has one matrix per
-    (middle, h), middle outermost.  Each h is evaluated once, on every
-    middle's spectrum.  A middle whose spectrum fails the gate, a row whose
-    clipped spectrum leaves h's domain and a result that is not finite are
-    errors of their rows, each within its own middle's scale; with
-    ``errors`` (an object array, one entry per row) they are recorded there
-    (see ``core._flag``), and a row with an error takes no value of h.
+    ``middles`` comes from :func:`_congruence`; the result has one matrix
+    per (middle, h), middle outermost.  Each h is evaluated once, on every
+    middle's clipped spectrum (``core._fn_values``).  A middle whose
+    spectrum fails the gate, within its own scale, and a row whose h
+    breaks down are errors of their rows; with ``errors`` (an object
+    array, one entry per row) they are recorded there (see ``core._flag``).
     """
     wm = middles[1]
     n_h = len(hs)
@@ -277,17 +268,9 @@ def _mean_from_middle(hs, middles, tol, errors=None) -> np.ndarray:
         )
         for k in range(i * n_h, (i + 1) * n_h):
             _flag(errors, k, exc)
-    values = np.zeros((wm.shape[0], n_h, wm.shape[1]))
-    for j, h in enumerate(hs):
-        rows = None if errors is None else errors[j::n_h]  # a view: flags land in ``errors``
-        try:
-            x = h.domain.clamp(clipped, 1e-10 * scale, rows)
-            if rows is not None:
-                x[[e is not None for e in rows]] = 1.0  # a row with an error: h(1) = 1, unused
-            values[:, j] = h(x)
-        except ValueError as exc:
-            for k in range(j, len(wm) * n_h, n_h):
-                _flag(errors, k, exc)
+    rows = None if errors is None else errors.reshape(-1, n_h).T  # (h, middle), a view
+    # (middle, h) in C order: a strided X would slow every later sum over it
+    values = np.ascontiguousarray(_fn_values(hs, clipped, rows).swapaxes(0, 1))
     return _assemble(middles, values, errors)
 
 
@@ -302,11 +285,8 @@ def _require_definite(wa: np.ndarray, tol: float, errors=None) -> None:
 
 def _perspective_from_middle(phi, middles, errors=None) -> np.ndarray:
     """A^(1/2) phi(A^(-1/2) B A^(-1/2)) A^(1/2), a definite A's, per row of a stack of middles."""
-    wm = middles[1]
-    x = phi.domain.clamp(wm, 1e-10 * (1.0 + np.abs(wm).max(axis=-1)), errors)
-    if errors is not None:
-        x[[e is not None for e in errors]] = 1.0  # a row with an error: phi(1), unused
-    return _assemble(middles, np.asarray(phi(x), dtype=float)[:, None], errors)[:, 0]
+    values = _fn_values((phi,), middles[1], None if errors is None else [errors])
+    return _assemble(middles, values.swapaxes(0, 1), errors)[:, 0]
 
 
 def _operands(A, B, name: str):
@@ -337,7 +317,7 @@ def mean(sigma: MatrixMean, A, B, tol: float = DEFAULT_TOL) -> HermitianMatrix:
     a, b = _operands(A, B, "mean")
     wa, va = _eigh(a[None])
     vh = va.conj().swapaxes(-1, -2)
-    middles = _middles(_mean_gates(wa, vh @ b[None] @ va, _eigvalsh(b[None]), tol))
+    middles = _mean_gates(wa, vh @ b[None] @ va, _eigvalsh(b[None]), tol)
     S = _mean_from_middle([sigma.h], middles, tol)[0, 0]
     return HermitianMatrix(va[0] @ S @ vh[0], meta=middles[3][0])
 
@@ -351,7 +331,7 @@ def perspective(p: Perspective, A, B, tol: float = DEFAULT_TOL) -> HermitianMatr
     a, b = _operands(A, B, "perspective")
     wa, va = _eigh(a)
     _require_definite(wa[None], tol)
-    middle = _middles(_congruence(wa[None], (va.conj().T @ b @ va)[None]))
+    middle = _congruence(wa[None], (va.conj().T @ b @ va)[None])
     P = _perspective_from_middle(p.phi, middle)[0]
     return HermitianMatrix(va @ P @ va.conj().T)
 

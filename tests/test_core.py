@@ -369,3 +369,43 @@ def test_a_dead_row_does_not_copy_the_stack():
     finally:
         tracemalloc.stop()
     assert peak < stack.nbytes / 2
+
+
+def test_eigenvalues_desc_sorts_decreasing_and_symmetrizes():
+    assert eigenvalues_desc(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx([3.0, 1.0])
+    a = _pd(4, 5).entries
+    got = eigenvalues_desc(a)
+    assert got.tolist() == np.linalg.eigvalsh(a)[::-1].tolist()
+    assert got.flags.owndata and np.all(np.diff(got) <= 0.0)
+    # only the Hermitian part [[1, i], [-i, 1]] is read
+    assert eigenvalues_desc(np.array([[1.0, 2.0j], [0.0, 1.0]])) == pytest.approx([2.0, 0.0])
+
+
+def test_fn_values_keeps_each_breakdown_as_its_rows_error():
+    seen = []
+
+    def fn(x):
+        seen.append(x.copy())
+        if np.any(x > 10.0):
+            raise ValueError("too large")
+        return np.where(x > 5.0, math.inf, np.sqrt(x))
+
+    f = function_by_name("sqrt")
+    probe = type(f)("probe", fn=fn, deriv=fn, domain=f.domain)
+    w = np.array([[4.0, 1.0], [-3.0, 1.0], [math.nan, 1.0], [9.0, 1.0]])
+    errors = np.full((2, 4), None, dtype=object)
+    errors[:, 2] = earlier = ValueError("earlier")
+    values = core._fn_values((f, probe), w, errors)
+    assert values.shape == (2, 4, 2)
+    assert values[0, 0].tolist() == [2.0, 1.0] and values[1, 0].tolist() == [2.0, 1.0]
+    # the row below the domain and the row that had an error are taken at 1, inside it
+    assert seen[0].tolist() == [[4.0, 1.0], [1.0, 1.0], [1.0, 1.0], [9.0, 1.0]]
+    for row in errors:
+        assert isinstance(row[1], DomainViolationError) and row[2] is earlier
+    assert errors[0, 0] is None and errors[0, 3] is None
+    assert errors[1, 0] is None and str(errors[1, 3]) == "matrix entries must be finite"
+    with pytest.raises(ValueError, match="too large"):
+        core._fn_values((probe,), np.array([11.0, 1.0]))
+    errors = np.full((1, 2), None, dtype=object)
+    core._fn_values((probe,), np.array([[11.0, 1.0], [1.0, 1.0]]), errors)
+    assert [str(e) for e in errors[0]] == ["too large"] * 2

@@ -257,3 +257,37 @@ def test_matrix_monotone_smoke_2x2():
         for name in ("power:1/4", "power:1/2", "power:3/4"):
             g = function_by_name(name)
             assert loewner_leq(apply_fn(g, a), apply_fn(g, b)).passed
+
+
+# --- Interval.clamp ------------------------------------------------------------------
+
+def test_clamp_refuses_an_open_upper_endpoint_at_any_tolerance():
+    domain = function_by_name("mobius").inverse.domain  # [-inf, 1)
+    with pytest.raises(DomainViolationError, match=r"1\.0\) outside open upper endpoint of"):
+        domain.clamp(np.array([0.5, 1.0]), 1.0)
+    errors = np.full(2, None, dtype=object)
+    out = domain.clamp(np.array([[0.5, 1.0], [0.25, 0.5]]), 1.0, errors)
+    assert isinstance(errors[0], DomainViolationError) and errors[1] is None
+    assert out.tolist() == [[0.0, 0.0], [0.25, 0.5]]  # the refused row is set inside
+
+
+def test_clamp_onto_a_closed_upper_endpoint_within_tolerance():
+    domain = Interval(0.0, 1.0)
+    assert domain.clamp(np.array([0.5, 1.0 + 5e-11]), 1e-10).tolist() == [0.5, 1.0]
+    with pytest.raises(DomainViolationError, match=r"1\.000001\) outside domain \[0, 1\]"):
+        domain.clamp(np.array([0.5, 1.0 + 1e-6]), 1e-10)
+    # the tolerance is per row
+    out = domain.clamp(np.array([[1.0 + 1e-6], [1.0 + 1e-6]]), np.array([1e-10, 1e-5]),
+                       np.full(2, None, dtype=object))
+    assert out.tolist() == [[0.5], [1.0]]
+
+
+def test_clamp_sets_a_row_that_already_has_an_error_inside():
+    earlier = ValueError("earlier")
+    errors = np.array([earlier, None, None], dtype=object)
+    rows = np.array([[math.nan, 2.0], [0.5, 2.0], [-1.0, 3.0]])
+    out = Interval(0.0, math.inf).clamp(rows, 1e-10, errors)
+    assert out.tolist() == [[1.0, 1.0], [0.5, 2.0], [1.0, 1.0]]
+    assert errors[0] is earlier and errors[1] is None
+    assert isinstance(errors[2], DomainViolationError)
+    assert np.isnan(rows[0, 0])  # the caller's values are left alone

@@ -192,3 +192,31 @@ def test_function_gates_come_before_the_operands(name, pair):
         CHECKERS[name](SHIFTED, *pair)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("grid", [checks.check_subadditivity_grid, checks.check_normal_chain_grid],
+                         ids=lambda g: g.__name__)
+def test_a_malformed_trial_is_refused_alone(grid):
+    eye = np.eye(2)
+    (bad,), (good,) = grid((function_by_name("power:2"),), [(np.ones((2, 3)), eye),
+                                                          (eye, 2.0 * eye)])
+    assert type(bad) is checks.ShapeError
+    assert str(bad) == "expected a square matrix, got shape (2, 3)"
+    assert isinstance(good, checks.CheckOutcome)
+
+
+def test_subadditivity_refuses_a_falling_ratio():
+    # tagged convex and fixing zero, but sqrt(x)/x falls: the ratio gate refuses it
+    root = ScalarFunction("root", fn=np.sqrt, deriv=lambda x: 0.5 / np.sqrt(x),
+                          convexity=Convexity.CONVEX, fixes_zero=True)
+    ((error,),) = checks.check_subadditivity_grid((root,), [DEFINITE])
+    assert type(error) is ValueError
+    assert str(error) == "f(x)/x is not nondecreasing for root"
+
+
+def test_contraction_refuses_a_pair_with_no_common_domain():
+    # mobius-inverse lives on (-inf, 1), x_over_log on (1, inf)
+    g, h = function_by_name("mobius").inverse, function_by_name("x_over_log")
+    ((error,),) = checks.check_contraction_grid((g,), (h,), [DEFINITE])
+    assert type(error) is ValueError
+    assert str(error) == "empty grid after intersecting with domains"

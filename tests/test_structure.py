@@ -16,8 +16,9 @@ is at module level, no source line is over 100 characters, every
 function and class the package defines is named somewhere in the
 repository's code, and every link a run reports is named from
 ``checks._CLAIMS``, whose families are all reported and are named nowhere
-else in ``checks``, and ``checks`` catches a ``ValueError`` only at its
-listed sites.  The re-exports in ``__init__.py`` are not checked for
+else in ``checks``, ``checks`` catches a ``ValueError`` only at its
+listed sites, and only ``core._fn_values`` clamps values onto a
+function's domain.  The re-exports in ``__init__.py`` are not checked for
 use.
 """
 
@@ -486,13 +487,12 @@ def _enclosing_handlers(node, scope=()):
 
 
 # every place checks turns a ValueError into an entry or a trial's error, by enclosing
-# function: the grid skeleton catches only its configurations' gates and its judge
+# function: the grid skeleton catches only its configurations' gates and its judge; a
+# function's breakdown on a spectrum is caught in core._fn_values
 VALUE_ERROR_SITES = [
-    "PairStack.image_middles",
     "_contraction_group",
     "_group_grid",
     "_group_grid",
-    "_on_spectra",
     "_operand_stacks",
     "check_chord_bounds_grid.judge",
 ]
@@ -504,3 +504,24 @@ def test_checks_catches_value_errors_only_at_its_listed_sites():
         if "ValueError" in caught
     )
     assert sites == VALUE_ERROR_SITES
+
+
+def _callers(node, attr, scope=()):
+    """The enclosing function, as outer.inner, of every call of a method named ``attr``."""
+    for child in ast.iter_child_nodes(node):
+        named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        inner = (*scope, child.name) if named else scope
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == attr):
+            yield ".".join(scope)
+        yield from _callers(child, attr, inner)
+
+
+def test_only_the_spectral_kernel_clamps_onto_a_domain():
+    # every f, h and phi meets a spectrum in core._fn_values, so its clamp, its
+    # breakdowns and its dead rows are handled in one place
+    callers = sorted(
+        f"{path.stem}.{scope}" for path in sorted(PKG.glob("*.py"))
+        for scope in _callers(_tree(path), "clamp")
+    )
+    assert callers == ["core._fn_values"]
