@@ -310,10 +310,10 @@ def _fn_values(fs, w: np.ndarray, errors=None) -> np.ndarray:
     """Each f of ``fs`` on every spectrum of ``w``, its last axis: an array (function, *w.shape).
 
     The one place a scalar function meets a spectrum.  Values within 1e-10 (1 + max |w|) of
-    their row are clamped onto f's domain; a value further out, a ``ValueError`` f raises and
-    a value that is not finite are errors of their rows, kept in ``errors``, one array of row
-    errors per f viewing the caller's (see :func:`_flag`), else raised.  A row with an error
-    is evaluated at a point inside f's domain, and its values are unused.
+    their row are clamped onto f's domain; a value further out, a ``ValueError`` f raises on a
+    row and a value that is not finite are errors of their rows, kept in ``errors``, one array
+    of row errors per f viewing the caller's (see :func:`_flag`), else raised.  A row with an
+    error is evaluated at a point inside f's domain, and its values are unused.
     """
     rows = w.reshape(-1, w.shape[-1])
     tol = 1e-10 * (1.0 + np.abs(rows).max(axis=-1))
@@ -323,9 +323,12 @@ def _fn_values(fs, w: np.ndarray, errors=None) -> np.ndarray:
         x = f.domain.clamp(rows, tol, e)
         try:
             out[j] = f(x)
-        except ValueError as exc:
-            for k in range(len(rows)):
-                _flag(e, k, exc)
+        except ValueError:  # the rows one at a time: only those f refuses carry its error
+            for k, row in enumerate(x):
+                try:
+                    out[j, k] = f(row)
+                except ValueError as exc:
+                    _flag(e, k, exc)
         _finite(out[j], e)
     return out.reshape(len(fs), *w.shape)
 

@@ -96,23 +96,23 @@ class Interval:
             bad = out <= self.lo
             if np.any(bad):
                 raise DomainViolationError(
-                    f"value {out[bad][0]!r} outside open lower endpoint of {self}"
+                    f"value {float(out[bad][0])} outside open lower endpoint of {self}"
                 )
         elif np.any(below):
             worst = out[below].min()
             if self.lo - worst > tol:
-                raise DomainViolationError(f"value {worst!r} outside domain {self}")
+                raise DomainViolationError(f"value {float(worst)} outside domain {self}")
             out[below] = self.lo
         if self.hi_open:
             bad = out >= self.hi
             if np.any(bad):
                 raise DomainViolationError(
-                    f"value {out[bad][0]!r} outside open upper endpoint of {self}"
+                    f"value {float(out[bad][0])} outside open upper endpoint of {self}"
                 )
         elif np.any(above):
             worst = out[above].max()
             if worst - self.hi > tol:
-                raise DomainViolationError(f"value {worst!r} outside domain {self}")
+                raise DomainViolationError(f"value {float(worst)} outside domain {self}")
             out[above] = self.hi
 
     def __str__(self):

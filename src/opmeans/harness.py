@@ -133,20 +133,28 @@ class Report:
     summary: Summary
 
     def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "spec": self.spec.to_dict(),
-            "records": [r.to_dict() for r in self.records],
-            "summary": self.summary.to_dict(),
-        }
+        """The report in the JSON layout of :func:`emit_report`, schema 2."""
+        shapes = []
+        return self._layout(list(_rows(self.records, shapes)), shapes)
+
+    def _layout(self, rows: list, shapes: list) -> dict:
+        return {"schema": 2, "tool_version": self.tool_version, "spec": self.spec.to_dict(),
+                "summary": self.summary.to_dict(), "shapes": shapes, "records": rows}
 
 
 def report_from_dict(d: dict) -> Report:
+    """The report of a schema-2 dict: a loaded JSON report or :meth:`Report.to_dict`."""
+    if d.get("schema") != 2:
+        raise ValueError(f"report schema {d.get('schema')!r} is not 2")
+    shapes = [[s[k] for k in ("check_name", "claim", "descriptions", "param_keys")]
+              for s in d["shapes"]]
+    records = []
+    for i, *columns in d["records"]:  # margins, passes, applicable, then param values
+        name, claim, descriptions, keys = shapes[i]
+        params = dict(zip(keys, columns[3:], strict=True))
+        records.append(CheckOutcome.from_columns(name, claim, descriptions, *columns[:3], params))
     return Report(
-        d["tool_version"],
-        SuiteSpec.from_dict(d["spec"]),
-        [CheckOutcome.from_dict(r) for r in d["records"]],
-        Summary(**d["summary"]),
+        d["tool_version"], SuiteSpec.from_dict(d["spec"]), records, Summary(**d["summary"])
     )
 
 
@@ -672,17 +680,44 @@ def search_counterexample(
 # ---------------------------------------------------------------------------
 # report emission
 
-# The writers stream the report record by record and give the bytes of the
-# generic encoders exactly: json.dump(report.to_dict(), sort_keys=True, indent=2)
-# plus a newline, and csv.writer rows.  A record's text is one % on a template
-# made once per report for its shape, its (descriptions, applicable, passes)
-# columns, with a slot per margin; margins are finite floats, written by
-# float.__repr__ as both encoders do.  Other values are encoded once per report.
+_CHUNK = 128  # records per C-encoder call: more hold more text in memory at once, no faster
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # the C encoder
 
-_JSON_LINK = (
-    '        {\n          "applicable": %s,\n          "description": %s,\n'
-    '          "margin": \0,\n          "passed": %s\n        }'
-)
+
+def _rows(records, shapes: list):
+    """Each record as a row: [shape index, margins, passes, applicable, *param values].
+
+    A record's shape, its check name, claim, descriptions, each link's standing
+    and its param keys sorted, is appended to ``shapes`` at its first use.
+    """
+    by_keys, index = {}, {}  # (names, params in order) -> (index, keys); (names, keys) -> index
+    for rec in records:
+        params = rec.params
+        shape = rec.check_name, rec.claim, rec.descriptions, tuple(params)
+        if shape not in by_keys:
+            keys = sorted(params, key=str)
+            named = (*shape[:3], tuple(keys))
+            if named not in index:
+                index[named] = len(shapes)
+                standing = ["companion" if c else "theorem" for c in rec.companion]
+                shapes.append({"check_name": rec.check_name, "claim": rec.claim,
+                               "descriptions": rec.descriptions, "param_keys": keys,
+                               "standing": standing})
+            by_keys[shape] = index[named], keys
+        i, keys = by_keys[shape]
+        yield [i, rec.margins, rec.passes, rec.applicable, *[params[k] for k in keys]]
+
+
+def _write_json(report: Report, fh) -> None:
+    """``_encode(report.to_dict())``: the rows, ``_CHUNK`` at a time, then the keys after them."""
+    shapes = []
+    rows = _rows(report.records, shapes)
+    fh.write('{"records":[')
+    for n, chunk in enumerate(iter(lambda: list(itertools.islice(rows, _CHUNK)), [])):
+        fh.write("," * bool(n) + _encode(chunk)[1:-1])
+    fh.write("]," + _encode(report._layout([], shapes))[len('{"records":[],'):] + "\n")
+
+
 _SCALARS = (str, int, float, bool, type(None))
 
 
@@ -704,50 +739,8 @@ def _once(encode):
     return text
 
 
-def _json_template(encode, check_name, claim, descriptions, applicable, passes, keys):
-    """A record's text and the param keys in the order their values fill it.
-
-    The text has a %s for the separator before it, one per margin, then one per
-    param value, or one for all params if a key is not a string (keys None).
-    """
-    links = ",\n".join(
-        _JSON_LINK % (str(a).lower(), encode(d), str(p).lower())
-        for d, a, p in zip(descriptions, applicable, passes)
-    )
-    keys = sorted(keys) if all(isinstance(k, str) for k in keys) else None
-    params = ",\n".join(f"        {encode(k)}: \0" for k in keys or ())
-    links = "[\n" + links + "\n      ]" if links else "[]"
-    params = "\0" if keys is None else "{\n" + params + "\n      }" if keys else "{}"
-    text = (
-        f'\0\n    {{\n      "check_name": {encode(check_name)},\n      "claim": {encode(claim)},\n'
-        f'      "links": {links},\n      "params": {params}\n    }}'
-    )
-    # encoded strings hold no NUL (json escapes it), so each NUL is a slot
-    return text.replace("%", "%%").replace("\0", "%s"), keys
-
-
-def _write_json(report: Report, fh) -> None:
-    encode = json.JSONEncoder().encode
-    param = _once(lambda v: json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n        "))
-    templates = {}
-    fh.write('{\n  "records": [')
-    for i, rec in enumerate(report.records):
-        params = rec.params
-        shape = (rec.check_name, rec.claim, rec.descriptions, rec.applicable, rec.passes,
-                 tuple(params))
-        if shape not in templates:
-            templates[shape] = _json_template(encode, *shape)
-        template, keys = templates[shape]
-        values = ([param(params[k]) for k in keys] if keys is not None
-                  else [json.dumps(params, sort_keys=True, indent=2).replace("\n", "\n      ")])
-        fh.write(template % ("," if i else "", *map(float.__repr__, rec.margins), *values))
-    fh.write("\n  ]" if report.records else "]")
-    rest = {"spec": report.spec.to_dict(), "summary": report.summary.to_dict(),
-            "tool_version": report.tool_version}
-    fh.write(",\n" + json.dumps(rest, sort_keys=True, indent=2)[2:] + "\n")
-
-
 def _write_csv(report: Report, fh) -> None:
+    """csv.writer's rows: a record is one % on its shape's template, margins by float.__repr__."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
 
@@ -780,11 +773,15 @@ def _write_csv(report: Report, fh) -> None:
 
 
 def emit_report(report: Report, fmt: str, path: str) -> str:
-    """Write a report to ``path`` as JSON or CSV, record by record.
+    """Write a report to ``path`` as JSON or CSV, in pieces: never as one string.
 
-    JSON is the report's :meth:`Report.to_dict` with sorted keys, indent 2
-    and a final newline; margins are written by ``float.__repr__``, so they
-    read back bit for bit.  CSV has a header row, then one row per link
+    JSON is ``json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))`` and a
+    newline, a chunk of records per C-encoder call.  Its layout, schema 2, is ``{"schema",
+    "tool_version", "spec", "summary", "shapes", "records"}``: per distinct record shape, in
+    first-use order, its ``check_name``, ``claim``, ``descriptions``, each link's ``standing``
+    ("theorem" or "companion") and sorted ``param_keys``; per record, the row [shape index,
+    margins, passes, applicable, *param values].  Margins are written by ``float.__repr__``,
+    so they read back bit for bit.  CSV has a header row, then one row per link
     (suite, trial, check, claim, link, margin, passed, applicable, params),
     quoted as ``csv.writer`` does and ended by ``\\r\\n``; ``params`` joins a
     record's scalar params other than suite and trial as ``key=value`` with

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opmeans import harness
 from opmeans.checks import CheckOutcome, Link
 from opmeans.cli import main
 from opmeans.core import EigenConvergenceError
@@ -250,7 +251,7 @@ def test_check_outcome_columns_keep_the_link_api():
 
 
 def _generic_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _generic_csv(report: Report) -> str:
@@ -259,8 +260,7 @@ def _generic_csv(report: Report) -> str:
     writer.writerow(
         ["suite", "trial", "check", "claim", "link", "margin", "passed", "applicable", "params"]
     )
-    d = report.to_dict()
-    for rec in d["records"]:
+    for rec in (r.to_dict() for r in report.records):
         params = rec["params"]
         simple = {
             k: v for k, v in params.items()
@@ -269,7 +269,7 @@ def _generic_csv(report: Report) -> str:
         base = ";".join(f"{k}={v}" for k, v in sorted(simple.items()))
         for link in rec["links"]:
             writer.writerow([
-                params.get("suite", d["spec"]["suite"]), params.get("trial", ""),
+                params.get("suite", report.spec.suite), params.get("trial", ""),
                 rec["check_name"], rec["claim"], link["description"], repr(link["margin"]),
                 link["passed"], link["applicable"], base,
             ])
@@ -339,6 +339,54 @@ def test_writers_match_generic_encoders(tmp_path, case):
     emit_report(rep, "csv", str(tmp_path / "r.csv"))
     assert (tmp_path / "r.json").read_bytes() == _generic_json(rep).encode()
     assert (tmp_path / "r.csv").read_bytes() == _generic_csv(rep).encode()
+    # the JSON report reads back: every margin bit for bit, a tuple param as a list
+    loaded = report_from_dict(json.loads((tmp_path / "r.json").read_text()))
+    assert loaded.summary == rep.summary and loaded.spec == rep.spec
+    assert len(loaded.records) == len(rep.records)
+    for got, want in zip(loaded.records, rep.records):
+        assert list(map(float.hex, got.margins)) == list(map(float.hex, want.margins))
+        params = {k: list(v) if isinstance(v, tuple) else v for k, v in want.params.items()}
+        # as JSON text, so that 1, 1.0 and True, or 0.0 and -0.0, differ
+        assert {k: json.dumps(v) for k, v in got.params.items()} == {
+            k: json.dumps(v) for k, v in want.params.items()
+        }
+        assert got == CheckOutcome.from_columns(
+            want.check_name, want.claim, want.descriptions, want.margins, want.passes,
+            want.applicable, params,
+        )
+
+
+def test_json_report_longer_than_a_chunk_is_the_one_call_encoding(tmp_path, monkeypatch):
+    rep = run_suite(dataclasses.replace(SMALL, trials=40))
+    assert len(rep.records) > harness._CHUNK
+    for chunk in (harness._CHUNK, 7):
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        emit_report(rep, "json", str(tmp_path / "r.json"))
+        assert (tmp_path / "r.json").read_bytes() == _generic_json(rep).encode()
+    assert report_from_dict(json.loads((tmp_path / "r.json").read_text())) == rep
+
+
+def test_json_shapes_name_each_links_standing():
+    # power_mean has companion links: its entropy links are not theorems
+    rep = run_suite(SuiteSpec("power_mean", trials=2, dims=(2,)))
+    d = rep.to_dict()
+    assert d["schema"] == 2
+    for (i, *_), rec in zip(d["records"], rep.records, strict=True):
+        shape = d["shapes"][i]
+        assert shape["standing"] == ["companion" if c else "theorem" for c in rec.companion]
+        assert shape["param_keys"] == sorted(rec.params)
+    assert {"companion", "theorem"} <= {s for shape in d["shapes"] for s in shape["standing"]}
+
+
+@pytest.mark.parametrize("schema", [None, 1, "2"])
+def test_report_of_another_schema_is_refused(schema):
+    d = run_suite(SMALL).to_dict()
+    if schema is None:
+        del d["schema"]
+    else:
+        d["schema"] = schema
+    with pytest.raises(ValueError, match="schema"):
+        report_from_dict(d)
 
 
 # the paper's companion links, evaluated for information only: (check, description)
@@ -603,14 +651,14 @@ def test_overflow_breakdown_is_downgraded_not_passed(tmp_path):
     out = tmp_path / "r.json"
     rc = main(["--suite", "main_chain", "--fn", "expm1", "--mean", "geometric:1/2",
                "--M", "800", "--report", str(out)])
-    data = json.loads(out.read_text())
+    data = report_from_dict(json.loads(out.read_text()))
     assert rc == 3
-    assert len(data["records"]) == 200
-    for rec in data["records"]:
-        assert rec["links"] == []
-        assert rec["params"]["not_applicable"] == "matrix entries must be finite"
-    s = data["summary"]
-    assert (s["downgraded_records"], s["total_links"], s["failed_links"]) == (200, 0, 0)
+    assert len(data.records) == 200
+    for rec in data.records:
+        assert rec.links == ()
+        assert rec.params["not_applicable"] == "matrix entries must be finite"
+    s = data.summary
+    assert (s.downgraded_records, s.total_links, s.failed_links) == (200, 0, 0)
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -646,12 +694,12 @@ def test_cli_nan_congruence_downgrades_its_function(tmp_path, capsys, suite):
     rc = main(["--suite", suite, "--M", "709.7", "--fn", "expm1", "--fn", "power:2",
                "--trials", "4", "--dim", "3", "--report", str(out)])
     assert rc in (0, 1)
-    records = json.loads(out.read_text())["records"]
+    records = report_from_dict(json.loads(out.read_text())).records
     for rec in records:
-        if rec["params"]["fn"] == "expm1":
-            assert rec["params"]["not_applicable"] == "matrix entries must be finite"
+        if rec.params["fn"] == "expm1":
+            assert rec.params["not_applicable"] == "matrix entries must be finite"
         else:
-            assert rec["links"], rec["params"]
+            assert rec.links, rec.params
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -665,9 +713,9 @@ def test_cli_overflowing_product_coefficient_downgrades_its_record(tmp_path, cap
                "--mean", "arithmetic:1/2", "--M", "30", "--dim", "32", "--trials", "1",
                "--report", str(out)])
     assert rc == 0
-    expm1, power2 = json.loads(out.read_text())["records"]
-    assert expm1["params"]["not_applicable"] == "link margins must be finite"
-    assert len(power2["links"]) == 4 * (32 + 32 + 4 + 32)  # eig, prod, norms
+    expm1, power2 = report_from_dict(json.loads(out.read_text())).records
+    assert expm1.params["not_applicable"] == "link margins must be finite"
+    assert len(power2.links) == 4 * (32 + 32 + 4 + 32)  # eig, prod, norms
     assert "0 failed (0 companion), 0 inapplicable, 1 downgraded" in capsys.readouterr().out
 
 
@@ -725,8 +773,8 @@ def test_cli_counterexample_suite(tmp_path, capsys):
     out = str(tmp_path / "ce.json")
     rc = main(["--suite", "normal_counterexample", "--report", out])
     assert rc == 0
-    data = json.loads((tmp_path / "ce.json").read_text())
-    params = data["records"][0]["params"]
+    data = report_from_dict(json.loads((tmp_path / "ce.json").read_text()))
+    params = data.records[0].params
     assert params["norm_images_sum"] == 8.0
     assert params["norm_image_of_abs_sum"] == 16.0
 
