@@ -5,15 +5,31 @@ margin per link, and aggregates pass/fail under a relative tolerance.
 
 Margin conventions
 ------------------
-* Loewner link ``L <= R``: margin is the smallest eigenvalue of R - L and
-  the link passes when margin >= -tol * (1 + ||R||_op).
-* Scalar link ``l <= r``: margin is r - l and the link passes when
-  margin >= -tol * (1 + max(|l|, |r|)).
+A checker's judge returns the sides of its links; one evaluator,
+``_evaluate``, makes every margin, pass flag and record, in three batches
+per call:
 
-Links whose coefficients are infinite, or whose side conditions fail, are
-recorded as inapplicable (``applicable=False``) rather than failed; an
-inapplicable link never fails the outcome.  Chains for concave functions
-run with every comparison reversed.
+* Loewner links ``L <= R``, every R - L of the call one stacked eigvalsh
+  (``core._loewner``): the margin is the smallest eigenvalue of R - L and
+  the link passes when margin >= -tol * scale.  A coefficient link
+  X <= c S, with S = A sigma B, has the given scale 1 + |c| max |spec S|;
+  any other 1 + ||R||_op, solved only where the margin is negative.
+* Links between two functions of one Hermitian matrix, judged on its
+  spectrum (``core._loewner_on_spectrum``): the margin is the smallest
+  difference of values and the scale 1 + max |R|.
+* Scalar links ``l <= r`` (``_scalar_margins``): margin r - l, scale
+  1 + max(|l|, |r|).
+
+The fixed counterexample alone makes its record itself: it compares values
+with fixed ones at an absolute tolerance, one comparison strict.
+
+A margin that is not finite makes its record an error.  An inapplicable
+link (``applicable=False``) passes.  A vacuous coefficient link, with an
+infinite coefficient or absent for a concave function (the reverse
+determinant bound), reports margin 0.0; a link whose side condition fails
+(the subadditivity bridge, the determinant links that need a spectral
+gap) reports its computed r - l.  Chains for concave functions run with
+every comparison reversed.
 
 Every record is named from one table, ``_CLAIMS``: per check, its claim and its
 link families, each a theorem unless listed as a companion, evaluated for
@@ -252,15 +268,15 @@ def _one(records):
     return outcome
 
 
-def _scalar_margins(lhs, rhs, tol, applicable=True):
-    """Scalar links lhs <= rhs, elementwise over arrays of sides and applicable flags.
+def _scalar_margins(lhs, rhs, tol):
+    """Scalar links lhs <= rhs, elementwise over arrays of sides.
 
     Returns the margins rhs - lhs and the pass flags: a link passes when
-    inapplicable or when margin >= -tol * (1 + max(|lhs|, |rhs|)).
+    margin >= -tol * (1 + max(|lhs|, |rhs|)).
     """
     margin = rhs - lhs
     scale = 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))
-    return margin, (margin >= -tol * scale) | np.logical_not(applicable)
+    return margin, margin >= -tol * scale
 
 
 # A checker's hypotheses run in the order it states them: a configuration's own as gate
@@ -296,7 +312,7 @@ def _chain_sides(coefs, s, x, forward):
     c2, c3), ``s`` (trial, mean, K) stands for S and ``x`` (function,
     trial, mean, K) for X.  lo and hi are (function, trial, mean, link, K),
     reversed where ``forward`` is false, and ``applies`` is (function,
-    trial, link, K); a vacuous link is 0 <= 0.
+    trial, link, 1 or K); a vacuous link is 0 <= 0.
     """
     at = np.insert(coefs, 2, 0.0, axis=-2)  # the positions of (c0, c1, X, c2, c3)
     applies = np.stack([np.isfinite(at[..., list(n), :]).all(axis=-2) for *_, n in _CHAIN], -2)
@@ -308,38 +324,18 @@ def _chain_sides(coefs, s, x, forward):
 
     left, right = (side([link[i] for link in _CHAIN]) for i in (0, 1))
     fwd = np.asarray(forward)[:, None, None, None, None]
-    applies = np.broadcast_to(applies, (*applies.shape[:-1], s.shape[-1]))
     return np.where(fwd, left, right), np.where(fwd, right, left), applies
 
 
-def _x_links(tol, S, X, coefs, forward, ws, entries):
-    """The links c1 S <= X <= c2 S of every record (reversed where ``forward`` is false).
+def _x_sides(S, X, c, c_top, ws):
+    """The links c S <= X and X <= c_top S of every (function, trial, mean) cell, Loewner sides.
 
-    All are one stacked eigvalsh, a link with right side c S at the scale 1 + |c| max |spec S|,
-    one with right side X at 1 + ||X||_op, solved only for a negative margin.  Returns their
-    margins and passes, (function, trial, mean, link), and the applicable flags (function,
-    trial, link): low is vacuous (margin 0) where c1 is infinite.
+    S (trial, mean) and X are matrices, c and c_top (function, trial) finite coefficients.
+    The link with right side c_top S has the scale 1 + |c_top| max |spec S| (``ws`` the
+    spectra), the one with right side X its scale on demand.
     """
-    (n_f, n_t, n_s), n = entries.shape, S.shape[-1]
-    applies = np.ones((n_f, n_t, 2), dtype=bool)
-    applies[..., 0] = np.isfinite(coefs[..., 1])
-    cs = np.where(applies, coefs[..., 1:3], 0.0)[..., None]  # a vacuous link: 0 S, masked below
-    slots = [(k, link) for k in range(n_f) for link in (0, 1) if applies[k, :, link].any()]
-    norm_s, comparisons = np.abs(ws).max(axis=-1), []
-    for k, link in slots:
-        c = cs[k, :, link]
-        cS, x = (c[..., None, None] * S).reshape(-1, n, n), X[k].reshape(-1, n, n)
-        if (link == 0) == forward[k]:  # c S <= X
-            comparisons.append((cS, x, None))
-        else:
-            comparisons.append((x, cS, (1.0 + np.abs(c) * norm_s).reshape(-1)))
-    margins, passes = np.zeros((n_f, n_t, n_s, 2)), np.ones((n_f, n_t, n_s, 2), dtype=bool)
-    errors = [entries[k].reshape(-1) for k, _ in slots]
-    for (k, link), res in zip(slots, _loewner(comparisons, tol, errors)):
-        margins[k, ..., link] = res.margin.reshape(n_t, n_s)
-        passes[k, ..., link] = res.passed.reshape(n_t, n_s)
-    live = applies[:, :, None]
-    return np.where(live, margins, 0.0), passes | ~live, applies
+    c, c_top = c[..., None, None, None], c_top[..., None, None, None]
+    return [(c * S, X, None), (X, c_top * S, 1.0 + np.abs(c_top[..., 0, 0]) * np.abs(ws).max(-1))]
 
 
 def _psd_group(pairs, tol):
@@ -493,7 +489,7 @@ def _norm_kinds(norms, dim):
     return [NormKind.parse(k) if isinstance(k, str) else k for k in norms]
 
 
-def _group_grid(fs, trials, gates, group, judge, means=()) -> list:
+def _group_grid(check, fs, trials, gates, group, judge, tol, means=()) -> list:
     """A group grid's entries, per trial one per configuration: the record or its ``ValueError``.
 
     A group grid judges every configuration of a suite (a function, or a
@@ -504,12 +500,13 @@ def _group_grid(fs, trials, gates, group, judge, means=()) -> list:
     ``group(trials)`` gives the group's one stack, its arrays with a row per
     trial, and each trial's error (``None`` if accepted) from the trials'
     hypotheses.  ``judge(fs, stack, entries)``, on those arrays or on
-    copies of their accepted rows, checks the cells' hypotheses and fills
-    the entries, all open when it starts; a ``ValueError`` it raises is
-    every open record's.  Each step gives its errors to the entries still
-    open (see ``core._flag``) in the 1 x 1 checker's order, and a record
-    with an error is solved as I, so every entry is the 1 x 1 checker's,
-    bit for bit.
+    copies of their accepted rows, checks the cells' hypotheses, gives the
+    entries its errors and returns the cells' :class:`_Sides` (``None`` if
+    no entry is left open), which :func:`_evaluate` makes ``check``'s
+    records; a ``ValueError`` either raises is every open record's.  Each
+    step gives its errors to the entries still open (see ``core._flag``) in
+    the 1 x 1 checker's order, and a record with an error is solved as I,
+    so every entry is the 1 x 1 checker's, bit for bit.
     """
     results = np.full((len(fs), len(trials), *means), None, dtype=object)
     live_f = []
@@ -524,11 +521,14 @@ def _group_grid(fs, trials, gates, group, judge, means=()) -> list:
         _fail(np.moveaxis(results, 1, -1), errors)
         live_t = np.flatnonzero(np.equal(errors, None))
         if 0 < live_t.size < len(trials):
-            stack = [x[live_t] for x in stack]
+            rows = [x[live_t] for x in stack]
+            stack = PairStack(*rows) if isinstance(stack, PairStack) else rows
         if live_t.size:
             entries = results[np.ix_(live_f, live_t)]
             try:
-                judge([fs[i] for i in live_f], stack, entries)
+                sides = judge([fs[i] for i in live_f], stack, entries)
+                if sides is not None:
+                    _evaluate(check, sides, entries, tol)
             except ValueError as exc:
                 _fail(entries, exc)
             results[np.ix_(live_f, live_t)] = entries
@@ -545,10 +545,68 @@ def _fail(errors, *excs):
             errors[open_] = exc.with_traceback(None)
 
 
-def _open(entries):
-    """The flat indices of a grid's open entries (``None``), with their index along each axis."""
-    rows = np.flatnonzero(np.equal(entries, None))
-    return rows, *np.unravel_index(rows, entries.shape)
+class _Sides(NamedTuple):
+    """A judge's links on every cell of its entries, for :func:`_evaluate`.
+
+    Three batches, each with a trailing link axis past the cell axes: ``loewner``, per link
+    (lo, hi, scale), a Hermitian matrix and a scale per cell, NaN (``None``: every cell) for
+    a scale on demand; ``spectrum``, (lo, hi) values (cell, link, eigenvalue) of functions
+    of one Hermitian matrix on its spectrum; ``scalar``, (lo, hi), each (cell, links...).
+    A record's links are the batches' in that order, or those ``order``, indices (cell,
+    link), takes from them.  ``applicable`` and ``vacuous`` (see Margin conventions)
+    broadcast to (cell, link); ``params(*cell)`` gives an open cell's params and
+    ``descriptions`` the links' names, if not the check's families.
+    """
+
+    params: object
+    loewner: tuple = ()
+    spectrum: tuple = ()
+    scalar: tuple = ()
+    order: object = None
+    applicable: object = True
+    vacuous: object = False
+    descriptions: tuple | None = None
+
+
+def _evaluate(check, sides, entries, tol):
+    """Fill the open ``entries`` with ``check``'s records of ``sides`` (see :class:`_Sides`).
+
+    The one maker of margins (see Margin conventions): every Loewner link of the call is one
+    ``core._loewner``, every link on a spectrum one ``core._loewner_on_spectrum``, every
+    scalar link one :func:`_scalar_margins`.  A difference of sides that is not finite is
+    its record's error, then a margin that is not finite (:func:`_fill`).
+    """
+    flat, n = entries.reshape(-1), entries.size
+    links = []  # per batch, (margins, passes) of every cell, (cell, link)
+    if sides.loewner:
+        results = _loewner([(lo.reshape(n, *lo.shape[-2:]), hi.reshape(n, *hi.shape[-2:]),
+                             None if scale is None else np.reshape(scale, n))
+                            for lo, hi, scale in sides.loewner], tol, [flat] * len(sides.loewner))
+        links.append((np.stack([res.margin for res in results], -1),
+                      np.stack([res.passed for res in results], -1)))
+    if sides.spectrum:
+        res = _loewner_on_spectrum(*(x.reshape(n, -1, x.shape[-1]) for x in sides.spectrum),
+                                   tol, flat)
+        links.append((res.margin, res.passed))
+    if sides.scalar:
+        with np.errstate(over="ignore", invalid="ignore"):  # a side overflowed: its record's error
+            links.append(_scalar_margins(*(x.reshape(n, -1) for x in sides.scalar), tol))
+    rows = np.flatnonzero(np.equal(flat, None))
+    if not rows.size:
+        return
+    margins, passes = (np.concatenate(column, -1)[rows] for column in zip(*links))
+    if sides.order is not None:
+        order = np.empty((*entries.shape, np.shape(sides.order)[-1]), dtype=int)
+        order[...] = sides.order
+        margins, passes = (np.take_along_axis(x, order.reshape(n, -1)[rows], -1)
+                           for x in (margins, passes))
+    masks = np.empty((2, *entries.shape, margins.shape[-1]), dtype=bool)
+    masks[0], masks[1] = sides.vacuous, sides.applicable
+    vacuous, applicable = masks.reshape(2, n, -1)[:, rows]
+    applicable &= ~vacuous  # a vacuous link: margin 0.0
+    cells = zip(*(axis.tolist() for axis in np.unravel_index(rows, entries.shape)))
+    _fill(check, np.where(vacuous, 0.0, margins), passes | ~applicable, applicable.tolist(),
+          [sides.params(*cell) for cell in cells], flat, rows, sides.descriptions)
 
 
 def _fill(check, margins, passes, applicable, params, results, rows, descriptions=None):
@@ -573,42 +631,19 @@ def _fill(check, margins, passes, applicable, params, results, rows, description
             _flag(results, i, ValueError("link margins must be finite"))
 
 
-def _record(check, margins, passes, params, kinds=None) -> CheckOutcome:
-    """``check``'s one record, its links (per kind if ``kinds``) all applicable, or its error."""
+def _record(check, tol, params, kinds=None, **batches) -> CheckOutcome:
+    """``check``'s one record of the :class:`_Sides` ``batches``, per kind if ``kinds``."""
     results = np.full(1, None, dtype=object)
-    margins, passes = np.reshape(margins, (1, -1)), np.reshape(passes, (1, -1))
-    _fill(check, margins, passes, [(True,) * margins.size], [params], results, np.arange(1),
-          None if kinds is None else _per_kind(check, kinds))
+    descriptions = None if kinds is None else _per_kind(check, kinds)
+    _evaluate(check, _Sides(lambda _: params, descriptions=descriptions, **batches), results, tol)
     return _one(results)
 
 
-def _mean_group(check, gates, group, judge, fs, sigmas, pairs) -> list:
-    """A dimension group's ``check`` records on X = f(A) sigma f(B), per trial one per (f, sigma).
-
-    ``pairs`` holds one (A, B) per trial, every operand n x n for one n, on
-    one :func:`_group_grid` with ``gates`` and ``group``.  Its judge
-    ``judge(stack, fs, sigmas, entries)`` returns the (function, trial,
-    mean, link) margins and passes, the (function, trial, link) applicable
-    flags, each (function, trial)'s params and the link descriptions if
-    not the check's families.
-    """
-    sigmas = tuple(sigmas)
-
-    def run(fs, stack, entries):
-        stack = PairStack(*stack)
-        margins, passes, applicable, params, *descriptions = judge(stack, fs, sigmas, entries)
-        rows, fn_of, t_of, mean_of = _open(entries)
-        cells = list(zip(fn_of.tolist(), t_of.tolist(), mean_of.tolist()))
-        m, M, applicable = stack.m.tolist(), stack.M.tolist(), applicable.tolist()
-        _fill(
-            check, margins.reshape(entries.size, -1)[rows],
-            passes.reshape(entries.size, -1)[rows], [applicable[k][t] for k, t, _ in cells],
-            [{"fn": fs[k].name, "mean": sigmas[j].name, "m": m[t], "M": M[t], **params[k][t]}
-             for k, t, j in cells],
-            entries.reshape(-1), rows, *descriptions,
-        )
-
-    return _group_grid(fs, pairs, gates, group, run, (len(sigmas),))
+def _mean_params(fs, sigmas, stack, own):
+    """A (function, trial, mean) cell's params: f, sigma, its trial's m and M, then own[k][t]."""
+    m, M = stack.m.tolist(), stack.M.tolist()
+    return lambda k, t, j: {"fn": fs[k].name, "mean": sigmas[j].name, "m": m[t], "M": M[t],
+                            **own[k][t]}
 
 
 def _images(stack, fs, sigmas, tol, entries):
@@ -649,12 +684,12 @@ def check_chord_bounds(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
 def check_chord_bounds_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
     """:func:`check_chord_bounds` for every function, mean and trial of a group.
 
-    ``pairs`` is a dimension group (see :func:`_mean_group`).  One grid with
-    no S: the lines' middles are image middles in one stack with f's, and
-    every link of the group is one stacked eigvalsh.
+    ``pairs`` is a dimension group (see :func:`check_main_chain_grid`).  One
+    grid with no S: the lines' middles are image middles in one stack with
+    f's, and every link of the group is one stacked eigvalsh.
     """
 
-    def judge(stack, fs, sigmas, entries):
+    def judge(fs, stack, entries):
         n_f, n_t, n_s = entries.shape
         # (f'(m), f'(M), f(m)) per cell, m floored at 0 (_psd_group), the slopes finite; a
         # cell they close takes the line 1, unused
@@ -681,14 +716,12 @@ def check_chord_bounds_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
         _fail(entries, *errors.reshape(3, n_f, n_t, n_s))  # X's error, then the lower line's
         fwd = np.repeat([f.convexity is Convexity.CONVEX for f in fs], n_t * n_s)[:, None, None]
         sides = ((low, mid), (mid, high))
-        claims = [(np.where(fwd, lo, hi), np.where(fwd, hi, lo), None) for lo, hi in sides]
-        lower, upper = _loewner(claims, tol, [entries.reshape(-1)] * 2)
-        margins = np.stack([lower.margin, upper.margin], -1).reshape(n_f, n_t, n_s, 2)
-        passes = np.stack([lower.passed, upper.passed], -1).reshape(n_f, n_t, n_s, 2)
-        return margins, passes, np.ones((n_f, n_t, 2), dtype=bool), params
+        return _Sides(_mean_params(fs, sigmas, stack, params), loewner=[
+            (np.where(fwd, lo, hi), np.where(fwd, hi, lo), None) for lo, hi in sides
+        ])
 
-    return _mean_group("chord_bounds", (_TAGGED,), lambda pairs: _psd_group(pairs, tol), judge,
-                       fs, sigmas, pairs)
+    return _group_grid("chord_bounds", fs, pairs, (_TAGGED,), lambda pairs: _psd_group(pairs, tol),
+                       judge, tol, (len(sigmas),))
 
 
 def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -705,31 +738,35 @@ def check_main_chain(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
 def check_main_chain_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
     """:func:`check_main_chain` for every function, mean and trial of a group.
 
-    ``pairs`` is a dimension group; returns, per trial, one entry per (f,
-    sigma), f outermost (see :func:`_mean_group`).  The links against X of
-    the whole group are one stacked eigvalsh, the others margins on spec(S).
+    ``pairs`` is a dimension group: one (A, B) per trial, every operand n x
+    n for one n; returns, per trial, one entry per (f, sigma), f outermost
+    (see :func:`_group_grid`).  The links against X of the whole group are
+    one stacked eigvalsh, the others margins on spec(S).
     """
 
-    def judge(stack, fs, sigmas, entries):
+    def judge(fs, stack, entries):
         (S, errors), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
-        n_f, n_t, n_s, n = *entries.shape, S.shape[-1]
+        n_t, n_s, n = *entries.shape[1:], S.shape[-1]
         ws = stack.mean_spectra(S, errors).reshape(n_t, n_s, n)
         tags = [f.convexity is Convexity.CONVEX for f in fs]
         # the chain around f(S) on spec(S), as (f, trial, sigma, link, eigenvalue); its edge
-        # links are also fn-then-mean's, whose low and high links against X are solved apart
+        # links are also fn-then-mean's, whose low and high links are against X
         lo, hi, applies = _chain_sides(coefs[..., None], ws, _fn_values(fs, ws, entries), tags)
-        shape = (entries.size, len(_CHAIN), ws.shape[-1])
-        on_spectrum = _loewner_on_spectrum(
-            lo.reshape(shape), hi.reshape(shape), tol, entries.reshape(-1)
+        applies, fwd = applies[..., 0], np.array(tags)[:, None]
+        # a vacuous low link against X is judged as 0 S; a concave f's are X <= c1 S and
+        # c2 S <= X, the forms of a convex f's high and low links, which its record swaps
+        c1, c2 = np.moveaxis(np.where(applies[..., 1:3], coefs[..., 1:3], 0.0), -1, 0)
+        params = [[{"convex": tag, "dim": n}] * n_t for tag in tags]
+        return _Sides(
+            _mean_params(fs, sigmas, stack, params),
+            loewner=_x_sides(S, X, np.where(fwd, c1, c2), np.where(fwd, c2, c1), ws),
+            spectrum=(lo, hi), vacuous=~np.tile(applies, 2)[:, :, None],
+            order=np.where(fwd[..., None, None], [2, 0, 1, 5, 2, 3, 4, 5],
+                           [2, 1, 0, 5, 2, 3, 4, 5]),
         )
-        margins = np.tile(on_spectrum.margin.reshape(n_f, n_t, n_s, -1), 2)
-        passes = np.tile(on_spectrum.passed.reshape(n_f, n_t, n_s, -1), 2)
-        margins[..., 1:3], passes[..., 1:3], _ = _x_links(tol, S, X, coefs, tags, ws, entries)
-        params = [[{"convex": tag, "dim": ws.shape[-1]}] * n_t for tag in tags]
-        return margins, passes, np.tile(applies[..., 0], 2), params
 
-    return _mean_group("main_chain", _TAGGED_FIXING_ZERO, lambda pairs: _pd_group(
-        pairs, "spectra must be positive, got m={m:.6e}"), judge, fs, sigmas, pairs)
+    return _group_grid("main_chain", fs, pairs, _TAGGED_FIXING_ZERO, lambda pairs: _pd_group(
+        pairs, "spectra must be positive, got m={m:.6e}"), judge, tol, (len(sigmas),))
 
 
 def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -743,8 +780,8 @@ def check_log_example(A, B, M=None, tol=DEFAULT_TOL) -> CheckOutcome:
     log1p = function_by_name("log1p")
     lhs = coef * apply_fn(log1p, a + b).entries
     rhs = _image(log1p, wa, va) + _image(log1p, wb, vb)
-    (res,) = _loewner([(lhs[None], rhs[None], None)], tol)
-    return _record("log_example", res.margin, res.passed, {"m": m, "M": M, "coef": coef})
+    return _record("log_example", tol, {"m": m, "M": M, "coef": coef},
+                   loewner=[(lhs[None], rhs[None], None)])
 
 
 def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -758,11 +795,11 @@ def check_mean_difference_norm(f, sigma, A, B, norms=None, tol=DEFAULT_TOL) -> C
 def check_mean_difference_norm_grid(fs, sigmas, pairs, norms=None, tol=DEFAULT_TOL) -> list:
     """:func:`check_mean_difference_norm` for every function, mean and trial of a group.
 
-    ``pairs`` is a dimension group (see :func:`_mean_group`): every
+    ``pairs`` is a dimension group (see :func:`check_main_chain_grid`): every
     X - f(S) of the group is one stacked eigvalsh, and every norm one table.
     """
 
-    def judge(stack, fs, sigmas, entries):
+    def judge(fs, stack, entries):
         for k, f in enumerate(fs):  # f'(0) and f'(M) finite, checked before any solve
             finite = np.isfinite(f.deriv(0.0)) & np.isfinite(f.deriv(stack.M))
             bad = ~np.broadcast_to(finite, stack.M.shape)
@@ -776,16 +813,17 @@ def check_mean_difference_norm_grid(fs, sigmas, pairs, norms=None, tol=DEFAULT_T
         table = _norm_table(_sv_hermitian(np.concatenate([ws, w])), kinds)
         spread = coefs[..., 3] - coefs[..., 0]  # f'(M) - f'(0)
         of_s = table[: n_t * n_s].reshape(n_t, n_s, -1)
-        margins, passes = _scalar_margins(
-            table[n_t * n_s :].reshape(n_f, n_t, n_s, -1), spread[..., None, None] * of_s, tol
-        )
         params = [[{"spread": d} for d in row] for row in spread.tolist()]
-        applicable = np.ones((n_f, n_t, len(kinds)), dtype=bool)
-        return margins, passes, applicable, params, _per_kind("mean_difference_norm", kinds)
+        return _Sides(
+            _mean_params(fs, sigmas, stack, params),
+            scalar=(table[n_t * n_s :].reshape(n_f, n_t, n_s, -1), spread[..., None, None] * of_s),
+            descriptions=_per_kind(check, kinds),
+        )
 
+    check = "mean_difference_norm"
     gates = ((lambda f: f.convexity is Convexity.CONVEX, ValueError,
               "mean-difference bound requires a convex function, got {f.name}"), _FIXES_ZERO)
-    return _mean_group("mean_difference_norm", gates, _pd_group, judge, fs, sigmas, pairs)
+    return _group_grid(check, fs, pairs, gates, _pd_group, judge, tol, (len(sigmas),))
 
 
 def check_eig_prod_norm(f, sigma, A, B, tol=DEFAULT_TOL, norms=None) -> CheckOutcome:
@@ -810,12 +848,12 @@ def _pow_or_inf(c, k):
 def check_eig_prod_norm_grid(fs, sigmas, pairs, tol=DEFAULT_TOL, norms=None) -> list:
     """:func:`check_eig_prod_norm` for every function, mean and trial of a group.
 
-    ``pairs`` is a dimension group (see :func:`_mean_group`): every spec(X)
-    of the group is one stacked eigvalsh, every norm one table, and every
-    link one :func:`_chain_sides`.
+    ``pairs`` is a dimension group (see :func:`check_main_chain_grid`): every
+    spec(X) of the group is one stacked eigvalsh, every norm one table, and
+    every link one :func:`_chain_sides`.
     """
 
-    def judge(stack, fs, sigmas, entries):
+    def judge(fs, stack, entries):
         (S, errors), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
         n_f, n_t, n_s, n = *entries.shape, S.shape[-1]
         ws = stack.mean_spectra(S, errors).reshape(n_t, n_s, n)
@@ -841,17 +879,18 @@ def check_eig_prod_norm_grid(fs, sigmas, pairs, tol=DEFAULT_TOL, norms=None) -> 
             of_x = table[n_t * n_s :].reshape(n_f, n_t, n_s, -1)
             x = np.concatenate([x, np.cumprod(x, -1), of_x], -1)
             lo, hi, applies = _chain_sides(np.array(powers), s, x, tags)
-            # a record lists its links index by index, each index's links in chain order
-            margins, passes = _scalar_margins(lo.swapaxes(-1, -2), hi.swapaxes(-1, -2), tol)
         index = ["eig"] * n + ["prod"] * n + [f"norm[{kind.label()}]" for kind in kinds]
-        return (
-            margins.reshape(n_f, n_t, n_s, -1), passes.reshape(n_f, n_t, n_s, -1),
-            applies.swapaxes(-1, -2).reshape(n_f, n_t, -1),
-            [[{"convex": tag}] * n_t for tag in tags],
-            [f"{i}:{name}" for i in index for name in _CLAIMS["eig_prod_norm"].families],
+        families = _CLAIMS["eig_prod_norm"].families
+        # a record lists its links index by index, each index's links in chain order
+        return _Sides(
+            _mean_params(fs, sigmas, stack, [[{"convex": tag}] * n_t for tag in tags]),
+            scalar=(lo.swapaxes(-1, -2), hi.swapaxes(-1, -2)),
+            vacuous=~applies.swapaxes(-1, -2).reshape(n_f, n_t, 1, -1),
+            descriptions=[f"{i}:{name}" for i in index for name in families],
         )
 
-    return _mean_group("eig_prod_norm", _TAGGED_FIXING_ZERO, _pd_group, judge, fs, sigmas, pairs)
+    return _group_grid("eig_prod_norm", fs, pairs, _TAGGED_FIXING_ZERO, _pd_group, judge, tol,
+                       (len(sigmas),))
 
 
 def check_subadditivity_refinement(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -889,17 +928,6 @@ def _per_kind(check, kinds) -> tuple:
     return tuple(f"{name}[{kind.label()}]" for kind in kinds for name in _CLAIMS[check].families)
 
 
-def _norm_records(check, kinds, links, applicable, params, results, rows):
-    """:func:`_fill` with links per norm kind (:func:`_per_kind`).
-
-    ``links`` holds, per family, a (margins, passes) pair of (rows x kinds)
-    arrays; ``applicable[r]`` gives row r's flags for one kind's links.
-    """
-    margins, passes = (np.stack(column, axis=-1).reshape(len(rows), -1) for column in zip(*links))
-    applicable = [flags * len(kinds) for flags in applicable]
-    _fill(check, margins, passes, applicable, params, results, rows, _per_kind(check, kinds))
-
-
 def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
     """:func:`check_subadditivity_refinement` for every function in ``fs`` and trial in ``pairs``.
 
@@ -931,36 +959,28 @@ def check_subadditivity_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
         *_, images = _image_sums(fs, ((wa, va), (wb, vb)), entries)
         of_total = _fn_values(fs, w_total, entries).reshape(-1, n)
         w_images = _eigvalsh(images.reshape(-1, n, n), entries.reshape(-1))
-        rows, fn_of, t_of = _open(entries)
-        if not rows.size:
-            return
         floor = w_total[:, 0]
         bridge = floor >= M - tol * (1.0 + M)
         m, M, floor, met = (x.tolist() for x in (m, M, floor, bridge))
-        cells = list(zip(fn_of.tolist(), t_of.tolist()))
-        coef = np.array([float(fs[i](M[t])) / M[t] for i, t in cells])
+        coef = np.zeros(entries.shape)  # f(M)/M of the open cells
+        for i, t in np.argwhere(np.equal(entries, None)).tolist():
+            coef[i, t] = float(fs[i](M[t])) / M[t]
         kinds = _norm_kinds(norms, n)
-        w = np.concatenate([w_total, w_images[rows], of_total[rows]])
-        table = _norm_table(_sv_hermitian(w), kinds)
-        k = rows.size
-        tot = coef[:, None] * table[:T][t_of]
-        lhs, rhs = table[T : T + k], table[T + k :]
-        links = (
-            _scalar_margins(lhs, tot, tol),
-            _scalar_margins(tot, rhs, tol, bridge[t_of, None]),
-            _scalar_margins(lhs, rhs, tol),
+        table = _norm_table(_sv_hermitian(np.concatenate([w_total, w_images, of_total])), kinds)
+        lhs, rhs = table[T:].reshape(2, *entries.shape, -1)
+        tot = coef[..., None] * table[:T]
+        return _Sides(
+            lambda i, t: {"fn": fs[i].name, "m": m[t], "M": M[t], "sum_floor": floor[t],
+                          "bridge_condition_met": met[t]},
+            scalar=(np.stack([lhs, tot, lhs], -1), np.stack([tot, rhs, rhs], -1)),
+            applicable=np.tile(bridge[:, None] | [True, False, True], len(kinds)),
+            descriptions=_per_kind(check, kinds),
         )
-        params = [
-            {"fn": fs[i].name, "m": m[t], "M": M[t], "sum_floor": floor[t],
-             "bridge_condition_met": met[t]}
-            for i, t in cells
-        ]
-        _norm_records("subadditivity_refinement", kinds, links,
-                      [(True, met[t], True) for _, t in cells], params, entries.reshape(-1), rows)
 
+    check = "subadditivity_refinement"
     gates = ((lambda f: f.convexity is Convexity.CONVEX, ValueError,
               "subadditivity refinement requires a convex function, got {f.name}"), _FIXES_ZERO)
-    return _group_grid(fs, pairs, gates, group, judge)
+    return _group_grid(check, fs, pairs, gates, group, judge, tol)
 
 
 def _abs_factors(a, b):
@@ -1021,7 +1041,10 @@ def check_normal_counterexample(tol: float = 1e-10) -> CheckOutcome:
         "coef_bound": coef_bound,
         "deriv_bound": deriv_bound,
     }
-    return _record("normal_counterexample", margins, passes, params)
+    results = np.full(1, None, dtype=object)
+    _fill("normal_counterexample", margins[None], passes[None], [(True,) * margins.size],
+          [params], results, np.arange(1))
+    return _one(results)
 
 
 def _require_normal(arr: np.ndarray, tol: float, label: str) -> None:
@@ -1055,8 +1078,8 @@ def check_normal_triangle(A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
     abs_sum = matrix_abs(a).entries + matrix_abs(b).entries
     kinds = _norm_kinds(norms, a.shape[0])
     table = _norm_table(_singular_values(np.stack([a + b, abs_sum])), kinds)
-    margins, passes = _scalar_margins(table[:1], table[1:], tol)
-    return _record("normal_triangle", margins, passes, {"dim": a.shape[0]}, kinds)
+    return _record("normal_triangle", tol, {"dim": a.shape[0]}, kinds,
+                   scalar=(table[:1], table[1:]))
 
 
 def check_normal_chain(f, A, B, norms=None, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1084,8 +1107,6 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
         a, b = map(as_complex_array, (A, B))
         _require_normal(a, tol, "first operand")
         _require_normal(b, tol, "second operand")
-        if b.shape != a.shape:
-            raise ShapeError("operands must have the same dimension")
         return a, b
 
     def judge(fs, stack, entries):
@@ -1100,45 +1121,31 @@ def check_normal_chain_grid(fs, pairs, norms=None, tol=DEFAULT_TOL) -> list:
         errors = np.full(len(a), None, dtype=object)
         sv_sum = _singular_values(_finite(a + b, errors), errors)
         _fail(entries, errors)
-        rows, fn_of, t_of = _open(entries)
-        if not rows.size:
-            return
         m, M = m.tolist(), M.tolist()
-        cells = list(zip(fn_of.tolist(), t_of.tolist()))
-        coefs = []
-        for i, t in cells:
+        open_, values = np.equal(entries, None), []  # the open cells' (edge, sep, sum)
+        for i, t in np.argwhere(open_).tolist():
             f, x = fs[i], (m[t] if forward[i] else M[t])
             edge = float(f.deriv(0.0 if forward[i] else M[t]))
-            coefs.append((edge, float(f(x)) / x, float(f(2.0 * x)) / (2.0 * x)))
+            values.append((edge, float(f(x)) / x, float(f(2.0 * x)) / (2.0 * x)))
+        coefs = np.zeros((*entries.shape, 3))
+        coefs[open_] = np.reshape(values, (-1, 3))
         kinds = _norm_kinds(norms, n)
-        w = np.concatenate([w_images[rows], of_abs_sum[rows]])
-        table = _norm_table(np.concatenate([sv_sum, _sv_hermitian(w)]), kinds)
-        T, k = len(a), rows.size
-        base = table[:T][t_of]
-        edge, c_sep, c_sum = (np.array(c)[:, None] for c in zip(*coefs))
-        # an infinite f'(0) or f'(M) leaves both edge links vacuous: margin 0, passed
-        has_edge = np.isfinite(edge)
-        edge = np.where(has_edge, edge, 0.0) * base
-        sep, tot = c_sep * base, c_sum * base
-        links = [
-            _scalar_margins(edge, sep, tol),
-            _scalar_margins(sep, table[T : T + k], tol),
-            _scalar_margins(edge, tot, tol),
-            _scalar_margins(tot, table[T + k :], tol),
-        ]
-        for j in (0, 2):
-            margin, passed = links[j]
-            links[j] = np.where(has_edge, margin, 0.0), passed | ~has_edge
-        params = [
-            {"fn": fs[i].name, "m": m[t], "M": M[t], "convex": forward[i], "dim": n}
-            for i, t in cells
-        ]
-        _norm_records("normal_chain", kinds, links,
-                      [(ok, True, ok, True) for ok in has_edge[:, 0].tolist()], params,
-                      entries.reshape(-1), rows)
+        w = _sv_hermitian(np.concatenate([w_images, of_abs_sum]))
+        table = _norm_table(np.concatenate([sv_sum, w]), kinds)
+        base, (of_sep, of_sum) = table[: len(a)], table[len(a) :].reshape(2, *entries.shape, -1)
+        # an infinite f'(0) or f'(M) leaves both edge links vacuous
+        has_edge = np.isfinite(coefs[..., 0])
+        coefs[~has_edge, 0] = 0.0
+        edge, sep, tot = np.moveaxis(coefs, -1, 0)[..., None] * base
+        return _Sides(
+            lambda i, t: {"fn": fs[i].name, "m": m[t], "M": M[t], "convex": forward[i], "dim": n},
+            scalar=(np.stack([edge, sep, edge, tot], -1), np.stack([sep, of_sep, tot, of_sum], -1)),
+            vacuous=np.tile(~has_edge[..., None] & [True, False, True, False], len(kinds)),
+            descriptions=_per_kind("normal_chain", kinds),
+        )
 
-    return _group_grid(fs, pairs, _TAGGED_FIXING_ZERO,
-                       lambda pairs: _operand_stacks(pairs, operands), judge)
+    return _group_grid("normal_chain", fs, pairs, _TAGGED_FIXING_ZERO,
+                       lambda pairs: _operand_stacks(pairs, operands), judge, tol)
 
 
 def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1157,8 +1164,8 @@ def check_transplanted_norm_chain(f, A, B, norms, tol=DEFAULT_TOL) -> CheckOutco
     sv = np.concatenate([_singular_values((a + b)[None]), _abs_images(f, factors, abs_sum)])
     base, sep, tot = np.split(_norm_table(sv, norms), 3)
     bound = float(f(M)) / M * base
-    margins, passes = _scalar_margins(np.stack([sep, tot], -1), bound[..., None], tol)
-    return _record("transplanted_norm_chain", margins, passes, dict(fn=f.name, M=M, m=m), norms)
+    return _record("transplanted_norm_chain", tol, dict(fn=f.name, M=M, m=m), norms,
+                   scalar=(np.stack([sep, tot], -1), np.stack([bound, bound], -1)))
 
 
 def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1173,31 +1180,23 @@ def check_power_mean_bounds(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
     return _one(check_power_mean_grid((alpha,), (r,), [(A, B)], tol)[0])
 
 
-def _power_group(check, alpha_ok, judge, alphas, rs, pairs):
+def _power_group(check, alpha_ok, judge, alphas, rs, pairs, tol):
     """A group's ``check`` records on A^r #_a B^r, per trial one per (alpha, r), alpha outermost.
 
-    (alpha, r) needs r >= 1, then ``alpha_ok``; a trial m > 0.  ``judge(stack,
-    alphas, a_of, powers, level, exponents, entries)`` takes the open trials'
-    :class:`PairStack`, the open configurations' alphas and x^r, and each
-    one's alpha index, level (see :func:`_power_means`) and r - 1.  It fails
-    entries (:func:`_group_grid`) and returns the links, (margins, passes)
-    per (configuration x trial), and ``params(t, i)`` of entry i.
+    (alpha, r) needs r >= 1, then ``alpha_ok``; a trial m > 0.  ``judge(configs, stack,
+    entries)`` is the group's (see :func:`_group_grid`), its configurations (alpha, r) split
+    by :func:`_power_axes`.
     """
-
-    def run(configs, stack, entries):
-        axes = [list(dict.fromkeys(axis)) for axis in zip(*configs)]
-        a_of, r_of = (np.array(list(map(axis.index, xs))) for axis, xs in zip(axes, zip(*configs)))
-        links, params = judge(PairStack(*stack), axes[0], a_of, [power(r) for r in axes[1]],
-                              1 + r_of, [r - 1.0 for _, r in configs], entries)
-        rows, c_of, t_of = _open(entries)
-        margins, passes = (np.stack(column, -1)[rows] for column in zip(*links))
-        params = [{"alpha": configs[c][0], "r": configs[c][1], **params(t, i)}
-                  for i, c, t in zip(rows.tolist(), c_of.tolist(), t_of.tolist())]
-        _fill(check, margins, passes, [(True,) * len(links)] * rows.size, params,
-              entries.reshape(-1), rows)
-
     gates = ((lambda c: not c[1] < 1.0, ValueError, "exponent r must be >= 1"), alpha_ok)
-    return _group_grid([(alpha, r) for alpha in alphas for r in rs], pairs, gates, _pd_group, run)
+    configs = [(alpha, r) for alpha in alphas for r in rs]
+    return _group_grid(check, configs, pairs, gates, _pd_group, judge, tol)
+
+
+def _power_axes(configs):
+    """(alpha, r)'s alphas and x^r, each one's alpha index, level (:func:`_power_means`), r - 1."""
+    axes = [list(dict.fromkeys(axis)) for axis in zip(*configs)]
+    a_of, r_of = (np.array(list(map(axis.index, xs))) for axis, xs in zip(axes, zip(*configs)))
+    return axes[0], a_of, [power(r) for r in axes[1]], 1 + r_of, [r - 1.0 for _, r in configs]
 
 
 def _power_means(stack, weights, k_of, powers, level, tol):
@@ -1238,7 +1237,8 @@ def check_power_mean_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
     means, A definite, S(A|B), A^r definite and S(A^r|B^r).
     """
 
-    def judge(stack, alphas, a_of, powers, level, exponents, entries):
+    def judge(configs, stack, entries):
+        alphas, a_of, powers, level, exponents = _power_axes(configs)
         wa = stack.wa
         errors = np.full((1 + len(powers), len(wa)), None, dtype=object)  # A^r finite
         fw = np.concatenate([wa[None], _fn_values(powers, wa, errors[1:])])
@@ -1255,12 +1255,11 @@ def check_power_mean_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
         lo, hi = (np.array([[_pow_or_inf(x, k) for x in xs] for k in exponents])[..., None, None]
                   for xs in (m, M))
         claims = ((lo * G, Gr), (Gr, hi * G), (lo * S1, Sr), (Sr, hi * S1))
-        results = _loewner([(x.reshape(-1, n, n), y.reshape(-1, n, n), None) for x, y in claims],
-                           tol, [entries.reshape(-1)] * 4)
-        return [(res.margin, res.passed) for res in results], lambda t, i: {"m": m[t], "M": M[t]}
+        return _Sides(lambda c, t: {"alpha": configs[c][0], "r": configs[c][1], "m": m[t],
+                                    "M": M[t]}, loewner=[(x, y, None) for x, y in claims])
 
     alpha_ok = (lambda c: 0.0 <= c[0] <= 1.0, ValueError, "alpha must lie in [0, 1]")
-    return _power_group("power_mean_bounds", alpha_ok, judge, alphas, rs, pairs)
+    return _power_group("power_mean_bounds", alpha_ok, judge, alphas, rs, pairs, tol)
 
 
 def check_ando_hiai_comparison(A, B, alpha, r, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1285,7 +1284,8 @@ def check_ando_hiai_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
     and A^r #_a B^r.
     """
 
-    def judge(stack, alphas, a_of, powers, level, exponents, entries):
+    def judge(configs, stack, entries):
+        alphas, a_of, powers, level, exponents = _power_axes(configs)
         # ||A|| and ||B|| are the top eigenvalues of the positive definite operands;
         # at a tie within round-off either order meets ||A|| <= ||B||, so none is swapped
         norm_a, norm_b = stack.wa[:, -1].tolist(), stack.wb[:, -1].tolist()
@@ -1301,13 +1301,15 @@ def check_ando_hiai_grid(alphas, rs, pairs, tol=DEFAULT_TOL) -> list:
         tops = [x if s else y for x, y, s in zip(norm_a, norm_b, swapped)] * len(a_of)
         c_ah, c_chain = ([*map(_pow_or_inf, c, [k for k in exponents for _ in norm_a])]
                          for c in (_singular_values(G, flat)[:, 0].tolist(), tops))
-        cs = np.array([c_ah, c_chain])
-        results = _loewner([(Gr, c[:, None, None] * G, None) for c in cs], tol, [flat] * 2)
-        links = [(res.margin, res.passed) for res in results] + [_scalar_margins(*cs, tol)]
-        return links, lambda t, i: {"swapped": swapped[t], "c_ah": c_ah[i], "c_chain": c_chain[i]}
+        cs, n_t = np.array([c_ah, c_chain]), len(norm_a)
+        return _Sides(
+            lambda c, t: {"alpha": configs[c][0], "r": configs[c][1], "swapped": swapped[t],
+                          "c_ah": c_ah[c * n_t + t], "c_chain": c_chain[c * n_t + t]},
+            loewner=[(Gr, c[:, None, None] * G, None) for c in cs], scalar=tuple(cs),
+        )
 
     alpha_ok = (lambda c: 0.0 < c[0] < 1.0, ValueError, "alpha must lie strictly inside (0, 1)")
-    return _power_group("ando_hiai_comparison", alpha_ok, judge, alphas, rs, pairs)
+    return _power_group("ando_hiai_comparison", alpha_ok, judge, alphas, rs, pairs, tol)
 
 
 def check_contraction_implication(
@@ -1372,7 +1374,7 @@ def _contraction_group(gs, hs, pairs, n_iter, tol, normalized, condition_grid=No
             closed[c] = exc.with_traceback(None)
 
     def judge(configs, stack, entries):
-        stack, hs = PairStack(*stack), list(dict.fromkeys(h for _, h in configs))
+        hs = list(dict.fromkeys(h for _, h in configs))
         h_of = [hs.index(h) for _, h in configs]
         (n_c, n_t), n, k1 = entries.shape, stack.wa.shape[-1], n_iter + 1
         fwd = np.array([[reports[c].all_forward] for c in configs])
@@ -1413,24 +1415,20 @@ def _contraction_group(gs, hs, pairs, n_iter, tol, normalized, condition_grid=No
             flat[rows] = e
         _fail(entries, *errs.swapaxes(0, 1).reshape(-1, n_c, n_t))
         # A sigma_h B <= I for each iterate, reversed for a reversed pair
-        eye, fw = np.eye(n), np.broadcast_to(fwd[..., None, None], (k1, n_c, n_t, 1, 1))
-        fw, rows = fw.reshape(-1, 1, 1), np.broadcast_to(entries, (k1, n_c, n_t)).copy()
-        (res,) = _loewner([(np.where(fw, X, eye), np.where(fw, eye, X), None)], tol,
-                          [rows.reshape(-1)])
-        _fail(entries, *rows)
-        margins, passes = (np.moveaxis(x.reshape(k1, -1), 0, -1) for x in (res.margin, res.passed))
-        rows, c_of, _ = _open(entries)
+        eye, fw = np.eye(n), np.repeat(fwd, n_t)[:, None, None]
         hypothesis, iterate = _CLAIMS[check].families
-        _fill(check, margins[rows], passes[rows], [(True,) * k1] * rows.size,
-              [params(configs[c], direction="forward" if fwd[c, 0] else "reversed")
-               for c in c_of.tolist()], entries.reshape(-1), rows,
-              (hypothesis,) + (iterate,) * n_iter)
+        return _Sides(
+            lambda i, _: params(configs[i], direction="forward" if fwd[i, 0] else "reversed"),
+            loewner=[(np.where(fw, x, eye), np.where(fw, eye, x), None)
+                     for x in X.reshape(k1, -1, n, n)],
+            descriptions=(hypothesis,) + (iterate,) * n_iter,
+        )
 
     gates = (
         (lambda c: n_iter >= 1, ValueError, "iteration count must be >= 1"),
         (lambda c: c not in closed, ValueError, _MIXED),  # its entry replaced below
     )
-    records = _group_grid(configs, pairs, gates, PairStack.group, judge)
+    records = _group_grid(check, configs, pairs, gates, PairStack.group, judge, tol)
     # a closed configuration's entry is its error, or each trial's own record with no links
     return [[e if c not in closed else closed[c] or CheckOutcome(
         check, _CLAIMS[check].claim, (), params(c, not_applicable=_MIXED)
@@ -1450,28 +1448,30 @@ def check_inverse_function(f, sigma, A, B, tol=DEFAULT_TOL) -> CheckOutcome:
 def check_inverse_function_grid(fs, sigmas, pairs, tol=DEFAULT_TOL) -> list:
     """:func:`check_inverse_function` for every function, mean and trial of a group.
 
-    ``pairs`` is a dimension group (see :func:`_mean_group`): one grid of
-    :func:`check_main_chain`'s links against X, forward for a concave
-    inverse and reversed, inverse-low the high link, for a convex one.
+    ``pairs`` is a dimension group (see :func:`check_main_chain_grid`): one
+    grid of :func:`check_main_chain`'s links against X, c1 S <= X <= c2 S for
+    a concave inverse and c2 S <= X <= c1 S for a convex one.
     """
 
-    def judge(stack, fs, sigmas, entries):
+    def judge(fs, stack, entries):
         for k, f in enumerate(fs):  # checked past m > 0, before any solve
             if f.inverse.convexity is Convexity.NEITHER:
                 _fail(entries[k], ValueError(f"inverse of {f.name} carries no convexity tag"))
         (S, errors), X, coefs = _chain_stacks(stack, fs, sigmas, tol, entries)
         ws = stack.mean_spectra(S, errors).reshape(S.shape[:-1])
-        # a convex inverse: inverse-low is the high link
-        swap = np.array([f.inverse.convexity is Convexity.CONVEX for f in fs])
-        margins, passes, applies = _x_links(tol, S, X, coefs, ~swap, ws, entries)
-        for links in (margins, passes, applies):
-            links[swap] = links[swap][..., ::-1]
+        # an infinite c1 leaves its link vacuous, judged as 0 S; a convex inverse swaps c1, c2
+        applies = np.isfinite(coefs[..., 1:3]) | [False, True]
+        swap = np.array([[[f.inverse.convexity is Convexity.CONVEX]] for f in fs])
+        cs, applies = (np.where(swap, x[..., ::-1], x)
+                       for x in (np.where(applies, coefs[..., 1:3], 0.0), applies))
         params = [[{"inverse_convexity": f.inverse.convexity.value}] * len(ws) for f in fs]
-        return margins, passes, applies, params
+        return _Sides(_mean_params(fs, sigmas, stack, params), vacuous=~applies[:, :, None],
+                      loewner=_x_sides(S, X, cs[..., 0], cs[..., 1], ws))
 
     gates = ((lambda f: f.inverse is not None, ValueError, "{f.name} has no registered inverse"),
              _FIXES_ZERO)
-    return _mean_group("inverse_function", gates, _pd_group, judge, fs, sigmas, pairs)
+    return _group_grid("inverse_function", fs, pairs, gates, _pd_group, judge, tol,
+                       (len(sigmas),))
 
 
 def check_determinant_suite(f, A, B, alpha=0.5, tol=DEFAULT_TOL) -> CheckOutcome:
@@ -1517,9 +1517,9 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
         flat = entries.reshape(-1)
         dfab = _det_root(fwa.reshape(-1, n), tol, flat) + _det_root(fwb.reshape(-1, n), tol, flat)
         dfsum = _det_root(_eigvalsh(images.reshape(-1, n, n), flat), tol, flat)
-        rows, fn_of, t_of = _open(entries)
-        if not rows.size:
-            return
+        open_ = np.equal(entries, None)
+        if not open_.any():
+            return None
         beta = 1.0 - alpha
         gap_tol = tol * (1.0 + np.maximum(np.abs(M), np.abs(m)))
         gap_below = wa[:, 0] - wb[:, -1] >= gap_tol  # B entirely below A
@@ -1527,34 +1527,26 @@ def check_determinant_grid(fs, trials, tol=DEFAULT_TOL) -> list:
         gap = gap_below | gap_above
         mix = np.prod(_eigvalsh(alpha[:, None, None] * a + beta[:, None, None] * b), axis=-1)
         mixed_dets = alpha * np.prod(wa, axis=-1) + beta * np.prod(wb, axis=-1)
-        trial_links = (
-            _scalar_margins(da + db, dsum, tol),
-            _scalar_margins(mix, mixed_dets, tol, gap),
-        )
-        cells = list(zip(fn_of.tolist(), t_of.tolist()))
         ms, Ms = m.tolist(), M.tolist()
-        c_m = np.array([float(fs[i](ms[t])) / ms[t] for i, t in cells])
-        c_M = np.array([float(fs[i](Ms[t])) / Ms[t] for i, t in cells])
-        convex = np.array(forward)[fn_of]
+        c_m, c_M = np.ones((2, *entries.shape))  # f(m)/m and f(M)/M of the open cells
+        for i, t in np.argwhere(open_).tolist():
+            c_m[i, t], c_M[i, t] = float(fs[i](ms[t])) / ms[t], float(fs[i](Ms[t])) / Ms[t]
+        convex = np.array(forward)[:, None]
         c_lo, c_hi = np.where(convex, c_m, c_M), np.where(convex, c_M, c_m)
-        d_ab, d_sum, gap_of = (da + db)[t_of], dsum[t_of], gap[t_of]
-        reverse = _scalar_margins(dfsum[rows], 2.0 ** (1.0 - 1.0 / n) * c_M * d_ab, tol, gap_of)
-        links = (
-            *((margin[t_of], passed[t_of]) for margin, passed in trial_links),
-            _scalar_margins(dfab[rows], c_hi * d_sum, tol),
-            _scalar_margins(c_lo * d_ab, dfsum[rows], tol),
-            (np.where(convex, reverse[0], 0.0), np.where(convex, reverse[1], True)),
+        d_ab, dfab, dfsum = da + db, dfab.reshape(entries.shape), dfsum.reshape(entries.shape)
+        lo, hi = np.empty((2, *entries.shape, 5))
+        for link, pair in enumerate([(d_ab, dsum), (mix, mixed_dets), (dfab, c_hi * dsum),
+                                     (c_lo * d_ab, dfsum),
+                                     (dfsum, 2.0 ** (1.0 - 1.0 / n) * c_M * d_ab)]):
+            lo[..., link], hi[..., link] = pair
+        below, above, alpha = (x.tolist() for x in (gap_below, gap_above, alpha))
+        return _Sides(
+            lambda i, t: {"fn": fs[i].name, "alpha": alpha[t], "m": ms[t], "M": Ms[t], "dim": n,
+                          "gap_below": below[t], "gap_above": above[t], "convex": forward[i]},
+            scalar=(lo, hi),
+            # the gap links need a spectral gap; a concave f has no reverse bound
+            applicable=gap[:, None] | [True, False, True, True, False],
+            vacuous=~convex[..., None] & [False, False, False, False, True],
         )
-        margins, passes = (np.stack(column, axis=-1) for column in zip(*links))
-        gap_of, below, above, alpha = (x.tolist() for x in (gap_of, gap_below, gap_above, alpha))
-        applicable = [
-            (True, gap, True, True, gap and forward[i]) for (i, _), gap in zip(cells, gap_of)
-        ]
-        params = [
-            {"fn": fs[i].name, "alpha": alpha[t], "m": ms[t], "M": Ms[t], "dim": n,
-             "gap_below": below[t], "gap_above": above[t], "convex": forward[i]}
-            for i, t in cells
-        ]
-        _fill("determinant_suite", margins, passes, applicable, params, flat, rows)
 
-    return _group_grid(fs, trials, _TAGGED_FIXING_ZERO, group, judge)
+    return _group_grid("determinant_suite", fs, trials, _TAGGED_FIXING_ZERO, group, judge, tol)

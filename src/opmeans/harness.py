@@ -205,8 +205,7 @@ def load_hermitian_fixture(path: str) -> HermitianMatrix:
 
 
 def _matrix_payload(x) -> list:
-    arr = as_complex_array(x)
-    return [[[z.real, z.imag] for z in row] for row in arr]
+    return [[[z.real, z.imag] for z in row] for row in as_complex_array(x).tolist()]
 
 
 # ---------------------------------------------------------------------------

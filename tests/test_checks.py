@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -123,6 +124,29 @@ def test_main_chain_concave_sqrt_vacuous_edge():
     assert out.passed
     edge = [l for l in out.links if l.description == "fn-then-mean:edge-low"][0]
     assert not edge.applicable  # f'(0) infinite
+    assert edge.passed and edge.margin == 0.0 and math.copysign(1.0, edge.margin) == 1.0
+
+
+def test_inapplicable_links_report_zero_if_vacuous_else_their_computed_margin():
+    # a vacuous coefficient link reports margin 0.0: sqrt tagged convex has f'(0) infinite,
+    # so both edge links of the normal chain are vacuous
+    wrong = dataclasses.replace(function_by_name("sqrt"), convexity=Convexity.CONVEX)
+    out = check_normal_chain(wrong, np.diag([2.0, -1.0]), np.diag([-2.0, 1.0]), norms=OPNORM)
+    edges = [l for l in out.links if "edge" in l.description]
+    assert len(edges) == 2 and all(l.margin == 0.0 and l.passed for l in edges)
+    assert not any(l.applicable for l in edges)
+    # an unmet side condition reports its computed r - l: M = 4 > lambda_min(A + B) = 3,
+    # and (f(M)/M) ||A + B|| = 4 * 7 against ||f(A + B)|| = 49
+    out = check_subadditivity_refinement(SQ, A, B, norms=OPNORM)
+    (bridge,) = [l for l in out.links if l.description.startswith("coef-vs-image-of-sum")]
+    assert not bridge.applicable and bridge.passed
+    assert bridge.margin == pytest.approx(49.0 - 28.0, abs=1e-10)
+    # no spectral gap between diag(1, 4) and diag(2, 3): det(A/2 + B/2) = 5.25 against
+    # det(A)/2 + det(B)/2 = 5, a negative margin that passes
+    out = check_determinant_suite(SQ, A, B, 0.5)
+    (mix,) = [l for l in out.links if l.description == "convex-combination-det"]
+    assert not mix.applicable and mix.passed
+    assert mix.margin == pytest.approx(5.0 - 5.25, abs=1e-10)
 
 
 def test_main_chain_errors():

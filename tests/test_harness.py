@@ -527,6 +527,15 @@ def test_search_finds_violation_on_indefinite_class():
     assert "A" in rec.params and "B" in rec.params
 
 
+def test_search_hit_operands_are_python_floats_that_round_trip():
+    spec = SuiteSpec("search", dims=(3,), master_seed=20240001)
+    (rec,) = search_counterexample("norm_chain_normal", None, 100, spec).records
+    for key in ("A", "B"):
+        entries = [x for row in rec.params[key] for pair in row for x in pair]
+        assert len(entries) == 18 and {type(x) for x in entries} == {float}
+        assert repr(json.loads(json.dumps(rec.params[key]))) == repr(rec.params[key])
+
+
 def test_search_main_chain_finds_nothing():
     spec = SuiteSpec("search", dims=(2,), functions=("power:2",), means=("geometric:1/2",))
     rep = search_counterexample("main_chain", "positive_definite", 300, spec)

@@ -17,8 +17,9 @@ function and class the package defines is named somewhere in the
 repository's code, and every link a run reports is named from
 ``checks._CLAIMS``, whose families are all reported and are named nowhere
 else in ``checks``, ``checks`` catches a ``ValueError`` only at its
-listed sites, and only ``core._fn_values`` clamps values onto a
-function's domain.  The re-exports in ``__init__.py`` are not checked for
+listed sites, only ``core._fn_values`` clamps values onto a
+function's domain, and only ``checks._evaluate`` makes link margins and
+records.  The re-exports in ``__init__.py`` are not checked for
 use.
 """
 
@@ -507,12 +508,12 @@ def test_checks_catches_value_errors_only_at_its_listed_sites():
 
 
 def _callers(node, attr, scope=()):
-    """The enclosing function, as outer.inner, of every call of a method named ``attr``."""
+    """The enclosing function, as outer.inner, of every call of a function or method ``attr``."""
     for child in ast.iter_child_nodes(node):
         named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
         inner = (*scope, child.name) if named else scope
-        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                and child.func.attr == attr):
+        if isinstance(child, ast.Call) and attr in (getattr(child.func, "attr", None),
+                                                    getattr(child.func, "id", None)):
             yield ".".join(scope)
         yield from _callers(child, attr, inner)
 
@@ -525,3 +526,21 @@ def test_only_the_spectral_kernel_clamps_onto_a_domain():
         for scope in _callers(_tree(path), "clamp")
     )
     assert callers == ["core._fn_values"]
+
+
+def test_only_the_evaluator_makes_margins_and_records():
+    # a judge returns its links' sides; one evaluator turns every check's into margins,
+    # passes and records.  The fixed counterexample is no scalar link: its values are
+    # judged against fixed ones at an absolute tolerance, one inequality strict
+    tree = _tree(PKG / "checks.py")
+    callers = {
+        name: sorted(set(_callers(tree, name)))
+        for name in ("_loewner", "_loewner_on_spectrum", "_scalar_margins", "_fill", "_open")
+    }
+    assert callers == {
+        "_loewner": ["_evaluate"],
+        "_loewner_on_spectrum": ["_evaluate"],
+        "_scalar_margins": ["_evaluate"],
+        "_fill": ["_evaluate", "check_normal_counterexample"],
+        "_open": [],
+    }

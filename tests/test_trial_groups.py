@@ -382,14 +382,21 @@ def test_an_open_group_is_judged_on_its_own_stacks(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(checks.PairStack, "__new__", tracked)
+    read, chain_stacks = [], checks._chain_stacks
+    monkeypatch.setattr(checks, "_chain_stacks", lambda stack, *rest: (
+        read.append(stack) or chain_stacks(stack, *rest)
+    ))
     fs = [function_by_name("power:2")]
     for trials, shared in (
         ([(_pd(1), _pd(2)), (_pd(3), _pd(4))], True),
         ([(_pd(1), _pd(2)), (_INDEFINITE, _pd(4)), (_pd(5), _pd(6))], False),
     ):
         built.clear()
+        read.clear()
         checks.check_main_chain_grid(fs, SIGMAS, trials)
-        group, judged = built  # the group's stack, then the one its judge reads
+        (judged,) = read  # the stack its judge reads
+        group = built[0]  # the group's stack; a copy of its open rows is the one more built
+        assert len(built) == 1 + (not shared)
         assert len(group.a) == len(trials)
         assert (judged.a is group.a) is shared
         assert len(judged.a) == len(group.a) - (not shared)
